@@ -22,6 +22,7 @@ from .sbl import (IdentifiabilityError, RegressionData, SBLState, Mask,
                   posterior, marginal_loglik, identifiability_mask,
                   initial_sbl_state, sbl_em)
 from .reconstruct import (ReconConfig, ReconResult, IterationRecord,
+                          RECON_KEYS, recon_config, recon_settings,
                           reconstruct, p22_sweep, unpack_w, pack_w, converged,
                           save_result)
 from .bench import BenchConfig, RunRecord, BenchRow, BenchTable, run_benchmark

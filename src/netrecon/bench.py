@@ -23,8 +23,7 @@ import numpy as np
 from .dsf import NetworkGraph, graph_compare
 from .fileio import fmt
 from .model import generate_random_network, simulate
-from .reconstruct import ReconConfig, reconstruct
-from .sbl import SBLOptions
+from .reconstruct import recon_config, reconstruct
 
 __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
 
@@ -33,8 +32,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class BenchConfig:
-    """Benchmark sweep settings; ``recon`` holds overrides forwarded to
-    ReconConfig (mask_mode, outer/inner iteration caps, tolerances...)."""
+    """Benchmark sweep settings; ``recon`` holds reconstruction settings for
+    every cell, keyed as in :func:`netrecon.reconstruct.recon_config`
+    (each cell sets ``n_states`` from ``n_assumed`` and its own ``seed``)."""
 
     n_networks: int = 10
     p: int = 10
@@ -55,6 +55,10 @@ class BenchConfig:
         if self.m != self.p:
             raise ValueError("benchmark requires m = p")
         self.snr_list = tuple(float(s) for s in self.snr_list)
+        if {k.replace("-", "_") for k in self.recon} & {"n_states", "seed"}:
+            raise ValueError("recon may not set n_states or seed: each cell "
+                             "takes them from n_assumed and its own seed")
+        _cell_recon_config(self, 0)   # unknown keys fail before any cell runs
 
     def echo(self):
         out = {
@@ -155,16 +159,9 @@ def _derive_seed(*entropy):
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
-def _recon_config(cfg, recon_seed):
-    kwargs = dict(cfg.recon)
-    inner_keys = {k[len("inner_"):]: kwargs.pop(k)
-                  for k in list(kwargs) if k.startswith("inner_")}
-    if inner_keys:
-        base = ReconConfig(n_states=cfg.n_assumed).inner
-        for key, val in inner_keys.items():
-            setattr(base, key, val)
-        kwargs["inner"] = base
-    return ReconConfig(n_states=cfg.n_assumed, seed=recon_seed, **kwargs)
+def _cell_recon_config(cfg, recon_seed):
+    return recon_config({**cfg.recon, "n_states": cfg.n_assumed,
+                         "seed": recon_seed})
 
 
 def _bench_cell(cfg, net_idx, snr_idx):
@@ -179,7 +176,7 @@ def _bench_cell(cfg, net_idx, snr_idx):
                                         cfg.density, gen_seed)
         data = simulate(truth.model, cfg.N_samples, "gaussian_iid",
                         snr_db=snr, seed=sim_seed)
-        result = reconstruct(data, _recon_config(cfg, recon_seed))
+        result = reconstruct(data, _cell_recon_config(cfg, recon_seed))
         truth_graph = NetworkGraph(q_adj=truth.q_structure,
                                    p_adj=truth.p_structure)
         metrics = graph_compare(result.network, truth_graph)

@@ -10,15 +10,13 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
-from .bench import BenchConfig, run_benchmark
+from .bench import BenchConfig, _derive_seed, run_benchmark
 from .dsf import boolean_structure, default_q_points, dsf_from_state_space, save_dsf_result
 from .fileio import FileFormatError, LineReader
 from .model import (generate_random_network, load_dataset_csv, load_model,
                     save_dataset_csv, save_model, simulate)
-from .reconstruct import ReconConfig, reconstruct, save_result
-from .sbl import SBLOptions
+from .reconstruct import (RECON_KEYS, ReconConfig, recon_config,
+                          recon_settings, reconstruct, save_result)
 
 __all__ = ["cli_main", "main", "load_config"]
 
@@ -53,13 +51,6 @@ def load_config(path):
 
 def _coerce(raw, kind, key, path="<config>"):
     try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes"):
-                return True
-            if low in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         if kind is list:
             return [float(v) for v in raw.split(",") if v.strip()]
         return kind(raw)
@@ -76,16 +67,6 @@ _BENCH_KEYS = {
     "failure_precision_threshold": ("failure_precision_threshold", float),
     "seed": ("seed", int), "parallelism": ("parallelism", int),
 }
-_RECON_KEYS = {
-    "mask_mode": str, "p22": int, "prior_mode": str, "outer_max_iter": int,
-    "outer_tol": float, "structure_rel_tol": float, "sigma2_init": float,
-    "inner_max_iter": int, "inner_tol": float, "inner_prune_tol": float,
-    "inner_eps": float, "inner_sigma2_denominator": str,
-}
-
-
-def _derive_seed(*entropy):
-    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
 def _build_parser():
@@ -113,15 +94,14 @@ def _build_parser():
     rec = sub.add_parser("reconstruct", help="reconstruct a network from a "
                                              "dataset CSV")
     rec.add_argument("--data", required=True)
-    rec.add_argument("--n-states", type=int)
-    rec.add_argument("--mask", choices=["diag-b", "p-diag"], default=None)
-    rec.add_argument("--p22", type=int, default=None)
-    rec.add_argument("--outer-max-iter", type=int, default=None)
-    rec.add_argument("--outer-tol", type=float, default=None)
-    rec.add_argument("--inner-max-iter", type=int, default=None)
-    rec.add_argument("--inner-tol", type=float, default=None)
-    rec.add_argument("--structure-rel-tol", type=float, default=None)
-    rec.add_argument("--seed", type=int, default=0)
+    # one flag per RECON_KEYS setting; mask_mode is the one spelled --mask
+    defaults = recon_settings(ReconConfig(n_states=0))
+    for key, kind in RECON_KEYS.items():
+        flag = "mask" if key == "mask_mode" else key.replace("_", "-")
+        rec.add_argument("--" + flag, dest=key,
+                         metavar=kind.__name__.upper(),
+                         help="required" if key == "n_states"
+                         else f"default {defaults[key]}")
     rec.add_argument("--config", default=None)
     rec.add_argument("--out", required=True, help="result file path")
 
@@ -186,37 +166,24 @@ def _cmd_simulate(args, config):
 
 
 def _cmd_reconstruct(args, config):
+    """Settings from the config file, then flags, over the library defaults."""
+    settings = {}
+    for key, raw in (config or {}).items():
+        key = key.replace("-", "_")
+        settings["mask_mode" if key == "mask" else key] = raw
+    settings.update((key, getattr(args, key)) for key in RECON_KEYS
+                    if getattr(args, key) is not None)
+    if "mask_mode" in settings:   # diag-b, p-diag
+        settings["mask_mode"] = settings["mask_mode"].replace("-", "_")
+    try:
+        cfg = recon_config(settings)
+    except ValueError as exc:
+        raise _UsageError(f"reconstruct: {exc}") from None
     data = load_dataset_csv(args.data)
-    seed = _setting(args, config, "seed", int, 0)
-    mask_flag = _setting(args, config, "mask", str, None)
-    mask_mode = {"diag-b": "diag_b", "p-diag": "p_diag", None: None,
-                 "diag_b": "diag_b", "p_diag": "p_diag"}[mask_flag]
-    inner = SBLOptions(max_iter=30)
-    imax = _setting(args, config, "inner-max-iter", int, None)
-    if imax is not None:
-        inner.max_iter = imax
-    itol = _setting(args, config, "inner-tol", float, None)
-    if itol is not None:
-        inner.tol = itol
-    cfg = ReconConfig(
-        n_states=_setting(args, config, "n-states", int, required=True),
-        mask_mode=mask_mode or "diag_b",
-        p22=_setting(args, config, "p22", int, None),
-        outer_max_iter=_setting(args, config, "outer-max-iter", int, 50),
-        outer_tol=_setting(args, config, "outer-tol", float, 1e-4),
-        structure_rel_tol=_setting(args, config, "structure-rel-tol", float, 1e-4),
-        inner=inner,
-        seed=seed,
-    )
     result = reconstruct(data, cfg)
-    echo = {
-        "data": args.data, "n_states": cfg.n_states,
-        "mask_mode": cfg.mask_mode, "p22": cfg.p22 if cfg.p22 is not None else "-",
-        "outer_max_iter": cfg.outer_max_iter, "outer_tol": cfg.outer_tol,
-        "inner_max_iter": cfg.inner.max_iter, "inner_tol": cfg.inner.tol,
-        "structure_rel_tol": cfg.structure_rel_tol, "seed": seed,
-    }
-    save_result(args.out, result, echo)
+    echo = {key: "-" if value is None else value
+            for key, value in recon_settings(cfg).items()}
+    save_result(args.out, result, {"data": args.data, **echo})
     n_edges = int(result.network.q_adj.sum())
     print(f"status={result.status} outer_iterations={len(result.trace)} "
           f"edges={n_edges} -> {args.out}")
@@ -224,25 +191,27 @@ def _cmd_reconstruct(args, config):
 
 
 def _cmd_benchmark(args, config):
-    config = config or {}
-    kwargs = {}
-    for cfg_key, (field_name, kind) in _BENCH_KEYS.items():
-        if cfg_key in config:
-            kwargs[field_name] = _coerce(config[cfg_key], kind, cfg_key)
-    recon = {}
-    for key, kind in _RECON_KEYS.items():
-        cfg_key = f"recon_{key}"
-        if cfg_key in config:
-            recon[key] = _coerce(config[cfg_key], kind, cfg_key)
+    kwargs, recon = {}, {}
+    for key, raw in (config or {}).items():
+        if key in _BENCH_KEYS:
+            field_name, kind = _BENCH_KEYS[key]
+            kwargs[field_name] = _coerce(raw, kind, key)
+        elif (key.startswith("recon_")
+              and key.removeprefix("recon_").replace("-", "_") in RECON_KEYS):
+            recon[key.removeprefix("recon_")] = raw
+        else:
+            raise _UsageError(f"unknown benchmark config key '{key}' (expected "
+                              f"a benchmark key or recon_<reconstruct setting>)")
     if recon:
         kwargs["recon"] = recon
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.parallelism is not None:
         kwargs["parallelism"] = args.parallelism
-    if "snr_list" in kwargs:
-        kwargs["snr_list"] = tuple(kwargs["snr_list"])
-    bench_cfg = BenchConfig(**kwargs)
+    try:
+        bench_cfg = BenchConfig(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(f"benchmark: {exc}") from None
     if not args.quiet:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(message)s")

@@ -14,8 +14,9 @@ is non-decreasing.
 """
 
 import time
+import typing
 import warnings
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field, fields, replace as _dc_replace
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from . import dsf as _dsf
 from .fileio import fmt, fmt_row
 from .model import Dataset, StateSpaceModel
 from .sbl import (IdentifiabilityError, SBLOptions, SBLState,
-                  identifiability_mask, sbl_em, assemble_regression,
-                  regression_from_moments)
+                  identifiability_mask, sbl_em, regression_from_moments,
+                  unpack_w, pack_w)
 from .smoother import (FilterDivergedError, expectation_sums, observed_loglik,
                        kalman_filter, rts_smoother, lag_one_smoother)
 
@@ -32,6 +33,9 @@ __all__ = [
     "ReconConfig",
     "ReconResult",
     "IterationRecord",
+    "RECON_KEYS",
+    "recon_config",
+    "recon_settings",
     "reconstruct",
     "p22_sweep",
     "unpack_w",
@@ -51,29 +55,16 @@ class ReconConfig:
     ``prior_mode`` is "sbl" for the sparse prior or "ml" for the classical
     EM diagnostic mode.
 
-    ``sigma2_update`` picks where the noise scale carried to the next
-    outer iteration comes from: "exact" evaluates the expected-residual
-    M-step at the new (A, B), which keeps the smoothing-covariance terms
-    and cannot lock the filter into an open-loop fixed point; "inner"
-    carries the inner loop's plug-in estimate instead.
+    The sparse path ties the measurement-noise scale to the process scale
+    (the simulator's single-innovation-scale convention): each smoothing
+    pass runs on data divided by the current scale estimate, where the
+    unit-covariance filter is exact.  Its inner loop works on the exact
+    smoothed second moments and starts afresh in every outer iteration,
+    so support decisions made against early, poor state estimates are not
+    locked in.  The "ml" mode keeps the measurement covariance at I.
 
-    ``regression`` selects the statistics fed to the inner loop:
-    "expected_moments" uses the exact smoothed second moments (unbiased),
-    "posterior_means" plugs the smoothed means in as if they were the
-    states (the faster, attenuation-prone approximation).
-
-    With ``gamma_carry`` the hyperparameters (and hence pruning decisions)
-    persist across outer iterations; by default every outer M-step starts
-    the inner loop fresh, so support decisions made against early, poor
-    state estimates are not locked in.
-
-    ``noise_model`` controls the measurement-noise scale the sparse path
-    assumes.  "tied" (default) ties it to the process scale, matching the
-    single-innovation-scale convention of the simulator; the smoothing
-    pass then runs on data divided by the current scale estimate, where
-    the unit-covariance filter is exactly specified.  "unit" takes the
-    measurement covariance as literally I regardless of scale (the
-    classical-EM "ml" mode always uses "unit").
+    ``A_init``/``B_init`` warm-start the outer loop (masked entries are
+    zeroed); being arrays, they have no key in ``RECON_KEYS``.
     """
 
     n_states: int
@@ -88,12 +79,71 @@ class ReconConfig:
     seed: int | None = None
     sigma2_init: float | None = None
     sigma2_floor: float = 1e-12
-    sigma2_update: str = "exact"
-    regression: str = "expected_moments"
-    gamma_carry: bool = False
-    noise_model: str = "tied"
-    A_init: np.ndarray | None = None   # warm start; masked entries zeroed
+    A_init: np.ndarray | None = None
     B_init: np.ndarray | None = None
+
+
+def _scalar_fields(cls, prefix=""):
+    """(key, type) of each scalar field; SBLOptions nests as inner_<field>."""
+    for f in fields(cls):
+        if f.name == "inner":
+            yield from _scalar_fields(SBLOptions, "inner_")
+            continue
+        kind = [k for k in typing.get_args(f.type) or (f.type,)
+                if k is not type(None)][0]
+        if kind in (bool, int, float, str):   # not the A_init/B_init arrays
+            yield prefix + f.name, kind
+
+
+# Flat key -> type of every reconstruction setting: the one key set of the
+# CLI flags, reconstruct config keys, benchmark recon_<key> entries and the
+# result-file config echo.
+RECON_KEYS = dict(_scalar_fields(ReconConfig))
+
+
+def _parse(kind, raw):
+    if not isinstance(raw, str):
+        return raw
+    if kind is bool:
+        return {"1": True, "true": True, "yes": True,
+                "0": False, "false": False, "no": False}[raw.lower()]
+    return kind(raw)
+
+
+def recon_config(settings):
+    """Build a ReconConfig from a flat ``{key: value}`` mapping.
+
+    Keys are those of ``RECON_KEYS``, with '-' read as '_'; string values
+    are parsed to the key's type.  Keys left out keep the defaults, the
+    nested SBLOptions' included.  A missing ``n_states``, an unknown key
+    or an unparsable value raises ValueError.
+    """
+    top, inner = {}, {}
+    for key, raw in settings.items():
+        name = key.replace("-", "_")
+        if name not in RECON_KEYS:
+            raise ValueError(f"unknown reconstruction setting '{key}'")
+        try:
+            value = _parse(RECON_KEYS[name], raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"setting '{key}': cannot parse {raw!r}") from None
+        if name.startswith("inner_"):
+            inner[name[len("inner_"):]] = value
+        else:
+            top[name] = value
+    if "n_states" not in top:
+        raise ValueError("missing required setting 'n_states'")
+    cfg = ReconConfig(**top)
+    cfg.inner = _dc_replace(cfg.inner, **inner)
+    return cfg
+
+
+def recon_settings(cfg):
+    """The flat ``{key: value}`` view of ``cfg`` over ``RECON_KEYS``; the
+    inverse of :func:`recon_config`."""
+    return {key: getattr(cfg.inner, key[len("inner_"):])
+            if key.startswith("inner_") else getattr(cfg, key)
+            for key in RECON_KEYS}
 
 
 @dataclass
@@ -119,21 +169,6 @@ class ReconResult:
     trace: list
     status: str
     wall_time: float = 0.0
-
-
-def unpack_w(w, n, m):
-    """Column-major de-vectorization of w = [vec(A); vec(B)]."""
-    w = np.asarray(w, dtype=float).ravel()
-    if w.size != n * n + n * m:
-        raise ValueError(f"w must have length {n * n + n * m}, got {w.size}")
-    A = w[: n * n].reshape((n, n), order="F")
-    B = w[n * n:].reshape((n, m), order="F")
-    return A, B
-
-
-def pack_w(A, B):
-    return np.concatenate([np.asarray(A).ravel(order="F"),
-                           np.asarray(B).ravel(order="F")])
 
 
 def converged(w_prev, w_curr, tol):
@@ -219,23 +254,18 @@ def reconstruct(data, cfg):
         raise ValueError("n_states must be at least the output dimension")
     if cfg.prior_mode not in ("sbl", "ml"):
         raise ValueError(f"unknown prior_mode {cfg.prior_mode!r}")
-    if cfg.sigma2_update not in ("exact", "inner"):
-        raise ValueError(f"unknown sigma2_update {cfg.sigma2_update!r}")
-    if cfg.regression not in ("expected_moments", "posterior_means"):
-        raise ValueError(f"unknown regression {cfg.regression!r}")
-    if cfg.noise_model not in ("tied", "unit"):
-        raise ValueError(f"unknown noise_model {cfg.noise_model!r}")
 
     mask = identifiability_mask(n, p, m, cfg.mask_mode, cfg.p22)
     A, B, sigma2, m0, R0 = _initial_parameters(n, p, m, mask, data.Y, cfg)
-    gamma = np.where(mask.free, 1.0, 0.0)
+    gamma_free = np.where(mask.free, 1.0, 0.0)
+    gamma = gamma_free
     w_prev = pack_w(A, B)
     prev_params = (A.copy(), B.copy(), sigma2, m0.copy(), R0.copy())
 
     C = np.hstack([np.eye(p), np.zeros((p, n - p))])
     D = np.zeros((p, m))
 
-    tied = cfg.prior_mode == "sbl" and cfg.noise_model == "tied"
+    tied = cfg.prior_mode == "sbl"
     trace = []
     status = "max_iter"
     for it in range(1, cfg.outer_max_iter + 1):
@@ -279,31 +309,21 @@ def reconstruct(data, cfg):
         prev_params = (A.copy(), B.copy(), sigma2, m0.copy(), R0.copy())
         es = expectation_sums(sp, fit_data, sp.x_sm[0])
 
-        if cfg.prior_mode == "sbl":
-            if cfg.regression == "expected_moments":
-                reg = regression_from_moments(es, n, m)
-            else:
-                reg = assemble_regression(sp, fit_data, n)
-            gamma_init = gamma if cfg.gamma_carry else np.where(mask.free, 1.0, 0.0)
-            init = SBLState(gamma=gamma_init, sigma2=1.0 if tied else sigma2)
+        if tied:
+            reg = regression_from_moments(es, n, m)
+            init = SBLState(gamma=gamma_free, sigma2=1.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 st = sbl_em(reg, mask, init=init, opts=cfg.inner)
             gamma = st.gamma
             A, B_fit = unpack_w(st.mu_w, n, m)
             B = B_fit * s
-            if tied:
-                # pooled expected residual of the state and measurement
-                # couplings, applied as a correction to the current scale
-                ratio = (_expected_residual_sigma2(es, A, B_fit, n) * (data.N * n)
-                         + _measurement_residual(sp, fit_data, C)) \
-                    / (data.N * (n + p))
-                sigma2 = sigma2 * ratio
-            elif cfg.sigma2_update == "exact":
-                sigma2 = _expected_residual_sigma2(es, A, B, n)
-            else:
-                sigma2 = st.sigma2
-            sigma2 = max(sigma2, cfg.sigma2_floor)
+            # pooled expected residual of the state and measurement
+            # couplings, applied as a correction to the current scale
+            ratio = (_expected_residual_sigma2(es, A, B_fit, n) * (data.N * n)
+                     + _measurement_residual(sp, fit_data, C)) \
+                / (data.N * (n + p))
+            sigma2 = max(sigma2 * ratio, cfg.sigma2_floor)
             inner_iters = st.iteration
             n_active = int(st.active.sum())
         else:

@@ -35,6 +35,8 @@ __all__ = [
     "identifiability_mask",
     "initial_sbl_state",
     "sbl_em",
+    "unpack_w",
+    "pack_w",
 ]
 
 
@@ -234,10 +236,19 @@ def identifiability_mask(n, p, m, mode, p22=None):
     return Mask(free=free, mode=mode, n=n, p=p, m=m, p22=p22)
 
 
-def _unpack(w, n, m):
+def unpack_w(w, n, m):
+    """Column-major de-vectorization of w = [vec(A); vec(B)]."""
+    w = np.asarray(w, dtype=float).ravel()
+    if w.size != n * n + n * m:
+        raise ValueError(f"w must have length {n * n + n * m}, got {w.size}")
     A = w[: n * n].reshape((n, n), order="F")
     B = w[n * n:].reshape((n, m), order="F")
     return A, B
+
+
+def pack_w(A, B):
+    return np.concatenate([np.asarray(A).ravel(order="F"),
+                           np.asarray(B).ravel(order="F")])
 
 
 def _row_estep(reg, gamma, sigma2, eps, i, want_cov=False):
@@ -404,7 +415,7 @@ def sbl_em(reg, mask, init=None, opts=None):
         gamma_new[active] = diag_sig[active] + mu[active]**2
 
         if opts.update_sigma2:
-            A_mu, B_mu = _unpack(mu, reg.n, reg.m)
+            A_mu, B_mu = unpack_w(mu, reg.n, reg.m)
             resid = reg.targets - reg.regressors @ np.hstack([A_mu, B_mu]).T
             rss = float((resid**2).sum())
             sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / denom_N, 1e-300)

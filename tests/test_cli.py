@@ -176,3 +176,56 @@ def test_config_file_supplies_subcommand_settings(tmp_path):
                     "--n-states", 6, "--out", out2])
     assert code == 0
     assert "n_states 6" in out2.read_text()
+
+
+def _result_blocks(path):
+    """Rows under each header line (a lone word) of a result file."""
+    blocks = {}
+    for line in Path(path).read_text().splitlines():
+        words = line.split()
+        if len(words) == 1 and words[0].isidentifier():
+            rows = blocks.setdefault(words[0], [])
+        elif blocks:
+            rows.append(words)
+    return blocks
+
+
+def test_reconstruct_matches_library(tmp_path):
+    from netrecon import RECON_KEYS, ReconConfig, SBLOptions, reconstruct
+    data_path = tmp_path / "d.csv"
+    assert run_cli(["simulate", "--p", 3, "--n", 6, "--m", 3, "--density",
+                    "0.3", "--n-samples", 120, "--snr-db", 20, "--seed", 1,
+                    "--out", data_path]) == 0
+    data = load_dataset_csv(data_path)
+    cases = [
+        ([], ReconConfig(n_states=7, seed=7)),
+        (["--inner-max-iter", 20, "--structure-rel-tol", 0.05],
+         ReconConfig(n_states=7, seed=7, structure_rel_tol=0.05,
+                     inner=SBLOptions(max_iter=20, prune_tol=1e-5))),
+    ]
+    for i, (flags, cfg) in enumerate(cases):
+        out = tmp_path / f"r{i}.txt"
+        assert run_cli(["reconstruct", "--data", data_path, "--n-states", 7,
+                        "--seed", 7, *flags, "--out", out]) == 0
+        blocks = _result_blocks(out)
+        expected = reconstruct(data, cfg)
+        assert np.array_equal(np.array(blocks["A_hat"], dtype=float),
+                              expected.A_hat)
+        assert np.array_equal(np.array(blocks["q_adjacency"], dtype=int),
+                              expected.network.q_adj.astype(int))
+        echoed = {row[0] for row in blocks["config"]}
+        assert set(RECON_KEYS) <= echoed
+        assert {"inner_prune_tol", "prior_mode"} <= echoed
+
+
+def test_benchmark_rejects_unknown_config_keys(tmp_path, capsys):
+    base = ("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
+            "density = 0.4\nn_samples = 40\nsnr_list = 30\n")
+    for bad in ("recon_inner_max_iters = 5", "n_network = 2", "recon_seed = 3"):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(base + bad + "\n")
+        out = tmp_path / "t.csv"
+        assert run_cli(["benchmark", "--config", cfg, "--out", out,
+                        "--quiet"]) == 1
+        assert bad.split(" = ")[0].removeprefix("recon_") in capsys.readouterr().err
+        assert not out.exists()

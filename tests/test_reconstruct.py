@@ -232,3 +232,25 @@ def test_oracle_start_on_noise_free_data_is_perfect():
                                        p_adj=truth.p_structure))
         assert m.precision == 1.0
         assert m.tpr == 1.0
+
+
+def test_recon_config_flat_settings():
+    from netrecon import RECON_KEYS, recon_config, recon_settings
+    default = ReconConfig(n_states=4)
+    assert recon_config({"n_states": "4"}) == default
+    assert recon_settings(default)["inner_prune_tol"] == default.inner.prune_tol
+    cfg = recon_config({"n-states": "6", "mask_mode": "p_diag", "p22": "1",
+                        "inner-max-iter": "7", "inner_update_sigma2": "no",
+                        "structure_rel_tol": 0.5})
+    assert cfg == dataclasses.replace(
+        default, n_states=6, mask_mode="p_diag", p22=1, structure_rel_tol=0.5,
+        inner=dataclasses.replace(default.inner, max_iter=7,
+                                  update_sigma2=False))
+    assert recon_config(recon_settings(cfg)) == cfg
+    assert "A_init" not in RECON_KEYS and "inner" not in RECON_KEYS
+    for bad, match in [({"n_states": 4, "inner_max_iters": 5}, "inner_max_iters"),
+                       ({"n_states": "four"}, "n_states"),
+                       ({"n_states": 4, "inner_update_sigma2": "maybe"}, "maybe"),
+                       ({"seed": 1}, "n_states")]:
+        with pytest.raises(ValueError, match=match):
+            recon_config(bad)
