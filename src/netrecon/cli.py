@@ -1,9 +1,11 @@
 """Command-line interface: simulate, reconstruct, benchmark, dsf.
 
 Shared flags: --seed (drives every random choice), --config (key-value
-file supplying defaults that explicit flags override), --out.  Exit codes:
-0 success, 1 usage error, 2 runtime error.  All output files are
-deterministic functions of the configuration and seed.
+file supplying defaults that explicit flags override), --out.  Config keys
+are the long flag names, with '-' and '_' read alike; an unknown key is a
+usage error.  Exit codes: 0 success, 1 usage error, 2 runtime error (a
+config value that does not parse names its file and line).  All output
+files are deterministic functions of the configuration and seed.
 """
 
 import argparse
@@ -30,11 +32,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def load_config(path):
-    """Parse a key-value config file ('key = value' or 'key value' lines,
-    '#' comments); returns a dict of raw strings."""
+class _Config:
+    """Raw config values with the file and line each one came from."""
+
+    def __init__(self, path=None, values=None, lines=None):
+        self.path = path
+        self.values = values or {}
+        self.lines = lines or {}
+
+    def parse(self, key, kind):
+        """The value of ``key`` as ``kind`` (``list``: comma-separated
+        floats); FileFormatError at the key's line if it does not parse."""
+        raw = self.values[key]
+        try:
+            if kind is list:
+                return [float(v) for v in raw.split(",") if v.strip()]
+            return kind(raw)
+        except ValueError:
+            raise FileFormatError(self.path, self.lines[key],
+                                  f"field '{key}': cannot parse {raw!r}") from None
+
+
+def _read_config(path):
     reader = LineReader(path)
-    out = {}
+    values, lines = {}, {}
     while not reader.at_end():
         line = reader.next_line()
         if "=" in line:
@@ -45,18 +66,21 @@ def load_config(path):
         value = value.strip()
         if not key or not value:
             reader.error(f"expected 'key = value', found '{line}'")
-        out[key] = value
-    return out
+        values[key] = value
+        lines[key] = reader.lineno
+    return _Config(str(path), values, lines)
 
 
-def _coerce(raw, kind, key, path="<config>"):
-    try:
-        if kind is list:
-            return [float(v) for v in raw.split(",") if v.strip()]
-        return kind(raw)
-    except ValueError:
-        raise FileFormatError(path, 0, f"field '{key}': cannot parse {raw!r}")
+def load_config(path):
+    """Parse a key-value config file ('key = value' or 'key value' lines,
+    '#' comments); returns a dict of raw strings."""
+    return _read_config(path).values
 
+
+# config-file key -> type, for the subcommands without a library schema
+_SIMULATE_KEYS = {"seed": int, "n_samples": int, "snr_db": float, "p": int,
+                  "n": int, "m": int, "density": float}
+_DSF_KEYS = {"seed": int, "rel_tol": float}
 
 # config-file key -> (BenchConfig field, type)
 _BENCH_KEYS = {
@@ -82,12 +106,12 @@ def _build_parser():
     sim.add_argument("--m", type=int, help="number of inputs (must equal p)")
     sim.add_argument("--density", type=float, help="A sparsity density in (0,1]")
     sim.add_argument("--n-samples", type=int, help="number of output samples")
-    sim.add_argument("--snr-db", type=float, default=None)
+    sim.add_argument("--snr-db", type=float, help="default: no noise")
     sim.add_argument("--model-in", default=None,
                      help="simulate this model file instead of generating")
     sim.add_argument("--model-out", default=None,
                      help="write the generated model here")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=int, help="default 0")
     sim.add_argument("--config", default=None)
     sim.add_argument("--out", required=True, help="dataset CSV path")
 
@@ -120,39 +144,48 @@ def _build_parser():
     dsf_p = sub.add_parser("dsf", help="extract the DSF and Boolean structure "
                                        "of a saved model")
     dsf_p.add_argument("--model", required=True)
-    dsf_p.add_argument("--rel-tol", type=float, default=1e-4)
-    dsf_p.add_argument("--seed", type=int, default=0)
+    dsf_p.add_argument("--rel-tol", type=float, help="default 1e-4")
+    dsf_p.add_argument("--seed", type=int, help="default 0")
     dsf_p.add_argument("--config", default=None)
     dsf_p.add_argument("--out", default=None, help="DSF result file path")
     return parser
 
 
-def _setting(args, config, key, kind, default=None, required=False):
-    """Flag value if given, else config file value, else default."""
-    attr = key.replace("-", "_")
-    val = getattr(args, attr, None)
-    if val is not None:
-        return val
-    if config and key in config:
-        return _coerce(config[key], kind, key)
-    if required and default is None:
-        raise _UsageError(f"missing required setting '--{key}' "
+def _settings(command, kinds, args, config):
+    """Settings named in ``kinds``: flag values where given, else config
+    file values; an unknown config key is a usage error."""
+    out = {}
+    for key in config.values:
+        name = key.replace("-", "_")
+        if name not in kinds:
+            raise _UsageError(f"unknown {command} config key '{key}' (expected "
+                              f"one of {', '.join(sorted(kinds))})")
+        out[name] = config.parse(key, kinds[name])
+    out.update((name, getattr(args, name)) for name in kinds
+               if getattr(args, name) is not None)
+    return out
+
+
+def _required(settings, name):
+    if name not in settings:
+        raise _UsageError(f"missing required setting '--{name.replace('_', '-')}' "
                           f"(flag or config file)")
-    return default
+    return settings[name]
 
 
 def _cmd_simulate(args, config):
-    seed = _setting(args, config, "seed", int, 0)
-    n_samples = _setting(args, config, "n-samples", int, required=True)
-    snr_db = _setting(args, config, "snr-db", float, None)
+    settings = _settings("simulate", _SIMULATE_KEYS, args, config)
+    seed = settings.get("seed", 0)
+    n_samples = _required(settings, "n_samples")
+    snr_db = settings.get("snr_db")
     if args.model_in:
         model, meta = load_model(args.model_in)
         density = meta.get("density")
     else:
-        p = _setting(args, config, "p", int, required=True)
-        n = _setting(args, config, "n", int, required=True)
-        m = _setting(args, config, "m", int, p)
-        density = _setting(args, config, "density", float, required=True)
+        p = _required(settings, "p")
+        n = _required(settings, "n")
+        m = settings.get("m", p)
+        density = _required(settings, "density")
         truth = generate_random_network(p, n, m, density,
                                         seed=_derive_seed(seed, 0))
         model = truth.model
@@ -168,7 +201,7 @@ def _cmd_simulate(args, config):
 def _cmd_reconstruct(args, config):
     """Settings from the config file, then flags, over the library defaults."""
     settings = {}
-    for key, raw in (config or {}).items():
+    for key, raw in config.values.items():
         key = key.replace("-", "_")
         settings["mask_mode" if key == "mask" else key] = raw
     settings.update((key, getattr(args, key)) for key in RECON_KEYS
@@ -192,13 +225,13 @@ def _cmd_reconstruct(args, config):
 
 def _cmd_benchmark(args, config):
     kwargs, recon = {}, {}
-    for key, raw in (config or {}).items():
-        if key in _BENCH_KEYS:
-            field_name, kind = _BENCH_KEYS[key]
-            kwargs[field_name] = _coerce(raw, kind, key)
-        elif (key.startswith("recon_")
-              and key.removeprefix("recon_").replace("-", "_") in RECON_KEYS):
-            recon[key.removeprefix("recon_")] = raw
+    for key, raw in config.values.items():
+        name = key.replace("-", "_")
+        if name in _BENCH_KEYS:
+            field_name, kind = _BENCH_KEYS[name]
+            kwargs[field_name] = config.parse(key, kind)
+        elif name.startswith("recon_") and name.removeprefix("recon_") in RECON_KEYS:
+            recon[name.removeprefix("recon_")] = raw
         else:
             raise _UsageError(f"unknown benchmark config key '{key}' (expected "
                               f"a benchmark key or recon_<reconstruct setting>)")
@@ -230,9 +263,10 @@ def _cmd_benchmark(args, config):
 
 
 def _cmd_dsf(args, config):
+    settings = _settings("dsf", _DSF_KEYS, args, config)
+    seed = settings.get("seed", 0)
+    rel_tol = settings.get("rel_tol", 1e-4)
     model, meta = load_model(args.model)
-    seed = _setting(args, config, "seed", int, 0)
-    rel_tol = _setting(args, config, "rel-tol", float, 1e-4)
     sample = dsf_from_state_space(model, default_q_points(seed=seed))
     graph = boolean_structure(sample, rel_tol)
     if args.out:
@@ -253,7 +287,7 @@ def cli_main(argv=None):
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        config = load_config(args.config) if getattr(args, "config", None) else None
+        config = _read_config(args.config) if args.config else _Config()
         handler = {"simulate": _cmd_simulate, "reconstruct": _cmd_reconstruct,
                    "benchmark": _cmd_benchmark, "dsf": _cmd_dsf}[args.command]
         return handler(args, config)

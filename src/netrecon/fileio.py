@@ -46,6 +46,11 @@ class LineReader:
         self._pos = 0
         self.comments = []
 
+    @property
+    def lineno(self):
+        """1-based number of the line last returned by ``next_line``."""
+        return self._pos
+
     def error(self, message, lineno=None):
         raise FileFormatError(self.path, self._pos if lineno is None else lineno, message)
 

@@ -10,6 +10,19 @@ state t_0 (prior only, no measurement); measurements exist for k = 1..N.
 The filter assumes process noise covariance sigma^2 I_n and unit
 measurement covariance; measurement feedthrough (nonzero D) is not
 supported in estimation.
+
+Steady state: the covariance recursions do not depend on the data, and
+for a stable model they settle within a few dozen steps.  The filter
+watches P_{k|k-1}; at the first step k >= 2 where one step changes it by
+at most ``_STEADY_RTOL`` times its largest entry, it records k as
+``FilterPass.k_steady`` and reuses that step's P_{k|k-1}, P_{k|k}, gain and
+innovation covariance for every later step, which then runs only the mean
+recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS and
+lag-one smoothers use one gain over that segment and run their backward
+covariance recursions only until those settle by the same test; the
+log-likelihood factors the shared innovation covariance once.  Steps before
+k_steady, and runs where the test never passes, run every recursion at
+every step.
 """
 
 import warnings
@@ -32,6 +45,8 @@ __all__ = [
 ]
 
 _DIVERGE_NORM = 1e12
+# Relative change below which a covariance recursion counts as settled.
+_STEADY_RTOL = 1e-13
 
 
 class FilterDivergedError(RuntimeError):
@@ -46,6 +61,12 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
+def _settled(new, old):
+    """True when ``new`` differs from ``old`` by at most _STEADY_RTOL times
+    the largest entry of ``new``."""
+    return np.abs(new - old).max() <= _STEADY_RTOL * np.abs(new).max()
+
+
 @dataclass
 class FilterPass:
     """Forward-pass quantities; index 0 holds the t_0 prior.
@@ -53,6 +74,8 @@ class FilterPass:
     x_pred[k], P_pred[k] are the one-step predictions x_{k|k-1}, P_{k|k-1};
     x_filt[k], P_filt[k] the filtered estimates; K_gain[k] the gain;
     innovations[k] and innov_cov[k] feed the observed-data likelihood.
+    k_steady is the step from which P_pred, P_filt, K_gain and innov_cov
+    hold one settled value (None if the covariances never settled).
     """
 
     x_pred: np.ndarray
@@ -63,6 +86,7 @@ class FilterPass:
     innovations: np.ndarray
     innov_cov: np.ndarray
     N: int
+    k_steady: int | None = None
 
 
 @dataclass
@@ -112,8 +136,16 @@ def kalman_filter(model, data):
         P_{k|k}   = P_{k|k-1} - K_k C P_{k|k-1}
 
     started from the prior x_{0|0} = m0, P_{0|0} = R0.  Raises
-    FilterDivergedError when a covariance norm exceeds 1e12, signalling an
-    unstable parameter iterate to the caller.
+    FilterDivergedError when a covariance norm exceeds 1e12 or a predicted
+    mean is not finite, signalling an unstable parameter iterate to the
+    caller.
+
+    Once P_{k|k-1} changes by at most _STEADY_RTOL relative to its largest
+    entry in one step (k >= 2), the covariances, gain and innovation
+    covariance of step k are copied to all later steps (``k_steady = k``).
+    The later filtered means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
+    F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j, and the predicted
+    means and innovations are formed in batch.
     """
     n, p, m = model.n, model.p, model.m
     if data.p != p or data.m != m:
@@ -143,6 +175,7 @@ def kalman_filter(model, data):
     P_pred[0] = P_filt[0]
     innov_cov[0] = Ip
 
+    k_steady = None
     for k in range(1, N + 1):
         x_pred[k] = A @ x_filt[k - 1] + B @ data.U[k - 1]
         Pp = _sym(A @ P_filt[k - 1] @ A.T + sig2I)
@@ -157,9 +190,32 @@ def kalman_filter(model, data):
         K_gain[k] = K
         x_filt[k] = x_pred[k] + K @ innovations[k]
         P_filt[k] = _sym(Pp - K @ C @ Pp)
+        # P_pred[1] follows the prior, not the Riccati map, so compare from 2
+        if k >= 2 and _settled(Pp, P_pred[k - 1]):
+            k_steady = k
+            break
+
+    if k_steady is not None and k_steady < N:
+        ks = k_steady
+        tail = slice(ks + 1, N + 1)
+        P_pred[tail] = P_pred[ks]
+        P_filt[tail] = P_filt[ks]
+        K_gain[tail] = K_gain[ks]
+        innov_cov[tail] = innov_cov[ks]
+        K = K_gain[ks]
+        IKC = np.eye(n) - K @ C
+        F = IKC @ A
+        g = data.U[ks:] @ (IKC @ B).T + data.Y[ks:] @ K.T
+        for k in range(ks + 1, N + 1):
+            x_filt[k] = F @ x_filt[k - 1] + g[k - ks - 1]
+        x_pred[tail] = x_filt[ks:N] @ A.T + data.U[ks:] @ B.T
+        bad = ~np.isfinite(x_pred[tail]).all(axis=1)
+        if bad.any():
+            raise FilterDivergedError(ks + 1 + int(np.argmax(bad)))
+        innovations[tail] = data.Y[ks:] - x_pred[tail] @ C.T
     return FilterPass(x_pred=x_pred, P_pred=P_pred, x_filt=x_filt,
                       P_filt=P_filt, K_gain=K_gain, innovations=innovations,
-                      innov_cov=innov_cov, N=N)
+                      innov_cov=innov_cov, N=N, k_steady=k_steady)
 
 
 def rts_smoother(model, fp):
@@ -173,6 +229,13 @@ def rts_smoother(model, fp):
 
     A singular one-step covariance falls back to the pseudo-inverse; the
     affected steps are recorded in ``pinv_steps``.
+
+    From ``fp.k_steady`` on, P_{k|k} and P_{k+1|k} are settled, so one gain J
+    serves every step k >= k_steady (if its solve fails, the pseudo-inverse
+    gain serves them all and each is listed in ``pinv_steps``).  There the
+    P_{k|N} recursion runs backwards only until it settles by the filter's
+    test and its last value fills the rest of the segment, and each mean
+    update is one product, x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}).
     """
     N = fp.N
     n = fp.x_filt.shape[1]
@@ -183,7 +246,25 @@ def rts_smoother(model, fp):
     x_sm[N] = fp.x_filt[N]
     P_sm[N] = fp.P_filt[N]
     pinv_steps = []
-    for k in range(N - 1, -1, -1):
+    ks = N if fp.k_steady is None else fp.k_steady
+    if ks < N:
+        Pf, Pp = fp.P_filt[ks], fp.P_pred[ks + 1]
+        PAt = Pf @ A.T
+        try:
+            Js = np.linalg.solve(Pp.T, PAt.T).T
+        except np.linalg.LinAlgError:
+            Js = PAt @ np.linalg.pinv(Pp)
+            pinv_steps.extend(range(N - 1, ks - 1, -1))
+        J[ks:] = Js
+        for k in range(N - 1, ks - 1, -1):
+            P_sm[k] = _sym(Pf + Js @ (P_sm[k + 1] - Pp) @ Js.T)
+            if _settled(P_sm[k], P_sm[k + 1]):
+                P_sm[ks:k] = P_sm[k]
+                break
+        h = fp.x_filt[ks:N] - fp.x_pred[ks + 1:] @ Js.T
+        for k in range(N - 1, ks - 1, -1):
+            x_sm[k] = Js @ x_sm[k + 1] + h[k - ks]
+    for k in range(ks - 1, -1, -1):
         PAt = fp.P_filt[k] @ A.T
         try:
             Jk = np.linalg.solve(fp.P_pred[k + 1].T, PAt.T).T
@@ -208,13 +289,27 @@ def lag_one_smoother(model, fp, sp):
         M_k = P_{k|k} J_{k-1}' + J_k (M_{k+1} - A P_{k|k}) J_{k-1}'
 
     for k = N-1..1.  Index 0 of the returned array is unused (zeros).
+
+    For k > ``fp.k_steady`` every factor is settled (``sp`` must come from
+    ``rts_smoother`` on the same pass), so the recursion runs only until M
+    settles and its last value fills the rest of that segment.
     """
     N = fp.N
     n = fp.x_filt.shape[1]
     A, C = model.A, model.C
     M = np.zeros((N + 1, n, n))
     M[N] = (np.eye(n) - fp.K_gain[N] @ C) @ A @ fp.P_filt[N - 1]
-    for k in range(N - 1, 0, -1):
+    ks = N - 1 if fp.k_steady is None else min(fp.k_steady, N - 1)
+    if ks < N - 1:
+        Js = sp.J[ks]
+        PJt = fp.P_filt[ks] @ Js.T
+        APf = A @ fp.P_filt[ks]
+        for k in range(N - 1, ks, -1):
+            M[k] = PJt + Js @ (M[k + 1] - APf) @ Js.T
+            if _settled(M[k], M[k + 1]):
+                M[ks + 1:k] = M[k]
+                break
+    for k in range(ks, 0, -1):
         M[k] = fp.P_filt[k] @ sp.J[k - 1].T \
             + sp.J[k] @ (M[k + 1] - A @ fp.P_filt[k]) @ sp.J[k - 1].T
     return M
@@ -302,12 +397,23 @@ def observed_loglik(model, data, fp=None):
     the sum over k of log N(y_k; C x_{k|k-1}, C P_{k|k-1} C' + I).
 
     Pass an existing FilterPass as ``fp`` to reuse a completed forward pass.
+    From ``fp.k_steady`` on the innovation covariance is shared: it is
+    factored once and the quadratic terms of those steps come from one solve
+    (per step as before if its Cholesky factorization fails).
     """
     if fp is None:
         fp = kalman_filter(model, data)
     p = data.p
     total = 0.0
-    for k in range(1, fp.N + 1):
+    last = fp.N
+    L = None
+    if fp.k_steady is not None:
+        try:
+            L = np.linalg.cholesky(fp.innov_cov[fp.k_steady])
+            last = fp.k_steady - 1
+        except np.linalg.LinAlgError:
+            pass
+    for k in range(1, last + 1):
         S = fp.innov_cov[k]
         nu = fp.innovations[k]
         sign, logdet = np.linalg.slogdet(S)
@@ -315,4 +421,9 @@ def observed_loglik(model, data, fp=None):
             raise FilterDivergedError(k)
         total += -0.5 * (p * np.log(2.0 * np.pi) + logdet
                          + nu @ np.linalg.solve(S, nu))
+    if L is not None:
+        Z = np.linalg.solve(L, fp.innovations[last + 1:].T)
+        logdet = 2.0 * np.log(np.diag(L)).sum()
+        total += -0.5 * ((fp.N - last) * (p * np.log(2.0 * np.pi) + logdet)
+                         + float((Z * Z).sum()))
     return float(total)

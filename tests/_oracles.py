@@ -2,7 +2,12 @@
 
 Everything here is re-derived from first principles (explicitly formed
 joint Gaussians, dense textbook formulas, brute-force estimates) and
-shares no code path with the library implementations it checks.
+shares no code path with the library implementations it checks.  The one
+exception is the per-step Kalman reference (``filter_per_step`` and the
+functions after it): it runs every covariance recursion at every step, as
+the library did before it learned to stop them once they settle, so tests
+can check the library's steady-state path at sizes the joint-Gaussian
+oracles cannot reach.  It returns the library's own pass containers.
 """
 
 import numpy as np
@@ -162,3 +167,107 @@ def random_stable_model(rng, n, p, m, sigma=None, rich_prior=True):
         sigma = rng.uniform(0.3, 1.5)
     return StateSpaceModel(A=A, B=B, C=C, D=np.zeros((p, m)), sigma=sigma,
                            m0=m0, R0=R0)
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+def filter_per_step(model, data):
+    """Forward Kalman filter with the covariance recursion run at every
+    step; same conventions and divergence guard as ``kalman_filter``."""
+    from netrecon import FilterDivergedError, FilterPass
+
+    n, p = model.n, model.p
+    N = data.N
+    A, B, C = model.A, model.B, model.C
+    sig2I = model.sigma**2 * np.eye(n)
+    Ip = np.eye(p)
+
+    x_pred = np.zeros((N + 1, n))
+    P_pred = np.zeros((N + 1, n, n))
+    x_filt = np.zeros((N + 1, n))
+    P_filt = np.zeros((N + 1, n, n))
+    K_gain = np.zeros((N + 1, n, p))
+    innovations = np.zeros((N + 1, p))
+    innov_cov = np.zeros((N + 1, p, p))
+
+    x_filt[0] = model.m0
+    P_filt[0] = _sym(model.R0)
+    x_pred[0] = model.m0
+    P_pred[0] = P_filt[0]
+    innov_cov[0] = Ip
+
+    for k in range(1, N + 1):
+        x_pred[k] = A @ x_filt[k - 1] + B @ data.U[k - 1]
+        Pp = _sym(A @ P_filt[k - 1] @ A.T + sig2I)
+        if not np.all(np.isfinite(Pp)) or np.abs(Pp).max() > 1e12 \
+                or not np.all(np.isfinite(x_pred[k])):
+            raise FilterDivergedError(k)
+        P_pred[k] = Pp
+        S = _sym(C @ Pp @ C.T + Ip)
+        K = np.linalg.solve(S, C @ Pp).T
+        innovations[k] = data.Y[k - 1] - C @ x_pred[k]
+        innov_cov[k] = S
+        K_gain[k] = K
+        x_filt[k] = x_pred[k] + K @ innovations[k]
+        P_filt[k] = _sym(Pp - K @ C @ Pp)
+    return FilterPass(x_pred=x_pred, P_pred=P_pred, x_filt=x_filt,
+                      P_filt=P_filt, K_gain=K_gain, innovations=innovations,
+                      innov_cov=innov_cov, N=N)
+
+
+def rts_per_step(model, fp):
+    """RTS smoother with a gain solve and covariance update at every step."""
+    from netrecon import SmoothPass
+
+    N = fp.N
+    n = fp.x_filt.shape[1]
+    A = model.A
+    x_sm = np.zeros((N + 1, n))
+    P_sm = np.zeros((N + 1, n, n))
+    J = np.zeros((N, n, n))
+    x_sm[N] = fp.x_filt[N]
+    P_sm[N] = fp.P_filt[N]
+    pinv_steps = []
+    for k in range(N - 1, -1, -1):
+        PAt = fp.P_filt[k] @ A.T
+        try:
+            Jk = np.linalg.solve(fp.P_pred[k + 1].T, PAt.T).T
+        except np.linalg.LinAlgError:
+            Jk = PAt @ np.linalg.pinv(fp.P_pred[k + 1])
+            pinv_steps.append(k)
+        J[k] = Jk
+        x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
+        P_sm[k] = _sym(fp.P_filt[k] + Jk @ (P_sm[k + 1] - fp.P_pred[k + 1]) @ Jk.T)
+    return SmoothPass(x_sm=x_sm, P_sm=P_sm, J=J, M_sm=None,
+                      pinv_steps=tuple(pinv_steps))
+
+
+def lag_one_per_step(model, fp, sp):
+    """Lag-one covariances M[k] = Cov(x_k, x_{k-1} | Y), every step."""
+    N = fp.N
+    n = fp.x_filt.shape[1]
+    A, C = model.A, model.C
+    M = np.zeros((N + 1, n, n))
+    M[N] = (np.eye(n) - fp.K_gain[N] @ C) @ A @ fp.P_filt[N - 1]
+    for k in range(N - 1, 0, -1):
+        M[k] = fp.P_filt[k] @ sp.J[k - 1].T \
+            + sp.J[k] @ (M[k + 1] - A @ fp.P_filt[k]) @ sp.J[k - 1].T
+    return M
+
+
+def loglik_per_step(fp, p):
+    """Prediction-error log-likelihood, one determinant and solve per step."""
+    from netrecon import FilterDivergedError
+
+    total = 0.0
+    for k in range(1, fp.N + 1):
+        S = fp.innov_cov[k]
+        nu = fp.innovations[k]
+        sign, logdet = np.linalg.slogdet(S)
+        if sign <= 0:
+            raise FilterDivergedError(k)
+        total += -0.5 * (p * np.log(2.0 * np.pi) + logdet
+                         + nu @ np.linalg.solve(S, nu))
+    return float(total)

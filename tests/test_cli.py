@@ -229,3 +229,44 @@ def test_benchmark_rejects_unknown_config_keys(tmp_path, capsys):
                         "--quiet"]) == 1
         assert bad.split(" = ")[0].removeprefix("recon_") in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_simulate_and_dsf_config_keys(tmp_path, capsys):
+    flags = ["--p", 2, "--n", 3, "--m", 2, "--density", "0.5"]
+    by_flag = tmp_path / "flag.csv"
+    assert run_cli(["simulate", *flags, "--n-samples", 30, "--snr-db", 20,
+                    "--seed", 5, "--out", by_flag]) == 0
+    # '_' and '-' spellings both read, and config values are not shadowed
+    # by flag defaults
+    for spelling in ("snr_db = 20\nn_samples = 30\nseed = 5\n",
+                     "snr-db = 20\nn-samples = 30\nseed = 5\n"):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(spelling)
+        out = tmp_path / "cfg.csv"
+        assert run_cli(["simulate", *flags, "--config", cfg, "--out", out]) == 0
+        assert "# snr_db 20" in out.read_text().splitlines()
+        assert out.read_bytes() == by_flag.read_bytes()
+    capsys.readouterr()
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n_samples = 30\nbogus = 1\n")
+    out = tmp_path / "bad.csv"
+    assert run_cli(["simulate", *flags, "--config", bad, "--out", out]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["dsf", "--model", FIXTURES / "sample_model.txt",
+                    "--config", bad]) == 1
+    assert "n_samples" in capsys.readouterr().err
+
+
+def test_config_value_error_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("# sweep\nn_networks = 1\n\np = abc\n")
+    assert run_cli(["benchmark", "--config", cfg, "--out", tmp_path / "t.csv",
+                    "--quiet"]) == 2
+    assert f"{cfg}:4: field 'p'" in capsys.readouterr().err
+    sim = tmp_path / "sim.cfg"
+    sim.write_text("seed = 1\nn-samples = many\n")
+    assert run_cli(["simulate", "--p", 2, "--n", 3, "--density", "0.5",
+                    "--config", sim, "--out", tmp_path / "d.csv"]) == 2
+    assert f"{sim}:2: field 'n-samples'" in capsys.readouterr().err
