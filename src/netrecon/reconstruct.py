@@ -25,7 +25,7 @@ from .fileio import fmt, fmt_row
 from .model import Dataset, StateSpaceModel
 from .sbl import (IdentifiabilityError, SBLOptions, SBLState,
                   identifiability_mask, sbl_em, regression_from_moments,
-                  unpack_w, pack_w)
+                  moment_rss, unpack_w, pack_w)
 from .smoother import (FilterDivergedError, expectation_sums, observed_loglik,
                        kalman_filter, rts_smoother, lag_one_smoother)
 
@@ -216,10 +216,9 @@ def _initial_parameters(n, p, m, mask, Y, cfg):
 def _expected_residual_sigma2(es, A, B, n):
     """Exact conditional M-step for the noise scale at a given (A, B):
     the expected squared one-step residual per state coordinate."""
-    L = np.hstack([A, B])
-    trace_term = float(np.trace(es.S_xx)) - 2.0 * float(np.sum(L * es.S_xz)) \
-        + float(np.sum((L @ es.S_zz) * L))
-    return trace_term / (es.N * n)
+    rss = moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
+                     np.hstack([A, B]))
+    return rss / (es.N * n)
 
 
 def _ml_m_step(es, n):
@@ -233,7 +232,7 @@ def _ml_m_step(es, n):
 def _measurement_residual(sp, data, C):
     """Expected squared measurement residual, summed over all samples."""
     resid = data.Y - sp.x_sm[1:] @ C.T
-    cov = float(np.einsum("ij,kjl,il->", C, sp.P_sm[1:], C))
+    cov = float(np.sum(C * (C @ sp.P_sm[1:].sum(axis=0))))
     return float((resid**2).sum()) + cov
 
 

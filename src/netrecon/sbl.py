@@ -7,10 +7,14 @@ A zero-mean Gaussian prior with per-weight variances gamma is placed on w;
 evidence maximization (an inner EM over gamma and sigma^2) drives most
 variances to zero, pruning the corresponding weights.
 
-Because each output row of the regression involves only that row of
-[A B], the posterior, evidence and all updates decouple into n
-independent (n+m)-dimensional problems sharing sigma^2.  All routines
-exploit this; the dense design matrix is only materialized on request.
+The posterior and the evidence depend on the data only through the
+sufficient statistics zz = sum z z', xz = sum x z' and the per-row sums
+of squared targets (Tipping, JMLR 2001), so every routine here reads only
+those; a design (targets and regressors) is an optional way to supply
+them.  Each output row i of the regression involves only row i of
+[A B], so the problem splits into n (n+m)-dimensional ridge problems
+sharing sigma^2, which are solved together as one batch of positive
+definite systems.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -37,6 +41,7 @@ __all__ = [
     "sbl_em",
     "unpack_w",
     "pack_w",
+    "moment_rss",
 ]
 
 
@@ -44,27 +49,34 @@ class IdentifiabilityError(ValueError):
     """The requested mask cannot guarantee a diagonal input-to-output map."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RegressionData:
-    """Stacked regression view of the state sequence.
+    """Sufficient statistics of the stacked state regression.
 
-    ``targets[t]`` is the smoothed state x_{N-t} and ``regressors[t]`` the
-    matching [x_{N-t-1}; u_{N-t-1}], so row 0 corresponds to k = N.  The
-    Gram quantities (zz, xz, y_sq_rows) are precomputed once; ``phi``
-    materializes the dense design matrix and is intended for small
-    problems and cross-checks.
+    ``zz`` (d x d with d = n + m) is the sum of z z' over the regressors
+    z = [x_{k-1}; u_{k-1}], ``xz`` (n x d) the sum of x_k z' and
+    ``y_sq_rows`` (n) the per-row sums of squared targets; they are all the
+    SBL routines read.  Either pass them directly, or pass a design
+    (``targets[t]`` the smoothed state x_{N-t}, ``regressors[t]`` the
+    matching [x_{N-t-1}; u_{N-t-1}], so row 0 corresponds to k = N), from
+    which they are computed.  ``y_vec`` and ``phi`` (the dense design
+    matrix, for small problems and cross-checks) need the design.
     """
 
-    targets: np.ndarray      # (N, n)
-    regressors: np.ndarray   # (N, n+m)
     n: int
     m: int
     N: int
+    targets: np.ndarray | None = None      # (N, n)
+    regressors: np.ndarray | None = None   # (N, n+m)
+    zz: np.ndarray | None = None
+    xz: np.ndarray | None = None
+    y_sq_rows: np.ndarray | None = None
 
     def __post_init__(self):
-        self.zz = self.regressors.T @ self.regressors
-        self.xz = self.targets.T @ self.regressors
-        self.y_sq_rows = (self.targets**2).sum(axis=0)
+        if self.targets is not None:
+            self.zz = self.regressors.T @ self.regressors
+            self.xz = self.targets.T @ self.regressors
+            self.y_sq_rows = (self.targets**2).sum(axis=0)
 
     @property
     def N_y(self):
@@ -82,10 +94,6 @@ class RegressionData:
     def phi(self):
         blocks = [np.kron(row[None, :], np.eye(self.n)) for row in self.regressors]
         return np.vstack(blocks)
-
-    def row_indices(self, i):
-        """Weight indices belonging to output row i of [A B]."""
-        return i + self.n * np.arange(self.n + self.m)
 
 
 @dataclass
@@ -123,10 +131,6 @@ class SBLState:
 class SBLOptions:
     """Inner-loop controls.
 
-    ``sigma2_denominator`` selects the normalization of the noise update:
-    "n_y" divides by the total number of scalar observations (the exact
-    M-step), "n_samples" divides by the number of time steps.
-
     ``dead_column_tol`` prunes weights whose regressor column carries
     essentially no energy (relative to the strongest column).  Evidence
     maximization on such columns has a degenerate optimum with unbounded
@@ -136,9 +140,7 @@ class SBLOptions:
     max_iter: int = 200
     tol: float = 1e-6
     prune_tol: float = 1e-12
-    eps: float = 1e-16
     update_sigma2: bool = True
-    sigma2_denominator: str = "n_y"
     dead_column_tol: float = 1e-12
 
 
@@ -155,28 +157,15 @@ def assemble_regression(sp, data, n):
 
 
 def regression_from_moments(es, n, m):
-    """Regression view carrying the exact smoothed second moments.
+    """Regression carrying the exact smoothed second moments.
 
     Plugging smoothed means into the design ignores the state uncertainty
-    and attenuates the fit; this builder instead synthesizes a compact
-    design with the same sufficient statistics as the expected
-    complete-data quadratic: a square factor F of S_zz as regressors,
-    targets solving F' t_i = S_xz[i], and one phantom row absorbing the
-    residual mass so that sum(t^2) matches S_xx exactly.  Every downstream
-    quantity (posterior, evidence, residuals) then equals its exact
-    conditional expectation.
+    and attenuates the fit; the expected complete-data quadratic instead
+    has the sufficient statistics S_zz, S_xz and diag(S_xx), so posterior,
+    evidence and residuals all equal their exact conditional expectations.
     """
-    d, V = np.linalg.eigh(0.5 * (es.S_zz + es.S_zz.T))
-    d = np.clip(d, 0.0, None)
-    root = np.sqrt(d)
-    F = root[:, None] * V.T
-    inv_root = np.where(root > root.max() * 1e-14, 1.0 / np.where(root > 0, root, 1.0), 0.0)
-    T = inv_root[:, None] * (V.T @ es.S_xz.T)
-    resid_sq = np.clip(np.diag(es.S_xx) - (T**2).sum(axis=0), 0.0, None)
-    targets = np.vstack([T, np.sqrt(resid_sq)[None, :]])
-    regressors = np.vstack([F, np.zeros((1, n + m))])
-    return RegressionData(targets=targets, regressors=regressors,
-                          n=n, m=m, N=es.N)
+    return RegressionData(n=n, m=m, N=es.N, zz=es.S_zz.copy(),
+                          xz=es.S_xz.copy(), y_sq_rows=np.diag(es.S_xx).copy())
 
 
 def identifiability_mask(n, p, m, mode, p22=None):
@@ -251,60 +240,55 @@ def pack_w(A, B):
                            np.asarray(B).ravel(order="F")])
 
 
-def _row_estep(reg, gamma, sigma2, eps, i, want_cov=False):
-    """Posterior and evidence pieces for one output row.
+def moment_rss(y_sq, xz, zz, L):
+    """Residual sum of squares of the coefficients L (rows of [A B]) from
+    the moments: sum y^2 - 2 <L, xz> + <L zz, L>, clipped at 0."""
+    rss = y_sq - 2.0 * float(np.sum(L * xz)) + float(np.sum((L @ zz) * L))
+    return max(rss, 0.0)
 
-    Returns (idx_active, mu_act, diag_act, cov_act_or_None, evidence_i,
-    tr_sigma_gamma_inv_i).  Uses the SVD of the row design scaled by
-    Gamma^{1/2}: with Phi Gamma^{1/2} = U S V', the mean is
-    Gamma^{1/2} V S (S^2 + sigma^2 I + eps I)^{-1} U' y and the covariance
-    Gamma^{1/2} (I - V diag(s^2/(s^2+sigma^2+eps)) V') Gamma^{1/2}, which
-    stays accurate across the many orders of magnitude gamma spans near
-    pruning and degrades gracefully to the pseudo-inverse as sigma2 -> 0.
+
+def _estep(reg, gamma, sigma2):
+    """Posterior and log evidence of all n rows of [A B] at sigma2 > 0.
+
+    Row i with prior variances g_i has, on its active entries, the
+    posterior mean mu_i = H_i^{-1} xz[i] and covariance sigma2 H_i^{-1},
+    where H_i = zz + sigma2 diag(1/g_i).  Pruned entries get a unit
+    diagonal and no coupling, so every H_i is (n+m) x (n+m) and positive
+    definite, and all rows share one batched Cholesky factorization.
+
+    Returns, in row layout (row i of [A B] along the first axis), the
+    active pattern, the inverse Cholesky factors R_i (H_i^{-1} = R_i' R_i),
+    the posterior means and the log evidence
+    -1/2 (N_y log 2 pi + sum log det H_i + sum log g_act
+    + (N_y - n_act) log sigma2 + (sum y^2 - sum xz[i] . mu_i) / sigma2).
     """
-    N = reg.N
-    idx = reg.row_indices(i)
-    g_row = gamma[idx]
-    act = g_row > 0
-    ysq = float(reg.y_sq_rows[i])
-    log2pi = np.log(2.0 * np.pi)
-    if not np.any(act):
-        evidence = np.nan
-        if sigma2 > 0:
-            evidence = -0.5 * (N * log2pi + N * np.log(sigma2) + ysq / sigma2)
-        return idx[act], np.zeros(0), np.zeros(0), None, evidence, 0.0
-    gr = g_row[act]
-    sq = np.sqrt(gr)
-    M = reg.regressors[:, act] * sq[None, :]
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    y = reg.targets[:, i]
-    uty = U.T @ y
-    s2 = s**2
-    denom = s2 + sigma2 + eps
-    mu_act = sq * (Vt.T @ (s * uty / denom))
-    shrink = s2 / denom
-    diag_act = gr * (1.0 - (Vt.T**2) @ shrink)
-    evidence = np.nan
-    if sigma2 > 0:
-        logdet = float(np.log(s2 + sigma2).sum()) + (N - s.size) * np.log(sigma2)
-        quad = (ysq - float((s2 / (s2 + sigma2) * uty**2).sum())) / sigma2
-        evidence = -0.5 * (N * log2pi + logdet + quad)
-    tr_sg = float((diag_act / gr).sum())
-    cov = None
-    if want_cov:
-        core = np.eye(act.sum()) - (Vt.T * shrink[None, :]) @ Vt
-        cov = (sq[:, None] * core) * sq[None, :]
-    return idx[act], mu_act, diag_act, cov, evidence, tr_sg
+    g = gamma.reshape((reg.n + reg.m, reg.n)).T
+    act = g > 0
+    H = np.where(act[:, :, None] & act[:, None, :], reg.zz, 0.0)
+    diag = np.arange(g.shape[1])
+    H[:, diag, diag] += np.where(act, sigma2 / np.where(act, g, 1.0), 1.0)
+    chol = np.linalg.cholesky(H)
+    R = np.linalg.inv(chol)
+    b = np.where(act, reg.xz, 0.0)
+    mu = (np.swapaxes(R, 1, 2) @ (R @ b[:, :, None]))[:, :, 0]
+    logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
+              + np.log(g[act]).sum())
+    quad = (float(reg.y_sq_rows.sum()) - float(np.sum(b * mu))) / sigma2
+    evidence = -0.5 * (reg.N_y * np.log(2.0 * np.pi) + logdet
+                       + (reg.N_y - act.sum()) * np.log(sigma2) + quad)
+    return act, R, mu, float(evidence)
 
 
-def posterior(reg, gamma, sigma2, eps=1e-16):
+def posterior(reg, gamma, sigma2):
     """Posterior mean and covariance of the weights at fixed (gamma, sigma2).
 
-    Computed on the active (gamma > 0) coordinates via the eigendecomposed
-    form of mu = Gamma^{1/2} V S (S^2 + sigma^2 I + eps I)^{-1} U' y; for
-    sigma2 -> 0 this reproduces the pseudo-inverse limit.  Pruned
-    coordinates get zero mean and zero covariance rows/columns; an empty
-    active set returns an all-zero posterior.
+    For sigma2 > 0 this is the ridge posterior of each row (see
+    ``_estep``).  At sigma2 = 0 it is the noiseless limit: with
+    K = G^{1/2} zz G^{1/2} on row i, mu = G^{1/2} K^+ G^{1/2} xz[i] and
+    Sigma = G^{1/2} (I - K^+ K) G^{1/2}, so directions the data do not
+    determine keep their prior variance.  Pruned coordinates get zero mean
+    and zero covariance rows/columns; an empty active set returns an
+    all-zero posterior.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (reg.N_w,):
@@ -313,36 +297,41 @@ def posterior(reg, gamma, sigma2, eps=1e-16):
         raise ValueError("gamma must be nonnegative")
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    mu = np.zeros(reg.N_w)
+    n, d = reg.n, reg.n + reg.m
+    if sigma2 > 0:
+        act, R, mu, _ = _estep(reg, gamma, sigma2)
+        cov = (sigma2 * (np.swapaxes(R, 1, 2) @ R)
+               * (act[:, :, None] & act[:, None, :]))
+    else:
+        sq = np.sqrt(gamma.reshape((d, n)).T)
+        K = sq[:, :, None] * reg.zz * sq[:, None, :]
+        # K squares the design's singular values, and forming it leaves
+        # rounding of order eps |K| in its null space: cut well above that
+        K_pinv = np.linalg.pinv(K, rtol=1e-10, hermitian=True)
+        mu = sq * (K_pinv @ (sq * reg.xz)[:, :, None])[:, :, 0]
+        cov = sq[:, :, None] * (np.eye(d) - K_pinv @ K) * sq[:, None, :]
     Sigma = np.zeros((reg.N_w, reg.N_w))
-    for i in range(reg.n):
-        idx_act, mu_act, _, cov, _, _ = _row_estep(
-            reg, gamma, sigma2, eps, i, want_cov=True)
-        if idx_act.size:
-            mu[idx_act] = mu_act
-            Sigma[np.ix_(idx_act, idx_act)] = cov
-    return mu, Sigma
+    # w index i + n j holds row i, column j of [A B]: place row i's block
+    rows = np.arange(n)
+    Sigma.reshape((d, n, d, n))[:, rows, :, rows] = cov
+    return mu.T.ravel(), Sigma
 
 
 def marginal_loglik(reg, gamma, sigma2):
     """Log evidence: the Gaussian marginal of y with covariance
-    sigma^2 I + Phi Gamma Phi', evaluated on the active set without ever
+    sigma^2 I + Phi Gamma Phi', evaluated from the moments without ever
     forming the dense observation-space matrix."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    gamma = np.asarray(gamma, dtype=float)
-    total = 0.0
-    for i in range(reg.n):
-        total += _row_estep(reg, gamma, sigma2, 0.0, i)[4]
-    return float(total)
+    return _estep(reg, np.asarray(gamma, dtype=float), sigma2)[3]
 
 
 def initial_sbl_state(reg, mask, sigma2=None, gamma0=1.0):
     """Unit prior variances on free coordinates; sigma2 defaults to
-    0.1 times the target variance."""
+    0.1 times the mean squared target."""
     gamma = np.where(mask.free, float(gamma0), 0.0)
     if sigma2 is None:
-        sigma2 = 0.1 * float(np.var(reg.y_vec))
+        sigma2 = 0.1 * float(reg.y_sq_rows.sum()) / reg.N_y
         if sigma2 <= 0:
             sigma2 = 1e-6
     return SBLState(gamma=gamma, sigma2=float(sigma2))
@@ -352,30 +341,28 @@ def sbl_em(reg, mask, init=None, opts=None):
     """Evidence maximization with pruning and identifiability masking.
 
     Each iteration prunes hyperparameters below ``prune_tol``, computes
-    the posterior at the current (gamma, sigma2), then applies the
-    updates gamma_i <- Sigma_ii + mu_i^2 and
+    the posterior of all rows at the current (gamma, sigma2), then applies
+    the updates gamma_i <- Sigma_ii + mu_i^2 and
 
-        sigma2 <- (|y - Phi mu|^2 + sigma2_old tr(I - Sigma Gamma^{-1})) / N_y
+        sigma2 <- (rss(mu) + sigma2_old tr(I - Sigma Gamma^{-1})) / N_y
 
-    (the residual is evaluated exactly through the unpacked (A, B), not
-    through Gram-matrix cancellation).  Masked coordinates stay at zero
-    throughout; the loop stops when the relative change of gamma drops
-    below ``tol`` or after ``max_iter`` iterations.  An evidence decrease
-    beyond 1e-8 is recorded as a numerical warning and iteration
+    with the residual sum of squares taken from the moments
+    (``moment_rss``) and sigma2 floored at 1e-300.  Masked coordinates stay
+    at zero throughout; the loop stops when the relative change of gamma
+    drops below ``tol`` or after ``max_iter`` iterations.  An evidence
+    decrease beyond 1e-8 is recorded as a numerical warning and iteration
     continues.
     """
     opts = opts or SBLOptions()
-    if opts.sigma2_denominator not in ("n_y", "n_samples"):
-        raise ValueError("sigma2_denominator must be 'n_y' or 'n_samples'")
     if init is None:
         init = initial_sbl_state(reg, mask)
     gamma = np.asarray(init.gamma, dtype=float).copy()
     if gamma.shape != (reg.N_w,):
         raise ValueError(f"gamma must have length {reg.N_w}")
     gamma[~mask.free] = 0.0
-    sigma2 = float(init.sigma2)
+    sigma2 = max(float(init.sigma2), 1e-300)
 
-    col_energy = (reg.regressors**2).sum(axis=0)
+    col_energy = np.diag(reg.zz)
     dead = col_energy < opts.dead_column_tol * max(col_energy.max(), 1e-300)
     if dead.any():
         dead_coords = (np.nonzero(dead)[0][:, None] * reg.n
@@ -385,7 +372,7 @@ def sbl_em(reg, mask, init=None, opts=None):
     evidence_path = []
     n_active_path = []
     warn_log = []
-    denom_N = reg.N_y if opts.sigma2_denominator == "n_y" else reg.N
+    y_sq = float(reg.y_sq_rows.sum())
 
     iteration = 0
     for iteration in range(1, opts.max_iter + 1):
@@ -394,31 +381,21 @@ def sbl_em(reg, mask, init=None, opts=None):
         n_active = int(active.sum())
         n_active_path.append(n_active)
 
-        mu = np.zeros(reg.N_w)
-        diag_sig = np.zeros(reg.N_w)
-        tr_sg = 0.0
-        evidence = 0.0
-        for i in range(reg.n):
-            idx_act, mu_act, d_act, _, ev_i, tr_i = _row_estep(
-                reg, gamma, sigma2, opts.eps, i)
-            evidence += ev_i
-            tr_sg += tr_i
-            if idx_act.size:
-                mu[idx_act] = mu_act
-                diag_sig[idx_act] = d_act
-        evidence_path.append(float(evidence))
+        act, R, mu, evidence = _estep(reg, gamma, sigma2)
+        var = sigma2 * (R**2).sum(axis=1) * act
+        evidence_path.append(evidence)
         if len(evidence_path) >= 2 and evidence < evidence_path[-2] - 1e-8:
             warn_log.append(f"iteration {iteration}: evidence decreased by "
                             f"{evidence_path[-2] - evidence:.3e}")
 
+        mu_w, var_w = mu.T.ravel(), var.T.ravel()
         gamma_new = np.zeros_like(gamma)
-        gamma_new[active] = diag_sig[active] + mu[active]**2
+        gamma_new[active] = var_w[active] + mu_w[active]**2
 
         if opts.update_sigma2:
-            A_mu, B_mu = unpack_w(mu, reg.n, reg.m)
-            resid = reg.targets - reg.regressors @ np.hstack([A_mu, B_mu]).T
-            rss = float((resid**2).sum())
-            sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / denom_N, 1e-300)
+            tr_sg = float((var_w[active] / gamma[active]).sum())
+            rss = moment_rss(y_sq, reg.xz, reg.zz, mu)
+            sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / reg.N_y, 1e-300)
 
         delta = np.linalg.norm(gamma_new - gamma)
         scale = max(np.linalg.norm(gamma), 1e-300)
@@ -430,7 +407,7 @@ def sbl_em(reg, mask, init=None, opts=None):
     if warn_log:
         warnings.warn("sbl_em: evidence decreased during iteration "
                       "(numerical warning, see state.warnings)", RuntimeWarning)
-    mu, Sigma = posterior(reg, gamma, sigma2, opts.eps)
+    mu, Sigma = posterior(reg, gamma, sigma2)
     return SBLState(gamma=gamma, sigma2=sigma2, mu_w=mu, Sigma_w=Sigma,
                     active=gamma > 0, iteration=iteration,
                     evidence=evidence_path, n_active_path=n_active_path,

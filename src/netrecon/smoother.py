@@ -340,13 +340,13 @@ def expectation_sums(sp, data, m0):
     m = U.shape[1]
     m0 = np.asarray(m0, dtype=float).reshape(n)
 
-    S_xx = np.einsum("ki,kj->ij", xs[1:], xs[1:]) + Ps[1:].sum(axis=0)
-    xx_lag = np.einsum("ki,kj->ij", xs[1:], xs[:-1]) + Ms[1:].sum(axis=0)
-    xu = np.einsum("ki,kj->ij", xs[1:], U)
+    S_xx = xs[1:].T @ xs[1:] + Ps[1:].sum(axis=0)
+    xx_lag = xs[1:].T @ xs[:-1] + Ms[1:].sum(axis=0)
+    xu = xs[1:].T @ U
     S_xz = np.hstack([xx_lag, xu])
 
-    prev_xx = np.einsum("ki,kj->ij", xs[:-1], xs[:-1]) + Ps[:-1].sum(axis=0)
-    prev_xu = np.einsum("ki,kj->ij", xs[:-1], U)
+    prev_xx = xs[:-1].T @ xs[:-1] + Ps[:-1].sum(axis=0)
+    prev_xu = xs[:-1].T @ U
     uu = U.T @ U
     S_zz = np.block([[prev_xx, prev_xu], [prev_xu.T, uu]])
 

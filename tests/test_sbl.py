@@ -336,21 +336,6 @@ def test_sbl_em_frozen_sigma2():
     assert state.sigma2 == 0.123
 
 
-def test_sbl_em_sigma2_denominator_switch():
-    rng = np.random.default_rng(18)
-    model = random_stable_model(rng, n=2, p=2, m=2)
-    data = simulate(model, 12, seed=19)
-    _, sp = smooth(model, data)
-    reg = assemble_regression(sp, data, n=2)
-    mask = identifiability_mask(2, 2, 2, "diag_b")
-    a = sbl_em(reg, mask, opts=SBLOptions(max_iter=5, sigma2_denominator="n_y"))
-    b = sbl_em(reg, mask, opts=SBLOptions(max_iter=5,
-                                          sigma2_denominator="n_samples"))
-    assert a.sigma2 != b.sigma2
-    with pytest.raises(ValueError, match="sigma2_denominator"):
-        sbl_em(reg, mask, opts=SBLOptions(sigma2_denominator="bogus"))
-
-
 def test_sbl_state_invariants_after_run():
     rng = np.random.default_rng(19)
     reg = generic_regression(rng, N=30, n_w=6)
@@ -404,3 +389,69 @@ def test_regression_from_moments_includes_covariance_information():
     assert np.allclose(reg.zz, es.S_zz, atol=1e-10)
     assert np.allclose(reg.xz, es.S_xz, atol=1e-10)
     assert np.allclose(reg.y_sq_rows, np.diag(es.S_xx), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# all output rows at once
+
+def multi_row_regression(rng, N, n=3, m=4):
+    return RegressionData(targets=rng.normal(size=(N, n)),
+                          regressors=rng.normal(size=(N, n + m)), n=n, m=m, N=N)
+
+
+def row_gamma(rng, reg, counts):
+    """Prior variances with counts[i] active entries on row i of [A B]."""
+    g = np.zeros((reg.n, reg.n + reg.m))
+    for i, k in enumerate(counts):
+        g[i, rng.choice(reg.n + reg.m, size=k, replace=False)] = \
+            rng.uniform(0.2, 2.0, k)
+    return g.T.ravel()   # w = [vec(A); vec(B)]
+
+
+def test_rows_with_different_active_sets_match_dense():
+    rng = np.random.default_rng(23)
+    reg = multi_row_regression(rng, N=12)
+    gamma = row_gamma(rng, reg, counts=(7, 3, 0))   # full, partial, pruned row
+    for sigma2 in (0.05, 0.9):
+        mu, Sig = posterior(reg, gamma, sigma2)
+        mu_o, Sig_o = ridge_posterior_dense(reg.phi, reg.y_vec, gamma, sigma2)
+        assert np.abs(mu - mu_o).max() <= 1e-8
+        assert np.abs(Sig - Sig_o).max() <= 1e-8
+        dense = evidence_dense(reg.phi, reg.y_vec, gamma, sigma2)
+        assert marginal_loglik(reg, gamma, sigma2) == pytest.approx(dense, abs=1e-8)
+
+
+def test_rows_noiseless_with_one_underdetermined_row():
+    # 5 samples: row 0 has 7 active weights, row 1 three, row 2 none
+    rng = np.random.default_rng(24)
+    reg = multi_row_regression(rng, N=5)
+    gamma = row_gamma(rng, reg, counts=(7, 3, 0))
+    mu, Sig = posterior(reg, gamma, sigma2=0.0)
+    assert np.abs(mu - pinv_posterior_dense(reg.phi, reg.y_vec, gamma)).max() <= 1e-8
+    Phi, G12 = reg.phi, np.sqrt(gamma)
+    proj = np.eye(reg.N_w) - G12[:, None] * np.linalg.pinv(Phi * G12[None, :]) @ Phi
+    assert np.abs(Sig - proj * gamma[None, :]).max() <= 1e-8
+
+
+def test_sbl_em_on_moments_alone_equals_design_run():
+    from netrecon.sbl import moment_rss
+
+    rng = np.random.default_rng(25)
+    n, m, N = 3, 4, 40
+    L = rng.normal(size=(n, n + m)) * (rng.random((n, n + m)) < 0.4)
+    Z = rng.normal(size=(N, n + m))
+    design = RegressionData(targets=Z @ L.T + 0.1 * rng.normal(size=(N, n)),
+                            regressors=Z, n=n, m=m, N=N)
+    moments = RegressionData(n=n, m=m, N=N, zz=design.zz.copy(),
+                             xz=design.xz.copy(),
+                             y_sq_rows=design.y_sq_rows.copy())
+    rss = ((design.targets - Z @ L.T)**2).sum()
+    assert moment_rss(float(moments.y_sq_rows.sum()), moments.xz, moments.zz,
+                      L) == pytest.approx(rss, rel=1e-10)
+    opts = SBLOptions(prune_tol=1e-5)
+    a = sbl_em(design, free_mask(design), opts=opts)
+    b = sbl_em(moments, free_mask(moments), opts=opts)
+    assert 0 < b.active.sum() < moments.N_w
+    assert a.iteration == b.iteration and a.n_active_path == b.n_active_path
+    assert a.sigma2 == b.sigma2 and a.evidence == b.evidence
+    assert np.array_equal(a.mu_w, b.mu_w) and np.array_equal(a.Sigma_w, b.Sigma_w)
