@@ -12,9 +12,12 @@ sufficient statistics zz = sum z z', xz = sum x z' and the per-row sums
 of squared targets (Tipping, JMLR 2001), so every routine here reads only
 those; a design (targets and regressors) is an optional way to supply
 them.  Each output row i of the regression involves only row i of
-[A B], so the problem splits into n (n+m)-dimensional ridge problems
-sharing sigma^2, which are solved together as one batch of positive
-definite systems.
+[A B], so the problem splits into n ridge problems sharing sigma^2.
+Each is posed on its row's active (unpruned) entries only, and all are
+solved together as one batch of positive definite systems, each padded
+to the batch's largest active count with a unit diagonal and no
+coupling; the posterior covariance comes from a triangular inverse of
+each row's Cholesky factor.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -25,6 +28,7 @@ input-to-output transfer matrix with hidden-state routing.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 __all__ = [
     "IdentifiabilityError",
@@ -250,40 +254,64 @@ def _estep(reg, gamma, sigma2):
 
     Row i with prior variances g_i has, on its active entries, the
     posterior mean mu_i = H_i^{-1} xz[i] and covariance sigma2 H_i^{-1},
-    where H_i = zz + sigma2 diag(1/g_i).  Pruned entries get a unit
-    diagonal and no coupling, so every H_i is (n+m) x (n+m) and positive
-    definite, and all rows share one batched Cholesky factorization.
+    where H_i = zz + sigma2 diag(1/g_i).  Each row is compacted to its
+    c_i active entries, kept in their order, and padded to the batch's
+    largest count k with a unit diagonal and no coupling, so every H_i is
+    k x k and positive definite and all rows share one batched Cholesky
+    factorization H_i = L_i L_i'.  The pad is trailing, so the leading
+    c_i x c_i block of L_i is the factor of the active block alone; its
+    triangular inverse R_i (H_i^{-1} = R_i' R_i on that block) is taken
+    row by row, and R_i is zero on the pad.
 
-    Returns, in row layout (row i of [A B] along the first axis), the
-    active pattern, the inverse Cholesky factors R_i (H_i^{-1} = R_i' R_i),
-    the posterior means and the log evidence
+    Returns the posterior means and variances in row layout (row i of
+    [A B] along the first axis, zero on pruned entries), the log evidence
     -1/2 (N_y log 2 pi + sum log det H_i + sum log g_act
-    + (N_y - n_act) log sigma2 + (sum y^2 - sum xz[i] . mu_i) / sigma2).
+    + (N_y - n_act) log sigma2 + (sum y^2 - sum xz[i] . mu_i) / sigma2),
+    and the compact blocks: ``order`` (n x k, the column of [A B] at each
+    compact position; the pad holds pruned columns) and R (n x k x k).
     """
-    g = gamma.reshape((reg.n + reg.m, reg.n)).T
-    act = g > 0
-    H = np.where(act[:, :, None] & act[:, None, :], reg.zz, 0.0)
-    diag = np.arange(g.shape[1])
-    H[:, diag, diag] += np.where(act, sigma2 / np.where(act, g, 1.0), 1.0)
+    n, d = reg.n, reg.n + reg.m
+    g = gamma.reshape((d, n)).T
+    counts = (g > 0).sum(axis=1)
+    k = int(counts.max())
+    # active columns first, in their order; pruned ones fill the pad
+    order = np.argsort(g <= 0, axis=1, kind="stable")[:, :k]
+    live = np.arange(k) < counts[:, None]
+    gc = np.take_along_axis(g, order, axis=1)
+    # flat indices: numpy takes and puts these faster than index pairs
+    H = np.where(live[:, :, None] & live[:, None, :],
+                 reg.zz.ravel()[order[:, :, None] * d + order[:, None, :]], 0.0)
+    diag = np.arange(k)
+    H[:, diag, diag] += np.where(live, sigma2 / np.where(live, gc, 1.0), 1.0)
     chol = np.linalg.cholesky(H)
-    R = np.linalg.inv(chol)
-    b = np.where(act, reg.xz, 0.0)
-    mu = (np.swapaxes(R, 1, 2) @ (R @ b[:, :, None]))[:, :, 0]
+    R = np.zeros_like(chol)
+    for i in np.flatnonzero(counts):   # LAPACK rejects an empty block
+        c = counts[i]
+        R[i, :c, :c], info = dtrtri(chol[i, :c, :c], lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dtrtri failed on row {i} (info {info})")
+    b = np.take_along_axis(reg.xz, order, axis=1)
+    mu_c = (np.swapaxes(R, 1, 2) @ (R @ b[:, :, None]))[:, :, 0]
     logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
-              + np.log(g[act]).sum())
-    quad = (float(reg.y_sq_rows.sum()) - float(np.sum(b * mu))) / sigma2
+              + np.log(gc[live]).sum())
+    quad = (float(reg.y_sq_rows.sum()) - float(np.sum(b * mu_c))) / sigma2
     evidence = -0.5 * (reg.N_y * np.log(2.0 * np.pi) + logdet
-                       + (reg.N_y - act.sum()) * np.log(sigma2) + quad)
-    return act, R, mu, float(evidence)
+                       + (reg.N_y - counts.sum()) * np.log(sigma2) + quad)
+    at = np.arange(n)[:, None] * d + order
+    mu, var = np.zeros((n, d)), np.zeros((n, d))
+    mu.ravel()[at] = mu_c
+    var.ravel()[at] = sigma2 * (R**2).sum(axis=1)
+    return mu, var, float(evidence), order, R
 
 
 def posterior(reg, gamma, sigma2):
     """Posterior mean and covariance of the weights at fixed (gamma, sigma2).
 
-    For sigma2 > 0 this is the ridge posterior of each row (see
-    ``_estep``).  At sigma2 = 0 it is the noiseless limit: with
-    K = G^{1/2} zz G^{1/2} on row i, mu = G^{1/2} K^+ G^{1/2} xz[i] and
-    Sigma = G^{1/2} (I - K^+ K) G^{1/2}, so directions the data do not
+    For sigma2 > 0 this is the ridge posterior of each row, assembled from
+    the compact blocks of ``_estep``: sigma2 R_i' R_i is placed at the
+    active entries of row i.  At sigma2 = 0 it is the noiseless limit:
+    with K = G^{1/2} zz G^{1/2} on row i, mu = G^{1/2} K^+ G^{1/2} xz[i]
+    and Sigma = G^{1/2} (I - K^+ K) G^{1/2}, so directions the data do not
     determine keep their prior variance.  Pruned coordinates get zero mean
     and zero covariance rows/columns; an empty active set returns an
     all-zero posterior.
@@ -296,10 +324,12 @@ def posterior(reg, gamma, sigma2):
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
     n, d = reg.n, reg.n + reg.m
+    rows = np.arange(n)
     if sigma2 > 0:
-        act, R, mu, _ = _estep(reg, gamma, sigma2)
-        cov = (sigma2 * (np.swapaxes(R, 1, 2) @ R)
-               * (act[:, :, None] & act[:, None, :]))
+        mu, _, _, order, R = _estep(reg, gamma, sigma2)
+        cov = np.zeros((n, d, d))
+        cov[rows[:, None, None], order[:, :, None], order[:, None, :]] = \
+            sigma2 * (np.swapaxes(R, 1, 2) @ R)
     else:
         sq = np.sqrt(gamma.reshape((d, n)).T)
         K = sq[:, :, None] * reg.zz * sq[:, None, :]
@@ -310,7 +340,6 @@ def posterior(reg, gamma, sigma2):
         cov = sq[:, :, None] * (np.eye(d) - K_pinv @ K) * sq[:, None, :]
     Sigma = np.zeros((reg.N_w, reg.N_w))
     # w index i + n j holds row i, column j of [A B]: place row i's block
-    rows = np.arange(n)
     Sigma.reshape((d, n, d, n))[:, rows, :, rows] = cov
     return mu.T.ravel(), Sigma
 
@@ -321,7 +350,7 @@ def marginal_loglik(reg, gamma, sigma2):
     forming the dense observation-space matrix."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    return _estep(reg, np.asarray(gamma, dtype=float), sigma2)[3]
+    return _estep(reg, np.asarray(gamma, dtype=float), sigma2)[2]
 
 
 def initial_sbl_state(reg, mask, sigma2=None, gamma0=1.0):
@@ -379,8 +408,7 @@ def sbl_em(reg, mask, init=None, opts=None):
         n_active = int(active.sum())
         n_active_path.append(n_active)
 
-        act, R, mu, evidence = _estep(reg, gamma, sigma2)
-        var = sigma2 * (R**2).sum(axis=1) * act
+        mu, var, evidence, _, _ = _estep(reg, gamma, sigma2)
         evidence_path.append(evidence)
         if len(evidence_path) >= 2 and evidence < evidence_path[-2] - 1e-8:
             warn_log.append(f"iteration {iteration}: evidence decreased by "

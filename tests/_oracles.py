@@ -8,6 +8,10 @@ functions after it): it runs every covariance recursion at every step, as
 the library did before it learned to stop them once they settle, so tests
 can check the library's steady-state path at sizes the joint-Gaussian
 oracles cannot reach.  It returns the library's own pass containers.
+The other is the full-width SBL E-step (``estep_full_width``), which
+factors every row of [A B] on all its entries and inverts the Cholesky
+factor by a general inverse, as the library did before it compacted each
+row to its active entries.
 """
 
 import numpy as np
@@ -145,6 +149,31 @@ def evidence_dense(Phi, y, gamma, sigma2):
     sign, logdet = np.linalg.slogdet(Sy)
     return -0.5 * (len(y) * np.log(2 * np.pi) + logdet
                    + y @ np.linalg.solve(Sy, y))
+
+
+def estep_full_width(reg, gamma, sigma2):
+    """SBL E-step of all rows of [A B] on all d = n + m entries: pruned
+    entries get a unit diagonal and no coupling, and the Cholesky factor is
+    inverted by ``np.linalg.inv``.  Returns the tuple of the library's
+    ``_estep`` (means, variances, log evidence, order, R), with every
+    row's order the identity and R zero on pruned columns."""
+    n, d = reg.n, reg.n + reg.m
+    g = gamma.reshape((d, n)).T
+    act = g > 0
+    H = np.where(act[:, :, None] & act[:, None, :], reg.zz, 0.0)
+    diag = np.arange(d)
+    H[:, diag, diag] += np.where(act, sigma2 / np.where(act, g, 1.0), 1.0)
+    chol = np.linalg.cholesky(H)
+    R = np.linalg.inv(chol) * act[:, None, :]
+    b = np.where(act, reg.xz, 0.0)
+    mu = (np.swapaxes(R, 1, 2) @ (R @ b[:, :, None]))[:, :, 0]
+    var = sigma2 * (R**2).sum(axis=1)
+    logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
+              + np.log(g[act]).sum())
+    quad = (float(reg.y_sq_rows.sum()) - float(np.sum(b * mu))) / sigma2
+    evidence = -0.5 * (reg.N_y * np.log(2.0 * np.pi) + logdet
+                       + (reg.N_y - act.sum()) * np.log(sigma2) + quad)
+    return mu, var, float(evidence), np.tile(diag, (n, 1)), R
 
 
 def random_stable_model(rng, n, p, m, sigma=None, rich_prior=True):

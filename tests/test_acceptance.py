@@ -8,7 +8,6 @@ few minutes; everything else completes in seconds.
 
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -135,9 +134,7 @@ def test_criterion_4_sbl_correctness():
         reg.__post_init__()
         mask = Mask(free=np.ones(50, dtype=bool), mode="unconstrained",
                     n=1, p=1, m=49)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            st = sbl_em(reg, mask, opts=SBLOptions(max_iter=300, tol=0.0))
+        st = sbl_em(reg, mask, opts=SBLOptions(max_iter=300, tol=0.0))
         if set(np.nonzero(st.active)[0]) == set(support):
             wins += 1
     assert wins >= 95

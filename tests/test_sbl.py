@@ -7,7 +7,7 @@ from netrecon import (IdentifiabilityError, RegressionData, SBLOptions,
                       sbl_em, simulate, smooth)
 
 from _oracles import (ridge_posterior_dense, pinv_posterior_dense,
-                      evidence_dense, random_stable_model)
+                      evidence_dense, estep_full_width, random_stable_model)
 
 
 def generic_regression(rng, N, n_w, n_rows=1):
@@ -279,7 +279,6 @@ def test_sbl_em_zero_target_prunes_everything():
     assert np.all(state.mu_w == 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sbl_em_noiseless_support_recovery_single():
     rng = np.random.default_rng(13)
     reg = generic_regression(rng, N=100, n_w=50)
@@ -455,3 +454,52 @@ def test_sbl_em_on_moments_alone_equals_design_run():
     assert a.iteration == b.iteration and a.n_active_path == b.n_active_path
     assert a.sigma2 == b.sigma2 and a.evidence == b.evidence
     assert np.array_equal(a.mu_w, b.mu_w) and np.array_equal(a.Sigma_w, b.Sigma_w)
+
+
+def desk_rows(rng, counts, N=200, n=30, m=10):
+    """Desk-size rows (d = 40) with counts[i] active entries on row i,
+    fit to a sparse [A B] supported on about 40% of them, plus noise."""
+    gamma = row_gamma(rng, RegressionData(n=n, m=m, N=N), counts)
+    L = np.where((gamma.reshape((n + m, n)).T > 0)
+                 & (rng.random((n, n + m)) < 0.4), rng.normal(size=(n, n + m)), 0.0)
+    Z = rng.normal(size=(N, n + m))
+    reg = RegressionData(targets=Z @ L.T + 0.5 * rng.normal(size=(N, n)),
+                         regressors=Z, n=n, m=m, N=N)
+    return reg, gamma
+
+
+def rel_err(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+def test_compact_estep_matches_full_width_at_desk_size():
+    from netrecon.sbl import _estep
+
+    # rows with 0, 1, 12 and all 40 active entries: the full rows set the
+    # batch width, so every other row is padded, each from its own columns
+    reg, gamma = desk_rows(np.random.default_rng(26),
+                           counts=(0, 1, 12, 40) * 7 + (12, 1))
+    for sigma2 in (0.05, 3.0):
+        mu, var, ev, _, _ = _estep(reg, gamma, sigma2)
+        mu_o, var_o, ev_o, _, _ = estep_full_width(reg, gamma, sigma2)
+        assert rel_err(mu, mu_o) <= 1e-10
+        assert rel_err(var, var_o) <= 1e-10
+        assert abs(ev - ev_o) <= 1e-10 * abs(ev_o)
+
+
+def test_compact_posterior_and_sbl_em_match_full_width(monkeypatch):
+    reg, gamma = desk_rows(np.random.default_rng(27),
+                           counts=(40, 12, 1, 0) * 7 + (40, 12))
+    opts = SBLOptions(max_iter=60, prune_tol=1e-3)
+    init = SBLState(gamma=gamma, sigma2=0.4)
+    mu, Sig = posterior(reg, gamma, 0.4)
+    a = sbl_em(reg, free_mask(reg), init=init, opts=opts)
+    monkeypatch.setattr("netrecon.sbl._estep", estep_full_width)
+    mu_o, Sig_o = posterior(reg, gamma, 0.4)
+    b = sbl_em(reg, free_mask(reg), init=init, opts=opts)
+    assert rel_err(mu, mu_o) <= 1e-10 and rel_err(Sig, Sig_o) <= 1e-10
+    assert b.iteration < opts.max_iter
+    assert b.n_active_path[-1] < b.n_active_path[0] / 1.5
+    assert np.array_equal(a.active, b.active) and a.iteration == b.iteration
+    assert a.n_active_path == b.n_active_path
+    assert rel_err(a.mu_w, b.mu_w) <= 1e-10
