@@ -152,6 +152,12 @@ def recon_settings(cfg):
 
 @dataclass
 class IterationRecord:
+    """One outer iteration.  ``estep_s`` (filter, RTS, lag-one,
+    log-likelihood, expectation sums) and ``mstep_s`` (regression, the
+    (A, B) fit, the sigma^2 update) are the wall seconds of the iteration's
+    successful attempt; like ``ReconResult.wall_time`` they stay in memory,
+    out of record equality and out of the result file."""
+
     iteration: int
     obs_loglik: float
     n_active: int
@@ -161,10 +167,18 @@ class IterationRecord:
     damped: bool
     pinv_steps: int
     evidence_decreases: int
+    estep_s: float = field(compare=False)
+    mstep_s: float = field(compare=False)
 
 
 @dataclass
 class ReconResult:
+    """Estimate, network and trace of one run.  ``last_step`` is the final
+    relative step |w - w_prev| / max(1, |w_prev|) that was compared with
+    ``outer_tol`` (NaN if no iteration finished), and ``loglik_decreases``
+    counts the iterations whose observed log-likelihood fell below the
+    previous one's.  These and ``wall_time`` stay out of the result file."""
+
     A_hat: np.ndarray
     B_hat: np.ndarray
     sigma2_hat: float
@@ -175,16 +189,23 @@ class ReconResult:
     trace: list
     status: str
     wall_time: float = 0.0
+    last_step: float = float("nan")
+    loglik_decreases: int = 0
 
 
-def converged(w_prev, w_curr, tol):
-    """Relative step criterion: |w_curr - w_prev| <= tol max(1, |w_prev|)."""
+def _relative_step(w_prev, w_curr):
+    """|w_curr - w_prev| / max(1, |w_prev|)."""
     w_prev = np.asarray(w_prev, dtype=float).ravel()
     w_curr = np.asarray(w_curr, dtype=float).ravel()
     if w_prev.shape != w_curr.shape:
         raise ValueError("w_prev and w_curr must have equal length")
-    return bool(np.linalg.norm(w_curr - w_prev)
-                <= tol * max(1.0, np.linalg.norm(w_prev)))
+    return float(np.linalg.norm(w_curr - w_prev)
+                 / max(1.0, np.linalg.norm(w_prev)))
+
+
+def converged(w_prev, w_curr, tol):
+    """Relative step criterion: |w_curr - w_prev| <= tol max(1, |w_prev|)."""
+    return _relative_step(w_prev, w_curr) <= tol
 
 
 def _initial_parameters(n, p, m, mask, Y, cfg):
@@ -235,9 +256,11 @@ def _em_step(data, params, mask, cfg):
     rescaled by the pooled expected state and measurement residual per
     coordinate, which is the exact M-step of the tied scale at the new
     (A, B).  Returns (new params, observed log-likelihood of ``params``,
-    the SBL state or None, the number of RTS pseudo-inverse steps).
-    Raises FilterDivergedError if the smoothing pass diverges.
+    the SBL state or None, the number of RTS pseudo-inverse steps, the
+    E-step and M-step wall seconds).  Raises FilterDivergedError if the
+    smoothing pass diverges.
     """
+    t0 = time.perf_counter()
     A, B, sigma2, m0, R0 = params
     n, p, m, N = A.shape[0], data.p, data.m, data.N
     s = float(np.sqrt(sigma2))
@@ -250,6 +273,7 @@ def _em_step(data, params, mask, cfg):
     sp = _dc_replace(sp, M_sm=lag_one_smoother(model, fp, sp))
     obs_ll = observed_loglik(model, scaled, fp=fp) - N * p * np.log(s)
     es = expectation_sums(sp, scaled, sp.x_sm[0])
+    t1 = time.perf_counter()
 
     if cfg.prior_mode == "sbl":
         reg = regression_from_moments(es, n, m)
@@ -265,7 +289,8 @@ def _em_step(data, params, mask, cfg):
            + _measurement_residual(sp, scaled, C))
     new = (A, B_fit * s, max(sigma2 * (rss / (N * (n + p))), _SIGMA2_FLOOR),
            sp.x_sm[0] * s, sp.P_sm[0] * s**2)
-    return new, obs_ll, st, len(sp.pinv_steps)
+    t2 = time.perf_counter()
+    return new, obs_ll, st, len(sp.pinv_steps), t1 - t0, t2 - t1
 
 
 def reconstruct(data, cfg):
@@ -292,6 +317,7 @@ def reconstruct(data, cfg):
     w_prev = pack_w(params[0], params[1])
     trace = []
     status = "max_iter"
+    last_step = float("nan")
     for it in range(1, cfg.outer_max_iter + 1):
         damped = False
         try:
@@ -308,7 +334,7 @@ def reconstruct(data, cfg):
                 params = prev[:3] + params[3:]
                 break
         prev = params
-        params, obs_ll, st, pinv_steps = step
+        params, obs_ll, st, pinv_steps, estep_s, mstep_s = step
         w = pack_w(params[0], params[1])
 
         if st is None:   # "ml": every weight free, no prior variances
@@ -320,8 +346,10 @@ def reconstruct(data, cfg):
             iteration=it, obs_loglik=obs_ll, n_active=n_active,
             sigma2=params[2], gamma_max=gamma_max,
             inner_iterations=inner_iters, damped=damped,
-            pinv_steps=pinv_steps, evidence_decreases=decreases))
-        if converged(w_prev, w, cfg.outer_tol):
+            pinv_steps=pinv_steps, evidence_decreases=decreases,
+            estep_s=estep_s, mstep_s=mstep_s))
+        last_step = _relative_step(w_prev, w)
+        if last_step <= cfg.outer_tol:
             status = "converged"
             break
         w_prev = w
@@ -336,7 +364,10 @@ def reconstruct(data, cfg):
     return ReconResult(A_hat=A, B_hat=B, sigma2_hat=float(sigma2),
                        m0_hat=m0, R0_hat=R0, dsf=sample, network=network,
                        trace=trace, status=status,
-                       wall_time=time.perf_counter() - t_start)
+                       wall_time=time.perf_counter() - t_start,
+                       last_step=last_step,
+                       loglik_decreases=sum(b.obs_loglik < a.obs_loglik
+                                            for a, b in zip(trace, trace[1:])))
 
 
 def p22_sweep(data, cfg):

@@ -23,6 +23,13 @@ covariance recursions only until those settle by the same test; the
 log-likelihood factors the shared innovation covariance once.  Steps before
 k_steady, and runs where the test never passes, run every recursion at
 every step.
+
+Over the steady segment the filtered and smoothed means follow a linear
+recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
+computed as a prefix scan by recursive doubling (``_linear_scan``): about
+log2 of the segment length matrix products instead of one small product
+per step.  The scan ends early once the powers of F fall below the
+smallest normal double, where their terms no longer change the result.
 """
 
 import warnings
@@ -47,6 +54,14 @@ __all__ = [
 _DIVERGE_NORM = 1e12
 # Relative change below which a covariance recursion counts as settled.
 _STEADY_RTOL = 1e-13
+# Smallest normal double: powers of a steady gain below it end a scan.
+_TINY = np.finfo(float).tiny
+# Multiply-adds per product in a scan.  OpenBLAS runs a product of at most
+# 2^18 on one thread; split across threads, these skinny products cost more
+# than they save.  With two processes on a 2-core x86_64 host and BLAS
+# threads unpinned (the benchmark's process pool), a desk-size scan took
+# 73 ms unsplit and 2 ms in such blocks.
+_SCAN_BLOCK_MACS = 2**18
 
 
 class FilterDivergedError(RuntimeError):
@@ -59,6 +74,31 @@ class FilterDivergedError(RuntimeError):
 
 def _sym(M):
     return 0.5 * (M + M.T)
+
+
+def _linear_scan(F, X):
+    """Run X[k] <- F X[k-1] + X[k] for k = 1..len(X)-1 in place; on entry
+    X[0] is the seed and X[k] the input of step k.
+
+    Hillis-Steele doubling (Hillis & Steele, CACM 1986): the pass with shift
+    s adds F^s X[k-s] to X[k], after which X[k] sums the inputs of the last
+    2s steps, so ceil(log2 len(X)) products of shape (len(X) x n)(n x n)
+    replace the per-step loop; each runs in row blocks of at most
+    ``_SCAN_BLOCK_MACS`` multiply-adds.  Once every entry of the power F^s
+    is below the smallest normal double, the terms it would add change
+    nothing at double precision and the scan ends early: products with such
+    subnormal powers are slow in BLAS.
+    """
+    rows = max(1, _SCAN_BLOCK_MACS // F.size)
+    P, s = F, 1
+    while s < len(X) and not (np.abs(P) < _TINY).all():
+        # top block first, so every row read still holds its old value
+        for hi in range(len(X), s, -rows):
+            lo = max(hi - rows, s)
+            X[lo:hi] += X[lo - s:hi - s] @ P.T
+        s *= 2
+        if s < len(X):
+            P = P @ P
 
 
 def _settled(new, old):
@@ -144,8 +184,11 @@ def kalman_filter(model, data):
     entry in one step (k >= 2), the covariances, gain and innovation
     covariance of step k are copied to all later steps (``k_steady = k``).
     The later filtered means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
-    F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j, and the predicted
-    means and innovations are formed in batch.
+    F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j.  They come from
+    a doubling scan seeded with x_{k|k}, which stops early once the powers
+    of F underflow; the predicted means and innovations are then formed in
+    batch, and the first non-finite predicted mean raises
+    FilterDivergedError at its step as in the per-step recursion.
     """
     n, p, m = model.n, model.p, model.m
     if data.p != p or data.m != m:
@@ -205,9 +248,8 @@ def kalman_filter(model, data):
         K = K_gain[ks]
         IKC = np.eye(n) - K @ C
         F = IKC @ A
-        g = data.U[ks:] @ (IKC @ B).T + data.Y[ks:] @ K.T
-        for k in range(ks + 1, N + 1):
-            x_filt[k] = F @ x_filt[k - 1] + g[k - ks - 1]
+        x_filt[tail] = data.U[ks:] @ (IKC @ B).T + data.Y[ks:] @ K.T
+        _linear_scan(F, x_filt[ks:])
         x_pred[tail] = x_filt[ks:N] @ A.T + data.U[ks:] @ B.T
         bad = ~np.isfinite(x_pred[tail]).all(axis=1)
         if bad.any():
@@ -234,8 +276,10 @@ def rts_smoother(model, fp):
     serves every step k >= k_steady (if its solve fails, the pseudo-inverse
     gain serves them all and each is listed in ``pinv_steps``).  There the
     P_{k|N} recursion runs backwards only until it settles by the filter's
-    test and its last value fills the rest of the segment, and each mean
-    update is one product, x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}).
+    test and its last value fills the rest of the segment.  The means
+    x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}) of that segment come from
+    one doubling scan run backwards from x_{N|N}, which stops early once the
+    powers of J underflow.
     """
     N = fp.N
     n = fp.x_filt.shape[1]
@@ -262,8 +306,11 @@ def rts_smoother(model, fp):
                 P_sm[ks:k] = P_sm[k]
                 break
         h = fp.x_filt[ks:N] - fp.x_pred[ks + 1:] @ Js.T
-        for k in range(N - 1, ks - 1, -1):
-            x_sm[k] = Js @ x_sm[k + 1] + h[k - ks]
+        # scan a contiguous copy in backward order: numpy does not hand a
+        # reversed view to BLAS, and the scan ran at half speed on one
+        X = np.vstack((x_sm[N], h[::-1]))
+        _linear_scan(Js, X)
+        x_sm[ks:] = X[::-1]
     for k in range(ks - 1, -1, -1):
         PAt = fp.P_filt[k] @ A.T
         try:

@@ -362,3 +362,35 @@ def test_fallback_counts_in_trace_and_result_file(tmp_path):
     assert [row[-2:] for row in rows] == [
         [str(r.pinv_steps), str(r.evidence_decreases)] for r in res.trace]
     assert all(len(row) == 9 for row in rows)
+
+
+def test_stop_diagnosis_last_step_and_loglik_decreases():
+    capped_cfg = ReconConfig(n_states=3, seed=4, outer_max_iter=2)
+    capped = reconstruct(_small_system(), capped_cfg)
+    assert capped.status == "max_iter"
+    assert capped.last_step > capped_cfg.outer_tol
+    data = simulate(two_node_system(sigma=0.0), 300, seed=0)
+    cfg = ReconConfig(n_states=2, mask_mode="diag_b", seed=1, outer_max_iter=20)
+    done = reconstruct(data, cfg)
+    assert done.status == "converged"
+    assert 0.0 <= done.last_step <= cfg.outer_tol
+    for res in (capped, done):
+        ll = [r.obs_loglik for r in res.trace]
+        assert res.loglik_decreases == sum(b < a for a, b in zip(ll, ll[1:]))
+    # the classical EM never lowers the observed log-likelihood
+    ml = reconstruct(_small_system(), ReconConfig(
+        n_states=3, prior_mode="ml", seed=4, outer_max_iter=6, outer_tol=0.0))
+    assert ml.status == "max_iter" and ml.loglik_decreases == 0
+
+
+def test_phase_times_in_memory_only(tmp_path):
+    data = _small_system()
+    cfg = ReconConfig(n_states=3, seed=5, outer_max_iter=3)
+    runs = [reconstruct(data, cfg) for _ in range(2)]
+    for res in runs:
+        assert all(r.estep_s > 0 and r.mstep_s > 0 for r in res.trace)
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path, res in zip(paths, runs):
+        save_result(path, res, {"seed": 5})
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert runs[0].trace == runs[1].trace

@@ -100,3 +100,58 @@ def test_switch_on_medium_series_matches_joint_gaussian():
     assert np.abs(sp.x_sm - means).max() <= 1e-8
     assert np.abs(sp.P_sm - covs).max() <= 1e-8
     assert np.abs(sp.M_sm[1:] - lags[1:]).max() <= 1e-8
+
+
+def _assert_passes_match(got, ref):
+    (fp, sp, ll), (ref_fp, ref_sp, ref_ll) = got, ref
+    for name in ("x_pred", "x_filt", "P_pred", "P_filt", "K_gain",
+                 "innovations", "innov_cov"):
+        assert _rel(getattr(fp, name), getattr(ref_fp, name)) <= 1e-9, name
+    for name in ("x_sm", "P_sm", "J", "M_sm"):
+        assert _rel(getattr(sp, name), getattr(ref_sp, name)) <= 1e-9, name
+    assert abs(ll - ref_ll) <= 1e-9 * abs(ref_ll)
+
+
+@pytest.mark.parametrize("tail", [1, 2])
+def test_steady_tail_of_one_and_two_steps(desk_system, tail):
+    # the covariances do not depend on the data, so truncating the record
+    # keeps k_steady and leaves a steady segment of exactly `tail` steps
+    model, full = desk_system
+    k_steady = kalman_filter(model, full).k_steady
+    N = k_steady + tail
+    data = type(full)(Y=full.Y[:N], U=full.U[:N], N=N)
+    got, ref = _both(model, data)
+    assert got[0].k_steady == k_steady
+    _assert_passes_match(got, ref)
+
+
+def test_strongly_damped_scan_underflows_without_warnings():
+    # steady F = (I - K C) A and J with spectral radius <= 0.5: their powers
+    # fall below the smallest normal double long before the 13 doublings a
+    # record of N > 4096 steps would take
+    rng = np.random.default_rng(21)
+    model = random_stable_model(rng, n=4, p=2, m=2, sigma=0.5)
+    model = replace(model, A=model.A * (0.3 / np.abs(
+        np.linalg.eigvals(model.A)).max()))
+    data = simulate(model, 5000, seed=22)
+    got, ref = _both(model, data)   # RuntimeWarnings are errors in this suite
+    fp, sp, _ = got
+    ks = fp.k_steady
+    assert ks is not None and ks < data.N
+    F = (np.eye(model.n) - fp.K_gain[ks] @ model.C) @ model.A
+    for gain in (F, sp.J[ks]):
+        assert np.abs(np.linalg.eigvals(gain)).max() <= 0.5
+    _assert_passes_match(got, ref)
+
+
+def test_scan_drops_powers_below_the_smallest_normal():
+    from netrecon.smoother import _linear_scan
+    # seed 1 and zero inputs under F = 0.5 I: step k holds 0.5**k exactly
+    # while the powers stay normal; F**1024 is below np.finfo(float).tiny,
+    # so the scan ends there and steps that far from the seed read 0
+    X = np.zeros((5000, 2))
+    X[0] = 1.0
+    _linear_scan(0.5 * np.eye(2), X)
+    k = np.arange(1022)
+    assert np.array_equal(X[:1022], np.repeat(0.5 ** k[:, None], 2, axis=1))
+    assert not X[1024:].any()
