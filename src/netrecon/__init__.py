@@ -16,9 +16,9 @@ from .dsf import (DSFError, UnsupportedSizeError, FreqSample, RationalMatrix,
                   graph_compare, save_dsf_result)
 from .smoother import (FilterDivergedError, FilterPass, SmoothPass, ESums,
                        kalman_filter, rts_smoother, lag_one_smoother, smooth,
-                       expectation_sums, q_function, observed_loglik)
+                       expectation_sums, observed_loglik)
 from .sbl import (IdentifiabilityError, RegressionData, SBLState, Mask,
-                  SBLOptions, assemble_regression, regression_from_moments,
+                  SBLOptions, regression_from_moments,
                   posterior, marginal_loglik, identifiability_mask,
                   initial_sbl_state, sbl_em)
 from .reconstruct import (ReconConfig, ReconResult, IterationRecord,

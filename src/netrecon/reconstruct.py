@@ -11,10 +11,13 @@ sigma^2 from the pooled expected state and measurement residual.  On
 convergence the dynamical structure function of the estimate is sampled
 and thresholded into a Boolean network.
 
-The prior mode only decides how (A, B) are fitted: "sbl" runs the
-sparse-Bayesian inner loop under an identifiability mask, the diagnostic
-"ml" mode takes the least-squares solution S_xz S_zz^{-1}.  In "ml" mode
-each outer iteration is the exact EM step of the tied model, so the
+The prior mode only decides how (A, B) are fitted; both fit under the
+same identifiability mask, through the same batched solve of the sparse
+E-step (``sbl._estep``).  "sbl" runs the sparse-Bayesian inner loop; the
+diagnostic "ml" mode is the masked classical EM: one solve with unbounded
+prior variance on the mask's free entries, which fits each row of [A B]
+by least squares on its free entries.  In "ml" mode each
+outer iteration is the exact EM step of the tied, masked model, so the
 observed-data log-likelihood is non-decreasing.
 """
 
@@ -29,7 +32,7 @@ from .fileio import fmt, fmt_row
 from .model import Dataset, StateSpaceModel
 from .sbl import (IdentifiabilityError, SBLOptions, identifiability_mask,
                   initial_sbl_state, sbl_em, regression_from_moments,
-                  moment_rss, unpack_w, pack_w)
+                  moment_rss, unpack_w, pack_w, _estep)
 from .smoother import (FilterDivergedError, expectation_sums, observed_loglik,
                        kalman_filter, rts_smoother, lag_one_smoother)
 
@@ -60,7 +63,8 @@ class ReconConfig:
     surplus states are expected to be pruned).  ``mask_mode`` selects the
     identifiability mask ("diag_b" or "p_diag" with ``p22``);
     ``prior_mode`` is "sbl" for the sparse prior or "ml" for the classical
-    EM of the same tied-noise model, a diagnostic whose observed-data
+    EM of the same tied-noise model under the same mask (a least-squares
+    fit of the free entries only), a diagnostic whose observed-data
     log-likelihood never decreases.
 
     Both modes smooth in units of the current noise scale and update
@@ -95,7 +99,7 @@ def _scalar_fields(cls, prefix=""):
             continue
         kind = [k for k in typing.get_args(f.type) or (f.type,)
                 if k is not type(None)][0]
-        if kind in (bool, int, float, str):   # not the A_init/B_init arrays
+        if kind in (int, float, str):   # not the A_init/B_init arrays
             yield prefix + f.name, kind
 
 
@@ -106,12 +110,7 @@ RECON_KEYS = dict(_scalar_fields(ReconConfig))
 
 
 def _parse(kind, raw):
-    if not isinstance(raw, str):
-        return raw
-    if kind is bool:
-        return {"1": True, "true": True, "yes": True,
-                "0": False, "false": False, "no": False}[raw.lower()]
-    return kind(raw)
+    return kind(raw) if isinstance(raw, str) else raw
 
 
 def recon_config(settings):
@@ -129,7 +128,7 @@ def recon_config(settings):
             raise ValueError(f"unknown reconstruction setting '{key}'")
         try:
             value = _parse(RECON_KEYS[name], raw)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ValueError(f"setting '{key}': cannot parse {raw!r}") from None
         if name.startswith("inner_"):
             inner[name[len("inner_"):]] = value
@@ -252,7 +251,8 @@ def _em_step(data, params, mask, cfg):
     data and model divided by s = sqrt(sigma2), where the unit process and
     measurement covariances are exact; m0 and R0 become the smoothed
     initial-state moments, (A, B) are fitted on the scaled second moments
-    (by ``sbl_em``, or by least squares in "ml" mode), and sigma2 is
+    (by ``sbl_em``, or in "ml" mode by least squares on the mask's free
+    entries, one E-step solve with unbounded prior variances), and sigma2 is
     rescaled by the pooled expected state and measurement residual per
     coordinate, which is the exact M-step of the tied scale at the new
     (A, B).  Returns (new params, observed log-likelihood of ``params``,
@@ -275,14 +275,14 @@ def _em_step(data, params, mask, cfg):
     es = expectation_sums(sp, scaled, sp.x_sm[0])
     t1 = time.perf_counter()
 
+    reg = regression_from_moments(es, n, m)
     if cfg.prior_mode == "sbl":
-        reg = regression_from_moments(es, n, m)
         st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0),
                     opts=cfg.inner)
         A, B_fit = unpack_w(st.mu_w, n, m)
     else:
         st = None
-        L = np.linalg.solve(es.S_zz, es.S_xz.T).T
+        L = _estep(reg, np.where(mask.free, np.inf, 0.0), 1.0)[0]
         A, B_fit = L[:, :n], L[:, n:]
     rss = (moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
                       np.hstack([A, B_fit]))
@@ -337,8 +337,9 @@ def reconstruct(data, cfg):
         params, obs_ll, st, pinv_steps, estep_s, mstep_s = step
         w = pack_w(params[0], params[1])
 
-        if st is None:   # "ml": every weight free, no prior variances
-            n_active, gamma_max, inner_iters, decreases = n * (n + m), 0.0, 1, 0
+        if st is None:   # "ml": every free weight fitted, no prior variances
+            n_active, gamma_max, inner_iters, decreases = \
+                int(mask.free.sum()), 0.0, 1, 0
         else:
             n_active, gamma_max = int(st.active.sum()), float(st.gamma.max())
             inner_iters, decreases = st.iteration, len(st.warnings)

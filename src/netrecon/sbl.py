@@ -10,8 +10,7 @@ variances to zero, pruning the corresponding weights.
 The posterior and the evidence depend on the data only through the
 sufficient statistics zz = sum z z', xz = sum x z' and the per-row sums
 of squared targets (Tipping, JMLR 2001), so every routine here reads only
-those; a design (targets and regressors) is an optional way to supply
-them.  Each output row i of the regression involves only row i of
+those.  Each output row i of the regression involves only row i of
 [A B], so the problem splits into n ridge problems sharing sigma^2.
 Each is posed on its row's active (unpruned) entries only, and all are
 solved together as one batch of positive definite systems, each padded
@@ -36,7 +35,6 @@ __all__ = [
     "SBLState",
     "Mask",
     "SBLOptions",
-    "assemble_regression",
     "posterior",
     "marginal_loglik",
     "identifiability_mask",
@@ -64,28 +62,16 @@ class RegressionData:
 
     ``zz`` (d x d with d = n + m) is the sum of z z' over the regressors
     z = [x_{k-1}; u_{k-1}], ``xz`` (n x d) the sum of x_k z' and
-    ``y_sq_rows`` (n) the per-row sums of squared targets; they are all the
-    SBL routines read.  Either pass them directly, or pass a design
-    (``targets[t]`` the smoothed state x_{N-t}, ``regressors[t]`` the
-    matching [x_{N-t-1}; u_{N-t-1}], so row 0 corresponds to k = N), from
-    which they are computed.  ``y_vec`` and ``phi`` (the dense design
-    matrix, for small problems and cross-checks) need the design.
+    ``y_sq_rows`` (n) the per-row sums of squared targets, over k = 1..N;
+    they are all the SBL routines read.
     """
 
     n: int
     m: int
     N: int
-    targets: np.ndarray | None = None      # (N, n)
-    regressors: np.ndarray | None = None   # (N, n+m)
-    zz: np.ndarray | None = None
-    xz: np.ndarray | None = None
-    y_sq_rows: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.targets is not None:
-            self.zz = self.regressors.T @ self.regressors
-            self.xz = self.targets.T @ self.regressors
-            self.y_sq_rows = (self.targets**2).sum(axis=0)
+    zz: np.ndarray
+    xz: np.ndarray
+    y_sq_rows: np.ndarray
 
     @property
     def N_y(self):
@@ -94,15 +80,6 @@ class RegressionData:
     @property
     def N_w(self):
         return self.n * (self.n + self.m)
-
-    @property
-    def y_vec(self):
-        return self.targets.ravel()
-
-    @property
-    def phi(self):
-        blocks = [np.kron(row[None, :], np.eye(self.n)) for row in self.regressors]
-        return np.vstack(blocks)
 
 
 @dataclass
@@ -143,19 +120,6 @@ class SBLOptions:
     max_iter: int = 200
     tol: float = 1e-6
     prune_tol: float = 1e-12
-    update_sigma2: bool = True
-
-
-def assemble_regression(sp, data, n):
-    """Build the regression pair from smoothed state means (plug-in states)."""
-    xs = sp.x_sm
-    if xs.shape != (data.N + 1, n):
-        raise ValueError(f"smoothed means have shape {xs.shape}, "
-                         f"expected {(data.N + 1, n)}")
-    targets = xs[1:][::-1].copy()
-    regressors = np.hstack([xs[:-1], data.U])[::-1].copy()
-    return RegressionData(targets=targets, regressors=regressors,
-                          n=n, m=data.U.shape[1], N=data.N)
 
 
 def regression_from_moments(es, n, m):
@@ -418,10 +382,9 @@ def sbl_em(reg, mask, init=None, opts=None):
         gamma_new = np.zeros_like(gamma)
         gamma_new[active] = var_w[active] + mu_w[active]**2
 
-        if opts.update_sigma2:
-            tr_sg = float((var_w[active] / gamma[active]).sum())
-            rss = moment_rss(y_sq, reg.xz, reg.zz, mu)
-            sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / reg.N_y, 1e-300)
+        tr_sg = float((var_w[active] / gamma[active]).sum())
+        rss = moment_rss(y_sq, reg.xz, reg.zz, mu)
+        sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / reg.N_y, 1e-300)
 
         delta = np.linalg.norm(gamma_new - gamma)
         scale = max(np.linalg.norm(gamma), 1e-300)

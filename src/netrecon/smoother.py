@@ -2,8 +2,8 @@
 
 Implements the forward filter, the RTS smoother, the lag-one covariance
 smoother, the aggregated conditional expectations needed by the EM
-M-step, the expected complete-data log-likelihood, and the observed-data
-log-likelihood via the prediction-error decomposition.
+M-step, and the observed-data log-likelihood via the prediction-error
+decomposition.
 
 Index convention: arrays run k = 0..N with index 0 holding the initial
 state t_0 (prior only, no measurement); measurements exist for k = 1..N.
@@ -28,11 +28,11 @@ Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
 computed as a prefix scan by recursive doubling (``_linear_scan``): about
 log2 of the segment length matrix products instead of one small product
-per step.  The scan ends early once the powers of F fall below the
-smallest normal double, where their terms no longer change the result.
+per step.  Entries of the powers of F below the smallest normal double
+are set to zero, and the scan ends early once a power is zero everywhere:
+such terms no longer change the result.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,14 +47,13 @@ __all__ = [
     "lag_one_smoother",
     "smooth",
     "expectation_sums",
-    "q_function",
     "observed_loglik",
 ]
 
 _DIVERGE_NORM = 1e12
 # Relative change below which a covariance recursion counts as settled.
 _STEADY_RTOL = 1e-13
-# Smallest normal double: powers of a steady gain below it end a scan.
+# Smallest normal double: entries of a scan's powers below it are zeroed.
 _TINY = np.finfo(float).tiny
 # Multiply-adds per product in a scan.  OpenBLAS runs a product of at most
 # 2^18 on one thread; split across threads, these skinny products cost more
@@ -84,14 +83,14 @@ def _linear_scan(F, X):
     s adds F^s X[k-s] to X[k], after which X[k] sums the inputs of the last
     2s steps, so ceil(log2 len(X)) products of shape (len(X) x n)(n x n)
     replace the per-step loop; each runs in row blocks of at most
-    ``_SCAN_BLOCK_MACS`` multiply-adds.  Once every entry of the power F^s
-    is below the smallest normal double, the terms it would add change
-    nothing at double precision and the scan ends early: products with such
-    subnormal powers are slow in BLAS.
+    ``_SCAN_BLOCK_MACS`` multiply-adds.  Entries of a squared power below
+    the smallest normal double are set to zero, since the terms they add
+    change nothing at double precision and products with subnormal operands
+    are slow in BLAS; once the power is zero everywhere the scan ends.
     """
     rows = max(1, _SCAN_BLOCK_MACS // F.size)
     P, s = F, 1
-    while s < len(X) and not (np.abs(P) < _TINY).all():
+    while s < len(X) and P.any():
         # top block first, so every row read still holds its old value
         for hi in range(len(X), s, -rows):
             lo = max(hi - rows, s)
@@ -99,6 +98,7 @@ def _linear_scan(F, X):
         s *= 2
         if s < len(X):
             P = P @ P
+            P[np.abs(P) < _TINY] = 0.0
 
 
 def _settled(new, old):
@@ -398,42 +398,6 @@ def expectation_sums(sp, data, m0):
     E0 = Ps[0] + np.outer(dev, dev)
     return ESums(S_xx=S_xx, S_xz=S_xz, S_zz=_sym(S_zz), E0=E0,
                  x0_sm=xs[0].copy(), P0_sm=Ps[0].copy(), N=N)
-
-
-def q_function(A, B, sigma2, m0, R0, es, N):
-    """Expected complete-data log-likelihood (constants dropped):
-
-        -2 Q = log det R0 + N n log sigma^2 + tr(R0^{-1} E0)
-               + sigma^{-2} tr(S_xx - L S_xz' - S_xz L' + L S_zz L')
-
-    with L = [A B].  A singular R0 is regularized with a trace-scaled
-    jitter and flagged with a RuntimeWarning.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = A.shape[0]
-    L = np.hstack([A, B])
-    m0 = np.asarray(m0, dtype=float).reshape(n)
-    R0 = np.atleast_2d(np.asarray(R0, dtype=float))
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-
-    dev = es.x0_sm - m0
-    E0 = es.P0_sm + np.outer(dev, dev)
-
-    sign, logdet = np.linalg.slogdet(R0)
-    if sign <= 0 or not np.isfinite(logdet):
-        jitter = 1e-10 * max(np.trace(R0) / n, 1.0)
-        warnings.warn("q_function: singular R0 regularized with jitter",
-                      RuntimeWarning)
-        R0 = R0 + jitter * np.eye(n)
-        sign, logdet = np.linalg.slogdet(R0)
-    tr0 = float(np.trace(np.linalg.solve(R0, E0)))
-
-    LSzz = L @ es.S_zz
-    trace_term = float(np.trace(es.S_xx)) - 2.0 * float(np.sum(L * es.S_xz)) \
-        + float(np.sum(LSzz * L))
-    return -0.5 * (logdet + N * n * np.log(sigma2) + tr0 + trace_term / sigma2)
 
 
 def observed_loglik(model, data, fp=None):

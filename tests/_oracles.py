@@ -12,9 +12,96 @@ The other is the full-width SBL E-step (``estep_full_width``), which
 factors every row of [A B] on all its entries and inverts the Cholesky
 factor by a general inverse, as the library did before it compacted each
 row to its active entries.
+
+The regression design (``DesignRegression``, ``assemble_regression``) and
+the expected complete-data log-likelihood (``q_function``) are here too:
+the library works on sufficient statistics alone and calls neither, but
+tests use them to state its results in textbook terms.
 """
 
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
+
+from netrecon import RegressionData
+
+
+@dataclass(kw_only=True)
+class DesignRegression(RegressionData):
+    """A regression given by its design: ``targets[t]`` the smoothed state
+    x_{N-t}, ``regressors[t]`` the matching [x_{N-t-1}; u_{N-t-1}] (row 0
+    corresponds to k = N).  The sufficient statistics are computed from
+    them; after changing either, call ``__post_init__`` again.  ``y_vec``
+    and ``phi`` are the stacked targets and the dense design matrix."""
+
+    targets: np.ndarray        # (N, n)
+    regressors: np.ndarray     # (N, n+m)
+    zz: np.ndarray | None = None
+    xz: np.ndarray | None = None
+    y_sq_rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.zz = self.regressors.T @ self.regressors
+        self.xz = self.targets.T @ self.regressors
+        self.y_sq_rows = (self.targets**2).sum(axis=0)
+
+    @property
+    def y_vec(self):
+        return self.targets.ravel()
+
+    @property
+    def phi(self):
+        blocks = [np.kron(row[None, :], np.eye(self.n)) for row in self.regressors]
+        return np.vstack(blocks)
+
+
+def assemble_regression(sp, data, n):
+    """Build the regression design from smoothed state means (plug-in states)."""
+    xs = sp.x_sm
+    if xs.shape != (data.N + 1, n):
+        raise ValueError(f"smoothed means have shape {xs.shape}, "
+                         f"expected {(data.N + 1, n)}")
+    targets = xs[1:][::-1].copy()
+    regressors = np.hstack([xs[:-1], data.U])[::-1].copy()
+    return DesignRegression(targets=targets, regressors=regressors,
+                            n=n, m=data.U.shape[1], N=data.N)
+
+
+def q_function(A, B, sigma2, m0, R0, es, N):
+    """Expected complete-data log-likelihood (constants dropped):
+
+        -2 Q = log det R0 + N n log sigma^2 + tr(R0^{-1} E0)
+               + sigma^{-2} tr(S_xx - L S_xz' - S_xz L' + L S_zz L')
+
+    with L = [A B].  A singular R0 is regularized with a trace-scaled
+    jitter and flagged with a RuntimeWarning.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n = A.shape[0]
+    L = np.hstack([A, B])
+    m0 = np.asarray(m0, dtype=float).reshape(n)
+    R0 = np.atleast_2d(np.asarray(R0, dtype=float))
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+
+    dev = es.x0_sm - m0
+    E0 = es.P0_sm + np.outer(dev, dev)
+
+    sign, logdet = np.linalg.slogdet(R0)
+    if sign <= 0 or not np.isfinite(logdet):
+        jitter = 1e-10 * max(np.trace(R0) / n, 1.0)
+        warnings.warn("q_function: singular R0 regularized with jitter",
+                      RuntimeWarning)
+        R0 = R0 + jitter * np.eye(n)
+        sign, logdet = np.linalg.slogdet(R0)
+    tr0 = float(np.trace(np.linalg.solve(R0, E0)))
+
+    LSzz = L @ es.S_zz
+    trace_term = float(np.trace(es.S_xx)) - 2.0 * float(np.sum(L * es.S_xz)) \
+        + float(np.sum(LSzz * L))
+    return -0.5 * (logdet + N * n * np.log(sigma2) + tr0 + trace_term / sigma2)
 
 
 def lgssm_joint(model, U):

@@ -12,15 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from netrecon import (BenchConfig, ReconConfig, SBLOptions, RegressionData,
-                      Mask, StateSpaceModel, default_q_points,
+from netrecon import (BenchConfig, ReconConfig, SBLOptions, Mask,
+                      StateSpaceModel, default_q_points,
                       dsf_from_state_space, exact_dsf_small,
                       generate_random_network, identifiability_mask,
                       marginal_loglik, observed_loglik, posterior, reconstruct,
                       run_benchmark, sbl_em, simulate, smooth)
 from netrecon.cli import cli_main
 
-from _oracles import (loglik_oracle, pinv_posterior_dense,
+from _oracles import (DesignRegression, loglik_oracle, pinv_posterior_dense,
                       ridge_posterior_dense, random_stable_model,
                       smoothed_oracle)
 
@@ -95,9 +95,9 @@ def test_criterion_4_sbl_correctness():
     worst_ridge = 0.0
     for _ in range(10):
         N, n_w = 24, 7
-        reg = RegressionData(targets=rng.normal(size=(N, 1)),
-                             regressors=rng.normal(size=(N, n_w)),
-                             n=1, m=n_w - 1, N=N)
+        reg = DesignRegression(targets=rng.normal(size=(N, 1)),
+                               regressors=rng.normal(size=(N, n_w)),
+                               n=1, m=n_w - 1, N=N)
         gamma = rng.uniform(0.1, 3.0, n_w)
         gamma[rng.integers(0, n_w)] = 0.0
         sigma2 = float(rng.uniform(0.05, 1.5))
@@ -110,9 +110,9 @@ def test_criterion_4_sbl_correctness():
     # (b) vanishing-noise path equals the explicit pseudo-inverse formula
     worst_pinv = 0.0
     for _ in range(10):
-        reg = RegressionData(targets=rng.normal(size=(20, 1)),
-                             regressors=rng.normal(size=(20, 8)),
-                             n=1, m=7, N=20)
+        reg = DesignRegression(targets=rng.normal(size=(20, 1)),
+                               regressors=rng.normal(size=(20, 8)),
+                               n=1, m=7, N=20)
         gamma = rng.uniform(0.5, 2.0, 8)
         mu_o = pinv_posterior_dense(reg.phi, reg.y_vec, gamma)
         for s2 in (1e-12, 0.0):
@@ -124,9 +124,9 @@ def test_criterion_4_sbl_correctness():
     wins = 0
     for trial in range(100):
         trng = np.random.default_rng(trial)
-        reg = RegressionData(targets=trng.normal(size=(100, 1)),
-                             regressors=trng.normal(size=(100, 50)),
-                             n=1, m=49, N=100)
+        reg = DesignRegression(targets=trng.normal(size=(100, 1)),
+                               regressors=trng.normal(size=(100, 50)),
+                               n=1, m=49, N=100)
         w0 = np.zeros(50)
         support = trng.choice(50, size=5, replace=False)
         w0[support] = trng.normal(size=5) + np.sign(trng.normal(size=5))
@@ -143,9 +143,9 @@ def test_criterion_4_sbl_correctness():
     worst_ev = 0.0
     for trial in range(10):
         trng = np.random.default_rng(100 + trial)
-        reg = RegressionData(targets=trng.normal(size=(40, 1)),
-                             regressors=trng.normal(size=(40, 10)),
-                             n=1, m=9, N=40)
+        reg = DesignRegression(targets=trng.normal(size=(40, 1)),
+                               regressors=trng.normal(size=(40, 10)),
+                               n=1, m=9, N=40)
         w0 = np.zeros(10)
         w0[[1, 4, 7]] = trng.normal(size=3) * 2
         reg.targets = (reg.regressors @ w0 + 0.2 * trng.normal(size=40))[:, None]

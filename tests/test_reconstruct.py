@@ -240,17 +240,17 @@ def test_recon_config_flat_settings():
     assert recon_config({"n_states": "4"}) == default
     assert recon_settings(default)["inner_prune_tol"] == default.inner.prune_tol
     cfg = recon_config({"n-states": "6", "mask_mode": "p_diag", "p22": "1",
-                        "inner-max-iter": "7", "inner_update_sigma2": "no",
+                        "inner-max-iter": "7", "inner_tol": "1e-3",
                         "structure_rel_tol": 0.5})
     assert cfg == dataclasses.replace(
         default, n_states=6, mask_mode="p_diag", p22=1, structure_rel_tol=0.5,
-        inner=dataclasses.replace(default.inner, max_iter=7,
-                                  update_sigma2=False))
+        inner=dataclasses.replace(default.inner, max_iter=7, tol=1e-3))
     assert recon_config(recon_settings(cfg)) == cfg
     assert "A_init" not in RECON_KEYS and "inner" not in RECON_KEYS
+    assert len(RECON_KEYS) == 11
     for bad, match in [({"n_states": 4, "inner_max_iters": 5}, "inner_max_iters"),
                        ({"n_states": "four"}, "n_states"),
-                       ({"n_states": 4, "inner_update_sigma2": "maybe"}, "maybe"),
+                       ({"n_states": 4, "inner_tol": "maybe"}, "maybe"),
                        ({"seed": 1}, "n_states")]:
         with pytest.raises(ValueError, match=match):
             recon_config(bad)
@@ -265,7 +265,9 @@ def _small_system(N=60, snr_db=15.0, seed=91):
 
 
 def test_ml_is_one_exact_tied_em_step():
-    from netrecon import Dataset, expectation_sums, smooth
+    from netrecon import (Dataset, expectation_sums, identifiability_mask,
+                          regression_from_moments, smooth)
+    from netrecon.sbl import _estep
     data = _small_system()
     n, p, m, N = 3, 2, 2, data.N
     A0 = np.array([[0.4, 0.1, 0.0], [-0.2, 0.3, 0.2], [0.1, 0.0, 0.5]])
@@ -283,7 +285,13 @@ def test_ml_is_one_exact_tied_em_step():
     scaled = Dataset(Y=data.Y / s, U=data.U, N=N)
     _, sp = smooth(model, scaled)
     es = expectation_sums(sp, scaled, sp.x_sm[0])
-    L = es.S_xz @ np.linalg.inv(es.S_zz)
+    # masked M-step: each row of [A B] is the least-squares fit on its free set
+    mask = identifiability_mask(n, p, m, "diag_b")
+    free = mask.free.reshape((n + m, n)).T
+    L = np.zeros((n, n + m))
+    for i in range(n):
+        f = free[i]
+        L[i, f] = np.linalg.solve(es.S_zz[np.ix_(f, f)], es.S_xz[i, f])
     A, B = L[:, :n], L[:, n:] * s
     # M-step of sigma2 at the new (A, B), per sample in data units
     x, P, M = sp.x_sm * s, sp.P_sm * sigma2, sp.M_sm * sigma2
@@ -295,12 +303,34 @@ def test_ml_is_one_exact_tied_em_step():
         e = data.Y[k - 1] - C @ x[k]
         total += e @ e + np.trace(C @ P[k] @ C.T)
 
-    assert res.trace[0].n_active == n * (n + m)
+    assert res.trace[0].n_active == mask.free.sum()
+    # the ml fit is the sparse E-step's mean in the limit of flat priors
+    wide = _estep(regression_from_moments(es, n, m),
+                  np.where(mask.free, 1e8, 0.0), 1.0)[0]
+    fit = np.hstack([res.A_hat, res.B_hat / s])
+    assert np.abs(wide - fit).max() <= 1e-6 * np.abs(fit).max()
     assert np.allclose(res.A_hat, A, rtol=1e-9, atol=1e-12)
     assert np.allclose(res.B_hat, B, rtol=1e-9, atol=1e-12)
     assert res.sigma2_hat == pytest.approx(total / (N * (n + p)), rel=1e-9)
     assert np.allclose(res.m0_hat, x[0], rtol=1e-9, atol=1e-12)
     assert np.allclose(res.R0_hat, P[0], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("mask_mode, p22", [("diag_b", None), ("p_diag", 1)])
+def test_ml_estimates_carry_the_mask_zeros(mask_mode, p22):
+    from netrecon import identifiability_mask
+    data = _small_system()
+    n, p, m = 3, 2, 2
+    res = reconstruct(data, ReconConfig(n_states=n, mask_mode=mask_mode,
+                                        p22=p22, prior_mode="ml", seed=4,
+                                        outer_max_iter=5))
+    mask = identifiability_mask(n, p, m, mask_mode, p22)
+    w = pack_w(res.A_hat, res.B_hat)
+    assert np.all(w[~mask.free] == 0.0)
+    assert np.all(w[mask.free] != 0.0)
+    assert all(r.n_active == mask.free.sum() for r in res.trace)
+    # the sampled input-to-output map of the estimate is diagonal
+    assert not res.dsf.P_vals[:, ~np.eye(p, dtype=bool)].any()
 
 
 def test_divergence_on_both_attempts_keeps_start():

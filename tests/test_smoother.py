@@ -3,10 +3,11 @@ import pytest
 
 from netrecon import (StateSpaceModel, Dataset, ESums, FilterDivergedError,
                       kalman_filter, rts_smoother, lag_one_smoother, smooth,
-                      expectation_sums, q_function, observed_loglik, simulate)
+                      expectation_sums, observed_loglik, simulate)
 
 from _oracles import (lgssm_joint, condition_gaussian, smoothed_oracle,
-                      filtered_oracle, loglik_oracle, random_stable_model)
+                      filtered_oracle, loglik_oracle, q_function,
+                      random_stable_model)
 
 
 def scalar_model(A=0.0, B=0.0, sigma=1.0, m0=0.0, R0=1.0):

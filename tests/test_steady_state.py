@@ -155,3 +155,21 @@ def test_scan_drops_powers_below_the_smallest_normal():
     k = np.arange(1022)
     assert np.array_equal(X[:1022], np.repeat(0.5 ** k[:, None], 2, axis=1))
     assert not X[1024:].any()
+
+
+def test_scan_with_partly_subnormal_power_matches_per_step_loop():
+    from netrecon.smoother import _linear_scan
+    # n = 12, spectral radius 0.5: F**1024 has 40 of its 144 entries below
+    # the smallest normal double and the rest above it, so the scan zeroes
+    # part of a power and goes on with the rest
+    rng = np.random.default_rng(0)
+    F = rng.normal(size=(12, 12))
+    F *= 0.5 / np.abs(np.linalg.eigvals(F)).max()
+    power = np.linalg.matrix_power(F, 1024)
+    assert (np.abs(power) < np.finfo(float).tiny).sum() == 40
+    X = rng.normal(size=(3001, 12))
+    ref = X.copy()
+    for k in range(1, len(ref)):
+        ref[k] += F @ ref[k - 1]
+    _linear_scan(F, X)
+    assert _rel(X, ref) <= 1e-12
