@@ -14,7 +14,7 @@ from .dsf import (DSFError, UnsupportedSizeError, FreqSample, RationalMatrix,
                   NetworkGraph, GraphMetrics, default_q_points,
                   dsf_from_state_space, exact_dsf_small, boolean_structure,
                   graph_compare, save_dsf_result)
-from .smoother import (FilterDivergedError, FilterPass, SmoothPass, ESums,
+from .smoother import (FilterDivergedError, StepSeq, FilterPass, SmoothPass, ESums,
                        kalman_filter, rts_smoother, lag_one_smoother, smooth,
                        expectation_sums, observed_loglik)
 from .sbl import (IdentifiabilityError, RegressionData, SBLState, Mask,

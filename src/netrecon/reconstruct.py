@@ -240,7 +240,7 @@ def _initial_parameters(n, p, m, mask, Y, cfg):
 def _measurement_residual(sp, data, C):
     """Expected squared measurement residual, summed over all samples."""
     resid = data.Y - sp.x_sm[1:] @ C.T
-    cov = float(np.sum(C * (C @ sp.P_sm[1:].sum(axis=0))))
+    cov = float(np.sum(C * (C @ sp.P_sm.total(1, data.N + 1))))
     return float((resid**2).sum()) + cov
 
 

@@ -15,7 +15,7 @@ Steady state: the covariance recursions do not depend on the data, and
 for a stable model they settle within a few dozen steps.  The filter
 watches P_{k|k-1}; at the first step k >= 2 where one step changes it by
 at most ``_STEADY_RTOL`` times its largest entry, it records k as
-``FilterPass.k_steady`` and reuses that step's P_{k|k-1}, P_{k|k}, gain and
+``FilterPass.k_steady`` and holds that step's P_{k|k-1}, P_{k|k}, gain and
 innovation covariance for every later step, which then runs only the mean
 recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS and
 lag-one smoothers use one gain over that segment and run their backward
@@ -23,6 +23,16 @@ covariance recursions only until those settle by the same test; the
 log-likelihood factors the shared innovation covariance once.  Steps before
 k_steady, and runs where the test never passes, run every recursion at
 every step.
+
+Storage: every covariance and gain sequence is a ``StepSeq``, which stores
+each distinct matrix once and maps each step to its row.  The filter's
+P_{k|k-1}, P_{k|k}, K_k and innovation covariance, and the RTS gains J_k,
+hold the transient steps and then one settled value.  P_{k|N} and the
+lag-one M_k hold three segments: the steps before k_steady, one settled
+middle value, and the backward transient near N.  Where nothing settles,
+every step keeps its own row.  Sums over steps (``StepSeq.total``) weight
+each row by its step count, so no pass allocates N copies of a matrix.  The
+means stay dense (N+1)-row arrays.
 
 Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
@@ -39,6 +49,7 @@ import numpy as np
 
 __all__ = [
     "FilterDivergedError",
+    "StepSeq",
     "FilterPass",
     "SmoothPass",
     "ESums",
@@ -73,6 +84,55 @@ class FilterDivergedError(RuntimeError):
 
 def _sym(M):
     return 0.5 * (M + M.T)
+
+
+class StepSeq:
+    """Read-only sequence of equal-shape matrices over steps, each distinct
+    matrix stored once: step k reads ``vals[idx[k]]``.
+
+    ``StepSeq(vals)`` gives every step its own row.  Indexing with an integer
+    returns a read-only view of the stored row (shared by every step that
+    maps to it); a slice or ``np.asarray`` gives the dense copy.
+    ``total(lo, hi)`` sums steps lo..hi-1 as step counts times rows.
+    """
+
+    __slots__ = ("vals", "idx")
+
+    def __init__(self, vals, idx=None):
+        self.vals = np.array(vals, dtype=float)
+        self.idx = np.arange(len(self.vals)) if idx is None \
+            else np.asarray(idx, dtype=np.intp)
+        self.vals.flags.writeable = False
+        self.idx.flags.writeable = False
+
+    def __len__(self):
+        return len(self.idx)
+
+    def __getitem__(self, key):
+        return self.vals[self.idx[key]]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.vals[self.idx], dtype=dtype)
+
+    def total(self, lo, hi):
+        """Sum of the matrices of steps lo..hi-1."""
+        counts = np.bincount(self.idx[lo:hi], minlength=len(self.vals))
+        return np.tensordot(counts.astype(float), self.vals, axes=1)
+
+
+def _held(vals, steps):
+    """StepSeq of ``steps`` steps over ``vals`` in step order: one step per
+    value, the last value held to the end."""
+    return StepSeq(vals, np.minimum(np.arange(steps), len(vals) - 1))
+
+
+def _runs(back, held, at):
+    """StepSeq over ``back``, values in backward step order (last step
+    first), each for one step except ``back[at]``, which holds ``held``
+    steps."""
+    counts = np.ones(len(back), dtype=np.intp)
+    counts[at] = held
+    return StepSeq(back[::-1], np.repeat(np.arange(len(back)), counts[::-1]))
 
 
 def _linear_scan(F, X):
@@ -114,17 +174,19 @@ class FilterPass:
     x_pred[k], P_pred[k] are the one-step predictions x_{k|k-1}, P_{k|k-1};
     x_filt[k], P_filt[k] the filtered estimates; K_gain[k] the gain;
     innovations[k] and innov_cov[k] feed the observed-data likelihood.
-    k_steady is the step from which P_pred, P_filt, K_gain and innov_cov
-    hold one settled value (None if the covariances never settled).
+    The means are dense (N+1)-row arrays; P_pred, P_filt, K_gain and
+    innov_cov are StepSeqs of N+1 steps.  k_steady is the step from which
+    those four hold one settled value, stored once (None if the covariances
+    never settled, when every step has its own row).
     """
 
     x_pred: np.ndarray
-    P_pred: np.ndarray
+    P_pred: StepSeq
     x_filt: np.ndarray
-    P_filt: np.ndarray
-    K_gain: np.ndarray
+    P_filt: StepSeq
+    K_gain: StepSeq
     innovations: np.ndarray
-    innov_cov: np.ndarray
+    innov_cov: StepSeq
     N: int
     k_steady: int | None = None
 
@@ -133,15 +195,19 @@ class FilterPass:
 class SmoothPass:
     """Backward-pass quantities for k = 0..N.
 
-    M_sm[k] is the lag-one covariance Cov(x_k, x_{k-1} | all data) for
-    k = 1..N (index 0 unused); it is None until the lag-one smoother has
-    run.  J[k] are the smoother gains for k = 0..N-1.
+    x_sm is a dense (N+1)-row array; P_sm, J and M_sm are StepSeqs.
+    J[k] are the smoother gains for k = 0..N-1: the transient gains, then
+    one steady gain from k_steady on.  P_sm (N+1 steps) and M_sm hold the
+    steps before k_steady, one settled middle value and the backward
+    transient near N, each stored once.  M_sm[k] is the lag-one covariance
+    Cov(x_k, x_{k-1} | all data) for k = 1..N (index 0 is a zero matrix); it
+    is None until the lag-one smoother has run.
     """
 
     x_sm: np.ndarray
-    P_sm: np.ndarray
-    J: np.ndarray
-    M_sm: np.ndarray | None = None
+    P_sm: StepSeq
+    J: StepSeq
+    M_sm: StepSeq | None = None
     pinv_steps: tuple = ()
 
 
@@ -182,8 +248,9 @@ def kalman_filter(model, data):
 
     Once P_{k|k-1} changes by at most _STEADY_RTOL relative to its largest
     entry in one step (k >= 2), the covariances, gain and innovation
-    covariance of step k are copied to all later steps (``k_steady = k``).
-    The later filtered means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
+    covariance of step k hold for all later steps (``k_steady = k``): each
+    is stored once, as the last row of its StepSeq.  The later filtered
+    means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
     F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j.  They come from
     a doubling scan seeded with x_{k|k}, which stops early once the powers
     of F underflow; the predicted means and innovations are then formed in
@@ -205,46 +272,39 @@ def kalman_filter(model, data):
     Ip = np.eye(p)
 
     x_pred = np.zeros((N + 1, n))
-    P_pred = np.zeros((N + 1, n, n))
     x_filt = np.zeros((N + 1, n))
-    P_filt = np.zeros((N + 1, n, n))
-    K_gain = np.zeros((N + 1, n, p))
     innovations = np.zeros((N + 1, p))
-    innov_cov = np.zeros((N + 1, p, p))
-
     x_filt[0] = model.m0
-    P_filt[0] = _sym(model.R0)
     x_pred[0] = model.m0
-    P_pred[0] = P_filt[0]
-    innov_cov[0] = Ip
+    # one entry per step until the covariances settle
+    P_filt = [_sym(model.R0)]
+    P_pred = [P_filt[0]]
+    K_gain = [np.zeros((n, p))]
+    innov_cov = [Ip]
 
     k_steady = None
     for k in range(1, N + 1):
         x_pred[k] = A @ x_filt[k - 1] + B @ data.U[k - 1]
-        Pp = _sym(A @ P_filt[k - 1] @ A.T + sig2I)
+        Pp = _sym(A @ P_filt[-1] @ A.T + sig2I)
         if not np.all(np.isfinite(Pp)) or np.abs(Pp).max() > _DIVERGE_NORM \
                 or not np.all(np.isfinite(x_pred[k])):
             raise FilterDivergedError(k)
-        P_pred[k] = Pp
         S = _sym(C @ Pp @ C.T + Ip)
         K = np.linalg.solve(S, C @ Pp).T
         innovations[k] = data.Y[k - 1] - C @ x_pred[k]
-        innov_cov[k] = S
-        K_gain[k] = K
         x_filt[k] = x_pred[k] + K @ innovations[k]
-        P_filt[k] = _sym(Pp - K @ C @ Pp)
+        P_pred.append(Pp)
+        innov_cov.append(S)
+        K_gain.append(K)
+        P_filt.append(_sym(Pp - K @ C @ Pp))
         # P_pred[1] follows the prior, not the Riccati map, so compare from 2
-        if k >= 2 and _settled(Pp, P_pred[k - 1]):
+        if k >= 2 and _settled(Pp, P_pred[-2]):
             k_steady = k
             break
 
     if k_steady is not None and k_steady < N:
         ks = k_steady
         tail = slice(ks + 1, N + 1)
-        P_pred[tail] = P_pred[ks]
-        P_filt[tail] = P_filt[ks]
-        K_gain[tail] = K_gain[ks]
-        innov_cov[tail] = innov_cov[ks]
         K = K_gain[ks]
         IKC = np.eye(n) - K @ C
         F = IKC @ A
@@ -255,9 +315,11 @@ def kalman_filter(model, data):
         if bad.any():
             raise FilterDivergedError(ks + 1 + int(np.argmax(bad)))
         innovations[tail] = data.Y[ks:] - x_pred[tail] @ C.T
-    return FilterPass(x_pred=x_pred, P_pred=P_pred, x_filt=x_filt,
-                      P_filt=P_filt, K_gain=K_gain, innovations=innovations,
-                      innov_cov=innov_cov, N=N, k_steady=k_steady)
+    return FilterPass(x_pred=x_pred, P_pred=_held(P_pred, N + 1),
+                      x_filt=x_filt, P_filt=_held(P_filt, N + 1),
+                      K_gain=_held(K_gain, N + 1), innovations=innovations,
+                      innov_cov=_held(innov_cov, N + 1), N=N,
+                      k_steady=k_steady)
 
 
 def rts_smoother(model, fp):
@@ -274,21 +336,24 @@ def rts_smoother(model, fp):
 
     From ``fp.k_steady`` on, P_{k|k} and P_{k+1|k} are settled, so one gain J
     serves every step k >= k_steady (if its solve fails, the pseudo-inverse
-    gain serves them all and each is listed in ``pinv_steps``).  There the
-    P_{k|N} recursion runs backwards only until it settles by the filter's
-    test and its last value fills the rest of the segment.  The means
-    x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}) of that segment come from
-    one doubling scan run backwards from x_{N|N}, which stops early once the
-    powers of J underflow.
+    gain serves them all and each is listed in ``pinv_steps``); J stores the
+    transient gains and then that gain once.  There the P_{k|N} recursion
+    runs backwards only until it settles by the filter's test, and its last
+    value is stored once for the rest of the segment: P_sm holds the steps
+    before k_steady, that middle value, and the backward transient near N.
+    The means x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}) of that
+    segment come from one doubling scan run backwards from x_{N|N}, which
+    stops early once the powers of J underflow.
     """
     N = fp.N
     n = fp.x_filt.shape[1]
     A = model.A
     x_sm = np.zeros((N + 1, n))
-    P_sm = np.zeros((N + 1, n, n))
-    J = np.zeros((N, n, n))
     x_sm[N] = fp.x_filt[N]
-    P_sm[N] = fp.P_filt[N]
+    # P_{k|N} and J_k in backward step order, each settled value once
+    P_back = [fp.P_filt[N]]
+    J_back = []
+    mid_steps = 1   # steps of the settled P_{k|N}, the last of the segment
     pinv_steps = []
     ks = N if fp.k_steady is None else fp.k_steady
     if ks < N:
@@ -299,18 +364,19 @@ def rts_smoother(model, fp):
         except np.linalg.LinAlgError:
             Js = PAt @ np.linalg.pinv(Pp)
             pinv_steps.extend(range(N - 1, ks - 1, -1))
-        J[ks:] = Js
+        J_back.append(Js)
         for k in range(N - 1, ks - 1, -1):
-            P_sm[k] = _sym(Pf + Js @ (P_sm[k + 1] - Pp) @ Js.T)
-            if _settled(P_sm[k], P_sm[k + 1]):
-                P_sm[ks:k] = P_sm[k]
+            P_back.append(_sym(Pf + Js @ (P_back[-1] - Pp) @ Js.T))
+            if _settled(P_back[-1], P_back[-2]):
                 break
+        mid_steps = k - ks + 1
         h = fp.x_filt[ks:N] - fp.x_pred[ks + 1:] @ Js.T
         # scan a contiguous copy in backward order: numpy does not hand a
         # reversed view to BLAS, and the scan ran at half speed on one
         X = np.vstack((x_sm[N], h[::-1]))
         _linear_scan(Js, X)
         x_sm[ks:] = X[::-1]
+    mid = len(P_back) - 1
     for k in range(ks - 1, -1, -1):
         PAt = fp.P_filt[k] @ A.T
         try:
@@ -318,45 +384,54 @@ def rts_smoother(model, fp):
         except np.linalg.LinAlgError:
             Jk = PAt @ np.linalg.pinv(fp.P_pred[k + 1])
             pinv_steps.append(k)
-        J[k] = Jk
+        J_back.append(Jk)
         x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
-        P_sm[k] = _sym(fp.P_filt[k] + Jk @ (P_sm[k + 1] - fp.P_pred[k + 1]) @ Jk.T)
-    return SmoothPass(x_sm=x_sm, P_sm=P_sm, J=J, M_sm=None,
+        P_back.append(_sym(fp.P_filt[k]
+                           + Jk @ (P_back[-1] - fp.P_pred[k + 1]) @ Jk.T))
+    return SmoothPass(x_sm=x_sm, P_sm=_runs(P_back, mid_steps, mid),
+                      J=_held(J_back[::-1], N), M_sm=None,
                       pinv_steps=tuple(pinv_steps))
 
 
 def lag_one_smoother(model, fp, sp):
-    """Lag-one covariance smoother; returns M with M[k] = Cov(x_k, x_{k-1} | Y).
+    """Lag-one covariance smoother; returns the StepSeq M with
+    M[k] = Cov(x_k, x_{k-1} | Y).
 
     Initialized with M_N = (I - K_N C) A P_{N-1|N-1} and iterated backwards:
 
         M_k = P_{k|k} J_{k-1}' + J_k (M_{k+1} - A P_{k|k}) J_{k-1}'
 
-    for k = N-1..1.  Index 0 of the returned array is unused (zeros).
+    for k = N-1..1.  Index 0 of the returned sequence is unused (a zero
+    matrix).
 
     For k > ``fp.k_steady`` every factor is settled (``sp`` must come from
     ``rts_smoother`` on the same pass), so the recursion runs only until M
-    settles and its last value fills the rest of that segment.
+    settles, and its last value is stored once for the rest of that
+    segment: M holds the steps up to k_steady, that middle value, and the
+    backward transient near N.
     """
     N = fp.N
     n = fp.x_filt.shape[1]
     A, C = model.A, model.C
-    M = np.zeros((N + 1, n, n))
-    M[N] = (np.eye(n) - fp.K_gain[N] @ C) @ A @ fp.P_filt[N - 1]
+    # M_k in backward step order, the settled value once
+    M_back = [(np.eye(n) - fp.K_gain[N] @ C) @ A @ fp.P_filt[N - 1]]
+    mid_steps = 1
     ks = N - 1 if fp.k_steady is None else min(fp.k_steady, N - 1)
     if ks < N - 1:
         Js = sp.J[ks]
         PJt = fp.P_filt[ks] @ Js.T
         APf = A @ fp.P_filt[ks]
         for k in range(N - 1, ks, -1):
-            M[k] = PJt + Js @ (M[k + 1] - APf) @ Js.T
-            if _settled(M[k], M[k + 1]):
-                M[ks + 1:k] = M[k]
+            M_back.append(PJt + Js @ (M_back[-1] - APf) @ Js.T)
+            if _settled(M_back[-1], M_back[-2]):
                 break
+        mid_steps = k - ks
+    mid = len(M_back) - 1
     for k in range(ks, 0, -1):
-        M[k] = fp.P_filt[k] @ sp.J[k - 1].T \
-            + sp.J[k] @ (M[k + 1] - A @ fp.P_filt[k]) @ sp.J[k - 1].T
-    return M
+        M_back.append(fp.P_filt[k] @ sp.J[k - 1].T
+                      + sp.J[k] @ (M_back[-1] - A @ fp.P_filt[k]) @ sp.J[k - 1].T)
+    M_back.append(np.zeros((n, n)))
+    return _runs(M_back, mid_steps, mid)
 
 
 def smooth(model, data):
@@ -373,7 +448,9 @@ def expectation_sums(sp, data, m0):
 
     Uses the identities E(x_k x_k') = x_{k|N} x_{k|N}' + P_{k|N},
     E(x_k x_{k-1}') = x_{k|N} x_{k-1|N}' + M_{k|N}, and
-    E(x_k u_{k-1}') = x_{k|N} u_{k-1}' (inputs are deterministic).
+    E(x_k u_{k-1}') = x_{k|N} u_{k-1}' (inputs are deterministic).  The
+    covariance sums come from ``StepSeq.total``: each stored matrix times its
+    step count.
     """
     if sp.M_sm is None:
         raise ValueError("run the lag-one smoother first (see smooth())")
@@ -384,12 +461,12 @@ def expectation_sums(sp, data, m0):
     m = U.shape[1]
     m0 = np.asarray(m0, dtype=float).reshape(n)
 
-    S_xx = xs[1:].T @ xs[1:] + Ps[1:].sum(axis=0)
-    xx_lag = xs[1:].T @ xs[:-1] + Ms[1:].sum(axis=0)
+    S_xx = xs[1:].T @ xs[1:] + Ps.total(1, N + 1)
+    xx_lag = xs[1:].T @ xs[:-1] + Ms.total(1, N + 1)
     xu = xs[1:].T @ U
     S_xz = np.hstack([xx_lag, xu])
 
-    prev_xx = xs[:-1].T @ xs[:-1] + Ps[:-1].sum(axis=0)
+    prev_xx = xs[:-1].T @ xs[:-1] + Ps.total(0, N)
     prev_xu = xs[:-1].T @ U
     uu = U.T @ U
     S_zz = np.block([[prev_xx, prev_xu], [prev_xu.T, uu]])

@@ -294,7 +294,7 @@ def test_ml_is_one_exact_tied_em_step():
         L[i, f] = np.linalg.solve(es.S_zz[np.ix_(f, f)], es.S_xz[i, f])
     A, B = L[:, :n], L[:, n:] * s
     # M-step of sigma2 at the new (A, B), per sample in data units
-    x, P, M = sp.x_sm * s, sp.P_sm * sigma2, sp.M_sm * sigma2
+    x, P, M = sp.x_sm * s, np.asarray(sp.P_sm) * sigma2, np.asarray(sp.M_sm) * sigma2
     total = 0.0
     for k in range(1, N + 1):
         r = x[k] - A @ x[k - 1] - B @ data.U[k - 1]

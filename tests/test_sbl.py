@@ -344,14 +344,15 @@ def test_sbl_state_invariants_after_run():
 def test_regression_from_moments_matches_plugin_when_certain():
     # with all smoothing covariances zero the moment regression carries the
     # same sufficient statistics as the plug-in design
-    from netrecon import regression_from_moments, expectation_sums, Dataset, SmoothPass
+    from netrecon import (regression_from_moments, expectation_sums, Dataset,
+                          SmoothPass, StepSeq)
 
     rng = np.random.default_rng(20)
     model = random_stable_model(rng, n=2, p=2, m=2)
     data = simulate(model, 12, seed=21)
     _, sp = smooth(model, data)
-    sp0 = SmoothPass(x_sm=sp.x_sm, P_sm=np.zeros_like(sp.P_sm), J=sp.J,
-                     M_sm=np.zeros_like(sp.M_sm))
+    sp0 = SmoothPass(x_sm=sp.x_sm, P_sm=StepSeq(np.zeros_like(sp.P_sm)), J=sp.J,
+                     M_sm=StepSeq(np.zeros_like(sp.M_sm)))
     es = expectation_sums(sp0, data, model.m0)
     reg_plug = assemble_regression(sp0, data, n=2)
     reg_mom = regression_from_moments(es, n=2, m=2)

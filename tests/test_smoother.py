@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netrecon import (StateSpaceModel, Dataset, ESums, FilterDivergedError,
-                      kalman_filter, rts_smoother, lag_one_smoother, smooth,
+                      StepSeq, kalman_filter, rts_smoother, lag_one_smoother, smooth,
                       expectation_sums, observed_loglik, simulate)
 
 from _oracles import (lgssm_joint, condition_gaussian, smoothed_oracle,
@@ -136,8 +136,8 @@ def test_expectation_sums_outer_products_when_covariances_vanish():
     data = make_data(model, 6, rng)
     _, sp = smooth(model, data)
     # zero out all covariance information: sums must reduce to outer products
-    sp_zero = type(sp)(x_sm=sp.x_sm, P_sm=np.zeros_like(sp.P_sm), J=sp.J,
-                       M_sm=np.zeros_like(sp.M_sm))
+    sp_zero = type(sp)(x_sm=sp.x_sm, P_sm=StepSeq(np.zeros_like(sp.P_sm)), J=sp.J,
+                       M_sm=StepSeq(np.zeros_like(sp.M_sm)))
     es = expectation_sums(sp_zero, data, model.m0)
     xs = sp.x_sm
     z = np.hstack([xs[:-1], data.U])

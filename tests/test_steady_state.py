@@ -1,12 +1,14 @@
-"""The steady-state switch of the Kalman E-step against the per-step
-reference in ``_oracles`` and the joint-Gaussian oracles."""
+"""The steady-state switch of the Kalman E-step and its compact storage
+against the dense per-step reference in ``_oracles`` and the joint-Gaussian
+oracles."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netrecon import (FilterDivergedError, expectation_sums,
+from netrecon import (FilterDivergedError, StepSeq, expectation_sums,
                       generate_random_network, kalman_filter,
                       lag_one_smoother, observed_loglik, rts_smoother,
                       simulate, smooth)
@@ -36,13 +38,15 @@ def _both(model, data):
 
 
 def _rel(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
     return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
 
 
 def test_steady_state_matches_per_step_at_desk_scale(desk_system):
     model, data = desk_system
     (fp, sp, ll), (ref_fp, ref_sp, ref_ll) = _both(model, data)
-    assert fp.k_steady is not None and fp.k_steady < data.N // 10
+    ks = fp.k_steady
+    assert ks is not None and ks < data.N // 10
     assert ref_fp.k_steady is None
     for name in ("x_pred", "x_filt", "P_pred", "P_filt", "K_gain",
                  "innovations", "innov_cov"):
@@ -52,27 +56,72 @@ def test_steady_state_matches_per_step_at_desk_scale(desk_system):
     assert sp.pinv_steps == ref_sp.pinv_steps == ()
     assert abs(ll - ref_ll) <= 1e-9 * abs(ref_ll)
     es = expectation_sums(sp, data, model.m0)
-    ref_es = expectation_sums(ref_sp, data, model.m0)
+    ref_es = expectation_sums(replace(ref_sp, P_sm=StepSeq(ref_sp.P_sm),
+                                      M_sm=StepSeq(ref_sp.M_sm)),
+                              data, model.m0)
     for name in ("S_xx", "S_xz", "S_zz", "E0", "x0_sm", "P0_sm"):
         assert _rel(getattr(es, name), getattr(ref_es, name)) <= 1e-9, name
-    # the settled segment holds one value, filled in place
-    tail = fp.P_pred[fp.k_steady:]
-    assert np.array_equal(tail, np.broadcast_to(tail[0], tail.shape))
-    assert np.array_equal(sp.J[fp.k_steady:],
-                          np.broadcast_to(sp.J[-1], sp.J[fp.k_steady:].shape))
+    # each settled value is stored once: the filter and J keep the
+    # transient steps plus one row; P_sm and M_sm keep the steps before
+    # k_steady, one middle row and a backward transient of under 50 steps
+    for seq in (fp.P_pred, fp.P_filt, fp.K_gain, fp.innov_cov):
+        assert len(seq) == data.N + 1 and len(seq.vals) == ks + 1
+    assert len(sp.J) == data.N and len(sp.J.vals) == ks + 1
+    for seq, head in ((sp.P_sm, ks), (sp.M_sm, ks + 1)):
+        assert len(seq) == data.N + 1
+        assert head + 1 < len(seq.vals) <= head + 1 + 50
+        assert np.array_equal(seq.idx[:head + 1], np.arange(head + 1))
+        tail = len(seq.vals) - head - 1
+        assert np.array_equal(seq.idx[-tail:], np.arange(head + 1, len(seq.vals)))
+        assert (seq.idx[head:-tail] == head).all()
+
+
+def test_total_matches_dense_sum(desk_system):
+    model, data = desk_system
+    fp, sp = smooth(model, data)
+    N = data.N
+    for seq in (sp.P_sm, sp.M_sm, fp.P_pred, sp.J):
+        dense = np.asarray(seq)
+        for lo, hi in ((0, len(seq)), (1, N + 1), (0, N), (3, 20),
+                       (fp.k_steady + 5, N - 10), (N - 5, N), (7, 7)):
+            ref = dense[lo:hi].sum(axis=0)
+            got = seq.total(lo, hi)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+
+def test_smoother_memory_stays_below_n_copies(desk_system):
+    # one (N+1) x n x n array is 7.2 MB at desk scale, so a pass that holds
+    # a copy of a covariance for every step does not fit; compact passes
+    # peak at under 4 MB here
+    model, data = desk_system
+    tracemalloc.start()
+    try:
+        fp, sp = smooth(model, data)
+        expectation_sums(sp, data, model.m0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_short_series_never_switches_and_equals_reference(desk_system):
     model, full = desk_system
-    data = type(full)(Y=full.Y[:8], U=full.U[:8], N=8)
-    (fp, sp, ll), (ref_fp, ref_sp, ref_ll) = _both(model, data)
-    assert fp.k_steady is None
-    for name in ("x_pred", "x_filt", "P_pred", "P_filt", "K_gain",
-                 "innovations", "innov_cov"):
-        assert np.array_equal(getattr(fp, name), getattr(ref_fp, name)), name
-    for name in ("x_sm", "P_sm", "J", "M_sm"):
-        assert np.array_equal(getattr(sp, name), getattr(ref_sp, name)), name
-    assert ll == ref_ll
+    for N in (1, 2, 8):
+        data = type(full)(Y=full.Y[:N], U=full.U[:N], N=N)
+        (fp, sp, ll), (ref_fp, ref_sp, ref_ll) = _both(model, data)
+        assert fp.k_steady is None
+        for name in ("x_pred", "x_filt", "P_pred", "P_filt", "K_gain",
+                     "innovations", "innov_cov"):
+            assert np.array_equal(np.asarray(getattr(fp, name)),
+                                  getattr(ref_fp, name)), (N, name)
+        for name in ("x_sm", "P_sm", "J", "M_sm"):
+            assert np.array_equal(np.asarray(getattr(sp, name)),
+                                  getattr(ref_sp, name)), (N, name)
+        # nothing settled: every step keeps its own row
+        for seq in (fp.P_pred, sp.J, sp.P_sm, sp.M_sm):
+            assert len(seq.vals) == len(seq) == len(np.asarray(seq))
+        assert ll == ref_ll
 
 
 def test_nan_measurement_after_switch_diverges_at_reference_step(desk_system):
@@ -112,10 +161,11 @@ def _assert_passes_match(got, ref):
     assert abs(ll - ref_ll) <= 1e-9 * abs(ref_ll)
 
 
-@pytest.mark.parametrize("tail", [1, 2])
+@pytest.mark.parametrize("tail", [0, 1, 2])
 def test_steady_tail_of_one_and_two_steps(desk_system, tail):
     # the covariances do not depend on the data, so truncating the record
     # keeps k_steady and leaves a steady segment of exactly `tail` steps
+    # (none: k_steady == N)
     model, full = desk_system
     k_steady = kalman_filter(model, full).k_steady
     N = k_steady + tail
