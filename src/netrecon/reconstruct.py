@@ -270,7 +270,7 @@ def _em_step(data, params, mask, cfg):
                             m0=m0 / s, R0=R0 / s**2)
     fp = kalman_filter(model, scaled)
     sp = rts_smoother(model, fp)
-    sp = _dc_replace(sp, M_sm=lag_one_smoother(model, fp, sp))
+    sp = _dc_replace(sp, M_sm=lag_one_smoother(sp))
     obs_ll = observed_loglik(model, scaled, fp=fp) - N * p * np.log(s)
     es = expectation_sums(sp, scaled, sp.x_sm[0])
     t1 = time.perf_counter()
@@ -349,6 +349,7 @@ def reconstruct(data, cfg):
             inner_iterations=inner_iters, damped=damped,
             pinv_steps=pinv_steps, evidence_decreases=decreases,
             estep_s=estep_s, mstep_s=mstep_s))
+        del step, st   # the dense Sigma_w must not outlive its iteration
         last_step = _relative_step(w_prev, w)
         if last_step <= cfg.outer_tol:
             status = "converged"

@@ -1,9 +1,8 @@
 """Kalman filtering and smoothing for the innovations-form model.
 
-Implements the forward filter, the RTS smoother, the lag-one covariance
-smoother, the aggregated conditional expectations needed by the EM
-M-step, and the observed-data log-likelihood via the prediction-error
-decomposition.
+Implements the forward filter, the RTS smoother, the lag-one covariances,
+the aggregated conditional expectations needed by the EM M-step, and the
+observed-data log-likelihood via the prediction-error decomposition.
 
 Index convention: arrays run k = 0..N with index 0 holding the initial
 state t_0 (prior only, no measurement); measurements exist for k = 1..N.
@@ -17,22 +16,22 @@ watches P_{k|k-1}; at the first step k >= 2 where one step changes it by
 at most ``_STEADY_RTOL`` times its largest entry, it records k as
 ``FilterPass.k_steady`` and holds that step's P_{k|k-1}, P_{k|k}, gain and
 innovation covariance for every later step, which then runs only the mean
-recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS and
-lag-one smoothers use one gain over that segment and run their backward
-covariance recursions only until those settle by the same test; the
-log-likelihood factors the shared innovation covariance once.  Steps before
-k_steady, and runs where the test never passes, run every recursion at
-every step.
+recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS
+smoother uses one gain over that segment and runs its backward covariance
+recursion only until it settles by the same test; the log-likelihood
+factors the shared innovation covariance once.  Steps before k_steady, and
+runs where the test never passes, run every recursion at every step.
 
 Storage: every covariance and gain sequence is a ``StepSeq``, which stores
 each distinct matrix once and maps each step to its row.  The filter's
 P_{k|k-1}, P_{k|k}, K_k and innovation covariance, and the RTS gains J_k,
-hold the transient steps and then one settled value.  P_{k|N} and the
-lag-one M_k hold three segments: the steps before k_steady, one settled
-middle value, and the backward transient near N.  Where nothing settles,
-every step keeps its own row.  Sums over steps (``StepSeq.total``) weight
-each row by its step count, so no pass allocates N copies of a matrix.  The
-means stay dense (N+1)-row arrays.
+hold the transient steps and then one settled value.  P_{k|N} holds three
+segments: the steps before k_steady, one settled middle value, and the
+backward transient near N.  The lag-one M_k = P_{k|N} J_{k-1}' inherits
+their segments.  Where nothing settles, every step keeps its own row.  Sums
+over steps (``StepSeq.total``) weight each row by its step count, so no
+pass allocates N copies of a matrix.  The means stay dense (N+1)-row
+arrays.
 
 Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
@@ -197,11 +196,11 @@ class SmoothPass:
 
     x_sm is a dense (N+1)-row array; P_sm, J and M_sm are StepSeqs.
     J[k] are the smoother gains for k = 0..N-1: the transient gains, then
-    one steady gain from k_steady on.  P_sm (N+1 steps) and M_sm hold the
-    steps before k_steady, one settled middle value and the backward
-    transient near N, each stored once.  M_sm[k] is the lag-one covariance
-    Cov(x_k, x_{k-1} | all data) for k = 1..N (index 0 is a zero matrix); it
-    is None until the lag-one smoother has run.
+    one steady gain from k_steady on.  P_sm (N+1 steps) holds the steps
+    before k_steady, one settled middle value and the backward transient
+    near N, each stored once.  M_sm[k] = P_sm[k] J[k-1]' is the lag-one
+    covariance Cov(x_k, x_{k-1} | all data) for k = 1..N (index 0 is a zero
+    matrix); it is None until ``lag_one_smoother`` has run.
     """
 
     x_sm: np.ndarray
@@ -393,45 +392,20 @@ def rts_smoother(model, fp):
                       pinv_steps=tuple(pinv_steps))
 
 
-def lag_one_smoother(model, fp, sp):
-    """Lag-one covariance smoother; returns the StepSeq M with
-    M[k] = Cov(x_k, x_{k-1} | Y).
-
-    Initialized with M_N = (I - K_N C) A P_{N-1|N-1} and iterated backwards:
-
-        M_k = P_{k|k} J_{k-1}' + J_k (M_{k+1} - A P_{k|k}) J_{k-1}'
-
-    for k = N-1..1.  Index 0 of the returned sequence is unused (a zero
-    matrix).
-
-    For k > ``fp.k_steady`` every factor is settled (``sp`` must come from
-    ``rts_smoother`` on the same pass), so the recursion runs only until M
-    settles, and its last value is stored once for the rest of that
-    segment: M holds the steps up to k_steady, that middle value, and the
-    backward transient near N.
+def lag_one_smoother(sp):
+    """Lag-one covariances M[k] = Cov(x_k, x_{k-1} | Y) = P_{k|N} J_{k-1}'
+    for k = 1..N from an RTS pass (De Jong & MacKinnon, Biometrika 75(3),
+    1988); index 0 is a zero matrix.  The start value M_N = (I - K_N C) A
+    P_{N-1|N-1} of the Shumway & Stoffer (1982) recursion is the k = N case.
+    One batched product forms an M for each distinct pair of stored P_sm
+    and J rows, so M inherits their segments.
     """
-    N = fp.N
-    n = fp.x_filt.shape[1]
-    A, C = model.A, model.C
-    # M_k in backward step order, the settled value once
-    M_back = [(np.eye(n) - fp.K_gain[N] @ C) @ A @ fp.P_filt[N - 1]]
-    mid_steps = 1
-    ks = N - 1 if fp.k_steady is None else min(fp.k_steady, N - 1)
-    if ks < N - 1:
-        Js = sp.J[ks]
-        PJt = fp.P_filt[ks] @ Js.T
-        APf = A @ fp.P_filt[ks]
-        for k in range(N - 1, ks, -1):
-            M_back.append(PJt + Js @ (M_back[-1] - APf) @ Js.T)
-            if _settled(M_back[-1], M_back[-2]):
-                break
-        mid_steps = k - ks
-    mid = len(M_back) - 1
-    for k in range(ks, 0, -1):
-        M_back.append(fp.P_filt[k] @ sp.J[k - 1].T
-                      + sp.J[k] @ (M_back[-1] - A @ fp.P_filt[k]) @ sp.J[k - 1].T)
-    M_back.append(np.zeros((n, n)))
-    return _runs(M_back, mid_steps, mid)
+    key = sp.P_sm.idx[1:] * len(sp.J.vals) + sp.J.idx
+    pairs, idx = np.unique(key, return_inverse=True)
+    a, b = np.divmod(pairs, len(sp.J.vals))
+    M = sp.P_sm.vals[a] @ np.swapaxes(sp.J.vals[b], 1, 2)
+    return StepSeq(np.concatenate((np.zeros((1,) + M.shape[1:]), M)),
+                   np.concatenate(([0], idx + 1)))
 
 
 def smooth(model, data):
@@ -439,8 +413,7 @@ def smooth(model, data):
     with the lag-one covariances filled in."""
     fp = kalman_filter(model, data)
     sp = rts_smoother(model, fp)
-    M = lag_one_smoother(model, fp, sp)
-    return fp, replace(sp, M_sm=M)
+    return fp, replace(sp, M_sm=lag_one_smoother(sp))
 
 
 def expectation_sums(sp, data, m0):

@@ -424,3 +424,27 @@ def test_phase_times_in_memory_only(tmp_path):
         save_result(path, res, {"seed": 5})
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert runs[0].trace == runs[1].trace
+
+
+def test_previous_sbl_state_released_before_next_fit(monkeypatch):
+    # each SBL state holds a dense N_w x N_w posterior covariance; the outer
+    # loop must drop the previous one before the next inner fit, so two
+    # never coexist at the memory peak
+    import importlib
+    import weakref
+    module = importlib.import_module("netrecon.reconstruct")
+    real_sbl_em = module.sbl_em
+    states = []
+
+    def tracked_sbl_em(*args, **kwargs):
+        alive = [i for i, ref in enumerate(states) if ref() is not None]
+        assert alive == [], f"states of calls {alive} still alive"
+        st = real_sbl_em(*args, **kwargs)
+        states.append(weakref.ref(st))
+        return st
+
+    monkeypatch.setattr(module, "sbl_em", tracked_sbl_em)
+    res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=2,
+                                                   outer_max_iter=3,
+                                                   outer_tol=0.0))
+    assert len(states) == len(res.trace) == 3

@@ -78,7 +78,7 @@ def test_smoother_zero_dynamics_reduces_to_filter():
     sp = rts_smoother(model, fp)
     assert np.allclose(sp.J, 0.0)
     assert np.allclose(sp.x_sm, fp.x_filt, atol=1e-14)
-    M = lag_one_smoother(model, fp, sp)
+    M = lag_one_smoother(sp)
     assert np.allclose(M[fp.N], 0.0, atol=1e-14)
 
 

@@ -29,7 +29,7 @@ def _both(model, data):
     """(library, reference) filter pass, smoother pass and log-likelihood."""
     fp = kalman_filter(model, data)
     sp = rts_smoother(model, fp)
-    sp = replace(sp, M_sm=lag_one_smoother(model, fp, sp))
+    sp = replace(sp, M_sm=lag_one_smoother(sp))
     ref_fp = filter_per_step(model, data)
     ref_sp = rts_per_step(model, ref_fp)
     ref_sp = replace(ref_sp, M_sm=lag_one_per_step(model, ref_fp, ref_sp))
@@ -115,9 +115,14 @@ def test_short_series_never_switches_and_equals_reference(desk_system):
                      "innovations", "innov_cov"):
             assert np.array_equal(np.asarray(getattr(fp, name)),
                                   getattr(ref_fp, name)), (N, name)
-        for name in ("x_sm", "P_sm", "J", "M_sm"):
+        for name in ("x_sm", "P_sm", "J"):
             assert np.array_equal(np.asarray(getattr(sp, name)),
                                   getattr(ref_sp, name)), (N, name)
+        # M_k = P_{k|N} J_{k-1}' exactly; the recursion agrees to rounding
+        identity = [np.zeros_like(ref_sp.P_sm[0])] + [
+            ref_sp.P_sm[k] @ ref_sp.J[k - 1].T for k in range(1, N + 1)]
+        assert np.array_equal(np.asarray(sp.M_sm), identity), N
+        assert _rel(sp.M_sm, ref_sp.M_sm) <= 1e-12, N
         # nothing settled: every step keeps its own row
         for seq in (fp.P_pred, sp.J, sp.P_sm, sp.M_sm):
             assert len(seq.vals) == len(seq) == len(np.asarray(seq))
