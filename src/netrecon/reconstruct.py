@@ -13,7 +13,7 @@ and thresholded into a Boolean network.
 
 The prior mode only decides how (A, B) are fitted; both fit under the
 same identifiability mask, through the same batched solve of the sparse
-E-step (``sbl._estep``).  "sbl" runs the sparse-Bayesian inner loop; the
+E-step (``sbl._kernel``).  "sbl" runs the sparse-Bayesian inner loop; the
 diagnostic "ml" mode is the masked classical EM: one solve with unbounded
 prior variance on the mask's free entries, which fits each row of [A B]
 by least squares on its free entries.  In "ml" mode each

@@ -13,10 +13,21 @@ of squared targets (Tipping, JMLR 2001), so every routine here reads only
 those.  Each output row i of the regression involves only row i of
 [A B], so the problem splits into n ridge problems sharing sigma^2.
 Each is posed on its row's active (unpruned) entries only, and all are
-solved together as one batch of positive definite systems, each padded
-to the batch's largest active count with a unit diagonal and no
-coupling; the posterior covariance comes from a triangular inverse of
-each row's Cholesky factor.
+solved together as one batch of positive definite systems.  A layout
+(``_layout``) gathers each row's active entries, in their order, and pads
+the row to the batch's largest active count; the pad has a unit diagonal
+and no coupling.  One kernel (``_kernel``) then factors the batch and
+takes the posterior covariance from a triangular inverse of each row's
+Cholesky factor; ``posterior``, ``marginal_loglik`` and the "ml" fit call
+it on a fresh layout.
+
+The inner loop (``sbl_em``) keeps its state in the compact row layout
+for the whole call: gamma, the means and the variances never return to
+w-order inside the loop, and sigma^2's residual comes from the gathered
+blocks.  An entry pruned
+during the loop is masked in place, as the pad is, and the layout is
+rebuilt only when the widest row loses an entry, so that the batch
+narrows.  The result is mapped back to w-order once, after the loop.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -213,59 +224,115 @@ def moment_rss(y_sq, xz, zz, L):
     return max(rss, 0.0)
 
 
-def _estep(reg, gamma, sigma2):
-    """Posterior and log evidence of all n rows of [A B] at sigma2 > 0.
+@dataclass
+class _Layout:
+    """Rows of [A B] compacted to their active entries.
 
-    Row i with prior variances g_i has, on its active entries, the
-    posterior mean mu_i = H_i^{-1} xz[i] and covariance sigma2 H_i^{-1},
-    where H_i = zz + sigma2 diag(1/g_i).  Each row is compacted to its
-    c_i active entries, kept in their order, and padded to the batch's
-    largest count k with a unit diagonal and no coupling, so every H_i is
-    k x k and positive definite and all rows share one batched Cholesky
-    factorization H_i = L_i L_i'.  The pad is trailing, so the leading
-    c_i x c_i block of L_i is the factor of the active block alone; its
-    triangular inverse R_i (H_i^{-1} = R_i' R_i on that block) is taken
-    row by row, and R_i is zero on the pad.
-
-    Returns the posterior means and variances in row layout (row i of
-    [A B] along the first axis, zero on pruned entries), the log evidence
-    -1/2 (N_y log 2 pi + sum log det H_i + sum log g_act
-    + (N_y - n_act) log sigma2 + (sum y^2 - sum xz[i] . mu_i) / sigma2),
-    and the compact blocks: ``order`` (n x k, the column of [A B] at each
-    compact position; the pad holds pruned columns) and R (n x k x k).
+    Row i keeps the ``width[i]`` columns that were active when the layout
+    was built, in their order, then a pad of pruned columns up to the
+    batch width k: ``order`` (n x k) holds the column of [A B] at each
+    compact position, ``zz`` (n x k x k) the gathered zz block of each row
+    with the pad's rows and columns zero, and ``b`` (n x k) the gathered
+    xz rows.  An entry pruned after the build is masked in place: its row
+    and column of ``zz`` are zeroed, so it is treated exactly as the pad.
     """
-    n, d = reg.n, reg.n + reg.m
-    g = gamma.reshape((d, n)).T
-    counts = (g > 0).sum(axis=1)
-    k = int(counts.max())
+
+    order: np.ndarray
+    width: np.ndarray
+    zz: np.ndarray
+    b: np.ndarray
+
+
+def _layout(reg, g):
+    """Layout of the nonnegative prior variances g (n x d, row i of [A B]
+    along the first axis) and the compact variances (n x k, zero on the
+    pad)."""
+    d = g.shape[1]
+    width = (g > 0).sum(axis=1)
+    k = int(width.max())
     # active columns first, in their order; pruned ones fill the pad
     order = np.argsort(g <= 0, axis=1, kind="stable")[:, :k]
-    live = np.arange(k) < counts[:, None]
-    gc = np.take_along_axis(g, order, axis=1)
+    live = np.arange(k) < width[:, None]
     # flat indices: numpy takes and puts these faster than index pairs
-    H = np.where(live[:, :, None] & live[:, None, :],
-                 reg.zz.ravel()[order[:, :, None] * d + order[:, None, :]], 0.0)
-    diag = np.arange(k)
+    zz = np.where(live[:, :, None] & live[:, None, :],
+                  reg.zz.ravel()[order[:, :, None] * d + order[:, None, :]], 0.0)
+    lay = _Layout(order=order, width=width, zz=zz,
+                  b=np.take_along_axis(reg.xz, order, axis=1))
+    return lay, np.take_along_axis(g, order, axis=1)
+
+
+def _scatter(compact, order, d):
+    """Row layout (n x d) of compact values, zero off the layout."""
+    out = np.zeros((len(order), d))
+    np.put_along_axis(out, order, compact, axis=1)
+    return out
+
+
+def _kernel(reg, lay, gc, sigma2):
+    """Posterior and log evidence of all n rows of [A B] at sigma2 > 0.
+
+    Row i with compact prior variances gc_i (zero where pruned) has, on
+    its active entries, the posterior mean mu_i = H_i^{-1} b_i and
+    covariance sigma2 H_i^{-1}, where H_i = zz_i + sigma2 diag(1/gc_i).
+    Pruned entries and the pad get a unit diagonal and no coupling, so
+    every H_i is k x k and positive definite and all rows share one
+    batched Cholesky factorization H_i = L_i L_i'.  The pad is trailing,
+    so the leading width_i x width_i block of L_i is the factor of the
+    layout's block alone; its triangular inverse R_i (H_i^{-1} = R_i' R_i
+    on the active entries) is taken row by row, and R_i is zero on the pad
+    and has a zero column at each entry masked in place.
+
+    Returns the compact means and variances (n x k, zero where pruned),
+    the log evidence -1/2 (N_y log 2 pi + sum log det H_i + sum log g_act
+    + (N_y - n_act) log sigma2 + (sum y^2 - sum b_i . mu_i) / sigma2)
+    and R (n x k x k).
+    """
+    live = gc > 0
+    diag = np.arange(gc.shape[1])
+    H = lay.zz.copy()
     H[:, diag, diag] += np.where(live, sigma2 / np.where(live, gc, 1.0), 1.0)
     chol = np.linalg.cholesky(H)
     R = np.zeros_like(chol)
-    for i in np.flatnonzero(counts):   # LAPACK rejects an empty block
-        c = counts[i]
+    for i in np.flatnonzero(lay.width):   # LAPACK rejects an empty block
+        c = lay.width[i]
         R[i, :c, :c], info = dtrtri(chol[i, :c, :c], lower=1)
         if info:
             raise np.linalg.LinAlgError(f"dtrtri failed on row {i} (info {info})")
-    b = np.take_along_axis(reg.xz, order, axis=1)
-    mu_c = (np.swapaxes(R, 1, 2) @ (R @ b[:, :, None]))[:, :, 0]
+    # a masked entry's factor row and column are the identity's, and so
+    # are its inverse's: zeroing the diagonal zeroes its column of R
+    R[:, diag, diag] *= live
+    mu = (np.swapaxes(R, 1, 2) @ (R @ lay.b[:, :, None]))[:, :, 0]
     logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
               + np.log(gc[live]).sum())
-    quad = (float(reg.y_sq_rows.sum()) - float(np.sum(b * mu_c))) / sigma2
+    quad = (float(reg.y_sq_rows.sum()) - float(np.sum(lay.b * mu))) / sigma2
     evidence = -0.5 * (reg.N_y * np.log(2.0 * np.pi) + logdet
-                       + (reg.N_y - counts.sum()) * np.log(sigma2) + quad)
-    at = np.arange(n)[:, None] * d + order
-    mu, var = np.zeros((n, d)), np.zeros((n, d))
-    mu.ravel()[at] = mu_c
-    var.ravel()[at] = sigma2 * (R**2).sum(axis=1)
-    return mu, var, float(evidence), order, R
+                       + (reg.N_y - live.sum()) * np.log(sigma2) + quad)
+    return mu, sigma2 * (R**2).sum(axis=1), float(evidence), R
+
+
+def _estep(reg, gamma, sigma2):
+    """Posterior and log evidence of all n rows of [A B] at sigma2 > 0,
+    from a fresh layout of gamma (see ``_kernel``).
+
+    Returns the posterior means and variances in row layout (row i of
+    [A B] along the first axis, zero on pruned entries), the log
+    evidence, and the compact blocks: ``order`` (n x k, the column of
+    [A B] at each compact position; the pad holds pruned columns) and R.
+    """
+    d = reg.n + reg.m
+    lay, gc = _layout(reg, gamma.reshape((d, reg.n)).T)
+    mu, var, evidence, R = _kernel(reg, lay, gc, sigma2)
+    return (_scatter(mu, lay.order, d), _scatter(var, lay.order, d),
+            evidence, lay.order, R)
+
+
+def _checked_gamma(reg, gamma):
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (reg.N_w,):
+        raise ValueError(f"gamma must have length {reg.N_w}")
+    if np.any(gamma < 0):
+        raise ValueError("gamma must be nonnegative")
+    return gamma
 
 
 def posterior(reg, gamma, sigma2):
@@ -280,11 +347,7 @@ def posterior(reg, gamma, sigma2):
     and zero covariance rows/columns; an empty active set returns an
     all-zero posterior.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (reg.N_w,):
-        raise ValueError(f"gamma must have length {reg.N_w}")
-    if np.any(gamma < 0):
-        raise ValueError("gamma must be nonnegative")
+    gamma = _checked_gamma(reg, gamma)
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
     n, d = reg.n, reg.n + reg.m
@@ -314,7 +377,7 @@ def marginal_loglik(reg, gamma, sigma2):
     forming the dense observation-space matrix."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    return _estep(reg, np.asarray(gamma, dtype=float), sigma2)[2]
+    return _estep(reg, _checked_gamma(reg, gamma), sigma2)[2]
 
 
 def initial_sbl_state(reg, mask, sigma2=None, gamma0=1.0):
@@ -337,12 +400,21 @@ def sbl_em(reg, mask, init=None, opts=None):
 
         sigma2 <- (rss(mu) + sigma2_old tr(I - Sigma Gamma^{-1})) / N_y
 
-    with the residual sum of squares taken from the moments
-    (``moment_rss``) and sigma2 floored at 1e-300.  Masked coordinates stay
-    at zero throughout; the loop stops when the relative change of gamma
-    drops below ``tol`` or after ``max_iter`` iterations.  An evidence
-    decrease beyond 1e-8 is recorded in the returned state's ``warnings``
-    and iteration continues.
+    with the residual sum of squares rss = sum y^2 - 2 b . mu + mu' zz mu
+    taken from each row's gathered blocks, clipped at 0, and sigma2
+    floored at 1e-300.  Masked coordinates stay at zero throughout; the
+    loop stops when the relative change of gamma drops below ``tol`` or
+    after ``max_iter`` iterations.  An evidence decrease beyond 1e-8 is
+    recorded in the returned state's ``warnings`` and iteration continues.
+
+    The loop's state lives in the compact layout of its first iteration:
+    gamma, the means and the variances are (n x k) arrays, and an entry
+    pruned later is masked in place (unit diagonal, no coupling, a zero
+    column of the inverse factor), so iterations reuse the gathered
+    blocks.  The layout is rebuilt from the surviving entries only when
+    the widest row loses one and the batch width k can shrink.  After the
+    loop, gamma is mapped back to w-order and ``posterior`` gives the
+    returned mean and covariance.
     """
     opts = opts or SBLOptions()
     if init is None:
@@ -364,34 +436,44 @@ def sbl_em(reg, mask, init=None, opts=None):
     n_active_path = []
     warn_log = []
     y_sq = float(reg.y_sq_rows.sum())
+    n, d = reg.n, reg.n + reg.m
 
+    gamma[gamma < opts.prune_tol] = 0.0
+    lay, gc = _layout(reg, gamma.reshape((d, n)).T)
     iteration = 0
     for iteration in range(1, opts.max_iter + 1):
-        gamma[gamma < opts.prune_tol] = 0.0
-        active = gamma > 0
+        low = (gc > 0) & (gc < opts.prune_tol)
+        if low.any():
+            gc[low] = 0.0
+            if (gc > 0).sum(axis=1).max() < gc.shape[1]:
+                lay, gc = _layout(reg, _scatter(gc, lay.order, d))
+            else:
+                rows, cols = np.nonzero(low)
+                lay.zz[rows, cols, :] = 0.0
+                lay.zz[rows, :, cols] = 0.0
+        active = gc > 0
         n_active = int(active.sum())
         n_active_path.append(n_active)
 
-        mu, var, evidence, _, _ = _estep(reg, gamma, sigma2)
+        mu, var, evidence, _ = _kernel(reg, lay, gc, sigma2)
         evidence_path.append(evidence)
         if len(evidence_path) >= 2 and evidence < evidence_path[-2] - 1e-8:
             warn_log.append(f"iteration {iteration}: evidence decreased by "
                             f"{evidence_path[-2] - evidence:.3e}")
 
-        mu_w, var_w = mu.T.ravel(), var.T.ravel()
-        gamma_new = np.zeros_like(gamma)
-        gamma_new[active] = var_w[active] + mu_w[active]**2
-
-        tr_sg = float((var_w[active] / gamma[active]).sum())
-        rss = moment_rss(y_sq, reg.xz, reg.zz, mu)
+        gamma_new = np.where(active, var + mu**2, 0.0)
+        tr_sg = float((var[active] / gc[active]).sum())
+        quad = float(np.sum(mu * (lay.zz @ mu[:, :, None])[:, :, 0]))
+        rss = max(y_sq - 2.0 * float(np.sum(lay.b * mu)) + quad, 0.0)
         sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / reg.N_y, 1e-300)
 
-        delta = np.linalg.norm(gamma_new - gamma)
-        scale = max(np.linalg.norm(gamma), 1e-300)
-        gamma = gamma_new
+        delta = np.linalg.norm(gamma_new - gc)
+        scale = max(np.linalg.norm(gc), 1e-300)
+        gc = gamma_new
         if n_active == 0 or delta <= opts.tol * scale:
             break
 
+    gamma = _scatter(gc, lay.order, d).T.ravel()
     gamma[gamma < opts.prune_tol] = 0.0
     mu, Sigma = posterior(reg, gamma, sigma2)
     return SBLState(gamma=gamma, sigma2=sigma2, mu_w=mu, Sigma_w=Sigma,

@@ -11,7 +11,10 @@ oracles cannot reach.  It returns the library's own pass containers.
 The other is the full-width SBL E-step (``estep_full_width``), which
 factors every row of [A B] on all its entries and inverts the Cholesky
 factor by a general inverse, as the library did before it compacted each
-row to its active entries.
+row to its active entries, and the inner loop it drives
+(``sbl_em_full_width``), which runs that E-step afresh in every iteration
+and takes the residual on the full-width coefficients, as the library did
+before it kept the loop's state in a compact layout.
 
 The regression design (``DesignRegression``, ``assemble_regression``) and
 the expected complete-data log-likelihood (``q_function``) are here too:
@@ -261,6 +264,53 @@ def estep_full_width(reg, gamma, sigma2):
     evidence = -0.5 * (reg.N_y * np.log(2.0 * np.pi) + logdet
                        + (reg.N_y - act.sum()) * np.log(sigma2) + quad)
     return mu, var, float(evidence), np.tile(diag, (n, 1)), R
+
+
+def sbl_em_full_width(reg, mask, init, opts):
+    """``sbl_em`` with a fresh full-width E-step (``estep_full_width``) in
+    every iteration and the residual taken from the moments at the
+    full-width coefficients.  Same prune, update and stop rules, dead-column
+    pruning and evidence-decrease warnings; returns an ``SBLState`` whose
+    ``mu_w`` is the full-width posterior mean at the final (gamma, sigma2)
+    and whose ``Sigma_w`` is None."""
+    from netrecon import SBLState
+
+    n, d = reg.n, reg.n + reg.m
+    gamma = np.where(mask.free, np.asarray(init.gamma, dtype=float), 0.0)
+    sigma2 = max(float(init.sigma2), 1e-300)
+    col_energy = np.diag(reg.zz)
+    dead = col_energy < 1e-12 * max(col_energy.max(), 1e-300)
+    gamma.reshape((d, n))[dead] = 0.0
+    y_sq = float(reg.y_sq_rows.sum())
+    evidence, n_active_path, warn_log = [], [], []
+    iteration = 0
+    for iteration in range(1, opts.max_iter + 1):
+        gamma[gamma < opts.prune_tol] = 0.0
+        active = gamma > 0
+        n_active = int(active.sum())
+        n_active_path.append(n_active)
+        mu, var, ev, _, _ = estep_full_width(reg, gamma, sigma2)
+        evidence.append(ev)
+        if len(evidence) >= 2 and ev < evidence[-2] - 1e-8:
+            warn_log.append(f"iteration {iteration}: evidence decreased by "
+                            f"{evidence[-2] - ev:.3e}")
+        mu_w, var_w = mu.T.ravel(), var.T.ravel()
+        gamma_new = np.zeros_like(gamma)
+        gamma_new[active] = var_w[active] + mu_w[active]**2
+        tr_sg = float((var_w[active] / gamma[active]).sum())
+        rss = max(y_sq - 2.0 * float(np.sum(mu * reg.xz))
+                  + float(np.sum((mu @ reg.zz) * mu)), 0.0)
+        sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / reg.N_y, 1e-300)
+        delta = np.linalg.norm(gamma_new - gamma)
+        scale = max(np.linalg.norm(gamma), 1e-300)
+        gamma = gamma_new
+        if n_active == 0 or delta <= opts.tol * scale:
+            break
+    gamma[gamma < opts.prune_tol] = 0.0
+    mu_w = estep_full_width(reg, gamma, sigma2)[0].T.ravel()
+    return SBLState(gamma=gamma, sigma2=sigma2, mu_w=mu_w, active=gamma > 0,
+                    iteration=iteration, evidence=evidence,
+                    n_active_path=n_active_path, warnings=warn_log)
 
 
 def random_stable_model(rng, n, p, m, sigma=None, rich_prior=True):

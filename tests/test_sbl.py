@@ -7,7 +7,8 @@ from netrecon import (IdentifiabilityError, RegressionData, SBLOptions,
 
 from _oracles import (DesignRegression, assemble_regression,
                       ridge_posterior_dense, pinv_posterior_dense,
-                      evidence_dense, estep_full_width, random_stable_model)
+                      evidence_dense, estep_full_width, random_stable_model,
+                      sbl_em_full_width)
 
 
 def generic_regression(rng, N, n_w, n_rows=1):
@@ -194,6 +195,21 @@ def test_marginal_matches_dense_formula():
         sigma2 = rng.uniform(0.1, 1.5)
         dense = evidence_dense(reg.phi, reg.y_vec, gamma, sigma2)
         assert marginal_loglik(reg, gamma, sigma2) == pytest.approx(dense, abs=1e-8)
+
+
+@pytest.mark.parametrize("fit", [posterior, marginal_loglik])
+def test_gamma_of_wrong_length_is_rejected(fit):
+    reg = generic_regression(np.random.default_rng(12), N=6, n_w=3)
+    with pytest.raises(ValueError, match="length 3"):
+        fit(reg, np.ones(4), 0.5)
+
+
+@pytest.mark.parametrize("fit", [posterior, marginal_loglik])
+def test_negative_gamma_is_rejected(fit):
+    # a negative variance is not a pruned one
+    reg = generic_regression(np.random.default_rng(12), N=6, n_w=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit(reg, np.array([1.0, -0.5, 1.0]), 0.5)
 
 
 def test_marginal_structured_matches_dense():
@@ -480,19 +496,51 @@ def test_compact_estep_matches_full_width_at_desk_size():
         assert abs(ev - ev_o) <= 1e-10 * abs(ev_o)
 
 
-def test_compact_posterior_and_sbl_em_match_full_width(monkeypatch):
-    reg, gamma = desk_rows(np.random.default_rng(27),
-                           counts=(40, 12, 1, 0) * 7 + (40, 12))
+def assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma):
+    """``sbl_em`` against the per-iteration full-width loop, on a run that
+    masks an entry in place ahead of a live one in its row and rebuilds
+    the layout narrower, so both paths of the resident layout are taken."""
+    from netrecon.sbl import _kernel
+
+    widths, interior = [], []
+
+    def kernel(reg, lay, gc, sigma2):
+        live = gc > 0
+        widths.append(gc.shape[1])
+        interior.append(bool((live[:, 1:] & ~live[:, :-1]).any()))
+        return _kernel(reg, lay, gc, sigma2)
+
     opts = SBLOptions(max_iter=60, prune_tol=1e-3)
     init = SBLState(gamma=gamma, sigma2=0.4)
-    mu, Sig = posterior(reg, gamma, 0.4)
-    a = sbl_em(reg, free_mask(reg), init=init, opts=opts)
-    monkeypatch.setattr("netrecon.sbl._estep", estep_full_width)
-    mu_o, Sig_o = posterior(reg, gamma, 0.4)
-    b = sbl_em(reg, free_mask(reg), init=init, opts=opts)
-    assert rel_err(mu, mu_o) <= 1e-10 and rel_err(Sig, Sig_o) <= 1e-10
+    with monkeypatch.context() as patch:
+        patch.setattr("netrecon.sbl._kernel", kernel)
+        a = sbl_em(reg, free_mask(reg), init=init, opts=opts)
+    b = sbl_em_full_width(reg, free_mask(reg), init, opts)
+    # the last kernel call is the final posterior's, on a fresh layout
+    assert any(interior) and min(widths[:-1]) < widths[0]
     assert b.iteration < opts.max_iter
     assert b.n_active_path[-1] < b.n_active_path[0] / 1.5
     assert np.array_equal(a.active, b.active) and a.iteration == b.iteration
     assert a.n_active_path == b.n_active_path
     assert rel_err(a.mu_w, b.mu_w) <= 1e-10
+    assert a.sigma2 == pytest.approx(b.sigma2, rel=1e-10, abs=0.0)
+    assert a.evidence == pytest.approx(b.evidence, rel=1e-10, abs=0.0)
+    assert a.warnings == b.warnings
+
+
+def test_compact_posterior_and_sbl_em_match_full_width(monkeypatch):
+    reg, gamma = desk_rows(np.random.default_rng(27),
+                           counts=(40, 12, 1, 0) * 7 + (40, 12))
+    mu, Sig = posterior(reg, gamma, 0.4)
+    assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma)
+    monkeypatch.setattr("netrecon.sbl._estep", estep_full_width)
+    mu_o, Sig_o = posterior(reg, gamma, 0.4)
+    assert rel_err(mu, mu_o) <= 1e-10 and rel_err(Sig, Sig_o) <= 1e-10
+
+
+def test_sbl_em_masking_and_rebuilds_match_full_width(monkeypatch):
+    # wider partial rows: more entries are pruned inside rows that do not
+    # set the batch width, where they are masked in place
+    reg, gamma = desk_rows(np.random.default_rng(28),
+                           counts=(40, 30, 12, 1) * 7 + (40, 30))
+    assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma)
