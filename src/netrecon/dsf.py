@@ -115,7 +115,6 @@ class NetworkGraph:
 
     q_adj: np.ndarray
     p_adj: np.ndarray
-    capacities: dict | None = None
 
     def __post_init__(self):
         self.q_adj = np.array(self.q_adj, dtype=bool)
@@ -380,12 +379,7 @@ def boolean_structure(sample, rel_tol):
     q_adj = absQ > rel_tol * absQ.max() if absQ.max() > 0 else np.zeros_like(absQ, dtype=bool)
     p_adj = absP > rel_tol * absP.max() if absP.max() > 0 else np.zeros_like(absP, dtype=bool)
     np.fill_diagonal(q_adj, False)
-    capacities = {}
-    for i, j in zip(*np.nonzero(q_adj)):
-        capacities[("Q", int(i), int(j))] = sample.Q_vals[:, i, j].copy()
-    for i, j in zip(*np.nonzero(p_adj)):
-        capacities[("P", int(i), int(j))] = sample.P_vals[:, i, j].copy()
-    return NetworkGraph(q_adj=q_adj, p_adj=p_adj, capacities=capacities)
+    return NetworkGraph(q_adj=q_adj, p_adj=p_adj)
 
 
 def graph_compare(est, truth):

@@ -17,17 +17,17 @@ solved together as one batch of positive definite systems.  A layout
 (``_layout``) gathers each row's active entries, in their order, and pads
 the row to the batch's largest active count; the pad has a unit diagonal
 and no coupling.  One kernel (``_kernel``) then factors the batch and
-takes the posterior covariance from a triangular inverse of each row's
-Cholesky factor; ``posterior``, ``marginal_loglik`` and the "ml" fit call
-it on a fresh layout.
+takes the posterior covariance from the triangular inverse of each row's
+Cholesky factor, computed in the factor's own buffer; ``posterior``,
+``marginal_loglik`` and the "ml" fit call it on a fresh layout.
 
 The inner loop (``sbl_em``) keeps its state in the compact row layout
 for the whole call: gamma, the means and the variances never return to
-w-order inside the loop, and sigma^2's residual comes from the gathered
-blocks.  An entry pruned
-during the loop is masked in place, as the pad is, and the layout is
-rebuilt only when the widest row loses an entry, so that the batch
-narrows.  The result is mapped back to w-order once, after the loop.
+w-order inside the loop, and sigma^2's residual comes from the means and
+the gathered xz rows alone.  An entry pruned during the loop is masked in
+place, as the pad is, and the layout is rebuilt only when the widest row
+loses an entry, so that the batch narrows.  The result is mapped back to
+w-order once, after the loop.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -228,17 +228,16 @@ def moment_rss(y_sq, xz, zz, L):
 class _Layout:
     """Rows of [A B] compacted to their active entries.
 
-    Row i keeps the ``width[i]`` columns that were active when the layout
-    was built, in their order, then a pad of pruned columns up to the
-    batch width k: ``order`` (n x k) holds the column of [A B] at each
-    compact position, ``zz`` (n x k x k) the gathered zz block of each row
-    with the pad's rows and columns zero, and ``b`` (n x k) the gathered
-    xz rows.  An entry pruned after the build is masked in place: its row
-    and column of ``zz`` are zeroed, so it is treated exactly as the pad.
+    Row i keeps the columns that were active when the layout was built,
+    in their order, then a pad of pruned columns up to the batch width k:
+    ``order`` (n x k) holds the column of [A B] at each compact position,
+    ``zz`` (n x k x k) the gathered zz block of each row with the pad's
+    rows and columns zero, and ``b`` (n x k) the gathered xz rows.  An
+    entry pruned after the build is masked in place: its row and column
+    of ``zz`` are zeroed, so it is treated exactly as the pad.
     """
 
     order: np.ndarray
-    width: np.ndarray
     zz: np.ndarray
     b: np.ndarray
 
@@ -256,7 +255,7 @@ def _layout(reg, g):
     # flat indices: numpy takes and puts these faster than index pairs
     zz = np.where(live[:, :, None] & live[:, None, :],
                   reg.zz.ravel()[order[:, :, None] * d + order[:, None, :]], 0.0)
-    lay = _Layout(order=order, width=width, zz=zz,
+    lay = _Layout(order=order, zz=zz,
                   b=np.take_along_axis(reg.xz, order, axis=1))
     return lay, np.take_along_axis(g, order, axis=1)
 
@@ -276,38 +275,37 @@ def _kernel(reg, lay, gc, sigma2):
     covariance sigma2 H_i^{-1}, where H_i = zz_i + sigma2 diag(1/gc_i).
     Pruned entries and the pad get a unit diagonal and no coupling, so
     every H_i is k x k and positive definite and all rows share one
-    batched Cholesky factorization H_i = L_i L_i'.  The pad is trailing,
-    so the leading width_i x width_i block of L_i is the factor of the
-    layout's block alone; its triangular inverse R_i (H_i^{-1} = R_i' R_i
-    on the active entries) is taken row by row, and R_i is zero on the pad
-    and has a zero column at each entry masked in place.
+    batched Cholesky factorization H_i = L_i L_i'.  Each L_i is inverted
+    over the whole width k in its own buffer: the C-ordered lower factor,
+    transposed, is a Fortran-ordered upper one, which ``dtrtri`` takes
+    without a copy.  A pruned entry's row and column of L_i are the
+    identity's, and so are its inverse's; zeroing their diagonal leaves
+    R_i = L_i^{-1} with H_i^{-1} = R_i' R_i on the active entries and a
+    zero row and column at each pruned entry.
 
     Returns the compact means and variances (n x k, zero where pruned),
     the log evidence -1/2 (N_y log 2 pi + sum log det H_i + sum log g_act
     + (N_y - n_act) log sigma2 + (sum y^2 - sum b_i . mu_i) / sigma2)
-    and R (n x k x k).
+    and R (n x k x k).  ``lay`` is left unchanged.
     """
     live = gc > 0
-    diag = np.arange(gc.shape[1])
+    n, k = gc.shape
     H = lay.zz.copy()
-    H[:, diag, diag] += np.where(live, sigma2 / np.where(live, gc, 1.0), 1.0)
-    chol = np.linalg.cholesky(H)
-    R = np.zeros_like(chol)
-    for i in np.flatnonzero(lay.width):   # LAPACK rejects an empty block
-        c = lay.width[i]
-        R[i, :c, :c], info = dtrtri(chol[i, :c, :c], lower=1)
+    H.reshape(n, k * k)[:, ::k + 1] += np.where(
+        live, sigma2 / np.where(live, gc, 1.0), 1.0)
+    R = np.linalg.cholesky(H)
+    diag = R.reshape(n, k * k)[:, ::k + 1]   # a view: R is C-contiguous
+    logdet = 2.0 * np.log(diag).sum() + np.log(gc[live]).sum()
+    for i in range(n if k else 0):   # LAPACK rejects an empty matrix
+        info = dtrtri(R[i].T, lower=0, overwrite_c=1)[1]
         if info:
             raise np.linalg.LinAlgError(f"dtrtri failed on row {i} (info {info})")
-    # a masked entry's factor row and column are the identity's, and so
-    # are its inverse's: zeroing the diagonal zeroes its column of R
-    R[:, diag, diag] *= live
+    diag *= live
     mu = (np.swapaxes(R, 1, 2) @ (R @ lay.b[:, :, None]))[:, :, 0]
-    logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
-              + np.log(gc[live]).sum())
     quad = (float(reg.y_sq_rows.sum()) - float(np.sum(lay.b * mu))) / sigma2
     evidence = -0.5 * (reg.N_y * np.log(2.0 * np.pi) + logdet
                        + (reg.N_y - live.sum()) * np.log(sigma2) + quad)
-    return mu, sigma2 * (R**2).sum(axis=1), float(evidence), R
+    return mu, sigma2 * np.einsum("nij,nij->nj", R, R), float(evidence), R
 
 
 def _estep(reg, gamma, sigma2):
@@ -330,8 +328,8 @@ def _checked_gamma(reg, gamma):
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (reg.N_w,):
         raise ValueError(f"gamma must have length {reg.N_w}")
-    if np.any(gamma < 0):
-        raise ValueError("gamma must be nonnegative")
+    if not np.all(gamma >= 0):   # NaN fails this too
+        raise ValueError("gamma must be nonnegative, not NaN")
     return gamma
 
 
@@ -348,8 +346,8 @@ def posterior(reg, gamma, sigma2):
     all-zero posterior.
     """
     gamma = _checked_gamma(reg, gamma)
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not sigma2 >= 0:
+        raise ValueError("sigma2 must be nonnegative, not NaN")
     n, d = reg.n, reg.n + reg.m
     rows = np.arange(n)
     if sigma2 > 0:
@@ -375,8 +373,8 @@ def marginal_loglik(reg, gamma, sigma2):
     """Log evidence: the Gaussian marginal of y with covariance
     sigma^2 I + Phi Gamma Phi', evaluated from the moments without ever
     forming the dense observation-space matrix."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not sigma2 > 0:
+        raise ValueError("sigma2 must be positive, not NaN")
     return _estep(reg, _checked_gamma(reg, gamma), sigma2)[2]
 
 
@@ -400,12 +398,15 @@ def sbl_em(reg, mask, init=None, opts=None):
 
         sigma2 <- (rss(mu) + sigma2_old tr(I - Sigma Gamma^{-1})) / N_y
 
-    with the residual sum of squares rss = sum y^2 - 2 b . mu + mu' zz mu
-    taken from each row's gathered blocks, clipped at 0, and sigma2
-    floored at 1e-300.  Masked coordinates stay at zero throughout; the
-    loop stops when the relative change of gamma drops below ``tol`` or
-    after ``max_iter`` iterations.  An evidence decrease beyond 1e-8 is
-    recorded in the returned state's ``warnings`` and iteration continues.
+    with the residual sum of squares rss = sum y^2 - 2 b . mu + mu' zz mu,
+    clipped at 0, and sigma2 floored at 1e-300.  Since H mu = b on each
+    row's active entries, mu' zz mu = b . mu - sigma2_old sum mu_i^2 /
+    gamma_i, and rss = sum y^2 - b . mu - sigma2_old sum mu_i^2 / gamma_i
+    needs no product with zz.  Masked coordinates stay at zero
+    throughout; the loop stops when the relative change of gamma drops
+    below ``tol`` or after ``max_iter`` iterations.  An evidence decrease
+    beyond 1e-8 is recorded in the returned state's ``warnings`` and
+    iteration continues.
 
     The loop's state lives in the compact layout of its first iteration:
     gamma, the means and the variances are (n x k) arrays, and an entry
@@ -419,10 +420,10 @@ def sbl_em(reg, mask, init=None, opts=None):
     opts = opts or SBLOptions()
     if init is None:
         init = initial_sbl_state(reg, mask)
-    gamma = np.asarray(init.gamma, dtype=float).copy()
-    if gamma.shape != (reg.N_w,):
-        raise ValueError(f"gamma must have length {reg.N_w}")
+    gamma = _checked_gamma(reg, init.gamma).copy()
     gamma[~mask.free] = 0.0
+    if not init.sigma2 >= 0:
+        raise ValueError("sigma2 must be nonnegative, not NaN")
     sigma2 = max(float(init.sigma2), 1e-300)
 
     col_energy = np.diag(reg.zz)
@@ -463,8 +464,9 @@ def sbl_em(reg, mask, init=None, opts=None):
 
         gamma_new = np.where(active, var + mu**2, 0.0)
         tr_sg = float((var[active] / gc[active]).sum())
-        quad = float(np.sum(mu * (lay.zz @ mu[:, :, None])[:, :, 0]))
-        rss = max(y_sq - 2.0 * float(np.sum(lay.b * mu)) + quad, 0.0)
+        # mu' zz mu from H mu = b (see the docstring)
+        rss = max(y_sq - float(np.sum(lay.b * mu))
+                  - sigma2 * float((mu[active]**2 / gc[active]).sum()), 0.0)
         sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / reg.N_y, 1e-300)
 
         delta = np.linalg.norm(gamma_new - gc)

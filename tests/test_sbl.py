@@ -212,6 +212,28 @@ def test_negative_gamma_is_rejected(fit):
         fit(reg, np.array([1.0, -0.5, 1.0]), 0.5)
 
 
+def sbl_em_from(reg, gamma, sigma2):
+    return sbl_em(reg, free_mask(reg), init=SBLState(gamma=gamma, sigma2=sigma2))
+
+
+@pytest.mark.parametrize("fit", [posterior, marginal_loglik, sbl_em_from])
+def test_nan_gamma_is_rejected(fit):
+    # NaN passes a "gamma < 0" test, and the layout would count it neither
+    # active nor pruned, dropping a real active entry from its row
+    reg = generic_regression(np.random.default_rng(12), N=6, n_w=3)
+    with pytest.raises(ValueError, match="gamma must be nonnegative, not NaN"):
+        fit(reg, np.array([1.0, np.nan, 1.0]), 0.5)
+
+
+@pytest.mark.parametrize("fit", [posterior, marginal_loglik, sbl_em_from])
+def test_nan_sigma2_is_rejected(fit):
+    # NaN passes both "sigma2 < 0" and "sigma2 > 0": posterior would take
+    # the noiseless branch and the others would return NaN
+    reg = generic_regression(np.random.default_rng(12), N=6, n_w=3)
+    with pytest.raises(ValueError, match="sigma2 must be .*, not NaN"):
+        fit(reg, np.ones(3), np.nan)
+
+
 def test_marginal_structured_matches_dense():
     rng = np.random.default_rng(11)
     model = random_stable_model(rng, n=2, p=2, m=2)
@@ -494,6 +516,52 @@ def test_compact_estep_matches_full_width_at_desk_size():
         assert rel_err(mu, mu_o) <= 1e-10
         assert rel_err(var, var_o) <= 1e-10
         assert abs(ev - ev_o) <= 1e-10 * abs(ev_o)
+
+
+def masked_layout(rng):
+    """A layout as ``sbl_em`` holds it mid-loop: rows of 30, 12, 1 and 0
+    active entries padded to k = 30, and the third entry of every row with
+    more than two masked in place, ahead of live ones.  Returns the
+    regression, the layout, its compact variances and gamma in w-order."""
+    from netrecon.sbl import _layout, _scatter
+
+    reg, gamma = desk_rows(rng, counts=(30, 12, 1, 0) * 7 + (30, 12))
+    d = reg.n + reg.m
+    lay, gc = _layout(reg, gamma.reshape((d, reg.n)).T)
+    rows = np.flatnonzero((gc > 0).sum(axis=1) > 2)
+    gc[rows, 2] = 0.0
+    lay.zz[rows, 2, :] = 0.0
+    lay.zz[rows, :, 2] = 0.0
+    return reg, lay, gc, _scatter(gc, lay.order, d).T.ravel()
+
+
+def test_kernel_leaves_the_resident_layout_unchanged():
+    # sbl_em reuses the gathered blocks in every iteration
+    from netrecon.sbl import _kernel
+
+    reg, lay, gc, _ = masked_layout(np.random.default_rng(29))
+    zz, b = lay.zz.copy(), lay.b.copy()
+    _kernel(reg, lay, gc, 0.4)
+    assert np.array_equal(lay.zz, zz) and np.array_equal(lay.b, b)
+
+
+def test_kernel_inverse_factor_matches_full_width():
+    # R is inverted in the Cholesky factor's own buffer; posterior reads it,
+    # so a silent copy would leave the factor itself in its place
+    from netrecon.sbl import _kernel
+
+    reg, lay, gc, gamma = masked_layout(np.random.default_rng(30))
+    n, d = reg.n, reg.n + reg.m
+    assert gc.shape[1] == 30 and not gc[3].any()
+    for sigma2 in (0.05, 3.0):
+        R = _kernel(reg, lay, gc, sigma2)[3]
+        R_full = np.zeros((n, d, d))
+        R_full[np.arange(n)[:, None, None], lay.order[:, :, None],
+               lay.order[:, None, :]] = R
+        R_o = estep_full_width(reg, gamma, sigma2)[4]
+        assert np.abs(R_full - R_o).max() <= 1e-12 * np.abs(R_o).max()
+        pruned = gamma.reshape((d, n)).T == 0
+        assert np.all(np.swapaxes(R_full, 1, 2)[pruned] == 0.0)
 
 
 def assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma):
