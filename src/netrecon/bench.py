@@ -55,6 +55,8 @@ class BenchConfig:
         if self.m != self.p:
             raise ValueError("benchmark requires m = p")
         self.snr_list = tuple(float(s) for s in self.snr_list)
+        if len(set(self.snr_list)) < len(self.snr_list):
+            raise ValueError(f"snr_list repeats a value: {self.snr_list}")
         if {k.replace("-", "_") for k in self.recon} & {"n_states", "seed"}:
             raise ValueError("recon may not set n_states or seed: each cell "
                              "takes them from n_assumed and its own seed")

@@ -20,7 +20,10 @@ recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS
 smoother uses one gain over that segment and runs its backward covariance
 recursion only until it settles by the same test; the log-likelihood
 factors the shared innovation covariance once.  Steps before k_steady, and
-runs where the test never passes, run every recursion at every step.
+runs where the test never passes, run every recursion at every step; there
+the RTS gains and the log-likelihood's determinants and solves depend only
+on covariances the filter has stored, so each comes from one batched LAPACK
+call per ``_BATCH_STEPS`` steps, and only the recursions run step by step.
 
 Storage: every covariance and gain sequence is a ``StepSeq``, which stores
 each distinct matrix once and maps each step to its row.  The filter's
@@ -35,11 +38,14 @@ arrays.
 
 Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
-computed as a prefix scan by recursive doubling (``_linear_scan``): about
-log2 of the segment length matrix products instead of one small product
-per step.  Entries of the powers of F below the smallest normal double
-are set to zero, and the scan ends early once a power is zero everywhere:
-such terms no longer change the result.
+computed as a blocked prefix scan (``_linear_scan``): the recursion runs
+inside blocks of ``_SCAN_BLOCK`` steps for all blocks at once, and
+recursive doubling carries it across the block ends, so about 2b + log2 of
+the block count products replace one small product per step, at about
+twice the multiply-adds of the per-step loop.  Entries of the powers of F
+and of the block ends below the smallest normal double are set to zero,
+and the doubling ends early once a power is zero everywhere: such terms no
+longer change the result.
 """
 
 from dataclasses import dataclass, replace
@@ -63,14 +69,22 @@ __all__ = [
 _DIVERGE_NORM = 1e12
 # Relative change below which a covariance recursion counts as settled.
 _STEADY_RTOL = 1e-13
-# Smallest normal double: entries of a scan's powers below it are zeroed.
+# Smallest normal double: entries of a scan's powers and block ends below
+# it are zeroed.
 _TINY = np.finfo(float).tiny
+# Rows per block of the blocked scan.
+_SCAN_BLOCK = 8
 # Multiply-adds per product in a scan.  OpenBLAS runs a product of at most
 # 2^18 on one thread; split across threads, these skinny products cost more
 # than they save.  With two processes on a 2-core x86_64 host and BLAS
-# threads unpinned (the benchmark's process pool), a desk-size scan took
-# 73 ms unsplit and 2 ms in such blocks.
+# threads unpinned (the benchmark's process pool), a desk-size doubling
+# scan took 73 ms unsplit and 2 ms in such blocks.  At full scale (n = 110,
+# N = 1000) the blocked scan's in-block and carry products, (N/b) n^2 each,
+# exceed it too and are split in the same way.
 _SCAN_BLOCK_MACS = 2**18
+# Steps per batched solve of the transient RTS gains and log-likelihood
+# terms, so a pass that never settles holds no extra N-step stacks.
+_BATCH_STEPS = 64
 
 
 class FilterDivergedError(RuntimeError):
@@ -134,30 +148,64 @@ def _runs(back, held, at):
     return StepSeq(back[::-1], np.repeat(np.arange(len(back)), counts[::-1]))
 
 
+def _add_products(dst, src, M):
+    """dst += src @ M' in row blocks of at most ``_SCAN_BLOCK_MACS``
+    multiply-adds, top block first: when dst and src are overlapping rows of
+    one array with dst below src, every row read still holds its old
+    value."""
+    rows = max(1, _SCAN_BLOCK_MACS // M.size)
+    for hi in range(len(dst), 0, -rows):
+        lo = max(hi - rows, 0)
+        dst[lo:hi] += src[lo:hi] @ M.T
+
+
 def _linear_scan(F, X):
     """Run X[k] <- F X[k-1] + X[k] for k = 1..len(X)-1 in place; on entry
     X[0] is the seed and X[k] the input of step k.
 
-    Hillis-Steele doubling (Hillis & Steele, CACM 1986): the pass with shift
-    s adds F^s X[k-s] to X[k], after which X[k] sums the inputs of the last
-    2s steps, so ceil(log2 len(X)) products of shape (len(X) x n)(n x n)
-    replace the per-step loop; each runs in row blocks of at most
-    ``_SCAN_BLOCK_MACS`` multiply-adds.  Entries of a squared power below
-    the smallest normal double are set to zero, since the terms they add
-    change nothing at double precision and products with subnormal operands
-    are slow in BLAS; once the power is zero everywhere the scan ends.
+    Blocked scan (Blelloch, CMU-CS-90-190, 1990) over blocks of b =
+    ``_SCAN_BLOCK`` rows, rows jb..jb+b-1 forming block j:
+
+    1. the recursion inside every block at once: for i = 1..b-1, one
+       product adds F times row i-1 of every block to its row i;
+    2. Hillis-Steele doubling (Hillis & Steele, CACM 1986) over the block
+       ends, whose recursion has the matrix F^b: the pass with shift s adds
+       (F^b)^s times the end s blocks back;
+    3. for i = 0..b-2, one product adds F^(i+1) times the end of the
+       previous block to row i of every later block.
+
+    That is about 2 len(X) n^2 multiply-adds plus log2(len(X)/b) products
+    over the len(X)/b block ends, where plain doubling over all rows does
+    about log2 len(X) len(X) n^2.  Every product runs in row blocks of at
+    most ``_SCAN_BLOCK_MACS`` multiply-adds.  Entries of a squared power
+    and of the scanned block ends below the smallest normal double are set
+    to zero, since the terms they add change nothing at double precision
+    and products with subnormal operands are slow in BLAS; once a power of
+    F^b is zero everywhere the doubling ends.
     """
-    rows = max(1, _SCAN_BLOCK_MACS // F.size)
-    P, s = F, 1
-    while s < len(X) and P.any():
-        # top block first, so every row read still holds its old value
-        for hi in range(len(X), s, -rows):
-            lo = max(hi - rows, s)
-            X[lo:hi] += X[lo - s:hi - s] @ P.T
+    b = _SCAN_BLOCK
+    for i in range(1, min(b, len(X))):
+        dst = X[i::b]
+        _add_products(dst, X[i - 1::b][:len(dst)], F)
+    if len(X) <= b:
+        return
+    ends = X[b - 1::b]
+    powers = [F]
+    for _ in range(b - 1):
+        powers.append(F @ powers[-1])
+    P = powers[-1]
+    P[np.abs(P) < _TINY] = 0.0
+    s = 1
+    while s < len(ends) and P.any():
+        _add_products(ends[s:], ends[:-s], P)
         s *= 2
-        if s < len(X):
+        if s < len(ends):
             P = P @ P
             P[np.abs(P) < _TINY] = 0.0
+    ends[np.abs(ends) < _TINY] = 0.0
+    for i in range(b - 1):
+        dst = X[b + i::b]
+        _add_products(dst, ends[:len(dst)], powers[i])
 
 
 def _settled(new, old):
@@ -251,10 +299,16 @@ def kalman_filter(model, data):
     is stored once, as the last row of its StepSeq.  The later filtered
     means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
     F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j.  They come from
-    a doubling scan seeded with x_{k|k}, which stops early once the powers
-    of F underflow; the predicted means and innovations are then formed in
-    batch, and the first non-finite predicted mean raises
-    FilterDivergedError at its step as in the per-step recursion.
+    a blocked scan seeded with x_{k|k} (``_linear_scan``); the predicted
+    means and innovations are then formed in batch, and the first
+    non-finite predicted mean raises FilterDivergedError at its step as in
+    the per-step recursion.
+
+    Each transient step takes one reduction, the largest |P_{k|k-1}| entry,
+    for both the divergence test (written so that NaN fails it) and the
+    settle test, and forms C P_{k|k-1} once for S_k and K_k; the other
+    products keep the per-step reference's order, so a run that never
+    settles gives the same bits.
     """
     n, p, m = model.n, model.p, model.m
     if data.p != p or data.m != m:
@@ -285,11 +339,12 @@ def kalman_filter(model, data):
     for k in range(1, N + 1):
         x_pred[k] = A @ x_filt[k - 1] + B @ data.U[k - 1]
         Pp = _sym(A @ P_filt[-1] @ A.T + sig2I)
-        if not np.all(np.isfinite(Pp)) or np.abs(Pp).max() > _DIVERGE_NORM \
-                or not np.all(np.isfinite(x_pred[k])):
+        big = np.abs(Pp).max()   # NaN fails the test below as well
+        if not big <= _DIVERGE_NORM or not np.isfinite(x_pred[k]).all():
             raise FilterDivergedError(k)
-        S = _sym(C @ Pp @ C.T + Ip)
-        K = np.linalg.solve(S, C @ Pp).T
+        CP = C @ Pp
+        S = _sym(CP @ C.T + Ip)
+        K = np.linalg.solve(S, CP).T
         innovations[k] = data.Y[k - 1] - C @ x_pred[k]
         x_filt[k] = x_pred[k] + K @ innovations[k]
         P_pred.append(Pp)
@@ -297,7 +352,7 @@ def kalman_filter(model, data):
         K_gain.append(K)
         P_filt.append(_sym(Pp - K @ C @ Pp))
         # P_pred[1] follows the prior, not the Riccati map, so compare from 2
-        if k >= 2 and _settled(Pp, P_pred[-2]):
+        if k >= 2 and np.abs(Pp - P_pred[-2]).max() <= _STEADY_RTOL * big:
             k_steady = k
             break
 
@@ -310,8 +365,9 @@ def kalman_filter(model, data):
         x_filt[tail] = data.U[ks:] @ (IKC @ B).T + data.Y[ks:] @ K.T
         _linear_scan(F, x_filt[ks:])
         x_pred[tail] = x_filt[ks:N] @ A.T + data.U[ks:] @ B.T
-        bad = ~np.isfinite(x_pred[tail]).all(axis=1)
-        if bad.any():
+        finite = np.isfinite(x_pred[tail])
+        if not finite.all():
+            bad = ~finite.all(axis=1)
             raise FilterDivergedError(ks + 1 + int(np.argmax(bad)))
         innovations[tail] = data.Y[ks:] - x_pred[tail] @ C.T
     return FilterPass(x_pred=x_pred, P_pred=_held(P_pred, N + 1),
@@ -319,6 +375,28 @@ def kalman_filter(model, data):
                       K_gain=_held(K_gain, N + 1), innovations=innovations,
                       innov_cov=_held(innov_cov, N + 1), N=N,
                       k_steady=k_steady)
+
+
+def _transient_gains(A, fp, lo, hi, pinv_steps):
+    """RTS gains J_k = P_{k|k} A' P_{k+1|k}^{-1} for k = lo..hi-1, row k - lo
+    of the result, from one batched solve.  If a P_{k+1|k} is singular the
+    gains are solved one step at a time, k = hi-1 first, and each step that
+    falls back to the pseudo-inverse is appended to ``pinv_steps``."""
+    PAt = fp.P_filt[lo:hi] @ A.T
+    Pp = fp.P_pred[lo + 1:hi + 1]
+    try:
+        return np.linalg.solve(np.swapaxes(Pp, 1, 2),
+                               np.swapaxes(PAt, 1, 2)).swapaxes(1, 2)
+    except np.linalg.LinAlgError:
+        pass
+    gains = [None] * (hi - lo)
+    for k in range(hi - 1, lo - 1, -1):
+        try:
+            gains[k - lo] = np.linalg.solve(Pp[k - lo].T, PAt[k - lo].T).T
+        except np.linalg.LinAlgError:
+            gains[k - lo] = PAt[k - lo] @ np.linalg.pinv(Pp[k - lo])
+            pinv_steps.append(k)
+    return gains
 
 
 def rts_smoother(model, fp):
@@ -331,7 +409,14 @@ def rts_smoother(model, fp):
         P_{k|N} = P_{k|k} + J_k (P_{k+1|N} - P_{k+1|k}) J_k'
 
     A singular one-step covariance falls back to the pseudo-inverse; the
-    affected steps are recorded in ``pinv_steps``.
+    affected steps are recorded in ``pinv_steps``, in backward step order.
+
+    The gains of the steps before ``fp.k_steady`` (all steps if nothing
+    settled) depend only on stored filter covariances, so they come from
+    one batched solve per ``_BATCH_STEPS`` steps, the last steps first, in
+    bounded memory; if a batch meets a singular P_{k+1|k}, that batch is
+    solved step by step as above.  The mean and covariance recursions then
+    run step by step.
 
     From ``fp.k_steady`` on, P_{k|k} and P_{k+1|k} are settled, so one gain J
     serves every step k >= k_steady (if its solve fails, the pseudo-inverse
@@ -341,8 +426,7 @@ def rts_smoother(model, fp):
     value is stored once for the rest of the segment: P_sm holds the steps
     before k_steady, that middle value, and the backward transient near N.
     The means x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}) of that
-    segment come from one doubling scan run backwards from x_{N|N}, which
-    stops early once the powers of J underflow.
+    segment come from one blocked scan run backwards from x_{N|N}.
     """
     N = fp.N
     n = fp.x_filt.shape[1]
@@ -376,17 +460,15 @@ def rts_smoother(model, fp):
         _linear_scan(Js, X)
         x_sm[ks:] = X[::-1]
     mid = len(P_back) - 1
-    for k in range(ks - 1, -1, -1):
-        PAt = fp.P_filt[k] @ A.T
-        try:
-            Jk = np.linalg.solve(fp.P_pred[k + 1].T, PAt.T).T
-        except np.linalg.LinAlgError:
-            Jk = PAt @ np.linalg.pinv(fp.P_pred[k + 1])
-            pinv_steps.append(k)
-        J_back.append(Jk)
-        x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
-        P_back.append(_sym(fp.P_filt[k]
-                           + Jk @ (P_back[-1] - fp.P_pred[k + 1]) @ Jk.T))
+    for hi in range(ks, 0, -_BATCH_STEPS):
+        lo = max(hi - _BATCH_STEPS, 0)
+        gains = _transient_gains(A, fp, lo, hi, pinv_steps)
+        for k in range(hi - 1, lo - 1, -1):
+            Jk = gains[k - lo]
+            J_back.append(Jk)
+            x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
+            P_back.append(_sym(fp.P_filt[k]
+                               + Jk @ (P_back[-1] - fp.P_pred[k + 1]) @ Jk.T))
     return SmoothPass(x_sm=x_sm, P_sm=_runs(P_back, mid_steps, mid),
                       J=_held(J_back[::-1], N), M_sm=None,
                       pinv_steps=tuple(pinv_steps))
@@ -455,9 +537,14 @@ def observed_loglik(model, data, fp=None):
     the sum over k of log N(y_k; C x_{k|k-1}, C P_{k|k-1} C' + I).
 
     Pass an existing FilterPass as ``fp`` to reuse a completed forward pass.
-    From ``fp.k_steady`` on the innovation covariance is shared: it is
-    factored once and the quadratic terms of those steps come from one solve
-    (per step as before if its Cholesky factorization fails).
+    From ``fp.k_steady`` on the innovation covariance S = L L' is shared: it
+    is factored once, and the quadratic terms of those steps sum to
+    trace(L^-1 G L^-T), with G the sum of the innovations' outer products
+    (per step as below if the Cholesky factorization fails).  The other
+    steps take their determinants and solves from one batched ``slogdet``
+    and one batched ``solve`` per ``_BATCH_STEPS`` steps; the first step
+    whose determinant is not positive raises FilterDivergedError, and the
+    terms are added one by one in step order, as a per-step pass adds them.
     """
     if fp is None:
         fp = kalman_filter(model, data)
@@ -471,17 +558,23 @@ def observed_loglik(model, data, fp=None):
             last = fp.k_steady - 1
         except np.linalg.LinAlgError:
             pass
-    for k in range(1, last + 1):
-        S = fp.innov_cov[k]
-        nu = fp.innovations[k]
+    for lo in range(1, last + 1, _BATCH_STEPS):
+        hi = min(lo + _BATCH_STEPS, last + 1)
+        S = fp.innov_cov[lo:hi]
+        nu = fp.innovations[lo:hi]
         sign, logdet = np.linalg.slogdet(S)
-        if sign <= 0:
-            raise FilterDivergedError(k)
-        total += -0.5 * (p * np.log(2.0 * np.pi) + logdet
-                         + nu @ np.linalg.solve(S, nu))
+        bad = sign <= 0
+        if bad.any():
+            raise FilterDivergedError(lo + int(np.argmax(bad)))
+        sol = np.linalg.solve(S, nu[:, :, None])[:, :, 0]
+        for i in range(hi - lo):   # term by term, in step order
+            total += -0.5 * (p * np.log(2.0 * np.pi) + logdet[i]
+                             + nu[i] @ sol[i])
     if L is not None:
-        Z = np.linalg.solve(L, fp.innovations[last + 1:].T)
+        # sum of nu' S^-1 nu over the steps = trace(L^-1 (sum of nu nu') L^-T)
+        nu = fp.innovations[last + 1:]
+        Li = np.linalg.inv(L)
         logdet = 2.0 * np.log(np.diag(L)).sum()
         total += -0.5 * ((fp.N - last) * (p * np.log(2.0 * np.pi) + logdet)
-                         + float((Z * Z).sum()))
+                         + float(np.trace(Li @ (nu.T @ nu) @ Li.T)))
     return float(total)

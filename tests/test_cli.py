@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netrecon import exact_dsf_small, load_dataset_csv, load_model
+from netrecon import (BenchConfig, exact_dsf_small, load_dataset_csv,
+                      load_model)
 from netrecon.cli import cli_main, load_config
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -229,6 +230,20 @@ def test_benchmark_rejects_unknown_config_keys(tmp_path, capsys):
                         "--quiet"]) == 1
         assert bad.split(" = ")[0].removeprefix("recon_") in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_benchmark_rejects_a_repeated_snr(tmp_path, capsys):
+    # 20 and 20.0 are one SNR: a sweep over both would count each cell twice
+    with pytest.raises(ValueError, match="repeats"):
+        BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
+                    snr_list=(20, 20.0))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
+                   "density = 0.4\nn_samples = 40\nsnr_list = 20,20\n")
+    out = tmp_path / "t.csv"
+    assert run_cli(["benchmark", "--config", cfg, "--out", out, "--quiet"]) == 1
+    assert "snr_list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_and_dsf_config_keys(tmp_path, capsys):

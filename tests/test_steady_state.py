@@ -228,3 +228,56 @@ def test_scan_with_partly_subnormal_power_matches_per_step_loop():
         ref[k] += F @ ref[k - 1]
     _linear_scan(F, X)
     assert _rel(X, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 12, 30])
+def test_blocked_scan_matches_per_step_loop(n):
+    from netrecon.smoother import _SCAN_BLOCK as b, _linear_scan
+    # lengths around the block size: inside one block, exact blocks, a
+    # partial last block; 3001 rows at n = 30 also split the in-block and
+    # carry products into row blocks
+    rng = np.random.default_rng(n)
+    F = rng.normal(size=(n, n))
+    F *= 0.9 / np.abs(np.linalg.eigvals(F)).max()
+    for length in (1, 2, b, 2 * b, 2 * b + 1, 125 * b, 125 * b + 1, 3001):
+        X = rng.normal(size=(length, n))
+        ref = X.copy()
+        for k in range(1, length):
+            ref[k] += F @ ref[k - 1]
+        _linear_scan(F, X)
+        assert _rel(X, ref) <= 1e-12, length
+
+
+def _dense_pass(N):
+    """A small model, N steps of its data and the per-step filter pass,
+    whose covariances are dense (N+1)-step arrays that never settle."""
+    rng = np.random.default_rng(8)
+    model = random_stable_model(rng, n=4, p=3, m=2)
+    data = simulate(model, N, seed=9)
+    return model, data, filter_per_step(model, data)
+
+
+def test_batched_gains_fall_back_per_step_at_one_singular_step():
+    # N = 150 steps run the transient gains in several batches; a zero
+    # first row and column make P_pred[j + 1] exactly singular, so gain j
+    # alone takes the pseudo-inverse
+    model, _, fp = _dense_pass(150)
+    j = 90
+    fp.P_pred[j + 1][0, :] = 0.0
+    fp.P_pred[j + 1][:, 0] = 0.0
+    sp, ref = rts_smoother(model, fp), rts_per_step(model, fp)
+    assert sp.pinv_steps == ref.pinv_steps == (j,)
+    for name in ("x_sm", "P_sm", "J"):
+        assert np.array_equal(np.asarray(getattr(sp, name)),
+                              getattr(ref, name)), name
+
+
+def test_batched_loglik_diverges_at_the_first_bad_determinant():
+    model, data, fp = _dense_pass(150)
+    for k in (100, 130):   # the first raises, in the second of three batches
+        fp.innov_cov[k][0] *= -1.0   # determinant < 0
+    with pytest.raises(FilterDivergedError) as ref_err:
+        loglik_per_step(fp, data.p)
+    with pytest.raises(FilterDivergedError) as err:
+        observed_loglik(model, data, fp=fp)
+    assert err.value.step == ref_err.value.step == 100
