@@ -10,9 +10,8 @@ from .model import (StateSpaceModel, Dataset, GroundTruth, GenerationError,
                     SimulationDivergedError, generate_random_network, simulate,
                     scale_noise_for_snr, save_dataset_csv, load_dataset_csv,
                     save_model, load_model)
-from .dsf import (DSFError, UnsupportedSizeError, FreqSample, RationalMatrix,
-                  NetworkGraph, GraphMetrics, default_q_points,
-                  dsf_from_state_space, exact_dsf_small, boolean_structure,
+from .dsf import (DSFError, FreqSample, NetworkGraph, GraphMetrics,
+                  default_q_points, dsf_from_state_space, boolean_structure,
                   graph_compare, save_dsf_result)
 from .smoother import (FilterDivergedError, StepSeq, FilterPass, SmoothPass, ESums,
                        kalman_filter, rts_smoother, lag_one_smoother, smooth,

@@ -16,7 +16,7 @@ byte-identical.
 import concurrent.futures
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +50,10 @@ class BenchConfig:
     recon: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("n_networks", "parallelism"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
         if self.n_assumed < self.p:
             raise ValueError("n_assumed must be at least p")
         if self.m != self.p:
@@ -63,14 +67,18 @@ class BenchConfig:
         _cell_recon_config(self, 0)   # unknown keys fail before any cell runs
 
     def echo(self):
-        out = {
-            "n_networks": self.n_networks, "p": self.p, "n_true": self.n_true,
-            "n_assumed": self.n_assumed, "m": self.m,
-            "density": fmt(self.density), "N_samples": self.N_samples,
-            "snr_list": ",".join(fmt(s) for s in self.snr_list),
-            "failure_precision_threshold": fmt(self.failure_precision_threshold),
-            "seed": self.seed, "parallelism": self.parallelism,
-        }
+        """Every setting as the text the result files embed: floats by
+        ``fmt``, tuples comma-joined, then one ``recon_<key>`` per entry of
+        ``recon``."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float:
+                out[f.name] = fmt(value)
+            elif f.type is tuple:
+                out[f.name] = ",".join(fmt(v) for v in value)
+            elif f.type is not dict:   # recon: one key per entry, below
+                out[f.name] = value
         for key in sorted(self.recon):
             out[f"recon_{key}"] = self.recon[key]
         return out

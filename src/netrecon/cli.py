@@ -9,6 +9,7 @@ files are deterministic functions of the configuration and seed.
 """
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -82,15 +83,10 @@ _SIMULATE_KEYS = {"seed": int, "n_samples": int, "snr_db": float, "p": int,
                   "n": int, "m": int, "density": float}
 _DSF_KEYS = {"seed": int, "rel_tol": float}
 
-# config-file key -> (BenchConfig field, type)
-_BENCH_KEYS = {
-    "n_networks": ("n_networks", int), "p": ("p", int),
-    "n_true": ("n_true", int), "n_assumed": ("n_assumed", int),
-    "m": ("m", int), "density": ("density", float),
-    "n_samples": ("N_samples", int), "snr_list": ("snr_list", list),
-    "failure_precision_threshold": ("failure_precision_threshold", float),
-    "seed": ("seed", int), "parallelism": ("parallelism", int),
-}
+# config-file key -> (BenchConfig field, type): the field name in lower
+# case (N_samples reads as n_samples); a tuple is a comma-separated list
+_BENCH_KEYS = {f.name.lower(): (f.name, list if f.type is tuple else f.type)
+               for f in dataclasses.fields(BenchConfig) if f.type is not dict}
 
 
 def _build_parser():

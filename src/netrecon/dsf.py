@@ -14,10 +14,11 @@ hidden block through its resolvent:
     P  = (qI - D_W)^{-1} V + (I - Q) D
     H  = (qI - D_W)^{-1} L + (I - Q)
 
-Two evaluation paths are provided: frequency sampling at a set of complex
-points (works at any size) and exact rational arithmetic via the
-characteristic-polynomial adjugate recursion (small hidden blocks only).
-The exact path serves as an oracle for the sampled one.
+The DSF is evaluated by sampling: every matrix is computed at a set of
+complex points, which works at any size and is all the reconstruction
+reads.  The exact rational DSF, built by the characteristic-polynomial
+adjugate recursion on the hidden block, is kept with the tests as the
+oracle for this path; it shares ``_transformed_blocks`` with it.
 
 The nonzero pattern of (Q, P) is the Boolean network; graph comparison
 metrics (precision, true-positive rate) operate on the Q adjacency.
@@ -27,18 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "DSFError",
-    "UnsupportedSizeError",
     "FreqSample",
-    "RationalMatrix",
     "NetworkGraph",
     "GraphMetrics",
     "default_q_points",
     "dsf_from_state_space",
-    "exact_dsf_small",
     "boolean_structure",
     "graph_compare",
     "save_dsf_result",
@@ -47,10 +44,6 @@ __all__ = [
 
 class DSFError(RuntimeError):
     """DSF evaluation failed (rank-deficient C, or no pole-free points found)."""
-
-
-class UnsupportedSizeError(DSFError):
-    """The exact rational path only supports small hidden blocks."""
 
 
 @dataclass
@@ -69,44 +62,6 @@ class FreqSample:
     @property
     def m(self):
         return self.P_vals.shape[2]
-
-
-class RationalMatrix:
-    """Matrix of scalar rational functions, each a (num, den) coefficient pair.
-
-    Coefficients are stored lowest power first and denominators are monic.
-    An entry is identically zero when its numerator has no nonzero
-    coefficient.
-    """
-
-    def __init__(self, entries):
-        self.entries = entries
-        self.shape = (len(entries), len(entries[0]))
-
-    def num(self, i, j):
-        return self.entries[i][j][0]
-
-    def den(self, i, j):
-        return self.entries[i][j][1]
-
-    def is_zero(self, i, j):
-        return not np.any(self.num(i, j))
-
-    def zero_pattern(self):
-        rows, cols = self.shape
-        return np.array([[not self.is_zero(i, j) for j in range(cols)]
-                         for i in range(rows)])
-
-    def evaluate(self, q_points):
-        """Evaluate every entry at the given complex points; returns (L, rows, cols)."""
-        q = np.asarray(q_points, dtype=complex).ravel()
-        rows, cols = self.shape
-        out = np.empty((q.size, rows, cols), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                num, den = self.entries[i][j]
-                out[:, i, j] = npoly.polyval(q, num) / npoly.polyval(q, den)
-        return out
 
 
 @dataclass
@@ -131,15 +86,20 @@ class GraphMetrics:
     n_true_edges: int
 
 
-def default_q_points(n_circle=16, n_random=16, circle_radius=2.0,
-                     annulus=(1.5, 4.0), seed=0):
-    """Default evaluation points: n_circle points on a circle plus n_random
-    points drawn uniformly in an annulus of the complex plane."""
-    angles = 2.0 * np.pi * (np.arange(n_circle) + 0.5) / max(n_circle, 1)
-    circle = circle_radius * np.exp(1j * angles)
+# The annulus |q| in [1.5, 4] from which random evaluation points are drawn,
+# both the default ones and the replacements of points that hit a pole.
+_ANNULUS = (1.5, 4.0)
+
+
+def default_q_points(seed=0):
+    """Default evaluation points: 16 points on the circle |q| = 2 plus 16
+    points drawn uniformly in the annulus |q| in [1.5, 4] (radii first,
+    then phases, from ``default_rng(seed)``)."""
+    angles = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
+    circle = 2.0 * np.exp(1j * angles)
     rng = np.random.default_rng(seed)
-    radii = rng.uniform(annulus[0], annulus[1], n_random)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_random)
+    radii = rng.uniform(_ANNULUS[0], _ANNULUS[1], 16)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 16)
     return np.concatenate([circle, radii * np.exp(1j * phases)])
 
 
@@ -174,20 +134,25 @@ def _transformed_blocks(model):
     return A11, A12, A21, A22, Bhat[:p], Bhat[p:], Khat[:p], Khat[p:]
 
 
-def dsf_from_state_space(model, q_points, max_resample=64, rng=None):
+# Most pole-hitting points dsf_from_state_space replaces before giving up.
+_MAX_RESAMPLE = 64
+
+
+def dsf_from_state_space(model, q_points):
     """Evaluate the DSF of ``model`` at the given shift-operator points.
 
     Points that collide with a pole (an eigenvalue of the hidden block or a
     diagonal entry of W) are replaced by random draws from the annulus
-    |q| in [1.5, 4], up to ``max_resample`` replacements.
+    |q| in [1.5, 4], from a fixed-seed generator, so the returned points
+    depend on the model and ``q_points`` alone.  Needing more than 64
+    replacements raises DSFError.
     """
     q = np.asarray(q_points, dtype=complex).ravel()
     if q.size == 0:
         raise DSFError("need at least one evaluation point")
     if len(np.unique(q)) != q.size:
         raise DSFError("q_points must be distinct")
-    if rng is None:
-        rng = np.random.default_rng(0x0D5F)
+    rng = np.random.default_rng(0x0D5F)
 
     blocks = _transformed_blocks(model)
     A22 = blocks[3]
@@ -210,10 +175,10 @@ def dsf_from_state_space(model, q_points, max_resample=64, rng=None):
                 Q_vals[idx], P_vals[idx], H_vals[idx] = result
                 break
             resamples += 1
-            if resamples > max_resample:
+            if resamples > _MAX_RESAMPLE:
                 raise DSFError(f"could not find pole-free evaluation points "
-                               f"after {max_resample} resamples")
-            radius = rng.uniform(1.5, 4.0)
+                               f"after {_MAX_RESAMPLE} resamples")
+            radius = rng.uniform(*_ANNULUS)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             candidate = radius * np.exp(1j * phase)
             if candidate not in points:
@@ -244,125 +209,6 @@ def _eval_dsf_point(q, blocks, D, pole_tol):
     p = A11.shape[0]
     I = np.eye(p)
     return Qhat, V / denom + (I - Qhat) @ D, L / denom + (I - Qhat)
-
-
-def _faddeev_leverrier(M):
-    """Characteristic polynomial and adjugate expansion of (qI - M).
-
-    Returns (char, adj) where char has length h+1 (lowest power first,
-    monic) and adj[d] is the h x h coefficient matrix of q^d in
-    adj(qI - M) = sum_d q^d adj[d], so (qI - M)^{-1} = adj(q) / char(q).
-    """
-    h = M.shape[0]
-    coeffs = np.zeros(h + 1)
-    coeffs[h] = 1.0
-    adj = np.zeros((h, h, h))
-    Nk = np.eye(h)
-    for k in range(1, h + 1):
-        if k > 1:
-            Nk = M @ Nk + c * np.eye(h)
-        c = -np.trace(M @ Nk) / k
-        coeffs[h - k] = c
-        adj[h - k] = Nk
-    return coeffs, adj
-
-
-def _poly_trim(c):
-    c = np.asarray(c, dtype=float)
-    nz = np.nonzero(c)[0]
-    return c[: nz[-1] + 1] if nz.size else np.zeros(1)
-
-
-def _canonical_zero(matrix_polys, rel_tol=1e-10):
-    """Zero out entries whose coefficients all fall below rel_tol times the
-    largest coefficient magnitude in the matrix (recursion round-off)."""
-    scale = max((np.max(np.abs(c)) for row in matrix_polys for c in row), default=0.0)
-    thresh = rel_tol * scale
-    out = []
-    for row in matrix_polys:
-        out_row = []
-        for c in row:
-            c = np.where(np.abs(c) <= thresh, 0.0, c)
-            out_row.append(_poly_trim(c))
-        out.append(out_row)
-    return out
-
-
-def exact_dsf_small(model, max_hidden=12):
-    """Exact rational (Q, P, H) via the adjugate recursion on the hidden block.
-
-    Every entry in row i shares the monic denominator
-    d_i(q) = q char(q) - w_ii(q), where char is the characteristic
-    polynomial of the hidden block and w_ij collects the numerators of W.
-    Only feasible for small hidden blocks; raises UnsupportedSizeError when
-    n - p exceeds ``max_hidden``.
-    """
-    h = model.n - model.p
-    if h > max_hidden:
-        raise UnsupportedSizeError(
-            f"exact path supports n - p <= {max_hidden}, got {h}")
-    A11, A12, A21, A22, B1, B2, K1, K2 = _transformed_blocks(model)
-    p, m = model.p, model.m
-
-    char, adj = _faddeev_leverrier(A22) if h > 0 else (np.ones(1), np.zeros((0, 0, 0)))
-
-    def numerator_polys(first, second):
-        # entries of first*char + A12 adj second, as (rows, cols) coeff arrays
-        rows, cols = first.shape
-        deg = h + 1
-        out = np.zeros((deg, rows, cols))
-        for d in range(len(char)):
-            out[d] += first * char[d]
-        for d in range(h):
-            out[d] += A12 @ adj[d] @ second
-        return [[_poly_trim(out[:, i, j]) for j in range(cols)] for i in range(rows)]
-
-    w = numerator_polys(A11, A21)
-    v = numerator_polys(B1, B2)
-    l = numerator_polys(K1, K2)
-
-    # row denominators d_i = q*char - w_ii, monic of degree h+1
-    dens = []
-    for i in range(p):
-        dpoly = np.zeros(h + 2)
-        dpoly[1:] = char
-        wi = w[i][i]
-        dpoly[: len(wi)] -= wi
-        dens.append(_poly_trim(dpoly))
-
-    zero = np.zeros(1)
-    one = np.ones(1)
-
-    q_nums = [[w[i][j] if i != j else zero for j in range(p)] for i in range(p)]
-    h_nums = []
-    for i in range(p):
-        row = []
-        for j in range(p):
-            if i == j:
-                row.append(_poly_trim(npoly.polyadd(l[i][i], dens[i])))
-            else:
-                row.append(_poly_trim(npoly.polysub(l[i][j], w[i][j])))
-        h_nums.append(row)
-    p_nums = []
-    for i in range(p):
-        row = []
-        for j in range(m):
-            num = v[i][j]
-            if np.any(model.D):
-                # (I - Qhat) D contribution: D_ij d_i - sum_{l != i} w_il D_lj
-                num = npoly.polyadd(num, model.D[i, j] * dens[i])
-                for l_idx in range(p):
-                    if l_idx != i and model.D[l_idx, j] != 0.0:
-                        num = npoly.polysub(num, model.D[l_idx, j] * w[i][l_idx])
-            row.append(_poly_trim(num))
-        p_nums.append(row)
-
-    def build(nums, cols):
-        nums = _canonical_zero(nums)
-        return RationalMatrix([[(nums[i][j], dens[i].copy()) for j in range(cols)]
-                               for i in range(len(nums))])
-
-    return build(q_nums, p), build(p_nums, m), build(h_nums, p)
 
 
 def boolean_structure(sample, rel_tol):

@@ -25,8 +25,9 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
-def fmt_row(values, sep=" "):
-    return sep.join(fmt(v) for v in np.asarray(values, dtype=float).ravel())
+def fmt_row(values):
+    """Space-separated ``fmt`` of every value."""
+    return " ".join(fmt(v) for v in np.asarray(values, dtype=float).ravel())
 
 
 class LineReader:
@@ -37,12 +38,10 @@ class LineReader:
     FileFormatError carrying the offending line number.
     """
 
-    def __init__(self, path, text=None):
+    def __init__(self, path):
         self.path = str(path)
-        if text is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        self._lines = text.splitlines()
+        with open(path, "r", encoding="utf-8") as fh:
+            self._lines = fh.read().splitlines()
         self._pos = 0
         self.comments = []
 

@@ -169,19 +169,24 @@ class GroundTruth:
             raise ValueError("q_structure must have an all-false diagonal")
 
 
-def generate_random_network(p, n, m, density, seed, max_retries=20):
+# Candidate systems generate_random_network draws before giving up.
+_MAX_DRAWS = 20
+
+
+def generate_random_network(p, n, m, density, seed):
     """Draw a random stable sparse system with C = [I 0] and diagonal-led B.
 
     The sparsity pattern of A is directed Erdos-Renyi with the given
     density, entries are uniform on +-[0.5, 1.0], and A is rescaled to a
     spectral radius drawn uniformly from [0.5, 0.95].  B is [diag(b); 0]
     with b_i uniform in [0.5, 1.5], which keeps the input-to-output map
-    diagonal by construction.  The Boolean network structure is extracted
-    from the system's dynamical structure function.
+    diagonal by construction.  The Boolean network structure is read off
+    the system's dynamical structure function, sampled at
+    ``default_q_points`` and thresholded at 1e-4 of its largest entry.
 
     Candidates whose structure extraction fails numerically, or whose A
-    pattern is degenerate, are rejected and redrawn up to ``max_retries``
-    times before a GenerationError is raised.
+    pattern is degenerate, are rejected and redrawn; after 20 candidates a
+    GenerationError is raised.  Equal arguments give an equal system.
     """
     from . import dsf as _dsf
 
@@ -196,7 +201,7 @@ def generate_random_network(p, n, m, density, seed, max_retries=20):
 
     rng = np.random.default_rng(seed)
     expected_nnz = density * n * n
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         pattern = rng.random((n, n)) < density
         signs = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
         A = np.where(pattern, signs * rng.uniform(0.5, 1.0, (n, n)), 0.0)
@@ -224,7 +229,7 @@ def generate_random_network(p, n, m, density, seed, max_retries=20):
         except _dsf.DSFError:
             continue
         return GroundTruth(model=model, q_structure=graph.q_adj, p_structure=graph.p_adj)
-    raise GenerationError(f"no usable random system after {max_retries} attempts")
+    raise GenerationError(f"no usable random system after {_MAX_DRAWS} attempts")
 
 
 def _psd_sqrt(M):

@@ -75,6 +75,12 @@ class ReconConfig:
 
     ``A_init``/``B_init`` warm-start the outer loop (masked entries are
     zeroed); being arrays, they have no key in ``RECON_KEYS``.
+
+    A setting that would make the run meaningless raises ValueError: an
+    unknown ``prior_mode``, ``outer_max_iter < 1``, a negative
+    ``outer_tol`` or a ``structure_rel_tol`` outside [0, 1); a NaN
+    fails every range.  ``n_states`` is checked against the data by
+    :func:`reconstruct`.
     """
 
     n_states: int
@@ -89,6 +95,18 @@ class ReconConfig:
     seed: int | None = None
     A_init: np.ndarray | None = None
     B_init: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.prior_mode not in ("sbl", "ml"):
+            raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
+        if not self.outer_max_iter >= 1:
+            raise ValueError(f"outer_max_iter must be at least 1, "
+                             f"got {self.outer_max_iter}")
+        if not self.outer_tol >= 0:
+            raise ValueError(f"outer_tol must be nonnegative, got {self.outer_tol}")
+        if not 0 <= self.structure_rel_tol < 1:
+            raise ValueError(f"structure_rel_tol must be in [0, 1), "
+                             f"got {self.structure_rel_tol}")
 
 
 def _scalar_fields(cls, prefix=""):
@@ -308,8 +326,6 @@ def reconstruct(data, cfg):
     n = cfg.n_states
     if n < p:
         raise ValueError("n_states must be at least the output dimension")
-    if cfg.prior_mode not in ("sbl", "ml"):
-        raise ValueError(f"unknown prior_mode {cfg.prior_mode!r}")
 
     mask = identifiability_mask(n, p, m, cfg.mask_mode, cfg.p22)
     params = _initial_parameters(n, p, m, mask, data.Y, cfg)

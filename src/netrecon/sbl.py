@@ -46,6 +46,7 @@ __all__ = [
     "SBLState",
     "Mask",
     "SBLOptions",
+    "regression_from_moments",
     "posterior",
     "marginal_loglik",
     "identifiability_mask",
@@ -126,11 +127,20 @@ class SBLState:
 
 @dataclass
 class SBLOptions:
-    """Inner-loop controls."""
+    """Inner-loop controls: at least one iteration, nonnegative tolerances
+    (a NaN is rejected)."""
 
     max_iter: int = 200
     tol: float = 1e-6
     prune_tol: float = 1e-12
+
+    def __post_init__(self):
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name in ("tol", "prune_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, "
+                                 f"got {getattr(self, name)}")
 
 
 def regression_from_moments(es, n, m):
@@ -378,10 +388,10 @@ def marginal_loglik(reg, gamma, sigma2):
     return _estep(reg, _checked_gamma(reg, gamma), sigma2)[2]
 
 
-def initial_sbl_state(reg, mask, sigma2=None, gamma0=1.0):
+def initial_sbl_state(reg, mask, sigma2=None):
     """Unit prior variances on free coordinates; sigma2 defaults to
     0.1 times the mean squared target."""
-    gamma = np.where(mask.free, float(gamma0), 0.0)
+    gamma = np.where(mask.free, 1.0, 0.0)
     if sigma2 is None:
         sigma2 = 0.1 * float(reg.y_sq_rows.sum()) / reg.N_y
         if sigma2 <= 0:

@@ -2,9 +2,10 @@
 
 Everything here is re-derived from first principles (explicitly formed
 joint Gaussians, dense textbook formulas, brute-force estimates) and
-shares no code path with the library implementations it checks.  The one
-exception is the per-step Kalman reference (``filter_per_step`` and the
-functions after it): it runs every covariance recursion at every step, as
+shares no code path with the library implementations it checks, except
+the exact DSF's change of basis (see the last paragraph).  One exception
+to first principles is the per-step Kalman reference (``filter_per_step``
+and the functions after it): it runs every covariance recursion at every step, as
 the library did before it learned to stop them once they settle, so tests
 can check the library's steady-state path at sizes the joint-Gaussian
 oracles cannot reach.  It returns the library's own pass containers.
@@ -20,14 +21,24 @@ The regression design (``DesignRegression``, ``assemble_regression``) and
 the expected complete-data log-likelihood (``q_function``) are here too:
 the library works on sufficient statistics alone and calls neither, but
 tests use them to state its results in textbook terms.
+
+The exact rational DSF (``exact_dsf_small``, with ``RationalMatrix``) is
+the oracle for the library's sampled DSF.  It builds every entry as a
+ratio of polynomials by the characteristic-polynomial adjugate recursion
+on the hidden block, so it shares no evaluation code with the sampled
+path, but it takes the change of basis that exposes the measured
+coordinates from the library (``netrecon.dsf._transformed_blocks``):
+both paths read the DSF off the same partitioned blocks.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from netrecon import RegressionData
+from netrecon import DSFError, RegressionData
+from netrecon.dsf import _transformed_blocks
 
 
 @dataclass(kw_only=True)
@@ -437,3 +448,164 @@ def loglik_per_step(fp, p):
         total += -0.5 * (p * np.log(2.0 * np.pi) + logdet
                          + nu @ np.linalg.solve(S, nu))
     return float(total)
+
+
+class UnsupportedSizeError(DSFError):
+    """The exact rational path only supports small hidden blocks."""
+
+
+class RationalMatrix:
+    """Matrix of scalar rational functions, each a (num, den) coefficient pair.
+
+    Coefficients are stored lowest power first and denominators are monic.
+    An entry is identically zero when its numerator has no nonzero
+    coefficient.
+    """
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.shape = (len(entries), len(entries[0]))
+
+    def num(self, i, j):
+        return self.entries[i][j][0]
+
+    def den(self, i, j):
+        return self.entries[i][j][1]
+
+    def is_zero(self, i, j):
+        return not np.any(self.num(i, j))
+
+    def zero_pattern(self):
+        rows, cols = self.shape
+        return np.array([[not self.is_zero(i, j) for j in range(cols)]
+                         for i in range(rows)])
+
+    def evaluate(self, q_points):
+        """Evaluate every entry at the given complex points; returns (L, rows, cols)."""
+        q = np.asarray(q_points, dtype=complex).ravel()
+        rows, cols = self.shape
+        out = np.empty((q.size, rows, cols), dtype=complex)
+        for i in range(rows):
+            for j in range(cols):
+                num, den = self.entries[i][j]
+                out[:, i, j] = npoly.polyval(q, num) / npoly.polyval(q, den)
+        return out
+
+
+def _faddeev_leverrier(M):
+    """Characteristic polynomial and adjugate expansion of (qI - M).
+
+    Returns (char, adj) where char has length h+1 (lowest power first,
+    monic) and adj[d] is the h x h coefficient matrix of q^d in
+    adj(qI - M) = sum_d q^d adj[d], so (qI - M)^{-1} = adj(q) / char(q).
+    """
+    h = M.shape[0]
+    coeffs = np.zeros(h + 1)
+    coeffs[h] = 1.0
+    adj = np.zeros((h, h, h))
+    Nk = np.eye(h)
+    for k in range(1, h + 1):
+        if k > 1:
+            Nk = M @ Nk + c * np.eye(h)
+        c = -np.trace(M @ Nk) / k
+        coeffs[h - k] = c
+        adj[h - k] = Nk
+    return coeffs, adj
+
+
+def _poly_trim(c):
+    c = np.asarray(c, dtype=float)
+    nz = np.nonzero(c)[0]
+    return c[: nz[-1] + 1] if nz.size else np.zeros(1)
+
+
+def _canonical_zero(matrix_polys, rel_tol=1e-10):
+    """Zero out entries whose coefficients all fall below rel_tol times the
+    largest coefficient magnitude in the matrix (recursion round-off)."""
+    scale = max((np.max(np.abs(c)) for row in matrix_polys for c in row), default=0.0)
+    thresh = rel_tol * scale
+    out = []
+    for row in matrix_polys:
+        out_row = []
+        for c in row:
+            c = np.where(np.abs(c) <= thresh, 0.0, c)
+            out_row.append(_poly_trim(c))
+        out.append(out_row)
+    return out
+
+
+def exact_dsf_small(model, max_hidden=12):
+    """Exact rational (Q, P, H) via the adjugate recursion on the hidden block.
+
+    Every entry in row i shares the monic denominator
+    d_i(q) = q char(q) - w_ii(q), where char is the characteristic
+    polynomial of the hidden block and w_ij collects the numerators of W.
+    Only feasible for small hidden blocks; raises UnsupportedSizeError when
+    n - p exceeds ``max_hidden``.
+    """
+    h = model.n - model.p
+    if h > max_hidden:
+        raise UnsupportedSizeError(
+            f"exact path supports n - p <= {max_hidden}, got {h}")
+    A11, A12, A21, A22, B1, B2, K1, K2 = _transformed_blocks(model)
+    p, m = model.p, model.m
+
+    char, adj = _faddeev_leverrier(A22) if h > 0 else (np.ones(1), np.zeros((0, 0, 0)))
+
+    def numerator_polys(first, second):
+        # entries of first*char + A12 adj second, as (rows, cols) coeff arrays
+        rows, cols = first.shape
+        deg = h + 1
+        out = np.zeros((deg, rows, cols))
+        for d in range(len(char)):
+            out[d] += first * char[d]
+        for d in range(h):
+            out[d] += A12 @ adj[d] @ second
+        return [[_poly_trim(out[:, i, j]) for j in range(cols)] for i in range(rows)]
+
+    w = numerator_polys(A11, A21)
+    v = numerator_polys(B1, B2)
+    l = numerator_polys(K1, K2)
+
+    # row denominators d_i = q*char - w_ii, monic of degree h+1
+    dens = []
+    for i in range(p):
+        dpoly = np.zeros(h + 2)
+        dpoly[1:] = char
+        wi = w[i][i]
+        dpoly[: len(wi)] -= wi
+        dens.append(_poly_trim(dpoly))
+
+    zero = np.zeros(1)
+    one = np.ones(1)
+
+    q_nums = [[w[i][j] if i != j else zero for j in range(p)] for i in range(p)]
+    h_nums = []
+    for i in range(p):
+        row = []
+        for j in range(p):
+            if i == j:
+                row.append(_poly_trim(npoly.polyadd(l[i][i], dens[i])))
+            else:
+                row.append(_poly_trim(npoly.polysub(l[i][j], w[i][j])))
+        h_nums.append(row)
+    p_nums = []
+    for i in range(p):
+        row = []
+        for j in range(m):
+            num = v[i][j]
+            if np.any(model.D):
+                # (I - Qhat) D contribution: D_ij d_i - sum_{l != i} w_il D_lj
+                num = npoly.polyadd(num, model.D[i, j] * dens[i])
+                for l_idx in range(p):
+                    if l_idx != i and model.D[l_idx, j] != 0.0:
+                        num = npoly.polysub(num, model.D[l_idx, j] * w[i][l_idx])
+            row.append(_poly_trim(num))
+        p_nums.append(row)
+
+    def build(nums, cols):
+        nums = _canonical_zero(nums)
+        return RationalMatrix([[(nums[i][j], dens[i].copy()) for j in range(cols)]
+                               for i in range(len(nums))])
+
+    return build(q_nums, p), build(p_nums, m), build(h_nums, p)

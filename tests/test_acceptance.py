@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from netrecon import (BenchConfig, ReconConfig, SBLOptions, Mask,
-                      StateSpaceModel, default_q_points,
-                      dsf_from_state_space, exact_dsf_small,
+                      StateSpaceModel, default_q_points, dsf_from_state_space,
                       generate_random_network, identifiability_mask,
                       marginal_loglik, observed_loglik, posterior, reconstruct,
                       run_benchmark, sbl_em, simulate, smooth)
 from netrecon.cli import cli_main
 
-from _oracles import (DesignRegression, loglik_oracle, pinv_posterior_dense,
-                      ridge_posterior_dense, random_stable_model,
-                      smoothed_oracle)
+from _oracles import (DesignRegression, exact_dsf_small, loglik_oracle,
+                      pinv_posterior_dense, ridge_posterior_dense,
+                      random_stable_model, smoothed_oracle)
 
 
 def _report(num, text):

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netrecon import (BenchConfig, exact_dsf_small, load_dataset_csv,
-                      load_model)
+from netrecon import BenchConfig, load_dataset_csv, load_model
 from netrecon.cli import cli_main, load_config
+
+from _oracles import exact_dsf_small
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from netrecon import (StateSpaceModel, NetworkGraph, DSFError,
-                      UnsupportedSizeError, default_q_points,
-                      dsf_from_state_space, exact_dsf_small, boolean_structure,
+                      default_q_points, dsf_from_state_space, boolean_structure,
                       graph_compare, generate_random_network, save_dsf_result)
+
+from _oracles import UnsupportedSizeError, exact_dsf_small
 
 
 def identity_output_model(A, sigma=1.0, B=None, D=None, p=None):

@@ -6,7 +6,9 @@ from netrecon import (StateSpaceModel, Dataset, GenerationError,
                       SimulationDivergedError, generate_random_network,
                       simulate, scale_noise_for_snr, save_dataset_csv,
                       load_dataset_csv, save_model, load_model,
-                      exact_dsf_small, FileFormatError)
+                      FileFormatError)
+
+from _oracles import exact_dsf_small
 
 
 def small_model(rng, n=3, p=2, m=2, sigma=0.5):

@@ -6,8 +6,9 @@ import pytest
 from netrecon import (StateSpaceModel, ReconConfig, IdentifiabilityError, p22_sweep,
                       reconstruct, unpack_w, pack_w, converged, simulate,
                       generate_random_network, graph_compare, NetworkGraph,
-                      exact_dsf_small, save_result, observed_loglik,
-                      SBLOptions)
+                      save_result, observed_loglik, SBLOptions)
+
+from _oracles import exact_dsf_small
 
 
 def two_node_system(sigma=0.0):
