@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dsf import NetworkGraph, graph_compare
-from .fileio import fmt
+from .fileio import fmt, record_lines
 from .model import generate_random_network, simulate
 from .reconstruct import recon_config, reconstruct
 
@@ -30,7 +30,7 @@ __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchConfig:
     """Benchmark sweep settings; ``recon`` holds reconstruction settings for
     every cell, keyed as in :func:`netrecon.reconstruct.recon_config`
@@ -58,7 +58,8 @@ class BenchConfig:
             raise ValueError("n_assumed must be at least p")
         if self.m != self.p:
             raise ValueError("benchmark requires m = p")
-        self.snr_list = tuple(float(s) for s in self.snr_list)
+        object.__setattr__(self, "snr_list",
+                           tuple(float(s) for s in self.snr_list))
         if len(set(self.snr_list)) < len(self.snr_list):
             raise ValueError(f"snr_list repeats a value: {self.snr_list}")
         if {k.replace("-", "_") for k in self.recon} & {"n_states", "seed"}:
@@ -69,7 +70,7 @@ class BenchConfig:
     def echo(self):
         """Every setting as the text the result files embed: floats by
         ``fmt``, tuples comma-joined, then one ``recon_<key>`` per entry of
-        ``recon``."""
+        ``recon`` (a float again by ``fmt``)."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -79,8 +80,8 @@ class BenchConfig:
                 out[f.name] = ",".join(fmt(v) for v in value)
             elif f.type is not dict:   # recon: one key per entry, below
                 out[f.name] = value
-        for key in sorted(self.recon):
-            out[f"recon_{key}"] = self.recon[key]
+        for key, value in sorted(self.recon.items()):
+            out[f"recon_{key}"] = fmt(value) if isinstance(value, float) else value
         return out
 
 
@@ -99,7 +100,7 @@ class RunRecord:
     status: str
     failed: bool
     error: str = ""
-    wall_time: float = 0.0   # in-memory only, never written to result files
+    wall_time: float = field(default=0.0, compare=False)   # in memory only
 
 
 @dataclass
@@ -150,18 +151,7 @@ class BenchTable:
         lines = ["# netrecon benchmark records v1"]
         for key, val in self.config.echo().items():
             lines.append(f"# {key} {val}")
-        lines.append("network,snr_db,gen_seed,sim_seed,recon_seed,precision,"
-                     "tpr,n_est_edges,n_true_edges,outer_iterations,status,"
-                     "failed,error")
-        for r in self.records:
-            lines.append(",".join([
-                str(r.network), fmt(r.snr_db), str(r.gen_seed), str(r.sim_seed),
-                str(r.recon_seed),
-                fmt(r.precision) if np.isfinite(r.precision) else "nan",
-                fmt(r.tpr) if np.isfinite(r.tpr) else "nan",
-                str(r.n_est_edges), str(r.n_true_edges),
-                str(r.outer_iterations), r.status, str(int(r.failed)),
-                r.error.replace(",", ";")]))
+        lines.extend(record_lines(RunRecord, self.records, ","))
         return "\n".join(lines) + "\n"
 
 

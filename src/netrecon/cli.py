@@ -2,9 +2,11 @@
 
 Shared flags: --seed (drives every random choice), --config (key-value
 file supplying defaults that explicit flags override), --out.  Config keys
-are the long flag names, with '-' and '_' read alike; an unknown key is a
-usage error.  Exit codes: 0 success, 1 usage error, 2 runtime error (a
-config value that does not parse names its file and line).  All output
+are the long flag names, with '-' and '_' read alike; every subcommand
+merges its file and flags in ``_settings``.  Exit codes: 0 success, 1 usage
+error (an unknown key, a flag value that does not parse, a missing or
+meaningless setting), 2 runtime error (a config value that does not parse,
+named by its file and line, or an unreadable input file).  All output
 files are deterministic functions of the configuration and seed.
 """
 
@@ -78,15 +80,18 @@ def load_config(path):
     return _read_config(path).values
 
 
-# config-file key -> type, for the subcommands without a library schema
+# setting -> type: the schema of each subcommand's flags and config keys
 _SIMULATE_KEYS = {"seed": int, "n_samples": int, "snr_db": float, "p": int,
                   "n": int, "m": int, "density": float}
 _DSF_KEYS = {"seed": int, "rel_tol": float}
+# each BenchConfig field in lower case (N_samples reads as n_samples; a
+# tuple is a comma-separated list), then recon_<key> per reconstruct setting
+_BENCH_KEYS = {**{f.name.lower(): list if f.type is tuple else f.type
+                  for f in dataclasses.fields(BenchConfig) if f.type is not dict},
+               **{"recon_" + key: kind for key, kind in RECON_KEYS.items()}}
 
-# config-file key -> (BenchConfig field, type): the field name in lower
-# case (N_samples reads as n_samples); a tuple is a comma-separated list
-_BENCH_KEYS = {f.name.lower(): (f.name, list if f.type is tuple else f.type)
-               for f in dataclasses.fields(BenchConfig) if f.type is not dict}
+# flag and config-key spelling -> the setting it names
+_ALIASES = {"mask": "mask_mode"}
 
 
 def _build_parser():
@@ -114,12 +119,12 @@ def _build_parser():
     rec = sub.add_parser("reconstruct", help="reconstruct a network from a "
                                              "dataset CSV")
     rec.add_argument("--data", required=True)
-    # one flag per RECON_KEYS setting; mask_mode is the one spelled --mask
+    # one flag per RECON_KEYS setting, spelled as its alias where it has one
     defaults = recon_settings(ReconConfig(n_states=0))
+    spelling = {key: alias for alias, key in _ALIASES.items()}
     for key, kind in RECON_KEYS.items():
-        flag = "mask" if key == "mask_mode" else key.replace("_", "-")
-        rec.add_argument("--" + flag, dest=key,
-                         metavar=kind.__name__.upper(),
+        rec.add_argument("--" + spelling.get(key, key).replace("_", "-"),
+                         dest=key, type=kind, metavar=kind.__name__.upper(),
                          help="required" if key == "n_states"
                          else f"default {defaults[key]}")
     rec.add_argument("--config", default=None)
@@ -149,16 +154,17 @@ def _build_parser():
 
 def _settings(command, kinds, args, config):
     """Settings named in ``kinds``: flag values where given, else config
-    file values; an unknown config key is a usage error."""
+    file values parsed at their line; an unknown config key is a usage error."""
     out = {}
     for key in config.values:
         name = key.replace("-", "_")
+        name = _ALIASES.get(name, name)
         if name not in kinds:
             raise _UsageError(f"unknown {command} config key '{key}' (expected "
                               f"one of {', '.join(sorted(kinds))})")
         out[name] = config.parse(key, kinds[name])
-    out.update((name, getattr(args, name)) for name in kinds
-               if getattr(args, name) is not None)
+    out.update((name, getattr(args, name, None)) for name in kinds
+               if getattr(args, name, None) is not None)
     return out
 
 
@@ -196,12 +202,7 @@ def _cmd_simulate(args, config):
 
 def _cmd_reconstruct(args, config):
     """Settings from the config file, then flags, over the library defaults."""
-    settings = {}
-    for key, raw in config.values.items():
-        key = key.replace("-", "_")
-        settings["mask_mode" if key == "mask" else key] = raw
-    settings.update((key, getattr(args, key)) for key in RECON_KEYS
-                    if getattr(args, key) is not None)
+    settings = _settings("reconstruct", RECON_KEYS, args, config)
     if "mask_mode" in settings:   # diag-b, p-diag
         settings["mask_mode"] = settings["mask_mode"].replace("-", "_")
     try:
@@ -220,25 +221,13 @@ def _cmd_reconstruct(args, config):
 
 
 def _cmd_benchmark(args, config):
-    kwargs, recon = {}, {}
-    for key, raw in config.values.items():
-        name = key.replace("-", "_")
-        if name in _BENCH_KEYS:
-            field_name, kind = _BENCH_KEYS[name]
-            kwargs[field_name] = config.parse(key, kind)
-        elif name.startswith("recon_") and name.removeprefix("recon_") in RECON_KEYS:
-            recon[name.removeprefix("recon_")] = raw
-        else:
-            raise _UsageError(f"unknown benchmark config key '{key}' (expected "
-                              f"a benchmark key or recon_<reconstruct setting>)")
-    if recon:
-        kwargs["recon"] = recon
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.parallelism is not None:
-        kwargs["parallelism"] = args.parallelism
+    settings = _settings("benchmark", _BENCH_KEYS, args, config)
+    recon = {key.removeprefix("recon_"): settings.pop(key)
+             for key in list(settings) if key.startswith("recon_")}
+    kwargs = {f.name: settings[f.name.lower()]
+              for f in dataclasses.fields(BenchConfig) if f.name.lower() in settings}
     try:
-        bench_cfg = BenchConfig(**kwargs)
+        bench_cfg = BenchConfig(**kwargs, recon=recon)
     except ValueError as exc:
         raise _UsageError(f"benchmark: {exc}") from None
     if not args.quiet:

@@ -5,9 +5,11 @@ round-trips float64 values bit-exactly, and they never emit timestamps or
 other run-dependent content: identical inputs produce identical bytes.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
-__all__ = ["FileFormatError", "fmt", "fmt_row", "LineReader"]
+__all__ = ["FileFormatError", "fmt", "fmt_row", "record_lines", "LineReader"]
 
 
 class FileFormatError(ValueError):
@@ -28,6 +30,19 @@ def fmt(x):
 def fmt_row(values):
     """Space-separated ``fmt`` of every value."""
     return " ".join(fmt(v) for v in np.asarray(values, dtype=float).ravel())
+
+
+def record_lines(cls, records, sep):
+    """A table of record dataclass ``cls``: a header naming each field that
+    takes part in equality, then one row per record; floats by ``fmt``,
+    booleans as 0/1, and ',' in text as ';' (a cell never splits a row)."""
+    cols = [f for f in fields(cls) if f.compare]
+    def cell(f, value):
+        if f.type is float:
+            return fmt(value)
+        return str(int(value) if f.type is bool else value).replace(",", ";")
+    return [sep.join(f.name for f in cols)] + [
+        sep.join(cell(f, getattr(r, f.name)) for f in cols) for r in records]
 
 
 class LineReader:

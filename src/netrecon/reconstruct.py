@@ -28,11 +28,11 @@ from dataclasses import dataclass, field, fields, replace as _dc_replace
 import numpy as np
 
 from . import dsf as _dsf
-from .fileio import fmt, fmt_row
+from .fileio import fmt, fmt_row, record_lines
 from .model import Dataset, StateSpaceModel
-from .sbl import (IdentifiabilityError, SBLOptions, identifiability_mask,
-                  initial_sbl_state, sbl_em, regression_from_moments,
-                  moment_rss, unpack_w, pack_w, _estep)
+from .sbl import (MASK_MODES, IdentifiabilityError, SBLOptions,
+                  identifiability_mask, initial_sbl_state, sbl_em,
+                  regression_from_moments, moment_rss, unpack_w, pack_w, _estep)
 from .smoother import (FilterDivergedError, expectation_sums, observed_loglik,
                        kalman_filter, rts_smoother, lag_one_smoother)
 
@@ -55,7 +55,7 @@ __all__ = [
 _SIGMA2_FLOOR = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconConfig:
     """Settings for one reconstruction run.
 
@@ -77,10 +77,12 @@ class ReconConfig:
     zeroed); being arrays, they have no key in ``RECON_KEYS``.
 
     A setting that would make the run meaningless raises ValueError: an
-    unknown ``prior_mode``, ``outer_max_iter < 1``, a negative
-    ``outer_tol`` or a ``structure_rel_tol`` outside [0, 1); a NaN
-    fails every range.  ``n_states`` is checked against the data by
-    :func:`reconstruct`.
+    unknown ``mask_mode`` or ``prior_mode``, "p_diag" without ``p22 >= 0``,
+    ``outer_max_iter < 1``, a negative ``outer_tol`` or a
+    ``structure_rel_tol`` outside [0, 1); a NaN fails every range.
+    ``n_states`` and ``p22`` are checked against the data by
+    :func:`reconstruct`.  A config is frozen, so it stays valid;
+    ``dataclasses.replace`` derives a changed one and validates it.
     """
 
     n_states: int
@@ -97,6 +99,10 @@ class ReconConfig:
     B_init: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.mask_mode not in MASK_MODES:
+            raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
+        if self.mask_mode == "p_diag" and (self.p22 is None or self.p22 < 0):
+            raise ValueError(f"mask_mode 'p_diag' needs p22 >= 0, got {self.p22}")
         if self.prior_mode not in ("sbl", "ml"):
             raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
         if not self.outer_max_iter >= 1:
@@ -127,17 +133,14 @@ def _scalar_fields(cls, prefix=""):
 RECON_KEYS = dict(_scalar_fields(ReconConfig))
 
 
-def _parse(kind, raw):
-    return kind(raw) if isinstance(raw, str) else raw
-
-
 def recon_config(settings):
     """Build a ReconConfig from a flat ``{key: value}`` mapping.
 
     Keys are those of ``RECON_KEYS``, with '-' read as '_'; string values
     are parsed to the key's type.  Keys left out keep the defaults, the
-    nested SBLOptions' included.  A missing ``n_states``, an unknown key
-    or an unparsable value raises ValueError.
+    nested SBLOptions' included.  A missing ``n_states``, an unknown key,
+    an unparsable value or a setting the configs reject raises ValueError
+    that names the flat key (``inner_max_iter``, not ``max_iter``).
     """
     top, inner = {}, {}
     for key, raw in settings.items():
@@ -145,7 +148,7 @@ def recon_config(settings):
         if name not in RECON_KEYS:
             raise ValueError(f"unknown reconstruction setting '{key}'")
         try:
-            value = _parse(RECON_KEYS[name], raw)
+            value = RECON_KEYS[name](raw) if isinstance(raw, str) else raw
         except ValueError:
             raise ValueError(f"setting '{key}': cannot parse {raw!r}") from None
         if name.startswith("inner_"):
@@ -155,8 +158,10 @@ def recon_config(settings):
     if "n_states" not in top:
         raise ValueError("missing required setting 'n_states'")
     cfg = ReconConfig(**top)
-    cfg.inner = _dc_replace(cfg.inner, **inner)
-    return cfg
+    try:
+        return _dc_replace(cfg, inner=_dc_replace(cfg.inner, **inner))
+    except ValueError as exc:   # SBLOptions names its field first
+        raise ValueError(f"inner_{exc}") from None
 
 
 def recon_settings(cfg):
@@ -431,13 +436,6 @@ def save_result(path, result, config_echo):
     lines.append("dsf_q_points")
     lines.extend(f"{fmt(q.real)} {fmt(q.imag)}" for q in result.dsf.q_points)
     lines.append("trace")
-    lines.append("iteration obs_loglik n_active sigma2 gamma_max "
-                 "inner_iterations damped pinv_steps evidence_decreases")
-    for rec in result.trace:
-        lines.append(" ".join([str(rec.iteration), fmt(rec.obs_loglik),
-                               str(rec.n_active), fmt(rec.sigma2),
-                               fmt(rec.gamma_max), str(rec.inner_iterations),
-                               str(int(rec.damped)), str(rec.pinv_steps),
-                               str(rec.evidence_decreases)]))
+    lines.extend(record_lines(IterationRecord, result.trace, " "))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

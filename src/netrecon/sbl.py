@@ -64,6 +64,10 @@ __all__ = [
 _DEAD_COLUMN_TOL = 1e-12
 
 
+# The identifiability regimes that ``identifiability_mask`` builds.
+MASK_MODES = ("unconstrained", "diag_b", "p_diag")
+
+
 class IdentifiabilityError(ValueError):
     """The requested mask cannot guarantee a diagonal input-to-output map."""
 
@@ -125,7 +129,7 @@ class SBLState:
     warnings: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SBLOptions:
     """Inner-loop controls: at least one iteration, nonnegative tolerances
     (a NaN is rejected)."""
@@ -169,7 +173,7 @@ def identifiability_mask(n, p, m, mode, p22=None):
     free), F is a free p22 x p22 block, and x marks free blocks.  A11 and
     A21 stay free.
     """
-    if mode not in ("unconstrained", "diag_b", "p_diag"):
+    if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     if n < p:
         raise ValueError("need n >= p")

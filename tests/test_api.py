@@ -6,6 +6,7 @@ that would make a run meaningless (no iteration, a NaN tolerance, an
 empty sweep) raise ValueError in the library and exit 1 from the CLI.
 """
 
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -15,7 +16,7 @@ import types
 import pytest
 
 import netrecon
-from netrecon import BenchConfig, ReconConfig, SBLOptions
+from netrecon import BenchConfig, ReconConfig, SBLOptions, recon_config
 from netrecon.cli import cli_main
 
 NAN = math.nan
@@ -62,10 +63,20 @@ def test_sbl_options_reject_meaningless_settings(kwargs):
     {"outer_max_iter": 0}, {"outer_tol": -1.0}, {"outer_tol": NAN},
     {"structure_rel_tol": NAN}, {"structure_rel_tol": -0.1},
     {"structure_rel_tol": 1.0}, {"prior_mode": "bogus"},
+    {"mask_mode": "bogus"}, {"mask_mode": "p_diag"},
+    {"mask_mode": "p_diag", "p22": -1},
 ], ids=_id)
 def test_recon_config_rejects_meaningless_settings(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         ReconConfig(n_states=3, **kwargs)
+
+
+def test_configs_cannot_change_after_validation():
+    for cfg, name, value in [(SBLOptions(), "max_iter", 0),
+                             (ReconConfig(n_states=3), "prior_mode", "bogus"),
+                             (BenchConfig(n_networks=1), "n_networks", 0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
 
 
 def test_boundary_settings_stay_valid():
@@ -104,3 +115,28 @@ def test_cli_exits_1_on_a_meaningless_setting(tmp_path, capsys):
                      "--quiet"]) == 1
     assert "n_networks" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--inner-max-iter", "0"], "", "inner_max_iter must be at least 1"),
+    ([], "inner_max_iter = 0\n", "inner_max_iter must be at least 1"),
+    (["--mask", "bogus"], "", "unknown mask_mode 'bogus'"),
+    ([], "mask = p-diag\n", "mask_mode 'p_diag' needs p22 >= 0"),
+], ids=["inner-flag", "inner-config", "mask-flag", "p-diag-config"])
+def test_cli_rejects_a_setting_before_reading_the_data(tmp_path, capsys,
+                                                       flags, config, message):
+    # the data file does not exist: a setting error must come first
+    cfg = tmp_path / "rec.cfg"
+    cfg.write_text("n_states = 3\n" + config)
+    out = tmp_path / "r.txt"
+    assert cli_main(["reconstruct", "--data", str(tmp_path / "none.csv"),
+                     "--config", str(cfg), *flags, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nested_setting_error_names_the_flat_key():
+    with pytest.raises(ValueError, match="inner_max_iter must be at least 1"):
+        recon_config({"n_states": 3, "inner_max_iter": 0})
+    with pytest.raises(ValueError, match="inner_tol must be nonnegative"):
+        recon_config({"n_states": 3, "inner_tol": "-1"})

@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -286,3 +287,44 @@ def test_config_value_error_names_file_and_line(tmp_path, capsys):
     assert run_cli(["simulate", "--p", 2, "--n", 3, "--density", "0.5",
                     "--config", sim, "--out", tmp_path / "d.csv"]) == 2
     assert f"{sim}:2: field 'n-samples'" in capsys.readouterr().err
+    rec = tmp_path / "rec.cfg"
+    rec.write_text("n_states = 3\nouter_tol = abc\n")
+    assert run_cli(["reconstruct", "--data", tmp_path / "d.csv", "--config",
+                    rec, "--out", tmp_path / "r.txt"]) == 2
+    assert f"{rec}:2: field 'outer_tol'" in capsys.readouterr().err
+    cfg.write_text("n_networks = 1\np = 2\nrecon_outer_tol = abc\n")
+    assert run_cli(["benchmark", "--config", cfg, "--out", tmp_path / "t.csv",
+                    "--quiet"]) == 2
+    assert f"{cfg}:3: field 'recon_outer_tol'" in capsys.readouterr().err
+
+
+def test_readme_lists_each_subcommand_schema():
+    from netrecon import RECON_KEYS
+    from netrecon.cli import _BENCH_KEYS, _DSF_KEYS, _SIMULATE_KEYS
+    schemas = {"reconstruct": RECON_KEYS, "simulate": _SIMULATE_KEYS,
+               "dsf": _DSF_KEYS,
+               "benchmark": [k for k in _BENCH_KEYS if not k.startswith("recon_")]}
+    text = (FIXTURES.parent / "README.md").read_text()
+    section = text.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    listed = {command: [key.strip() for key in keys.split(",")]
+              for command, keys in re.findall(r"`(\w+)` keys: `([^`]*)`", section)}
+    assert set(listed) == set(schemas)
+    for command, schema in schemas.items():
+        assert sorted(listed[command]) == sorted(schema), command
+
+
+def test_record_files_take_their_columns_from_the_records():
+    from netrecon import IterationRecord, RunRecord
+    from netrecon.fileio import record_lines
+    assert record_lines(IterationRecord, [], " ") == [
+        "iteration obs_loglik n_active sigma2 gamma_max inner_iterations "
+        "damped pinv_steps evidence_decreases"]
+    failed = RunRecord(network=0, snr_db=20.0, gen_seed=1, sim_seed=2,
+                       recon_seed=3, precision=float("nan"), tpr=0.5,
+                       n_est_edges=0, n_true_edges=2, outer_iterations=0,
+                       status="error", failed=True, error="ValueError: a, b",
+                       wall_time=1.5)
+    assert record_lines(RunRecord, [failed], ",") == [
+        "network,snr_db,gen_seed,sim_seed,recon_seed,precision,tpr,"
+        "n_est_edges,n_true_edges,outer_iterations,status,failed,error",
+        "0,20,1,2,3,nan,0.5,0,2,0,error,1,ValueError: a; b"]
