@@ -2,9 +2,10 @@
 
 Shared flags: --seed (drives every random choice), --config (key-value
 file supplying defaults that explicit flags override), --out.  Config keys
-are the long flag names, with '-' and '_' read alike; every subcommand
-merges its file and flags in ``_settings``.  Exit codes: 0 success, 1 usage
-error (an unknown key, a flag value that does not parse, a missing or
+are the long flag names (``mask`` for ``mask_mode``, also as ``recon_mask``),
+with '-' and '_' read alike, in a mask value too; every subcommand merges
+its file and flags in ``_settings``.  Exit codes: 0 success, 1 usage error
+(an unknown key, a flag value that does not parse, a missing or
 meaningless setting), 2 runtime error (a config value that does not parse,
 named by its file and line, or an unreadable input file).  All output
 files are deterministic functions of the configuration and seed.
@@ -16,7 +17,8 @@ import logging
 import sys
 
 from .bench import BenchConfig, _derive_seed, run_benchmark
-from .dsf import boolean_structure, default_q_points, dsf_from_state_space, save_dsf_result
+from .dsf import (_check_rel_tol, boolean_structure, default_q_points,
+                  dsf_from_state_space, save_dsf_result)
 from .fileio import FileFormatError, LineReader
 from .model import (generate_random_network, load_dataset_csv, load_model,
                     save_dataset_csv, save_model, simulate)
@@ -91,7 +93,7 @@ _BENCH_KEYS = {**{f.name.lower(): list if f.type is tuple else f.type
                **{"recon_" + key: kind for key, kind in RECON_KEYS.items()}}
 
 # flag and config-key spelling -> the setting it names
-_ALIASES = {"mask": "mask_mode"}
+_ALIASES = {"mask": "mask_mode", "recon_mask": "recon_mask_mode"}
 
 
 def _build_parser():
@@ -107,7 +109,8 @@ def _build_parser():
     sim.add_argument("--m", type=int, help="number of inputs (must equal p)")
     sim.add_argument("--density", type=float, help="A sparsity density in (0,1]")
     sim.add_argument("--n-samples", type=int, help="number of output samples")
-    sim.add_argument("--snr-db", type=float, help="default: no noise")
+    sim.add_argument("--snr-db", type=float, help="default: keep the model's "
+                     "noise scale sigma (1 for a generated model)")
     sim.add_argument("--model-in", default=None,
                      help="simulate this model file instead of generating")
     sim.add_argument("--model-out", default=None,
@@ -175,6 +178,14 @@ def _required(settings, name):
     return settings[name]
 
 
+def _checked(command, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError is a usage error of ``command``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(f"{command}: {exc}") from None
+
+
 def _cmd_simulate(args, config):
     settings = _settings("simulate", _SIMULATE_KEYS, args, config)
     seed = settings.get("seed", 0)
@@ -203,12 +214,7 @@ def _cmd_simulate(args, config):
 def _cmd_reconstruct(args, config):
     """Settings from the config file, then flags, over the library defaults."""
     settings = _settings("reconstruct", RECON_KEYS, args, config)
-    if "mask_mode" in settings:   # diag-b, p-diag
-        settings["mask_mode"] = settings["mask_mode"].replace("-", "_")
-    try:
-        cfg = recon_config(settings)
-    except ValueError as exc:
-        raise _UsageError(f"reconstruct: {exc}") from None
+    cfg = _checked("reconstruct", recon_config, settings)
     data = load_dataset_csv(args.data)
     result = reconstruct(data, cfg)
     echo = {key: "-" if value is None else value
@@ -226,10 +232,7 @@ def _cmd_benchmark(args, config):
              for key in list(settings) if key.startswith("recon_")}
     kwargs = {f.name: settings[f.name.lower()]
               for f in dataclasses.fields(BenchConfig) if f.name.lower() in settings}
-    try:
-        bench_cfg = BenchConfig(**kwargs, recon=recon)
-    except ValueError as exc:
-        raise _UsageError(f"benchmark: {exc}") from None
+    bench_cfg = _checked("benchmark", BenchConfig, **kwargs, recon=recon)
     if not args.quiet:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(message)s")
@@ -251,6 +254,7 @@ def _cmd_dsf(args, config):
     settings = _settings("dsf", _DSF_KEYS, args, config)
     seed = settings.get("seed", 0)
     rel_tol = settings.get("rel_tol", 1e-4)
+    _checked("dsf", _check_rel_tol, rel_tol)
     model, meta = load_model(args.model)
     sample = dsf_from_state_space(model, default_q_points(seed=seed))
     graph = boolean_structure(sample, rel_tol)

@@ -211,19 +211,25 @@ def _eval_dsf_point(q, blocks, D, pole_tol):
     return Qhat, V / denom + (I - Qhat) @ D, L / denom + (I - Qhat)
 
 
+def _check_rel_tol(rel_tol, name="rel_tol"):
+    """ValueError unless the structure threshold is in [0, 1); NaN is not."""
+    if not 0 <= rel_tol < 1:
+        raise ValueError(f"{name} must be in [0, 1), got {rel_tol}")
+
+
 def boolean_structure(sample, rel_tol):
     """Extract the Boolean network from sampled DSF values.
 
     An edge j -> i is present when max_q |Q_ij(q)| exceeds rel_tol times
     the largest magnitude over all entries and points of Q; the same rule
-    applies to P.  All-zero matrices yield an empty (valid) graph.
+    applies to P.  All-zero matrices yield an empty (valid) graph.  A
+    ``rel_tol`` outside [0, 1) raises ValueError.
     """
+    _check_rel_tol(rel_tol)
     if sample.q_points.size == 0:
         raise ValueError("sample is empty")
-    absQ = np.abs(sample.Q_vals).max(axis=0)
-    absP = np.abs(sample.P_vals).max(axis=0)
-    q_adj = absQ > rel_tol * absQ.max() if absQ.max() > 0 else np.zeros_like(absQ, dtype=bool)
-    p_adj = absP > rel_tol * absP.max() if absP.max() > 0 else np.zeros_like(absP, dtype=bool)
+    absQ, absP = (np.abs(v).max(axis=0) for v in (sample.Q_vals, sample.P_vals))
+    q_adj, p_adj = absQ > rel_tol * absQ.max(), absP > rel_tol * absP.max()
     np.fill_diagonal(q_adj, False)
     return NetworkGraph(q_adj=q_adj, p_adj=p_adj)
 

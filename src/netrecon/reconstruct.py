@@ -110,9 +110,7 @@ class ReconConfig:
                              f"got {self.outer_max_iter}")
         if not self.outer_tol >= 0:
             raise ValueError(f"outer_tol must be nonnegative, got {self.outer_tol}")
-        if not 0 <= self.structure_rel_tol < 1:
-            raise ValueError(f"structure_rel_tol must be in [0, 1), "
-                             f"got {self.structure_rel_tol}")
+        _dsf._check_rel_tol(self.structure_rel_tol, "structure_rel_tol")
 
 
 def _scalar_fields(cls, prefix=""):
@@ -136,11 +134,12 @@ RECON_KEYS = dict(_scalar_fields(ReconConfig))
 def recon_config(settings):
     """Build a ReconConfig from a flat ``{key: value}`` mapping.
 
-    Keys are those of ``RECON_KEYS``, with '-' read as '_'; string values
-    are parsed to the key's type.  Keys left out keep the defaults, the
-    nested SBLOptions' included.  A missing ``n_states``, an unknown key,
-    an unparsable value or a setting the configs reject raises ValueError
-    that names the flat key (``inner_max_iter``, not ``max_iter``).
+    Keys are those of ``RECON_KEYS``, with '-' read as '_', as in a
+    ``mask_mode`` value (``p-diag``); string values are parsed to the key's
+    type.  Keys left out keep the defaults, the nested SBLOptions' included.
+    A missing ``n_states``, an unknown key, an unparsable value or a
+    setting the configs reject raises ValueError that names the flat key
+    (``inner_max_iter``, not ``max_iter``).
     """
     top, inner = {}, {}
     for key, raw in settings.items():
@@ -151,6 +150,8 @@ def recon_config(settings):
             value = RECON_KEYS[name](raw) if isinstance(raw, str) else raw
         except ValueError:
             raise ValueError(f"setting '{key}': cannot parse {raw!r}") from None
+        if name == "mask_mode" and isinstance(value, str):   # diag-b, p-diag
+            value = value.replace("-", "_")
         if name.startswith("inner_"):
             inner[name[len("inner_"):]] = value
         else:
@@ -278,10 +279,10 @@ def _em_step(data, params, mask, cfg):
     entries, one E-step solve with unbounded prior variances), and sigma2 is
     rescaled by the pooled expected state and measurement residual per
     coordinate, which is the exact M-step of the tied scale at the new
-    (A, B).  Returns (new params, observed log-likelihood of ``params``,
-    the SBL state or None, the number of RTS pseudo-inverse steps, the
-    E-step and M-step wall seconds).  Raises FilterDivergedError if the
-    smoothing pass diverges.
+    (A, B).  Returns (new params, fields): ``fields`` holds every
+    ``IterationRecord`` field but ``iteration`` and ``damped``, so the SBL
+    state and its dense posterior covariance die with the call.  Raises
+    FilterDivergedError if the smoothing pass diverges.
     """
     t0 = time.perf_counter()
     A, B, sigma2, m0, R0 = params
@@ -303,25 +304,32 @@ def _em_step(data, params, mask, cfg):
         st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0),
                     opts=cfg.inner)
         A, B_fit = unpack_w(st.mu_w, n, m)
-    else:
-        st = None
+        fit = dict(n_active=int(st.active.sum()), inner_iterations=st.iteration,
+                   gamma_max=float(st.gamma.max()),
+                   evidence_decreases=len(st.warnings))
+    else:   # "ml": every free weight fitted, no prior variances
         L = _estep(reg, np.where(mask.free, np.inf, 0.0), 1.0)[0]
         A, B_fit = L[:, :n], L[:, n:]
+        fit = dict(n_active=int(mask.free.sum()), gamma_max=0.0,
+                   inner_iterations=1, evidence_decreases=0)
     rss = (moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
                       np.hstack([A, B_fit]))
            + _measurement_residual(sp, scaled, C))
     new = (A, B_fit * s, max(sigma2 * (rss / (N * (n + p))), _SIGMA2_FLOOR),
            sp.x_sm[0] * s, sp.P_sm[0] * s**2)
     t2 = time.perf_counter()
-    return new, obs_ll, st, len(sp.pinv_steps), t1 - t0, t2 - t1
+    return new, dict(obs_loglik=obs_ll, sigma2=new[2],
+                     pinv_steps=len(sp.pinv_steps), estep_s=t1 - t0,
+                     mstep_s=t2 - t1, **fit)
 
 
 def reconstruct(data, cfg):
     """Run the full reconstruction on a dataset; returns a ReconResult.
 
-    On filter divergence the iteration is retried once with (A, B, sigma^2)
-    halfway back to the previous iterate; a second failure stops the run
-    with status "diverged", the previous iterate and a partial trace.
+    Each outer iteration is one ``_em_step``, whose fields make its trace
+    record.  On filter divergence the iteration is retried once with (A, B,
+    sigma^2) halfway back to the previous iterate; a second failure stops
+    the run with status "diverged", the previous iterate and a partial trace.
     """
     t_start = time.perf_counter()
     p, m = data.p, data.m
@@ -342,35 +350,21 @@ def reconstruct(data, cfg):
     for it in range(1, cfg.outer_max_iter + 1):
         damped = False
         try:
-            step = _em_step(data, params, mask, cfg)
+            new, record = _em_step(data, params, mask, cfg)
         except FilterDivergedError:
             damped = True
             A, B, sigma2, m0, R0 = params
             params = (0.5 * (A + prev[0]), 0.5 * (B + prev[1]),
                       0.5 * (sigma2 + prev[2]), m0, R0)
             try:
-                step = _em_step(data, params, mask, cfg)
+                new, record = _em_step(data, params, mask, cfg)
             except FilterDivergedError:
                 status = "diverged"
                 params = prev[:3] + params[3:]
                 break
-        prev = params
-        params, obs_ll, st, pinv_steps, estep_s, mstep_s = step
+        prev, params = params, new
+        trace.append(IterationRecord(iteration=it, damped=damped, **record))
         w = pack_w(params[0], params[1])
-
-        if st is None:   # "ml": every free weight fitted, no prior variances
-            n_active, gamma_max, inner_iters, decreases = \
-                int(mask.free.sum()), 0.0, 1, 0
-        else:
-            n_active, gamma_max = int(st.active.sum()), float(st.gamma.max())
-            inner_iters, decreases = st.iteration, len(st.warnings)
-        trace.append(IterationRecord(
-            iteration=it, obs_loglik=obs_ll, n_active=n_active,
-            sigma2=params[2], gamma_max=gamma_max,
-            inner_iterations=inner_iters, damped=damped,
-            pinv_steps=pinv_steps, evidence_decreases=decreases,
-            estep_s=estep_s, mstep_s=mstep_s))
-        del step, st   # the dense Sigma_w must not outlive its iteration
         last_step = _relative_step(w_prev, w)
         if last_step <= cfg.outer_tol:
             status = "converged"
@@ -421,14 +415,9 @@ def save_result(path, result, config_echo):
     for key in sorted(config_echo):
         lines.append(f"  {key} {config_echo[key]}")
     lines.append("end_config")
-    lines.append("A_hat")
-    lines.extend(fmt_row(row) for row in result.A_hat)
-    lines.append("B_hat")
-    lines.extend(fmt_row(row) for row in result.B_hat)
-    lines.append("m0_hat")
-    lines.append(fmt_row(result.m0_hat))
-    lines.append("R0_hat")
-    lines.extend(fmt_row(row) for row in result.R0_hat)
+    for name in ("A_hat", "B_hat", "m0_hat", "R0_hat"):   # m0_hat: one row
+        lines.append(name)
+        lines.extend(map(fmt_row, np.atleast_2d(getattr(result, name))))
     lines.append("q_adjacency")
     lines.extend(" ".join(str(int(v)) for v in row) for row in result.network.q_adj)
     lines.append("p_adjacency")

@@ -328,3 +328,59 @@ def test_record_files_take_their_columns_from_the_records():
         "network,snr_db,gen_seed,sim_seed,recon_seed,precision,tpr,"
         "n_est_edges,n_true_edges,outer_iterations,status,failed,error",
         "0,20,1,2,3,nan,0.5,0,2,0,error,1,ValueError: a; b"]
+
+
+def test_dsf_rejects_a_threshold_outside_unit_interval(tmp_path, capsys):
+    missing = tmp_path / "no_model.txt"   # the check comes before the read
+    for bad in ("nan", "1.5", "-1"):
+        assert run_cli(["dsf", "--model", missing, f"--rel-tol={bad}"]) == 1
+        assert "rel_tol must be in [0, 1)" in capsys.readouterr().err
+    cfg = tmp_path / "dsf.cfg"
+    cfg.write_text("rel_tol = 1\n")
+    assert run_cli(["dsf", "--model", missing, "--config", cfg]) == 1
+    assert run_cli(["dsf", "--model", FIXTURES / "sample_model.txt",
+                    "--rel-tol", 0]) == 0
+
+
+def test_mask_setting_reads_alike_in_every_place(tmp_path, monkeypatch):
+    # one set of settings as reconstruct flags, a reconstruct config file,
+    # benchmark recon_ keys (the mask under its name and its alias) and a
+    # recon_config mapping, with the mask value spelled p-diag everywhere
+    import netrecon.cli as cli
+    from netrecon.bench import _cell_recon_config
+    from netrecon.reconstruct import recon_config
+    built = []
+
+    class Built(Exception):
+        pass
+
+    def capture(*args):   # reconstruct(data, cfg) and run_benchmark(cfg)
+        built.append(args[-1])
+        raise Built
+
+    monkeypatch.setattr(cli, "load_dataset_csv", lambda path: None)
+    monkeypatch.setattr(cli, "reconstruct", capture)
+    monkeypatch.setattr(cli, "run_benchmark", capture)
+    out = ["--out", tmp_path / "out.txt"]
+    rec = tmp_path / "rec.cfg"
+    rec.write_text("n_states = 7\nmask = p-diag\np22 = 1\nouter_max_iter = 8\n"
+                   "inner-max-iter = 20\nseed = 3\n")
+    runs = [["reconstruct", "--data", "d.csv", "--n-states", 7, "--mask",
+             "p-diag", "--p22", 1, "--outer-max-iter", 8, "--inner-max-iter",
+             20, "--seed", 3, *out],
+            ["reconstruct", "--data", "d.csv", "--config", rec, *out]]
+    for key in ("recon_mask_mode", "recon_mask"):
+        bench = tmp_path / f"{key}.cfg"
+        bench.write_text(f"n_networks = 1\np = 2\nn_true = 4\nn_assumed = 7\n"
+                         f"m = 2\n{key} = p-diag\nrecon_p22 = 1\n"
+                         f"recon_outer_max_iter = 8\nrecon_inner_max_iter = 20\n")
+        runs.append(["benchmark", "--config", bench, "--quiet", *out])
+    for args in runs:
+        with pytest.raises(Built):
+            run_cli(args)
+    configs = built[:2] + [_cell_recon_config(b, 3) for b in built[2:]]
+    expected = recon_config({"n_states": 7, "mask_mode": "p-diag", "p22": 1,
+                             "outer_max_iter": 8, "inner_max_iter": 20,
+                             "seed": 3})
+    assert expected.mask_mode == "p_diag" and expected.inner.max_iter == 20
+    assert configs == [expected] * 4

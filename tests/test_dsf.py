@@ -218,3 +218,12 @@ def test_save_dsf_result_deterministic(tmp_path):
     save_dsf_result(p2, fs, g, extra_header=["seed 7"])
     assert p1.read_bytes() == p2.read_bytes()
     assert b"q_adjacency" in p1.read_bytes()
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), 1.0, 1.5, -1.0])
+def test_boolean_structure_rejects_a_threshold_outside_unit_interval(rel_tol):
+    model = identity_output_model([[0.0, 0.5], [0.3, 0.0]])
+    fs = dsf_from_state_space(model, default_q_points(seed=2))
+    with pytest.raises(ValueError, match=r"rel_tol must be in \[0, 1\)"):
+        boolean_structure(fs, rel_tol)
+    assert boolean_structure(fs, 0.0).q_adj.sum() == 2

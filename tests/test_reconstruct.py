@@ -449,3 +449,36 @@ def test_previous_sbl_state_released_before_next_fit(monkeypatch):
                                                    outer_max_iter=3,
                                                    outer_tol=0.0))
     assert len(states) == len(res.trace) == 3
+
+
+def test_trace_records_come_from_the_fit(monkeypatch):
+    import importlib
+    from netrecon import identifiability_mask
+    module = importlib.import_module("netrecon.reconstruct")
+    real_sbl_em = module.sbl_em
+    fits = []
+
+    def recording_sbl_em(*args, **kwargs):
+        st = real_sbl_em(*args, **kwargs)
+        fits.append((int(st.active.sum()), float(st.gamma.max()),
+                     st.iteration, len(st.warnings)))
+        return st
+
+    monkeypatch.setattr(module, "sbl_em", recording_sbl_em)
+    truth = generate_random_network(p=3, n=5, m=3, density=0.3, seed=4)
+    data = simulate(truth.model, 150, snr_db=20.0, seed=5)
+    sbl = reconstruct(data, ReconConfig(n_states=6, seed=1, outer_max_iter=4,
+                                        outer_tol=0.0))
+    assert len(fits) == len(sbl.trace) == 4
+    assert [(r.n_active, r.gamma_max, r.inner_iterations, r.evidence_decreases)
+            for r in sbl.trace] == fits
+    assert len({(r.n_active, r.inner_iterations) for r in sbl.trace}) > 1
+
+    # "ml" fits every free weight of the mask in one solve, without sbl_em
+    ml = reconstruct(data, ReconConfig(n_states=6, seed=1, prior_mode="ml",
+                                       mask_mode="p_diag", p22=1,
+                                       outer_max_iter=3, outer_tol=0.0))
+    assert len(fits) == 4 and len(ml.trace) == 3
+    n_free = int(identifiability_mask(6, 3, 3, "p_diag", 1).free.sum())
+    assert [(r.n_active, r.gamma_max, r.inner_iterations, r.evidence_decreases)
+            for r in ml.trace] == [(n_free, 0.0, 1, 0)] * 3
