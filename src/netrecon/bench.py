@@ -23,7 +23,7 @@ import numpy as np
 from .dsf import NetworkGraph, graph_compare
 from .fileio import fmt, record_lines
 from .model import generate_random_network, simulate
-from .reconstruct import recon_config, reconstruct
+from .reconstruct import recon_config, recon_settings, reconstruct
 
 __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
 
@@ -69,8 +69,10 @@ class BenchConfig:
 
     def echo(self):
         """Every setting as the text the result files embed: floats by
-        ``fmt``, tuples comma-joined, then one ``recon_<key>`` per entry of
-        ``recon`` (a float again by ``fmt``)."""
+        ``fmt``, tuples comma-joined, then one ``recon_<key>`` per key of
+        ``recon``, with the value :func:`recon_config` reads from it (so
+        ``mask-mode = p-diag`` echoes as ``recon_mask_mode p_diag``; a float
+        again by ``fmt``)."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -80,7 +82,9 @@ class BenchConfig:
                 out[f.name] = ",".join(fmt(v) for v in value)
             elif f.type is not dict:   # recon: one key per entry, below
                 out[f.name] = value
-        for key, value in sorted(self.recon.items()):
+        read = recon_settings(_cell_recon_config(self, 0))
+        for key in sorted({k.replace("-", "_") for k in self.recon}):
+            value = read[key]
             out[f"recon_{key}"] = fmt(value) if isinstance(value, float) else value
         return out
 

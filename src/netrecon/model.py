@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import LineReader, fmt, fmt_row
+from .smoother import _linear_scan
 
 __all__ = [
     "StateSpaceModel",
@@ -42,7 +43,8 @@ class GenerationError(RuntimeError):
 
 
 class SimulationDivergedError(RuntimeError):
-    """The simulated state left the representable range (unstable model)."""
+    """The simulated state left the representable range (unstable model);
+    ``step`` is the first step k >= 1 whose state x_k is not finite."""
 
     def __init__(self, step):
         self.step = step
@@ -238,24 +240,30 @@ def _psd_sqrt(M):
 
 
 def _rollout(model, U_full, sigma, x0, rng):
-    """Iterate the state recursion over N steps; rng=None means noise-free."""
+    """Outputs y_1..y_N of x_k = A x_{k-1} + B u_{k-1} + sigma w_k from
+    x_0 = x0, with y_k = C x_k + D u_k + sigma e_k; rng=None means noise-free.
+
+    One call draws the noise of all steps, w_k (n values) then e_k (p
+    values) for each k in turn: the stream of a per-step loop.  The states
+    come from the blocked scan ``smoother._linear_scan``, which agrees with
+    a per-step loop to rounding, not bit for bit.  Raises
+    SimulationDivergedError naming the first step whose state is not
+    finite.  The scan forms powers of A up to about A^N, so for an A whose
+    powers overflow within N steps even a state that stays zero reads as
+    diverged.
+    """
     N = len(U_full) - 1
     n, p = model.n, model.p
-    Y = np.empty((N, p))
-    x = np.array(x0, dtype=float)
+    noise = np.zeros((N, n + p)) if rng is None else rng.standard_normal((N, n + p))
+    X = np.empty((N + 1, n))
+    X[0] = x0
+    X[1:] = U_full[:N] @ model.B.T + sigma * noise[:, :n]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, N + 1):
-            if rng is not None:
-                w = rng.standard_normal(n)
-                e = rng.standard_normal(p)
-            else:
-                w = np.zeros(n)
-                e = np.zeros(p)
-            x = model.A @ x + model.B @ U_full[k - 1] + sigma * w
-            if not np.all(np.isfinite(x)):
-                raise SimulationDivergedError(k)
-            Y[k - 1] = model.C @ x + model.D @ U_full[k] + sigma * e
-    return Y
+        _linear_scan(model.A, X)
+    bad = ~np.isfinite(X[1:]).all(axis=1)
+    if bad.any():
+        raise SimulationDivergedError(int(np.argmax(bad)) + 1)
+    return X[1:] @ model.C.T + U_full[1:] @ model.D.T + sigma * noise[:, n:]
 
 
 def simulate(model, N, input_kind="gaussian_iid", U_provided=None, snr_db=None, seed=None):

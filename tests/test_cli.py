@@ -384,3 +384,33 @@ def test_mask_setting_reads_alike_in_every_place(tmp_path, monkeypatch):
                              "seed": 3})
     assert expected.mask_mode == "p_diag" and expected.inner.max_iter == 20
     assert configs == [expected] * 4
+
+
+def test_benchmark_echoes_each_setting_as_read(tmp_path, monkeypatch):
+    # recon_mask = p-diag and recon_mask_mode = p_diag run the same cells,
+    # so their result files carry the same header
+    import netrecon.cli as cli
+    built = []
+
+    class Built(Exception):
+        pass
+
+    def capture(cfg):
+        built.append(cfg)
+        raise Built
+
+    monkeypatch.setattr(cli, "run_benchmark", capture)
+    for line in ("recon_mask = p-diag", "recon_mask_mode = p_diag"):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\n"
+                       f"m = 2\n{line}\nrecon_p22 = 1\nrecon_outer_tol = 1e-3\n")
+        with pytest.raises(Built):
+            run_cli(["benchmark", "--config", cfg, "--quiet",
+                     "--out", tmp_path / "t.csv"])
+    by_alias, by_name = (b.echo() for b in built)
+    assert by_alias == by_name
+    assert by_name["recon_mask_mode"] == "p_diag"
+    assert by_name["recon_outer_tol"] == "0.001"
+    api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
+                      recon={"mask-mode": "p-diag", "p22": 1, "outer_tol": 1e-3})
+    assert api.echo() == by_name

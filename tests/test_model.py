@@ -20,6 +20,11 @@ def small_model(rng, n=3, p=2, m=2, sigma=0.5):
         sigma=sigma, m0=rng.normal(size=n), R0=np.eye(n))
 
 
+def _rel(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -32,11 +37,14 @@ def test_simulate_zero_noise_matches_deterministic_recursion():
     # x0 is drawn from N(m0, R0); replay it with the same seed
     r = np.random.default_rng(4)
     x = model.m0 + np.linalg.cholesky(model.R0) @ r.standard_normal(3)
+    ref = []
     for k in range(20):
         r.standard_normal(3)  # process draw, scaled by sigma = 0
         r.standard_normal(2)  # measurement draw, scaled by sigma = 0
         x = model.A @ x + model.B @ U[k]
-        assert np.array_equal(data.Y[k], model.C @ x)
+        ref.append(model.C @ x)
+    # the simulated states are a blocked scan, which rounds in another order
+    assert _rel(data.Y, ref) <= 1e-12
     assert np.array_equal(data.U, U)
 
 
@@ -49,11 +57,38 @@ def test_simulate_zero_noise_with_feedthrough():
     r = np.random.default_rng(9)
     x = model.m0 + np.linalg.cholesky(model.R0) @ r.standard_normal(3)
     U_full = np.vstack([U, np.zeros((1, 2))])  # u(t_N) taken as zero
+    ref = []
     for k in range(1, 11):
         r.standard_normal(3)
         r.standard_normal(2)
         x = model.A @ x + model.B @ U_full[k - 1]
-        assert np.array_equal(data.Y[k - 1], model.C @ x + model.D @ U_full[k])
+        ref.append(model.C @ x + model.D @ U_full[k])
+    assert _rel(data.Y, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 8, 17, 1000])
+def test_simulate_noisy_matches_per_step_replay(N):
+    # pins the noise stream: step k draws w_k (n values), then e_k (p values)
+    rng = np.random.default_rng(12)
+    model = small_model(rng, n=4, p=2, m=2)
+    model.D = np.full((2, 2), 0.5)
+    # the SNR scaling needs two samples, so one step keeps the model's sigma
+    snr_db = 15.0 if N >= 2 else None
+    data = simulate(model, N, snr_db=snr_db, seed=6)
+    r = np.random.default_rng(6)
+    U_full = r.standard_normal((N + 1, 2))
+    sigma = model.sigma if snr_db is None else scale_noise_for_snr(
+        model, U_full[:N], snr_db, seed=int(r.integers(2**32)))
+    assert sigma > 0
+    x = model.m0 + np.linalg.cholesky(model.R0) @ r.standard_normal(4)
+    ref = []
+    for k in range(1, N + 1):
+        w = r.standard_normal(4)
+        e = r.standard_normal(2)
+        x = model.A @ x + model.B @ U_full[k - 1] + sigma * w
+        ref.append(model.C @ x + model.D @ U_full[k] + sigma * e)
+    assert _rel(data.Y, ref) <= 1e-12
+    assert np.array_equal(data.U, U_full[:N])
 
 
 def test_simulate_snr_zero_db_noise_power_matches_signal_power():
@@ -137,7 +172,8 @@ def test_simulate_divergence_names_step():
     with pytest.raises(SimulationDivergedError) as err:
         simulate(model, 5000, input_kind="provided",
                  U_provided=np.zeros((5000, 1)), seed=0)
-    assert 0 < err.value.step <= 5000
+    # x_k = 2**k exactly: the first state past the largest double is k = 1024
+    assert err.value.step == 1024
     assert str(err.value.step) in str(err.value)
 
 
