@@ -103,7 +103,9 @@ class StateSpaceModel:
             raise ValueError("sigma must be nonnegative")
         if np.linalg.matrix_rank(self.C) != p:
             raise ValueError("C must have full row rank")
-        if not np.allclose(self.R0, self.R0.T, atol=1e-10):
+        # np.allclose(R0, R0', atol=1e-10), without its per-call overhead
+        if not np.all(np.abs(self.R0 - self.R0.T)
+                      <= 1e-10 + 1e-5 * np.abs(self.R0.T)):
             raise ValueError("R0 must be symmetric")
         eigs = np.linalg.eigvalsh(0.5 * (self.R0 + self.R0.T))
         if eigs.min() < -1e-10 * max(1.0, eigs.max()):

@@ -261,10 +261,14 @@ def _initial_parameters(n, p, m, mask, Y, cfg):
     return A, B, sigma2, np.zeros(n), np.eye(n)
 
 
-def _measurement_residual(sp, data, C):
-    """Expected squared measurement residual, summed over all samples."""
-    resid = data.Y - sp.x_sm[1:] @ C.T
-    cov = float(np.sum(C * (C @ sp.P_sm.total(1, data.N + 1))))
+def _measurement_residual(sp, data):
+    """Expected squared measurement residual, summed over all samples, for
+    C = [I 0]: the outputs are the first p states, so the residual reads
+    their smoothed means and the leading p x p block of their summed
+    covariances."""
+    p = data.p
+    resid = data.Y - sp.x_sm[1:, :p]
+    cov = float(np.trace(sp.P_sm.total(1, data.N + 1)[:p, :p]))
     return float((resid**2).sum()) + cov
 
 
@@ -314,7 +318,7 @@ def _em_step(data, params, mask, cfg):
                    inner_iterations=1, evidence_decreases=0)
     rss = (moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
                       np.hstack([A, B_fit]))
-           + _measurement_residual(sp, scaled, C))
+           + _measurement_residual(sp, scaled))
     new = (A, B_fit * s, max(sigma2 * (rss / (N * (n + p))), _SIGMA2_FLOOR),
            sp.x_sm[0] * s, sp.P_sm[0] * s**2)
     t2 = time.perf_counter()

@@ -16,18 +16,18 @@ Each is posed on its row's active (unpruned) entries only, and all are
 solved together as one batch of positive definite systems.  A layout
 (``_layout``) gathers each row's active entries, in their order, and pads
 the row to the batch's largest active count; the pad has a unit diagonal
-and no coupling.  One kernel (``_kernel``) then factors the batch and
-takes the posterior covariance from the triangular inverse of each row's
-Cholesky factor, computed in the factor's own buffer; ``posterior``,
+and no coupling.  One kernel (``_kernel``) then factors each row and
+takes the posterior covariance from the triangular inverse of its
+Cholesky factor, both computed in one buffer per row; ``posterior``,
 ``marginal_loglik`` and the "ml" fit call it on a fresh layout.
 
 The inner loop (``sbl_em``) keeps its state in the compact row layout
 for the whole call: gamma, the means and the variances never return to
 w-order inside the loop, and sigma^2's residual comes from the means and
 the gathered xz rows alone.  An entry pruned during the loop is masked in
-place, as the pad is, and the layout is rebuilt only when the widest row
-loses an entry, so that the batch narrows.  The result is mapped back to
-w-order once, after the loop.
+place, as the pad is, and the layout is compacted to the surviving entries
+only when the widest row loses one, so that the batch narrows.  The result
+is mapped back to w-order once, after the loop.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -35,10 +35,11 @@ output), or the block zero pattern that guarantees a diagonal
 input-to-output transfer matrix with hidden-state routing.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 __all__ = [
     "IdentifiabilityError",
@@ -260,24 +261,28 @@ def _layout(reg, g):
     """Layout of the nonnegative prior variances g (n x d, row i of [A B]
     along the first axis) and the compact variances (n x k, zero on the
     pad)."""
-    d = g.shape[1]
-    width = (g > 0).sum(axis=1)
+    n, d = g.shape
+    live = g > 0
+    width = live.sum(axis=1)
     k = int(width.max())
     # active columns first, in their order; pruned ones fill the pad
-    order = np.argsort(g <= 0, axis=1, kind="stable")[:, :k]
-    live = np.arange(k) < width[:, None]
-    # flat indices: numpy takes and puts these faster than index pairs
-    zz = np.where(live[:, :, None] & live[:, None, :],
-                  reg.zz.ravel()[order[:, :, None] * d + order[:, None, :]], 0.0)
-    lay = _Layout(order=order, zz=zz,
-                  b=np.take_along_axis(reg.xz, order, axis=1))
-    return lay, np.take_along_axis(g, order, axis=1)
+    order = np.argsort(~live, axis=1, kind="stable")[:, :k]
+    # the pad reads an appended zero row and column of zz, through flat
+    # indices: numpy takes these faster than index pairs
+    at = np.where(np.arange(k) < width[:, None], order, d)
+    zz = np.zeros((d + 1, d + 1))
+    zz[:d, :d] = reg.zz
+    rows = np.arange(n)[:, None]
+    lay = _Layout(order=order,
+                  zz=zz.ravel()[at[:, :, None] * (d + 1) + at[:, None, :]],
+                  b=reg.xz[rows, order])
+    return lay, g[rows, order]
 
 
 def _scatter(compact, order, d):
     """Row layout (n x d) of compact values, zero off the layout."""
     out = np.zeros((len(order), d))
-    np.put_along_axis(out, order, compact, axis=1)
+    out[np.arange(len(order))[:, None], order] = compact
     return out
 
 
@@ -286,40 +291,81 @@ def _kernel(reg, lay, gc, sigma2):
 
     Row i with compact prior variances gc_i (zero where pruned) has, on
     its active entries, the posterior mean mu_i = H_i^{-1} b_i and
-    covariance sigma2 H_i^{-1}, where H_i = zz_i + sigma2 diag(1/gc_i).
-    Pruned entries and the pad get a unit diagonal and no coupling, so
-    every H_i is k x k and positive definite and all rows share one
-    batched Cholesky factorization H_i = L_i L_i'.  Each L_i is inverted
-    over the whole width k in its own buffer: the C-ordered lower factor,
-    transposed, is a Fortran-ordered upper one, which ``dtrtri`` takes
-    without a copy.  A pruned entry's row and column of L_i are the
-    identity's, and so are its inverse's; zeroing their diagonal leaves
-    R_i = L_i^{-1} with H_i^{-1} = R_i' R_i on the active entries and a
-    zero row and column at each pruned entry.
+    covariance sigma2 H_i^{-1}, where H_i = zz_i + D_i and D_i is
+    diagonal: sigma2 / gc_i on active entries, 1 on pruned entries and
+    the pad, which have no coupling, so every H_i is k x k and positive
+    definite.  Each row is factored, H_i = L_i L_i', and L_i inverted in
+    one k x k buffer: the C-ordered H_i, seen transposed, is a
+    Fortran-ordered matrix that ``dpotrf`` and ``dtrtri`` take without a
+    copy, as the upper factor L_i' and then its inverse.  A pruned entry's
+    row and column of L_i are the identity's, and so are its inverse's;
+    zeroing their diagonal leaves R_i = L_i^{-1} with H_i^{-1} = R_i' R_i
+    on the active entries and a zero row and column at each pruned entry,
+    so the means and variances there are exactly zero.
+
+    With G_i = sigma2 D_i^{-1} (gc_i on active entries, sigma2 elsewhere)
+    and diag(R_i) = 1 / diag(L_i), the sum over rows of log det H_i plus
+    the sum of log g over all n_act active entries is
+    sum_i (sum log G_i - 2 sum log diag(R_i)) - (n k - n_act) log sigma2,
+    so the log evidence is -1/2 (N_y log 2 pi + (N_y - n k) log sigma2
+    + sum_i (sum log G_i - 2 sum log diag(R_i)) + (sum y^2 - b . mu)
+    / sigma2), with b . mu the sum over rows of b_i . mu_i.
 
     Returns the compact means and variances (n x k, zero where pruned),
-    the log evidence -1/2 (N_y log 2 pi + sum log det H_i + sum log g_act
-    + (N_y - n_act) log sigma2 + (sum y^2 - sum b_i . mu_i) / sigma2)
-    and R (n x k x k).  ``lay`` is left unchanged.
+    the log evidence, R (n x k x k), b . mu and D (n x k).  ``lay`` is
+    left unchanged.
     """
-    live = gc > 0
     n, k = gc.shape
-    H = lay.zz.copy()
-    H.reshape(n, k * k)[:, ::k + 1] += np.where(
-        live, sigma2 / np.where(live, gc, 1.0), 1.0)
-    R = np.linalg.cholesky(H)
+    live = gc > 0
+    G = np.where(live, gc, sigma2)
+    D = sigma2 / G
+    R = lay.zz.copy()
     diag = R.reshape(n, k * k)[:, ::k + 1]   # a view: R is C-contiguous
-    logdet = 2.0 * np.log(diag).sum() + np.log(gc[live]).sum()
+    diag += D
+    Rt = np.swapaxes(R, 1, 2)   # Rt[i] is Fortran-ordered
     for i in range(n if k else 0):   # LAPACK rejects an empty matrix
-        info = dtrtri(R[i].T, lower=0, overwrite_c=1)[1]
+        Ri = Rt[i]
+        # upper factor (zeroing the other triangle), then its inverse
+        info = dpotrf(Ri, 0, 1, 1)[1] or dtrtri(Ri, 0, 0, 1)[1]
         if info:
-            raise np.linalg.LinAlgError(f"dtrtri failed on row {i} (info {info})")
+            raise np.linalg.LinAlgError(
+                f"SBL row {i} is not positive definite (info {info})")
+    logdet = np.log(G).sum() - 2.0 * np.log(diag).sum()
     diag *= live
-    mu = (np.swapaxes(R, 1, 2) @ (R @ lay.b[:, :, None]))[:, :, 0]
-    quad = (float(reg.y_sq_rows.sum()) - float(np.sum(lay.b * mu))) / sigma2
-    evidence = -0.5 * (reg.N_y * np.log(2.0 * np.pi) + logdet
-                       + (reg.N_y - live.sum()) * np.log(sigma2) + quad)
-    return mu, sigma2 * np.einsum("nij,nij->nj", R, R), float(evidence), R
+    mu = (Rt @ (R @ lay.b[:, :, None]))[:, :, 0]
+    bmu = float(np.vdot(lay.b, mu))
+    evidence = -0.5 * (reg.N_y * math.log(2.0 * math.pi)
+                       + (reg.N_y - n * k) * math.log(sigma2) + logdet
+                       + (float(reg.y_sq_rows.sum()) - bmu) / sigma2)
+    return (mu, sigma2 * np.einsum("nij,nij->nj", R, R), float(evidence), R,
+            bmu, D)
+
+
+def _prune(lay, gc, keep):
+    """Drop the entries of a resident layout outside ``keep`` (n x k).
+
+    Each dropped entry's variance is zeroed and its row and column of
+    ``lay.zz`` masked in place, as the pad is.  When the widest row loses
+    an entry, each row's kept entries move to the front, in their order,
+    and the batch is cut to the new width: on every kept entry the layout
+    then equals a fresh ``_layout`` of the same variances.  Returns the
+    layout and the compact variances.
+    """
+    rows, cols = np.nonzero((gc > 0) & ~keep)
+    gc[rows, cols] = 0.0
+    lay.zz[rows, cols, :] = 0.0
+    lay.zz[rows, :, cols] = 0.0
+    if keep.all(axis=1).any():   # the widest row keeps every entry
+        return lay, gc
+    n, width = gc.shape
+    k = int(np.count_nonzero(keep, axis=1).max())
+    sel = np.argsort(~keep, axis=1, kind="stable")[:, :k]
+    # flat indices, as in ``_layout``
+    at = (np.arange(n)[:, None, None] * width + sel[:, :, None]) * width
+    lay = _Layout(order=np.take_along_axis(lay.order, sel, axis=1),
+                  zz=lay.zz.ravel()[at + sel[:, None, :]],
+                  b=np.take_along_axis(lay.b, sel, axis=1))
+    return lay, np.take_along_axis(gc, sel, axis=1)
 
 
 def _estep(reg, gamma, sigma2):
@@ -333,7 +379,7 @@ def _estep(reg, gamma, sigma2):
     """
     d = reg.n + reg.m
     lay, gc = _layout(reg, gamma.reshape((d, reg.n)).T)
-    mu, var, evidence, R = _kernel(reg, lay, gc, sigma2)
+    mu, var, evidence, R, _, _ = _kernel(reg, lay, gc, sigma2)
     return (_scatter(mu, lay.order, d), _scatter(var, lay.order, d),
             evidence, lay.order, R)
 
@@ -351,24 +397,21 @@ def posterior(reg, gamma, sigma2):
     """Posterior mean and covariance of the weights at fixed (gamma, sigma2).
 
     For sigma2 > 0 this is the ridge posterior of each row, assembled from
-    the compact blocks of ``_estep``: sigma2 R_i' R_i is placed at the
-    active entries of row i.  At sigma2 = 0 it is the noiseless limit:
-    with K = G^{1/2} zz G^{1/2} on row i, mu = G^{1/2} K^+ G^{1/2} xz[i]
-    and Sigma = G^{1/2} (I - K^+ K) G^{1/2}, so directions the data do not
-    determine keep their prior variance.  Pruned coordinates get zero mean
-    and zero covariance rows/columns; an empty active set returns an
-    all-zero posterior.
+    the compact blocks of ``_estep``: sigma2 R_i' R_i goes straight to
+    row i's entries of the layout (zero on its pad).  At sigma2 = 0 it is
+    the noiseless limit: with K = G^{1/2} zz G^{1/2} on row i,
+    mu = G^{1/2} K^+ G^{1/2} xz[i] and Sigma = G^{1/2} (I - K^+ K) G^{1/2},
+    so directions the data do not determine keep their prior variance.
+    Pruned coordinates get zero mean and zero covariance rows/columns; an
+    empty active set returns an all-zero posterior.
     """
     gamma = _checked_gamma(reg, gamma)
     if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative, not NaN")
     n, d = reg.n, reg.n + reg.m
-    rows = np.arange(n)
     if sigma2 > 0:
         mu, _, _, order, R = _estep(reg, gamma, sigma2)
-        cov = np.zeros((n, d, d))
-        cov[rows[:, None, None], order[:, :, None], order[:, None, :]] = \
-            sigma2 * (np.swapaxes(R, 1, 2) @ R)
+        cov = sigma2 * (np.swapaxes(R, 1, 2) @ R)
     else:
         sq = np.sqrt(gamma.reshape((d, n)).T)
         K = sq[:, :, None] * reg.zz * sq[:, None, :]
@@ -377,9 +420,13 @@ def posterior(reg, gamma, sigma2):
         K_pinv = np.linalg.pinv(K, rtol=1e-10, hermitian=True)
         mu = sq * (K_pinv @ (sq * reg.xz)[:, :, None])[:, :, 0]
         cov = sq[:, :, None] * (np.eye(d) - K_pinv @ K) * sq[:, None, :]
+        order = np.broadcast_to(np.arange(d), (n, d))
     Sigma = np.zeros((reg.N_w, reg.N_w))
-    # w index i + n j holds row i, column j of [A B]: place row i's block
-    Sigma.reshape((d, n, d, n))[:, rows, :, rows] = cov
+    # w index i + n j holds row i, column j of [A B]: row i's block of
+    # cov goes to the rows and columns i + n order_i
+    rows = np.arange(n)[:, None, None]
+    Sigma.reshape((d, n, d, n))[order[:, :, None], rows,
+                                order[:, None, :], rows] = cov
     return mu.T.ravel(), Sigma
 
 
@@ -423,13 +470,19 @@ def sbl_em(reg, mask, init=None, opts=None):
     iteration continues.
 
     The loop's state lives in the compact layout of its first iteration:
-    gamma, the means and the variances are (n x k) arrays, and an entry
-    pruned later is masked in place (unit diagonal, no coupling, a zero
-    column of the inverse factor), so iterations reuse the gathered
-    blocks.  The layout is rebuilt from the surviving entries only when
-    the widest row loses one and the batch width k can shrink.  After the
-    loop, gamma is mapped back to w-order and ``posterior`` gives the
-    returned mean and covariance.
+    gamma, the means and the variances are (n x k) arrays, exactly zero on
+    pruned entries and on the pad, so gamma_i <- Sigma_ii + mu_i^2 needs no
+    mask.  One comparison of gamma with the prune threshold gives the
+    active set and its size.  An entry pruned later is masked in place
+    (unit diagonal, no coupling, a zero column of the inverse factor), so
+    iterations reuse the gathered blocks; when the widest row loses one,
+    the resident layout is compacted to the surviving entries and the
+    batch width k shrinks (``_prune``).  The kernel returns b . mu for the
+    residual and its added diagonal D, sigma2 / gamma on active entries,
+    so that sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 / gamma_i
+    are the dot products of D with the variances and the squared means.
+    After the loop, gamma is mapped back to w-order and ``posterior``
+    gives the returned mean and covariance.
     """
     opts = opts or SBLOptions()
     if init is None:
@@ -455,36 +508,35 @@ def sbl_em(reg, mask, init=None, opts=None):
 
     gamma[gamma < opts.prune_tol] = 0.0
     lay, gc = _layout(reg, gamma.reshape((d, n)).T)
+    # gc >= floor is gc > 0 and gc >= prune_tol in one comparison
+    floor = max(opts.prune_tol, np.nextafter(0.0, 1.0))
+    n_active = np.count_nonzero(gc)
     iteration = 0
     for iteration in range(1, opts.max_iter + 1):
-        low = (gc > 0) & (gc < opts.prune_tol)
-        if low.any():
-            gc[low] = 0.0
-            if (gc > 0).sum(axis=1).max() < gc.shape[1]:
-                lay, gc = _layout(reg, _scatter(gc, lay.order, d))
-            else:
-                rows, cols = np.nonzero(low)
-                lay.zz[rows, cols, :] = 0.0
-                lay.zz[rows, :, cols] = 0.0
-        active = gc > 0
-        n_active = int(active.sum())
+        active = gc >= floor
+        n_kept = np.count_nonzero(active)
+        if n_kept < n_active:
+            lay, gc = _prune(lay, gc, active)
+        n_active = n_kept
         n_active_path.append(n_active)
 
-        mu, var, evidence, _ = _kernel(reg, lay, gc, sigma2)
+        mu, var, evidence, _, bmu, D = _kernel(reg, lay, gc, sigma2)
         evidence_path.append(evidence)
         if len(evidence_path) >= 2 and evidence < evidence_path[-2] - 1e-8:
             warn_log.append(f"iteration {iteration}: evidence decreased by "
                             f"{evidence_path[-2] - evidence:.3e}")
 
-        gamma_new = np.where(active, var + mu**2, 0.0)
-        tr_sg = float((var[active] / gc[active]).sum())
-        # mu' zz mu from H mu = b (see the docstring)
-        rss = max(y_sq - float(np.sum(lay.b * mu))
-                  - sigma2 * float((mu[active]**2 / gc[active]).sum()), 0.0)
-        sigma2 = max((rss + sigma2 * (n_active - tr_sg)) / reg.N_y, 1e-300)
+        mu2 = mu * mu
+        gamma_new = var + mu2
+        # mu' zz mu from H mu = b (see the docstring); D = sigma2 / gamma
+        # where mu and var can be nonzero
+        rss = max(y_sq - bmu - float(np.vdot(mu2, D)), 0.0)
+        sigma2 = max((rss + sigma2 * n_active - float(np.vdot(var, D)))
+                     / reg.N_y, 1e-300)
 
-        delta = np.linalg.norm(gamma_new - gc)
-        scale = max(np.linalg.norm(gc), 1e-300)
+        step = gamma_new - gc
+        delta = math.sqrt(np.vdot(step, step))
+        scale = max(math.sqrt(np.vdot(gc, gc)), 1e-300)
         gc = gamma_new
         if n_active == 0 or delta <= opts.tol * scale:
             break

@@ -314,3 +314,28 @@ def test_model_validation():
     with pytest.raises(ValueError, match="semidefinite"):
         StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
                         sigma=1.0, m0=[0.0], R0=[[-1.0]])
+
+
+def test_model_symmetry_check_is_allclose_at_its_boundary():
+    # R0 passes when every |R0 - R0'| <= 1e-10 + 1e-5 |R0'|, as for
+    # np.allclose(R0, R0', atol=1e-10); offsets a few ulps either side of
+    # the bound, on both the absolute and the relative part
+    verdicts = []
+    for low in (0.0, 0.5, -3.0):
+        bound = 1e-10 + 1e-5 * abs(low)
+        for off in (bound * (1 - 1e-9), bound, bound * (1 + 1e-9),
+                    *np.nextafter(bound, [0.0, 1.0])):
+            for high in (low + off, low - off):
+                R0 = np.array([[10.0, high], [low, 10.0]])
+                expected = bool(np.allclose(R0, R0.T, atol=1e-10))
+                try:
+                    StateSpaceModel(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2),
+                                    D=np.zeros((2, 2)), sigma=1.0,
+                                    m0=np.zeros(2), R0=R0)
+                    accepted = True
+                except ValueError as err:
+                    assert "symmetric" in str(err)
+                    accepted = False
+                assert accepted == expected, (low, high)
+                verdicts.append(accepted)
+    assert any(verdicts) and not all(verdicts)

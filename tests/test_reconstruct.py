@@ -395,6 +395,25 @@ def test_fallback_counts_in_trace_and_result_file(tmp_path):
     assert all(len(row) == 9 for row in rows)
 
 
+def test_measurement_residual_reads_the_output_states():
+    # _em_step's C = [I 0]: reading the first p states must equal the
+    # general sum |y - C x|^2 + tr(C P C') over a smoothing pass
+    from netrecon import rts_smoother, kalman_filter
+    from netrecon.reconstruct import _measurement_residual
+    from _oracles import random_stable_model
+
+    rng = np.random.default_rng(31)
+    model = random_stable_model(rng, n=5, p=2, m=2, sigma=0.4)
+    data = simulate(model, 60, "gaussian_iid", seed=32)
+    sp = rts_smoother(model, kalman_filter(model, data))
+    C = model.C
+    resid = data.Y - sp.x_sm[1:] @ C.T
+    ref = (float((resid**2).sum())
+           + float(np.sum(C * (C @ sp.P_sm.total(1, data.N + 1)))))
+    assert _measurement_residual(sp, data) == pytest.approx(ref, rel=1e-12,
+                                                            abs=0.0)
+
+
 def test_stop_diagnosis_last_step_and_loglik_decreases():
     capped_cfg = ReconConfig(n_states=3, seed=4, outer_max_iter=2)
     capped = reconstruct(_small_system(), capped_cfg)

@@ -564,6 +564,28 @@ def test_kernel_inverse_factor_matches_full_width():
         assert np.all(np.swapaxes(R_full, 1, 2)[pruned] == 0.0)
 
 
+def test_compacted_layout_matches_a_fresh_layout():
+    # when the widest row loses an entry, sbl_em compacts its resident
+    # layout in place rather than gathering again from the moments
+    from netrecon.sbl import _layout, _prune, _scatter
+
+    reg, lay, gc, _ = masked_layout(np.random.default_rng(31))
+    d = reg.n + reg.m
+    keep = gc > 0
+    keep[1::4, 5] = False   # rows of 12 lose an entry ahead of live ones
+    assert not keep.all(axis=1).any()
+    lay, gc = _prune(lay, gc, keep)
+    assert gc.shape[1] == 29
+    fresh, gc_fresh = _layout(reg, _scatter(gc, lay.order, d))
+    live = gc > 0
+    pair = live[:, :, None] & live[:, None, :]
+    assert np.array_equal(gc, gc_fresh)
+    assert np.array_equal(lay.order[live], fresh.order[live])
+    assert np.array_equal(lay.b[live], fresh.b[live])
+    assert np.array_equal(lay.zz[pair], fresh.zz[pair])
+    assert not lay.zz[~pair].any() and not fresh.zz[~pair].any()
+
+
 def assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma):
     """``sbl_em`` against the per-iteration full-width loop, on a run that
     masks an entry in place ahead of a live one in its row and rebuilds
