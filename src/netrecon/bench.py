@@ -23,7 +23,7 @@ import numpy as np
 from .dsf import NetworkGraph, graph_compare
 from .fileio import fmt, record_lines
 from .model import generate_random_network, simulate
-from .reconstruct import recon_config, recon_settings, reconstruct
+from .reconstruct import _recon_key, recon_config, recon_settings, reconstruct
 
 __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
 
@@ -33,8 +33,9 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class BenchConfig:
     """Benchmark sweep settings; ``recon`` holds reconstruction settings for
-    every cell, keyed as in :func:`netrecon.reconstruct.recon_config`
-    (each cell sets ``n_states`` from ``n_assumed`` and its own ``seed``)."""
+    every cell, keyed as :func:`netrecon.reconstruct.recon_config` reads
+    them (``mask`` is stored as ``mask_mode``); each cell sets ``n_states``
+    from ``n_assumed`` and its own ``seed``."""
 
     n_networks: int = 10
     p: int = 10
@@ -62,7 +63,9 @@ class BenchConfig:
                            tuple(float(s) for s in self.snr_list))
         if len(set(self.snr_list)) < len(self.snr_list):
             raise ValueError(f"snr_list repeats a value: {self.snr_list}")
-        if {k.replace("-", "_") for k in self.recon} & {"n_states", "seed"}:
+        object.__setattr__(self, "recon", {_recon_key(k): v
+                                           for k, v in self.recon.items()})
+        if {"n_states", "seed"} & self.recon.keys():
             raise ValueError("recon may not set n_states or seed: each cell "
                              "takes them from n_assumed and its own seed")
         _cell_recon_config(self, 0)   # unknown keys fail before any cell runs
@@ -71,7 +74,7 @@ class BenchConfig:
         """Every setting as the text the result files embed: floats by
         ``fmt``, tuples comma-joined, then one ``recon_<key>`` per key of
         ``recon``, with the value :func:`recon_config` reads from it (so
-        ``mask-mode = p-diag`` echoes as ``recon_mask_mode p_diag``; a float
+        ``mask = p-diag`` echoes as ``recon_mask_mode p_diag``; a float
         again by ``fmt``)."""
         out = {}
         for f in fields(self):
@@ -83,7 +86,7 @@ class BenchConfig:
             elif f.type is not dict:   # recon: one key per entry, below
                 out[f.name] = value
         read = recon_settings(_cell_recon_config(self, 0))
-        for key in sorted({k.replace("-", "_") for k in self.recon}):
+        for key in sorted(self.recon):
             value = read[key]
             out[f"recon_{key}"] = fmt(value) if isinstance(value, float) else value
         return out
@@ -121,7 +124,6 @@ class BenchTable:
     rows: list
     records: list
     failure_rate: float
-    failure_rate_by_snr: dict
     config: BenchConfig
 
     def to_csv_text(self):
@@ -224,7 +226,6 @@ def run_benchmark(cfg):
     records.sort(key=lambda r: (r.network, r.snr_db))
 
     rows = []
-    failure_by_snr = {}
     for snr in cfg.snr_list:
         group = [r for r in records if r.snr_db == snr]
         good = [r for r in group if not r.failed]
@@ -234,7 +235,6 @@ def run_benchmark(cfg):
             tpr_mean=float(np.mean([r.tpr for r in good])) if good else 0.0,
             n_failed=len(group) - len(good),
             n_total=len(group)))
-        failure_by_snr[snr] = (len(group) - len(good)) / max(len(group), 1)
     pooled = sum(r.failed for r in records) / max(len(records), 1)
     return BenchTable(rows=rows, records=records, failure_rate=pooled,
-                      failure_rate_by_snr=failure_by_snr, config=cfg)
+                      config=cfg)

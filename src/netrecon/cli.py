@@ -19,11 +19,12 @@ import sys
 from .bench import BenchConfig, _derive_seed, run_benchmark
 from .dsf import (_check_rel_tol, boolean_structure, default_q_points,
                   dsf_from_state_space, save_dsf_result)
-from .fileio import FileFormatError, LineReader
+from .fileio import FileFormatError, LineReader, adjacency_rows, write_text
 from .model import (generate_random_network, load_dataset_csv, load_model,
                     save_dataset_csv, save_model, simulate)
-from .reconstruct import (RECON_KEYS, ReconConfig, recon_config,
-                          recon_settings, reconstruct, save_result)
+from .reconstruct import (_RECON_ALIASES, RECON_KEYS, ReconConfig, _recon_key,
+                          recon_config, recon_settings, reconstruct,
+                          save_result)
 
 __all__ = ["cli_main", "main", "load_config"]
 
@@ -92,9 +93,6 @@ _BENCH_KEYS = {**{f.name.lower(): list if f.type is tuple else f.type
                   for f in dataclasses.fields(BenchConfig) if f.type is not dict},
                **{"recon_" + key: kind for key, kind in RECON_KEYS.items()}}
 
-# flag and config-key spelling -> the setting it names
-_ALIASES = {"mask": "mask_mode", "recon_mask": "recon_mask_mode"}
-
 
 def _build_parser():
     parser = _Parser(prog="netrecon",
@@ -124,7 +122,7 @@ def _build_parser():
     rec.add_argument("--data", required=True)
     # one flag per RECON_KEYS setting, spelled as its alias where it has one
     defaults = recon_settings(ReconConfig(n_states=0))
-    spelling = {key: alias for alias, key in _ALIASES.items()}
+    spelling = {key: alias for alias, key in _RECON_ALIASES.items()}
     for key, kind in RECON_KEYS.items():
         rec.add_argument("--" + spelling.get(key, key).replace("_", "-"),
                          dest=key, type=kind, metavar=kind.__name__.upper(),
@@ -157,11 +155,13 @@ def _build_parser():
 
 def _settings(command, kinds, args, config):
     """Settings named in ``kinds``: flag values where given, else config
-    file values parsed at their line; an unknown config key is a usage error."""
+    file values parsed at their line; an unknown config key is a usage error.
+    A key is read as ``_recon_key`` reads it, after a ``recon_`` prefix too."""
     out = {}
     for key in config.values:
         name = key.replace("-", "_")
-        name = _ALIASES.get(name, name)
+        prefix = "recon_" if name.startswith("recon_") else ""
+        name = prefix + _recon_key(name[len(prefix):])
         if name not in kinds:
             raise _UsageError(f"unknown {command} config key '{key}' (expected "
                               f"one of {', '.join(sorted(kinds))})")
@@ -237,15 +237,12 @@ def _cmd_benchmark(args, config):
         logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(message)s")
     table = run_benchmark(bench_cfg)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table.to_csv_text())
+    write_text(args.out, table.to_csv_text())
     text = table.to_table_text()
     if args.text_out:
-        with open(args.text_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(args.text_out, text)
     if args.records_out:
-        with open(args.records_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table.records_csv_text())
+        write_text(args.records_out, table.records_csv_text())
     sys.stdout.write(text)
     return 0
 
@@ -263,8 +260,7 @@ def _cmd_dsf(args, config):
                         extra_header=[f"model {args.model}", f"seed {seed}",
                                       f"rel_tol {rel_tol}"])
     print("Q adjacency (row i, column j: edge j -> i):")
-    for row in graph.q_adj:
-        print(" ".join(str(int(v)) for v in row))
+    print("\n".join(adjacency_rows(graph.q_adj)))
     return 0
 
 

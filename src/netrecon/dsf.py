@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .fileio import adjacency_rows, fmt, write_text
+
 __all__ = [
     "DSFError",
     "FreqSample",
@@ -258,8 +260,6 @@ def graph_compare(est, truth):
 def save_dsf_result(path, sample, graph, extra_header=()):
     """Write the DSF result file: q points, per-point complex matrices as
     re/im pairs, and the Boolean adjacencies."""
-    from .fileio import fmt
-
     def cplx_row(values):
         parts = []
         for v in np.asarray(values).ravel():
@@ -282,9 +282,6 @@ def save_dsf_result(path, sample, graph, extra_header=()):
         lines.extend(cplx_row(row) for row in sample.P_vals[t])
         lines.append("H")
         lines.extend(cplx_row(row) for row in sample.H_vals[t])
-    lines.append("q_adjacency")
-    lines.extend(" ".join(str(int(v)) for v in row) for row in graph.q_adj)
-    lines.append("p_adjacency")
-    lines.extend(" ".join(str(int(v)) for v in row) for row in graph.p_adj)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += ["q_adjacency", *adjacency_rows(graph.q_adj),
+              "p_adjacency", *adjacency_rows(graph.p_adj)]
+    write_text(path, "\n".join(lines) + "\n")

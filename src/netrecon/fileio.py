@@ -9,7 +9,8 @@ from dataclasses import fields
 
 import numpy as np
 
-__all__ = ["FileFormatError", "fmt", "fmt_row", "record_lines", "LineReader"]
+__all__ = ["FileFormatError", "fmt", "fmt_row", "adjacency_rows", "record_lines",
+           "write_text", "LineReader"]
 
 
 class FileFormatError(ValueError):
@@ -32,6 +33,11 @@ def fmt_row(values):
     return " ".join(fmt(v) for v in np.asarray(values, dtype=float).ravel())
 
 
+def adjacency_rows(adj):
+    """One line per row of a Boolean adjacency: space-separated 0/1."""
+    return [" ".join(str(int(v)) for v in row) for row in adj]
+
+
 def record_lines(cls, records, sep):
     """A table of record dataclass ``cls``: a header naming each field that
     takes part in equality, then one row per record; floats by ``fmt``,
@@ -43,6 +49,13 @@ def record_lines(cls, records, sep):
         return str(int(value) if f.type is bool else value).replace(",", ";")
     return [sep.join(f.name for f in cols)] + [
         sep.join(cell(f, getattr(r, f.name)) for f in cols) for r in records]
+
+
+def write_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8 with '\n' line ends on every
+    platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 class LineReader:

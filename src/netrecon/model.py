@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import LineReader, fmt, fmt_row
+from .fileio import LineReader, fmt, fmt_row, write_text
 from .smoother import _linear_scan
 
 __all__ = [
@@ -349,8 +349,7 @@ def save_dataset_csv(dataset, path):
     for k in range(dataset.N):
         row = [str(k + 1)] + [fmt(v) for v in dataset.Y[k]] + [fmt(v) for v in dataset.U[k]]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_dataset_csv(path):
@@ -408,8 +407,7 @@ def save_model(model, path, seed=None, density=None):
     lines.append(fmt_row(model.m0))
     lines.append("R0")
     lines.extend(fmt_row(row) for row in model.R0)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path):

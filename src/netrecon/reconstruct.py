@@ -28,11 +28,11 @@ from dataclasses import dataclass, field, fields, replace as _dc_replace
 import numpy as np
 
 from . import dsf as _dsf
-from .fileio import fmt, fmt_row, record_lines
+from .fileio import adjacency_rows, fmt, fmt_row, record_lines, write_text
 from .model import Dataset, StateSpaceModel
-from .sbl import (MASK_MODES, IdentifiabilityError, SBLOptions,
-                  identifiability_mask, initial_sbl_state, sbl_em,
-                  regression_from_moments, moment_rss, unpack_w, pack_w, _estep)
+from .sbl import (MASK_MODES, SBLOptions, identifiability_mask,
+                  initial_sbl_state, sbl_em, regression_from_moments,
+                  moment_rss, unpack_w, pack_w, _estep)
 from .smoother import (FilterDivergedError, expectation_sums, observed_loglik,
                        kalman_filter, rts_smoother, lag_one_smoother)
 
@@ -73,8 +73,9 @@ class ReconConfig:
     afresh in every outer iteration, so support decisions made against
     early, poor state estimates are not locked in.
 
-    ``A_init``/``B_init`` warm-start the outer loop (masked entries are
-    zeroed); being arrays, they have no key in ``RECON_KEYS``.
+    ``A_init``/``B_init`` warm-start the outer loop; being arrays, they
+    have no key in ``RECON_KEYS``.  Every start, given or not, is zero at
+    each entry of [A B] that the mask pins.
 
     A setting that would make the run meaningless raises ValueError: an
     unknown ``mask_mode`` or ``prior_mode``, "p_diag" without ``p22 >= 0``,
@@ -91,8 +92,7 @@ class ReconConfig:
     prior_mode: str = "sbl"
     outer_max_iter: int = 50
     outer_tol: float = 1e-4
-    inner: SBLOptions = field(default_factory=lambda: SBLOptions(
-        max_iter=60, prune_tol=1e-5))
+    inner: SBLOptions = field(default_factory=SBLOptions)
     structure_rel_tol: float = 1e-2
     seed: int | None = None
     A_init: np.ndarray | None = None
@@ -130,20 +130,32 @@ def _scalar_fields(cls, prefix=""):
 # result-file config echo.
 RECON_KEYS = dict(_scalar_fields(ReconConfig))
 
+# Short name -> setting: ``mask`` is read as ``mask_mode`` in a mapping, a
+# config file and a benchmark's recon_ keys, and it spells the CLI flag.
+_RECON_ALIASES = {"mask": "mask_mode"}
+
+
+def _recon_key(key):
+    """The ``RECON_KEYS`` name of a settings key: '-' read as '_', an alias
+    resolved."""
+    name = key.replace("-", "_")
+    return _RECON_ALIASES.get(name, name)
+
 
 def recon_config(settings):
     """Build a ReconConfig from a flat ``{key: value}`` mapping.
 
-    Keys are those of ``RECON_KEYS``, with '-' read as '_', as in a
-    ``mask_mode`` value (``p-diag``); string values are parsed to the key's
-    type.  Keys left out keep the defaults, the nested SBLOptions' included.
-    A missing ``n_states``, an unknown key, an unparsable value or a
-    setting the configs reject raises ValueError that names the flat key
+    Keys are those of ``RECON_KEYS``, or ``mask`` for ``mask_mode``, with
+    '-' read as '_' (``_recon_key``), as in a ``mask_mode`` value
+    (``p-diag``); string values are parsed to the key's type.  Keys left
+    out keep the defaults, the nested SBLOptions' included.  A missing
+    ``n_states``, an unknown key, an unparsable value or a setting the
+    configs reject raises ValueError that names the flat key
     (``inner_max_iter``, not ``max_iter``).
     """
     top, inner = {}, {}
     for key, raw in settings.items():
-        name = key.replace("-", "_")
+        name = _recon_key(key)
         if name not in RECON_KEYS:
             raise ValueError(f"unknown reconstruction setting '{key}'")
         try:
@@ -231,34 +243,30 @@ def converged(w_prev, w_curr, tol):
     return _relative_step(w_prev, w_curr) <= tol
 
 
-def _initial_parameters(n, p, m, mask, Y, cfg):
-    """Seeded stable starting point.
+def _initial_parameters(n, m, mask, Y, cfg):
+    """Seeded stable starting point, zero at every entry of [A B] that the
+    mask pins.
 
-    A starts as a dense random matrix scaled to spectral radius 0.5 so
-    every assumed state is excited from the first smoothing pass; a
-    decoupled start (for example 0.5 I) leaves the hidden coordinates with
-    flat trajectories, which the sparse prior can never recover from.
+    A starts as a random matrix on the mask's free entries, scaled to
+    spectral radius 0.5 so every assumed state is excited from the first
+    smoothing pass; a decoupled start (for example 0.5 I) leaves the hidden
+    coordinates with flat trajectories, which the sparse prior can never
+    recover from.  B starts as the identity on its top block.
     """
-    if cfg.A_init is not None:
-        A = np.array(cfg.A_init, dtype=float)
-        if A.shape != (n, n):
-            raise ValueError(f"A_init must have shape {(n, n)}")
-    else:
+    freeA, freeB = unpack_w(mask.free, n, m)
+    A, B = cfg.A_init, cfg.B_init
+    for name, start, free in (("A_init", A, freeA), ("B_init", B, freeB)):
+        if start is not None and np.shape(start) != free.shape:
+            raise ValueError(f"{name} must have shape {free.shape}")
+    if A is None:
         rng = np.random.default_rng(np.random.SeedSequence(
             [0 if cfg.seed is None else int(cfg.seed), 0x1A17]))
-        A = rng.standard_normal((n, n))
+        A = np.where(freeA, rng.standard_normal((n, n)), 0.0)
         A *= 0.5 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
-    if cfg.B_init is not None:
-        B = np.array(cfg.B_init, dtype=float)
-        if B.shape != (n, m):
-            raise ValueError(f"B_init must have shape {(n, m)}")
-    else:
-        B = np.zeros((n, m))
-        B[np.arange(min(p, m)), np.arange(min(p, m))] = 1.0
-    freeB = mask.free[n * n:].reshape((n, m), order="F")
-    B[~freeB] = 0.0
+    B = np.eye(n, m) if B is None else B
     sigma2 = max(0.1 * float(np.var(Y)), 1e-6)
-    return A, B, sigma2, np.zeros(n), np.eye(n)
+    return (np.where(freeA, A, 0.0), np.where(freeB, B, 0.0), sigma2,
+            np.zeros(n), np.eye(n))
 
 
 def _measurement_residual(sp, data):
@@ -337,15 +345,12 @@ def reconstruct(data, cfg):
     """
     t_start = time.perf_counter()
     p, m = data.p, data.m
-    if m != p:
-        raise IdentifiabilityError(
-            "reconstruction requires m = p (one independent input per output)")
     n = cfg.n_states
     if n < p:
         raise ValueError("n_states must be at least the output dimension")
 
     mask = identifiability_mask(n, p, m, cfg.mask_mode, cfg.p22)
-    params = _initial_parameters(n, p, m, mask, data.Y, cfg)
+    params = _initial_parameters(n, m, mask, data.Y, cfg)
     prev = params
     w_prev = pack_w(params[0], params[1])
     trace = []
@@ -422,13 +427,10 @@ def save_result(path, result, config_echo):
     for name in ("A_hat", "B_hat", "m0_hat", "R0_hat"):   # m0_hat: one row
         lines.append(name)
         lines.extend(map(fmt_row, np.atleast_2d(getattr(result, name))))
-    lines.append("q_adjacency")
-    lines.extend(" ".join(str(int(v)) for v in row) for row in result.network.q_adj)
-    lines.append("p_adjacency")
-    lines.extend(" ".join(str(int(v)) for v in row) for row in result.network.p_adj)
+    lines += ["q_adjacency", *adjacency_rows(result.network.q_adj),
+              "p_adjacency", *adjacency_rows(result.network.p_adj)]
     lines.append("dsf_q_points")
     lines.extend(f"{fmt(q.real)} {fmt(q.imag)}" for q in result.dsf.q_points)
     lines.append("trace")
     lines.extend(record_lines(IterationRecord, result.trace, " "))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

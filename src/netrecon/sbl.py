@@ -66,7 +66,7 @@ _DEAD_COLUMN_TOL = 1e-12
 
 
 # The identifiability regimes that ``identifiability_mask`` builds.
-MASK_MODES = ("unconstrained", "diag_b", "p_diag")
+MASK_MODES = ("diag_b", "p_diag")
 
 
 class IdentifiabilityError(ValueError):
@@ -101,14 +101,10 @@ class RegressionData:
 
 @dataclass
 class Mask:
-    """Free/pinned pattern over the entries of vec(A) and vec(B)."""
+    """Free/pinned pattern over the entries of w = [vec(A); vec(B)]
+    (``unpack_w(free, n, m)`` gives the patterns of A and B)."""
 
     free: np.ndarray
-    mode: str
-    n: int
-    p: int
-    m: int
-    p22: int | None = None
 
 
 @dataclass
@@ -135,9 +131,9 @@ class SBLOptions:
     """Inner-loop controls: at least one iteration, nonnegative tolerances
     (a NaN is rejected)."""
 
-    max_iter: int = 200
+    max_iter: int = 60
     tol: float = 1e-6
-    prune_tol: float = 1e-12
+    prune_tol: float = 1e-5
 
     def __post_init__(self):
         if not self.max_iter >= 1:
@@ -163,9 +159,10 @@ def regression_from_moments(es, n, m):
 def identifiability_mask(n, p, m, mode, p22=None):
     """Build the free-coordinate mask for a given identifiability regime.
 
-    "unconstrained" leaves every entry free.  "diag_b" frees all of A and
-    only the (i, i) entries of B's top p x p block.  "p_diag" applies the
-    block zero pattern (with hidden dimension h = n - p and p11 = p - p22):
+    Both regimes need a square input map, m = p.  "diag_b" frees all of A
+    and only the (i, i) entries of B's top p x p block.  "p_diag" applies
+    the block zero pattern (with hidden dimension h = n - p and
+    p11 = p - p22):
 
         A12 = [[c^, 0stat],  A22 = [[a^, x],   B1 = [[0, 0],   B2 = [[b^, 0],
                [0,  x   ]]          [0,  x]]         [0, F]]         [0,  0]]
@@ -176,21 +173,16 @@ def identifiability_mask(n, p, m, mode, p22=None):
     """
     if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
+    if m != p:
+        raise IdentifiabilityError(
+            f"{mode} requires m = p (one independent input per output)")
     if n < p:
         raise ValueError("need n >= p")
     freeA = np.ones((n, n), dtype=bool)
     freeB = np.zeros((n, m), dtype=bool)
-    if mode == "unconstrained":
-        freeB[:] = True
-    elif mode == "diag_b":
-        if m != p:
-            raise IdentifiabilityError(
-                "diag_b requires m = p (square diagonal input map)")
+    if mode == "diag_b":
         freeB[np.arange(p), np.arange(p)] = True
     else:
-        if m != p:
-            raise IdentifiabilityError(
-                "p_diag requires m = p (square diagonal input map)")
         if p22 is None or not 0 <= p22 <= p:
             raise IdentifiabilityError(f"p_diag requires 0 <= p22 <= p, got {p22}")
         p11 = p - p22
@@ -214,7 +206,7 @@ def identifiability_mask(n, p, m, mode, p22=None):
         freeB[:p] = B1
         freeB[p:] = B2
     free = np.concatenate([freeA.ravel(order="F"), freeB.ravel(order="F")])
-    return Mask(free=free, mode=mode, n=n, p=p, m=m, p22=p22)
+    return Mask(free=free)
 
 
 def unpack_w(w, n, m):
@@ -487,27 +479,23 @@ def sbl_em(reg, mask, init=None, opts=None):
     opts = opts or SBLOptions()
     if init is None:
         init = initial_sbl_state(reg, mask)
-    gamma = _checked_gamma(reg, init.gamma).copy()
-    gamma[~mask.free] = 0.0
+    n, d = reg.n, reg.n + reg.m
+    gamma = _checked_gamma(reg, init.gamma).reshape((d, n)).T
     if not init.sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative, not NaN")
     sigma2 = max(float(init.sigma2), 1e-300)
 
+    # row view (row i of [A B]): the free, live-column entries at or above
+    # prune_tol start the loop
     col_energy = np.diag(reg.zz)
-    dead = col_energy < _DEAD_COLUMN_TOL * max(col_energy.max(), 1e-300)
-    if dead.any():
-        dead_coords = (np.nonzero(dead)[0][:, None] * reg.n
-                       + np.arange(reg.n)[None, :]).ravel()
-        gamma[dead_coords] = 0.0
+    live = col_energy >= _DEAD_COLUMN_TOL * max(col_energy.max(), 1e-300)
+    lay, gc = _layout(reg, np.where(mask.free.reshape((d, n)).T & live
+                                    & (gamma >= opts.prune_tol), gamma, 0.0))
 
     evidence_path = []
     n_active_path = []
     warn_log = []
     y_sq = float(reg.y_sq_rows.sum())
-    n, d = reg.n, reg.n + reg.m
-
-    gamma[gamma < opts.prune_tol] = 0.0
-    lay, gc = _layout(reg, gamma.reshape((d, n)).T)
     # gc >= floor is gc > 0 and gc >= prune_tol in one comparison
     floor = max(opts.prune_tol, np.nextafter(0.0, 1.0))
     n_active = np.count_nonzero(gc)
@@ -541,8 +529,8 @@ def sbl_em(reg, mask, init=None, opts=None):
         if n_active == 0 or delta <= opts.tol * scale:
             break
 
+    gc = np.where(gc >= opts.prune_tol, gc, 0.0)
     gamma = _scatter(gc, lay.order, d).T.ravel()
-    gamma[gamma < opts.prune_tol] = 0.0
     mu, Sigma = posterior(reg, gamma, sigma2)
     return SBLState(gamma=gamma, sigma2=sigma2, mu_w=mu, Sigma_w=Sigma,
                     active=gamma > 0, iteration=iteration,

@@ -150,9 +150,10 @@ def _runs(back, held, at):
 
 def _add_products(dst, src, M):
     """dst += src @ M' in row blocks of at most ``_SCAN_BLOCK_MACS``
-    multiply-adds, top block first: when dst and src are overlapping rows of
-    one array with dst below src, every row read still holds its old
-    value."""
+    multiply-adds, the last rows first: when dst and src are overlapping
+    rows of one array with dst below src (the doubling pass's
+    ``ends[s:] += ends[:-s] @ P'``), each block reads rows of src above the
+    rows already written, so every row read still holds its old value."""
     rows = max(1, _SCAN_BLOCK_MACS // M.size)
     for hi in range(len(dst), 0, -rows):
         lo = max(hi - rows, 0)

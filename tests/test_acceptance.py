@@ -131,9 +131,9 @@ def test_criterion_4_sbl_correctness():
         w0[support] = trng.normal(size=5) + np.sign(trng.normal(size=5))
         reg.targets = (reg.regressors @ w0)[:, None]
         reg.__post_init__()
-        mask = Mask(free=np.ones(50, dtype=bool), mode="unconstrained",
-                    n=1, p=1, m=49)
-        st = sbl_em(reg, mask, opts=SBLOptions(max_iter=300, tol=0.0))
+        mask = Mask(free=np.ones(50, dtype=bool))
+        st = sbl_em(reg, mask,
+                    opts=SBLOptions(max_iter=300, tol=0.0, prune_tol=1e-12))
         if set(np.nonzero(st.active)[0]) == set(support):
             wins += 1
     assert wins >= 95
@@ -149,9 +149,8 @@ def test_criterion_4_sbl_correctness():
         w0[[1, 4, 7]] = trng.normal(size=3) * 2
         reg.targets = (reg.regressors @ w0 + 0.2 * trng.normal(size=40))[:, None]
         reg.__post_init__()
-        mask = Mask(free=np.ones(10, dtype=bool), mode="unconstrained",
-                    n=1, p=1, m=9)
-        st = sbl_em(reg, mask, opts=SBLOptions(max_iter=100))
+        mask = Mask(free=np.ones(10, dtype=bool))
+        st = sbl_em(reg, mask, opts=SBLOptions(max_iter=100, prune_tol=1e-12))
         ev = st.evidence
         for a, b in zip(ev, ev[1:]):
             worst_ev = max(worst_ev, a - b)

@@ -140,3 +140,22 @@ def test_nested_setting_error_names_the_flat_key():
         recon_config({"n_states": 3, "inner_max_iter": 0})
     with pytest.raises(ValueError, match="inner_tol must be nonnegative"):
         recon_config({"n_states": 3, "inner_tol": "-1"})
+
+
+def test_unconstrained_mask_is_rejected_everywhere(tmp_path, capsys):
+    # only the two identifiable regimes exist
+    from netrecon import identifiability_mask
+    with pytest.raises(ValueError, match="unknown mask mode 'unconstrained'"):
+        identifiability_mask(4, 2, 2, "unconstrained")
+    with pytest.raises(ValueError, match="unknown mask_mode 'unconstrained'"):
+        ReconConfig(n_states=4, mask_mode="unconstrained")
+    out = tmp_path / "r.txt"
+    assert cli_main(["reconstruct", "--data", str(tmp_path / "none.csv"),
+                     "--n-states", "4", "--mask", "unconstrained",
+                     "--out", str(out)]) == 1
+    assert "unknown mask_mode 'unconstrained'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inner_loop_has_one_default_set():
+    assert SBLOptions() == ReconConfig(n_states=1).inner

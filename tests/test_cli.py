@@ -343,7 +343,8 @@ def test_dsf_rejects_a_threshold_outside_unit_interval(tmp_path, capsys):
 
 
 def test_mask_setting_reads_alike_in_every_place(tmp_path, monkeypatch):
-    # one set of settings as reconstruct flags, a reconstruct config file,
+    # one set of settings as reconstruct flags, a reconstruct config file
+    # (through the CLI and through recon_config(load_config(...))),
     # benchmark recon_ keys (the mask under its name and its alias) and a
     # recon_config mapping, with the mask value spelled p-diag everywhere
     import netrecon.cli as cli
@@ -378,12 +379,13 @@ def test_mask_setting_reads_alike_in_every_place(tmp_path, monkeypatch):
     for args in runs:
         with pytest.raises(Built):
             run_cli(args)
-    configs = built[:2] + [_cell_recon_config(b, 3) for b in built[2:]]
+    configs = (built[:2] + [_cell_recon_config(b, 3) for b in built[2:]]
+               + [recon_config(load_config(rec))])
     expected = recon_config({"n_states": 7, "mask_mode": "p-diag", "p22": 1,
                              "outer_max_iter": 8, "inner_max_iter": 20,
                              "seed": 3})
     assert expected.mask_mode == "p_diag" and expected.inner.max_iter == 20
-    assert configs == [expected] * 4
+    assert configs == [expected] * 5
 
 
 def test_benchmark_echoes_each_setting_as_read(tmp_path, monkeypatch):
@@ -411,6 +413,7 @@ def test_benchmark_echoes_each_setting_as_read(tmp_path, monkeypatch):
     assert by_alias == by_name
     assert by_name["recon_mask_mode"] == "p_diag"
     assert by_name["recon_outer_tol"] == "0.001"
-    api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
-                      recon={"mask-mode": "p-diag", "p22": 1, "outer_tol": 1e-3})
-    assert api.echo() == by_name
+    for mask_key in ("mask-mode", "mask"):
+        api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
+                          recon={mask_key: "p-diag", "p22": 1, "outer_tol": 1e-3})
+        assert api.echo() == by_name

@@ -501,3 +501,27 @@ def test_trace_records_come_from_the_fit(monkeypatch):
     n_free = int(identifiability_mask(6, 3, 3, "p_diag", 1).free.sum())
     assert [(r.n_active, r.gamma_max, r.inner_iterations, r.evidence_decreases)
             for r in ml.trace] == [(n_free, 0.0, 1, 0)] * 3
+
+
+@pytest.mark.parametrize("mask_mode, p22", [("diag_b", None), ("p_diag", 1)])
+def test_initial_parameters_zero_at_every_pinned_entry(mask_mode, p22):
+    # the first iterate carries the mask, as every later one does
+    from netrecon import identifiability_mask
+    from netrecon.reconstruct import _initial_parameters
+    n, m = 6, 3
+    mask = identifiability_mask(n, m, m, mask_mode, p22)
+    rng = np.random.default_rng(91)
+    A_init, B_init = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+    Y = rng.normal(size=(20, m))
+    random_start = ReconConfig(n_states=n, mask_mode=mask_mode, p22=p22, seed=4)
+    given_start = dataclasses.replace(random_start, A_init=A_init, B_init=B_init)
+    freeA, freeB = (f == 1.0 for f in unpack_w(mask.free, n, m))
+    A, B = _initial_parameters(n, m, mask, Y, random_start)[:2]
+    assert np.all(A[~freeA] == 0.0) and np.all(A[freeA] != 0.0)
+    assert np.max(np.abs(np.linalg.eigvals(A))) == pytest.approx(0.5, rel=1e-12)
+    assert np.array_equal(B, np.where(freeB, np.eye(n, m), 0.0))
+    A, B = _initial_parameters(n, m, mask, Y, given_start)[:2]
+    assert np.array_equal(A, np.where(freeA, A_init, 0.0))
+    assert np.array_equal(B, np.where(freeB, B_init, 0.0))
+    if mask_mode == "p_diag":
+        assert np.count_nonzero(~freeA) == 10

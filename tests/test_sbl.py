@@ -23,8 +23,7 @@ def generic_regression(rng, N, n_w, n_rows=1):
 
 def free_mask(reg):
     from netrecon import Mask
-    return Mask(free=np.ones(reg.N_w, dtype=bool), mode="unconstrained",
-                n=reg.n, p=reg.n, m=reg.m)
+    return Mask(free=np.ones(reg.N_w, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +247,15 @@ def test_marginal_structured_matches_dense():
 # ---------------------------------------------------------------------------
 # identifiability masks
 
-def mask_matrices(mask):
-    freeA = mask.free[: mask.n * mask.n].reshape((mask.n, mask.n), order="F")
-    freeB = mask.free[mask.n * mask.n:].reshape((mask.n, mask.m), order="F")
+def mask_matrices(mask, n, m):
+    freeA = mask.free[: n * n].reshape((n, n), order="F")
+    freeB = mask.free[n * n:].reshape((n, m), order="F")
     return freeA, freeB
 
 
 def test_diag_b_mask_example():
     mask = identifiability_mask(n=3, p=2, m=2, mode="diag_b")
-    freeA, freeB = mask_matrices(mask)
+    freeA, freeB = mask_matrices(mask, 3, 2)
     assert freeA.all()
     expected = np.zeros((3, 2), dtype=bool)
     expected[0, 0] = expected[1, 1] = True
@@ -265,7 +264,7 @@ def test_diag_b_mask_example():
 
 def test_p_diag_mask_example():
     mask = identifiability_mask(n=4, p=2, m=2, mode="p_diag", p22=1)
-    freeA, freeB = mask_matrices(mask)
+    freeA, freeB = mask_matrices(mask, 4, 2)
     # A11 (2x2) and A21 (2x2) fully free
     assert freeA[:2, :2].all() and freeA[2:, :2].all()
     # A12 zero pattern: (1,2) and (2,1) of the block pinned
@@ -284,8 +283,8 @@ def test_p_diag_p22_zero_vs_diag_b_off_diagonal_agreement():
     n, p = 6, 3
     pd = identifiability_mask(n, p, p, "p_diag", p22=0)
     db = identifiability_mask(n, p, p, "diag_b")
-    _, freeB_pd = mask_matrices(pd)
-    _, freeB_db = mask_matrices(db)
+    _, freeB_pd = mask_matrices(pd, n, p)
+    _, freeB_db = mask_matrices(db, n, p)
     diag_slots = np.zeros((n, p), dtype=bool)
     diag_slots[np.arange(p), np.arange(p)] = True          # diag_b free slots
     diag_slots[p + np.arange(p), np.arange(p)] = True      # p_diag b^ slots
@@ -312,7 +311,8 @@ def test_sbl_em_zero_target_prunes_everything():
     reg = generic_regression(rng, N=20, n_w=6)
     reg.targets[:] = 0.0
     reg.__post_init__()
-    state = sbl_em(reg, free_mask(reg), opts=SBLOptions(max_iter=300))
+    state = sbl_em(reg, free_mask(reg),
+                   opts=SBLOptions(max_iter=300, prune_tol=1e-12))
     assert not state.active.any()
     assert np.all(state.mu_w == 0.0)
 
@@ -326,7 +326,7 @@ def test_sbl_em_noiseless_support_recovery_single():
     reg.targets = (reg.regressors @ w0)[:, None]
     reg.__post_init__()
     state = sbl_em(reg, free_mask(reg),
-                   opts=SBLOptions(max_iter=300, tol=0.0))
+                   opts=SBLOptions(max_iter=300, tol=0.0, prune_tol=1e-12))
     assert set(np.nonzero(state.active)[0]) == set(support)
     assert np.abs(state.mu_w - w0).max() <= 1e-4
 
@@ -337,8 +337,9 @@ def test_sbl_em_masked_coordinates_never_enter():
     from netrecon import Mask
     free = np.ones(8, dtype=bool)
     free[[2, 5]] = False
-    mask = Mask(free=free, mode="unconstrained", n=1, p=1, m=7)
-    state = sbl_em(reg, mask)
+    mask = Mask(free=free)
+    state = sbl_em(reg, mask,
+                   opts=SBLOptions(max_iter=200, tol=1e-6, prune_tol=1e-12))
     assert state.gamma[2] == 0.0 and state.gamma[5] == 0.0
     assert state.mu_w[2] == 0.0 and state.mu_w[5] == 0.0
 
@@ -350,7 +351,8 @@ def test_sbl_em_active_set_monotone_and_evidence_ascends():
     w0[[1, 4]] = [1.5, -2.0]
     reg.targets = (reg.regressors @ w0 + 0.1 * rng.normal(size=40))[:, None]
     reg.__post_init__()
-    state = sbl_em(reg, free_mask(reg), opts=SBLOptions(max_iter=100))
+    state = sbl_em(reg, free_mask(reg),
+                   opts=SBLOptions(max_iter=100, prune_tol=1e-12))
     path = state.n_active_path
     assert all(a >= b for a, b in zip(path, path[1:]))
     ev = state.evidence
@@ -360,14 +362,16 @@ def test_sbl_em_active_set_monotone_and_evidence_ascends():
 def test_sbl_em_sigma2_stays_positive():
     rng = np.random.default_rng(16)
     reg = generic_regression(rng, N=25, n_w=5)
-    state = sbl_em(reg, free_mask(reg), opts=SBLOptions(max_iter=50))
+    state = sbl_em(reg, free_mask(reg),
+                   opts=SBLOptions(max_iter=50, prune_tol=1e-12))
     assert state.sigma2 > 0.0
 
 
 def test_sbl_state_invariants_after_run():
     rng = np.random.default_rng(19)
     reg = generic_regression(rng, N=30, n_w=6)
-    state = sbl_em(reg, free_mask(reg), opts=SBLOptions(max_iter=40))
+    state = sbl_em(reg, free_mask(reg),
+                   opts=SBLOptions(max_iter=40, prune_tol=1e-12))
     inactive = ~state.active
     assert np.all(state.gamma[inactive] == 0.0)
     assert np.all(state.mu_w[inactive] == 0.0)
@@ -478,7 +482,7 @@ def test_sbl_em_on_moments_alone_equals_design_run():
     rss = ((design.targets - Z @ L.T)**2).sum()
     assert moment_rss(float(moments.y_sq_rows.sum()), moments.xz, moments.zz,
                       L) == pytest.approx(rss, rel=1e-10)
-    opts = SBLOptions(prune_tol=1e-5)
+    opts = SBLOptions(max_iter=200, prune_tol=1e-5)
     a = sbl_em(design, free_mask(design), opts=opts)
     b = sbl_em(moments, free_mask(moments), opts=opts)
     assert 0 < b.active.sum() < moments.N_w
