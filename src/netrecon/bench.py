@@ -23,7 +23,9 @@ import numpy as np
 from .dsf import NetworkGraph, graph_compare
 from .fileio import fmt, record_lines
 from .model import generate_random_network, simulate
-from .reconstruct import _recon_key, recon_config, recon_settings, reconstruct
+from .reconstruct import (_setting_names, recon_config, recon_settings,
+                          reconstruct)
+from .sbl import _check_integer_fields
 
 __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
 
@@ -34,8 +36,9 @@ logger = logging.getLogger(__name__)
 class BenchConfig:
     """Benchmark sweep settings; ``recon`` holds reconstruction settings for
     every cell, keyed as :func:`netrecon.reconstruct.recon_config` reads
-    them (``mask`` is stored as ``mask_mode``); each cell sets ``n_states``
-    from ``n_assumed`` and its own ``seed``."""
+    them (``mask`` is stored as ``mask_mode``; two keys for one setting
+    raise ValueError); each cell sets ``n_states`` from ``n_assumed`` and
+    its own ``seed``.  Every int field must hold an integer."""
 
     n_networks: int = 10
     p: int = 10
@@ -51,6 +54,7 @@ class BenchConfig:
     recon: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_integer_fields(self)
         for name in ("n_networks", "parallelism"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, "
@@ -63,8 +67,8 @@ class BenchConfig:
                            tuple(float(s) for s in self.snr_list))
         if len(set(self.snr_list)) < len(self.snr_list):
             raise ValueError(f"snr_list repeats a value: {self.snr_list}")
-        object.__setattr__(self, "recon", {_recon_key(k): v
-                                           for k, v in self.recon.items()})
+        object.__setattr__(self, "recon", {name: self.recon[key] for name, key
+                                           in _setting_names(self.recon).items()})
         if {"n_states", "seed"} & self.recon.keys():
             raise ValueError("recon may not set n_states or seed: each cell "
                              "takes them from n_assumed and its own seed")

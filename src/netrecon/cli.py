@@ -2,11 +2,14 @@
 
 Shared flags: --seed (drives every random choice), --config (key-value
 file supplying defaults that explicit flags override), --out.  Config keys
-are the long flag names (``mask`` for ``mask_mode``, also as ``recon_mask``),
-with '-' and '_' read alike, in a mask value too; every subcommand merges
-its file and flags in ``_settings``.  Exit codes: 0 success, 1 usage error
-(an unknown key, a flag value that does not parse, a missing or
-meaningless setting), 2 runtime error (a config value that does not parse,
+are the long flag names, read by one rule (``reconstruct._setting_names``):
+'-' reads as '_', in a mask value too, and ``mask`` names ``mask_mode``,
+also as ``recon_mask``.  Two keys for one setting are an error, never a
+silent override.  Every subcommand merges its file and flags in
+``_settings``.  Exit codes: 0 success, 1 usage error (an unknown key, two
+spellings of one setting such as ``mask`` and ``mask_mode``, a flag value
+that does not parse, a missing or meaningless setting), 2 runtime error (a
+key repeated in a config file or a config value that does not parse, each
 named by its file and line, or an unreadable input file).  All output
 files are deterministic functions of the configuration and seed.
 """
@@ -22,9 +25,9 @@ from .dsf import (_check_rel_tol, boolean_structure, default_q_points,
 from .fileio import FileFormatError, LineReader, adjacency_rows, write_text
 from .model import (generate_random_network, load_dataset_csv, load_model,
                     save_dataset_csv, save_model, simulate)
-from .reconstruct import (_RECON_ALIASES, RECON_KEYS, ReconConfig, _recon_key,
-                          recon_config, recon_settings, reconstruct,
-                          save_result)
+from .reconstruct import (_RECON_ALIASES, RECON_KEYS, ReconConfig,
+                          _setting_names, recon_config, recon_settings,
+                          reconstruct, save_result)
 
 __all__ = ["cli_main", "main", "load_config"]
 
@@ -72,6 +75,8 @@ def _read_config(path):
         value = value.strip()
         if not key or not value:
             reader.error(f"expected 'key = value', found '{line}'")
+        if key in values:
+            reader.error(f"key '{key}' repeats line {lines[key]}")
         values[key] = value
         lines[key] = reader.lineno
     return _Config(str(path), values, lines)
@@ -155,13 +160,10 @@ def _build_parser():
 
 def _settings(command, kinds, args, config):
     """Settings named in ``kinds``: flag values where given, else config
-    file values parsed at their line; an unknown config key is a usage error.
-    A key is read as ``_recon_key`` reads it, after a ``recon_`` prefix too."""
+    file values parsed at their line.  Keys are read by ``_setting_names``;
+    an unknown key, or two keys for one setting, is a usage error."""
     out = {}
-    for key in config.values:
-        name = key.replace("-", "_")
-        prefix = "recon_" if name.startswith("recon_") else ""
-        name = prefix + _recon_key(name[len(prefix):])
+    for name, key in _checked(command, _setting_names, config.values).items():
         if name not in kinds:
             raise _UsageError(f"unknown {command} config key '{key}' (expected "
                               f"one of {', '.join(sorted(kinds))})")

@@ -61,8 +61,8 @@ def write_text(path, text):
 class LineReader:
     """Sequential reader over the lines of a structured text file.
 
-    Skips blank lines; lines starting with '#' are collected as comments
-    unless the caller asks for them.  Every parse failure raises
+    Skips blank lines; lines starting with '#' are collected in
+    ``comments`` as (line number, text) pairs.  Every parse failure raises
     FileFormatError carrying the offending line number.
     """
 
@@ -98,7 +98,7 @@ class LineReader:
             if not line:
                 continue
             if line.startswith("#"):
-                self.comments.append(line[1:].strip())
+                self.comments.append((self._pos, line[1:].strip()))
                 continue
             return line
         self.error("unexpected end of file")
@@ -113,19 +113,21 @@ class LineReader:
             self.error(f"field '{key}' has no value")
         return parts[1].strip()
 
-    def expect_int(self, key):
-        raw = self.expect_key(key)
+    def parse(self, key, raw, kind, lineno=None):
+        """``kind(raw)`` for ``kind`` int or float; FileFormatError naming
+        field ``key`` at ``lineno`` (default: the line last read) if it
+        does not parse."""
         try:
-            return int(raw)
+            return kind(raw)
         except ValueError:
-            self.error(f"field '{key}' is not an integer: {raw!r}")
+            what = "an integer" if kind is int else "a number"
+            self.error(f"field '{key}' is not {what}: {raw!r}", lineno)
+
+    def expect_int(self, key):
+        return self.parse(key, self.expect_key(key), int)
 
     def expect_float(self, key):
-        raw = self.expect_key(key)
-        try:
-            return float(raw)
-        except ValueError:
-            self.error(f"field '{key}' is not a number: {raw!r}")
+        return self.parse(key, self.expect_key(key), float)
 
     def expect_literal(self, literal):
         line = self.next_line()

@@ -380,15 +380,13 @@ def load_dataset_csv(path):
         U_rows.append(vals[p:])
     if k == 0:
         reader.error("dataset has no rows")
-    seed = None
-    snr_db = None
-    for comment in reader.comments:
+    kinds = {"seed": int, "snr_db": float}
+    meta = dict.fromkeys(kinds)
+    for lineno, comment in reader.comments:
         parts = comment.split(None, 1)
-        if len(parts) == 2 and parts[0] == "seed":
-            seed = int(parts[1])
-        elif len(parts) == 2 and parts[0] == "snr_db":
-            snr_db = float(parts[1])
-    return Dataset(Y=np.array(Y_rows), U=np.array(U_rows), N=k, seed=seed, snr_db=snr_db)
+        if len(parts) == 2 and parts[0] in kinds:
+            meta[parts[0]] = reader.parse(*parts, kinds[parts[0]], lineno)
+    return Dataset(Y=np.array(Y_rows), U=np.array(U_rows), N=k, **meta)
 
 
 def save_model(model, path, seed=None, density=None):
@@ -417,17 +415,15 @@ def load_model(path):
     p = reader.expect_int("p")
     m = reader.expect_int("m")
     sigma = reader.expect_float("sigma")
-    meta = {}
+    kinds, meta = {"seed": int, "density": float}, {}
     # optional metadata lines before the first matrix block
     while True:
         line = reader.next_line()
         if line == "A":
             break
         parts = line.split(None, 1)
-        if parts[0] == "seed" and len(parts) == 2:
-            meta["seed"] = int(parts[1])
-        elif parts[0] == "density" and len(parts) == 2:
-            meta["density"] = float(parts[1])
+        if parts[0] in kinds and len(parts) == 2:
+            meta[parts[0]] = reader.parse(*parts, kinds[parts[0]])
         else:
             reader.error(f"unexpected field '{parts[0]}' before matrix A")
     A = np.vstack([reader.read_floats(n, f"matrix A row {r + 1}") for r in range(n)])

@@ -32,7 +32,7 @@ from .fileio import adjacency_rows, fmt, fmt_row, record_lines, write_text
 from .model import Dataset, StateSpaceModel
 from .sbl import (MASK_MODES, SBLOptions, identifiability_mask,
                   initial_sbl_state, sbl_em, regression_from_moments,
-                  moment_rss, unpack_w, pack_w, _estep)
+                  moment_rss, unpack_w, pack_w, _check_integer_fields, _estep)
 from .smoother import (FilterDivergedError, expectation_sums, observed_loglik,
                        kalman_filter, rts_smoother, lag_one_smoother)
 
@@ -77,10 +77,11 @@ class ReconConfig:
     have no key in ``RECON_KEYS``.  Every start, given or not, is zero at
     each entry of [A B] that the mask pins.
 
-    A setting that would make the run meaningless raises ValueError: an
-    unknown ``mask_mode`` or ``prior_mode``, "p_diag" without ``p22 >= 0``,
-    ``outer_max_iter < 1``, a negative ``outer_tol`` or a
-    ``structure_rel_tol`` outside [0, 1); a NaN fails every range.
+    A setting that would make the run meaningless raises ValueError: a
+    count (``n_states``, ``p22``, ``outer_max_iter``, ``seed``) that is not
+    an integer, an unknown ``mask_mode`` or ``prior_mode``, "p_diag"
+    without ``p22 >= 0``, ``outer_max_iter < 1``, a negative ``outer_tol``
+    or a ``structure_rel_tol`` outside [0, 1); a NaN fails every range.
     ``n_states`` and ``p22`` are checked against the data by
     :func:`reconstruct`.  A config is frozen, so it stays valid;
     ``dataclasses.replace`` derives a changed one and validates it.
@@ -99,6 +100,7 @@ class ReconConfig:
     B_init: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_integer_fields(self)
         if self.mask_mode not in MASK_MODES:
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
         if self.mask_mode == "p_diag" and (self.p22 is None or self.p22 < 0):
@@ -135,27 +137,36 @@ RECON_KEYS = dict(_scalar_fields(ReconConfig))
 _RECON_ALIASES = {"mask": "mask_mode"}
 
 
-def _recon_key(key):
-    """The ``RECON_KEYS`` name of a settings key: '-' read as '_', an alias
-    resolved."""
-    name = key.replace("-", "_")
-    return _RECON_ALIASES.get(name, name)
+def _setting_names(keys):
+    """``{name: key}``, the setting each key names: the one spelling rule
+    of settings keys.  '-' reads as '_', and an alias is resolved after a
+    kept ``recon_`` prefix (``recon-mask`` names ``recon_mask_mode``).  Two
+    keys that name one setting raise ValueError naming both."""
+    names = {}
+    for key in keys:
+        name = key.replace("-", "_")
+        prefix = "recon_" if name.startswith("recon_") else ""
+        name = prefix + _RECON_ALIASES.get(name[len(prefix):], name[len(prefix):])
+        if name in names:
+            raise ValueError(f"'{names[name]}' and '{key}' both set '{name}'")
+        names[name] = key
+    return names
 
 
 def recon_config(settings):
     """Build a ReconConfig from a flat ``{key: value}`` mapping.
 
-    Keys are those of ``RECON_KEYS``, or ``mask`` for ``mask_mode``, with
-    '-' read as '_' (``_recon_key``), as in a ``mask_mode`` value
-    (``p-diag``); string values are parsed to the key's type.  Keys left
-    out keep the defaults, the nested SBLOptions' included.  A missing
-    ``n_states``, an unknown key, an unparsable value or a setting the
-    configs reject raises ValueError that names the flat key
-    (``inner_max_iter``, not ``max_iter``).
+    Keys are those of ``RECON_KEYS``, or ``mask`` for ``mask_mode``,
+    spelled as ``_setting_names`` reads them ('-' as '_', as in a
+    ``mask_mode`` value: ``p-diag``); string values are parsed to the key's
+    type.  Keys left out keep the defaults, the nested SBLOptions' included.
+    A missing ``n_states``, two keys for one setting, an unknown key, an
+    unparsable value or a setting the configs reject raises ValueError that
+    names the flat key (``inner_max_iter``, not ``max_iter``).
     """
     top, inner = {}, {}
-    for key, raw in settings.items():
-        name = _recon_key(key)
+    for name, key in _setting_names(settings).items():
+        raw = settings[key]
         if name not in RECON_KEYS:
             raise ValueError(f"unknown reconstruction setting '{key}'")
         try:

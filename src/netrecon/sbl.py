@@ -36,7 +36,8 @@ input-to-output transfer matrix with hidden-state routing.
 """
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
@@ -126,16 +127,31 @@ class SBLState:
     warnings: list = field(default_factory=list)
 
 
+def _check_integer_fields(obj):
+    """ValueError unless each ``int`` field of dataclass ``obj`` holds an
+    integer that ``operator.index`` accepts (a numpy integer, not 2.5); an
+    ``int | None`` field may hold None."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is int or (f.type == int | None and value is not None):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{f.name} must be an integer, "
+                                 f"got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SBLOptions:
-    """Inner-loop controls: at least one iteration, nonnegative tolerances
-    (a NaN is rejected)."""
+    """Inner-loop controls: an integer count of at least one iteration,
+    nonnegative tolerances (a NaN is rejected)."""
 
     max_iter: int = 60
     tol: float = 1e-6
     prune_tol: float = 1e-5
 
     def __post_init__(self):
+        _check_integer_fields(self)
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         for name in ("tol", "prune_tol"):

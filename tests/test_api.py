@@ -13,6 +13,7 @@ import pkgutil
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import netrecon
@@ -93,6 +94,41 @@ def test_boundary_settings_stay_valid():
 def test_bench_config_rejects_meaningless_settings(kwargs):
     with pytest.raises(ValueError, match="n_networks|parallelism|max_iter"):
         BenchConfig(**kwargs)
+
+
+_COUNTS = [(SBLOptions, {}, "max_iter"), (ReconConfig, {}, "n_states"),
+           (ReconConfig, {"n_states": 3, "mask_mode": "p_diag"}, "p22"),
+           (ReconConfig, {"n_states": 3}, "outer_max_iter"),
+           (ReconConfig, {"n_states": 3}, "seed")] + [
+    (BenchConfig, {}, f.name) for f in dataclasses.fields(BenchConfig)
+    if f.type is int]
+
+
+@pytest.mark.parametrize("cls, base, name", _COUNTS,
+                         ids=[f"{c.__name__}.{n}" for c, _, n in _COUNTS])
+def test_counts_must_be_integers(cls, base, name):
+    # a fractional count used to pass and fail later inside range()
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            cls(**base, **{name: bad})
+    default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    valid = default if isinstance(default, int) else 3
+    cls(**base, **{name: np.int64(valid)})   # numpy integers stay valid
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"mask": "p-diag"}, {"mask_mode": "diag_b"}),
+    ({"mask-mode": "p-diag"}, {"mask": "diag_b"}),
+    ({"outer-tol": "1e-3"}, {"outer_tol": "1e-2"}),
+], ids=["mask", "mask-mode", "outer-tol"])
+def test_two_keys_for_one_setting_are_rejected(first, second):
+    # neither key may silently override the other
+    (a,), (b,) = first, second
+    recon = {"p22": 1, **first, **second}
+    for build in (lambda: recon_config({"n_states": 3, **recon}),
+                  lambda: BenchConfig(recon=recon)):
+        with pytest.raises(ValueError, match=f"'{a}' and '{b}' both set"):
+            build()
 
 
 def test_cli_exits_1_on_a_meaningless_setting(tmp_path, capsys):

@@ -417,3 +417,29 @@ def test_benchmark_echoes_each_setting_as_read(tmp_path, monkeypatch):
         api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
                           recon={mask_key: "p-diag", "p22": 1, "outer_tol": 1e-3})
         assert api.echo() == by_name
+
+
+def test_two_keys_for_one_setting_exit_1_naming_both(tmp_path, capsys):
+    # the setting is read before the data: no dataset is needed
+    rec = tmp_path / "rec.cfg"
+    rec.write_text("n_states = 7\nmask = p-diag\np22 = 1\nmask_mode = diag_b\n")
+    out = tmp_path / "out.txt"
+    assert run_cli(["reconstruct", "--data", tmp_path / "none.csv",
+                    "--config", rec, "--out", out]) == 1
+    assert "'mask' and 'mask_mode' both set" in capsys.readouterr().err
+    bench = tmp_path / "bench.cfg"
+    bench.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
+                     "recon_mask = p-diag\nrecon_p22 = 1\nrecon_mask_mode = diag_b\n")
+    assert run_cli(["benchmark", "--config", bench, "--quiet", "--out", out]) == 1
+    assert "'recon_mask' and 'recon_mask_mode' both set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_key_repeated_in_a_config_file_exits_2_at_its_line(tmp_path, capsys):
+    sim = tmp_path / "sim.cfg"
+    sim.write_text("# two sample counts\nn_samples = 10\nseed = 1\nn_samples = 20\n")
+    out = tmp_path / "d.csv"
+    assert run_cli(["simulate", "--p", 2, "--n", 3, "--density", "0.5",
+                    "--config", sim, "--out", out]) == 2
+    assert f"{sim}:4: key 'n_samples' repeats line 2" in capsys.readouterr().err
+    assert not out.exists()

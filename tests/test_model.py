@@ -299,6 +299,28 @@ def test_model_file_malformed_field(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("comment", ["seed abc", "snr_db loud"])
+def test_dataset_csv_metadata_error_names_its_line(tmp_path, comment):
+    path = tmp_path / "d.csv"
+    path.write_text(f"# netrecon dataset v1\nt,y1,u1\n1,0.5,1.0\n# {comment}\n"
+                    "2,0.25,0.0\n")
+    key = comment.split()[0]
+    with pytest.raises(FileFormatError, match=f"d.csv:4: field '{key}'"):
+        load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("line", ["seed abc", "density dense"])
+def test_model_file_metadata_error_names_its_line(tmp_path, line):
+    rng = np.random.default_rng(10)
+    path = tmp_path / "m.txt"
+    save_model(small_model(rng), path)
+    text = path.read_text().replace("\nA\n", f"\n{line}\nA\n", 1)
+    path.write_text(text)
+    key = line.split()[0]
+    with pytest.raises(FileFormatError, match=f"m.txt:6: field '{key}'"):
+        load_model(path)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="N rows"):
         Dataset(Y=np.zeros((3, 1)), U=np.zeros((2, 1)), N=3)
