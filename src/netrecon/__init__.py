@@ -13,9 +13,10 @@ from .model import (StateSpaceModel, Dataset, GroundTruth, GenerationError,
 from .dsf import (DSFError, FreqSample, NetworkGraph, GraphMetrics,
                   default_q_points, dsf_from_state_space, boolean_structure,
                   graph_compare, save_dsf_result)
-from .smoother import (FilterDivergedError, StepSeq, FilterPass, SmoothPass, ESums,
-                       kalman_filter, rts_smoother, lag_one_smoother, smooth,
-                       expectation_sums, observed_loglik)
+from .smoother import (FilterDivergedError, StepSeq, PassBuffers, FilterPass,
+                       SmoothPass, ESums, kalman_filter, rts_smoother,
+                       lag_one_smoother, smooth, expectation_sums,
+                       observed_loglik)
 from .sbl import (IdentifiabilityError, RegressionData, SBLState, Mask,
                   SBLOptions, regression_from_moments,
                   posterior, marginal_loglik, identifiability_mask,

@@ -60,6 +60,12 @@ def _as_matrix(x, shape, name):
     return arr
 
 
+def _selects_outputs(C):
+    """True for C = [I 0], which has full row rank without an SVD."""
+    p = C.shape[0]
+    return not C[:, p:].any() and np.array_equal(C[:, :p], np.eye(p))
+
+
 @dataclass
 class StateSpaceModel:
     """Innovations-form LTI model (A, B, C, D, sigma, m0, R0).
@@ -101,7 +107,7 @@ class StateSpaceModel:
         self.sigma = float(self.sigma)
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if np.linalg.matrix_rank(self.C) != p:
+        if not _selects_outputs(self.C) and np.linalg.matrix_rank(self.C) != p:
             raise ValueError("C must have full row rank")
         # np.allclose(R0, R0', atol=1e-10), without its per-call overhead
         if not np.all(np.abs(self.R0 - self.R0.T)
@@ -353,6 +359,9 @@ def save_dataset_csv(dataset, path):
 
 
 def load_dataset_csv(path):
+    """Read a dataset CSV; the ``# seed`` and ``# snr_db`` comments fill
+    its metadata, and one given twice raises FileFormatError at the
+    second."""
     reader = LineReader(path)
     header = reader.next_line().split(",")
     if header[0] != "t":
@@ -381,10 +390,14 @@ def load_dataset_csv(path):
     if k == 0:
         reader.error("dataset has no rows")
     kinds = {"seed": int, "snr_db": float}
-    meta = dict.fromkeys(kinds)
+    meta, lines = dict.fromkeys(kinds), {}
     for lineno, comment in reader.comments:
         parts = comment.split(None, 1)
         if len(parts) == 2 and parts[0] in kinds:
+            if parts[0] in lines:
+                reader.error(f"field '{parts[0]}' repeats line {lines[parts[0]]}",
+                             lineno)
+            lines[parts[0]] = lineno
             meta[parts[0]] = reader.parse(*parts, kinds[parts[0]], lineno)
     return Dataset(Y=np.array(Y_rows), U=np.array(U_rows), N=k, **meta)
 
@@ -409,13 +422,15 @@ def save_model(model, path, seed=None, density=None):
 
 
 def load_model(path):
-    """Read a model file; returns (model, metadata) with any seed/density found."""
+    """Read a model file; returns (model, metadata) with any seed/density
+    found.  A metadata field given twice raises FileFormatError at the
+    second."""
     reader = LineReader(path)
     n = reader.expect_int("n")
     p = reader.expect_int("p")
     m = reader.expect_int("m")
     sigma = reader.expect_float("sigma")
-    kinds, meta = {"seed": int, "density": float}, {}
+    kinds, meta, lines = {"seed": int, "density": float}, {}, {}
     # optional metadata lines before the first matrix block
     while True:
         line = reader.next_line()
@@ -423,6 +438,9 @@ def load_model(path):
             break
         parts = line.split(None, 1)
         if parts[0] in kinds and len(parts) == 2:
+            if parts[0] in lines:
+                reader.error(f"field '{parts[0]}' repeats line {lines[parts[0]]}")
+            lines[parts[0]] = reader.lineno
             meta[parts[0]] = reader.parse(*parts, kinds[parts[0]])
         else:
             reader.error(f"unexpected field '{parts[0]}' before matrix A")

@@ -21,6 +21,7 @@ outer iteration is the exact EM step of the tied, masked model, so the
 observed-data log-likelihood is non-decreasing.
 """
 
+import copy
 import time
 import typing
 from dataclasses import dataclass, field, fields, replace as _dc_replace
@@ -29,12 +30,13 @@ import numpy as np
 
 from . import dsf as _dsf
 from .fileio import adjacency_rows, fmt, fmt_row, record_lines, write_text
-from .model import Dataset, StateSpaceModel
+from .model import StateSpaceModel
 from .sbl import (MASK_MODES, SBLOptions, identifiability_mask,
                   initial_sbl_state, sbl_em, regression_from_moments,
                   moment_rss, unpack_w, pack_w, _check_integer_fields, _estep)
-from .smoother import (FilterDivergedError, expectation_sums, observed_loglik,
-                       kalman_filter, rts_smoother, lag_one_smoother)
+from .smoother import (FilterDivergedError, PassBuffers, expectation_sums,
+                       observed_loglik, kalman_filter, rts_smoother,
+                       lag_one_smoother)
 
 __all__ = [
     "ReconConfig",
@@ -284,14 +286,17 @@ def _measurement_residual(sp, data):
     """Expected squared measurement residual, summed over all samples, for
     C = [I 0]: the outputs are the first p states, so the residual reads
     their smoothed means and the leading p x p block of their summed
-    covariances."""
+    covariances.  That sum is the one ``expectation_sums`` adds into S_xx;
+    the traces of each stored row's block weighted by step counts round
+    differently, and a 50-iteration run drifted from it by up to 1e-11
+    relative."""
     p = data.p
     resid = data.Y - sp.x_sm[1:, :p]
     cov = float(np.trace(sp.P_sm.total(1, data.N + 1)[:p, :p]))
     return float((resid**2).sum()) + cov
 
 
-def _em_step(data, params, mask, cfg):
+def _em_step(data, params, mask, cfg, bufs):
     """One outer EM iteration of the tied-noise model.
 
     ``params`` is (A, B, sigma2, m0, R0).  The smoothing pass runs on the
@@ -306,17 +311,25 @@ def _em_step(data, params, mask, cfg):
     ``IterationRecord`` field but ``iteration`` and ``damped``, so the SBL
     state and its dense posterior covariance die with the call.  Raises
     FilterDivergedError if the smoothing pass diverges.
+
+    The filter and RTS passes write their means into ``bufs``, a
+    ``PassBuffers`` for the record, which every iteration reuses; nothing
+    returned refers to them (the new m0 and R0 and the expectation sums
+    are fresh arrays), so a retry may overwrite them.
     """
     t0 = time.perf_counter()
     A, B, sigma2, m0, R0 = params
     n, p, m, N = A.shape[0], data.p, data.m, data.N
     s = float(np.sqrt(sigma2))
     C = np.hstack([np.eye(p), np.zeros((p, n - p))])
-    scaled = Dataset(Y=data.Y / s, U=data.U, N=N)
+    # data was checked when built: the scaled copy skips Dataset's copies
+    # and finiteness check
+    scaled = copy.copy(data)
+    scaled.Y = data.Y / s
     model = StateSpaceModel(A=A, B=B / s, C=C, D=np.zeros((p, m)), sigma=1.0,
                             m0=m0 / s, R0=R0 / s**2)
-    fp = kalman_filter(model, scaled)
-    sp = rts_smoother(model, fp)
+    fp = kalman_filter(model, scaled, out=bufs)
+    sp = rts_smoother(model, fp, out=bufs)
     sp = _dc_replace(sp, M_sm=lag_one_smoother(sp))
     obs_ll = observed_loglik(model, scaled, fp=fp) - N * p * np.log(s)
     es = expectation_sums(sp, scaled, sp.x_sm[0])
@@ -362,6 +375,7 @@ def reconstruct(data, cfg):
 
     mask = identifiability_mask(n, p, m, cfg.mask_mode, cfg.p22)
     params = _initial_parameters(n, m, mask, data.Y, cfg)
+    bufs = PassBuffers(data.N, n, p)   # one set for every smoothing pass
     prev = params
     w_prev = pack_w(params[0], params[1])
     trace = []
@@ -370,14 +384,14 @@ def reconstruct(data, cfg):
     for it in range(1, cfg.outer_max_iter + 1):
         damped = False
         try:
-            new, record = _em_step(data, params, mask, cfg)
+            new, record = _em_step(data, params, mask, cfg, bufs)
         except FilterDivergedError:
             damped = True
             A, B, sigma2, m0, R0 = params
             params = (0.5 * (A + prev[0]), 0.5 * (B + prev[1]),
                       0.5 * (sigma2 + prev[2]), m0, R0)
             try:
-                new, record = _em_step(data, params, mask, cfg)
+                new, record = _em_step(data, params, mask, cfg, bufs)
             except FilterDivergedError:
                 status = "diverged"
                 params = prev[:3] + params[3:]

@@ -34,7 +34,11 @@ backward transient near N.  The lag-one M_k = P_{k|N} J_{k-1}' inherits
 their segments.  Where nothing settles, every step keeps its own row.  Sums
 over steps (``StepSeq.total``) weight each row by its step count, so no
 pass allocates N copies of a matrix.  The means stay dense (N+1)-row
-arrays.
+arrays.  A caller that runs many passes over one record hands
+``kalman_filter`` and ``rts_smoother`` a ``PassBuffers`` as ``out``: the
+passes then write their means, innovations and steady-segment scratch into
+its arrays instead of allocating fresh ones, and the returned pass holds
+those arrays, valid until the buffers' next use.
 
 Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
@@ -55,6 +59,7 @@ import numpy as np
 __all__ = [
     "FilterDivergedError",
     "StepSeq",
+    "PassBuffers",
     "FilterPass",
     "SmoothPass",
     "ESums",
@@ -131,6 +136,31 @@ class StepSeq:
         """Sum of the matrices of steps lo..hi-1."""
         counts = np.bincount(self.idx[lo:hi], minlength=len(self.vals))
         return np.tensordot(counts.astype(float), self.vals, axes=1)
+
+
+class PassBuffers:
+    """The dense arrays of a filter and RTS pass over N steps with n states
+    and p outputs, for passes to write into instead of allocating them:
+    ``kalman_filter`` fills x_pred, x_filt and innovations ((N+1)-row),
+    ``rts_smoother`` fills x_sm, and both form their steady segment in
+    ``scratch`` (N rows).  A pass written into them returns these arrays
+    themselves, so its means stay valid only until the buffers' next use.
+    """
+
+    __slots__ = ("x_pred", "x_filt", "innovations", "x_sm", "scratch")
+
+    def __init__(self, N, n, p):
+        self.x_pred = np.empty((N + 1, n))
+        self.x_filt = np.empty((N + 1, n))
+        self.innovations = np.empty((N + 1, p))
+        self.x_sm = np.empty((N + 1, n))
+        self.scratch = np.empty((N, n))
+
+    def _check(self, N, n, p):
+        have = self.scratch.shape + self.innovations.shape[1:]
+        if have != (N, n, p):
+            raise ValueError(f"PassBuffers for (N, n, p) = {have} do not fit "
+                             f"a pass of {(N, n, p)}")
 
 
 def _held(vals, steps):
@@ -278,7 +308,7 @@ class ESums:
     N: int
 
 
-def kalman_filter(model, data):
+def kalman_filter(model, data, out=None):
     """Run the forward Kalman filter over the dataset.
 
     The recursion, for k = 1..N:
@@ -310,6 +340,13 @@ def kalman_filter(model, data):
     settle test, and forms C P_{k|k-1} once for S_k and K_k; the other
     products keep the per-step reference's order, so a run that never
     settles gives the same bits.
+
+    With ``out``, a ``PassBuffers`` for this record's N, n and p, the means
+    and innovations are written into its arrays and the tail products into
+    its scratch, and the returned pass holds ``out.x_pred``, ``out.x_filt``
+    and ``out.innovations`` themselves: the pass is valid until the buffers'
+    next use.  Without ``out`` the call allocates its own; both give the
+    same bits.
     """
     n, p, m = model.n, model.p, model.m
     if data.p != p or data.m != m:
@@ -325,11 +362,13 @@ def kalman_filter(model, data):
     sig2I = model.sigma**2 * np.eye(n)
     Ip = np.eye(p)
 
-    x_pred = np.zeros((N + 1, n))
-    x_filt = np.zeros((N + 1, n))
-    innovations = np.zeros((N + 1, p))
+    if out is None:
+        out = PassBuffers(N, n, p)
+    out._check(N, n, p)
+    x_pred, x_filt, innovations = out.x_pred, out.x_filt, out.innovations
     x_filt[0] = model.m0
     x_pred[0] = model.m0
+    innovations[0] = 0.0
     # one entry per step until the covariances settle
     P_filt = [_sym(model.R0)]
     P_pred = [P_filt[0]]
@@ -363,14 +402,18 @@ def kalman_filter(model, data):
         K = K_gain[ks]
         IKC = np.eye(n) - K @ C
         F = IKC @ A
-        x_filt[tail] = data.U[ks:] @ (IKC @ B).T + data.Y[ks:] @ K.T
+        xf, xp, nu = x_filt[tail], x_pred[tail], innovations[tail]
+        tmp = out.scratch[:N - ks]
+        np.matmul(data.U[ks:], (IKC @ B).T, out=xf)
+        xf += np.matmul(data.Y[ks:], K.T, out=tmp)
         _linear_scan(F, x_filt[ks:])
-        x_pred[tail] = x_filt[ks:N] @ A.T + data.U[ks:] @ B.T
-        finite = np.isfinite(x_pred[tail])
+        np.matmul(x_filt[ks:N], A.T, out=xp)
+        xp += np.matmul(data.U[ks:], B.T, out=tmp)
+        finite = np.isfinite(xp)
         if not finite.all():
             bad = ~finite.all(axis=1)
             raise FilterDivergedError(ks + 1 + int(np.argmax(bad)))
-        innovations[tail] = data.Y[ks:] - x_pred[tail] @ C.T
+        np.subtract(data.Y[ks:], np.matmul(xp, C.T, out=nu), out=nu)
     return FilterPass(x_pred=x_pred, P_pred=_held(P_pred, N + 1),
                       x_filt=x_filt, P_filt=_held(P_filt, N + 1),
                       K_gain=_held(K_gain, N + 1), innovations=innovations,
@@ -400,7 +443,7 @@ def _transient_gains(A, fp, lo, hi, pinv_steps):
     return gains
 
 
-def rts_smoother(model, fp):
+def rts_smoother(model, fp, out=None):
     """Backward RTS pass producing smoothed means and covariances.
 
     For k = N-1..0 (index 0 is the initial state):
@@ -428,11 +471,21 @@ def rts_smoother(model, fp):
     before k_steady, that middle value, and the backward transient near N.
     The means x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}) of that
     segment come from one blocked scan run backwards from x_{N|N}.
+
+    With ``out``, a ``PassBuffers`` for the pass's N, n and p, the smoothed
+    means are written into ``out.x_sm`` and the backward scan runs in its
+    scratch; the returned pass holds ``out.x_sm`` itself, valid until the
+    buffers' next use.  Without ``out`` the call allocates its own; both
+    give the same bits.
     """
     N = fp.N
     n = fp.x_filt.shape[1]
+    p = fp.innovations.shape[1]
     A = model.A
-    x_sm = np.zeros((N + 1, n))
+    if out is None:
+        out = PassBuffers(N, n, p)
+    out._check(N, n, p)
+    x_sm = out.x_sm
     x_sm[N] = fp.x_filt[N]
     # P_{k|N} and J_k in backward step order, each settled value once
     P_back = [fp.P_filt[N]]
@@ -454,10 +507,15 @@ def rts_smoother(model, fp):
             if _settled(P_back[-1], P_back[-2]):
                 break
         mid_steps = k - ks + 1
-        h = fp.x_filt[ks:N] - fp.x_pred[ks + 1:] @ Js.T
+        # h_k = x_{k|k} - J x_{k+1|k}, held in x_sm[ks:N] until the scan
+        h = x_sm[ks:N]
+        np.subtract(fp.x_filt[ks:N], np.matmul(fp.x_pred[ks + 1:], Js.T, out=h),
+                    out=h)
         # scan a contiguous copy in backward order: numpy does not hand a
         # reversed view to BLAS, and the scan ran at half speed on one
-        X = np.vstack((x_sm[N], h[::-1]))
+        X = out.scratch[:N - ks + 1]
+        X[0] = x_sm[N]
+        X[1:] = h[::-1]
         _linear_scan(Js, X)
         x_sm[ks:] = X[::-1]
     mid = len(P_back) - 1

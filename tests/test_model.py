@@ -321,6 +321,26 @@ def test_model_file_metadata_error_names_its_line(tmp_path, line):
         load_model(path)
 
 
+def test_dataset_csv_repeated_metadata_is_an_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("# netrecon dataset v1\n# seed 1\nt,y1,u1\n1,0.5,1.0\n"
+                    "# seed 7\n2,0.25,0.0\n")
+    with pytest.raises(FileFormatError,
+                       match="d.csv:5: field 'seed' repeats line 2"):
+        load_dataset_csv(path)
+
+
+def test_model_file_repeated_metadata_is_an_error(tmp_path):
+    rng = np.random.default_rng(10)
+    path = tmp_path / "m.txt"
+    save_model(small_model(rng), path, density=0.5)
+    text = path.read_text().replace("\nA\n", "\ndensity 0.25\nA\n", 1)
+    path.write_text(text)
+    with pytest.raises(FileFormatError,
+                       match="m.txt:7: field 'density' repeats line 6"):
+        load_model(path)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="N rows"):
         Dataset(Y=np.zeros((3, 1)), U=np.zeros((2, 1)), N=3)

@@ -351,11 +351,11 @@ def test_divergence_retry_halfway_to_previous_iterate(monkeypatch):
     real_filter = module.kalman_filter
     seen = []
 
-    def flaky_filter(model, data):
+    def flaky_filter(model, data, **kwargs):
         seen.append(model.A.copy())
         if len(seen) == 2:   # the first attempt of iteration 2
             raise FilterDivergedError(1)
-        return real_filter(model, data)
+        return real_filter(model, data, **kwargs)
 
     monkeypatch.setattr(module, "kalman_filter", flaky_filter)
     res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=2,
@@ -364,6 +364,37 @@ def test_divergence_retry_halfway_to_previous_iterate(monkeypatch):
     assert len(seen) == 4 and len(res.trace) == 3
     assert [r.damped for r in res.trace] == [False, True, False]
     assert np.array_equal(seen[2], 0.5 * (seen[1] + seen[0]))
+
+
+def test_outer_iterations_smooth_into_the_same_buffers(monkeypatch):
+    # every outer iteration writes its passes into the arrays the run
+    # allocated once; a refactor that reallocates them per pass fails here
+    import importlib
+    module = importlib.import_module("netrecon.reconstruct")
+    real_filter, real_rts = module.kalman_filter, module.rts_smoother
+    passes = []
+
+    def filter_(model, data, **kwargs):
+        passes.append(real_filter(model, data, **kwargs))
+        return passes[-1]
+
+    def rts(model, fp, **kwargs):
+        passes.append(real_rts(model, fp, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(module, "kalman_filter", filter_)
+    monkeypatch.setattr(module, "rts_smoother", rts)
+    res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=2,
+                                                   outer_max_iter=2,
+                                                   outer_tol=0.0))
+    assert len(res.trace) == 2 and len(passes) == 4
+    (fp1, sp1), (fp2, sp2) = passes[:2], passes[2:]
+    for first, second in ((fp1.x_pred, fp2.x_pred), (fp1.x_filt, fp2.x_filt),
+                          (fp1.innovations, fp2.innovations),
+                          (sp1.x_sm, sp2.x_sm)):
+        assert np.shares_memory(first, second)
+    # the new m0 comes from a pass, but not as a view of its buffers
+    assert not np.shares_memory(res.m0_hat, sp2.x_sm)
 
 
 def test_fallback_counts_in_trace_and_result_file(tmp_path):

@@ -3,15 +3,15 @@ against the dense per-step reference in ``_oracles`` and the joint-Gaussian
 oracles."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from netrecon import (FilterDivergedError, StepSeq, expectation_sums,
-                      generate_random_network, kalman_filter,
-                      lag_one_smoother, observed_loglik, rts_smoother,
-                      simulate, smooth)
+from netrecon import (FilterDivergedError, PassBuffers, StepSeq,
+                      expectation_sums, generate_random_network,
+                      kalman_filter, lag_one_smoother, observed_loglik,
+                      rts_smoother, simulate, smooth)
 
 from _oracles import (filter_per_step, lag_one_per_step, loglik_oracle,
                       loglik_per_step, random_stable_model, rts_per_step,
@@ -139,6 +139,58 @@ def test_nan_measurement_after_switch_diverges_at_reference_step(desk_system):
     with pytest.raises(FilterDivergedError) as err:
         kalman_filter(model, data)
     assert err.value.step == ref_err.value.step == k_steady + 42
+
+
+def _nan_buffers(model, data):
+    out = PassBuffers(data.N, model.n, model.p)
+    for name in PassBuffers.__slots__:
+        getattr(out, name).fill(np.nan)
+    return out
+
+
+def _assert_same_bits(got, ref):
+    for f in fields(ref):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(b, StepSeq):
+            a, b = np.asarray(a), np.asarray(b)
+        assert np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, None])
+def test_passes_into_buffers_equal_fresh_passes(desk_system, N):
+    # N = 1, 2, 8 never settle; the full record (None) does.  Buffers full of
+    # NaN show any entry a pass leaves unwritten.
+    model, full = desk_system
+    data = full if N is None else type(full)(Y=full.Y[:N], U=full.U[:N], N=N)
+    out = _nan_buffers(model, data)
+    fp, fp_out = kalman_filter(model, data), kalman_filter(model, data, out=out)
+    assert (fp.k_steady is None) == (N is not None)
+    _assert_same_bits(fp_out, fp)
+    sp, sp_out = rts_smoother(model, fp), rts_smoother(model, fp_out, out=out)
+    _assert_same_bits(sp_out, sp)
+    assert fp_out.x_pred is out.x_pred and fp_out.x_filt is out.x_filt
+    assert fp_out.innovations is out.innovations and sp_out.x_sm is out.x_sm
+
+
+def test_diverging_steady_tail_into_buffers_raises_at_the_same_step(desk_system):
+    model, full = desk_system
+    k_steady = kalman_filter(model, full).k_steady
+    data = type(full)(Y=full.Y.copy(), U=full.U, N=full.N)
+    data.Y[k_steady + 40, 3] = np.nan
+    with pytest.raises(FilterDivergedError) as ref_err:
+        kalman_filter(model, data)
+    with pytest.raises(FilterDivergedError) as err:
+        kalman_filter(model, data, out=_nan_buffers(model, data))
+    assert err.value.step == ref_err.value.step == k_steady + 42
+
+
+def test_buffers_of_another_size_are_rejected(desk_system):
+    model, full = desk_system
+    with pytest.raises(ValueError, match="do not fit"):
+        kalman_filter(model, full, out=PassBuffers(full.N - 1, model.n, model.p))
+    fp = kalman_filter(model, full)
+    with pytest.raises(ValueError, match="do not fit"):
+        rts_smoother(model, fp, out=PassBuffers(full.N, model.n + 1, model.p))
 
 
 def test_switch_on_medium_series_matches_joint_gaussian():
