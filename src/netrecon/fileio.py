@@ -75,33 +75,33 @@ class LineReader:
 
     @property
     def lineno(self):
-        """1-based number of the line last returned by ``next_line``."""
+        """1-based number of the line last read: the one ``next_line``
+        returned, or a blank or comment line ``at_end`` read past since."""
         return self._pos
 
     def error(self, message, lineno=None):
         raise FileFormatError(self.path, self._pos if lineno is None else lineno, message)
 
     def at_end(self):
-        pos = self._pos
-        while pos < len(self._lines):
-            line = self._lines[pos].strip()
+        """True when only blank and comment lines are left.  It reads past
+        the blank and comment lines ahead of the next line, recording the
+        comments as ``next_line`` does, so a comment after the last line is
+        in ``comments`` too."""
+        while self._pos < len(self._lines):
+            line = self._lines[self._pos].strip()
             if line and not line.startswith("#"):
                 return False
-            pos += 1
+            self._pos += 1
+            if line:
+                self.comments.append((self._pos, line[1:].strip()))
         return True
 
     def next_line(self):
         """Return the next non-blank, non-comment line (stripped)."""
-        while self._pos < len(self._lines):
-            line = self._lines[self._pos].strip()
-            self._pos += 1
-            if not line:
-                continue
-            if line.startswith("#"):
-                self.comments.append((self._pos, line[1:].strip()))
-                continue
-            return line
-        self.error("unexpected end of file")
+        if self.at_end():
+            self.error("unexpected end of file")
+        self._pos += 1
+        return self._lines[self._pos - 1].strip()
 
     def expect_key(self, key):
         """Read a 'key value...' line and return the value part."""

@@ -423,8 +423,8 @@ def save_model(model, path, seed=None, density=None):
 
 def load_model(path):
     """Read a model file; returns (model, metadata) with any seed/density
-    found.  A metadata field given twice raises FileFormatError at the
-    second."""
+    found.  A metadata field given twice, or a line other than a blank or a
+    comment after R0, raises FileFormatError at that line."""
     reader = LineReader(path)
     n = reader.expect_int("n")
     p = reader.expect_int("p")
@@ -451,5 +451,8 @@ def load_model(path):
     reader.expect_literal("m0")
     m0 = reader.read_floats(n, "m0")
     R0 = reader.read_matrix("R0", n, n)
+    if not reader.at_end():
+        line = reader.next_line()
+        reader.error(f"unexpected content after matrix R0: '{line}'")
     model = StateSpaceModel(A=A, B=B, C=C, D=D, sigma=sigma, m0=m0, R0=R0)
     return model, meta

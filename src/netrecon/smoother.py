@@ -20,10 +20,11 @@ recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS
 smoother uses one gain over that segment and runs its backward covariance
 recursion only until it settles by the same test; the log-likelihood
 factors the shared innovation covariance once.  Steps before k_steady, and
-runs where the test never passes, run every recursion at every step; there
-the RTS gains and the log-likelihood's determinants and solves depend only
-on covariances the filter has stored, so each comes from one batched LAPACK
-call per ``_BATCH_STEPS`` steps, and only the recursions run step by step.
+runs where the test never passes, run every recursion at every step.  The
+RTS gains, and the log-likelihood's determinants and solves before
+k_steady, depend only on covariances the filter has stored, so each comes
+from one batched LAPACK call per pass (the settled gain is the last row of
+the gains' solve), and only the recursions run step by step.
 
 Storage: every covariance and gain sequence is a ``StepSeq``, which stores
 each distinct matrix once and maps each step to its row.  The filter's
@@ -87,9 +88,6 @@ _SCAN_BLOCK = 8
 # N = 1000) the blocked scan's in-block and carry products, (N/b) n^2 each,
 # exceed it too and are split in the same way.
 _SCAN_BLOCK_MACS = 2**18
-# Steps per batched solve of the transient RTS gains and log-likelihood
-# terms, so a pass that never settles holds no extra N-step stacks.
-_BATCH_STEPS = 64
 
 
 class FilterDivergedError(RuntimeError):
@@ -421,24 +419,26 @@ def kalman_filter(model, data, out=None):
                       k_steady=k_steady)
 
 
-def _transient_gains(A, fp, lo, hi, pinv_steps):
-    """RTS gains J_k = P_{k|k} A' P_{k+1|k}^{-1} for k = lo..hi-1, row k - lo
-    of the result, from one batched solve.  If a P_{k+1|k} is singular the
-    gains are solved one step at a time, k = hi-1 first, and each step that
-    falls back to the pseudo-inverse is appended to ``pinv_steps``."""
-    PAt = fp.P_filt[lo:hi] @ A.T
-    Pp = fp.P_pred[lo + 1:hi + 1]
+def _gains(A, fp, hi, pinv_steps):
+    """RTS gains J_k = P_{k|k} A' P_{k+1|k}^{-1} for k = 0..hi-1, row k of
+    the result, from one batched solve.  If a P_{k+1|k} is singular the
+    gains are solved one step at a time, k = hi-1 first, each into its own
+    array (its memory order sets the bits of products with it, so the
+    per-step reference's bits hold), and each step that falls back to the
+    pseudo-inverse is appended to ``pinv_steps``."""
+    PAt = fp.P_filt[:hi] @ A.T
+    Pp = fp.P_pred[1:hi + 1]
     try:
         return np.linalg.solve(np.swapaxes(Pp, 1, 2),
                                np.swapaxes(PAt, 1, 2)).swapaxes(1, 2)
     except np.linalg.LinAlgError:
         pass
-    gains = [None] * (hi - lo)
-    for k in range(hi - 1, lo - 1, -1):
+    gains = [None] * hi
+    for k in range(hi - 1, -1, -1):
         try:
-            gains[k - lo] = np.linalg.solve(Pp[k - lo].T, PAt[k - lo].T).T
+            gains[k] = np.linalg.solve(Pp[k].T, PAt[k].T).T
         except np.linalg.LinAlgError:
-            gains[k - lo] = PAt[k - lo] @ np.linalg.pinv(Pp[k - lo])
+            gains[k] = PAt[k] @ np.linalg.pinv(Pp[k])
             pinv_steps.append(k)
     return gains
 
@@ -455,16 +455,16 @@ def rts_smoother(model, fp, out=None):
     A singular one-step covariance falls back to the pseudo-inverse; the
     affected steps are recorded in ``pinv_steps``, in backward step order.
 
-    The gains of the steps before ``fp.k_steady`` (all steps if nothing
-    settled) depend only on stored filter covariances, so they come from
-    one batched solve per ``_BATCH_STEPS`` steps, the last steps first, in
-    bounded memory; if a batch meets a singular P_{k+1|k}, that batch is
-    solved step by step as above.  The mean and covariance recursions then
-    run step by step.
+    The gains depend only on stored filter covariances, so every gain of
+    the pass comes from one batched solve (``_gains``): J_0..J_{ks-1} of the
+    steps before ks = ``fp.k_steady`` and the settled J_ks, or J_0..J_{N-1}
+    if nothing settled.  If that solve meets a singular P_{k+1|k}, the
+    gains are solved step by step as above.  The mean and covariance
+    recursions of the steps before ks then run step by step.
 
-    From ``fp.k_steady`` on, P_{k|k} and P_{k+1|k} are settled, so one gain J
-    serves every step k >= k_steady (if its solve fails, the pseudo-inverse
-    gain serves them all and each is listed in ``pinv_steps``); J stores the
+    From ks on, P_{k|k} and P_{k+1|k} are settled, so the one gain J = J_ks
+    serves every step k >= ks (if its solve fails, the pseudo-inverse gain
+    serves them all and each is listed in ``pinv_steps``); J stores the
     transient gains and then that gain once.  There the P_{k|N} recursion
     runs backwards only until it settles by the filter's test, and its last
     value is stored once for the rest of the segment: P_sm holds the steps
@@ -487,21 +487,17 @@ def rts_smoother(model, fp, out=None):
     out._check(N, n, p)
     x_sm = out.x_sm
     x_sm[N] = fp.x_filt[N]
-    # P_{k|N} and J_k in backward step order, each settled value once
+    # P_{k|N} in backward step order, each settled value once
     P_back = [fp.P_filt[N]]
-    J_back = []
     mid_steps = 1   # steps of the settled P_{k|N}, the last of the segment
     pinv_steps = []
     ks = N if fp.k_steady is None else fp.k_steady
+    gains = _gains(A, fp, min(ks + 1, N), pinv_steps)
     if ks < N:
+        if pinv_steps[:1] == [ks]:   # the steady gain serves steps ks..N-1
+            pinv_steps[:1] = range(N - 1, ks - 1, -1)
+        Js = gains[ks]
         Pf, Pp = fp.P_filt[ks], fp.P_pred[ks + 1]
-        PAt = Pf @ A.T
-        try:
-            Js = np.linalg.solve(Pp.T, PAt.T).T
-        except np.linalg.LinAlgError:
-            Js = PAt @ np.linalg.pinv(Pp)
-            pinv_steps.extend(range(N - 1, ks - 1, -1))
-        J_back.append(Js)
         for k in range(N - 1, ks - 1, -1):
             P_back.append(_sym(Pf + Js @ (P_back[-1] - Pp) @ Js.T))
             if _settled(P_back[-1], P_back[-2]):
@@ -519,17 +515,13 @@ def rts_smoother(model, fp, out=None):
         _linear_scan(Js, X)
         x_sm[ks:] = X[::-1]
     mid = len(P_back) - 1
-    for hi in range(ks, 0, -_BATCH_STEPS):
-        lo = max(hi - _BATCH_STEPS, 0)
-        gains = _transient_gains(A, fp, lo, hi, pinv_steps)
-        for k in range(hi - 1, lo - 1, -1):
-            Jk = gains[k - lo]
-            J_back.append(Jk)
-            x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
-            P_back.append(_sym(fp.P_filt[k]
-                               + Jk @ (P_back[-1] - fp.P_pred[k + 1]) @ Jk.T))
+    for k in range(ks - 1, -1, -1):
+        Jk = gains[k]
+        x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
+        P_back.append(_sym(fp.P_filt[k]
+                           + Jk @ (P_back[-1] - fp.P_pred[k + 1]) @ Jk.T))
     return SmoothPass(x_sm=x_sm, P_sm=_runs(P_back, mid_steps, mid),
-                      J=_held(J_back[::-1], N), M_sm=None,
+                      J=_held(gains, N), M_sm=None,
                       pinv_steps=tuple(pinv_steps))
 
 
@@ -601,9 +593,9 @@ def observed_loglik(model, data, fp=None):
     trace(L^-1 G L^-T), with G the sum of the innovations' outer products
     (per step as below if the Cholesky factorization fails).  The other
     steps take their determinants and solves from one batched ``slogdet``
-    and one batched ``solve`` per ``_BATCH_STEPS`` steps; the first step
-    whose determinant is not positive raises FilterDivergedError, and the
-    terms are added one by one in step order, as a per-step pass adds them.
+    and one batched ``solve``; the first step whose determinant is not
+    positive raises FilterDivergedError, and the terms are added one by one
+    in step order, as a per-step pass adds them.
     """
     if fp is None:
         fp = kalman_filter(model, data)
@@ -617,18 +609,15 @@ def observed_loglik(model, data, fp=None):
             last = fp.k_steady - 1
         except np.linalg.LinAlgError:
             pass
-    for lo in range(1, last + 1, _BATCH_STEPS):
-        hi = min(lo + _BATCH_STEPS, last + 1)
-        S = fp.innov_cov[lo:hi]
-        nu = fp.innovations[lo:hi]
-        sign, logdet = np.linalg.slogdet(S)
-        bad = sign <= 0
-        if bad.any():
-            raise FilterDivergedError(lo + int(np.argmax(bad)))
-        sol = np.linalg.solve(S, nu[:, :, None])[:, :, 0]
-        for i in range(hi - lo):   # term by term, in step order
-            total += -0.5 * (p * np.log(2.0 * np.pi) + logdet[i]
-                             + nu[i] @ sol[i])
+    S = fp.innov_cov[1:last + 1]
+    nu = fp.innovations[1:last + 1]
+    sign, logdet = np.linalg.slogdet(S)
+    bad = sign <= 0
+    if bad.any():
+        raise FilterDivergedError(1 + int(np.argmax(bad)))
+    sol = np.linalg.solve(S, nu[:, :, None])[:, :, 0]
+    for i in range(last):   # term by term, in step order
+        total += -0.5 * (p * np.log(2.0 * np.pi) + logdet[i] + nu[i] @ sol[i])
     if L is not None:
         # sum of nu' S^-1 nu over the steps = trace(L^-1 (sum of nu nu') L^-T)
         nu = fp.innovations[last + 1:]

@@ -330,6 +330,16 @@ def test_dataset_csv_repeated_metadata_is_an_error(tmp_path):
         load_dataset_csv(path)
 
 
+def test_dataset_csv_metadata_after_the_last_row(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("t,y1,u1\n1,0.5,1.0\n2,0.25,0.0\n# seed 7\n")
+    assert load_dataset_csv(path).seed == 7
+    path.write_text("# seed 1\nt,y1,u1\n1,0.5,1.0\n2,0.25,0.0\n\n# seed 7\n")
+    with pytest.raises(FileFormatError,
+                       match="d.csv:6: field 'seed' repeats line 1"):
+        load_dataset_csv(path)
+
+
 def test_model_file_repeated_metadata_is_an_error(tmp_path):
     rng = np.random.default_rng(10)
     path = tmp_path / "m.txt"
@@ -338,6 +348,21 @@ def test_model_file_repeated_metadata_is_an_error(tmp_path):
     path.write_text(text)
     with pytest.raises(FileFormatError,
                        match="m.txt:7: field 'density' repeats line 6"):
+        load_model(path)
+
+
+def test_model_file_content_after_r0_is_an_error(tmp_path):
+    rng = np.random.default_rng(10)
+    path = tmp_path / "m.txt"
+    save_model(small_model(rng), path)
+    text = path.read_text()
+    first_line_after = text.count("\n") + 2   # after a blank line
+    path.write_text(text + "\n# comments are fine\n")
+    load_model(path)
+    path.write_text(text + "\n" + text[text.index("A\n"):])
+    with pytest.raises(FileFormatError,
+                       match=f"m.txt:{first_line_after}: unexpected content "
+                             "after matrix R0: 'A'"):
         load_model(path)
 
 

@@ -310,9 +310,9 @@ def _dense_pass(N):
 
 
 def test_batched_gains_fall_back_per_step_at_one_singular_step():
-    # N = 150 steps run the transient gains in several batches; a zero
-    # first row and column make P_pred[j + 1] exactly singular, so gain j
-    # alone takes the pseudo-inverse
+    # a zero first row and column make P_pred[j + 1] exactly singular, so
+    # the batched gain solve fails, the gains are solved step by step and
+    # gain j alone takes the pseudo-inverse
     model, _, fp = _dense_pass(150)
     j = 90
     fp.P_pred[j + 1][0, :] = 0.0
@@ -324,9 +324,34 @@ def test_batched_gains_fall_back_per_step_at_one_singular_step():
                               getattr(ref, name)), name
 
 
+def test_transient_gains_equal_per_step_gains_bit_for_bit(desk_system):
+    model, data = desk_system
+    fp = kalman_filter(model, data)
+    ks = fp.k_steady
+    J, ref_J = np.asarray(rts_smoother(model, fp).J), rts_per_step(model, fp).J
+    assert ks is not None and np.array_equal(J[:ks], ref_J[:ks])
+
+
+def test_singular_steady_covariance_takes_the_pseudo_inverse(desk_system):
+    # zero the first row and column of the settled P_{k+1|k}: it serves the
+    # gains from k_steady - 1 on, and the settled gain takes the
+    # pseudo-inverse for every step of the steady segment
+    model, data = desk_system
+    fp = kalman_filter(model, data)
+    N, ks = fp.N, fp.k_steady
+    vals = fp.P_pred.vals.copy()
+    vals[-1][0, :] = 0.0
+    vals[-1][:, 0] = 0.0
+    fp = replace(fp, P_pred=StepSeq(vals, fp.P_pred.idx))
+    sp, ref = rts_smoother(model, fp), rts_per_step(model, fp)
+    assert sp.pinv_steps == ref.pinv_steps == tuple(range(N - 1, ks - 2, -1))
+    for name in ("x_sm", "P_sm", "J"):
+        assert _rel(getattr(sp, name), getattr(ref, name)) <= 1e-9, name
+
+
 def test_batched_loglik_diverges_at_the_first_bad_determinant():
     model, data, fp = _dense_pass(150)
-    for k in (100, 130):   # the first raises, in the second of three batches
+    for k in (100, 130):   # the earlier step raises, not the later one
         fp.innov_cov[k][0] *= -1.0   # determinant < 0
     with pytest.raises(FilterDivergedError) as ref_err:
         loglik_per_step(fp, data.p)
