@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import LineReader, fmt, fmt_row, write_text
-from .smoother import _linear_scan
+from .smoother import _linear_scan, _selects_outputs
 
 __all__ = [
     "StateSpaceModel",
@@ -58,12 +58,6 @@ def _as_matrix(x, shape, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _selects_outputs(C):
-    """True for C = [I 0], which has full row rank without an SVD."""
-    p = C.shape[0]
-    return not C[:, p:].any() and np.array_equal(C[:, :p], np.eye(p))
 
 
 @dataclass
@@ -254,23 +248,28 @@ def _rollout(model, U_full, sigma, x0, rng):
     One call draws the noise of all steps, w_k (n values) then e_k (p
     values) for each k in turn: the stream of a per-step loop.  The states
     come from the blocked scan ``smoother._linear_scan``, which agrees with
-    a per-step loop to rounding, not bit for bit.  Raises
-    SimulationDivergedError naming the first step whose state is not
-    finite.  The scan forms powers of A up to about A^N, so for an A whose
-    powers overflow within N steps even a state that stays zero reads as
-    diverged.
+    a per-step loop to rounding, not bit for bit.  The scan forms powers
+    of A up to about A^N, and once one overflows, inf times a zero state is
+    NaN; so where the scan yields a state that is not finite, the steps
+    from the last finite state are redone one at a time with their input
+    terms, and SimulationDivergedError names the first step whose state
+    that recursion leaves not finite.
     """
     N = len(U_full) - 1
     n, p = model.n, model.p
     noise = np.zeros((N, n + p)) if rng is None else rng.standard_normal((N, n + p))
+    G = U_full[:N] @ model.B.T + sigma * noise[:, :n]   # input terms
     X = np.empty((N + 1, n))
     X[0] = x0
-    X[1:] = U_full[:N] @ model.B.T + sigma * noise[:, :n]
+    X[1:] = G
     with np.errstate(over="ignore", invalid="ignore"):
         _linear_scan(model.A, X)
-    bad = ~np.isfinite(X[1:]).all(axis=1)
-    if bad.any():
-        raise SimulationDivergedError(int(np.argmax(bad)) + 1)
+        bad = ~np.isfinite(X[1:]).all(axis=1)
+        if bad.any():
+            for k in range(int(np.argmax(bad)) + 1, N + 1):
+                X[k] = model.A @ X[k - 1] + G[k - 1]
+                if not np.isfinite(X[k]).all():
+                    raise SimulationDivergedError(k)
     return X[1:] @ model.C.T + U_full[1:] @ model.D.T + sigma * noise[:, n:]
 
 

@@ -25,9 +25,9 @@ The inner loop (``sbl_em``) keeps its state in the compact row layout
 for the whole call: gamma, the means and the variances never return to
 w-order inside the loop, and sigma^2's residual comes from the means and
 the gathered xz rows alone.  An entry pruned during the loop is masked in
-place, as the pad is, and the layout is compacted to the surviving entries
-only when the widest row loses one, so that the batch narrows.  The result
-is mapped back to w-order once, after the loop.
+place, as the pad is; only when the widest row loses one is a narrower
+layout of the surviving entries built, by ``_layout`` again, so that the
+batch narrows.  The result is mapped back to w-order once, after the loop.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -349,15 +349,13 @@ def _kernel(reg, lay, gc, sigma2):
             bmu, D)
 
 
-def _prune(lay, gc, keep):
+def _prune(reg, lay, gc, keep):
     """Drop the entries of a resident layout outside ``keep`` (n x k).
 
     Each dropped entry's variance is zeroed and its row and column of
     ``lay.zz`` masked in place, as the pad is.  When the widest row loses
-    an entry, each row's kept entries move to the front, in their order,
-    and the batch is cut to the new width: on every kept entry the layout
-    then equals a fresh ``_layout`` of the same variances.  Returns the
-    layout and the compact variances.
+    an entry, the narrower layout is rebuilt by ``_layout`` from the kept
+    variances.  Returns the layout and the compact variances.
     """
     rows, cols = np.nonzero((gc > 0) & ~keep)
     gc[rows, cols] = 0.0
@@ -365,15 +363,7 @@ def _prune(lay, gc, keep):
     lay.zz[rows, :, cols] = 0.0
     if keep.all(axis=1).any():   # the widest row keeps every entry
         return lay, gc
-    n, width = gc.shape
-    k = int(np.count_nonzero(keep, axis=1).max())
-    sel = np.argsort(~keep, axis=1, kind="stable")[:, :k]
-    # flat indices, as in ``_layout``
-    at = (np.arange(n)[:, None, None] * width + sel[:, :, None]) * width
-    lay = _Layout(order=np.take_along_axis(lay.order, sel, axis=1),
-                  zz=lay.zz.ravel()[at + sel[:, None, :]],
-                  b=np.take_along_axis(lay.b, sel, axis=1))
-    return lay, np.take_along_axis(gc, sel, axis=1)
+    return _layout(reg, _scatter(gc, lay.order, reg.n + reg.m))
 
 
 def _estep(reg, gamma, sigma2):
@@ -477,20 +467,20 @@ def sbl_em(reg, mask, init=None, opts=None):
     beyond 1e-8 is recorded in the returned state's ``warnings`` and
     iteration continues.
 
-    The loop's state lives in the compact layout of its first iteration:
-    gamma, the means and the variances are (n x k) arrays, exactly zero on
-    pruned entries and on the pad, so gamma_i <- Sigma_ii + mu_i^2 needs no
-    mask.  One comparison of gamma with the prune threshold gives the
-    active set and its size.  An entry pruned later is masked in place
-    (unit diagonal, no coupling, a zero column of the inverse factor), so
+    The loop's state lives in a compact layout (``_layout``): gamma, the
+    means and the variances are (n x k) arrays, exactly zero on pruned
+    entries and on the pad, so gamma_i <- Sigma_ii + mu_i^2 needs no mask.
+    One comparison of gamma with the prune threshold gives the active set
+    and its size.  An entry pruned later is masked in place (unit
+    diagonal, no coupling, a zero column of the inverse factor), so
     iterations reuse the gathered blocks; when the widest row loses one,
-    the resident layout is compacted to the surviving entries and the
-    batch width k shrinks (``_prune``).  The kernel returns b . mu for the
-    residual and its added diagonal D, sigma2 / gamma on active entries,
-    so that sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 / gamma_i
-    are the dot products of D with the variances and the squared means.
-    After the loop, gamma is mapped back to w-order and ``posterior``
-    gives the returned mean and covariance.
+    ``_prune`` builds a narrower layout of the surviving entries with
+    ``_layout`` and the batch width k shrinks.  The kernel returns b . mu
+    for the residual and its added diagonal D, sigma2 / gamma on active
+    entries, so that sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 /
+    gamma_i are the dot products of D with the variances and the squared
+    means.  After the loop, gamma is mapped back to w-order and
+    ``posterior`` gives the returned mean and covariance.
     """
     opts = opts or SBLOptions()
     if init is None:
@@ -520,7 +510,7 @@ def sbl_em(reg, mask, init=None, opts=None):
         active = gc >= floor
         n_kept = np.count_nonzero(active)
         if n_kept < n_active:
-            lay, gc = _prune(lay, gc, active)
+            lay, gc = _prune(reg, lay, gc, active)
         n_active = n_kept
         n_active_path.append(n_active)
 

@@ -7,8 +7,10 @@ observed-data log-likelihood via the prediction-error decomposition.
 Index convention: arrays run k = 0..N with index 0 holding the initial
 state t_0 (prior only, no measurement); measurements exist for k = 1..N.
 The filter assumes process noise covariance sigma^2 I_n and unit
-measurement covariance; measurement feedthrough (nonzero D) is not
-supported in estimation.
+measurement covariance, and that the outputs are the first p states,
+C = [I 0], so C P is the first p rows of P and C x the first p entries of
+x; any other C, and measurement feedthrough (nonzero D), are not supported
+in estimation.
 
 Steady state: the covariance recursions do not depend on the data, and
 for a stable model they settle within a few dozen steps.  The filter
@@ -100,6 +102,12 @@ class FilterDivergedError(RuntimeError):
 
 def _sym(M):
     return 0.5 * (M + M.T)
+
+
+def _selects_outputs(C):
+    """True for C = [I 0], which has full row rank without an SVD."""
+    p = C.shape[0]
+    return not C[:, p:].any() and np.array_equal(C[:, :p], np.eye(p))
 
 
 class StepSeq:
@@ -317,27 +325,32 @@ def kalman_filter(model, data, out=None):
         x_{k|k}   = x_{k|k-1} + K_k (y_k - C x_{k|k-1})
         P_{k|k}   = P_{k|k-1} - K_k C P_{k|k-1}
 
-    started from the prior x_{0|0} = m0, P_{0|0} = R0.  Raises
-    FilterDivergedError when a covariance norm exceeds 1e12 or a predicted
-    mean is not finite, signalling an unstable parameter iterate to the
-    caller.
+    started from the prior x_{0|0} = m0, P_{0|0} = R0.  The outputs are
+    the first p states, C = [I 0]: C P_{k|k-1} is the first p rows of
+    P_{k|k-1}, C P_{k|k-1} C' its leading p x p block and C x_{k|k-1} the
+    first p entries of x_{k|k-1}, and any other C raises ValueError, as
+    nonzero D does.  Raises FilterDivergedError when a covariance norm
+    exceeds 1e12 or a predicted mean is not finite, signalling an unstable
+    parameter iterate to the caller.
 
     Once P_{k|k-1} changes by at most _STEADY_RTOL relative to its largest
     entry in one step (k >= 2), the covariances, gain and innovation
     covariance of step k hold for all later steps (``k_steady = k``): each
     is stored once, as the last row of its StepSeq.  The later filtered
     means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
-    F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j.  They come from
-    a blocked scan seeded with x_{k|k} (``_linear_scan``); the predicted
-    means and innovations are then formed in batch, and the first
-    non-finite predicted mean raises FilterDivergedError at its step as in
-    the per-step recursion.
+    F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j, where I - K C is
+    the identity less K in its first p columns.  They come from a blocked
+    scan seeded with x_{k|k} (``_linear_scan``); the predicted means and
+    innovations are then formed in batch, and the first non-finite
+    predicted mean raises FilterDivergedError at its step as in the
+    per-step recursion.
 
     Each transient step takes one reduction, the largest |P_{k|k-1}| entry,
     for both the divergence test (written so that NaN fails it) and the
-    settle test, and forms C P_{k|k-1} once for S_k and K_k; the other
-    products keep the per-step reference's order, so a run that never
-    settles gives the same bits.
+    settle test.  Reading C P as rows of P gives the bits of the product,
+    since C's zeros add only exact zeros, and the other products keep the
+    per-step reference's order, so a run that never settles gives the same
+    bits.
 
     With ``out``, a ``PassBuffers`` for this record's N, n and p, the means
     and innovations are written into its arrays and the tail products into
@@ -354,9 +367,12 @@ def kalman_filter(model, data, out=None):
         raise ValueError("kalman_filter requires sigma > 0")
     if np.any(model.D):
         raise ValueError("nonzero D is not supported in estimation")
+    if not _selects_outputs(model.C):
+        raise ValueError("estimation reads the outputs as the first p states: "
+                         "C must be [I 0]")
 
     N = data.N
-    A, B, C = model.A, model.B, model.C
+    A, B = model.A, model.B
     sig2I = model.sigma**2 * np.eye(n)
     Ip = np.eye(p)
 
@@ -380,15 +396,15 @@ def kalman_filter(model, data, out=None):
         big = np.abs(Pp).max()   # NaN fails the test below as well
         if not big <= _DIVERGE_NORM or not np.isfinite(x_pred[k]).all():
             raise FilterDivergedError(k)
-        CP = C @ Pp
-        S = _sym(CP @ C.T + Ip)
+        CP = Pp[:p]   # C P
+        S = _sym(CP[:, :p] + Ip)
         K = np.linalg.solve(S, CP).T
-        innovations[k] = data.Y[k - 1] - C @ x_pred[k]
+        innovations[k] = data.Y[k - 1] - x_pred[k, :p]
         x_filt[k] = x_pred[k] + K @ innovations[k]
         P_pred.append(Pp)
         innov_cov.append(S)
         K_gain.append(K)
-        P_filt.append(_sym(Pp - K @ C @ Pp))
+        P_filt.append(_sym(Pp - K @ CP))
         # P_pred[1] follows the prior, not the Riccati map, so compare from 2
         if k >= 2 and np.abs(Pp - P_pred[-2]).max() <= _STEADY_RTOL * big:
             k_steady = k
@@ -398,7 +414,8 @@ def kalman_filter(model, data, out=None):
         ks = k_steady
         tail = slice(ks + 1, N + 1)
         K = K_gain[ks]
-        IKC = np.eye(n) - K @ C
+        IKC = np.eye(n)   # I - K C
+        IKC[:, :p] -= K
         F = IKC @ A
         xf, xp, nu = x_filt[tail], x_pred[tail], innovations[tail]
         tmp = out.scratch[:N - ks]
@@ -411,7 +428,7 @@ def kalman_filter(model, data, out=None):
         if not finite.all():
             bad = ~finite.all(axis=1)
             raise FilterDivergedError(ks + 1 + int(np.argmax(bad)))
-        np.subtract(data.Y[ks:], np.matmul(xp, C.T, out=nu), out=nu)
+        np.subtract(data.Y[ks:], xp[:, :p], out=nu)
     return FilterPass(x_pred=x_pred, P_pred=_held(P_pred, N + 1),
                       x_filt=x_filt, P_filt=_held(P_filt, N + 1),
                       K_gain=_held(K_gain, N + 1), innovations=innovations,

@@ -177,6 +177,16 @@ def test_simulate_divergence_names_step():
     assert str(err.value.step) in str(err.value)
 
 
+def test_simulate_zero_state_of_unstable_model_stays_zero():
+    # the scan's powers of A overflow past A^1023, and inf times the zero
+    # state is NaN; the steps from there are redone one at a time
+    model = StateSpaceModel(A=[[2.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
+                            sigma=0.0, m0=[0.0], R0=[[0.0]])
+    data = simulate(model, 5000, input_kind="provided",
+                    U_provided=np.zeros((5000, 1)), seed=0)
+    assert not data.Y.any()
+
+
 def test_simulate_snr_sigma_consistency():
     rng = np.random.default_rng(8)
     model = small_model(rng)

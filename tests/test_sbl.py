@@ -569,8 +569,8 @@ def test_kernel_inverse_factor_matches_full_width():
 
 
 def test_compacted_layout_matches_a_fresh_layout():
-    # when the widest row loses an entry, sbl_em compacts its resident
-    # layout in place rather than gathering again from the moments
+    # when the widest row loses an entry, sbl_em rebuilds its resident
+    # layout narrower from the kept variances
     from netrecon.sbl import _layout, _prune, _scatter
 
     reg, lay, gc, _ = masked_layout(np.random.default_rng(31))
@@ -578,7 +578,7 @@ def test_compacted_layout_matches_a_fresh_layout():
     keep = gc > 0
     keep[1::4, 5] = False   # rows of 12 lose an entry ahead of live ones
     assert not keep.all(axis=1).any()
-    lay, gc = _prune(lay, gc, keep)
+    lay, gc = _prune(reg, lay, gc, keep)
     assert gc.shape[1] == 29
     fresh, gc_fresh = _layout(reg, _scatter(gc, lay.order, d))
     live = gc > 0
