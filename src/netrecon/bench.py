@@ -22,7 +22,7 @@ import numpy as np
 
 from .dsf import NetworkGraph, graph_compare
 from .fileio import fmt, record_lines
-from .model import generate_random_network, simulate
+from .model import _check_snr, generate_random_network, simulate
 from .reconstruct import (_setting_names, recon_config, recon_settings,
                           reconstruct)
 from .sbl import _check_integer_fields
@@ -65,6 +65,10 @@ class BenchConfig:
             raise ValueError("benchmark requires m = p")
         object.__setattr__(self, "snr_list",
                            tuple(float(s) for s in self.snr_list))
+        if not self.snr_list:
+            raise ValueError("snr_list must hold at least one SNR")
+        for snr in self.snr_list:
+            _check_snr(snr, "snr_list")
         if len(set(self.snr_list)) < len(self.snr_list):
             raise ValueError(f"snr_list repeats a value: {self.snr_list}")
         object.__setattr__(self, "recon", {name: self.recon[key] for name, key

@@ -5,11 +5,16 @@ measured outputs to each other, to the inputs, and to the innovations:
 
     y = Q(q) y + P(q) u + H(q) e
 
-with zero diagonal and strictly proper entries in Q.  It is obtained by a
-change of basis that exposes the measured coordinates, eliminating the
-hidden block through its resolvent:
+with zero diagonal and strictly proper entries in Q.  The outputs are the
+first p states (``StateSpaceModel`` guarantees C = [I 0], the setting in
+which Goncalves & Warnick, IEEE TAC 53(7), 2008, define the DSF), so the
+partition is read off A and B directly: A11 is A's leading p x p block,
+A22 its hidden block, B1 and B2 B's measured and hidden rows.  The
+innovations enter the measured states only, as sigma [I; 0], so the
+hidden block is eliminated through its resolvent from A21 and B2 alone:
 
-    W(q) = A11 + A12 (qI - A22)^{-1} A21        (and V, L likewise for B, K)
+    W(q) = A11 + A12 (qI - A22)^{-1} A21
+    V(q) = B1  + A12 (qI - A22)^{-1} B2,        L = sigma I
     Q  = (qI - D_W)^{-1} (W - D_W),   D_W = diag(W)
     P  = (qI - D_W)^{-1} V + (I - Q) D
     H  = (qI - D_W)^{-1} L + (I - Q)
@@ -18,7 +23,7 @@ The DSF is evaluated by sampling: every matrix is computed at a set of
 complex points, which works at any size and is all the reconstruction
 reads.  The exact rational DSF, built by the characteristic-polynomial
 adjugate recursion on the hidden block, is kept with the tests as the
-oracle for this path; it shares ``_transformed_blocks`` with it.
+oracle for this path; it reads the same blocks of A and B itself.
 
 The nonzero pattern of (Q, P) is the Boolean network; graph comparison
 metrics (precision, true-positive rate) operate on the Q adjacency.
@@ -27,7 +32,6 @@ metrics (precision, true-positive rate) operate on the Q adjacency.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fileio import adjacency_rows, fmt, write_text
 
@@ -45,7 +49,8 @@ __all__ = [
 
 
 class DSFError(RuntimeError):
-    """DSF evaluation failed (rank-deficient C, or no pole-free points found)."""
+    """DSF evaluation failed: the evaluation points are empty or repeat, or
+    no pole-free points were found."""
 
 
 @dataclass
@@ -105,37 +110,6 @@ def default_q_points(seed=0):
     return np.concatenate([circle, radii * np.exp(1j * phases)])
 
 
-def _noise_coupling(model):
-    # K = sigma * [I_p; 0], the innovations-form coupling into the state
-    K = np.zeros((model.n, model.p))
-    K[: model.p, : model.p] = model.sigma * np.eye(model.p)
-    return K
-
-
-def _transformed_blocks(model):
-    """Change basis so the first p coordinates are the measured outputs.
-
-    Returns the partitioned blocks of T A T^{-1}, T B, T K with
-    T = [C; E^T], E an orthonormal null-space basis of C.
-    """
-    C = model.C
-    n, p = model.n, model.p
-    if np.linalg.matrix_rank(C) != p:
-        raise DSFError("C must have full row rank")
-    E = scipy.linalg.null_space(C)
-    if E.shape != (n, n - p):
-        raise DSFError("null-space basis of C has unexpected dimension")
-    T = np.vstack([C, E.T])
-    Ebar = C.T @ np.linalg.inv(C @ C.T)
-    Tinv = np.hstack([Ebar, E])
-    Ahat = T @ model.A @ Tinv
-    Bhat = T @ model.B
-    Khat = T @ _noise_coupling(model)
-    A11, A12 = Ahat[:p, :p], Ahat[:p, p:]
-    A21, A22 = Ahat[p:, :p], Ahat[p:, p:]
-    return A11, A12, A21, A22, Bhat[:p], Bhat[p:], Khat[:p], Khat[p:]
-
-
 # Most pole-hitting points dsf_from_state_space replaces before giving up.
 _MAX_RESAMPLE = 64
 
@@ -156,10 +130,10 @@ def dsf_from_state_space(model, q_points):
         raise DSFError("q_points must be distinct")
     rng = np.random.default_rng(0x0D5F)
 
-    blocks = _transformed_blocks(model)
-    A22 = blocks[3]
-    eig22 = np.linalg.eigvals(A22) if A22.size else np.array([], dtype=complex)
     p, m = model.p, model.m
+    A, B = model.A, model.B
+    blocks = A[:p, :p], A[:p, p:], A[p:, :p], A[p:, p:], B[:p], B[p:]
+    eig22 = np.linalg.eigvals(blocks[3])
 
     points = list(q)
     Q_vals = np.empty((len(points), p, p), dtype=complex)
@@ -172,7 +146,8 @@ def dsf_from_state_space(model, q_points):
             qi = points[idx]
             pole_tol = 1e-8 * max(1.0, abs(qi))
             ok = eig22.size == 0 or np.min(np.abs(qi - eig22)) > pole_tol
-            result = _eval_dsf_point(qi, blocks, model.D, pole_tol) if ok else None
+            result = (_eval_dsf_point(qi, blocks, model.sigma, model.D, pole_tol)
+                      if ok else None)
             if result is not None:
                 Q_vals[idx], P_vals[idx], H_vals[idx] = result
                 break
@@ -189,28 +164,20 @@ def dsf_from_state_space(model, q_points):
                       P_vals=P_vals, H_vals=H_vals)
 
 
-def _eval_dsf_point(q, blocks, D, pole_tol):
-    A11, A12, A21, A22, B1, B2, K1, K2 = blocks
-    h = A22.shape[0]
-    if h > 0:
-        rhs = np.hstack([A21, B2, K2]).astype(complex)
-        X = np.linalg.solve(q * np.eye(h) - A22, rhs)
-        nB = B2.shape[1]
-        W = A11 + A12 @ X[:, : A21.shape[1]]
-        V = B1 + A12 @ X[:, A21.shape[1]: A21.shape[1] + nB]
-        L = K1 + A12 @ X[:, A21.shape[1] + nB:]
-    else:
-        W = A11.astype(complex)
-        V = B1.astype(complex)
-        L = K1.astype(complex)
+def _eval_dsf_point(q, blocks, sigma, D, pole_tol):
+    A11, A12, A21, A22, B1, B2 = blocks
+    h, p = A22.shape[0], A11.shape[0]
+    # with no hidden states (h = 0) the products are empty sums, zero
+    X = np.linalg.solve(q * np.eye(h) - A22, np.hstack([A21, B2]).astype(complex))
+    W = A11 + A12 @ X[:, :p]
+    V = B1 + A12 @ X[:, p:]
     d = np.diag(W)
     if np.min(np.abs(q - d)) <= pole_tol:
         return None
     denom = (q - d)[:, None]
     Qhat = (W - np.diag(d)) / denom
-    p = A11.shape[0]
     I = np.eye(p)
-    return Qhat, V / denom + (I - Qhat) @ D, L / denom + (I - Qhat)
+    return Qhat, V / denom + (I - Qhat) @ D, sigma * I / denom + (I - Qhat)
 
 
 def _check_rel_tol(rel_tol, name="rel_tol"):

@@ -5,11 +5,16 @@ The model class represents the discrete-time innovations-form system
     x(t_{k+1}) = A x(t_k) + B u(t_k) + process noise
     y(t_k)     = C x(t_k) + D u(t_k) + measurement noise
 
-with a single scale parameter ``sigma``: the process noise is drawn as
-``sigma * N(0, I_n)`` and the measurement noise as ``sigma * N(0, I_p)``
-during simulation.  The estimation modules assume process covariance
-``sigma^2 I`` and unit measurement covariance, so ``sigma`` is the one
-noise knob shared by generation and identification.
+whose outputs are the first p states: C = [I 0], the setting in which the
+dynamical structure function is defined (Goncalves & Warnick, IEEE TAC
+53(7), 2008).  ``StateSpaceModel`` checks this once, so simulation,
+estimation and the DSF read the outputs as those states and form no
+product with C.  The model has a single scale parameter ``sigma``: the
+process noise is drawn as ``sigma * N(0, I_n)`` and the measurement noise
+as ``sigma * N(0, I_p)`` during simulation.  The estimation modules
+assume process covariance ``sigma^2 I`` and unit measurement covariance,
+so ``sigma`` is the one noise knob shared by generation and
+identification.
 
 A dataset holds outputs y(t_1..t_N) and the inputs u(t_0..t_{N-1}) that
 drive each transition; there is no measurement at t_0.
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import LineReader, fmt, fmt_row, write_text
-from .smoother import _linear_scan, _selects_outputs
+from .smoother import _linear_scan
 
 __all__ = [
     "StateSpaceModel",
@@ -64,9 +69,10 @@ def _as_matrix(x, shape, name):
 class StateSpaceModel:
     """Innovations-form LTI model (A, B, C, D, sigma, m0, R0).
 
-    C must have full row rank, R0 must be symmetric positive semidefinite,
-    and sigma must be nonnegative (zero means a noise-free system; the
-    Kalman filter additionally requires sigma > 0).
+    The outputs are the first p states, so C must be [I 0]
+    (``np.eye(p, n)``).  R0 must be symmetric positive semidefinite, and
+    sigma must be nonnegative (zero means a noise-free system; the Kalman
+    filter additionally requires sigma > 0).
     """
 
     A: np.ndarray
@@ -101,8 +107,8 @@ class StateSpaceModel:
         self.sigma = float(self.sigma)
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if not _selects_outputs(self.C) and np.linalg.matrix_rank(self.C) != p:
-            raise ValueError("C must have full row rank")
+        if not np.array_equal(self.C, np.eye(p, n)):
+            raise ValueError("the outputs are the first p states: C must be [I 0]")
         # np.allclose(R0, R0', atol=1e-10), without its per-call overhead
         if not np.all(np.abs(self.R0 - self.R0.T)
                       <= 1e-10 + 1e-5 * np.abs(self.R0.T)):
@@ -222,9 +228,8 @@ def generate_random_network(p, n, m, density, seed):
         A *= rho_target / rho
 
         B = np.vstack([np.diag(b), np.zeros((n - p, m))])
-        C = np.hstack([np.eye(p), np.zeros((p, n - p))])
         model = StateSpaceModel(
-            A=A, B=B, C=C, D=np.zeros((p, m)), sigma=1.0,
+            A=A, B=B, C=np.eye(p, n), D=np.zeros((p, m)), sigma=1.0,
             m0=np.zeros(n), R0=np.eye(n),
         )
         try:
@@ -243,7 +248,8 @@ def _psd_sqrt(M):
 
 def _rollout(model, U_full, sigma, x0, rng):
     """Outputs y_1..y_N of x_k = A x_{k-1} + B u_{k-1} + sigma w_k from
-    x_0 = x0, with y_k = C x_k + D u_k + sigma e_k; rng=None means noise-free.
+    x_0 = x0, with y_k = C x_k + D u_k + sigma e_k, where C x_k is the first p
+    entries of x_k; rng=None means noise-free.
 
     One call draws the noise of all steps, w_k (n values) then e_k (p
     values) for each k in turn: the stream of a per-step loop.  The states
@@ -270,7 +276,7 @@ def _rollout(model, U_full, sigma, x0, rng):
                 X[k] = model.A @ X[k - 1] + G[k - 1]
                 if not np.isfinite(X[k]).all():
                     raise SimulationDivergedError(k)
-    return X[1:] @ model.C.T + U_full[1:] @ model.D.T + sigma * noise[:, n:]
+    return X[1:, :p] + U_full[1:] @ model.D.T + sigma * noise[:, n:]
 
 
 def simulate(model, N, input_kind="gaussian_iid", U_provided=None, snr_db=None, seed=None):
@@ -313,6 +319,13 @@ def simulate(model, N, input_kind="gaussian_iid", U_provided=None, snr_db=None, 
     return Dataset(Y=Y, U=U_full[:N].copy(), N=N, seed=seed, snr_db=snr_db)
 
 
+def _check_snr(snr_db, name="snr_db"):
+    """ValueError unless ``snr_db > -inf``; NaN fails that test too, and
+    +inf dB means noise-free."""
+    if not snr_db > -np.inf:
+        raise ValueError(f"{name} must be above -inf dB, got {snr_db}")
+
+
 def scale_noise_for_snr(model, U, snr_db, seed=None):
     """Return sigma hitting a target output SNR for the given input sequence.
 
@@ -320,7 +333,9 @@ def scale_noise_for_snr(model, U, snr_db, seed=None):
     the variance of the noise contribution.  Both are estimated from one
     noise-free rollout and one unit-noise rollout from x0 = m0; since the
     system is linear, the noise contribution scales exactly with sigma.
+    ``snr_db`` must be above -inf (NaN is not); +inf gives sigma 0.
     """
+    _check_snr(snr_db)
     U = np.atleast_2d(np.array(U, dtype=float))
     if len(U) < 2:
         raise ValueError("need at least two input samples to estimate variances")

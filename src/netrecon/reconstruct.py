@@ -321,13 +321,12 @@ def _em_step(data, params, mask, cfg, bufs):
     A, B, sigma2, m0, R0 = params
     n, p, m, N = A.shape[0], data.p, data.m, data.N
     s = float(np.sqrt(sigma2))
-    C = np.hstack([np.eye(p), np.zeros((p, n - p))])
     # data was checked when built: the scaled copy skips Dataset's copies
     # and finiteness check
     scaled = copy.copy(data)
     scaled.Y = data.Y / s
-    model = StateSpaceModel(A=A, B=B / s, C=C, D=np.zeros((p, m)), sigma=1.0,
-                            m0=m0 / s, R0=R0 / s**2)
+    model = StateSpaceModel(A=A, B=B / s, C=np.eye(p, n), D=np.zeros((p, m)),
+                            sigma=1.0, m0=m0 / s, R0=R0 / s**2)
     fp = kalman_filter(model, scaled, out=bufs)
     sp = rts_smoother(model, fp, out=bufs)
     sp = _dc_replace(sp, M_sm=lag_one_smoother(sp))
@@ -407,8 +406,8 @@ def reconstruct(data, cfg):
 
     A, B, sigma2, m0, R0 = params
     model_hat = StateSpaceModel(
-        A=A, B=B, C=np.hstack([np.eye(p), np.zeros((p, n - p))]),
-        D=np.zeros((p, m)), sigma=float(np.sqrt(sigma2)), m0=m0, R0=R0)
+        A=A, B=B, C=np.eye(p, n), D=np.zeros((p, m)),
+        sigma=float(np.sqrt(sigma2)), m0=m0, R0=R0)
     q_points = _dsf.default_q_points(seed=0 if cfg.seed is None else int(cfg.seed))
     sample = _dsf.dsf_from_state_space(model_hat, q_points)
     network = _dsf.boolean_structure(sample, cfg.structure_rel_tol)

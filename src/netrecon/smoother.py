@@ -7,10 +7,10 @@ observed-data log-likelihood via the prediction-error decomposition.
 Index convention: arrays run k = 0..N with index 0 holding the initial
 state t_0 (prior only, no measurement); measurements exist for k = 1..N.
 The filter assumes process noise covariance sigma^2 I_n and unit
-measurement covariance, and that the outputs are the first p states,
-C = [I 0], so C P is the first p rows of P and C x the first p entries of
-x; any other C, and measurement feedthrough (nonzero D), are not supported
-in estimation.
+measurement covariance.  The outputs are the first p states, C = [I 0],
+as ``StateSpaceModel`` guarantees, so C P is the first p rows of P and
+C x the first p entries of x; measurement feedthrough (nonzero D) is not
+supported in estimation.
 
 Steady state: the covariance recursions do not depend on the data, and
 for a stable model they settle within a few dozen steps.  The filter
@@ -102,12 +102,6 @@ class FilterDivergedError(RuntimeError):
 
 def _sym(M):
     return 0.5 * (M + M.T)
-
-
-def _selects_outputs(C):
-    """True for C = [I 0], which has full row rank without an SVD."""
-    p = C.shape[0]
-    return not C[:, p:].any() and np.array_equal(C[:, :p], np.eye(p))
 
 
 class StepSeq:
@@ -326,10 +320,10 @@ def kalman_filter(model, data, out=None):
         P_{k|k}   = P_{k|k-1} - K_k C P_{k|k-1}
 
     started from the prior x_{0|0} = m0, P_{0|0} = R0.  The outputs are
-    the first p states, C = [I 0]: C P_{k|k-1} is the first p rows of
-    P_{k|k-1}, C P_{k|k-1} C' its leading p x p block and C x_{k|k-1} the
-    first p entries of x_{k|k-1}, and any other C raises ValueError, as
-    nonzero D does.  Raises FilterDivergedError when a covariance norm
+    the first p states, C = [I 0], as the model guarantees: C P_{k|k-1} is
+    the first p rows of P_{k|k-1}, C P_{k|k-1} C' its leading p x p block
+    and C x_{k|k-1} the first p entries of x_{k|k-1}.  Nonzero D raises
+    ValueError.  Raises FilterDivergedError when a covariance norm
     exceeds 1e12 or a predicted mean is not finite, signalling an unstable
     parameter iterate to the caller.
 
@@ -367,9 +361,6 @@ def kalman_filter(model, data, out=None):
         raise ValueError("kalman_filter requires sigma > 0")
     if np.any(model.D):
         raise ValueError("nonzero D is not supported in estimation")
-    if not _selects_outputs(model.C):
-        raise ValueError("estimation reads the outputs as the first p states: "
-                         "C must be [I 0]")
 
     N = data.N
     A, B = model.A, model.B

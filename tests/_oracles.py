@@ -2,20 +2,20 @@
 
 Everything here is re-derived from first principles (explicitly formed
 joint Gaussians, dense textbook formulas, brute-force estimates) and
-shares no code path with the library implementations it checks, except
-the exact DSF's change of basis (see the last paragraph).  One exception
-to first principles is the per-step Kalman reference (``filter_per_step``
-and the functions after it): it runs every covariance recursion at every step, as
-the library did before it learned to stop them once they settle, so tests
-can check the library's steady-state path at sizes the joint-Gaussian
-oracles cannot reach.  It returns the library's own pass containers.
-The other is the full-width SBL E-step (``estep_full_width``), which
-factors every row of [A B] on all its entries and inverts the Cholesky
-factor by a general inverse, as the library did before it compacted each
-row to its active entries, and the inner loop it drives
-(``sbl_em_full_width``), which runs that E-step afresh in every iteration
-and takes the residual on the full-width coefficients, as the library did
-before it kept the loop's state in a compact layout.
+shares no code path with the library implementations it checks.  One
+exception to first principles is the per-step Kalman reference
+(``filter_per_step`` and the functions after it): it runs every
+covariance recursion at every step, as the library did before it learned
+to stop them once they settle, so tests can check the library's
+steady-state path at sizes the joint-Gaussian oracles cannot reach.  It
+returns the library's own pass containers.  The other is the full-width
+SBL E-step (``estep_full_width``), which factors every row of [A B] on
+all its entries and inverts the Cholesky factor by a general inverse, as
+the library did before it compacted each row to its active entries, and
+the inner loop it drives (``sbl_em_full_width``), which runs that E-step
+afresh in every iteration and takes the residual on the full-width
+coefficients, as the library did before it kept the loop's state in a
+compact layout.
 
 The regression design (``DesignRegression``, ``assemble_regression``) and
 the expected complete-data log-likelihood (``q_function``) are here too:
@@ -26,9 +26,9 @@ The exact rational DSF (``exact_dsf_small``, with ``RationalMatrix``) is
 the oracle for the library's sampled DSF.  It builds every entry as a
 ratio of polynomials by the characteristic-polynomial adjugate recursion
 on the hidden block, so it shares no evaluation code with the sampled
-path, but it takes the change of basis that exposes the measured
-coordinates from the library (``netrecon.dsf._transformed_blocks``):
-both paths read the DSF off the same partitioned blocks.
+path.  The outputs are the first p states (C = [I 0]), so it partitions
+A and B into their measured and hidden blocks itself, and the noise
+coupling sigma [I; 0] into sigma I and a zero hidden block.
 """
 
 import warnings
@@ -38,7 +38,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from netrecon import DSFError, RegressionData
-from netrecon.dsf import _transformed_blocks
 
 
 @dataclass(kw_only=True)
@@ -325,7 +324,7 @@ def sbl_em_full_width(reg, mask, init, opts):
 
 
 def random_stable_model(rng, n, p, m, sigma=None, rich_prior=True):
-    """Random stable system with full-row-rank C = [I 0] and arbitrary B."""
+    """Random stable system with C = [I 0] and arbitrary B."""
     from netrecon import StateSpaceModel
 
     A = rng.normal(size=(n, n))
@@ -547,8 +546,11 @@ def exact_dsf_small(model, max_hidden=12):
     if h > max_hidden:
         raise UnsupportedSizeError(
             f"exact path supports n - p <= {max_hidden}, got {h}")
-    A11, A12, A21, A22, B1, B2, K1, K2 = _transformed_blocks(model)
     p, m = model.p, model.m
+    A, B = model.A, model.B
+    A11, A12, A21, A22 = A[:p, :p], A[:p, p:], A[p:, :p], A[p:, p:]
+    B1, B2 = B[:p], B[p:]
+    K1, K2 = model.sigma * np.eye(p), np.zeros((h, p))
 
     char, adj = _faddeev_leverrier(A22) if h > 0 else (np.ones(1), np.zeros((0, 0, 0)))
 

@@ -90,9 +90,10 @@ def test_boundary_settings_stay_valid():
 
 @pytest.mark.parametrize("kwargs", [
     {"n_networks": 0}, {"parallelism": 0}, {"recon": {"inner_max_iter": 0}},
+    {"snr_list": (float("nan"), 20.0)}, {"snr_list": ()},
 ], ids=_id)
 def test_bench_config_rejects_meaningless_settings(kwargs):
-    with pytest.raises(ValueError, match="n_networks|parallelism|max_iter"):
+    with pytest.raises(ValueError, match="n_networks|parallelism|max_iter|snr_list"):
         BenchConfig(**kwargs)
 
 

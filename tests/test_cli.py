@@ -135,6 +135,19 @@ def test_runtime_errors_exit_two(tmp_path):
     assert run_cli(["dsf", "--model", bad_model]) == 2
 
 
+def test_dsf_rejects_a_model_whose_outputs_are_not_the_first_states(
+        tmp_path, capsys):
+    # swapping two rows of C keeps its rank but breaks C = [I 0]
+    lines = (FIXTURES / "sample_model.txt").read_text().splitlines()
+    c = lines.index("C")
+    lines[c + 1], lines[c + 2] = lines[c + 2], lines[c + 1]
+    swapped = tmp_path / "swapped.txt"
+    swapped.write_text("\n".join(lines) + "\n")
+    assert run_cli(["dsf", "--model", swapped]) == 2
+    assert "the outputs are the first p states: C must be [I 0]" \
+        in capsys.readouterr().err
+
+
 def test_malformed_file_error_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,y1,u1\n1,0.0\n")
@@ -246,6 +259,19 @@ def test_benchmark_rejects_a_repeated_snr(tmp_path, capsys):
     assert run_cli(["benchmark", "--config", cfg, "--out", out, "--quiet"]) == 1
     assert "snr_list" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_benchmark_rejects_an_snr_of_nan_or_minus_inf(tmp_path, capsys):
+    # a NaN row would group no record, and -inf dB is infinite noise
+    for bad in ("nan", "-inf"):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\n"
+                       f"m = 2\ndensity = 0.4\nn_samples = 40\nsnr_list = {bad},20\n")
+        out = tmp_path / "t.csv"
+        assert run_cli(["benchmark", "--config", cfg, "--out", out,
+                        "--quiet"]) == 1
+        assert "snr_list must be above -inf dB" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_and_dsf_config_keys(tmp_path, capsys):

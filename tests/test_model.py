@@ -158,6 +158,18 @@ def test_scale_noise_monte_carlo_variance_ratio():
     assert abs(realized / 10 ** (target_db / 10.0) - 1.0) < 0.05
 
 
+def test_simulate_rejects_an_snr_of_nan_or_minus_inf():
+    # both used to run into a SimulationDivergedError at step 1; +inf dB
+    # stays valid and means noise-free
+    rng = np.random.default_rng(9)
+    model = small_model(rng)
+    for bad in (float("nan"), -np.inf):
+        with pytest.raises(ValueError, match="snr_db must be above -inf dB"):
+            simulate(model, 20, snr_db=bad, seed=1)
+    U = rng.normal(size=(20, 2))
+    assert scale_noise_for_snr(model, U, snr_db=np.inf, seed=2) == 0.0
+
+
 def test_scale_noise_zero_signal_errors():
     rng = np.random.default_rng(7)
     model = small_model(rng)
@@ -384,13 +396,26 @@ def test_dataset_validation():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError, match="full row rank"):
+    with pytest.raises(ValueError, match=r"first p states: C must be \[I 0\]"):
         StateSpaceModel(A=np.eye(2) * 0.5, B=np.eye(2), C=np.zeros((1, 2)),
                         D=np.zeros((1, 2)), sigma=1.0, m0=np.zeros(2),
                         R0=np.eye(2))
     with pytest.raises(ValueError, match="semidefinite"):
         StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
                         sigma=1.0, m0=[0.0], R0=[[-1.0]])
+
+
+def test_model_rejects_full_row_rank_c_other_than_i_0():
+    # the outputs are the first p states: a permutation or a scaling of
+    # them has full row rank but is not [I 0]
+    for C in ([[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0]]):
+        p = len(C)
+        with pytest.raises(ValueError, match=r"first p states: C must be \[I 0\]"):
+            StateSpaceModel(A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=C,
+                            D=np.zeros((p, 1)), sigma=1.0, m0=np.zeros(2),
+                            R0=np.eye(2))
+    StateSpaceModel(A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=[[1.0, 0.0]],
+                    D=np.zeros((1, 1)), sigma=1.0, m0=np.zeros(2), R0=np.eye(2))
 
 
 def test_model_symmetry_check_is_allclose_at_its_boundary():
