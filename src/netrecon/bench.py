@@ -22,10 +22,11 @@ import numpy as np
 
 from .dsf import NetworkGraph, graph_compare
 from .fileio import fmt, record_lines
-from .model import _check_snr, generate_random_network, simulate
+from .model import (_check_generation, _check_simulation,
+                    generate_random_network, simulate)
 from .reconstruct import (_setting_names, recon_config, recon_settings,
                           reconstruct)
-from .sbl import _check_integer_fields
+from .sbl import _check_integer_fields, identifiability_mask
 
 __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
 
@@ -61,14 +62,13 @@ class BenchConfig:
                                  f"got {getattr(self, name)}")
         if self.n_assumed < self.p:
             raise ValueError("n_assumed must be at least p")
-        if self.m != self.p:
-            raise ValueError("benchmark requires m = p")
+        _check_generation(self.p, self.n_true, self.m, self.density)
         object.__setattr__(self, "snr_list",
                            tuple(float(s) for s in self.snr_list))
         if not self.snr_list:
             raise ValueError("snr_list must hold at least one SNR")
         for snr in self.snr_list:
-            _check_snr(snr, "snr_list")
+            _check_simulation(self.N_samples, snr, "snr_list")
         if len(set(self.snr_list)) < len(self.snr_list):
             raise ValueError(f"snr_list repeats a value: {self.snr_list}")
         object.__setattr__(self, "recon", {name: self.recon[key] for name, key
@@ -76,7 +76,11 @@ class BenchConfig:
         if {"n_states", "seed"} & self.recon.keys():
             raise ValueError("recon may not set n_states or seed: each cell "
                              "takes them from n_assumed and its own seed")
-        _cell_recon_config(self, 0)   # unknown keys fail before any cell runs
+        # unknown keys and a mask the assumed states cannot hold fail
+        # before any cell runs
+        cell = _cell_recon_config(self, 0)
+        identifiability_mask(cell.n_states, self.p, self.m, cell.mask_mode,
+                             cell.p22)
 
     def echo(self):
         """Every setting as the text the result files embed: floats by

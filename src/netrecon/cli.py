@@ -23,7 +23,8 @@ from .bench import BenchConfig, _derive_seed, run_benchmark
 from .dsf import (_check_rel_tol, boolean_structure, default_q_points,
                   dsf_from_state_space, save_dsf_result)
 from .fileio import FileFormatError, LineReader, adjacency_rows, write_text
-from .model import (generate_random_network, load_dataset_csv, load_model,
+from .model import (_check_generation, _check_simulation,
+                    generate_random_network, load_dataset_csv, load_model,
                     save_dataset_csv, save_model, simulate)
 from .reconstruct import (_RECON_ALIASES, RECON_KEYS, ReconConfig,
                           _setting_names, recon_config, recon_settings,
@@ -193,6 +194,7 @@ def _cmd_simulate(args, config):
     seed = settings.get("seed", 0)
     n_samples = _required(settings, "n_samples")
     snr_db = settings.get("snr_db")
+    _checked("simulate", _check_simulation, n_samples, snr_db)
     if args.model_in:
         model, meta = load_model(args.model_in)
         density = meta.get("density")
@@ -201,6 +203,7 @@ def _cmd_simulate(args, config):
         n = _required(settings, "n")
         m = settings.get("m", p)
         density = _required(settings, "density")
+        _checked("simulate", _check_generation, p, n, m, density)
         truth = generate_random_network(p, n, m, density,
                                         seed=_derive_seed(seed, 0))
         model = truth.model

@@ -183,6 +183,19 @@ class GroundTruth:
 _MAX_DRAWS = 20
 
 
+def _check_generation(p, n, m, density):
+    """ValueError unless ``generate_random_network`` can draw a system of
+    these sizes and density."""
+    if n < p:
+        raise ValueError("need n >= p")
+    if m != p:
+        raise ValueError("need m = p so the input-to-output map can be square")
+    if not 0.0 < density <= 1.0:
+        raise ValueError("density must be in (0, 1]")
+    if density * n * n < n:
+        raise ValueError("density too low: expected at least n nonzeros in A")
+
+
 def generate_random_network(p, n, m, density, seed):
     """Draw a random stable sparse system with C = [I 0] and diagonal-led B.
 
@@ -200,15 +213,7 @@ def generate_random_network(p, n, m, density, seed):
     """
     from . import dsf as _dsf
 
-    if n < p:
-        raise ValueError("need n >= p")
-    if m != p:
-        raise ValueError("need m = p so the input-to-output map can be square")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
-    if density * n * n < n:
-        raise ValueError("density too low: expected at least n nonzeros in A")
-
+    _check_generation(p, n, m, density)
     rng = np.random.default_rng(seed)
     expected_nnz = density * n * n
     for _ in range(_MAX_DRAWS):
@@ -292,8 +297,7 @@ def simulate(model, N, input_kind="gaussian_iid", U_provided=None, snr_db=None, 
     :func:`scale_noise_for_snr` so the channel-averaged output
     signal-to-noise variance ratio hits the target.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _check_simulation(N, snr_db)
     rng = np.random.default_rng(seed)
     n, m = model.n, model.m
 
@@ -326,6 +330,19 @@ def _check_snr(snr_db, name="snr_db"):
         raise ValueError(f"{name} must be above -inf dB, got {snr_db}")
 
 
+def _check_simulation(N, snr_db, name="snr_db"):
+    """ValueError unless ``simulate`` can run N samples at ``snr_db``: N >= 1,
+    and with an SNR, one that ``_check_snr`` accepts (its error names
+    ``name``) and N >= 2, since the noise scale is set from the variances
+    of N samples."""
+    if N < 1:
+        raise ValueError("need N >= 1")
+    if snr_db is not None:
+        _check_snr(snr_db, name)
+        if N < 2:
+            raise ValueError("need at least two input samples to estimate variances")
+
+
 def scale_noise_for_snr(model, U, snr_db, seed=None):
     """Return sigma hitting a target output SNR for the given input sequence.
 
@@ -335,10 +352,8 @@ def scale_noise_for_snr(model, U, snr_db, seed=None):
     system is linear, the noise contribution scales exactly with sigma.
     ``snr_db`` must be above -inf (NaN is not); +inf gives sigma 0.
     """
-    _check_snr(snr_db)
     U = np.atleast_2d(np.array(U, dtype=float))
-    if len(U) < 2:
-        raise ValueError("need at least two input samples to estimate variances")
+    _check_simulation(len(U), snr_db)
     if model.spectral_radius() >= 1.0:
         raise ValueError("model must be stable to define a steady SNR")
     U_full = np.vstack([U, np.zeros((1, model.m))])

@@ -282,20 +282,6 @@ def _initial_parameters(n, m, mask, Y, cfg):
             np.zeros(n), np.eye(n))
 
 
-def _measurement_residual(sp, data):
-    """Expected squared measurement residual, summed over all samples, for
-    C = [I 0]: the outputs are the first p states, so the residual reads
-    their smoothed means and the leading p x p block of their summed
-    covariances.  That sum is the one ``expectation_sums`` adds into S_xx;
-    the traces of each stored row's block weighted by step counts round
-    differently, and a 50-iteration run drifted from it by up to 1e-11
-    relative."""
-    p = data.p
-    resid = data.Y - sp.x_sm[1:, :p]
-    cov = float(np.trace(sp.P_sm.total(1, data.N + 1)[:p, :p]))
-    return float((resid**2).sum()) + cov
-
-
 def _em_step(data, params, mask, cfg, bufs):
     """One outer EM iteration of the tied-noise model.
 
@@ -331,7 +317,7 @@ def _em_step(data, params, mask, cfg, bufs):
     sp = rts_smoother(model, fp, out=bufs)
     sp = _dc_replace(sp, M_sm=lag_one_smoother(sp))
     obs_ll = observed_loglik(model, scaled, fp=fp) - N * p * np.log(s)
-    es = expectation_sums(sp, scaled, sp.x_sm[0])
+    es = expectation_sums(sp, scaled)
     t1 = time.perf_counter()
 
     reg = regression_from_moments(es, n, m)
@@ -347,11 +333,10 @@ def _em_step(data, params, mask, cfg, bufs):
         A, B_fit = L[:, :n], L[:, n:]
         fit = dict(n_active=int(mask.free.sum()), gamma_max=0.0,
                    inner_iterations=1, evidence_decreases=0)
-    rss = (moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
-                      np.hstack([A, B_fit]))
-           + _measurement_residual(sp, scaled))
+    rss = moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
+                     np.hstack([A, B_fit])) + es.meas_rss
     new = (A, B_fit * s, max(sigma2 * (rss / (N * (n + p))), _SIGMA2_FLOOR),
-           sp.x_sm[0] * s, sp.P_sm[0] * s**2)
+           es.x0_sm * s, es.P0_sm * s**2)
     t2 = time.perf_counter()
     return new, dict(obs_loglik=obs_ll, sigma2=new[2],
                      pinv_steps=len(sp.pinv_steps), estep_s=t1 - t0,

@@ -21,12 +21,13 @@ innovation covariance for every later step, which then runs only the mean
 recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS
 smoother uses one gain over that segment and runs its backward covariance
 recursion only until it settles by the same test; the log-likelihood
-factors the shared innovation covariance once.  Steps before k_steady, and
-runs where the test never passes, run every recursion at every step.  The
-RTS gains, and the log-likelihood's determinants and solves before
-k_steady, depend only on covariances the filter has stored, so each comes
-from one batched LAPACK call per pass (the settled gain is the last row of
-the gains' solve), and only the recursions run step by step.
+solves with the shared innovation covariance once for all the settled
+steps.  Steps before k_steady, and runs where the test never passes, run
+every recursion at every step.  The RTS gains, and the log-likelihood's
+determinants and solves, depend only on covariances the filter has
+stored, so each comes from one batched LAPACK call per pass (the settled
+gain and determinant are the last rows of their batches), and only the
+recursions run step by step.
 
 Storage: every covariance and gain sequence is a ``StepSeq``, which stores
 each distinct matrix once and maps each step to its row.  The filter's
@@ -295,14 +296,15 @@ class ESums:
 
     With the stacked regressor z_k = [x_{k-1}; u_{k-1}]:
     S_xx = sum E(x_k x_k'), S_xz = sum E(x_k z_k'), S_zz = sum E(z_k z_k'),
-    all conditioned on the full measurement record.  E0 is the expected
-    initial-state scatter about m0.
+    and meas_rss = sum E|y_k - C x_k|^2, the expected squared measurement
+    residual, all conditioned on the full measurement record.  x0_sm and
+    P0_sm are the smoothed initial-state mean and covariance.
     """
 
     S_xx: np.ndarray
     S_xz: np.ndarray
     S_zz: np.ndarray
-    E0: np.ndarray
+    meas_rss: float
     x0_sm: np.ndarray
     P0_sm: np.ndarray
     N: int
@@ -557,25 +559,25 @@ def smooth(model, data):
     return fp, replace(sp, M_sm=lag_one_smoother(sp))
 
 
-def expectation_sums(sp, data, m0):
+def expectation_sums(sp, data):
     """Assemble the EM sufficient statistics from a completed smoother pass.
 
     Uses the identities E(x_k x_k') = x_{k|N} x_{k|N}' + P_{k|N},
     E(x_k x_{k-1}') = x_{k|N} x_{k-1|N}' + M_{k|N}, and
     E(x_k u_{k-1}') = x_{k|N} u_{k-1}' (inputs are deterministic).  The
     covariance sums come from ``StepSeq.total``: each stored matrix times its
-    step count.
+    step count.  The outputs are the first p states, so the measurement
+    residual reads their smoothed means and the leading p x p block of the
+    summed P_{k|N}, the one sum that S_xx adds.
     """
     if sp.M_sm is None:
         raise ValueError("run the lag-one smoother first (see smooth())")
     xs, Ps, Ms = sp.x_sm, sp.P_sm, sp.M_sm
     U = data.U
-    N = data.N
-    n = xs.shape[1]
-    m = U.shape[1]
-    m0 = np.asarray(m0, dtype=float).reshape(n)
+    N, p = data.N, data.p
 
-    S_xx = xs[1:].T @ xs[1:] + Ps.total(1, N + 1)
+    P_tot = Ps.total(1, N + 1)
+    S_xx = xs[1:].T @ xs[1:] + P_tot
     xx_lag = xs[1:].T @ xs[:-1] + Ms.total(1, N + 1)
     xu = xs[1:].T @ U
     S_xz = np.hstack([xx_lag, xu])
@@ -585,9 +587,9 @@ def expectation_sums(sp, data, m0):
     uu = U.T @ U
     S_zz = np.block([[prev_xx, prev_xu], [prev_xu.T, uu]])
 
-    dev = xs[0] - m0
-    E0 = Ps[0] + np.outer(dev, dev)
-    return ESums(S_xx=S_xx, S_xz=S_xz, S_zz=_sym(S_zz), E0=E0,
+    resid = data.Y - xs[1:, :p]
+    meas_rss = float((resid**2).sum()) + float(np.trace(P_tot[:p, :p]))
+    return ESums(S_xx=S_xx, S_xz=S_xz, S_zz=_sym(S_zz), meas_rss=meas_rss,
                  x0_sm=xs[0].copy(), P0_sm=Ps[0].copy(), N=N)
 
 
@@ -596,41 +598,32 @@ def observed_loglik(model, data, fp=None):
     the sum over k of log N(y_k; C x_{k|k-1}, C P_{k|k-1} C' + I).
 
     Pass an existing FilterPass as ``fp`` to reuse a completed forward pass.
-    From ``fp.k_steady`` on the innovation covariance S = L L' is shared: it
-    is factored once, and the quadratic terms of those steps sum to
-    trace(L^-1 G L^-T), with G the sum of the innovations' outer products
-    (per step as below if the Cholesky factorization fails).  The other
-    steps take their determinants and solves from one batched ``slogdet``
-    and one batched ``solve``; the first step whose determinant is not
-    positive raises FilterDivergedError, and the terms are added one by one
-    in step order, as a per-step pass adds them.
+    The innovation covariances of steps 1..ks, ks = ``fp.k_steady`` (N if
+    nothing settled), take their determinants from one batched ``slogdet``,
+    whose last row is the settled S; the first step whose determinant is
+    not positive raises FilterDivergedError.  The steps before ks (all N if
+    nothing settled) take their solves from one batched ``solve``, and
+    their terms are added one by one in step order, as a per-step pass adds
+    them.  The settled steps share S, so their quadratic terms sum to
+    trace(S^-1 G), with G the sum of their innovations' outer products.
     """
     if fp is None:
         fp = kalman_filter(model, data)
     p = data.p
-    total = 0.0
-    last = fp.N
-    L = None
-    if fp.k_steady is not None:
-        try:
-            L = np.linalg.cholesky(fp.innov_cov[fp.k_steady])
-            last = fp.k_steady - 1
-        except np.linalg.LinAlgError:
-            pass
-    S = fp.innov_cov[1:last + 1]
-    nu = fp.innovations[1:last + 1]
+    ks = fp.N if fp.k_steady is None else fp.k_steady
+    last = fp.N if fp.k_steady is None else ks - 1   # the per-step terms
+    S = fp.innov_cov[1:ks + 1]
     sign, logdet = np.linalg.slogdet(S)
     bad = sign <= 0
     if bad.any():
         raise FilterDivergedError(1 + int(np.argmax(bad)))
-    sol = np.linalg.solve(S, nu[:, :, None])[:, :, 0]
+    nu = fp.innovations[1:last + 1]
+    sol = np.linalg.solve(S[:last], nu[:, :, None])[:, :, 0]
+    total = 0.0
     for i in range(last):   # term by term, in step order
         total += -0.5 * (p * np.log(2.0 * np.pi) + logdet[i] + nu[i] @ sol[i])
-    if L is not None:
-        # sum of nu' S^-1 nu over the steps = trace(L^-1 (sum of nu nu') L^-T)
+    if last < fp.N:
         nu = fp.innovations[last + 1:]
-        Li = np.linalg.inv(L)
-        logdet = 2.0 * np.log(np.diag(L)).sum()
-        total += -0.5 * ((fp.N - last) * (p * np.log(2.0 * np.pi) + logdet)
-                         + float(np.trace(Li @ (nu.T @ nu) @ Li.T)))
+        total += -0.5 * ((fp.N - last) * (p * np.log(2.0 * np.pi) + logdet[-1])
+                         + float(np.trace(np.linalg.solve(S[-1], nu.T @ nu))))
     return float(total)

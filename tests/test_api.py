@@ -90,10 +90,17 @@ def test_boundary_settings_stay_valid():
 
 @pytest.mark.parametrize("kwargs", [
     {"n_networks": 0}, {"parallelism": 0}, {"recon": {"inner_max_iter": 0}},
-    {"snr_list": (float("nan"), 20.0)}, {"snr_list": ()},
+    {"snr_list": (float("nan"), 20.0)}, {"snr_list": ()}, {"density": 5.0},
+    {"p": 2, "m": 2, "n_true": 1, "n_assumed": 5}, {"N_samples": 0},
+    {"N_samples": 1},
+    {"p": 2, "m": 2, "n_true": 4, "n_assumed": 3,
+     "recon": {"mask": "p-diag", "p22": 0}},
 ], ids=_id)
 def test_bench_config_rejects_meaningless_settings(kwargs):
-    with pytest.raises(ValueError, match="n_networks|parallelism|max_iter|snr_list"):
+    # each of these used to pass and then fail in every cell of the sweep
+    with pytest.raises(ValueError, match="n_networks|parallelism|max_iter|"
+                       "snr_list|density|need n >= p|need N >= 1|two input "
+                       "samples|p22=0 needs"):
         BenchConfig(**kwargs)
 
 

@@ -135,6 +135,30 @@ def test_runtime_errors_exit_two(tmp_path):
     assert run_cli(["dsf", "--model", bad_model]) == 2
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"--n-samples": 0}, "need N >= 1"),
+    ({"--density": 5}, "density must be in (0, 1]"),
+    ({"--snr-db": "nan"}, "snr_db must be above -inf dB"),
+    ({"--n-samples": 1, "--snr-db": 20}, "two input samples"),
+], ids=["n-samples-0", "density-5", "snr-nan", "one-sample-at-an-snr"])
+def test_simulate_rejects_a_setting_before_any_work(tmp_path, capsys, change,
+                                                    message):
+    # a setting the library rejects is a usage error, found before the
+    # network is generated or a model file is read
+    flags = {"--p": 2, "--n": 3, "--m": 2, "--density": 0.5,
+             "--n-samples": 30, **change}
+    out = tmp_path / "d.csv"
+    argv = ["simulate", *(str(x) for kv in flags.items() for x in kv),
+            "--out", out]
+    assert run_cli(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    if "--density" not in change:   # the model file does not exist
+        assert run_cli(argv + ["--model-in", tmp_path / "none.txt"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_dsf_rejects_a_model_whose_outputs_are_not_the_first_states(
         tmp_path, capsys):
     # swapping two rows of C keeps its rank but breaks C = [I 0]
@@ -251,7 +275,7 @@ def test_benchmark_rejects_a_repeated_snr(tmp_path, capsys):
     # 20 and 20.0 are one SNR: a sweep over both would count each cell twice
     with pytest.raises(ValueError, match="repeats"):
         BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
-                    snr_list=(20, 20.0))
+                    density=0.4, snr_list=(20, 20.0))
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
                    "density = 0.4\nn_samples = 40\nsnr_list = 20,20\n")
@@ -399,7 +423,7 @@ def test_mask_setting_reads_alike_in_every_place(tmp_path, monkeypatch):
     for key in ("recon_mask_mode", "recon_mask"):
         bench = tmp_path / f"{key}.cfg"
         bench.write_text(f"n_networks = 1\np = 2\nn_true = 4\nn_assumed = 7\n"
-                         f"m = 2\n{key} = p-diag\nrecon_p22 = 1\n"
+                         f"m = 2\ndensity = 0.4\n{key} = p-diag\nrecon_p22 = 1\n"
                          f"recon_outer_max_iter = 8\nrecon_inner_max_iter = 20\n")
         runs.append(["benchmark", "--config", bench, "--quiet", *out])
     for args in runs:
@@ -431,7 +455,8 @@ def test_benchmark_echoes_each_setting_as_read(tmp_path, monkeypatch):
     for line in ("recon_mask = p-diag", "recon_mask_mode = p_diag"):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\n"
-                       f"m = 2\n{line}\nrecon_p22 = 1\nrecon_outer_tol = 1e-3\n")
+                       f"m = 2\ndensity = 0.4\n{line}\nrecon_p22 = 1\n"
+                       "recon_outer_tol = 1e-3\n")
         with pytest.raises(Built):
             run_cli(["benchmark", "--config", cfg, "--quiet",
                      "--out", tmp_path / "t.csv"])
@@ -441,6 +466,7 @@ def test_benchmark_echoes_each_setting_as_read(tmp_path, monkeypatch):
     assert by_name["recon_outer_tol"] == "0.001"
     for mask_key in ("mask-mode", "mask"):
         api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
+                          density=0.4,
                           recon={mask_key: "p-diag", "p22": 1, "outer_tol": 1e-3})
         assert api.echo() == by_name
 

@@ -285,7 +285,7 @@ def test_ml_is_one_exact_tied_em_step():
                             m0=np.zeros(n), R0=np.eye(n) / sigma2)
     scaled = Dataset(Y=data.Y / s, U=data.U, N=N)
     _, sp = smooth(model, scaled)
-    es = expectation_sums(sp, scaled, sp.x_sm[0])
+    es = expectation_sums(sp, scaled)
     # masked M-step: each row of [A B] is the least-squares fit on its free set
     mask = identifiability_mask(n, p, m, "diag_b")
     free = mask.free.reshape((n + m, n)).T
@@ -427,22 +427,22 @@ def test_fallback_counts_in_trace_and_result_file(tmp_path):
 
 
 def test_measurement_residual_reads_the_output_states():
-    # _em_step's C = [I 0]: reading the first p states must equal the
-    # general sum |y - C x|^2 + tr(C P C') over a smoothing pass
-    from netrecon import rts_smoother, kalman_filter
-    from netrecon.reconstruct import _measurement_residual
+    # C = [I 0]: the expectation sums' measurement residual, read off the
+    # first p states, must equal the general sum |y - C x|^2 + tr(C P C')
+    # over a smoothing pass
+    from netrecon import expectation_sums, smooth
     from _oracles import random_stable_model
 
     rng = np.random.default_rng(31)
     model = random_stable_model(rng, n=5, p=2, m=2, sigma=0.4)
     data = simulate(model, 60, "gaussian_iid", seed=32)
-    sp = rts_smoother(model, kalman_filter(model, data))
+    _, sp = smooth(model, data)
     C = model.C
     resid = data.Y - sp.x_sm[1:] @ C.T
     ref = (float((resid**2).sum())
            + float(np.sum(C * (C @ sp.P_sm.total(1, data.N + 1)))))
-    assert _measurement_residual(sp, data) == pytest.approx(ref, rel=1e-12,
-                                                            abs=0.0)
+    assert expectation_sums(sp, data).meas_rss == pytest.approx(
+        ref, rel=1e-12, abs=0.0)
 
 
 def test_stop_diagnosis_last_step_and_loglik_decreases():

@@ -395,7 +395,7 @@ def test_regression_from_moments_matches_plugin_when_certain():
     _, sp = smooth(model, data)
     sp0 = SmoothPass(x_sm=sp.x_sm, P_sm=StepSeq(np.zeros_like(sp.P_sm)), J=sp.J,
                      M_sm=StepSeq(np.zeros_like(sp.M_sm)))
-    es = expectation_sums(sp0, data, model.m0)
+    es = expectation_sums(sp0, data)
     reg_plug = assemble_regression(sp0, data, n=2)
     reg_mom = regression_from_moments(es, n=2, m=2)
     assert reg_mom.N == data.N
@@ -416,7 +416,7 @@ def test_regression_from_moments_includes_covariance_information():
     model = random_stable_model(rng, n=2, p=2, m=2)
     data = simulate(model, 15, seed=23)
     _, sp = smooth(model, data)
-    es = expectation_sums(sp, data, model.m0)
+    es = expectation_sums(sp, data)
     reg = regression_from_moments(es, n=2, m=2)
     # the regression carries the exact second moments
     assert np.allclose(reg.zz, es.S_zz, atol=1e-10)

@@ -143,7 +143,7 @@ def test_expectation_sums_outer_products_when_covariances_vanish():
     # zero out all covariance information: sums must reduce to outer products
     sp_zero = type(sp)(x_sm=sp.x_sm, P_sm=StepSeq(np.zeros_like(sp.P_sm)), J=sp.J,
                        M_sm=StepSeq(np.zeros_like(sp.M_sm)))
-    es = expectation_sums(sp_zero, data, model.m0)
+    es = expectation_sums(sp_zero, data)
     xs = sp.x_sm
     z = np.hstack([xs[:-1], data.U])
     assert np.allclose(es.S_xx, xs[1:].T @ xs[1:], atol=1e-12)
@@ -159,7 +159,7 @@ def test_expectation_sums_unit_input_identity():
     U[:, 0] = 1.0
     data = simulate(model, 5, input_kind="provided", U_provided=U, seed=2)
     _, sp = smooth(model, data)
-    es = expectation_sums(sp, data, model.m0)
+    es = expectation_sums(sp, data)
     assert np.allclose(es.S_xz[:, 2], sp.x_sm[1:].sum(axis=0), atol=1e-12)
 
 
@@ -168,7 +168,7 @@ def test_expectation_sums_independent_reassembly():
     model = random_stable_model(rng, n=3, p=2, m=2)
     data = make_data(model, 12, rng)
     _, sp = smooth(model, data)
-    es = expectation_sums(sp, data, model.m0)
+    es = expectation_sums(sp, data)
     block = sum(np.outer(sp.x_sm[k - 1], sp.x_sm[k - 1]) + sp.P_sm[k - 1]
                 for k in range(1, 13))
     assert np.allclose(es.S_zz[:3, :3], block, atol=1e-10)
@@ -176,7 +176,7 @@ def test_expectation_sums_independent_reassembly():
 
 def test_q_function_trivial_value():
     es = ESums(S_xx=np.array([[1.0]]), S_xz=np.zeros((1, 2)),
-               S_zz=np.zeros((2, 2)), E0=np.zeros((1, 1)),
+               S_zz=np.zeros((2, 2)), meas_rss=0.0,
                x0_sm=np.zeros(1), P0_sm=np.zeros((1, 1)), N=1)
     q = q_function(A=[[0.7]], B=[[0.0]], sigma2=1.0, m0=[0.0], R0=[[1.0]],
                    es=es, N=1)
@@ -188,7 +188,7 @@ def test_q_function_weighted_least_squares_optimum():
     model = random_stable_model(rng, n=2, p=2, m=1)
     data = make_data(model, 20, rng)
     _, sp = smooth(model, data)
-    es = expectation_sums(sp, data, model.m0)
+    es = expectation_sums(sp, data)
     L_star = np.linalg.solve(es.S_zz, es.S_xz.T).T
     q_star = q_function(L_star[:, :2], L_star[:, 2:], 0.5, model.m0, model.R0,
                         es, data.N)
@@ -204,7 +204,7 @@ def test_q_function_matches_monte_carlo_complete_data_loglik():
     model = random_stable_model(rng, n=2, p=1, m=1, rich_prior=False)
     data = make_data(model, 6, rng)
     _, sp = smooth(model, data)
-    es = expectation_sums(sp, data, model.m0)
+    es = expectation_sums(sp, data)
     A2 = rng.normal(size=(2, 2)) * 0.3
     B2 = rng.normal(size=(2, 1))
     sigma2 = 0.8
@@ -237,7 +237,7 @@ def test_q_function_accumulation_order_insensitive():
     model = random_stable_model(rng, n=3, p=2, m=2)
     data = make_data(model, 25, rng)
     _, sp = smooth(model, data)
-    es = expectation_sums(sp, data, model.m0)
+    es = expectation_sums(sp, data)
 
     # re-accumulate the sums in reverse order of k
     xs, Ps, Ms, U = sp.x_sm, sp.P_sm, sp.M_sm, data.U
@@ -248,7 +248,7 @@ def test_q_function_accumulation_order_insensitive():
     z = lambda k: np.concatenate([xs[k - 1], U[k - 1]])
     S_zz = sum(np.outer(z(k), z(k)) for k in ks)
     S_zz[:3, :3] += sum(Ps[k - 1] for k in ks)
-    es_rev = type(es)(S_xx=S_xx, S_xz=S_xz, S_zz=S_zz, E0=es.E0,
+    es_rev = type(es)(S_xx=S_xx, S_xz=S_xz, S_zz=S_zz, meas_rss=es.meas_rss,
                       x0_sm=es.x0_sm, P0_sm=es.P0_sm, N=es.N)
     q1 = q_function(model.A, model.B, 0.7, model.m0, model.R0, es, data.N)
     q2 = q_function(model.A, model.B, 0.7, model.m0, model.R0, es_rev, data.N)
@@ -257,7 +257,7 @@ def test_q_function_accumulation_order_insensitive():
 
 def test_q_function_singular_r0_jitter_warns():
     es = ESums(S_xx=np.array([[1.0]]), S_xz=np.zeros((1, 2)),
-               S_zz=np.zeros((2, 2)), E0=np.zeros((1, 1)),
+               S_zz=np.zeros((2, 2)), meas_rss=0.0,
                x0_sm=np.zeros(1), P0_sm=np.zeros((1, 1)), N=1)
     with pytest.warns(RuntimeWarning, match="singular R0"):
         q_function([[0.0]], [[0.0]], 1.0, [0.0], [[0.0]], es, 1)

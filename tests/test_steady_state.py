@@ -55,11 +55,10 @@ def test_steady_state_matches_per_step_at_desk_scale(desk_system):
         assert _rel(getattr(sp, name), getattr(ref_sp, name)) <= 1e-9, name
     assert sp.pinv_steps == ref_sp.pinv_steps == ()
     assert abs(ll - ref_ll) <= 1e-9 * abs(ref_ll)
-    es = expectation_sums(sp, data, model.m0)
+    es = expectation_sums(sp, data)
     ref_es = expectation_sums(replace(ref_sp, P_sm=StepSeq(ref_sp.P_sm),
-                                      M_sm=StepSeq(ref_sp.M_sm)),
-                              data, model.m0)
-    for name in ("S_xx", "S_xz", "S_zz", "E0", "x0_sm", "P0_sm"):
+                                      M_sm=StepSeq(ref_sp.M_sm)), data)
+    for name in ("S_xx", "S_xz", "S_zz", "meas_rss", "x0_sm", "P0_sm"):
         assert _rel(getattr(es, name), getattr(ref_es, name)) <= 1e-9, name
     # each settled value is stored once: the filter and J keep the
     # transient steps plus one row; P_sm and M_sm keep the steps before
@@ -98,7 +97,7 @@ def test_smoother_memory_stays_below_n_copies(desk_system):
     tracemalloc.start()
     try:
         fp, sp = smooth(model, data)
-        expectation_sums(sp, data, model.m0)
+        expectation_sums(sp, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,3 +357,19 @@ def test_batched_loglik_diverges_at_the_first_bad_determinant():
     with pytest.raises(FilterDivergedError) as err:
         observed_loglik(model, data, fp=fp)
     assert err.value.step == ref_err.value.step == 100
+
+
+def test_settled_loglik_diverges_at_k_steady_on_a_bad_determinant(desk_system):
+    # the settled innovation covariance takes its determinant in the same
+    # batch as the transient ones: a negative one raises at k_steady, the
+    # first step that reads it
+    model, data = desk_system
+    fp = kalman_filter(model, data)
+    vals = fp.innov_cov.vals.copy()
+    vals[-1][0] *= -1.0   # determinant < 0
+    fp = replace(fp, innov_cov=StepSeq(vals, fp.innov_cov.idx))
+    with pytest.raises(FilterDivergedError) as ref_err:
+        loglik_per_step(fp, data.p)
+    with pytest.raises(FilterDivergedError) as err:
+        observed_loglik(model, data, fp=fp)
+    assert err.value.step == ref_err.value.step == fp.k_steady
