@@ -17,8 +17,8 @@ from .smoother import (FilterDivergedError, StepSeq, PassBuffers, FilterPass,
                        SmoothPass, ESums, kalman_filter, rts_smoother,
                        lag_one_smoother, smooth, expectation_sums,
                        observed_loglik)
-from .sbl import (IdentifiabilityError, RegressionData, SBLState, Mask,
-                  SBLOptions, regression_from_moments,
+from .sbl import (IdentifiabilityError, RegressionData, SBLState, Posterior,
+                  Mask, SBLOptions, regression_from_moments,
                   posterior, marginal_loglik, identifiability_mask,
                   initial_sbl_state, sbl_em)
 from .reconstruct import (ReconConfig, ReconResult, IterationRecord,

@@ -61,8 +61,12 @@ _SIGMA2_FLOOR = 1e-12
 class ReconConfig:
     """Settings for one reconstruction run.
 
-    ``n_states`` is the assumed state dimension (may exceed the true one;
-    surplus states are expected to be pruned).  ``mask_mode`` selects the
+    ``n_states`` is the assumed state dimension.  It may exceed the true
+    one.  Surplus states stay: the sparse fit prunes entries of [A B],
+    not states, and on desk-scale runs no hidden state of the estimate
+    lost both its A12 column and its A21 row.  The network is read off
+    the dynamical structure function, which does not depend on the
+    hidden coordinates.  ``mask_mode`` selects the
     identifiability mask ("diag_b" or "p_diag" with ``p22``);
     ``prior_mode`` is "sbl" for the sparse prior or "ml" for the classical
     EM of the same tied-noise model under the same mask (a least-squares
@@ -295,7 +299,7 @@ def _em_step(data, params, mask, cfg, bufs):
     coordinate, which is the exact M-step of the tied scale at the new
     (A, B).  Returns (new params, fields): ``fields`` holds every
     ``IterationRecord`` field but ``iteration`` and ``damped``, so the SBL
-    state and its dense posterior covariance die with the call.  Raises
+    state, with its posterior's row blocks, dies with the call.  Raises
     FilterDivergedError if the smoothing pass diverges.
 
     The filter and RTS passes write their means into ``bufs``, a

@@ -20,6 +20,8 @@ and no coupling.  One kernel (``_kernel``) then factors each row and
 takes the posterior covariance from the triangular inverse of its
 Cholesky factor, both computed in one buffer per row; ``posterior``,
 ``marginal_loglik`` and the "ml" fit call it on a fresh layout.
+``posterior`` keeps the covariance as those row blocks (``Posterior``)
+and assembles the dense N_w x N_w matrix only when it is read.
 
 The inner loop (``sbl_em``) keeps its state in the compact row layout
 for the whole call: gamma, the means and the variances never return to
@@ -35,6 +37,7 @@ output), or the block zero pattern that guarantees a diagonal
 input-to-output transfer matrix with hidden-state routing.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, fields
@@ -46,6 +49,7 @@ __all__ = [
     "IdentifiabilityError",
     "RegressionData",
     "SBLState",
+    "Posterior",
     "Mask",
     "SBLOptions",
     "regression_from_moments",
@@ -108,23 +112,66 @@ class Mask:
     free: np.ndarray
 
 
+@dataclass(eq=False)
+class Posterior:
+    """Posterior of the weights at fixed (gamma, sigma2), by rows of [A B].
+
+    ``mu_w`` is the mean in w-order.  Row i's covariance is a k x k block
+    over the columns ``order[i]`` of [A B] (zero on pruned entries and on
+    the pad), and rows are uncorrelated.  ``blocks`` holds the inverse
+    Cholesky factors R_i when sigma2 > 0, whose block is sigma2 R_i' R_i,
+    and the blocks themselves at sigma2 = 0.  The dense N_w x N_w
+    ``Sigma_w`` is assembled on first read and kept; ``mu, Sigma = post``
+    unpacks the mean and that matrix.
+    """
+
+    mu_w: np.ndarray
+    order: np.ndarray
+    blocks: np.ndarray
+    sigma2: float
+
+    @functools.cached_property
+    def Sigma_w(self):
+        cov = self.blocks
+        if self.sigma2 > 0:
+            cov = self.sigma2 * (np.swapaxes(cov, 1, 2) @ cov)
+        n, d = len(self.order), self.mu_w.size // len(self.order)
+        Sigma = np.zeros((self.mu_w.size, self.mu_w.size))
+        # w index i + n j holds row i, column j of [A B]: row i's block goes
+        # to the rows and columns i + n order_i
+        rows = np.arange(n)[:, None, None]
+        Sigma.reshape((d, n, d, n))[self.order[:, :, None], rows,
+                                    self.order[:, None, :], rows] = cov
+        return Sigma
+
+    def __iter__(self):
+        return iter((self.mu_w, self.Sigma_w))
+
+
 @dataclass
 class SBLState:
     """Hyperparameters and posterior of the weight vector.
 
     gamma[i] = 0 exactly when coordinate i is masked or pruned, in which
     case mu_w[i] = 0 and the corresponding row/column of Sigma_w is zero.
+    ``posterior`` holds the mean and the per-row covariance blocks; the
+    read-only ``Sigma_w`` is its dense covariance, built on first read, or
+    None when the state has no posterior.
     """
 
     gamma: np.ndarray
     sigma2: float
     mu_w: np.ndarray | None = None
-    Sigma_w: np.ndarray | None = None
+    posterior: Posterior | None = None
     active: np.ndarray | None = None
     iteration: int = 0
     evidence: list = field(default_factory=list)
     n_active_path: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+
+    @property
+    def Sigma_w(self):
+        return None if self.posterior is None else self.posterior.Sigma_w
 
 
 def _check_integer_fields(obj):
@@ -392,11 +439,13 @@ def _checked_gamma(reg, gamma):
 
 
 def posterior(reg, gamma, sigma2):
-    """Posterior mean and covariance of the weights at fixed (gamma, sigma2).
+    """Posterior of the weights at fixed (gamma, sigma2), as a
+    ``Posterior``: ``mu, Sigma = posterior(...)`` gives the mean and the
+    dense covariance.
 
-    For sigma2 > 0 this is the ridge posterior of each row, assembled from
-    the compact blocks of ``_estep``: sigma2 R_i' R_i goes straight to
-    row i's entries of the layout (zero on its pad).  At sigma2 = 0 it is
+    For sigma2 > 0 this is the ridge posterior of each row, kept as the
+    compact blocks of ``_estep``: row i's covariance sigma2 R_i' R_i lies
+    on its entries of the layout (zero on its pad).  At sigma2 = 0 it is
     the noiseless limit: with K = G^{1/2} zz G^{1/2} on row i,
     mu = G^{1/2} K^+ G^{1/2} xz[i] and Sigma = G^{1/2} (I - K^+ K) G^{1/2},
     so directions the data do not determine keep their prior variance.
@@ -408,8 +457,7 @@ def posterior(reg, gamma, sigma2):
         raise ValueError("sigma2 must be nonnegative, not NaN")
     n, d = reg.n, reg.n + reg.m
     if sigma2 > 0:
-        mu, _, _, order, R = _estep(reg, gamma, sigma2)
-        cov = sigma2 * (np.swapaxes(R, 1, 2) @ R)
+        mu, _, _, order, blocks = _estep(reg, gamma, sigma2)
     else:
         sq = np.sqrt(gamma.reshape((d, n)).T)
         K = sq[:, :, None] * reg.zz * sq[:, None, :]
@@ -417,15 +465,10 @@ def posterior(reg, gamma, sigma2):
         # rounding of order eps |K| in its null space: cut well above that
         K_pinv = np.linalg.pinv(K, rtol=1e-10, hermitian=True)
         mu = sq * (K_pinv @ (sq * reg.xz)[:, :, None])[:, :, 0]
-        cov = sq[:, :, None] * (np.eye(d) - K_pinv @ K) * sq[:, None, :]
+        blocks = sq[:, :, None] * (np.eye(d) - K_pinv @ K) * sq[:, None, :]
         order = np.broadcast_to(np.arange(d), (n, d))
-    Sigma = np.zeros((reg.N_w, reg.N_w))
-    # w index i + n j holds row i, column j of [A B]: row i's block of
-    # cov goes to the rows and columns i + n order_i
-    rows = np.arange(n)[:, None, None]
-    Sigma.reshape((d, n, d, n))[order[:, :, None], rows,
-                                order[:, None, :], rows] = cov
-    return mu.T.ravel(), Sigma
+    return Posterior(mu_w=mu.T.ravel(), order=order, blocks=blocks,
+                     sigma2=float(sigma2))
 
 
 def marginal_loglik(reg, gamma, sigma2):
@@ -480,7 +523,8 @@ def sbl_em(reg, mask, init=None, opts=None):
     entries, so that sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 /
     gamma_i are the dot products of D with the variances and the squared
     means.  After the loop, gamma is mapped back to w-order and
-    ``posterior`` gives the returned mean and covariance.
+    ``posterior`` gives the returned mean and the per-row covariance
+    blocks; the dense covariance is assembled only if ``Sigma_w`` is read.
     """
     opts = opts or SBLOptions()
     if init is None:
@@ -537,8 +581,8 @@ def sbl_em(reg, mask, init=None, opts=None):
 
     gc = np.where(gc >= opts.prune_tol, gc, 0.0)
     gamma = _scatter(gc, lay.order, d).T.ravel()
-    mu, Sigma = posterior(reg, gamma, sigma2)
-    return SBLState(gamma=gamma, sigma2=sigma2, mu_w=mu, Sigma_w=Sigma,
+    post = posterior(reg, gamma, sigma2)
+    return SBLState(gamma=gamma, sigma2=sigma2, mu_w=post.mu_w, posterior=post,
                     active=gamma > 0, iteration=iteration,
                     evidence=evidence_path, n_active_path=n_active_path,
                     warnings=warn_log)

@@ -6,7 +6,8 @@ import pytest
 from netrecon import (StateSpaceModel, ReconConfig, IdentifiabilityError, p22_sweep,
                       reconstruct, unpack_w, pack_w, converged, simulate,
                       generate_random_network, graph_compare, NetworkGraph,
-                      save_result, observed_loglik, SBLOptions)
+                      save_result, observed_loglik, SBLOptions, BenchConfig,
+                      run_benchmark)
 
 from _oracles import exact_dsf_small
 
@@ -478,9 +479,9 @@ def test_phase_times_in_memory_only(tmp_path):
 
 
 def test_previous_sbl_state_released_before_next_fit(monkeypatch):
-    # each SBL state holds a dense N_w x N_w posterior covariance; the outer
-    # loop must drop the previous one before the next inner fit, so two
-    # never coexist at the memory peak
+    # each SBL state holds its posterior's row blocks (0.4 MB at desk
+    # scale); the outer loop must drop the previous one before the next
+    # inner fit, so two never coexist at the memory peak
     import importlib
     import weakref
     module = importlib.import_module("netrecon.reconstruct")
@@ -556,3 +557,23 @@ def test_initial_parameters_zero_at_every_pinned_entry(mask_mode, p22):
     assert np.array_equal(B, np.where(freeB, B_init, 0.0))
     if mask_mode == "p_diag":
         assert np.count_nonzero(~freeA) == 10
+
+
+def test_full_scale_cell_runs_without_a_dense_posterior():
+    # one outer iteration of the full-scale protocol's first cell (p=40,
+    # n=110 assumed states, m=40, N=1000, 40 dB): N_w = 16500, so one dense
+    # N_w x N_w covariance would take 2.2 GB
+    import tracemalloc
+
+    cfg = BenchConfig(n_networks=1, p=40, n_true=100, n_assumed=110, m=40,
+                      density=0.025, N_samples=1000, snr_list=(40.0,),
+                      recon={"outer_max_iter": 1})
+    tracemalloc.start()
+    try:
+        table = run_benchmark(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (record,) = table.records
+    assert record.status == "max_iter" and record.outer_iterations == 1
+    assert peak < 200 * 2**20, f"traced peak {peak / 2**20:.0f} MB"

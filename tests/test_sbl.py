@@ -507,6 +507,34 @@ def rel_err(a, ref):
     return np.abs(a - ref).max() / np.abs(ref).max()
 
 
+def test_sbl_em_allocates_no_dense_posterior_covariance():
+    # the inner loop keeps per-row blocks; a dense N_w x N_w covariance
+    # (11.5 MB here) is assembled only when Sigma_w is read
+    import tracemalloc
+
+    reg, _ = desk_rows(np.random.default_rng(31), counts=(40, 12, 1, 0) * 7 + (40, 12))
+    assert reg.N_w == 1200
+    dense_bytes = reg.N_w**2 * 8
+    tracemalloc.start()
+    try:
+        state = sbl_em(reg, free_mask(reg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.active.any()
+    assert peak < dense_bytes / 4, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_sbl_state_builds_its_dense_covariance_on_read():
+    reg, _ = desk_rows(np.random.default_rng(32), counts=(40, 12, 1, 0) * 7 + (40, 12))
+    state = sbl_em(reg, free_mask(reg), opts=SBLOptions(max_iter=5))
+    mu, Sig = posterior(reg, state.gamma, state.sigma2)
+    assert np.array_equal(state.mu_w, mu)
+    assert np.array_equal(state.Sigma_w, Sig)
+    assert state.Sigma_w is state.Sigma_w   # built once, then kept
+    assert SBLState(gamma=state.gamma, sigma2=state.sigma2).Sigma_w is None
+
+
 def test_compact_estep_matches_full_width_at_desk_size():
     from netrecon.sbl import _estep
 
