@@ -20,11 +20,10 @@ from .smoother import (FilterDivergedError, StepSeq, PassBuffers, FilterPass,
 from .sbl import (IdentifiabilityError, RegressionData, SBLState, Posterior,
                   Mask, SBLOptions, regression_from_moments,
                   posterior, marginal_loglik, identifiability_mask,
-                  initial_sbl_state, sbl_em)
+                  initial_sbl_state, sbl_em, unpack_w, pack_w)
 from .reconstruct import (ReconConfig, ReconResult, IterationRecord,
                           RECON_KEYS, recon_config, recon_settings,
-                          reconstruct, p22_sweep, unpack_w, pack_w, converged,
-                          save_result)
+                          reconstruct, p22_sweep, converged, save_result)
 from .bench import BenchConfig, RunRecord, BenchRow, BenchTable, run_benchmark
 from .fileio import FileFormatError
 

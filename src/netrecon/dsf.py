@@ -6,7 +6,7 @@ measured outputs to each other, to the inputs, and to the innovations:
     y = Q(q) y + P(q) u + H(q) e
 
 with zero diagonal and strictly proper entries in Q.  The outputs are the
-first p states (``StateSpaceModel`` guarantees C = [I 0], the setting in
+first p states (``StateSpaceModel`` takes p: C = [I 0], the setting in
 which Goncalves & Warnick, IEEE TAC 53(7), 2008, define the DSF), so the
 partition is read off A and B directly: A11 is A's leading p x p block,
 A22 its hidden block, B1 and B2 B's measured and hidden rows.  The

@@ -7,14 +7,14 @@ The model class represents the discrete-time innovations-form system
 
 whose outputs are the first p states: C = [I 0], the setting in which the
 dynamical structure function is defined (Goncalves & Warnick, IEEE TAC
-53(7), 2008).  ``StateSpaceModel`` checks this once, so simulation,
+53(7), 2008).  ``StateSpaceModel`` takes p, not C, so simulation,
 estimation and the DSF read the outputs as those states and form no
-product with C.  The model has a single scale parameter ``sigma``: the
-process noise is drawn as ``sigma * N(0, I_n)`` and the measurement noise
-as ``sigma * N(0, I_p)`` during simulation.  The estimation modules
-assume process covariance ``sigma^2 I`` and unit measurement covariance,
-so ``sigma`` is the one noise knob shared by generation and
-identification.
+product with C.  The feedthrough D defaults to zero, which estimation
+requires.  The model has a single scale parameter ``sigma``: the process
+noise is drawn as ``sigma * N(0, I_n)`` and the measurement noise as
+``sigma * N(0, I_p)`` during simulation.  The estimation modules assume
+process covariance ``sigma^2 I`` and unit measurement covariance, so
+``sigma`` is the one noise knob shared by generation and identification.
 
 A dataset holds outputs y(t_1..t_N) and the inputs u(t_0..t_{N-1}) that
 drive each transition; there is no measurement at t_0.
@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsf as _dsf
 from .fileio import LineReader, fmt, fmt_row, write_text
+from .sbl import _check_integer_fields
 from .smoother import _linear_scan
 
 __all__ = [
@@ -67,48 +69,43 @@ def _as_matrix(x, shape, name):
 
 @dataclass
 class StateSpaceModel:
-    """Innovations-form LTI model (A, B, C, D, sigma, m0, R0).
+    """Innovations-form LTI model (A, B, p, sigma, m0, R0, D).
 
-    The outputs are the first p states, so C must be [I 0]
-    (``np.eye(p, n)``).  R0 must be symmetric positive semidefinite, and
-    sigma must be nonnegative (zero means a noise-free system; the Kalman
-    filter additionally requires sigma > 0).
+    The outputs are the first p states, 1 <= p <= n, so ``C`` reads [I 0]
+    (``np.eye(p, n)``); D defaults to zero.  R0 must be symmetric positive
+    semidefinite, and sigma must be nonnegative (zero means a noise-free
+    system; the Kalman filter additionally requires sigma > 0).
     """
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+    p: int
     sigma: float
     m0: np.ndarray
     R0: np.ndarray
+    D: np.ndarray | None = None
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        C = np.array(self.C, dtype=float)
-        if C.ndim != 2 or C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got shape {C.shape}")
-        p = C.shape[0]
-        if p > n:
-            raise ValueError(f"need n >= p, got n={n}, p={p}")
+        _check_integer_fields(self)
+        p = self.p = int(self.p)
+        if not 1 <= p <= n:
+            raise ValueError(f"need 1 <= p <= n, got n={n}, p={p}")
         B = np.array(self.B, dtype=float)
         if B.ndim != 2 or B.shape[0] != n:
             raise ValueError(f"B must have {n} rows, got shape {B.shape}")
         m = B.shape[1]
         self.A = _as_matrix(A, (n, n), "A")
         self.B = _as_matrix(B, (n, m), "B")
-        self.C = _as_matrix(C, (p, n), "C")
-        self.D = _as_matrix(self.D, (p, m), "D")
+        self.D = np.zeros((p, m)) if self.D is None else _as_matrix(self.D, (p, m), "D")
         self.m0 = np.array(self.m0, dtype=float).reshape(n)
         self.R0 = _as_matrix(self.R0, (n, n), "R0")
         self.sigma = float(self.sigma)
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if not np.array_equal(self.C, np.eye(p, n)):
-            raise ValueError("the outputs are the first p states: C must be [I 0]")
         # np.allclose(R0, R0', atol=1e-10), without its per-call overhead
         if not np.all(np.abs(self.R0 - self.R0.T)
                       <= 1e-10 + 1e-5 * np.abs(self.R0.T)):
@@ -122,12 +119,12 @@ class StateSpaceModel:
         return self.A.shape[0]
 
     @property
-    def p(self):
-        return self.C.shape[0]
-
-    @property
     def m(self):
         return self.B.shape[1]
+
+    @property
+    def C(self):
+        return np.eye(self.p, self.n)
 
     def spectral_radius(self):
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
@@ -197,7 +194,7 @@ def _check_generation(p, n, m, density):
 
 
 def generate_random_network(p, n, m, density, seed):
-    """Draw a random stable sparse system with C = [I 0] and diagonal-led B.
+    """Draw a random stable sparse system with diagonal-led B.
 
     The sparsity pattern of A is directed Erdos-Renyi with the given
     density, entries are uniform on +-[0.5, 1.0], and A is rescaled to a
@@ -207,12 +204,11 @@ def generate_random_network(p, n, m, density, seed):
     the system's dynamical structure function, sampled at
     ``default_q_points`` and thresholded at 1e-4 of its largest entry.
 
-    Candidates whose structure extraction fails numerically, or whose A
-    pattern is degenerate, are rejected and redrawn; after 20 candidates a
-    GenerationError is raised.  Equal arguments give an equal system.
+    Candidates whose structure extraction fails numerically, whose A
+    pattern is degenerate, or whose Q has no edge (with p >= 2, where one
+    can exist) are redrawn; after 20 candidates a GenerationError is
+    raised.  Equal arguments give an equal system.
     """
-    from . import dsf as _dsf
-
     _check_generation(p, n, m, density)
     rng = np.random.default_rng(seed)
     expected_nnz = density * n * n
@@ -233,14 +229,13 @@ def generate_random_network(p, n, m, density, seed):
         A *= rho_target / rho
 
         B = np.vstack([np.diag(b), np.zeros((n - p, m))])
-        model = StateSpaceModel(
-            A=A, B=B, C=np.eye(p, n), D=np.zeros((p, m)), sigma=1.0,
-            m0=np.zeros(n), R0=np.eye(n),
-        )
+        model = StateSpaceModel(A=A, B=B, p=p, sigma=1.0, m0=np.zeros(n), R0=np.eye(n))
         try:
             sample = _dsf.dsf_from_state_space(model, _dsf.default_q_points(seed=q_seed))
             graph = _dsf.boolean_structure(sample, rel_tol=1e-4)
         except _dsf.DSFError:
+            continue
+        if p > 1 and not graph.q_adj.any():
             continue
         return GroundTruth(model=model, q_structure=graph.q_adj, p_structure=graph.p_adj)
     raise GenerationError(f"no usable random system after {_MAX_DRAWS} attempts")
@@ -452,8 +447,9 @@ def save_model(model, path, seed=None, density=None):
 
 def load_model(path):
     """Read a model file; returns (model, metadata) with any seed/density
-    found.  A metadata field given twice, or a line other than a blank or a
-    comment after R0, raises FileFormatError at that line."""
+    found.  A metadata field given twice, a C row other than [I 0]'s, or a
+    line other than a blank or a comment after R0 raises FileFormatError
+    at that line."""
     reader = LineReader(path)
     n = reader.expect_int("n")
     p = reader.expect_int("p")
@@ -475,7 +471,11 @@ def load_model(path):
             reader.error(f"unexpected field '{parts[0]}' before matrix A")
     A = np.vstack([reader.read_floats(n, f"matrix A row {r + 1}") for r in range(n)])
     B = reader.read_matrix("B", n, m)
-    C = reader.read_matrix("C", p, n)
+    reader.expect_literal("C")
+    for r, row in enumerate(np.eye(p, n)):
+        if not np.array_equal(reader.read_floats(n, f"matrix C row {r + 1}"), row):
+            reader.error(f"matrix C row {r + 1}: the outputs are the first p "
+                         "states: C must be [I 0]")
     D = reader.read_matrix("D", p, m)
     reader.expect_literal("m0")
     m0 = reader.read_floats(n, "m0")
@@ -483,5 +483,5 @@ def load_model(path):
     if not reader.at_end():
         line = reader.next_line()
         reader.error(f"unexpected content after matrix R0: '{line}'")
-    model = StateSpaceModel(A=A, B=B, C=C, D=D, sigma=sigma, m0=m0, R0=R0)
+    model = StateSpaceModel(A=A, B=B, p=p, sigma=sigma, m0=m0, R0=R0, D=D)
     return model, meta

@@ -47,8 +47,6 @@ __all__ = [
     "recon_settings",
     "reconstruct",
     "p22_sweep",
-    "unpack_w",
-    "pack_w",
     "converged",
     "save_result",
 ]
@@ -315,8 +313,8 @@ def _em_step(data, params, mask, cfg, bufs):
     # and finiteness check
     scaled = copy.copy(data)
     scaled.Y = data.Y / s
-    model = StateSpaceModel(A=A, B=B / s, C=np.eye(p, n), D=np.zeros((p, m)),
-                            sigma=1.0, m0=m0 / s, R0=R0 / s**2)
+    model = StateSpaceModel(A=A, B=B / s, p=p, sigma=1.0, m0=m0 / s,
+                            R0=R0 / s**2)
     fp = kalman_filter(model, scaled, out=bufs)
     sp = rts_smoother(model, fp, out=bufs)
     sp = _dc_replace(sp, M_sm=lag_one_smoother(sp))
@@ -324,7 +322,7 @@ def _em_step(data, params, mask, cfg, bufs):
     es = expectation_sums(sp, scaled)
     t1 = time.perf_counter()
 
-    reg = regression_from_moments(es, n, m)
+    reg = regression_from_moments(es)
     if cfg.prior_mode == "sbl":
         st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0),
                     opts=cfg.inner)
@@ -394,9 +392,8 @@ def reconstruct(data, cfg):
         w_prev = w
 
     A, B, sigma2, m0, R0 = params
-    model_hat = StateSpaceModel(
-        A=A, B=B, C=np.eye(p, n), D=np.zeros((p, m)),
-        sigma=float(np.sqrt(sigma2)), m0=m0, R0=R0)
+    model_hat = StateSpaceModel(A=A, B=B, p=p, sigma=float(np.sqrt(sigma2)),
+                                m0=m0, R0=R0)
     q_points = _dsf.default_q_points(seed=0 if cfg.seed is None else int(cfg.seed))
     sample = _dsf.dsf_from_state_space(model_hat, q_points)
     network = _dsf.boolean_structure(sample, cfg.structure_rel_tol)

@@ -207,7 +207,7 @@ class SBLOptions:
                                  f"got {getattr(self, name)}")
 
 
-def regression_from_moments(es, n, m):
+def regression_from_moments(es):
     """Regression carrying the exact smoothed second moments.
 
     Plugging smoothed means into the design ignores the state uncertainty
@@ -215,7 +215,8 @@ def regression_from_moments(es, n, m):
     has the sufficient statistics S_zz, S_xz and diag(S_xx), so posterior,
     evidence and residuals all equal their exact conditional expectations.
     """
-    return RegressionData(n=n, m=m, N=es.N, zz=es.S_zz.copy(),
+    n, nm = es.S_xz.shape
+    return RegressionData(n=n, m=nm - n, N=es.N, zz=es.S_zz.copy(),
                           xz=es.S_xz.copy(), y_sq_rows=np.diag(es.S_xx).copy())
 
 

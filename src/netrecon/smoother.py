@@ -8,7 +8,7 @@ Index convention: arrays run k = 0..N with index 0 holding the initial
 state t_0 (prior only, no measurement); measurements exist for k = 1..N.
 The filter assumes process noise covariance sigma^2 I_n and unit
 measurement covariance.  The outputs are the first p states, C = [I 0],
-as ``StateSpaceModel`` guarantees, so C P is the first p rows of P and
+as ``StateSpaceModel`` builds it, so C P is the first p rows of P and
 C x the first p entries of x; measurement feedthrough (nonzero D) is not
 supported in estimation.
 
@@ -322,7 +322,7 @@ def kalman_filter(model, data, out=None):
         P_{k|k}   = P_{k|k-1} - K_k C P_{k|k-1}
 
     started from the prior x_{0|0} = m0, P_{0|0} = R0.  The outputs are
-    the first p states, C = [I 0], as the model guarantees: C P_{k|k-1} is
+    the first p states, C = [I 0], as the model builds it: C P_{k|k-1} is
     the first p rows of P_{k|k-1}, C P_{k|k-1} C' its leading p x p block
     and C x_{k|k-1} the first p entries of x_{k|k-1}.  Nonzero D raises
     ValueError.  Raises FilterDivergedError when a covariance norm

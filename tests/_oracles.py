@@ -331,7 +331,6 @@ def random_stable_model(rng, n, p, m, sigma=None, rich_prior=True):
     rho = np.max(np.abs(np.linalg.eigvals(A)))
     A *= rng.uniform(0.4, 0.9) / max(rho, 1e-12)
     B = rng.normal(size=(n, m))
-    C = np.hstack([np.eye(p), np.zeros((p, n - p))])
     if rich_prior:
         W = rng.normal(size=(n, n))
         R0 = W @ W.T / n + 0.2 * np.eye(n)
@@ -341,8 +340,7 @@ def random_stable_model(rng, n, p, m, sigma=None, rich_prior=True):
         m0 = np.zeros(n)
     if sigma is None:
         sigma = rng.uniform(0.3, 1.5)
-    return StateSpaceModel(A=A, B=B, C=C, D=np.zeros((p, m)), sigma=sigma,
-                           m0=m0, R0=R0)
+    return StateSpaceModel(A=A, B=B, p=p, sigma=sigma, m0=m0, R0=R0)
 
 
 def _sym(M):

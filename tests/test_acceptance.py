@@ -173,10 +173,9 @@ def test_criterion_5_dsf_invariance_and_exact_agreement():
         A = rng.normal(size=(n, n))
         A *= rng.uniform(0.4, 0.9) / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
         model = StateSpaceModel(
-            A=A, B=rng.normal(size=(n, m)),
-            C=np.hstack([np.eye(p), np.zeros((p, n - p))]),
-            D=rng.normal(size=(p, m)), sigma=float(rng.uniform(0.2, 1.5)),
-            m0=np.zeros(n), R0=np.eye(n))
+            A=A, B=rng.normal(size=(n, m)), p=p,
+            sigma=float(rng.uniform(0.2, 1.5)), m0=np.zeros(n), R0=np.eye(n),
+            D=rng.normal(size=(p, m)))
         base = dsf_from_state_space(model, pts)
 
         h = n - p
@@ -185,8 +184,8 @@ def test_criterion_5_dsf_invariance_and_exact_agreement():
             T = np.block([[np.eye(p), np.zeros((p, h))],
                           [np.zeros((h, p)), S]])
             tr = StateSpaceModel(A=T @ model.A @ np.linalg.inv(T),
-                                 B=T @ model.B, C=model.C, D=model.D,
-                                 sigma=model.sigma, m0=model.m0, R0=model.R0)
+                                 B=T @ model.B, p=p, sigma=model.sigma,
+                                 m0=model.m0, R0=model.R0, D=model.D)
             other = dsf_from_state_space(tr, pts)
             for x, y in [(base.Q_vals, other.Q_vals),
                          (base.P_vals, other.P_vals),

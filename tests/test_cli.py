@@ -168,8 +168,9 @@ def test_dsf_rejects_a_model_whose_outputs_are_not_the_first_states(
     swapped = tmp_path / "swapped.txt"
     swapped.write_text("\n".join(lines) + "\n")
     assert run_cli(["dsf", "--model", swapped]) == 2
-    assert "the outputs are the first p states: C must be [I 0]" \
-        in capsys.readouterr().err
+    # the error names the first swapped row's line
+    assert (f"swapped.txt:{c + 2}: matrix C row 1: the outputs are the first p "
+            "states: C must be [I 0]") in capsys.readouterr().err
 
 
 def test_malformed_file_error_names_line(tmp_path, capsys):

@@ -15,8 +15,8 @@ def identity_output_model(A, sigma=1.0, B=None, D=None, p=None):
     B = np.eye(n)[:, :p] if B is None else np.asarray(B, float)
     m = B.shape[1]
     D = np.zeros((p, m)) if D is None else np.asarray(D, float)
-    return StateSpaceModel(A=A, B=B, C=np.hstack([np.eye(p), np.zeros((p, n - p))]),
-                           D=D, sigma=sigma, m0=np.zeros(n), R0=np.eye(n))
+    return StateSpaceModel(A=A, B=B, p=p, sigma=sigma, m0=np.zeros(n),
+                           R0=np.eye(n), D=D)
 
 
 def random_model(rng, n, p, m, with_D=False):
@@ -24,10 +24,8 @@ def random_model(rng, n, p, m, with_D=False):
     A *= rng.uniform(0.4, 0.9) / np.max(np.abs(np.linalg.eigvals(A)))
     B = rng.normal(size=(n, m))
     D = rng.normal(size=(p, m)) if with_D else np.zeros((p, m))
-    return StateSpaceModel(A=A, B=B,
-                           C=np.hstack([np.eye(p), np.zeros((p, n - p))]),
-                           D=D, sigma=rng.uniform(0.2, 1.5),
-                           m0=np.zeros(n), R0=np.eye(n))
+    return StateSpaceModel(A=A, B=B, p=p, sigma=rng.uniform(0.2, 1.5),
+                           m0=np.zeros(n), R0=np.eye(n), D=D)
 
 
 def test_two_node_fully_observed_example():
@@ -120,9 +118,9 @@ def test_hidden_block_invariance():
         T = np.block([[np.eye(p), np.zeros((p, n - p))],
                       [np.zeros((n - p, p)), S]])
         Tinv = np.linalg.inv(T)
-        tr = StateSpaceModel(A=T @ model.A @ Tinv, B=T @ model.B, C=model.C,
-                             D=model.D, sigma=model.sigma, m0=model.m0,
-                             R0=model.R0)
+        tr = StateSpaceModel(A=T @ model.A @ Tinv, B=T @ model.B, p=model.p,
+                             sigma=model.sigma, m0=model.m0, R0=model.R0,
+                             D=model.D)
         a = dsf_from_state_space(model, pts)
         b = dsf_from_state_space(tr, pts)
         for x, y in [(a.Q_vals, b.Q_vals), (a.P_vals, b.P_vals),

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,18 +8,19 @@ from netrecon import (StateSpaceModel, Dataset, GenerationError,
                       SimulationDivergedError, generate_random_network,
                       simulate, scale_noise_for_snr, save_dataset_csv,
                       load_dataset_csv, save_model, load_model,
-                      FileFormatError)
+                      FileFormatError, default_q_points, dsf_from_state_space)
 
 from _oracles import exact_dsf_small
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def small_model(rng, n=3, p=2, m=2, sigma=0.5):
     A = rng.normal(size=(n, n))
     A *= 0.7 / np.max(np.abs(np.linalg.eigvals(A)))
     return StateSpaceModel(
-        A=A, B=rng.normal(size=(n, m)),
-        C=np.hstack([np.eye(p), np.zeros((p, n - p))]), D=np.zeros((p, m)),
-        sigma=sigma, m0=rng.normal(size=n), R0=np.eye(n))
+        A=A, B=rng.normal(size=(n, m)), p=p, sigma=sigma,
+        m0=rng.normal(size=n), R0=np.eye(n))
 
 
 def _rel(got, ref):
@@ -99,11 +102,11 @@ def test_simulate_snr_zero_db_noise_power_matches_signal_power():
     N = 10_000
     U = rng.normal(size=(N, 2))
     sigma = scale_noise_for_snr(model, U, snr_db=0.0, seed=11)
-    noisy = StateSpaceModel(A=model.A, B=model.B, C=model.C, D=model.D,
-                            sigma=sigma, m0=model.m0, R0=model.R0)
-    clean = simulate(model.__class__(A=model.A, B=model.B, C=model.C,
-                                     D=model.D, sigma=0.0, m0=model.m0,
-                                     R0=model.R0),
+    noisy = StateSpaceModel(A=model.A, B=model.B, p=model.p, sigma=sigma,
+                            m0=model.m0, R0=model.R0, D=model.D)
+    clean = simulate(model.__class__(A=model.A, B=model.B, p=model.p,
+                                     sigma=0.0, m0=model.m0, R0=model.R0,
+                                     D=model.D),
                      N, input_kind="provided", U_provided=U, seed=33)
     dirty = simulate(noisy, N, input_kind="provided", U_provided=U, seed=33)
     noise = dirty.Y - clean.Y  # common random numbers isolate the noise path
@@ -145,13 +148,13 @@ def test_scale_noise_monte_carlo_variance_ratio():
     U = rng.normal(size=(N, 2))
     target_db = 12.0
     sigma = scale_noise_for_snr(model, U, snr_db=target_db, seed=21)
-    clean = simulate(StateSpaceModel(A=model.A, B=model.B, C=model.C,
-                                     D=model.D, sigma=0.0, m0=model.m0,
-                                     R0=model.R0),
+    clean = simulate(StateSpaceModel(A=model.A, B=model.B, p=model.p,
+                                     sigma=0.0, m0=model.m0, R0=model.R0,
+                                     D=model.D),
                      N, input_kind="provided", U_provided=U, seed=77)
-    noisy = simulate(StateSpaceModel(A=model.A, B=model.B, C=model.C,
-                                     D=model.D, sigma=sigma, m0=model.m0,
-                                     R0=model.R0),
+    noisy = simulate(StateSpaceModel(A=model.A, B=model.B, p=model.p,
+                                     sigma=sigma, m0=model.m0, R0=model.R0,
+                                     D=model.D),
                      N, input_kind="provided", U_provided=U, seed=77)
     noise = noisy.Y - clean.Y
     realized = np.mean(np.var(clean.Y, axis=0)) / np.mean(np.var(noise, axis=0))
@@ -179,8 +182,8 @@ def test_scale_noise_zero_signal_errors():
 
 
 def test_simulate_divergence_names_step():
-    model = StateSpaceModel(A=[[2.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]],
-                            sigma=0.0, m0=[1.0], R0=[[0.0]])
+    model = StateSpaceModel(A=[[2.0]], B=[[0.0]], p=1, sigma=0.0, m0=[1.0],
+                            R0=[[0.0]])
     with pytest.raises(SimulationDivergedError) as err:
         simulate(model, 5000, input_kind="provided",
                  U_provided=np.zeros((5000, 1)), seed=0)
@@ -192,8 +195,8 @@ def test_simulate_divergence_names_step():
 def test_simulate_zero_state_of_unstable_model_stays_zero():
     # the scan's powers of A overflow past A^1023, and inf times the zero
     # state is NaN; the steps from there are redone one at a time
-    model = StateSpaceModel(A=[[2.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
-                            sigma=0.0, m0=[0.0], R0=[[0.0]])
+    model = StateSpaceModel(A=[[2.0]], B=[[1.0]], p=1, sigma=0.0, m0=[0.0],
+                            R0=[[0.0]])
     data = simulate(model, 5000, input_kind="provided",
                     U_provided=np.zeros((5000, 1)), seed=0)
     assert not data.Y.any()
@@ -254,6 +257,16 @@ def test_generate_rejects_bad_arguments():
         generate_random_network(p=2, n=4, m=2, density=0.01, seed=0)
     with pytest.raises(ValueError, match="n >= p"):
         generate_random_network(p=4, n=3, m=4, density=0.5, seed=0)
+
+
+def test_generate_redraws_a_network_without_edges():
+    # the first candidate of the long_series benchmark cell at seed 317 has
+    # six nonzeros in A but no Q edge; it is redrawn
+    gt = generate_random_network(p=5, n=10, m=5, density=0.1, seed=3369299466)
+    assert gt.q_structure.any()
+    # with one output no edge can exist, so none is asked for
+    gt = generate_random_network(p=1, n=3, m=1, density=0.5, seed=0)
+    assert not gt.q_structure.any()
 
 
 def test_generate_retry_exhaustion(monkeypatch):
@@ -396,26 +409,61 @@ def test_dataset_validation():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError, match=r"first p states: C must be \[I 0\]"):
-        StateSpaceModel(A=np.eye(2) * 0.5, B=np.eye(2), C=np.zeros((1, 2)),
-                        D=np.zeros((1, 2)), sigma=1.0, m0=np.zeros(2),
-                        R0=np.eye(2))
+    with pytest.raises(ValueError, match=r"need 1 <= p <= n, got n=2, p=3"):
+        StateSpaceModel(A=np.eye(2) * 0.5, B=np.eye(2), p=3, sigma=1.0,
+                        m0=np.zeros(2), R0=np.eye(2))
+    for p in (1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            StateSpaceModel(A=np.eye(2) * 0.5, B=np.eye(2), p=p, sigma=1.0,
+                            m0=np.zeros(2), R0=np.eye(2))
+    assert StateSpaceModel(A=np.eye(2) * 0.5, B=np.eye(2), p=np.int64(1),
+                           sigma=1.0, m0=np.zeros(2), R0=np.eye(2)).p == 1
     with pytest.raises(ValueError, match="semidefinite"):
-        StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
-                        sigma=1.0, m0=[0.0], R0=[[-1.0]])
+        StateSpaceModel(A=[[0.5]], B=[[1.0]], p=1, sigma=1.0, m0=[0.0],
+                        R0=[[-1.0]])
 
 
-def test_model_rejects_full_row_rank_c_other_than_i_0():
-    # the outputs are the first p states: a permutation or a scaling of
-    # them has full row rank but is not [I 0]
-    for C in ([[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0]]):
-        p = len(C)
-        with pytest.raises(ValueError, match=r"first p states: C must be \[I 0\]"):
-            StateSpaceModel(A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=C,
-                            D=np.zeros((p, 1)), sigma=1.0, m0=np.zeros(2),
-                            R0=np.eye(2))
-    StateSpaceModel(A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=[[1.0, 0.0]],
-                    D=np.zeros((1, 1)), sigma=1.0, m0=np.zeros(2), R0=np.eye(2))
+def test_model_rejects_full_row_rank_c_other_than_i_0(tmp_path):
+    # the outputs are the first p states: a model file whose C block is a
+    # permutation or a scaling of [I 0] has full row rank but fails to load,
+    # at the line of its first row that differs from [I 0]
+    lines = (FIXTURES / "sample_model.txt").read_text().splitlines()
+    c = lines.index("C")
+    swapped, scaled = list(lines), list(lines)
+    swapped[c + 2], swapped[c + 3] = swapped[c + 3], swapped[c + 2]
+    scaled[c + 1] = "2 0 0 0 0 0"
+    path = tmp_path / "m.txt"
+    for bad, lineno, row in ((swapped, c + 3, 2), (scaled, c + 2, 1)):
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(FileFormatError,
+                           match=rf"m.txt:{lineno}: matrix C row {row}: the "
+                                 r"outputs are the first p states: C must be \[I 0\]"):
+            load_model(path)
+
+
+def test_model_c_is_i_0_and_d_defaults_to_zero():
+    rng = np.random.default_rng(13)
+    model = small_model(rng, n=4, p=2, m=3)
+    assert np.array_equal(model.C, np.eye(2, 4))
+    assert np.array_equal(model.D, np.zeros((2, 3)))
+    with pytest.raises(AttributeError):
+        model.C = np.eye(2, 4)
+    explicit = StateSpaceModel(A=model.A, B=model.B, p=2, sigma=model.sigma,
+                               m0=model.m0, R0=model.R0, D=np.zeros((2, 3)))
+    a = simulate(model, 40, snr_db=20.0, seed=3)
+    b = simulate(explicit, 40, snr_db=20.0, seed=3)
+    assert np.array_equal(a.Y, b.Y) and np.array_equal(a.U, b.U)
+    pts = default_q_points(seed=4)
+    sa, sb = dsf_from_state_space(model, pts), dsf_from_state_space(explicit, pts)
+    for name in ("Q_vals", "P_vals", "H_vals"):
+        assert np.array_equal(getattr(sa, name), getattr(sb, name))
+
+
+def test_sample_model_file_roundtrips_byte_identically(tmp_path):
+    model, meta = load_model(FIXTURES / "sample_model.txt")
+    path = tmp_path / "m.txt"
+    save_model(model, path, **meta)
+    assert path.read_bytes() == (FIXTURES / "sample_model.txt").read_bytes()
 
 
 def test_model_symmetry_check_is_allclose_at_its_boundary():
@@ -431,9 +479,8 @@ def test_model_symmetry_check_is_allclose_at_its_boundary():
                 R0 = np.array([[10.0, high], [low, 10.0]])
                 expected = bool(np.allclose(R0, R0.T, atol=1e-10))
                 try:
-                    StateSpaceModel(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2),
-                                    D=np.zeros((2, 2)), sigma=1.0,
-                                    m0=np.zeros(2), R0=R0)
+                    StateSpaceModel(A=0.5 * np.eye(2), B=np.eye(2), p=2,
+                                    sigma=1.0, m0=np.zeros(2), R0=R0)
                     accepted = True
                 except ValueError as err:
                     assert "symmetric" in str(err)

@@ -14,8 +14,8 @@ from _oracles import exact_dsf_small
 
 def two_node_system(sigma=0.0):
     A = np.array([[0.2, 0.5], [0.3, 0.1]])
-    return StateSpaceModel(A=A, B=np.eye(2), C=np.eye(2), D=np.zeros((2, 2)),
-                           sigma=sigma, m0=np.zeros(2), R0=np.eye(2))
+    return StateSpaceModel(A=A, B=np.eye(2), p=2, sigma=sigma, m0=np.zeros(2),
+                           R0=np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +67,8 @@ def test_noise_free_two_node_recovery():
 
 
 def test_no_dynamics_yields_empty_network():
-    model = StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2), C=np.eye(2),
-                            D=np.zeros((2, 2)), sigma=0.15, m0=np.zeros(2),
-                            R0=np.eye(2))
+    model = StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2), p=2, sigma=0.15,
+                            m0=np.zeros(2), R0=np.eye(2))
     data = simulate(model, 400, seed=3)
     res = reconstruct(data, ReconConfig(n_states=2, seed=2))
     assert not res.network.q_adj.any()
@@ -118,8 +117,7 @@ def test_flagged_edges_have_generating_entries():
     res = reconstruct(data, ReconConfig(n_states=10, seed=23,
                                         outer_max_iter=25))
     model_hat = StateSpaceModel(
-        A=res.A_hat, B=res.B_hat,
-        C=np.hstack([np.eye(4), np.zeros((4, 6))]), D=np.zeros((4, 4)),
+        A=res.A_hat, B=res.B_hat, p=4,
         sigma=max(np.sqrt(res.sigma2_hat), 1e-6), m0=res.m0_hat,
         R0=0.5 * (res.R0_hat + res.R0_hat.T))
     Q, _, _ = exact_dsf_small(model_hat)
@@ -172,9 +170,9 @@ def test_reconstruct_rejects_bad_config():
         reconstruct(data, ReconConfig(n_states=1))
     with pytest.raises(ValueError, match="prior_mode"):
         reconstruct(data, ReconConfig(n_states=3, prior_mode="bogus"))
-    bad = simulate(StateSpaceModel(A=np.eye(2) * 0.5, B=np.ones((2, 1)),
-                                   C=np.eye(2), D=np.zeros((2, 1)), sigma=0.1,
-                                   m0=np.zeros(2), R0=np.eye(2)), 30, seed=63)
+    bad = simulate(StateSpaceModel(A=np.eye(2) * 0.5, B=np.ones((2, 1)), p=2,
+                                   sigma=0.1, m0=np.zeros(2), R0=np.eye(2)),
+                   30, seed=63)
     with pytest.raises(IdentifiabilityError):
         reconstruct(bad, ReconConfig(n_states=3))
 
@@ -222,8 +220,7 @@ def test_oracle_start_on_noise_free_data_is_perfect():
     # must be perfect on every run
     for seed in (101, 102, 103):
         truth = generate_random_network(p=3, n=6, m=3, density=0.25, seed=seed)
-        clean = StateSpaceModel(A=truth.model.A, B=truth.model.B,
-                                C=truth.model.C, D=truth.model.D, sigma=0.0,
+        clean = StateSpaceModel(A=truth.model.A, B=truth.model.B, p=3, sigma=0.0,
                                 m0=truth.model.m0, R0=truth.model.R0)
         data = simulate(clean, 300, seed=seed + 1)
         cfg = ReconConfig(n_states=6, seed=seed + 2, outer_max_iter=15,
@@ -281,9 +278,9 @@ def test_ml_is_one_exact_tied_em_step():
     # run in units of s = sqrt(sigma2) where both covariances are I
     sigma2 = max(0.1 * float(np.var(data.Y)), 1e-6)
     s = np.sqrt(sigma2)
-    C = np.hstack([np.eye(p), np.zeros((p, n - p))])
-    model = StateSpaceModel(A=A0, B=B0 / s, C=C, D=np.zeros((p, m)), sigma=1.0,
-                            m0=np.zeros(n), R0=np.eye(n) / sigma2)
+    model = StateSpaceModel(A=A0, B=B0 / s, p=p, sigma=1.0, m0=np.zeros(n),
+                            R0=np.eye(n) / sigma2)
+    C = model.C
     scaled = Dataset(Y=data.Y / s, U=data.U, N=N)
     _, sp = smooth(model, scaled)
     es = expectation_sums(sp, scaled)
@@ -307,8 +304,9 @@ def test_ml_is_one_exact_tied_em_step():
 
     assert res.trace[0].n_active == mask.free.sum()
     # the ml fit is the sparse E-step's mean in the limit of flat priors
-    wide = _estep(regression_from_moments(es, n, m),
-                  np.where(mask.free, 1e8, 0.0), 1.0)[0]
+    reg = regression_from_moments(es)   # n and m read off S_xz
+    assert (reg.n, reg.m) == (n, m)
+    wide = _estep(reg, np.where(mask.free, 1e8, 0.0), 1.0)[0]
     fit = np.hstack([res.A_hat, res.B_hat / s])
     assert np.abs(wide - fit).max() <= 1e-6 * np.abs(fit).max()
     assert np.allclose(res.A_hat, A, rtol=1e-9, atol=1e-12)
@@ -404,9 +402,8 @@ def test_fallback_counts_in_trace_and_result_file(tmp_path):
     # singular one-step covariances make every smoother gain a
     # pseudo-inverse; the steps are reported in pinv_steps, not as a warning
     data = _small_system(N=5)
-    model = StateSpaceModel(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2),
-                            D=np.zeros((2, 2)), sigma=0.3, m0=np.zeros(2),
-                            R0=np.eye(2))
+    model = StateSpaceModel(A=0.5 * np.eye(2), B=np.eye(2), p=2, sigma=0.3,
+                            m0=np.zeros(2), R0=np.eye(2))
     fp = kalman_filter(model, data)
     fp = dataclasses.replace(fp, P_pred=np.zeros_like(fp.P_pred), k_steady=None)
     with warnings.catch_warnings():

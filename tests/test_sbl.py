@@ -397,7 +397,7 @@ def test_regression_from_moments_matches_plugin_when_certain():
                      M_sm=StepSeq(np.zeros_like(sp.M_sm)))
     es = expectation_sums(sp0, data)
     reg_plug = assemble_regression(sp0, data, n=2)
-    reg_mom = regression_from_moments(es, n=2, m=2)
+    reg_mom = regression_from_moments(es)
     assert reg_mom.N == data.N
     assert np.allclose(reg_mom.zz, reg_plug.zz, atol=1e-10)
     assert np.allclose(reg_mom.xz, reg_plug.xz, atol=1e-10)
@@ -417,7 +417,7 @@ def test_regression_from_moments_includes_covariance_information():
     data = simulate(model, 15, seed=23)
     _, sp = smooth(model, data)
     es = expectation_sums(sp, data)
-    reg = regression_from_moments(es, n=2, m=2)
+    reg = regression_from_moments(es)
     # the regression carries the exact second moments
     assert np.allclose(reg.zz, es.S_zz, atol=1e-10)
     assert np.allclose(reg.xz, es.S_xz, atol=1e-10)

@@ -11,8 +11,8 @@ from _oracles import (lgssm_joint, condition_gaussian, smoothed_oracle,
 
 
 def scalar_model(A=0.0, B=0.0, sigma=1.0, m0=0.0, R0=1.0):
-    return StateSpaceModel(A=[[A]], B=[[B]], C=[[1.0]], D=[[0.0]],
-                           sigma=sigma, m0=[m0], R0=[[R0]])
+    return StateSpaceModel(A=[[A]], B=[[B]], p=1, sigma=sigma, m0=[m0],
+                           R0=[[R0]])
 
 
 def make_data(model, N, rng):
@@ -33,9 +33,8 @@ def test_filter_zero_dynamics_predicted_covariance():
     rng = np.random.default_rng(0)
     n, p = 3, 2
     model = StateSpaceModel(
-        A=np.zeros((n, n)), B=rng.normal(size=(n, p)),
-        C=np.hstack([np.eye(p), np.zeros((p, n - p))]), D=np.zeros((p, p)),
-        sigma=0.7, m0=np.zeros(n), R0=np.eye(n))
+        A=np.zeros((n, n)), B=rng.normal(size=(n, p)), p=p, sigma=0.7,
+        m0=np.zeros(n), R0=np.eye(n))
     data = make_data(model, 6, rng)
     fp = kalman_filter(model, data)
     for k in range(2, 7):
@@ -71,8 +70,8 @@ def test_smoother_zero_dynamics_reduces_to_filter():
     rng = np.random.default_rng(3)
     n, p = 2, 2
     model = StateSpaceModel(
-        A=np.zeros((n, n)), B=np.eye(n), C=np.eye(n), D=np.zeros((n, n)),
-        sigma=1.0, m0=np.zeros(n), R0=np.eye(n))
+        A=np.zeros((n, n)), B=np.eye(n), p=n, sigma=1.0, m0=np.zeros(n),
+        R0=np.eye(n))
     data = make_data(model, 8, rng)
     fp = kalman_filter(model, data)
     sp = rts_smoother(model, fp)
@@ -110,9 +109,8 @@ def test_covariance_ordering_and_symmetry():
 
 def test_filter_divergence_guard():
     # unstable mode outside the measured block: covariance grows unboundedly
-    model = StateSpaceModel(A=np.diag([0.5, 40.0]), B=np.zeros((2, 1)),
-                            C=[[1.0, 0.0]], D=np.zeros((1, 1)), sigma=1.0,
-                            m0=np.zeros(2), R0=np.eye(2))
+    model = StateSpaceModel(A=np.diag([0.5, 40.0]), B=np.zeros((2, 1)), p=1,
+                            sigma=1.0, m0=np.zeros(2), R0=np.eye(2))
     data = Dataset(Y=np.ones((30, 1)), U=np.zeros((30, 1)), N=30)
     with pytest.raises(FilterDivergedError) as err:
         kalman_filter(model, data)
@@ -124,15 +122,10 @@ def test_filter_rejects_bad_inputs():
     data = Dataset(Y=[[1.0]], U=[[0.0]], N=1)
     with pytest.raises(ValueError, match="sigma"):
         kalman_filter(model, data)
-    model2 = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[2.0]],
-                             sigma=1.0, m0=[0.0], R0=[[1.0]])
+    model2 = StateSpaceModel(A=[[0.5]], B=[[1.0]], p=1, sigma=1.0, m0=[0.0],
+                             R0=[[1.0]], D=[[2.0]])
     with pytest.raises(ValueError, match="D"):
         kalman_filter(model2, data)
-    # the outputs must be the first p states: such a model cannot be built
-    with pytest.raises(ValueError, match=r"first p states: C must be \[I 0\]"):
-        StateSpaceModel(A=0.5 * np.eye(2), B=np.zeros((2, 1)),
-                        C=[[0.0, 1.0]], D=np.zeros((1, 1)), sigma=1.0,
-                        m0=np.zeros(2), R0=np.eye(2))
 
 
 def test_expectation_sums_outer_products_when_covariances_vanish():
