@@ -12,7 +12,7 @@ from .model import (StateSpaceModel, Dataset, GroundTruth, GenerationError,
                     save_model, load_model)
 from .dsf import (DSFError, FreqSample, NetworkGraph, GraphMetrics,
                   default_q_points, dsf_from_state_space, boolean_structure,
-                  graph_compare, save_dsf_result)
+                  graph_compare, edge_auc, save_dsf_result)
 from .smoother import (FilterDivergedError, StepSeq, PassBuffers, FilterPass,
                        SmoothPass, ESums, kalman_filter, rts_smoother,
                        lag_one_smoother, smooth, expectation_sums,

@@ -5,7 +5,9 @@ requested SNR, reconstructs it with the assumed state dimension, and
 compares the inferred Q adjacency against the truth.  A run whose
 precision falls below the failure threshold counts as failed; mean
 precision and TPR are reported over the non-failed runs, and the failure
-rate is reported both per SNR and pooled.
+rate is reported both per SNR and pooled.  Each run also records the
+threshold-free edge-ranking AUC (``dsf.edge_auc``), whose mean is taken
+over every run that has one, failed or not.
 
 Cells are seeded independently of execution order, so results are
 identical for any parallelism degree.  Output files embed the effective
@@ -15,12 +17,13 @@ byte-identical.
 
 import concurrent.futures
 import logging
+import math
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dsf import NetworkGraph, graph_compare
+from .dsf import NetworkGraph, edge_auc, graph_compare
 from .fileio import fmt, record_lines
 from .model import (_check_generation, _check_simulation,
                     generate_random_network, simulate)
@@ -113,6 +116,7 @@ class RunRecord:
     recon_seed: int
     precision: float
     tpr: float
+    auc: float
     n_est_edges: int
     n_true_edges: int
     outer_iterations: int
@@ -127,6 +131,7 @@ class BenchRow:
     snr_db: float
     precision_mean: float
     tpr_mean: float
+    auc_mean: float
     n_failed: int
     n_total: int
 
@@ -151,7 +156,8 @@ class BenchTable:
 
     def to_table_text(self):
         """Aligned summary: Precision/TPR rows, one column per SNR, plus the
-        pooled failure rate (percentages rounded to integers)."""
+        pooled failure rate (percentages rounded to integers), and the mean
+        AUC row to three decimals."""
         headers = [f"{row.snr_db:g} dB" for row in self.rows]
         width = max([9] + [len(h) for h in headers]) + 2
         def cell(s):
@@ -163,6 +169,8 @@ class BenchTable:
         fail = cell(f"{100 * self.failure_rate:.0f}%")
         lines.append("Precision".ljust(11) + prec + fail)
         lines.append("TPR".ljust(11) + tpr)
+        lines.append("AUC".ljust(11)
+                     + "".join(cell(f"{r.auc_mean:.3f}") for r in self.rows))
         return "\n".join(lines) + "\n"
 
     def records_csv_text(self):
@@ -203,6 +211,7 @@ def _bench_cell(cfg, net_idx, snr_idx):
             network=net_idx, snr_db=snr, gen_seed=gen_seed,
             sim_seed=sim_seed, recon_seed=recon_seed,
             precision=metrics.precision, tpr=metrics.tpr,
+            auc=edge_auc(result.dsf, truth_graph),
             n_est_edges=metrics.n_est_edges, n_true_edges=metrics.n_true_edges,
             outer_iterations=len(result.trace), status=result.status,
             failed=failed, wall_time=time.perf_counter() - t0)
@@ -210,13 +219,13 @@ def _bench_cell(cfg, net_idx, snr_idx):
         record = RunRecord(
             network=net_idx, snr_db=snr, gen_seed=gen_seed,
             sim_seed=sim_seed, recon_seed=recon_seed,
-            precision=float("nan"), tpr=float("nan"),
+            precision=float("nan"), tpr=float("nan"), auc=float("nan"),
             n_est_edges=0, n_true_edges=0, outer_iterations=0,
             status="error", failed=True, error=f"{type(exc).__name__}: {exc}",
             wall_time=time.perf_counter() - t0)
-    logger.info("network %d @ %g dB: precision=%.3f tpr=%.3f status=%s (%.1fs)",
-                net_idx, snr, record.precision, record.tpr, record.status,
-                record.wall_time)
+    logger.info("network %d @ %g dB: precision=%.3f tpr=%.3f auc=%.3f "
+                "status=%s (%.1fs)", net_idx, snr, record.precision,
+                record.tpr, record.auc, record.status, record.wall_time)
     return record
 
 
@@ -241,10 +250,12 @@ def run_benchmark(cfg):
     for snr in cfg.snr_list:
         group = [r for r in records if r.snr_db == snr]
         good = [r for r in group if not r.failed]
+        aucs = [r.auc for r in group if not math.isnan(r.auc)]
         rows.append(BenchRow(
             snr_db=snr,
             precision_mean=float(np.mean([r.precision for r in good])) if good else 0.0,
             tpr_mean=float(np.mean([r.tpr for r in good])) if good else 0.0,
+            auc_mean=float(np.mean(aucs)) if aucs else float("nan"),
             n_failed=len(group) - len(good),
             n_total=len(group)))
     pooled = sum(r.failed for r in records) / max(len(records), 1)

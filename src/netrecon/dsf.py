@@ -26,7 +26,9 @@ adjugate recursion on the hidden block, is kept with the tests as the
 oracle for this path; it reads the same blocks of A and B itself.
 
 The nonzero pattern of (Q, P) is the Boolean network; graph comparison
-metrics (precision, true-positive rate) operate on the Q adjacency.
+metrics (precision, true-positive rate) operate on the Q adjacency, and
+``edge_auc`` scores the sampled magnitudes of Q against it without a
+threshold.
 """
 
 from dataclasses import dataclass
@@ -44,6 +46,7 @@ __all__ = [
     "dsf_from_state_space",
     "boolean_structure",
     "graph_compare",
+    "edge_auc",
     "save_dsf_result",
 ]
 
@@ -222,6 +225,30 @@ def graph_compare(est, truth):
     tpr = 1.0 if n_true == 0 else correct / n_true
     return GraphMetrics(precision=precision, tpr=tpr,
                         n_est_edges=n_est, n_true_edges=n_true)
+
+
+def edge_auc(sample, truth):
+    """Area under the ROC curve of the edge scores max_q |Q_ij(q)| of a
+    sampled DSF against the truth's Q adjacency, over the off-diagonal
+    entries (i != j).
+
+    It is the fraction of (true edge, non-edge) pairs whose true edge
+    scores higher, a tie counting one half (Fawcett, Pattern Recogn. Lett.
+    27, 2006), so it depends on no threshold.  NaN when the truth has no
+    edge or no non-edge.
+    """
+    score = np.abs(sample.Q_vals).max(axis=0)
+    if score.shape != truth.q_adj.shape:
+        raise ValueError(f"graph dimensions differ: {score.shape} "
+                         f"vs {truth.q_adj.shape}")
+    offdiag = ~np.eye(score.shape[0], dtype=bool)
+    neg = np.sort(score[offdiag & ~truth.q_adj])
+    pos = score[offdiag & truth.q_adj]
+    if pos.size == 0 or neg.size == 0:
+        return float("nan")
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    return float((below.sum() + 0.5 * tied.sum()) / (pos.size * neg.size))
 
 
 def save_dsf_result(path, sample, graph, extra_header=()):

@@ -68,6 +68,7 @@ __all__ = [
 # maximization on such columns has a degenerate optimum with unbounded prior
 # variance, so they must be dropped rather than fit.
 _DEAD_COLUMN_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 # The identifiability regimes that ``identifiability_mask`` builds.
@@ -367,9 +368,10 @@ def _kernel(reg, lay, gc, sigma2):
     + sum_i (sum log G_i - 2 sum log diag(R_i)) + (sum y^2 - b . mu)
     / sigma2), with b . mu the sum over rows of b_i . mu_i.
 
-    Returns the compact means and variances (n x k, zero where pruned),
-    the log evidence, R (n x k x k), b . mu and D (n x k).  ``lay`` is
-    left unchanged.
+    Returns the compact means and the diagonals of the H_i^{-1} (n x k,
+    the column sums of R_i squared; zero where pruned), the log evidence,
+    R (n x k x k), b . mu and D (n x k).  The posterior variances are
+    sigma2 times that diagonal.  ``lay`` is left unchanged.
     """
     n, k = gc.shape
     live = gc > 0
@@ -393,8 +395,7 @@ def _kernel(reg, lay, gc, sigma2):
     evidence = -0.5 * (reg.N_y * math.log(2.0 * math.pi)
                        + (reg.N_y - n * k) * math.log(sigma2) + logdet
                        + (float(reg.y_sq_rows.sum()) - bmu) / sigma2)
-    return (mu, sigma2 * np.einsum("nij,nij->nj", R, R), float(evidence), R,
-            bmu, D)
+    return mu, np.einsum("nij,nij->nj", R, R), float(evidence), R, bmu, D
 
 
 def _prune(reg, lay, gc, keep):
@@ -425,8 +426,8 @@ def _estep(reg, gamma, sigma2):
     """
     d = reg.n + reg.m
     lay, gc = _layout(reg, gamma.reshape((d, reg.n)).T)
-    mu, var, evidence, R, _, _ = _kernel(reg, lay, gc, sigma2)
-    return (_scatter(mu, lay.order, d), _scatter(var, lay.order, d),
+    mu, h, evidence, R, _, _ = _kernel(reg, lay, gc, sigma2)
+    return (_scatter(mu, lay.order, d), _scatter(sigma2 * h, lay.order, d),
             evidence, lay.order, R)
 
 
@@ -559,14 +560,19 @@ def sbl_em(reg, mask, init=None, opts=None):
         n_active = n_kept
         n_active_path.append(n_active)
 
-        mu, var, evidence, _, bmu, D = _kernel(reg, lay, gc, sigma2)
+        mu, h, evidence, _, bmu, D = _kernel(reg, lay, gc, sigma2)
         evidence_path.append(evidence)
         if len(evidence_path) >= 2 and evidence < evidence_path[-2] - 1e-8:
             warn_log.append(f"iteration {iteration}: evidence decreased by "
                             f"{evidence_path[-2] - evidence:.3e}")
 
         mu2 = mu * mu
-        gamma_new = var + mu2
+        var = sigma2 * h
+        # MacKay: Sigma_ii / gamma_i = D_i h_i, zero on pruned entries and
+        # the pad, where mu is zero too.  1 - D_i h_i lies in (0, 1]; where
+        # rounding takes it below eps the data leave entry i undetermined
+        # and mu_i is at rounding level, so eps bounds the quotient
+        gamma_new = mu2 / np.maximum(1.0 - D * h, _EPS)
         # mu' zz mu from H mu = b (see the docstring); D = sigma2 / gamma
         # where mu and var can be nonzero
         rss = max(y_sq - bmu - float(np.vdot(mu2, D)), 0.0)

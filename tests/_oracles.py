@@ -306,7 +306,9 @@ def sbl_em_full_width(reg, mask, init, opts):
                             f"{evidence[-2] - ev:.3e}")
         mu_w, var_w = mu.T.ravel(), var.T.ravel()
         gamma_new = np.zeros_like(gamma)
-        gamma_new[active] = var_w[active] + mu_w[active]**2
+        # MacKay's update, its denominator kept at eps or above as sbl_em does
+        gamma_new[active] = mu_w[active]**2 / np.maximum(
+            1.0 - var_w[active] / gamma[active], np.finfo(float).eps)
         tr_sg = float((var_w[active] / gamma[active]).sum())
         rss = max(y_sq - 2.0 * float(np.sum(mu * reg.xz))
                   + float(np.sum((mu @ reg.zz) * mu)), 0.0)

@@ -89,6 +89,21 @@ def test_benchmark_tiny_config(tmp_path):
     assert any(l.startswith("network,") for l in rec_lines)
 
 
+def test_benchmark_reports_the_edge_auc(tmp_path):
+    text, records = tmp_path / "summary.txt", tmp_path / "records.csv"
+    code = run_cli(["benchmark", "--config", FIXTURES / "bench_tiny.cfg",
+                    "--out", tmp_path / "table.csv", "--text-out", text,
+                    "--records-out", records, "--quiet"])
+    assert code == 0
+    header, *body = [line.split(",") for line in records.read_text().splitlines()
+                     if not line.startswith("#")]
+    snr = np.array([float(row[header.index("snr_db")]) for row in body])
+    auc = np.array([float(row[header.index("auc")]) for row in body])
+    assert len(body) == 4 and np.all((auc >= 0) & (auc <= 1))
+    (line,) = [l for l in text.read_text().splitlines() if l.startswith("AUC")]
+    assert line.split()[1:] == [f"{auc[snr == s].mean():.3f}" for s in (20, 40)]
+
+
 def test_benchmark_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg = tmp_path / "cfg.txt"
@@ -372,13 +387,13 @@ def test_record_files_take_their_columns_from_the_records():
         "damped pinv_steps evidence_decreases"]
     failed = RunRecord(network=0, snr_db=20.0, gen_seed=1, sim_seed=2,
                        recon_seed=3, precision=float("nan"), tpr=0.5,
-                       n_est_edges=0, n_true_edges=2, outer_iterations=0,
+                       auc=float("nan"), n_est_edges=0, n_true_edges=2, outer_iterations=0,
                        status="error", failed=True, error="ValueError: a, b",
                        wall_time=1.5)
     assert record_lines(RunRecord, [failed], ",") == [
-        "network,snr_db,gen_seed,sim_seed,recon_seed,precision,tpr,"
+        "network,snr_db,gen_seed,sim_seed,recon_seed,precision,tpr,auc,"
         "n_est_edges,n_true_edges,outer_iterations,status,failed,error",
-        "0,20,1,2,3,nan,0.5,0,2,0,error,1,ValueError: a; b"]
+        "0,20,1,2,3,nan,0.5,nan,0,2,0,error,1,ValueError: a; b"]
 
 
 def test_dsf_rejects_a_threshold_outside_unit_interval(tmp_path, capsys):

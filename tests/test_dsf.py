@@ -3,7 +3,8 @@ import pytest
 
 from netrecon import (StateSpaceModel, NetworkGraph, DSFError,
                       default_q_points, dsf_from_state_space, boolean_structure,
-                      graph_compare, generate_random_network, save_dsf_result)
+                      graph_compare, edge_auc, FreqSample,
+                      generate_random_network, save_dsf_result)
 
 from _oracles import UnsupportedSizeError, exact_dsf_small
 
@@ -204,6 +205,37 @@ def test_graph_compare_dimension_mismatch():
                      p_adj=np.zeros((3, 3), dtype=bool))
     with pytest.raises(ValueError, match="dimensions"):
         graph_compare(a, b)
+
+
+def q_sample(Q_vals):
+    Q_vals = np.asarray(Q_vals, dtype=complex)
+    L, p = Q_vals.shape[:2]
+    return FreqSample(q_points=np.arange(2, L + 2, dtype=complex),
+                      Q_vals=Q_vals, P_vals=np.zeros((L, p, 1), dtype=complex),
+                      H_vals=np.zeros((L, p, p), dtype=complex))
+
+
+def test_edge_auc_counts_a_tie_as_half():
+    # scores max_q |Q_ij|, off the diagonal: 1<-2 0.5, 1<-3 0.1, 2<-1 0.9,
+    # 2<-3 0.5, 3<-1 0.2, 3<-2 0.5, with 2<-1 taken at the second point;
+    # the diagonal's 5.0 is not an entry
+    first = [[5.0, 0.5, 0.1], [0.3, 5.0, 0.5j], [0.2, -0.5, 5.0]]
+    second = [[0.0, 0.4, 0.0], [0.54 + 0.72j, 0.0, 0.1], [0.0, 0.0, 0.0]]
+    sample = q_sample([first, second])
+    truth = NetworkGraph(q_adj=adj([(2, 1), (2, 3)], (3, 3)),
+                         p_adj=np.zeros((3, 1), dtype=bool))
+    # true edges score 0.9 and 0.5 against non-edges 0.5, 0.1, 0.2, 0.5:
+    # 0.9 wins 4 pairs, 0.5 wins 2 and ties 2, so (4 + 2 + 2/2) / 8
+    assert edge_auc(sample, truth) == 0.875
+    flipped = NetworkGraph(q_adj=adj([(1, 2), (1, 3), (3, 1), (3, 2)], (3, 3)),
+                           p_adj=truth.p_adj)
+    assert edge_auc(sample, flipped) == 0.125
+    for edges in ([], [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]):
+        one_class = NetworkGraph(q_adj=adj(edges, (3, 3)), p_adj=truth.p_adj)
+        assert np.isnan(edge_auc(sample, one_class))
+    with pytest.raises(ValueError, match="dimensions"):
+        edge_auc(sample, NetworkGraph(q_adj=np.zeros((2, 2), dtype=bool),
+                                      p_adj=np.zeros((2, 1), dtype=bool)))
 
 
 def test_save_dsf_result_deterministic(tmp_path):

@@ -574,3 +574,23 @@ def test_full_scale_cell_runs_without_a_dense_posterior():
     (record,) = table.records
     assert record.status == "max_iter" and record.outer_iterations == 1
     assert peak < 200 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 40.0])
+def test_network_does_not_depend_on_the_inner_cap(snr_db):
+    # a desk cell (p=10, 25 true and 30 assumed states, N=1000) for ten
+    # outer iterations: the inner loop meets its tolerance well before the
+    # default cap of 60, so a cap of 1000 gives the same estimate
+    truth = generate_random_network(p=10, n=25, m=10, density=0.1, seed=1)
+    data = simulate(truth.model, N=1000, snr_db=snr_db, seed=11)
+    results = [reconstruct(data, ReconConfig(n_states=30, seed=21,
+                                             outer_max_iter=10,
+                                             inner=SBLOptions(max_iter=cap)))
+               for cap in (60, 1000)]
+    capped, free = results
+    assert max(r.inner_iterations for r in free.trace) < 60
+    assert ([r.inner_iterations for r in capped.trace]
+            == [r.inner_iterations for r in free.trace])
+    assert np.array_equal(capped.A_hat != 0, free.A_hat != 0)
+    assert np.abs(capped.A_hat - free.A_hat).max() <= 1e-10
+    assert np.array_equal(capped.network.q_adj, free.network.q_adj)

@@ -367,6 +367,59 @@ def test_sbl_em_sigma2_stays_positive():
     assert state.sigma2 > 0.0
 
 
+def test_sbl_em_stops_at_a_fixed_point_of_the_em_update():
+    # MacKay's update gamma <- mu^2 / (1 - Sigma_ii / gamma) has the fixed
+    # points of the EM update gamma <- Sigma_ii + mu^2: run to a tight tol,
+    # one EM step from the final posterior barely moves gamma
+    rng = np.random.default_rng(23)
+    reg = generic_regression(rng, N=60, n_w=12)
+    w0 = np.zeros(12)
+    w0[[1, 4, 7]] = [1.5, -2.0, 0.3]
+    reg.targets = (reg.regressors @ w0 + 0.5 * rng.normal(size=60))[:, None]
+    reg.__post_init__()
+    opts = SBLOptions(max_iter=2000, tol=1e-10)
+    state = sbl_em(reg, free_mask(reg), opts=opts)
+    assert state.iteration < opts.max_iter
+    assert 3 <= state.active.sum() < 12
+    mu, Sig = posterior(reg, state.gamma, state.sigma2)
+    gamma_em = np.where(state.active, np.diag(Sig) + mu**2, 0.0)
+    step = np.linalg.norm(gamma_em - state.gamma)
+    assert step <= 1e-9 * np.linalg.norm(state.gamma)
+
+
+@pytest.mark.parametrize("prune_tol", [1e-5, 1e-12, 0.0])
+def test_sbl_em_gamma_stays_finite_on_a_barely_live_column(prune_tol):
+    # a column just above the dead-column cut: the data barely determine its
+    # weight, so 1 - Sigma_ii / gamma_i can round to zero as gamma_i shrinks
+    from netrecon.sbl import _DEAD_COLUMN_TOL
+    for seed in range(8):
+        reg = generic_regression(np.random.default_rng(seed), N=40, n_w=6)
+        X = reg.regressors
+        energy = 2.0 * _DEAD_COLUMN_TOL * (X**2).sum(axis=0).max()
+        X[:, 2] *= np.sqrt(energy / (X[:, 2]**2).sum())
+        reg.targets = (X @ [1.0, 0, 0, -0.5, 0, 0]
+                       + 0.1 * reg.targets[:, 0])[:, None]
+        reg.__post_init__()
+        state = sbl_em(reg, free_mask(reg),
+                       opts=SBLOptions(max_iter=500, tol=0.0,
+                                       prune_tol=prune_tol))
+        assert state.n_active_path[0] == 6   # the weak column is live
+        assert np.all(np.isfinite(state.gamma)) and np.all(state.gamma >= 0)
+        assert np.all(np.isfinite(state.mu_w)) and state.sigma2 > 0
+
+
+def test_sbl_em_gamma_stays_finite_at_the_sigma2_floor():
+    rng = np.random.default_rng(12)
+    reg = generic_regression(rng, N=20, n_w=6)
+    reg.targets[:] = 0.0
+    reg.__post_init__()
+    for prune_tol in (1e-12, 0.0):
+        state = sbl_em(reg, free_mask(reg),
+                       opts=SBLOptions(max_iter=300, prune_tol=prune_tol))
+        assert state.sigma2 == 1e-300
+        assert np.all(state.gamma == 0.0) and np.all(state.mu_w == 0.0)
+
+
 def test_sbl_state_invariants_after_run():
     rng = np.random.default_rng(19)
     reg = generic_regression(rng, N=30, n_w=6)
