@@ -4,8 +4,9 @@ The complete-data likelihood is rewritten as a linear regression
 y = Phi w + noise with w = [vec(A); vec(B)], where y stacks the smoothed
 states x_N..x_1 and each block of Phi is [x_{k-1}' (x) I, u_{k-1}' (x) I].
 A zero-mean Gaussian prior with per-weight variances gamma is placed on w;
-evidence maximization (an inner EM over gamma and sigma^2) drives most
-variances to zero, pruning the corresponding weights.
+evidence maximization (an inner fixed-point loop: MacKay's update of
+gamma, the EM update of sigma^2) drives most variances to zero, pruning
+the corresponding weights.
 
 The posterior and the evidence depend on the data only through the
 sufficient statistics zz = sum z z', xz = sum x z' and the per-row sums
@@ -498,33 +499,48 @@ def sbl_em(reg, mask, init=None, opts=None):
 
     Each iteration prunes hyperparameters below ``prune_tol``, computes
     the posterior of all rows at the current (gamma, sigma2), then applies
-    the updates gamma_i <- Sigma_ii + mu_i^2 and
+    MacKay's fixed-point update (MacKay, Neural Comput. 4, 1992; Tipping,
+    JMLR 1, 2001)
+
+        gamma_i <- mu_i^2 / (1 - Sigma_ii / gamma_i)
+
+    and the EM update
 
         sigma2 <- (rss(mu) + sigma2_old tr(I - Sigma Gamma^{-1})) / N_y
 
     with the residual sum of squares rss = sum y^2 - 2 b . mu + mu' zz mu,
-    clipped at 0, and sigma2 floored at 1e-300.  Since H mu = b on each
-    row's active entries, mu' zz mu = b . mu - sigma2_old sum mu_i^2 /
-    gamma_i, and rss = sum y^2 - b . mu - sigma2_old sum mu_i^2 / gamma_i
-    needs no product with zz.  Masked coordinates stay at zero
-    throughout; the loop stops when the relative change of gamma drops
-    below ``tol`` or after ``max_iter`` iterations.  An evidence decrease
-    beyond 1e-8 is recorded in the returned state's ``warnings`` and
-    iteration continues.
+    clipped at 0, and sigma2 floored at 1e-300.  The gamma update has the
+    fixed points of the EM update gamma_i <- Sigma_ii + mu_i^2, and
+    reaches them in far fewer iterations where prior variances decay
+    toward the prune bound.  It is not monotone in the evidence by
+    construction.  Since H mu = b on each row's active entries,
+    mu' zz mu = b . mu - sigma2_old sum mu_i^2 / gamma_i, and rss = sum y^2
+    - b . mu - sigma2_old sum mu_i^2 / gamma_i needs no product with zz.
+    Masked coordinates stay at zero throughout; the loop stops when the
+    relative change of gamma drops below ``tol``.  ``max_iter`` is a
+    safeguard: at the default tolerance the loop meets ``tol`` well before
+    it on desk-scale fits, so the estimate does not depend on it.  An
+    evidence decrease beyond 1e-8 is recorded in the returned state's
+    ``warnings`` and iteration continues.
 
     The loop's state lives in a compact layout (``_layout``): gamma, the
     means and the variances are (n x k) arrays, exactly zero on pruned
-    entries and on the pad, so gamma_i <- Sigma_ii + mu_i^2 needs no mask.
-    One comparison of gamma with the prune threshold gives the active set
-    and its size.  An entry pruned later is masked in place (unit
-    diagonal, no coupling, a zero column of the inverse factor), so
-    iterations reuse the gathered blocks; when the widest row loses one,
-    ``_prune`` builds a narrower layout of the surviving entries with
-    ``_layout`` and the batch width k shrinks.  The kernel returns b . mu
-    for the residual and its added diagonal D, sigma2 / gamma on active
-    entries, so that sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 /
-    gamma_i are the dot products of D with the variances and the squared
-    means.  After the loop, gamma is mapped back to w-order and
+    entries and on the pad, so the gamma update needs no mask.  Its
+    Sigma_ii / gamma_i is D_i diag(H_i^{-1}), the kernel's added diagonal
+    D = sigma2 / gamma times the column sums of R_i squared; taking it so,
+    not as the variance over gamma, keeps it exact at the sigma2 floor,
+    where the variances sigma2 diag(H_i^{-1}) underflow.  Its denominator
+    lies in (0, 1]; where rounding takes it below machine epsilon, the
+    data leave the entry undetermined and its mean is at rounding level,
+    so epsilon bounds the quotient.  One comparison of gamma with the
+    prune threshold gives the active set and its size.  An entry pruned
+    later is masked in place (unit diagonal, no coupling, a zero column of
+    the inverse factor), so iterations reuse the gathered blocks; when the
+    widest row loses one, ``_prune`` builds a narrower layout of the
+    surviving entries with ``_layout`` and the batch width k shrinks.  The
+    kernel also returns b . mu for the residual, and with its D
+    sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 / gamma_i are the
+    dot products of D with the variances and the squared means.  After the loop, gamma is mapped back to w-order and
     ``posterior`` gives the returned mean and the per-row covariance
     blocks; the dense covariance is assembled only if ``Sigma_w`` is read.
     """
@@ -568,10 +584,8 @@ def sbl_em(reg, mask, init=None, opts=None):
 
         mu2 = mu * mu
         var = sigma2 * h
-        # MacKay: Sigma_ii / gamma_i = D_i h_i, zero on pruned entries and
-        # the pad, where mu is zero too.  1 - D_i h_i lies in (0, 1]; where
-        # rounding takes it below eps the data leave entry i undetermined
-        # and mu_i is at rounding level, so eps bounds the quotient
+        # MacKay's update; Sigma_ii / gamma_i = D_i h_i is zero on pruned
+        # entries and the pad, where mu is zero too (see the docstring)
         gamma_new = mu2 / np.maximum(1.0 - D * h, _EPS)
         # mu' zz mu from H mu = b (see the docstring); D = sigma2 / gamma
         # where mu and var can be nonzero

@@ -387,8 +387,9 @@ def test_record_files_take_their_columns_from_the_records():
         "damped pinv_steps evidence_decreases"]
     failed = RunRecord(network=0, snr_db=20.0, gen_seed=1, sim_seed=2,
                        recon_seed=3, precision=float("nan"), tpr=0.5,
-                       auc=float("nan"), n_est_edges=0, n_true_edges=2, outer_iterations=0,
-                       status="error", failed=True, error="ValueError: a, b",
+                       auc=float("nan"), n_est_edges=0, n_true_edges=2,
+                       outer_iterations=0, status="error", failed=True,
+                       error="ValueError: a, b",
                        wall_time=1.5)
     assert record_lines(RunRecord, [failed], ",") == [
         "network,snr_db,gen_seed,sim_seed,recon_seed,precision,tpr,auc,"

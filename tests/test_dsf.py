@@ -207,21 +207,16 @@ def test_graph_compare_dimension_mismatch():
         graph_compare(a, b)
 
 
-def q_sample(Q_vals):
-    Q_vals = np.asarray(Q_vals, dtype=complex)
-    L, p = Q_vals.shape[:2]
-    return FreqSample(q_points=np.arange(2, L + 2, dtype=complex),
-                      Q_vals=Q_vals, P_vals=np.zeros((L, p, 1), dtype=complex),
-                      H_vals=np.zeros((L, p, p), dtype=complex))
-
-
 def test_edge_auc_counts_a_tie_as_half():
     # scores max_q |Q_ij|, off the diagonal: 1<-2 0.5, 1<-3 0.1, 2<-1 0.9,
     # 2<-3 0.5, 3<-1 0.2, 3<-2 0.5, with 2<-1 taken at the second point;
     # the diagonal's 5.0 is not an entry
     first = [[5.0, 0.5, 0.1], [0.3, 5.0, 0.5j], [0.2, -0.5, 5.0]]
     second = [[0.0, 0.4, 0.0], [0.54 + 0.72j, 0.0, 0.1], [0.0, 0.0, 0.0]]
-    sample = q_sample([first, second])
+    sample = FreqSample(q_points=np.array([2.0, 3.0], dtype=complex),
+                        Q_vals=np.array([first, second], dtype=complex),
+                        P_vals=np.zeros((2, 3, 1), dtype=complex),
+                        H_vals=np.zeros((2, 3, 3), dtype=complex))
     truth = NetworkGraph(q_adj=adj([(2, 1), (2, 3)], (3, 3)),
                          p_adj=np.zeros((3, 1), dtype=bool))
     # true edges score 0.9 and 0.5 against non-edges 0.5, 0.1, 0.2, 0.5:
