@@ -17,7 +17,6 @@ byte-identical.
 
 import concurrent.futures
 import logging
-import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -250,7 +249,7 @@ def run_benchmark(cfg):
     for snr in cfg.snr_list:
         group = [r for r in records if r.snr_db == snr]
         good = [r for r in group if not r.failed]
-        aucs = [r.auc for r in group if not math.isnan(r.auc)]
+        aucs = [r.auc for r in group if not np.isnan(r.auc)]
         rows.append(BenchRow(
             snr_db=snr,
             precision_mean=float(np.mean([r.precision for r in good])) if good else 0.0,
