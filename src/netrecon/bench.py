@@ -143,15 +143,7 @@ class BenchTable:
     config: BenchConfig
 
     def to_csv_text(self):
-        lines = ["# netrecon benchmark v1"]
-        for key, val in self.config.echo().items():
-            lines.append(f"# {key} {val}")
-        lines.append("snr_db,precision_mean,tpr_mean,n_failed,n_total")
-        for row in self.rows:
-            lines.append(",".join([
-                fmt(row.snr_db), fmt(row.precision_mean), fmt(row.tpr_mean),
-                str(row.n_failed), str(row.n_total)]))
-        return "\n".join(lines) + "\n"
+        return self._csv_text("# netrecon benchmark v1", BenchRow, self.rows)
 
     def to_table_text(self):
         """Aligned summary: Precision/TPR rows, one column per SNR, plus the
@@ -173,10 +165,14 @@ class BenchTable:
         return "\n".join(lines) + "\n"
 
     def records_csv_text(self):
-        lines = ["# netrecon benchmark records v1"]
-        for key, val in self.config.echo().items():
-            lines.append(f"# {key} {val}")
-        lines.extend(record_lines(RunRecord, self.records, ","))
+        return self._csv_text("# netrecon benchmark records v1", RunRecord,
+                              self.records)
+
+    def _csv_text(self, title, cls, records):
+        """``title``, the configuration echo as comments, then the table."""
+        lines = [title]
+        lines.extend(f"# {key} {val}" for key, val in self.config.echo().items())
+        lines.extend(record_lines(cls, records, ","))
         return "\n".join(lines) + "\n"
 
 

@@ -21,9 +21,12 @@ hidden block is eliminated through its resolvent from A21 and B2 alone:
 
 The DSF is evaluated by sampling: every matrix is computed at a set of
 complex points, which works at any size and is all the reconstruction
-reads.  The exact rational DSF, built by the characteristic-polynomial
-adjugate recursion on the hidden block, is kept with the tests as the
-oracle for this path; it reads the same blocks of A and B itself.
+reads.  All points go through one batched evaluation, with one solve for
+the resolvent over every point; a point that hits a pole is replaced and
+the batch evaluated again.  The exact rational DSF, built by the
+characteristic-polynomial adjugate recursion on the hidden block, is kept
+with the tests as the oracle for this path; it reads the same blocks of A
+and B itself.
 
 The nonzero pattern of (Q, P) is the Boolean network; graph comparison
 metrics (precision, true-positive rate) operate on the Q adjacency, and
@@ -113,47 +116,52 @@ def default_q_points(seed=0):
     return np.concatenate([circle, radii * np.exp(1j * phases)])
 
 
-# Most pole-hitting points dsf_from_state_space replaces before giving up.
+# Most replacement draws dsf_from_state_space makes before giving up.
 _MAX_RESAMPLE = 64
 
 
 def dsf_from_state_space(model, q_points):
     """Evaluate the DSF of ``model`` at the given shift-operator points.
 
-    Points that collide with a pole (an eigenvalue of the hidden block or a
-    diagonal entry of W) are replaced by random draws from the annulus
-    |q| in [1.5, 4], from a fixed-seed generator, so the returned points
-    depend on the model and ``q_points`` alone.  Needing more than 64
-    replacements raises DSFError.
+    All points are evaluated in one batch.  A point hits a pole when it
+    lies within 1e-8 max(1, |q|) of an eigenvalue of the hidden block or of
+    a diagonal entry of W.  Each point that hits one is replaced, in index
+    order, by one draw from the annulus |q| in [1.5, 4] (a draw that
+    repeats a point is dropped, and that point is drawn for again in the
+    next round), and the batch is evaluated again until no point hits a
+    pole.  The draws come from a fixed-seed generator, so the returned
+    points depend on the model and ``q_points`` alone.  Needing more than
+    64 draws raises DSFError.
     """
-    q = np.asarray(q_points, dtype=complex).ravel()
+    q = np.array(q_points, dtype=complex).ravel()
     if q.size == 0:
         raise DSFError("need at least one evaluation point")
     if len(np.unique(q)) != q.size:
         raise DSFError("q_points must be distinct")
     rng = np.random.default_rng(0x0D5F)
 
-    p, m = model.p, model.m
+    p = model.p
     A, B = model.A, model.B
-    blocks = A[:p, :p], A[:p, p:], A[p:, :p], A[p:, p:], B[:p], B[p:]
-    eig22 = np.linalg.eigvals(blocks[3])
-
-    points = list(q)
-    Q_vals = np.empty((len(points), p, p), dtype=complex)
-    P_vals = np.empty((len(points), p, m), dtype=complex)
-    H_vals = np.empty((len(points), p, p), dtype=complex)
+    A11, A12, A22, B1 = A[:p, :p], A[:p, p:], A[p:, p:], B[:p]
+    AB2 = np.hstack([A[p:, :p], B[p:]]).astype(complex)
+    eig22 = np.linalg.eigvals(A22)
+    diag = np.arange(p)
 
     resamples = 0
-    for idx in range(len(points)):
-        while True:
-            qi = points[idx]
-            pole_tol = 1e-8 * max(1.0, abs(qi))
-            ok = eig22.size == 0 or np.min(np.abs(qi - eig22)) > pole_tol
-            result = (_eval_dsf_point(qi, blocks, model.sigma, model.D, pole_tol)
-                      if ok else None)
-            if result is not None:
-                Q_vals[idx], P_vals[idx], H_vals[idx] = result
-                break
+    while True:
+        tol = 1e-8 * np.maximum(1.0, np.abs(q))
+        hit = ~np.all(np.abs(q[:, None] - eig22) > tol[:, None], axis=1)
+        ok = ~hit
+        # X = (qI - A22)^{-1} [A21 B2] off A22's eigenvalues; with no hidden
+        # states (h = 0) the products are empty sums, zero
+        X = np.linalg.solve(q[ok, None, None] * np.eye(A22.shape[0]) - A22, AB2)
+        W = A11 + A12 @ X[..., :p]
+        V = B1 + A12 @ X[..., p:]
+        d = W[:, diag, diag]
+        hit[ok] = np.abs(q[ok, None] - d).min(axis=1) <= tol[ok]
+        if not hit.any():
+            break
+        for idx in np.flatnonzero(hit):
             resamples += 1
             if resamples > _MAX_RESAMPLE:
                 raise DSFError(f"could not find pole-free evaluation points "
@@ -161,26 +169,17 @@ def dsf_from_state_space(model, q_points):
             radius = rng.uniform(*_ANNULUS)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             candidate = radius * np.exp(1j * phase)
-            if candidate not in points:
-                points[idx] = candidate
-    return FreqSample(q_points=np.array(points), Q_vals=Q_vals,
-                      P_vals=P_vals, H_vals=H_vals)
+            if candidate not in q:
+                q[idx] = candidate
 
-
-def _eval_dsf_point(q, blocks, sigma, D, pole_tol):
-    A11, A12, A21, A22, B1, B2 = blocks
-    h, p = A22.shape[0], A11.shape[0]
-    # with no hidden states (h = 0) the products are empty sums, zero
-    X = np.linalg.solve(q * np.eye(h) - A22, np.hstack([A21, B2]).astype(complex))
-    W = A11 + A12 @ X[:, :p]
-    V = B1 + A12 @ X[:, p:]
-    d = np.diag(W)
-    if np.min(np.abs(q - d)) <= pole_tol:
-        return None
-    denom = (q - d)[:, None]
-    Qhat = (W - np.diag(d)) / denom
+    denom = (q[:, None] - d)[..., None]   # q - D_W, per output row
+    Qhat = W.copy()
+    Qhat[:, diag, diag] -= d              # W - D_W
+    Qhat /= denom
     I = np.eye(p)
-    return Qhat, V / denom + (I - Qhat) @ D, sigma * I / denom + (I - Qhat)
+    return FreqSample(q_points=q, Q_vals=Qhat,
+                      P_vals=V / denom + (I - Qhat) @ model.D,
+                      H_vals=model.sigma * I / denom + (I - Qhat))
 
 
 def _check_rel_tol(rel_tol, name="rel_tol"):

@@ -204,10 +204,11 @@ def generate_random_network(p, n, m, density, seed):
     the system's dynamical structure function, sampled at
     ``default_q_points`` and thresholded at 1e-4 of its largest entry.
 
-    Candidates whose structure extraction fails numerically, whose A
-    pattern is degenerate, or whose Q has no edge (with p >= 2, where one
-    can exist) are redrawn; after 20 candidates a GenerationError is
-    raised.  Equal arguments give an equal system.
+    Candidates whose structure extraction fails numerically (sampling the
+    DSF needed more than 64 replacement draws for points that hit a pole,
+    a DSFError), whose A pattern is degenerate, or whose Q has no edge
+    (with p >= 2, where one can exist) are redrawn; after 20 candidates a
+    GenerationError is raised.  Equal arguments give an equal system.
     """
     _check_generation(p, n, m, density)
     rng = np.random.default_rng(seed)

@@ -390,7 +390,7 @@ def kalman_filter(model, data, out=None):
         if not big <= _DIVERGE_NORM or not np.isfinite(x_pred[k]).all():
             raise FilterDivergedError(k)
         CP = Pp[:p]   # C P
-        S = _sym(CP[:, :p] + Ip)
+        S = CP[:, :p] + Ip
         K = np.linalg.solve(S, CP).T
         innovations[k] = data.Y[k - 1] - x_pred[k, :p]
         x_filt[k] = x_pred[k] + K @ innovations[k]

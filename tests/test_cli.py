@@ -82,7 +82,7 @@ def test_benchmark_tiny_config(tmp_path):
                     "--out", out, "--records-out", records, "--quiet"])
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "snr_db,precision_mean,tpr_mean,n_failed,n_total"
+    assert lines[0] == "snr_db,precision_mean,tpr_mean,auc_mean,n_failed,n_total"
     assert len(lines) == 3  # two SNR rows
     assert "# seed 1" in out.read_text()
     rec_lines = records.read_text().splitlines()

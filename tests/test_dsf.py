@@ -147,6 +147,49 @@ def test_rejects_duplicate_or_empty_points():
         dsf_from_state_space(model, [])
 
 
+def test_several_pole_collisions_are_replaced_and_the_rest_kept():
+    # hidden eigenvalues 2.0 and 2.5; row 0 of A12 is zero, so W_00 = 3.0
+    # at every q and q = 3.0 is a pole of diag(W)
+    A = np.array([[3.0, 0.4, 0.0, 0.0],
+                  [0.3, 0.2, 0.5, 0.7],
+                  [0.6, 0.1, 2.0, 0.0],
+                  [0.2, 0.8, 0.0, 2.5]])
+    B = np.array([[1.0, 0.2], [0.0, 0.9], [0.4, -0.3], [-0.5, 0.6]])
+    model = identity_output_model(A, sigma=0.7, B=B, D=[[0.3, 0.0], [-0.2, 0.5]], p=2)
+    requested = default_q_points(seed=4)
+    hits = [3, 10, 20]
+    requested[hits] = [2.0, 2.5, 3.0]
+
+    fs = dsf_from_state_space(model, requested)
+    moved = np.flatnonzero(fs.q_points != requested)
+    assert moved.tolist() == hits
+    for vals in (fs.Q_vals, fs.P_vals, fs.H_vals):
+        assert np.all(np.isfinite(vals))
+    again = dsf_from_state_space(model, requested)
+    for x, y in [(fs.q_points, again.q_points), (fs.Q_vals, again.Q_vals),
+                 (fs.P_vals, again.P_vals), (fs.H_vals, again.H_vals)]:
+        assert np.array_equal(x, y)
+    Q, P, H = exact_dsf_small(model)
+    for exact, sampled in [(Q, fs.Q_vals), (P, fs.P_vals), (H, fs.H_vals)]:
+        vals = exact.evaluate(fs.q_points)
+        scale = max(np.abs(vals).max(), 1.0)
+        assert np.abs(vals - sampled).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n, p, m", [(7, 3, 2), (12, 5, 4), (110, 40, 40)])
+def test_each_point_is_evaluated_as_on_its_own(n, p, m):
+    # (110, 40, 40) is the full-scale size: p=40 outputs, 70 hidden states
+    model = random_model(np.random.default_rng(n), n=n, p=p, m=m, with_D=True)
+    batch = dsf_from_state_space(model, default_q_points(seed=6))
+    for i, qi in enumerate(batch.q_points):
+        one = dsf_from_state_space(model, [qi])
+        assert one.q_points[0] == qi
+        for x, y in [(batch.Q_vals, one.Q_vals), (batch.P_vals, one.P_vals),
+                     (batch.H_vals, one.H_vals)]:
+            scale = max(np.abs(x[i]).max(), 1.0)
+            assert np.abs(x[i] - y[0]).max() <= 1e-13 * scale
+
+
 def test_boolean_structure_two_node_example():
     model = identity_output_model([[0.0, 0.5], [0.3, 0.0]])
     fs = dsf_from_state_space(model, default_q_points(seed=2))
