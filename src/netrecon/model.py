@@ -200,15 +200,15 @@ def generate_random_network(p, n, m, density, seed):
     density, entries are uniform on +-[0.5, 1.0], and A is rescaled to a
     spectral radius drawn uniformly from [0.5, 0.95].  B is [diag(b); 0]
     with b_i uniform in [0.5, 1.5], which keeps the input-to-output map
-    diagonal by construction.  The Boolean network structure is read off
-    the system's dynamical structure function, sampled at
-    ``default_q_points`` and thresholded at 1e-4 of its largest entry.
+    diagonal by construction.  Q's structure is exact (``_q_closure``); P's
+    is read off the DSF sampled at ``default_q_points`` and thresholded at
+    1e-4 of its largest entry.
 
     Candidates whose structure extraction fails numerically (sampling the
     DSF needed more than 64 replacement draws for points that hit a pole,
-    a DSFError), whose A pattern is degenerate, or whose Q has no edge
-    (with p >= 2, where one can exist) are redrawn; after 20 candidates a
-    GenerationError is raised.  Equal arguments give an equal system.
+    a DSFError), whose A pattern is degenerate, or whose sampled Q has no
+    edge (p >= 2) are redrawn; after 20 candidates a GenerationError is
+    raised.  Equal arguments give an equal system.
     """
     _check_generation(p, n, m, density)
     rng = np.random.default_rng(seed)
@@ -238,8 +238,21 @@ def generate_random_network(p, n, m, density, seed):
             continue
         if p > 1 and not graph.q_adj.any():
             continue
-        return GroundTruth(model=model, q_structure=graph.q_adj, p_structure=graph.p_adj)
+        return GroundTruth(model=model, q_structure=_q_closure(A, p),
+                           p_structure=graph.p_adj)
     raise GenerationError(f"no usable random system after {_MAX_DRAWS} attempts")
+
+
+def _q_closure(A, p):
+    """Q adjacency of A's DSF with outputs the first p states: for random
+    nonzeros it is generically W_bool = A11 | A12 (I | A22)* A21 off the
+    diagonal (Dion, Commault & van der Woude, Automatica 39(7), 2003)."""
+    nz = A != 0
+    reach = nz[p:, p:] | np.eye(len(A) - p, dtype=bool)
+    for _ in range((len(A) - p - 1).bit_length()):   # ceil(log2(h)) squarings
+        reach = reach @ reach
+    q = nz[:p, :p] | nz[:p, p:] @ reach @ nz[p:, :p]
+    return q & ~np.eye(p, dtype=bool)
 
 
 def _psd_sqrt(M):

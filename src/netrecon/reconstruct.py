@@ -12,13 +12,13 @@ convergence the dynamical structure function of the estimate is sampled
 and thresholded into a Boolean network.
 
 The prior mode only decides how (A, B) are fitted; both fit under the
-same identifiability mask, through the same batched solve of the sparse
-E-step (``sbl._kernel``).  "sbl" runs the sparse-Bayesian inner loop; the
-diagnostic "ml" mode is the masked classical EM: one solve with unbounded
-prior variance on the mask's free entries, which fits each row of [A B]
-by least squares on its free entries.  In "ml" mode each
-outer iteration is the exact EM step of the tied, masked model, so the
-observed-data log-likelihood is non-decreasing.
+same identifiability mask, and both take (A, B) from the mean of one
+``sbl.posterior`` call.  "sbl" runs the sparse-Bayesian inner loop, which
+ends in that call; the diagnostic "ml" mode is the masked classical EM:
+the posterior mean at unbounded prior variance on the mask's free entries,
+which is the least-squares fit of each row of [A B] on its free entries.
+In "ml" mode each outer iteration is the exact EM step of the tied, masked
+model, so the observed-data log-likelihood is non-decreasing.
 """
 
 import copy
@@ -32,8 +32,8 @@ from . import dsf as _dsf
 from .fileio import adjacency_rows, fmt, fmt_row, record_lines, write_text
 from .model import StateSpaceModel
 from .sbl import (MASK_MODES, SBLOptions, identifiability_mask,
-                  initial_sbl_state, sbl_em, regression_from_moments,
-                  moment_rss, unpack_w, pack_w, _check_integer_fields, _estep)
+                  initial_sbl_state, posterior, sbl_em, regression_from_moments,
+                  moment_rss, unpack_w, pack_w, _check_integer_fields)
 from .smoother import (FilterDivergedError, PassBuffers, expectation_sums,
                        observed_loglik, kalman_filter, rts_smoother,
                        lag_one_smoother)
@@ -292,7 +292,7 @@ def _em_step(data, params, mask, cfg, bufs):
     measurement covariances are exact; m0 and R0 become the smoothed
     initial-state moments, (A, B) are fitted on the scaled second moments
     (by ``sbl_em``, or in "ml" mode by least squares on the mask's free
-    entries, one E-step solve with unbounded prior variances), and sigma2 is
+    entries: the ``posterior`` mean at unbounded prior variance), and sigma2 is
     rescaled by the pooled expected state and measurement residual per
     coordinate, which is the exact M-step of the tied scale at the new
     (A, B).  Returns (new params, fields): ``fields`` holds every
@@ -326,15 +326,15 @@ def _em_step(data, params, mask, cfg, bufs):
     if cfg.prior_mode == "sbl":
         st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0),
                     opts=cfg.inner)
-        A, B_fit = unpack_w(st.mu_w, n, m)
+        mu_w = st.mu_w
         fit = dict(n_active=int(st.active.sum()), inner_iterations=st.iteration,
                    gamma_max=float(st.gamma.max()),
                    evidence_decreases=len(st.warnings))
     else:   # "ml": every free weight fitted, no prior variances
-        L = _estep(reg, np.where(mask.free, np.inf, 0.0), 1.0)[0]
-        A, B_fit = L[:, :n], L[:, n:]
+        mu_w = posterior(reg, np.where(mask.free, np.inf, 0.0), 1.0).mu_w
         fit = dict(n_active=int(mask.free.sum()), gamma_max=0.0,
                    inner_iterations=1, evidence_decreases=0)
+    A, B_fit = unpack_w(mu_w, n, m)
     rss = moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
                      np.hstack([A, B_fit])) + es.meas_rss
     new = (A, B_fit * s, max(sigma2 * (rss / (N * (n + p))), _SIGMA2_FLOOR),

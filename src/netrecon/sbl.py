@@ -20,7 +20,7 @@ the row to the batch's largest active count; the pad has a unit diagonal
 and no coupling.  One kernel (``_kernel``) then factors each row and
 takes the posterior covariance from the triangular inverse of its
 Cholesky factor, both computed in one buffer per row; ``posterior``,
-``marginal_loglik`` and the "ml" fit call it on a fresh layout.
+``marginal_loglik`` and the "ml" fit (``posterior``) each lay out afresh.
 ``posterior`` keeps the covariance as those row blocks (``Posterior``)
 and assembles the dense N_w x N_w matrix only when it is read.
 
@@ -416,29 +416,13 @@ def _prune(reg, lay, gc, keep):
     return _layout(reg, _scatter(gc, lay.order, reg.n + reg.m))
 
 
-def _estep(reg, gamma, sigma2):
-    """Posterior and log evidence of all n rows of [A B] at sigma2 > 0,
-    from a fresh layout of gamma (see ``_kernel``).
-
-    Returns the posterior means and variances in row layout (row i of
-    [A B] along the first axis, zero on pruned entries), the log
-    evidence, and the compact blocks: ``order`` (n x k, the column of
-    [A B] at each compact position; the pad holds pruned columns) and R.
-    """
-    d = reg.n + reg.m
-    lay, gc = _layout(reg, gamma.reshape((d, reg.n)).T)
-    mu, h, evidence, R, _, _ = _kernel(reg, lay, gc, sigma2)
-    return (_scatter(mu, lay.order, d), _scatter(sigma2 * h, lay.order, d),
-            evidence, lay.order, R)
-
-
 def _checked_gamma(reg, gamma):
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (reg.N_w,):
         raise ValueError(f"gamma must have length {reg.N_w}")
     if not np.all(gamma >= 0):   # NaN fails this too
         raise ValueError("gamma must be nonnegative, not NaN")
-    return gamma
+    return gamma.reshape((reg.n + reg.m, reg.n)).T   # row i: row i of [A B]
 
 
 def posterior(reg, gamma, sigma2):
@@ -447,7 +431,7 @@ def posterior(reg, gamma, sigma2):
     dense covariance.
 
     For sigma2 > 0 this is the ridge posterior of each row, kept as the
-    compact blocks of ``_estep``: row i's covariance sigma2 R_i' R_i lies
+    compact blocks of ``_kernel``: row i's covariance sigma2 R_i' R_i lies
     on its entries of the layout (zero on its pad).  At sigma2 = 0 it is
     the noiseless limit: with K = G^{1/2} zz G^{1/2} on row i,
     mu = G^{1/2} K^+ G^{1/2} xz[i] and Sigma = G^{1/2} (I - K^+ K) G^{1/2},
@@ -455,14 +439,16 @@ def posterior(reg, gamma, sigma2):
     Pruned coordinates get zero mean and zero covariance rows/columns; an
     empty active set returns an all-zero posterior.
     """
-    gamma = _checked_gamma(reg, gamma)
+    g = _checked_gamma(reg, gamma)
     if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative, not NaN")
-    n, d = reg.n, reg.n + reg.m
+    n, d = g.shape
     if sigma2 > 0:
-        mu, _, _, order, blocks = _estep(reg, gamma, sigma2)
+        lay, gc = _layout(reg, g)
+        mu, _, _, blocks, _, _ = _kernel(reg, lay, gc, sigma2)
+        mu, order = _scatter(mu, lay.order, d), lay.order
     else:
-        sq = np.sqrt(gamma.reshape((d, n)).T)
+        sq = np.sqrt(g)
         K = sq[:, :, None] * reg.zz * sq[:, None, :]
         # K squares the design's singular values, and forming it leaves
         # rounding of order eps |K| in its null space: cut well above that
@@ -480,7 +466,8 @@ def marginal_loglik(reg, gamma, sigma2):
     forming the dense observation-space matrix."""
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive, not NaN")
-    return _estep(reg, _checked_gamma(reg, gamma), sigma2)[2]
+    lay, gc = _layout(reg, _checked_gamma(reg, gamma))
+    return _kernel(reg, lay, gc, sigma2)[2]
 
 
 def initial_sbl_state(reg, mask, sigma2=None):
@@ -549,7 +536,7 @@ def sbl_em(reg, mask, init=None, opts=None):
     if init is None:
         init = initial_sbl_state(reg, mask)
     n, d = reg.n, reg.n + reg.m
-    gamma = _checked_gamma(reg, init.gamma).reshape((d, n)).T
+    gamma = _checked_gamma(reg, init.gamma)
     if not init.sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative, not NaN")
     sigma2 = max(float(init.sigma2), 1e-300)

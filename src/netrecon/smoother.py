@@ -546,9 +546,9 @@ def lag_one_smoother(sp):
     key = sp.P_sm.idx[1:] * len(sp.J.vals) + sp.J.idx
     pairs, idx = np.unique(key, return_inverse=True)
     a, b = np.divmod(pairs, len(sp.J.vals))
-    M = sp.P_sm.vals[a] @ np.swapaxes(sp.J.vals[b], 1, 2)
-    return StepSeq(np.concatenate((np.zeros((1,) + M.shape[1:]), M)),
-                   np.concatenate(([0], idx + 1)))
+    M = np.zeros((len(pairs) + 1,) + sp.J.vals.shape[1:])
+    np.matmul(sp.P_sm.vals[a], np.swapaxes(sp.J.vals[b], 1, 2), out=M[1:])
+    return StepSeq(M, np.concatenate(([0], idx + 1)))
 
 
 def smooth(model, data):
@@ -584,12 +584,11 @@ def expectation_sums(sp, data):
 
     prev_xx = xs[:-1].T @ xs[:-1] + Ps.total(0, N)
     prev_xu = xs[:-1].T @ U
-    uu = U.T @ U
-    S_zz = np.block([[prev_xx, prev_xu], [prev_xu.T, uu]])
+    S_zz = np.block([[prev_xx, prev_xu], [prev_xu.T, U.T @ U]])
 
     resid = data.Y - xs[1:, :p]
     meas_rss = float((resid**2).sum()) + float(np.trace(P_tot[:p, :p]))
-    return ESums(S_xx=S_xx, S_xz=S_xz, S_zz=_sym(S_zz), meas_rss=meas_rss,
+    return ESums(S_xx=S_xx, S_xz=S_xz, S_zz=S_zz, meas_rss=meas_rss,
                  x0_sm=xs[0].copy(), P0_sm=Ps[0].copy(), N=N)
 
 

@@ -254,9 +254,12 @@ def evidence_dense(Phi, y, gamma, sigma2):
 def estep_full_width(reg, gamma, sigma2):
     """SBL E-step of all rows of [A B] on all d = n + m entries: pruned
     entries get a unit diagonal and no coupling, and the Cholesky factor is
-    inverted by ``np.linalg.inv``.  Returns the tuple of the library's
-    ``_estep`` (means, variances, log evidence, order, R), with every
-    row's order the identity and R zero on pruned columns."""
+    inverted by ``np.linalg.inv``.  Returns the posterior means and
+    variances in row layout (row i of [A B] along the first axis, zero on
+    pruned entries), the log evidence, each row's column order (the
+    identity) and the inverse Cholesky factors R (n x d x d, zero on pruned
+    columns), whose row blocks sigma2 R_i' R_i are the posterior
+    covariance."""
     n, d = reg.n, reg.n + reg.m
     g = gamma.reshape((d, n)).T
     act = g > 0

@@ -242,6 +242,31 @@ def test_generate_structure_agrees_with_exact_rational_path():
     assert np.array_equal(gt.p_structure, P.zero_pattern())
 
 
+def test_generate_closure_contains_the_sampled_extraction(monkeypatch):
+    # the ten desk networks of a benchmark run at seed 1; each candidate's
+    # DSF is still sampled and thresholded at 1e-4, and every edge found so
+    # is in the exact structure, which adds two edges in all
+    from netrecon import dsf as dsf_mod
+
+    real = dsf_mod.boolean_structure
+    sampled = []
+
+    def boolean_structure(sample, rel_tol):
+        sampled.append(real(sample, rel_tol))
+        return sampled[-1]
+
+    monkeypatch.setattr(dsf_mod, "boolean_structure", boolean_structure)
+    added = 0
+    for index in range(10):
+        seed = int(np.random.SeedSequence([1, index]).generate_state(1)[0])
+        gt = generate_random_network(p=10, n=25, m=10, density=0.1, seed=seed)
+        graph = sampled[-1]   # the returned candidate's extraction
+        assert not (graph.q_adj & ~gt.q_structure).any(), index
+        assert np.array_equal(gt.p_structure, graph.p_adj)
+        added += int((gt.q_structure & ~graph.q_adj).sum())
+    assert added == 2
+
+
 def test_generate_full_scale_instance():
     gt = generate_random_network(p=40, n=100, m=40, density=0.03, seed=1)
     assert gt.model.spectral_radius() < 1.0

@@ -265,8 +265,7 @@ def _small_system(N=60, snr_db=15.0, seed=91):
 
 def test_ml_is_one_exact_tied_em_step():
     from netrecon import (Dataset, expectation_sums, identifiability_mask,
-                          regression_from_moments, smooth)
-    from netrecon.sbl import _estep
+                          posterior, regression_from_moments, smooth, unpack_w)
     data = _small_system()
     n, p, m, N = 3, 2, 2, data.N
     A0 = np.array([[0.4, 0.1, 0.0], [-0.2, 0.3, 0.2], [0.1, 0.0, 0.5]])
@@ -306,7 +305,8 @@ def test_ml_is_one_exact_tied_em_step():
     # the ml fit is the sparse E-step's mean in the limit of flat priors
     reg = regression_from_moments(es)   # n and m read off S_xz
     assert (reg.n, reg.m) == (n, m)
-    wide = _estep(reg, np.where(mask.free, 1e8, 0.0), 1.0)[0]
+    wide = np.hstack(unpack_w(posterior(reg, np.where(mask.free, 1e8, 0.0),
+                                        1.0).mu_w, n, m))
     fit = np.hstack([res.A_hat, res.B_hat / s])
     assert np.abs(wide - fit).max() <= 1e-6 * np.abs(fit).max()
     assert np.allclose(res.A_hat, A, rtol=1e-9, atol=1e-12)

@@ -589,17 +589,16 @@ def test_sbl_state_builds_its_dense_covariance_on_read():
 
 
 def test_compact_estep_matches_full_width_at_desk_size():
-    from netrecon.sbl import _estep
-
     # rows with 0, 1, 12 and all 40 active entries: the full rows set the
     # batch width, so every other row is padded, each from its own columns
     reg, gamma = desk_rows(np.random.default_rng(26),
                            counts=(0, 1, 12, 40) * 7 + (12, 1))
     for sigma2 in (0.05, 3.0):
-        mu, var, ev, _, _ = _estep(reg, gamma, sigma2)
+        mu, Sig = posterior(reg, gamma, sigma2)
+        ev = marginal_loglik(reg, gamma, sigma2)
         mu_o, var_o, ev_o, _, _ = estep_full_width(reg, gamma, sigma2)
-        assert rel_err(mu, mu_o) <= 1e-10
-        assert rel_err(var, var_o) <= 1e-10
+        assert rel_err(mu, mu_o.T.ravel()) <= 1e-10
+        assert rel_err(np.diag(Sig), var_o.T.ravel()) <= 1e-10
         assert abs(ev - ev_o) <= 1e-10 * abs(ev_o)
 
 
@@ -708,9 +707,15 @@ def test_compact_posterior_and_sbl_em_match_full_width(monkeypatch):
                            counts=(40, 12, 1, 0) * 7 + (40, 12))
     mu, Sig = posterior(reg, gamma, 0.4)
     assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma)
-    monkeypatch.setattr("netrecon.sbl._estep", estep_full_width)
-    mu_o, Sig_o = posterior(reg, gamma, 0.4)
-    assert rel_err(mu, mu_o) <= 1e-10 and rel_err(Sig, Sig_o) <= 1e-10
+    mu_o, _, _, _, R_o = estep_full_width(reg, gamma, 0.4)
+    # row i's block sigma2 R_i' R_i lies on the w indices i + n j
+    n, d = reg.n, reg.n + reg.m
+    Sig_o = np.zeros((reg.N_w, reg.N_w))
+    for i in range(n):
+        w = i + n * np.arange(d)
+        Sig_o[np.ix_(w, w)] = 0.4 * R_o[i].T @ R_o[i]
+    assert rel_err(mu, mu_o.T.ravel()) <= 1e-10
+    assert rel_err(Sig, Sig_o) <= 1e-10
 
 
 def test_sbl_em_masking_and_rebuilds_match_full_width(monkeypatch):

@@ -128,6 +128,17 @@ def test_short_series_never_switches_and_equals_reference(desk_system):
         assert ll == ref_ll
 
 
+def test_zz_sum_is_exactly_symmetric(desk_system):
+    # expectation_sums returns S_zz as built, with no symmetrizing pass
+    model, full = desk_system
+    for N in (full.N, 1, 2, 8):
+        data = type(full)(Y=full.Y[:N], U=full.U[:N], N=N)
+        fp, sp = smooth(model, data)
+        assert (fp.k_steady is not None) == (N == full.N)
+        es = expectation_sums(sp, data)
+        assert np.array_equal(es.S_zz, es.S_zz.T), N
+
+
 def test_nan_measurement_after_switch_diverges_at_reference_step(desk_system):
     model, full = desk_system
     k_steady = kalman_filter(model, full).k_steady
