@@ -39,12 +39,15 @@ input-to-output transfer matrix with hidden-state routing.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 __all__ = [
     "IdentifiabilityError",
@@ -70,6 +73,42 @@ __all__ = [
 # variance, so they must be dropped rather than fit.
 _DEAD_COLUMN_TOL = 1e-12
 _EPS = np.finfo(float).eps
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_lapack(root=None):
+    """SciPy's compiled ``dpotrf`` and ``dtrtri``, without the package init
+    of ``scipy.linalg``: that init imports much of numpy's namespace
+    (f2py, testing, ma) and would be most of the cost of importing netrecon.
+
+    The extension ``_flapack`` is loaded straight from the ``linalg``
+    directory under ``root`` (the installed SciPy's by default, after the
+    top-level ``import scipy``, which sets up its shared libraries) under
+    its own name, so a later ``import scipy.linalg`` reuses it, as this
+    reuses one already imported.  Where the file is missing or fails to
+    load, the routines come from the public ``scipy.linalg.lapack``.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        if root is None:
+            import scipy
+            root = scipy.__path__[0]
+        stem = os.path.join(root, "linalg", "_flapack")
+        try:
+            path = next(stem + s for s in importlib.machinery.EXTENSION_SUFFIXES
+                        if os.path.isfile(stem + s))
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (StopIteration, ImportError, OSError):
+            from scipy.linalg.lapack import dpotrf, dtrtri
+            return dpotrf, dtrtri
+        sys.modules[_FLAPACK] = module
+    return module.dpotrf, module.dtrtri
+
+
+dpotrf, dtrtri = _load_lapack()
 
 
 # The identifiability regimes that ``identifiability_mask`` builds.
@@ -437,11 +476,14 @@ def posterior(reg, gamma, sigma2):
     mu = G^{1/2} K^+ G^{1/2} xz[i] and Sigma = G^{1/2} (I - K^+ K) G^{1/2},
     so directions the data do not determine keep their prior variance.
     Pruned coordinates get zero mean and zero covariance rows/columns; an
-    empty active set returns an all-zero posterior.
+    empty active set returns an all-zero posterior.  An infinite gamma
+    (a flat prior, as the "ml" fit uses) needs sigma2 > 0.
     """
     g = _checked_gamma(reg, gamma)
     if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative, not NaN")
+    if sigma2 == 0 and np.isinf(g).any():
+        raise ValueError("an infinite prior variance needs sigma2 > 0")
     n, d = g.shape
     if sigma2 > 0:
         lay, gc = _layout(reg, g)

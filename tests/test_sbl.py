@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -231,6 +237,21 @@ def test_nan_sigma2_is_rejected(fit):
     reg = generic_regression(np.random.default_rng(12), N=6, n_w=3)
     with pytest.raises(ValueError, match="sigma2 must be .*, not NaN"):
         fit(reg, np.ones(3), np.nan)
+
+
+def test_infinite_gamma_at_zero_noise_is_rejected():
+    # a flat prior leaves the noiseless limit undefined: the pseudo-inverse
+    # branch would scale by sqrt(inf) and fail inside the eigensolver
+    reg = generic_regression(np.random.default_rng(13), N=6, n_w=3)
+    flat = np.full(reg.N_w, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="infinite prior variance needs "
+                                             "sigma2 > 0"):
+            posterior(reg, flat, 0.0)
+    mu, _ = posterior(reg, flat, 1.0)
+    lsq = np.linalg.lstsq(reg.phi, reg.y_vec, rcond=None)[0]
+    assert rel_err(mu, lsq) <= 1e-12
 
 
 def test_marginal_structured_matches_dense():
@@ -724,3 +745,50 @@ def test_sbl_em_masking_and_rebuilds_match_full_width(monkeypatch):
     reg, gamma = desk_rows(np.random.default_rng(28),
                            counts=(40, 30, 12, 1) * 7 + (40, 30))
     assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK routines
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_import_loads_lapack_without_scipy_linalg(scipy_first):
+    # in a fresh interpreter importing this tree: scipy.linalg would import
+    # numpy.f2py, numpy.testing and more, most of the cost of importing
+    # netrecon; imported before or after netrecon, it shares its routines
+    import netrecon
+
+    code = f"""
+import sys
+{"import scipy.linalg" if scipy_first else ""}
+import netrecon
+print(*[m for m in ("scipy.linalg", "numpy.f2py", "numpy.testing")
+        if m in sys.modules], sep=",")
+import scipy.linalg.lapack as lapack
+print(netrecon.sbl.dpotrf is lapack.dpotrf, netrecon.sbl.dtrtri is lapack.dtrtri)
+"""
+    src = str(Path(netrecon.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True).stdout
+    loaded, same = out.split("\n")[:2]
+    assert scipy_first or loaded == ""
+    assert same == "True True"
+
+
+def test_lapack_loader_falls_back_to_the_public_routines(tmp_path, monkeypatch):
+    # a SciPy root without linalg/_flapack*: the loader takes the routines
+    # from scipy.linalg.lapack, without registering a module of its own
+    import scipy.linalg.lapack as lapack
+    from netrecon import sbl
+
+    monkeypatch.delitem(sys.modules, sbl._FLAPACK)
+    routines = sbl._load_lapack(str(tmp_path))
+    assert routines == (lapack.dpotrf, lapack.dtrtri)
+    assert sbl._FLAPACK not in sys.modules
+    reg, lay, gc, _ = masked_layout(np.random.default_rng(33))
+    loaded = sbl._kernel(reg, lay, gc, 0.4)
+    monkeypatch.setattr(sbl, "dpotrf", routines[0])
+    monkeypatch.setattr(sbl, "dtrtri", routines[1])
+    public = sbl._kernel(reg, lay, gc, 0.4)
+    for a, b in zip(loaded, public):
+        assert np.array_equal(a, b)
