@@ -4,6 +4,11 @@ Identifies an innovations-form state-space model by an outer EM loop
 (Kalman smoothing E-step) with a sparse-Bayesian-learning inner loop under
 network-identifiability masks, then reads the network off the model's
 dynamical structure function.
+
+The benchmark sweep harness (``BenchConfig``, ``RunRecord``, ``BenchRow``,
+``BenchTable``, ``run_benchmark``) is loaded from ``netrecon.bench`` on
+first use, so that importing the package loads only what a
+reconstruction runs.
 """
 
 from .model import (StateSpaceModel, Dataset, GroundTruth, GenerationError,
@@ -24,7 +29,20 @@ from .sbl import (IdentifiabilityError, RegressionData, SBLState, Posterior,
 from .reconstruct import (ReconConfig, ReconResult, IterationRecord,
                           RECON_KEYS, recon_config, recon_settings,
                           reconstruct, p22_sweep, converged, save_result)
-from .bench import BenchConfig, RunRecord, BenchRow, BenchTable, run_benchmark
 from .fileio import FileFormatError
 
 __version__ = "0.1.0"
+
+_BENCH_NAMES = ("BenchConfig", "RunRecord", "BenchRow", "BenchTable",
+                "run_benchmark")
+
+
+def __getattr__(name):
+    if name in _BENCH_NAMES:
+        from . import bench
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_BENCH_NAMES})

@@ -78,24 +78,32 @@ _FLAPACK = "scipy.linalg._flapack"
 
 
 def _load_lapack(root=None):
-    """SciPy's compiled ``dpotrf`` and ``dtrtri``, without the package init
-    of ``scipy.linalg``: that init imports much of numpy's namespace
-    (f2py, testing, ma) and would be most of the cost of importing netrecon.
+    """SciPy's compiled ``dpotrf`` and ``dtrtri``, without the package inits
+    of ``scipy`` and ``scipy.linalg``: the latter imports much of numpy's
+    namespace (f2py, testing, ma) and would be most of the cost of
+    importing netrecon.
 
     The extension ``_flapack`` is loaded straight from the ``linalg``
-    directory under ``root`` (the installed SciPy's by default, after the
-    top-level ``import scipy``, which sets up its shared libraries) under
-    its own name, so a later ``import scipy.linalg`` reuses it, as this
-    reuses one already imported.  Where the file is missing or fails to
-    load, the routines come from the public ``scipy.linalg.lapack``.
+    directory under ``root`` (by default the installed SciPy's, which
+    ``importlib.util.find_spec`` locates without running its
+    ``__init__``) under its own name, so a later ``import scipy.linalg``
+    reuses it, as this reuses one already imported.  Nothing of SciPy's
+    own set-up runs first, so the extension must find its BLAS/LAPACK
+    library by itself, as the manylinux and macOS wheels let it through
+    its RPATH.  Where SciPy is not found, the file is missing or its load
+    raises ImportError or OSError, the routines come from the public
+    ``scipy.linalg.lapack``.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
         if root is None:
-            import scipy
-            root = scipy.__path__[0]
-        stem = os.path.join(root, "linalg", "_flapack")
+            found = importlib.util.find_spec("scipy")
+            if found is not None and found.submodule_search_locations:
+                root = found.submodule_search_locations[0]
         try:
+            if root is None:
+                raise ImportError("SciPy's directory not found")
+            stem = os.path.join(root, "linalg", "_flapack")
             path = next(stem + s for s in importlib.machinery.EXTENSION_SUFFIXES
                         if os.path.isfile(stem + s))
             spec = importlib.util.spec_from_file_location(_FLAPACK, path)

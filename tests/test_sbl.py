@@ -752,27 +752,47 @@ def test_sbl_em_masking_and_rebuilds_match_full_width(monkeypatch):
 
 @pytest.mark.parametrize("scipy_first", [False, True])
 def test_import_loads_lapack_without_scipy_linalg(scipy_first):
-    # in a fresh interpreter importing this tree: scipy.linalg would import
-    # numpy.f2py, numpy.testing and more, most of the cost of importing
-    # netrecon; imported before or after netrecon, it shares its routines
+    # in a fresh interpreter importing this tree: importing netrecon runs
+    # neither SciPy's package inits (scipy.linalg's would import
+    # numpy.f2py, numpy.testing and more) nor the sweep harness; imported
+    # before or after netrecon, scipy.linalg shares its routines, and the
+    # harness's exports load on first use
     import netrecon
 
     code = f"""
 import sys
 {"import scipy.linalg" if scipy_first else ""}
 import netrecon
-print(*[m for m in ("scipy.linalg", "numpy.f2py", "numpy.testing")
+import numpy as np
+from netrecon import sbl
+print(*[m for m in ("scipy", "scipy.linalg", "numpy.f2py", "numpy.testing",
+                    "netrecon.bench", "concurrent.futures", "logging")
         if m in sys.modules], sep=",")
+rng = np.random.default_rng(5)
+Z, X = rng.normal(size=(40, 5)), rng.normal(size=(40, 3))
+reg = sbl.RegressionData(n=3, m=2, N=40, zz=Z.T @ Z, xz=X.T @ Z,
+                         y_sq_rows=(X ** 2).sum(axis=0))
+gamma = rng.uniform(0.1, 2.0, size=reg.N_w)
+before = sbl.posterior(reg, gamma, 0.4)
 import scipy.linalg.lapack as lapack
-print(netrecon.sbl.dpotrf is lapack.dpotrf, netrecon.sbl.dtrtri is lapack.dtrtri)
+print(sbl.dpotrf is lapack.dpotrf, sbl.dtrtri is lapack.dtrtri)
+after = sbl.posterior(reg, gamma, 0.4)
+print(np.array_equal(before.mu_w, after.mu_w),
+      np.array_equal(before.Sigma_w, after.Sigma_w))
+from netrecon import run_benchmark, BenchConfig
+print(run_benchmark is netrecon.bench.run_benchmark,
+      BenchConfig is netrecon.bench.BenchConfig,
+      hasattr(netrecon, "no_such_name"))
 """
     src = str(Path(netrecon.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src},
                          check=True).stdout
-    loaded, same = out.split("\n")[:2]
+    loaded, same, equal, lazy = out.split("\n")[:4]
     assert scipy_first or loaded == ""
     assert same == "True True"
+    assert equal == "True True"
+    assert lazy == "True True False"
 
 
 def test_lapack_loader_falls_back_to_the_public_routines(tmp_path, monkeypatch):
@@ -792,3 +812,24 @@ def test_lapack_loader_falls_back_to_the_public_routines(tmp_path, monkeypatch):
     public = sbl._kernel(reg, lay, gc, 0.4)
     for a, b in zip(loaded, public):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", [None, "no_locations"])
+def test_lapack_loader_falls_back_where_scipy_is_not_found(spec, monkeypatch):
+    # find_spec finding no SciPy package: the loader takes the public
+    # routines without registering a module, and a SciPy missing
+    # altogether fails as its import does, naming it
+    import importlib.machinery
+    import importlib.util
+    import scipy.linalg.lapack as lapack
+    from netrecon import sbl
+
+    if spec == "no_locations":
+        spec = importlib.machinery.ModuleSpec("scipy", None)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    monkeypatch.delitem(sys.modules, sbl._FLAPACK)
+    assert sbl._load_lapack() == (lapack.dpotrf, lapack.dtrtri)
+    assert sbl._FLAPACK not in sys.modules
+    monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
+    with pytest.raises(ModuleNotFoundError, match="scipy"):
+        sbl._load_lapack()
