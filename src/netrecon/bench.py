@@ -26,8 +26,7 @@ from .dsf import NetworkGraph, edge_auc, graph_compare
 from .fileio import fmt, record_lines
 from .model import (_check_generation, _check_simulation,
                     generate_random_network, simulate)
-from .reconstruct import (_setting_names, recon_config, recon_settings,
-                          reconstruct)
+from .reconstruct import recon_config, recon_settings, reconstruct
 from .sbl import _check_integer_fields, identifiability_mask
 
 __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
@@ -38,10 +37,10 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class BenchConfig:
     """Benchmark sweep settings; ``recon`` holds reconstruction settings for
-    every cell, keyed as :func:`netrecon.reconstruct.recon_config` reads
-    them (``mask`` is stored as ``mask_mode``; two keys for one setting
-    raise ValueError); each cell sets ``n_states`` from ``n_assumed`` and
-    its own ``seed``.  Every int field must hold an integer."""
+    every cell, read by :func:`netrecon.reconstruct.recon_config`: keys are
+    the setting names of ``RECON_KEYS``; flags are those names with '-'
+    for '_'.  Each cell sets ``n_states`` from ``n_assumed`` and its own
+    ``seed``.  Every int field must hold an integer."""
 
     n_networks: int = 10
     p: int = 10
@@ -73,8 +72,7 @@ class BenchConfig:
             _check_simulation(self.N_samples, snr, "snr_list")
         if len(set(self.snr_list)) < len(self.snr_list):
             raise ValueError(f"snr_list repeats a value: {self.snr_list}")
-        object.__setattr__(self, "recon", {name: self.recon[key] for name, key
-                                           in _setting_names(self.recon).items()})
+        object.__setattr__(self, "recon", dict(self.recon))   # a copy
         if {"n_states", "seed"} & self.recon.keys():
             raise ValueError("recon may not set n_states or seed: each cell "
                              "takes them from n_assumed and its own seed")
@@ -86,10 +84,9 @@ class BenchConfig:
 
     def echo(self):
         """Every setting as the text the result files embed: floats by
-        ``fmt``, tuples comma-joined, then one ``recon_<key>`` per key of
-        ``recon``, with the value :func:`recon_config` reads from it (so
-        ``mask = p-diag`` echoes as ``recon_mask_mode p_diag``; a float
-        again by ``fmt``)."""
+        ``fmt``, tuples comma-joined, then one ``recon_<key>`` per setting
+        name in ``recon``, with the value :func:`recon_config` reads from it
+        (a float again by ``fmt``, so ``1e-3`` echoes as ``0.001``)."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)

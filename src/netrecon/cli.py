@@ -1,17 +1,15 @@
 """Command-line interface: simulate, reconstruct, benchmark, dsf.
 
 Shared flags: --seed (drives every random choice), --config (key-value
-file supplying defaults that explicit flags override), --out.  Config keys
-are the long flag names, read by one rule (``reconstruct._setting_names``):
-'-' reads as '_', in a mask value too, and ``mask`` names ``mask_mode``,
-also as ``recon_mask``.  Two keys for one setting are an error, never a
-silent override.  Every subcommand merges its file and flags in
-``_settings``.  Exit codes: 0 success, 1 usage error (an unknown key, two
-spellings of one setting such as ``mask`` and ``mask_mode``, a flag value
-that does not parse, a missing or meaningless setting), 2 runtime error (a
-key repeated in a config file or a config value that does not parse, each
-named by its file and line, or an unreadable input file).  All output
-files are deterministic functions of the configuration and seed.
+file supplying defaults that explicit flags override), --out.  Config
+keys are the setting names; flags are those names with '-' for '_'
+(``mask_mode`` is ``--mask-mode``), and a flag is never abbreviated.
+Every subcommand merges its file and flags in ``_settings``.  Exit codes:
+0 success, 1 usage error (an unknown key, a flag value that does not
+parse, a missing or meaningless setting), 2 runtime error (a key repeated
+in a config file or a config value that does not parse, each named by its
+file and line, or an unreadable input file).  All output files are
+deterministic functions of the configuration and seed.
 """
 
 import argparse
@@ -26,9 +24,8 @@ from .fileio import FileFormatError, LineReader, adjacency_rows, write_text
 from .model import (_check_generation, _check_simulation,
                     generate_random_network, load_dataset_csv, load_model,
                     save_dataset_csv, save_model, simulate)
-from .reconstruct import (_RECON_ALIASES, RECON_KEYS, ReconConfig,
-                          _setting_names, recon_config, recon_settings,
-                          reconstruct, save_result)
+from .reconstruct import (RECON_KEYS, ReconConfig, recon_config,
+                          recon_settings, reconstruct, save_result)
 
 __all__ = ["cli_main", "main", "load_config"]
 
@@ -38,6 +35,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):   # one spelling per flag: no prefixes
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -126,12 +126,11 @@ def _build_parser():
     rec = sub.add_parser("reconstruct", help="reconstruct a network from a "
                                              "dataset CSV")
     rec.add_argument("--data", required=True)
-    # one flag per RECON_KEYS setting, spelled as its alias where it has one
+    # one flag per RECON_KEYS setting; argparse reads its dest back as the key
     defaults = recon_settings(ReconConfig(n_states=0))
-    spelling = {key: alias for alias, key in _RECON_ALIASES.items()}
     for key, kind in RECON_KEYS.items():
-        rec.add_argument("--" + spelling.get(key, key).replace("_", "-"),
-                         dest=key, type=kind, metavar=kind.__name__.upper(),
+        rec.add_argument("--" + key.replace("_", "-"), type=kind,
+                         metavar=kind.__name__.upper(),
                          help="required" if key == "n_states"
                          else f"default {defaults[key]}")
     rec.add_argument("--config", default=None)
@@ -161,14 +160,13 @@ def _build_parser():
 
 def _settings(command, kinds, args, config):
     """Settings named in ``kinds``: flag values where given, else config
-    file values parsed at their line.  Keys are read by ``_setting_names``;
-    an unknown key, or two keys for one setting, is a usage error."""
+    file values parsed at their line; an unknown key is a usage error."""
     out = {}
-    for name, key in _checked(command, _setting_names, config.values).items():
-        if name not in kinds:
+    for key in config.values:
+        if key not in kinds:
             raise _UsageError(f"unknown {command} config key '{key}' (expected "
                               f"one of {', '.join(sorted(kinds))})")
-        out[name] = config.parse(key, kinds[name])
+        out[key] = config.parse(key, kinds[key])
     out.update((name, getattr(args, name, None)) for name in kinds
                if getattr(args, name, None) is not None)
     return out

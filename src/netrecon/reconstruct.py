@@ -132,57 +132,33 @@ def _scalar_fields(cls, prefix=""):
 
 
 # Flat key -> type of every reconstruction setting: the one key set of the
-# CLI flags, reconstruct config keys, benchmark recon_<key> entries and the
-# result-file config echo.
+# reconstruct config keys, benchmark recon_<key> entries and the result-file
+# config echo; each CLI flag is its key with '-' for '_'.
 RECON_KEYS = dict(_scalar_fields(ReconConfig))
-
-# Short name -> setting: ``mask`` is read as ``mask_mode`` in a mapping, a
-# config file and a benchmark's recon_ keys, and it spells the CLI flag.
-_RECON_ALIASES = {"mask": "mask_mode"}
-
-
-def _setting_names(keys):
-    """``{name: key}``, the setting each key names: the one spelling rule
-    of settings keys.  '-' reads as '_', and an alias is resolved after a
-    kept ``recon_`` prefix (``recon-mask`` names ``recon_mask_mode``).  Two
-    keys that name one setting raise ValueError naming both."""
-    names = {}
-    for key in keys:
-        name = key.replace("-", "_")
-        prefix = "recon_" if name.startswith("recon_") else ""
-        name = prefix + _RECON_ALIASES.get(name[len(prefix):], name[len(prefix):])
-        if name in names:
-            raise ValueError(f"'{names[name]}' and '{key}' both set '{name}'")
-        names[name] = key
-    return names
 
 
 def recon_config(settings):
     """Build a ReconConfig from a flat ``{key: value}`` mapping.
 
-    Keys are those of ``RECON_KEYS``, or ``mask`` for ``mask_mode``,
-    spelled as ``_setting_names`` reads them ('-' as '_', as in a
-    ``mask_mode`` value: ``p-diag``); string values are parsed to the key's
-    type.  Keys left out keep the defaults, the nested SBLOptions' included.
-    A missing ``n_states``, two keys for one setting, an unknown key, an
-    unparsable value or a setting the configs reject raises ValueError that
-    names the flat key (``inner_max_iter``, not ``max_iter``).
+    Keys are the setting names, those of ``RECON_KEYS``; flags are those
+    names with '-' for '_'.  String values are parsed to the key's type.
+    Keys left out keep the defaults, the nested SBLOptions' included.  A
+    missing ``n_states``, an unknown key, an unparsable value or a setting
+    the configs reject raises ValueError that names the flat key
+    (``inner_max_iter``, not ``max_iter``).
     """
     top, inner = {}, {}
-    for name, key in _setting_names(settings).items():
-        raw = settings[key]
-        if name not in RECON_KEYS:
+    for key, raw in settings.items():
+        if key not in RECON_KEYS:
             raise ValueError(f"unknown reconstruction setting '{key}'")
         try:
-            value = RECON_KEYS[name](raw) if isinstance(raw, str) else raw
+            value = RECON_KEYS[key](raw) if isinstance(raw, str) else raw
         except ValueError:
             raise ValueError(f"setting '{key}': cannot parse {raw!r}") from None
-        if name == "mask_mode" and isinstance(value, str):   # diag-b, p-diag
-            value = value.replace("-", "_")
-        if name.startswith("inner_"):
-            inner[name[len("inner_"):]] = value
+        if key.startswith("inner_"):
+            inner[key[len("inner_"):]] = value
         else:
-            top[name] = value
+            top[key] = value
     if "n_states" not in top:
         raise ValueError("missing required setting 'n_states'")
     cfg = ReconConfig(**top)

@@ -87,7 +87,12 @@ def _load_lapack(root=None):
     directory under ``root`` (by default the installed SciPy's, which
     ``importlib.util.find_spec`` locates without running its
     ``__init__``) under its own name, so a later ``import scipy.linalg``
-    reuses it, as this reuses one already imported.  Nothing of SciPy's
+    reuses it, as this reuses one already imported.  The import system
+    sets a submodule as an attribute of its package only when it loads
+    the submodule itself, so a ``scipy.linalg`` imported after netrecon
+    has no ``_flapack`` attribute; ``from scipy.linalg import _flapack``
+    (as SciPy's own ``lapack.py`` reads it) and ``scipy.linalg.lapack``
+    give these same routines.  Nothing of SciPy's
     own set-up runs first, so the extension must find its BLAS/LAPACK
     library by itself, as the manylinux and macOS wheels let it through
     its RPATH.  Where SciPy is not found, the file is missing or its load

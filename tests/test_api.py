@@ -98,7 +98,7 @@ def test_boundary_settings_stay_valid():
     {"p": 2, "m": 2, "n_true": 1, "n_assumed": 5}, {"N_samples": 0},
     {"N_samples": 1},
     {"p": 2, "m": 2, "n_true": 4, "n_assumed": 3,
-     "recon": {"mask": "p-diag", "p22": 0}},
+     "recon": {"mask_mode": "p_diag", "p22": 0}},
 ], ids=_id)
 def test_bench_config_rejects_meaningless_settings(kwargs):
     # each of these used to pass and then fail in every cell of the sweep
@@ -128,21 +128,6 @@ def test_counts_must_be_integers(cls, base, name):
     cls(**base, **{name: np.int64(valid)})   # numpy integers stay valid
 
 
-@pytest.mark.parametrize("first, second", [
-    ({"mask": "p-diag"}, {"mask_mode": "diag_b"}),
-    ({"mask-mode": "p-diag"}, {"mask": "diag_b"}),
-    ({"outer-tol": "1e-3"}, {"outer_tol": "1e-2"}),
-], ids=["mask", "mask-mode", "outer-tol"])
-def test_two_keys_for_one_setting_are_rejected(first, second):
-    # neither key may silently override the other
-    (a,), (b,) = first, second
-    recon = {"p22": 1, **first, **second}
-    for build in (lambda: recon_config({"n_states": 3, **recon}),
-                  lambda: BenchConfig(recon=recon)):
-        with pytest.raises(ValueError, match=f"'{a}' and '{b}' both set"):
-            build()
-
-
 def test_cli_exits_1_on_a_meaningless_setting(tmp_path, capsys):
     data = tmp_path / "d.csv"
     assert cli_main(["simulate", "--p", "2", "--n", "3", "--density", "0.5",
@@ -168,8 +153,8 @@ def test_cli_exits_1_on_a_meaningless_setting(tmp_path, capsys):
 @pytest.mark.parametrize("flags, config, message", [
     (["--inner-max-iter", "0"], "", "inner_max_iter must be at least 1"),
     ([], "inner_max_iter = 0\n", "inner_max_iter must be at least 1"),
-    (["--mask", "bogus"], "", "unknown mask_mode 'bogus'"),
-    ([], "mask = p-diag\n", "mask_mode 'p_diag' needs p22 >= 0"),
+    (["--mask-mode", "bogus"], "", "unknown mask_mode 'bogus'"),
+    ([], "mask_mode = p_diag\n", "mask_mode 'p_diag' needs p22 >= 0"),
 ], ids=["inner-flag", "inner-config", "mask-flag", "p-diag-config"])
 def test_cli_rejects_a_setting_before_reading_the_data(tmp_path, capsys,
                                                        flags, config, message):
@@ -199,7 +184,7 @@ def test_unconstrained_mask_is_rejected_everywhere(tmp_path, capsys):
         ReconConfig(n_states=4, mask_mode="unconstrained")
     out = tmp_path / "r.txt"
     assert cli_main(["reconstruct", "--data", str(tmp_path / "none.csv"),
-                     "--n-states", "4", "--mask", "unconstrained",
+                     "--n-states", "4", "--mask-mode", "unconstrained",
                      "--out", str(out)]) == 1
     assert "unknown mask_mode 'unconstrained'" in capsys.readouterr().err
     assert not out.exists()

@@ -1,11 +1,13 @@
 import os
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netrecon import BenchConfig, load_dataset_csv, load_model
+from netrecon import (RECON_KEYS, BenchConfig, load_dataset_csv, load_model,
+                      recon_config)
 from netrecon.cli import cli_main, load_config
 
 from _oracles import exact_dsf_small
@@ -53,8 +55,8 @@ def test_reconstruct_roundtrip_and_determinism(tmp_path):
              "--n-samples", 120, "--snr-db", 30, "--seed", 3,
              "--out", data_path])
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-    args = ["reconstruct", "--data", data_path, "--n-states", 7, "--mask",
-            "diag-b", "--outer-max-iter", 8, "--seed", 4]
+    args = ["reconstruct", "--data", data_path, "--n-states", 7, "--mask-mode",
+            "diag_b", "--outer-max-iter", 8, "--seed", 4]
     assert run_cli(args + ["--out", r1]) == 0
     assert run_cli(args + ["--out", r2]) == 0
     assert r1.read_bytes() == r2.read_bytes()
@@ -219,7 +221,7 @@ def test_config_file_supplies_subcommand_settings(tmp_path):
     run_cli(["simulate", "--model-in", FIXTURES / "sample_model.txt",
              "--n-samples", 80, "--seed", 6, "--out", data_path])
     cfg = tmp_path / "rec.cfg"
-    cfg.write_text("n-states = 7\nouter-max-iter = 5\nseed = 7\n")
+    cfg.write_text("n_states = 7\nouter_max_iter = 5\nseed = 7\n")
     out = tmp_path / "r.txt"
     code = run_cli(["reconstruct", "--data", data_path, "--config", cfg,
                     "--out", out])
@@ -247,7 +249,7 @@ def _result_blocks(path):
 
 
 def test_reconstruct_matches_library(tmp_path):
-    from netrecon import RECON_KEYS, ReconConfig, SBLOptions, reconstruct
+    from netrecon import ReconConfig, SBLOptions, reconstruct
     data_path = tmp_path / "d.csv"
     assert run_cli(["simulate", "--p", 3, "--n", 6, "--m", 3, "--density",
                     "0.3", "--n-samples", 120, "--snr-db", 20, "--seed", 1,
@@ -319,24 +321,23 @@ def test_simulate_and_dsf_config_keys(tmp_path, capsys):
     by_flag = tmp_path / "flag.csv"
     assert run_cli(["simulate", *flags, "--n-samples", 30, "--snr-db", 20,
                     "--seed", 5, "--out", by_flag]) == 0
-    # '_' and '-' spellings both read, and config values are not shadowed
-    # by flag defaults
-    for spelling in ("snr_db = 20\nn_samples = 30\nseed = 5\n",
-                     "snr-db = 20\nn-samples = 30\nseed = 5\n"):
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text(spelling)
-        out = tmp_path / "cfg.csv"
-        assert run_cli(["simulate", *flags, "--config", cfg, "--out", out]) == 0
-        assert "# snr_db 20" in out.read_text().splitlines()
-        assert out.read_bytes() == by_flag.read_bytes()
+    # config values are not shadowed by flag defaults
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("snr_db = 20\nn_samples = 30\nseed = 5\n")
+    out = tmp_path / "cfg.csv"
+    assert run_cli(["simulate", *flags, "--config", cfg, "--out", out]) == 0
+    assert "# snr_db 20" in out.read_text().splitlines()
+    assert out.read_bytes() == by_flag.read_bytes()
     capsys.readouterr()
 
+    # a key is the setting name: the flag's spelling is no key
     bad = tmp_path / "bad.cfg"
-    bad.write_text("n_samples = 30\nbogus = 1\n")
     out = tmp_path / "bad.csv"
-    assert run_cli(["simulate", *flags, "--config", bad, "--out", out]) == 1
-    assert "bogus" in capsys.readouterr().err
-    assert not out.exists()
+    for key in ("bogus", "snr-db"):
+        bad.write_text(f"n_samples = 30\n{key} = 1\n")
+        assert run_cli(["simulate", *flags, "--config", bad, "--out", out]) == 1
+        assert f"unknown simulate config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
     assert run_cli(["dsf", "--model", FIXTURES / "sample_model.txt",
                     "--config", bad]) == 1
     assert "n_samples" in capsys.readouterr().err
@@ -349,10 +350,10 @@ def test_config_value_error_names_file_and_line(tmp_path, capsys):
                     "--quiet"]) == 2
     assert f"{cfg}:4: field 'p'" in capsys.readouterr().err
     sim = tmp_path / "sim.cfg"
-    sim.write_text("seed = 1\nn-samples = many\n")
+    sim.write_text("seed = 1\nn_samples = many\n")
     assert run_cli(["simulate", "--p", 2, "--n", 3, "--density", "0.5",
                     "--config", sim, "--out", tmp_path / "d.csv"]) == 2
-    assert f"{sim}:2: field 'n-samples'" in capsys.readouterr().err
+    assert f"{sim}:2: field 'n_samples'" in capsys.readouterr().err
     rec = tmp_path / "rec.cfg"
     rec.write_text("n_states = 3\nouter_tol = abc\n")
     assert run_cli(["reconstruct", "--data", tmp_path / "d.csv", "--config",
@@ -365,7 +366,6 @@ def test_config_value_error_names_file_and_line(tmp_path, capsys):
 
 
 def test_readme_lists_each_subcommand_schema():
-    from netrecon import RECON_KEYS
     from netrecon.cli import _BENCH_KEYS, _DSF_KEYS, _SIMULATE_KEYS
     schemas = {"reconstruct": RECON_KEYS, "simulate": _SIMULATE_KEYS,
                "dsf": _DSF_KEYS,
@@ -377,6 +377,23 @@ def test_readme_lists_each_subcommand_schema():
     assert set(listed) == set(schemas)
     for command, schema in schemas.items():
         assert sorted(listed[command]) == sorted(schema), command
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
+    # README's CLI block as written, but for the ten-cell desk benchmark
+    text = (FIXTURES.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line) for line in
+                block.replace("\\\n", " ").splitlines()
+                if line.startswith("netrecon ")]
+    assert [c[1] for c in commands] == ["simulate", "reconstruct", "dsf",
+                                        "benchmark"]
+    monkeypatch.chdir(tmp_path)
+    for command in commands[:3]:
+        argv = [str(FIXTURES.parent / a) if a.startswith("fixtures/") else a
+                for a in command[1:]]
+        assert cli_main(argv) == 0, command
+    capsys.readouterr()
 
 
 def test_record_files_take_their_columns_from_the_records():
@@ -409,99 +426,180 @@ def test_dsf_rejects_a_threshold_outside_unit_interval(tmp_path, capsys):
                     "--rel-tol", 0]) == 0
 
 
-def test_mask_setting_reads_alike_in_every_place(tmp_path, monkeypatch):
-    # one set of settings as reconstruct flags, a reconstruct config file
-    # (through the CLI and through recon_config(load_config(...))),
-    # benchmark recon_ keys (the mask under its name and its alias) and a
-    # recon_config mapping, with the mask value spelled p-diag everywhere
-    import netrecon.cli as cli
-    from netrecon.bench import _cell_recon_config
-    from netrecon.reconstruct import recon_config
-    built = []
+class _Built(Exception):
+    pass
 
-    class Built(Exception):
-        pass
+
+@pytest.fixture
+def built(monkeypatch):
+    """The configs the CLI would run, in order; it stops there, before any
+    data is read."""
+    import netrecon.cli as cli
+    configs = []
 
     def capture(*args):   # reconstruct(data, cfg) and run_benchmark(cfg)
-        built.append(args[-1])
-        raise Built
+        configs.append(args[-1])
+        raise _Built
 
     monkeypatch.setattr(cli, "load_dataset_csv", lambda path: None)
     monkeypatch.setattr(cli, "reconstruct", capture)
     monkeypatch.setattr(cli, "run_benchmark", capture)
+    return configs
+
+
+def _build(args):
+    with pytest.raises(_Built):
+        run_cli(args)
+
+
+# a benchmark sweep whose cells assume 7 states
+_BENCH_CFG = ("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 7\nm = 2\n"
+              "density = 0.4\n")
+
+# for every reconstruction setting, a value that differs from the one in
+# the base settings of test_setting_reads_alike_in_every_place
+_SETTING_VALUES = {"n_states": "6", "mask_mode": "p_diag", "p22": "2",
+                   "prior_mode": "ml", "outer_max_iter": "8",
+                   "outer_tol": "0.001", "structure_rel_tol": "0.05",
+                   "seed": "4", "inner_max_iter": "20", "inner_tol": "1e-05",
+                   "inner_prune_tol": "0.0001"}
+
+
+@pytest.mark.parametrize("key", RECON_KEYS)
+def test_setting_reads_alike_in_every_place(tmp_path, capsys, built, key):
+    # the flag (the key with '-' for '_'), the reconstruct config key, the
+    # benchmark's recon_<key> and a recon_config mapping give one ReconConfig
+    from netrecon.bench import _cell_recon_config
+    value = _SETTING_VALUES[key]
+    base = {"n_states": "7", "p22": "1", "seed": "3"}
+    settings = {**base, key: value}
+    expected = recon_config(settings)
+    assert expected != recon_config(base)
     out = ["--out", tmp_path / "out.txt"]
     rec = tmp_path / "rec.cfg"
-    rec.write_text("n_states = 7\nmask = p-diag\np22 = 1\nouter_max_iter = 8\n"
-                   "inner-max-iter = 20\nseed = 3\n")
-    runs = [["reconstruct", "--data", "d.csv", "--n-states", 7, "--mask",
-             "p-diag", "--p22", 1, "--outer-max-iter", 8, "--inner-max-iter",
-             20, "--seed", 3, *out],
-            ["reconstruct", "--data", "d.csv", "--config", rec, *out]]
-    for key in ("recon_mask_mode", "recon_mask"):
-        bench = tmp_path / f"{key}.cfg"
-        bench.write_text(f"n_networks = 1\np = 2\nn_true = 4\nn_assumed = 7\n"
-                         f"m = 2\ndensity = 0.4\n{key} = p-diag\nrecon_p22 = 1\n"
-                         f"recon_outer_max_iter = 8\nrecon_inner_max_iter = 20\n")
-        runs.append(["benchmark", "--config", bench, "--quiet", *out])
-    for args in runs:
-        with pytest.raises(Built):
-            run_cli(args)
-    configs = (built[:2] + [_cell_recon_config(b, 3) for b in built[2:]]
+    rec.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    flags = [x for k, v in settings.items()
+             for x in ("--" + k.replace("_", "-"), v)]
+    _build(["reconstruct", "--data", "d.csv", *flags, *out])
+    _build(["reconstruct", "--data", "d.csv", "--config", rec, *out])
+    assert built == [expected] * 2
+    assert recon_config(load_config(rec)) == expected
+
+    recon = {"p22": "1", key: value}
+    bench = tmp_path / "bench.cfg"
+    bench.write_text(_BENCH_CFG + "".join(f"recon_{k} = {v}\n"
+                                          for k, v in recon.items()))
+    if key in ("n_states", "seed"):   # each cell sets these itself
+        assert run_cli(["benchmark", "--config", bench, "--quiet", *out]) == 1
+        assert "may not set n_states or seed" in capsys.readouterr().err
+    else:
+        _build(["benchmark", "--config", bench, "--quiet", *out])
+        api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=7, m=2,
+                          density=0.4, recon=recon)
+        assert _cell_recon_config(built[2], 3) == expected
+        assert _cell_recon_config(api, 3) == expected
+
+    # the key with '-' for '_' is the flag's spelling, never a key
+    if "_" in key:
+        dashed = key.replace("_", "-")
+        rec.write_text(f"n_states = 7\n{dashed} = {value}\n")
+        bench.write_text(_BENCH_CFG + f"recon_{dashed} = {value}\n")
+        for args, name in ((["reconstruct", "--data", "d.csv", "--config", rec],
+                            f"unknown reconstruct config key '{dashed}'"),
+                           (["benchmark", "--config", bench, "--quiet"],
+                            f"unknown benchmark config key 'recon_{dashed}'"),
+                           (["reconstruct", "--data", "d.csv", "--n-states", 7,
+                             "--" + key, value],
+                            f"unrecognized arguments: --{key}")):
+            assert run_cli([*args, *out]) == 1
+            assert name in capsys.readouterr().err
+        for build in (lambda: recon_config({"n_states": 7, dashed: value}),
+                      lambda: BenchConfig(recon={dashed: value})):
+            with pytest.raises(ValueError,
+                               match=f"unknown reconstruction setting '{dashed}'"):
+                build()
+
+
+@pytest.mark.parametrize("flag, line, messages", [
+    (["--mask", "p_diag"], "mask = p_diag",
+     ["unrecognized arguments: --mask p_diag",
+      "unknown reconstruct config key 'mask'",
+      "unknown benchmark config key 'recon_mask'",
+      "unknown reconstruction setting 'mask'"]),
+    (["--mask-mode", "p-diag"], "mask_mode = p-diag",
+     ["unknown mask_mode 'p-diag'"] * 4),
+    (["--mask-mode", "diag-b"], "mask_mode = diag-b",
+     ["unknown mask_mode 'diag-b'"] * 4),
+], ids=["mask", "p-diag", "diag-b"])
+def test_removed_mask_spellings_are_rejected(tmp_path, capsys, flag, line,
+                                             messages):
+    # neither the mask alias nor a dashed mask value reads anywhere; each is
+    # named before the data (which does not exist) is read
+    out = tmp_path / "r.txt"
+    data = ["reconstruct", "--data", tmp_path / "none.csv", "--out", out]
+    rec = tmp_path / "rec.cfg"
+    rec.write_text(f"n_states = 7\np22 = 1\n{line}\n")
+    bench = tmp_path / "bench.cfg"
+    bench.write_text(_BENCH_CFG + f"recon_p22 = 1\nrecon_{line}\n")
+    for args, message in zip(
+            ([*data, "--n-states", 7, "--p22", 1, *flag],
+             [*data, "--config", rec],
+             ["benchmark", "--config", bench, "--quiet", "--out", out]),
+            messages):
+        assert run_cli(args) == 1
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+    key, _, value = line.partition(" = ")
+    for build in (lambda: recon_config({"n_states": 7, "p22": 1, key: value}),
+                  lambda: BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=7,
+                                      m=2, density=0.4,
+                                      recon={"p22": 1, key: value})):
+        with pytest.raises(ValueError, match=messages[-1]):
+            build()
+
+
+def test_mask_setting_reads_alike_in_every_place(tmp_path, built):
+    # one set of settings as reconstruct flags, a reconstruct config file
+    # (through the CLI and through recon_config(load_config(...))),
+    # benchmark recon_ keys and a recon_config mapping
+    from netrecon.bench import _cell_recon_config
+    out = ["--out", tmp_path / "out.txt"]
+    rec = tmp_path / "rec.cfg"
+    rec.write_text("n_states = 7\nmask_mode = p_diag\np22 = 1\nouter_max_iter = 8\n"
+                   "inner_max_iter = 20\nseed = 3\n")
+    bench = tmp_path / "bench.cfg"
+    bench.write_text(_BENCH_CFG + "recon_mask_mode = p_diag\nrecon_p22 = 1\n"
+                     "recon_outer_max_iter = 8\nrecon_inner_max_iter = 20\n")
+    for args in (["reconstruct", "--data", "d.csv", "--n-states", 7,
+                  "--mask-mode", "p_diag", "--p22", 1, "--outer-max-iter", 8,
+                  "--inner-max-iter", 20, "--seed", 3, *out],
+                 ["reconstruct", "--data", "d.csv", "--config", rec, *out],
+                 ["benchmark", "--config", bench, "--quiet", *out]):
+        _build(args)
+    configs = (built[:2] + [_cell_recon_config(built[2], 3)]
                + [recon_config(load_config(rec))])
-    expected = recon_config({"n_states": 7, "mask_mode": "p-diag", "p22": 1,
+    expected = recon_config({"n_states": 7, "mask_mode": "p_diag", "p22": 1,
                              "outer_max_iter": 8, "inner_max_iter": 20,
                              "seed": 3})
     assert expected.mask_mode == "p_diag" and expected.inner.max_iter == 20
-    assert configs == [expected] * 5
+    assert configs == [expected] * 4
 
 
-def test_benchmark_echoes_each_setting_as_read(tmp_path, monkeypatch):
-    # recon_mask = p-diag and recon_mask_mode = p_diag run the same cells,
-    # so their result files carry the same header
-    import netrecon.cli as cli
-    built = []
-
-    class Built(Exception):
-        pass
-
-    def capture(cfg):
-        built.append(cfg)
-        raise Built
-
-    monkeypatch.setattr(cli, "run_benchmark", capture)
-    for line in ("recon_mask = p-diag", "recon_mask_mode = p_diag"):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\n"
-                       f"m = 2\ndensity = 0.4\n{line}\nrecon_p22 = 1\n"
-                       "recon_outer_tol = 1e-3\n")
-        with pytest.raises(Built):
-            run_cli(["benchmark", "--config", cfg, "--quiet",
-                     "--out", tmp_path / "t.csv"])
-    by_alias, by_name = (b.echo() for b in built)
-    assert by_alias == by_name
-    assert by_name["recon_mask_mode"] == "p_diag"
-    assert by_name["recon_outer_tol"] == "0.001"
-    for mask_key in ("mask-mode", "mask"):
-        api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
-                          density=0.4,
-                          recon={mask_key: "p-diag", "p22": 1, "outer_tol": 1e-3})
-        assert api.echo() == by_name
-
-
-def test_two_keys_for_one_setting_exit_1_naming_both(tmp_path, capsys):
-    # the setting is read before the data: no dataset is needed
-    rec = tmp_path / "rec.cfg"
-    rec.write_text("n_states = 7\nmask = p-diag\np22 = 1\nmask_mode = diag_b\n")
-    out = tmp_path / "out.txt"
-    assert run_cli(["reconstruct", "--data", tmp_path / "none.csv",
-                    "--config", rec, "--out", out]) == 1
-    assert "'mask' and 'mask_mode' both set" in capsys.readouterr().err
-    bench = tmp_path / "bench.cfg"
-    bench.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
-                     "recon_mask = p-diag\nrecon_p22 = 1\nrecon_mask_mode = diag_b\n")
-    assert run_cli(["benchmark", "--config", bench, "--quiet", "--out", out]) == 1
-    assert "'recon_mask' and 'recon_mask_mode' both set" in capsys.readouterr().err
-    assert not out.exists()
+def test_benchmark_echoes_each_setting_as_read(tmp_path, built):
+    # a config file and the API give the same header, each recon_ value as
+    # the reconstruction reads it
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
+                   "density = 0.4\nrecon_mask_mode = p_diag\nrecon_p22 = 1\n"
+                   "recon_outer_tol = 1e-3\n")
+    _build(["benchmark", "--config", cfg, "--quiet", "--out", tmp_path / "t.csv"])
+    by_file = built[0].echo()
+    assert by_file["recon_mask_mode"] == "p_diag"
+    assert by_file["recon_outer_tol"] == "0.001"
+    api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=5, m=2,
+                      density=0.4,
+                      recon={"mask_mode": "p_diag", "p22": 1, "outer_tol": 1e-3})
+    assert api.echo() == by_file
 
 
 def test_key_repeated_in_a_config_file_exits_2_at_its_line(tmp_path, capsys):

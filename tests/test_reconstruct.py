@@ -238,8 +238,8 @@ def test_recon_config_flat_settings():
     default = ReconConfig(n_states=4)
     assert recon_config({"n_states": "4"}) == default
     assert recon_settings(default)["inner_prune_tol"] == default.inner.prune_tol
-    cfg = recon_config({"n-states": "6", "mask_mode": "p_diag", "p22": "1",
-                        "inner-max-iter": "7", "inner_tol": "1e-3",
+    cfg = recon_config({"n_states": "6", "mask_mode": "p_diag", "p22": "1",
+                        "inner_max_iter": "7", "inner_tol": "1e-3",
                         "structure_rel_tol": 0.5})
     assert cfg == dataclasses.replace(
         default, n_states=6, mask_mode="p_diag", p22=1, structure_rel_tol=0.5,

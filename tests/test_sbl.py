@@ -755,8 +755,8 @@ def test_import_loads_lapack_without_scipy_linalg(scipy_first):
     # in a fresh interpreter importing this tree: importing netrecon runs
     # neither SciPy's package inits (scipy.linalg's would import
     # numpy.f2py, numpy.testing and more) nor the sweep harness; imported
-    # before or after netrecon, scipy.linalg shares its routines, and the
-    # harness's exports load on first use
+    # before or after netrecon, scipy.linalg shares its routines and its
+    # _flapack module, and the harness's exports load on first use
     import netrecon
 
     code = f"""
@@ -779,6 +779,8 @@ print(sbl.dpotrf is lapack.dpotrf, sbl.dtrtri is lapack.dtrtri)
 after = sbl.posterior(reg, gamma, 0.4)
 print(np.array_equal(before.mu_w, after.mu_w),
       np.array_equal(before.Sigma_w, after.Sigma_w))
+from scipy.linalg import _flapack
+print(_flapack is sys.modules["scipy.linalg._flapack"])
 from netrecon import run_benchmark, BenchConfig
 print(run_benchmark is netrecon.bench.run_benchmark,
       BenchConfig is netrecon.bench.BenchConfig,
@@ -788,10 +790,11 @@ print(run_benchmark is netrecon.bench.run_benchmark,
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src},
                          check=True).stdout
-    loaded, same, equal, lazy = out.split("\n")[:4]
+    loaded, same, equal, shared, lazy = out.split("\n")[:5]
     assert scipy_first or loaded == ""
     assert same == "True True"
     assert equal == "True True"
+    assert shared == "True"
     assert lazy == "True True False"
 
 
