@@ -12,7 +12,8 @@ over every run that has one, failed or not.
 Cells are seeded independently of execution order, so results are
 identical for any parallelism degree.  Output files embed the effective
 configuration and seeds but never wall-clock times, keeping reruns
-byte-identical.
+byte-identical; the embedded configuration, read back as a config,
+reruns the same sweep.
 """
 
 import concurrent.futures
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dsf import NetworkGraph, edge_auc, graph_compare
-from .fileio import fmt, record_lines
+from .fileio import fmt, record_lines, typed_value
 from .model import (_check_generation, _check_simulation,
                     generate_random_network, simulate)
-from .reconstruct import recon_config, recon_settings, reconstruct
+from .reconstruct import RECON_KEYS, recon_config, recon_settings, reconstruct
 from .sbl import _check_integer_fields, identifiability_mask
 
 __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
@@ -73,7 +74,7 @@ class BenchConfig:
         if len(set(self.snr_list)) < len(self.snr_list):
             raise ValueError(f"snr_list repeats a value: {self.snr_list}")
         object.__setattr__(self, "recon", dict(self.recon))   # a copy
-        if {"n_states", "seed"} & self.recon.keys():
+        if _CELL_SETTINGS & self.recon.keys():
             raise ValueError("recon may not set n_states or seed: each cell "
                              "takes them from n_assumed and its own seed")
         # unknown keys and a mask the assumed states cannot hold fail
@@ -83,24 +84,47 @@ class BenchConfig:
                              cell.p22)
 
     def echo(self):
-        """Every setting as the text the result files embed: floats by
-        ``fmt``, tuples comma-joined, then one ``recon_<key>`` per setting
-        name in ``recon``, with the value :func:`recon_config` reads from it
-        (a float again by ``fmt``, so ``1e-3`` echoes as ``0.001``)."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float:
-                out[f.name] = fmt(value)
-            elif f.type is tuple:
-                out[f.name] = ",".join(fmt(v) for v in value)
-            elif f.type is not dict:   # recon: one key per entry, below
-                out[f.name] = value
+        """Every setting under its ``_BENCH_KEYS`` key, as the text the
+        result files embed and ``_bench_config`` reads back: each field,
+        then one ``recon_<key>`` per setting name in ``recon`` with the
+        value :func:`recon_config` reads from it; floats by ``fmt`` (so
+        ``1e-3`` echoes as ``0.001``), tuples comma-joined."""
         read = recon_settings(_cell_recon_config(self, 0))
-        for key in sorted(self.recon):
-            value = read[key]
-            out[f"recon_{key}"] = fmt(value) if isinstance(value, float) else value
-        return out
+        settings = [(f.name.lower(), getattr(self, f.name))
+                    for f in fields(self) if f.name != "recon"]
+        settings += [(f"recon_{key}", read[key]) for key in sorted(self.recon)]
+        return {key: ",".join(map(fmt, value)) if isinstance(value, tuple)
+                else fmt(value) if isinstance(value, float) else value
+                for key, value in settings}
+
+
+# the reconstruction settings each cell sets itself
+_CELL_SETTINGS = {"n_states", "seed"}
+
+# benchmark config key -> type: each BenchConfig field but recon in lower
+# case (N_samples is n_samples; a tuple is a comma-separated list), then
+# recon_<key> for each reconstruction setting a cell does not set itself
+_BENCH_KEYS = {**{f.name.lower(): list if f.type is tuple else f.type
+                  for f in fields(BenchConfig) if f.name != "recon"},
+               **{"recon_" + key: kind for key, kind in RECON_KEYS.items()
+                  if key not in _CELL_SETTINGS}}
+
+
+def _bench_config(settings):
+    """The BenchConfig of a flat ``{key: value}`` mapping over
+    ``_BENCH_KEYS``, its ``recon_<key>`` entries making up ``recon``; a
+    string value is parsed to its key's type.  The inverse of
+    :meth:`BenchConfig.echo`."""
+    names = {f.name.lower(): f.name for f in fields(BenchConfig)}
+    kwargs, recon = {}, {}
+    for key, value in settings.items():
+        if isinstance(value, str):
+            value = typed_value(value, _BENCH_KEYS[key])
+        if key.startswith("recon_"):
+            recon[key.removeprefix("recon_")] = value
+        else:
+            kwargs[names[key]] = value
+    return BenchConfig(**kwargs, recon=recon)
 
 
 @dataclass

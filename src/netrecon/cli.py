@@ -9,15 +9,15 @@ Every subcommand merges its file and flags in ``_settings``.  Exit codes:
 parse, a missing or meaningless setting), 2 runtime error (a key repeated
 in a config file or a config value that does not parse, each named by its
 file and line, or an unreadable input file).  All output files are
-deterministic functions of the configuration and seed.
+deterministic functions of the configuration and seed.  The benchmark's
+keys, ``_BENCH_KEYS``, are ``netrecon.bench``'s and its files echo them.
 """
 
 import argparse
-import dataclasses
 import logging
 import sys
 
-from .bench import BenchConfig, _derive_seed, run_benchmark
+from .bench import _BENCH_KEYS, _bench_config, _derive_seed, run_benchmark
 from .dsf import (_check_rel_tol, boolean_structure, default_q_points,
                   dsf_from_state_space, save_dsf_result)
 from .fileio import FileFormatError, LineReader, adjacency_rows, write_text
@@ -42,30 +42,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _Config:
-    """Raw config values with the file and line each one came from."""
-
-    def __init__(self, path=None, values=None, lines=None):
-        self.path = path
-        self.values = values or {}
-        self.lines = lines or {}
-
-    def parse(self, key, kind):
-        """The value of ``key`` as ``kind`` (``list``: comma-separated
-        floats); FileFormatError at the key's line if it does not parse."""
-        raw = self.values[key]
-        try:
-            if kind is list:
-                return [float(v) for v in raw.split(",") if v.strip()]
-            return kind(raw)
-        except ValueError:
-            raise FileFormatError(self.path, self.lines[key],
-                                  f"field '{key}': cannot parse {raw!r}") from None
-
-
 def _read_config(path):
+    """The file's reader, which keeps each key's line, and its raw values."""
     reader = LineReader(path)
-    values, lines = {}, {}
+    values = {}
     while not reader.at_end():
         line = reader.next_line()
         if "=" in line:
@@ -76,28 +56,20 @@ def _read_config(path):
         value = value.strip()
         if not key or not value:
             reader.error(f"expected 'key = value', found '{line}'")
-        if key in values:
-            reader.error(f"key '{key}' repeats line {lines[key]}")
-        values[key] = value
-        lines[key] = reader.lineno
-    return _Config(str(path), values, lines)
+        values[key] = reader.field(key, value)
+    return reader, values
 
 
 def load_config(path):
     """Parse a key-value config file ('key = value' or 'key value' lines,
     '#' comments); returns a dict of raw strings."""
-    return _read_config(path).values
+    return _read_config(path)[1]
 
 
 # setting -> type: the schema of each subcommand's flags and config keys
 _SIMULATE_KEYS = {"seed": int, "n_samples": int, "snr_db": float, "p": int,
                   "n": int, "m": int, "density": float}
 _DSF_KEYS = {"seed": int, "rel_tol": float}
-# each BenchConfig field in lower case (N_samples reads as n_samples; a
-# tuple is a comma-separated list), then recon_<key> per reconstruct setting
-_BENCH_KEYS = {**{f.name.lower(): list if f.type is tuple else f.type
-                  for f in dataclasses.fields(BenchConfig) if f.type is not dict},
-               **{"recon_" + key: kind for key, kind in RECON_KEYS.items()}}
 
 
 def _build_parser():
@@ -161,12 +133,13 @@ def _build_parser():
 def _settings(command, kinds, args, config):
     """Settings named in ``kinds``: flag values where given, else config
     file values parsed at their line; an unknown key is a usage error."""
+    reader, values = config
     out = {}
-    for key in config.values:
+    for key, raw in values.items():
         if key not in kinds:
             raise _UsageError(f"unknown {command} config key '{key}' (expected "
                               f"one of {', '.join(sorted(kinds))})")
-        out[key] = config.parse(key, kinds[key])
+        out[key] = reader.parse(key, raw, kinds[key], reader.field_lines[key])
     out.update((name, getattr(args, name, None)) for name in kinds
                if getattr(args, name, None) is not None)
     return out
@@ -194,6 +167,10 @@ def _cmd_simulate(args, config):
     snr_db = settings.get("snr_db")
     _checked("simulate", _check_simulation, n_samples, snr_db)
     if args.model_in:
+        for name in ("p", "n", "m", "density"):
+            if name in settings:   # the model file is simulated as it is
+                raise _UsageError(f"simulate: setting '{name}' does not "
+                                  "apply with --model-in")
         model, meta = load_model(args.model_in)
         density = meta.get("density")
     else:
@@ -231,11 +208,7 @@ def _cmd_reconstruct(args, config):
 
 def _cmd_benchmark(args, config):
     settings = _settings("benchmark", _BENCH_KEYS, args, config)
-    recon = {key.removeprefix("recon_"): settings.pop(key)
-             for key in list(settings) if key.startswith("recon_")}
-    kwargs = {f.name: settings[f.name.lower()]
-              for f in dataclasses.fields(BenchConfig) if f.name.lower() in settings}
-    bench_cfg = _checked("benchmark", BenchConfig, **kwargs, recon=recon)
+    bench_cfg = _checked("benchmark", _bench_config, settings)
     if not args.quiet:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(message)s")
@@ -275,7 +248,7 @@ def cli_main(argv=None):
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        config = _read_config(args.config) if args.config else _Config()
+        config = _read_config(args.config) if args.config else (None, {})
         handler = {"simulate": _cmd_simulate, "reconstruct": _cmd_reconstruct,
                    "benchmark": _cmd_benchmark, "dsf": _cmd_dsf}[args.command]
         return handler(args, config)

@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 
 __all__ = ["FileFormatError", "fmt", "fmt_row", "adjacency_rows", "record_lines",
-           "write_text", "LineReader"]
+           "typed_value", "write_text", "LineReader"]
 
 
 class FileFormatError(ValueError):
@@ -51,6 +51,14 @@ def record_lines(cls, records, sep):
         sep.join(cell(f, getattr(r, f.name)) for f in cols) for r in records]
 
 
+def typed_value(raw, kind):
+    """``kind(raw)``, or for ``kind`` list the floats of a comma-separated
+    ``raw``; ValueError if it does not parse."""
+    if kind is list:
+        return [float(v) for v in raw.split(",") if v.strip()]
+    return kind(raw)
+
+
 def write_text(path, text):
     """Write ``text`` to ``path`` as UTF-8 with '\n' line ends on every
     platform."""
@@ -62,7 +70,8 @@ class LineReader:
     """Sequential reader over the lines of a structured text file.
 
     Skips blank lines; lines starting with '#' are collected in
-    ``comments`` as (line number, text) pairs.  Every parse failure raises
+    ``comments`` as (line number, text) pairs.  ``field_lines`` maps each
+    key read by ``field`` to its line.  Every parse failure raises
     FileFormatError carrying the offending line number.
     """
 
@@ -72,12 +81,7 @@ class LineReader:
             self._lines = fh.read().splitlines()
         self._pos = 0
         self.comments = []
-
-    @property
-    def lineno(self):
-        """1-based number of the line last read: the one ``next_line``
-        returned, or a blank or comment line ``at_end`` read past since."""
-        return self._pos
+        self.field_lines = {}
 
     def error(self, message, lineno=None):
         raise FileFormatError(self.path, self._pos if lineno is None else lineno, message)
@@ -114,20 +118,23 @@ class LineReader:
         return parts[1].strip()
 
     def parse(self, key, raw, kind, lineno=None):
-        """``kind(raw)`` for ``kind`` int or float; FileFormatError naming
-        field ``key`` at ``lineno`` (default: the line last read) if it
-        does not parse."""
+        """``typed_value(raw, kind)``; FileFormatError naming field ``key``
+        at ``lineno`` (default: the line last read) if it does not parse."""
         try:
-            return kind(raw)
+            return typed_value(raw, kind)
         except ValueError:
-            what = "an integer" if kind is int else "a number"
-            self.error(f"field '{key}' is not {what}: {raw!r}", lineno)
+            self.error(f"field '{key}': cannot parse {raw!r}", lineno)
 
-    def expect_int(self, key):
-        return self.parse(key, self.expect_key(key), int)
-
-    def expect_float(self, key):
-        return self.parse(key, self.expect_key(key), float)
+    def field(self, key, raw, kind=str, lineno=None):
+        """``parse`` of a key-value field read at ``lineno`` (default: the
+        line last read), recording its line in ``field_lines``; a key read
+        before raises FileFormatError at this line, naming the first."""
+        lineno = self._pos if lineno is None else lineno
+        if key in self.field_lines:
+            self.error(f"field '{key}' repeats line {self.field_lines[key]}",
+                       lineno)
+        self.field_lines[key] = lineno
+        return self.parse(key, raw, kind, lineno)
 
     def expect_literal(self, literal):
         line = self.next_line()

@@ -428,15 +428,11 @@ def load_dataset_csv(path):
     if k == 0:
         reader.error("dataset has no rows")
     kinds = {"seed": int, "snr_db": float}
-    meta, lines = dict.fromkeys(kinds), {}
+    meta = dict.fromkeys(kinds)
     for lineno, comment in reader.comments:
         parts = comment.split(None, 1)
         if len(parts) == 2 and parts[0] in kinds:
-            if parts[0] in lines:
-                reader.error(f"field '{parts[0]}' repeats line {lines[parts[0]]}",
-                             lineno)
-            lines[parts[0]] = lineno
-            meta[parts[0]] = reader.parse(*parts, kinds[parts[0]], lineno)
+            meta[parts[0]] = reader.field(*parts, kinds[parts[0]], lineno)
     return Dataset(Y=np.array(Y_rows), U=np.array(U_rows), N=k, **meta)
 
 
@@ -465,11 +461,9 @@ def load_model(path):
     line other than a blank or a comment after R0 raises FileFormatError
     at that line."""
     reader = LineReader(path)
-    n = reader.expect_int("n")
-    p = reader.expect_int("p")
-    m = reader.expect_int("m")
-    sigma = reader.expect_float("sigma")
-    kinds, meta, lines = {"seed": int, "density": float}, {}, {}
+    n, p, m, sigma = (reader.parse(key, reader.expect_key(key), kind) for key, kind
+                      in (("n", int), ("p", int), ("m", int), ("sigma", float)))
+    kinds, meta = {"seed": int, "density": float}, {}
     # optional metadata lines before the first matrix block
     while True:
         line = reader.next_line()
@@ -477,10 +471,7 @@ def load_model(path):
             break
         parts = line.split(None, 1)
         if parts[0] in kinds and len(parts) == 2:
-            if parts[0] in lines:
-                reader.error(f"field '{parts[0]}' repeats line {lines[parts[0]]}")
-            lines[parts[0]] = reader.lineno
-            meta[parts[0]] = reader.parse(*parts, kinds[parts[0]])
+            meta[parts[0]] = reader.field(*parts, kinds[parts[0]])
         else:
             reader.error(f"unexpected field '{parts[0]}' before matrix A")
     A = np.vstack([reader.read_floats(n, f"matrix A row {r + 1}") for r in range(n)])

@@ -91,6 +91,59 @@ def test_benchmark_tiny_config(tmp_path):
     assert any(l.startswith("network,") for l in rec_lines)
 
 
+def test_benchmark_header_reruns_the_sweep(tmp_path):
+    # the echoed settings of a summary file, read back as a config, run the
+    # same sweep: the summary and records files come out byte for byte
+    def run(cfg, name):
+        out, records = tmp_path / f"{name}.csv", tmp_path / f"{name}_rec.csv"
+        assert run_cli(["benchmark", "--config", cfg, "--out", out,
+                        "--records-out", records, "--quiet"]) == 0
+        return out.read_bytes(), records.read_bytes()
+
+    first = run(FIXTURES / "bench_tiny.cfg", "first")
+    title, *echo = [line[2:] for line in first[0].decode().splitlines()
+                    if line.startswith("# ")]
+    assert title == "netrecon benchmark v1"
+    assert "n_samples 150" in echo and "recon_outer_max_iter 10" in echo
+    rec_echo = [line[2:] for line in first[1].decode().splitlines()
+                if line.startswith("# ")][1:]
+    assert rec_echo == echo
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("\n".join(echo) + "\n")
+    assert run(cfg, "again") == first
+
+
+@pytest.mark.parametrize("source", ["bench_tiny.cfg", "bench_desk.cfg", "api"])
+def test_bench_config_reads_back_its_echo(source):
+    from netrecon.bench import _BENCH_KEYS, _CELL_SETTINGS, _bench_config
+    if source == "api":   # every recon_ setting at a value not its default
+        cfg = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=7, m=2,
+                          density=0.4, snr_list=(20.0, 40.0),
+                          recon={key: RECON_KEYS[key](value)
+                                 for key, value in _SETTING_VALUES.items()
+                                 if key not in _CELL_SETTINGS})
+        assert len(cfg.recon) == len(RECON_KEYS) - 2
+    else:
+        cfg = _bench_config(load_config(FIXTURES / source))
+    echo = cfg.echo()
+    assert set(echo) <= set(_BENCH_KEYS)
+    assert _bench_config(echo) == cfg
+
+
+def test_unknown_benchmark_key_lists_the_accepted_keys(tmp_path, capsys):
+    from netrecon.bench import _BENCH_KEYS
+    cfg = tmp_path / "cfg.txt"
+    for key in ("n_network", "recon_n_states", "recon_seed"):
+        cfg.write_text(f"{key} = 2\n")
+        assert run_cli(["benchmark", "--config", cfg, "--quiet",
+                        "--out", tmp_path / "t.csv"]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown benchmark config key '{key}'" in err
+        listed = err.split("expected one of ", 1)[1].split(")")[0].split(", ")
+        assert listed == sorted(_BENCH_KEYS)
+    assert not {"recon_n_states", "recon_seed"} & set(_BENCH_KEYS)
+
+
 def test_benchmark_reports_the_edge_auc(tmp_path):
     text, records = tmp_path / "summary.txt", tmp_path / "records.csv"
     code = run_cli(["benchmark", "--config", FIXTURES / "bench_tiny.cfg",
@@ -173,6 +226,24 @@ def test_simulate_rejects_a_setting_before_any_work(tmp_path, capsys, change,
     if "--density" not in change:   # the model file does not exist
         assert run_cli(argv + ["--model-in", tmp_path / "none.txt"]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--p", "--n", "--m", "--density"])
+def test_simulate_model_in_rejects_a_generation_setting(tmp_path, capsys,
+                                                        flag):
+    # the model file fixes p, n and m, and no network is generated; the
+    # setting is named before the (missing) model file is read
+    name = flag[2:]
+    value = "0.5" if name == "density" else "2"
+    out = tmp_path / "d.csv"
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    for given in ([flag, value], ["--config", cfg]):
+        assert run_cli(["simulate", "--model-in", tmp_path / "none.txt",
+                        "--n-samples", 30, *given, "--out", out]) == 1
+        assert (f"setting '{name}' does not apply with --model-in"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -366,7 +437,8 @@ def test_config_value_error_names_file_and_line(tmp_path, capsys):
 
 
 def test_readme_lists_each_subcommand_schema():
-    from netrecon.cli import _BENCH_KEYS, _DSF_KEYS, _SIMULATE_KEYS
+    from netrecon.bench import _BENCH_KEYS
+    from netrecon.cli import _DSF_KEYS, _SIMULATE_KEYS
     schemas = {"reconstruct": RECON_KEYS, "simulate": _SIMULATE_KEYS,
                "dsf": _DSF_KEYS,
                "benchmark": [k for k in _BENCH_KEYS if not k.startswith("recon_")]}
@@ -491,7 +563,10 @@ def test_setting_reads_alike_in_every_place(tmp_path, capsys, built, key):
                                           for k, v in recon.items()))
     if key in ("n_states", "seed"):   # each cell sets these itself
         assert run_cli(["benchmark", "--config", bench, "--quiet", *out]) == 1
-        assert "may not set n_states or seed" in capsys.readouterr().err
+        assert (f"unknown benchmark config key 'recon_{key}'"
+                in capsys.readouterr().err)
+        with pytest.raises(ValueError, match="may not set n_states or seed"):
+            BenchConfig(recon={key: value})
     else:
         _build(["benchmark", "--config", bench, "--quiet", *out])
         api = BenchConfig(n_networks=1, p=2, n_true=4, n_assumed=7, m=2,
@@ -602,11 +677,44 @@ def test_benchmark_echoes_each_setting_as_read(tmp_path, built):
     assert api.echo() == by_file
 
 
+_MODEL_TEMPLATE = (FIXTURES / "sample_model.txt").read_text().replace(
+    "seed 7\n", "{a}\n{b}\n")
+
+
+@pytest.mark.parametrize("name, template, argv", [
+    ("c.cfg", "n_samples = 10\n{a}\n{b}\n",
+     ["simulate", "--p", 2, "--n", 3, "--density", 0.5, "--config"]),
+    ("m.txt", _MODEL_TEMPLATE, ["dsf", "--model"]),
+    ("d.csv", "t,y1,u1\n# {a}\n1,0.5,1.0\n# {b}\n2,0.25,0.0\n",
+     ["reconstruct", "--n-states", 2, "--data"]),
+], ids=["config-file", "model-metadata", "dataset-comment"])
+@pytest.mark.parametrize("a, b, message", [
+    ("seed 1", "seed 2", "field 'seed' repeats line {a}"),
+    ("seed abc", "", "field 'seed': cannot parse 'abc'"),
+], ids=["repeated", "unparsable"])
+def test_key_value_error_wording_is_one_in_every_file(
+        tmp_path, capsys, name, template, argv, a, b, message):
+    # a config file, model-file metadata and a dataset comment are read by
+    # one reader: a repeat is named at its second line, a value that does
+    # not parse at its own; both exit 2
+    lines = template.splitlines()
+    line_a = 1 + next(i for i, l in enumerate(lines) if "{a}" in l)
+    line_b = 1 + next(i for i, l in enumerate(lines) if "{b}" in l)
+    path = tmp_path / name
+    path.write_text(template.format(a=a, b=b))
+    out = tmp_path / "out.txt"
+    assert run_cli([*argv, path, "--out", out]) == 2
+    at = line_b if b else line_a
+    assert (f"{path}:{at}: {message.format(a=line_a)}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_key_repeated_in_a_config_file_exits_2_at_its_line(tmp_path, capsys):
     sim = tmp_path / "sim.cfg"
     sim.write_text("# two sample counts\nn_samples = 10\nseed = 1\nn_samples = 20\n")
     out = tmp_path / "d.csv"
     assert run_cli(["simulate", "--p", 2, "--n", 3, "--density", "0.5",
                     "--config", sim, "--out", out]) == 2
-    assert f"{sim}:4: key 'n_samples' repeats line 2" in capsys.readouterr().err
+    assert f"{sim}:4: field 'n_samples' repeats line 2" in capsys.readouterr().err
     assert not out.exists()
