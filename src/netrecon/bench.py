@@ -28,7 +28,7 @@ from .fileio import fmt, record_lines, typed_value
 from .model import (_check_generation, _check_simulation,
                     generate_random_network, simulate)
 from .reconstruct import RECON_KEYS, recon_config, recon_settings, reconstruct
-from .sbl import _check_integer_fields, identifiability_mask
+from .sbl import _check_number_fields, identifiability_mask
 
 __all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
 
@@ -41,7 +41,10 @@ class BenchConfig:
     every cell, read by :func:`netrecon.reconstruct.recon_config`: keys are
     the setting names of ``RECON_KEYS``; flags are those names with '-'
     for '_'.  Each cell sets ``n_states`` from ``n_assumed`` and its own
-    ``seed``.  Every int field must hold an integer."""
+    ``seed``.  Every int field must hold an integer and every float field
+    a number; ``failure_precision_threshold`` lies in [0, 1] (NaN does
+    not).  A ``recon`` value may not be None: a config file cannot carry
+    None, and a key left out keeps its default."""
 
     n_networks: int = 10
     p: int = 10
@@ -57,13 +60,16 @@ class BenchConfig:
     recon: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_integer_fields(self)
+        _check_number_fields(self)
         for name in ("n_networks", "parallelism"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
         if self.n_assumed < self.p:
             raise ValueError("n_assumed must be at least p")
+        if not 0.0 <= self.failure_precision_threshold <= 1.0:
+            raise ValueError("failure_precision_threshold must be in [0, 1], "
+                             f"got {self.failure_precision_threshold}")
         _check_generation(self.p, self.n_true, self.m, self.density)
         object.__setattr__(self, "snr_list",
                            tuple(float(s) for s in self.snr_list))
@@ -77,6 +83,10 @@ class BenchConfig:
         if _CELL_SETTINGS & self.recon.keys():
             raise ValueError("recon may not set n_states or seed: each cell "
                              "takes them from n_assumed and its own seed")
+        for key, value in self.recon.items():
+            if value is None:
+                raise ValueError(f"recon_{key} may not be None: leave it out "
+                                 "for its default")
         # unknown keys and a mask the assumed states cannot hold fail
         # before any cell runs
         cell = _cell_recon_config(self, 0)

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsf as _dsf
 from .fileio import LineReader, fmt, fmt_row, write_text
-from .sbl import _check_integer_fields
+from .sbl import _check_number_fields
 from .smoother import _linear_scan
 
 __all__ = [
@@ -90,7 +89,7 @@ class StateSpaceModel:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        _check_integer_fields(self)
+        _check_number_fields(self)
         p = self.p = int(self.p)
         if not 1 <= p <= n:
             raise ValueError(f"need 1 <= p <= n, got n={n}, p={p}")
@@ -176,7 +175,8 @@ class GroundTruth:
             raise ValueError("q_structure must have an all-false diagonal")
 
 
-# Candidate systems generate_random_network draws before giving up.
+# Candidate systems generate_random_network draws before giving up; a
+# candidate is redrawn when its A pattern is degenerate or its Q has no edge.
 _MAX_DRAWS = 20
 
 
@@ -199,15 +199,12 @@ def generate_random_network(p, n, m, density, seed):
     The sparsity pattern of A is directed Erdos-Renyi with the given
     density, entries are uniform on +-[0.5, 1.0], and A is rescaled to a
     spectral radius drawn uniformly from [0.5, 0.95].  B is [diag(b); 0]
-    with b_i uniform in [0.5, 1.5], which keeps the input-to-output map
-    diagonal by construction.  Q's structure is exact (``_q_closure``); P's
-    is read off the DSF sampled at ``default_q_points`` and thresholded at
-    1e-4 of its largest entry.
+    with b_i uniform in [0.5, 1.5], so P = diag(b_i / (q - W_ii)) and its
+    structure is the identity.  Q's structure is the closure of A's zero
+    pattern (``_q_closure``).  Both are exact; no DSF is sampled.
 
-    Candidates whose structure extraction fails numerically (sampling the
-    DSF needed more than 64 replacement draws for points that hit a pole,
-    a DSFError), whose A pattern is degenerate, or whose sampled Q has no
-    edge (p >= 2) are redrawn; after 20 candidates a GenerationError is
+    Candidates whose A pattern is degenerate, or whose Q has no edge
+    (p >= 2), are redrawn; after 20 candidates a GenerationError is
     raised.  Equal arguments give an equal system.
     """
     _check_generation(p, n, m, density)
@@ -219,27 +216,22 @@ def generate_random_network(p, n, m, density, seed):
         A = np.where(pattern, signs * rng.uniform(0.5, 1.0, (n, n)), 0.0)
         rho_target = rng.uniform(0.5, 0.95)
         b = rng.uniform(0.5, 1.5, p)
-        q_seed = int(rng.integers(2**32))
+        # unused: drawn so that each seed keeps drawing the candidates it
+        # drew when this value seeded a sampled DSF
+        rng.integers(2**32)
 
         nnz = int(np.count_nonzero(A))
         if nnz == 0 or nnz > 2 * expected_nnz + 4:
             continue
         rho = float(np.max(np.abs(np.linalg.eigvals(A))))
-        if rho < 1e-12:
+        q_structure = _q_closure(A, p)
+        if rho < 1e-12 or (p > 1 and not q_structure.any()):
             continue
-        A *= rho_target / rho
-
         B = np.vstack([np.diag(b), np.zeros((n - p, m))])
-        model = StateSpaceModel(A=A, B=B, p=p, sigma=1.0, m0=np.zeros(n), R0=np.eye(n))
-        try:
-            sample = _dsf.dsf_from_state_space(model, _dsf.default_q_points(seed=q_seed))
-            graph = _dsf.boolean_structure(sample, rel_tol=1e-4)
-        except _dsf.DSFError:
-            continue
-        if p > 1 and not graph.q_adj.any():
-            continue
-        return GroundTruth(model=model, q_structure=_q_closure(A, p),
-                           p_structure=graph.p_adj)
+        model = StateSpaceModel(A=A * (rho_target / rho), B=B, p=p, sigma=1.0,
+                                m0=np.zeros(n), R0=np.eye(n))
+        return GroundTruth(model=model, q_structure=q_structure,
+                           p_structure=np.eye(p, dtype=bool))
     raise GenerationError(f"no usable random system after {_MAX_DRAWS} attempts")
 
 

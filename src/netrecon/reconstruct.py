@@ -33,7 +33,7 @@ from .fileio import adjacency_rows, fmt, fmt_row, record_lines, write_text
 from .model import StateSpaceModel
 from .sbl import (MASK_MODES, SBLOptions, identifiability_mask,
                   initial_sbl_state, posterior, sbl_em, regression_from_moments,
-                  moment_rss, unpack_w, pack_w, _check_integer_fields)
+                  moment_rss, unpack_w, pack_w, _check_number_fields)
 from .smoother import (FilterDivergedError, PassBuffers, expectation_sums,
                        observed_loglik, kalman_filter, rts_smoother,
                        lag_one_smoother)
@@ -83,7 +83,8 @@ class ReconConfig:
 
     A setting that would make the run meaningless raises ValueError: a
     count (``n_states``, ``p22``, ``outer_max_iter``, ``seed``) that is not
-    an integer, an unknown ``mask_mode`` or ``prior_mode``, "p_diag"
+    an integer, a tolerance (``outer_tol``, ``structure_rel_tol``) that is
+    not a number, an unknown ``mask_mode`` or ``prior_mode``, "p_diag"
     without ``p22 >= 0``, ``outer_max_iter < 1``, a negative ``outer_tol``
     or a ``structure_rel_tol`` outside [0, 1); a NaN fails every range.
     ``n_states`` and ``p22`` are checked against the data by
@@ -104,7 +105,7 @@ class ReconConfig:
     B_init: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_integer_fields(self)
+        _check_number_fields(self)
         if self.mask_mode not in MASK_MODES:
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
         if self.mask_mode == "p_diag" and (self.p22 is None or self.p22 < 0):

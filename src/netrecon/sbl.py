@@ -42,6 +42,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import operator
 import os
 import sys
@@ -228,10 +229,11 @@ class SBLState:
         return None if self.posterior is None else self.posterior.Sigma_w
 
 
-def _check_integer_fields(obj):
+def _check_number_fields(obj):
     """ValueError unless each ``int`` field of dataclass ``obj`` holds an
-    integer that ``operator.index`` accepts (a numpy integer, not 2.5); an
-    ``int | None`` field may hold None."""
+    integer that ``operator.index`` accepts (a numpy integer, not 2.5), and
+    each ``float`` field a real number (an int or a numpy float, not None
+    or a string); an ``int | None`` field may hold None."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type is int or (f.type == int | None and value is not None):
@@ -240,19 +242,21 @@ def _check_integer_fields(obj):
             except TypeError:
                 raise ValueError(f"{f.name} must be an integer, "
                                  f"got {value!r}") from None
+        elif f.type is float and not isinstance(value, numbers.Real):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SBLOptions:
     """Inner-loop controls: an integer count of at least one iteration,
-    nonnegative tolerances (a NaN is rejected)."""
+    nonnegative numbers as tolerances (a NaN or None is rejected)."""
 
     max_iter: int = 60
     tol: float = 1e-6
     prune_tol: float = 1e-5
 
     def __post_init__(self):
-        _check_integer_fields(self)
+        _check_number_fields(self)
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         for name in ("tol", "prune_tol"):
@@ -583,9 +587,10 @@ def sbl_em(reg, mask, init=None, opts=None):
     surviving entries with ``_layout`` and the batch width k shrinks.  The
     kernel also returns b . mu for the residual, and with its D
     sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 / gamma_i are the
-    dot products of D with the variances and the squared means.  After the loop, gamma is mapped back to w-order and
-    ``posterior`` gives the returned mean and the per-row covariance
-    blocks; the dense covariance is assembled only if ``Sigma_w`` is read.
+    dot products of D with the variances and the squared means.  After
+    the loop, gamma is mapped back to w-order and ``posterior`` gives the
+    returned mean and the per-row covariance blocks; the dense covariance
+    is assembled only if ``Sigma_w`` is read.
     """
     opts = opts or SBLOptions()
     if init is None:

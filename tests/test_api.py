@@ -108,6 +108,16 @@ def test_bench_config_rejects_meaningless_settings(kwargs):
         BenchConfig(**kwargs)
 
 
+@pytest.mark.parametrize("threshold", [NAN, 2.0, -0.1, math.inf])
+def test_failure_threshold_must_be_a_precision(threshold):
+    # above 1 every cell used to fail; NaN or below 0 let no cell fail
+    with pytest.raises(ValueError, match=r"failure_precision_threshold must "
+                       rf"be in \[0, 1\], got {threshold}"):
+        BenchConfig(failure_precision_threshold=threshold)
+    BenchConfig(failure_precision_threshold=0.0)
+    BenchConfig(failure_precision_threshold=1.0)
+
+
 _COUNTS = [(SBLOptions, {}, "max_iter"), (ReconConfig, {}, "n_states"),
            (ReconConfig, {"n_states": 3, "mask_mode": "p_diag"}, "p22"),
            (ReconConfig, {"n_states": 3}, "outer_max_iter"),
@@ -126,6 +136,24 @@ def test_counts_must_be_integers(cls, base, name):
     default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
     valid = default if isinstance(default, int) else 3
     cls(**base, **{name: np.int64(valid)})   # numpy integers stay valid
+
+
+_NUMBERS = [(cls, {"n_states": 3} if cls is ReconConfig else {}, f.name)
+            for cls in (SBLOptions, ReconConfig, BenchConfig)
+            for f in dataclasses.fields(cls) if f.type is float]
+
+
+@pytest.mark.parametrize("cls, base, name", _NUMBERS,
+                         ids=[f"{c.__name__}.{n}" for c, _, n in _NUMBERS])
+def test_float_settings_must_be_numbers(cls, base, name):
+    # None or a string used to raise TypeError from a comparison, or (the
+    # failure threshold) to pass and turn every cell into an error record
+    for bad in (None, "0.1", [0.1]):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            cls(**base, **{name: bad})
+    default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    cls(**base, **{name: np.float64(default)})   # numpy floats stay valid
+    cls(**base, **{name: np.float32(default)})
 
 
 def test_cli_exits_1_on_a_meaningless_setting(tmp_path, capsys):
@@ -147,6 +175,19 @@ def test_cli_exits_1_on_a_meaningless_setting(tmp_path, capsys):
     assert cli_main(["benchmark", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 1
     assert "n_networks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_nan_failure_threshold(tmp_path, capsys):
+    # read from a file, a NaN threshold used to pass and let no cell fail
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
+                   "failure_precision_threshold = nan\n")
+    out = tmp_path / "s.csv"
+    assert cli_main(["benchmark", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 1
+    assert "failure_precision_threshold must be in [0, 1], got nan" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

@@ -130,6 +130,14 @@ def test_bench_config_reads_back_its_echo(source):
     assert _bench_config(echo) == cfg
 
 
+@pytest.mark.parametrize("key", sorted(set(RECON_KEYS) - {"n_states", "seed"}))
+def test_bench_config_rejects_a_none_recon_setting(key):
+    # its echo would read '# recon_<key> None', which no file can read back;
+    # a key left out keeps its default
+    with pytest.raises(ValueError, match=f"recon_{key} may not be None"):
+        BenchConfig(recon={key: None})
+
+
 def test_unknown_benchmark_key_lists_the_accepted_keys(tmp_path, capsys):
     from netrecon.bench import _BENCH_KEYS
     cfg = tmp_path / "cfg.txt"

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,9 @@ from netrecon import (StateSpaceModel, Dataset, GenerationError,
                       SimulationDivergedError, generate_random_network,
                       simulate, scale_noise_for_snr, save_dataset_csv,
                       load_dataset_csv, save_model, load_model,
-                      FileFormatError, default_q_points, dsf_from_state_space)
+                      FileFormatError, GroundTruth, boolean_structure,
+                      default_q_points, dsf_from_state_space)
+from netrecon.model import _q_closure
 
 from _oracles import exact_dsf_small
 
@@ -242,29 +245,107 @@ def test_generate_structure_agrees_with_exact_rational_path():
     assert np.array_equal(gt.p_structure, P.zero_pattern())
 
 
-def test_generate_closure_contains_the_sampled_extraction(monkeypatch):
-    # the ten desk networks of a benchmark run at seed 1; each candidate's
-    # DSF is still sampled and thresholded at 1e-4, and every edge found so
-    # is in the exact structure, which adds two edges in all
-    from netrecon import dsf as dsf_mod
-
-    real = dsf_mod.boolean_structure
-    sampled = []
-
-    def boolean_structure(sample, rel_tol):
-        sampled.append(real(sample, rel_tol))
-        return sampled[-1]
-
-    monkeypatch.setattr(dsf_mod, "boolean_structure", boolean_structure)
+def test_generate_closure_contains_the_sampled_extraction():
+    # the ten desk networks of a benchmark run at seed 1, each DSF sampled at
+    # fixed points and thresholded at 1e-4: every edge found so is in the
+    # exact structure, which adds one edge in all; P is diagonal
+    points = default_q_points(seed=0)
     added = 0
     for index in range(10):
         seed = int(np.random.SeedSequence([1, index]).generate_state(1)[0])
         gt = generate_random_network(p=10, n=25, m=10, density=0.1, seed=seed)
-        graph = sampled[-1]   # the returned candidate's extraction
+        graph = boolean_structure(dsf_from_state_space(gt.model, points), 1e-4)
         assert not (graph.q_adj & ~gt.q_structure).any(), index
         assert np.array_equal(gt.p_structure, graph.p_adj)
         added += int((gt.q_structure & ~graph.q_adj).sum())
-    assert added == 2
+    assert added == 1
+
+
+def test_generate_samples_no_dsf(monkeypatch):
+    # both structures are read off what was drawn, so no DSF is evaluated
+    from netrecon import dsf as dsf_mod
+    shapes = [(10, 25, 10, 0.1, 3), (5, 10, 5, 0.1, 216941037),
+              (3, 6, 3, 0.2, 7), (1, 3, 1, 0.5, 0)]
+    expected = [generate_random_network(*shape) for shape in shapes]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generate_random_network evaluated the DSF")
+
+    monkeypatch.setattr(dsf_mod, "dsf_from_state_space", forbidden)
+    monkeypatch.setattr(dsf_mod, "boolean_structure", forbidden)
+    for shape, want in zip(shapes, expected):
+        got = generate_random_network(*shape)
+        assert np.array_equal(got.model.A, want.model.A)
+        assert np.array_equal(got.model.B, want.model.B)
+        assert np.array_equal(got.q_structure, want.q_structure)
+        assert np.array_equal(got.p_structure, np.eye(shape[0], dtype=bool))
+
+
+@pytest.mark.parametrize("shape, seed, edges", [
+    ((5, 10, 5, 0.1), 216941037, 2), ((5, 10, 5, 0.1), 353322513, 2),
+    ((3, 6, 3, 0.2), 342754370, 1), ((3, 8, 3, 0.2), 1685249533, 3)])
+def test_generate_redraws_a_truth_whose_closure_has_no_edge(shape, seed, edges):
+    # each first candidate's closure has no Q edge, though sampling its DSF
+    # left rounding-level entries that a relative threshold counted as edges
+    gt = generate_random_network(*shape, seed)
+    assert int(gt.q_structure.sum()) == edges
+    assert np.array_equal(gt.q_structure, _q_closure(gt.model.A, shape[0]))
+
+
+def _support_pin(gt):
+    """(nonzeros of A, Q edges, digest of the A, Q and P supports)."""
+    bits = np.concatenate([(gt.model.A != 0).ravel(), gt.q_structure.ravel(),
+                           gt.p_structure.ravel()])
+    return (int(np.count_nonzero(gt.model.A)), int(gt.q_structure.sum()),
+            hashlib.sha256(np.packbits(bits).tobytes()).hexdigest()[:12])
+
+
+def _cell_seed(*entropy):
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
+
+
+_DESK = (10, 25, 10, 0.1)
+_PINNED_DRAWS = {
+    # criterion 7's ten networks (benchmark seed 0)
+    "criterion7": [(_DESK, _cell_seed(0, i)) for i in range(10)],
+    # the desk cells of a benchmark run at seed 1
+    "desk_seed1": [(_DESK, _cell_seed(1, i)) for i in range(10)],
+    # long_series perfbench cells at seeds 1..5
+    "long_series": [((5, 10, 5, 0.1), _cell_seed(s, 0)) for s in range(1, 6)],
+    # the first candidate has no nonzero in A and is redrawn
+    "empty_first": [((3, 6, 3, 0.2), 2436)],
+}
+_PINS = {
+    "criterion7": [
+        (64, 36, "14f7a0be77a8"), (59, 35, "b60bc2475ce8"),
+        (66, 50, "59d463001312"), (71, 48, "d6c7545bfb1f"),
+        (62, 43, "a68a838a29a1"), (56, 40, "79e8367004c4"),
+        (53, 24, "de279b5c9697"), (58, 45, "07e0de3eb45a"),
+        (61, 54, "86b4a90b7696"), (60, 47, "17d3b454f977")],
+    "desk_seed1": [
+        (64, 52, "0f60eb2ee5df"), (48, 21, "5b6afc36fbf5"),
+        (52, 33, "aa35e065c01d"), (63, 46, "d88cf894a811"),
+        (73, 63, "d9fc9749a542"), (61, 40, "c4a733006261"),
+        (56, 46, "2f215c823b60"), (53, 37, "75695cf49408"),
+        (71, 53, "2ffb79079ea7"), (51, 15, "430721871d5e")],
+    "long_series": [
+        (14, 6, "f17c9285f8fd"), (13, 3, "9dd20d8d33fe"),
+        (13, 4, "4939d1c321fe"), (7, 1, "9761bf653fe8"),
+        (5, 2, "8d7b7e2d79b8")],
+    "empty_first": [(7, 2, "3733db91ed05")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DRAWS))
+def test_generate_keeps_its_draws(name):
+    # the supports of A, Q and P drawn for these seeds, recorded before the
+    # generator stopped sampling the DSF; a benchmark's networks must not move
+    if name == "empty_first":
+        (p, n, m, density), seed = _PINNED_DRAWS[name][0]
+        assert not (np.random.default_rng(seed).random((n, n)) < density).any()
+    got = [_support_pin(generate_random_network(*shape, seed))
+           for shape, seed in _PINNED_DRAWS[name]]
+    assert got == _PINS[name]
 
 
 def test_generate_full_scale_instance():
@@ -295,12 +376,12 @@ def test_generate_redraws_a_network_without_edges():
 
 
 def test_generate_retry_exhaustion(monkeypatch):
-    from netrecon import dsf as dsf_mod
+    from netrecon import model as model_mod
 
-    def always_fails(*args, **kwargs):
-        raise dsf_mod.DSFError("forced failure")
+    def no_edge(A, p):
+        return np.zeros((p, p), dtype=bool)
 
-    monkeypatch.setattr(dsf_mod, "dsf_from_state_space", always_fails)
+    monkeypatch.setattr(model_mod, "_q_closure", no_edge)
     with pytest.raises(GenerationError, match="20 attempts"):
         generate_random_network(p=2, n=4, m=2, density=0.5, seed=0)
 
@@ -446,6 +527,86 @@ def test_model_validation():
     with pytest.raises(ValueError, match="semidefinite"):
         StateSpaceModel(A=[[0.5]], B=[[1.0]], p=1, sigma=1.0, m0=[0.0],
                         R0=[[-1.0]])
+
+
+_GOOD = dict(A=0.5 * np.eye(2), B=np.ones((2, 1)), p=1, sigma=1.0,
+             m0=np.zeros(2), R0=np.eye(2))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"A": np.zeros((2, 3))}, r"A must be square, got shape \(2, 3\)"),
+    ({"B": np.ones((3, 1))}, r"B must have 2 rows, got shape \(3, 1\)"),
+    ({"R0": np.eye(3)}, r"R0 must have shape \(2, 2\), got \(3, 3\)"),
+    ({"D": np.zeros((2, 1))}, r"D must have shape \(1, 1\), got \(2, 1\)"),
+    ({"A": [[0.5, np.nan], [0.0, 0.5]]}, "A contains non-finite entries"),
+    ({"B": [[np.inf], [1.0]]}, "B contains non-finite entries"),
+    ({"sigma": -0.1}, "sigma must be nonnegative"),
+    ({"sigma": None}, "sigma must be a number, got None"),
+    ({"sigma": "1"}, "sigma must be a number, got '1'"),
+], ids=["A-square", "B-rows", "R0-shape", "D-shape", "A-nan", "B-inf",
+        "sigma-negative", "sigma-none", "sigma-str"])
+def test_model_rejects_malformed_matrices(changes, message):
+    with pytest.raises(ValueError, match=message):
+        StateSpaceModel(**{**_GOOD, **changes})
+
+
+def test_ground_truth_rejects_a_self_loop():
+    model = StateSpaceModel(**_GOOD)
+    with pytest.raises(ValueError,
+                       match="q_structure must have an all-false diagonal"):
+        GroundTruth(model=model, q_structure=[[True]], p_structure=[[True]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda model: simulate(model, 5, input_kind="provided"),
+     "input_kind='provided' requires U_provided"),
+    (lambda model: simulate(model, 5, input_kind="provided",
+                            U_provided=np.zeros((4, 1))),
+     r"U_provided must have shape \(5, 1\), got \(4, 1\)"),
+    (lambda model: simulate(model, 5, input_kind="uniform"),
+     "unknown input_kind 'uniform'"),
+    (lambda model: scale_noise_for_snr(
+        StateSpaceModel(**{**_GOOD, "A": 1.5 * np.eye(2)}), np.ones((5, 1)), 20.0),
+     "model must be stable to define a steady SNR"),
+], ids=["provided-missing", "provided-shape", "unknown-kind", "unstable-snr"])
+def test_simulate_rejects_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(StateSpaceModel(**_GOOD))
+
+
+# (text to replace, its replacement, the error's line, message) in the model
+# file save_model writes for _GOOD: header lines 1-5, A at 6, R0 at 18
+@pytest.mark.parametrize("old, new, lineno, message", [
+    ("n 2", "q 2", 2, "expected field 'n', found 'q'"),
+    ("n 2", "n", 2, "field 'n' has no value"),
+    ("A", "colour red\nA", 6, "unexpected field 'colour' before matrix A"),
+    ("B", "b", 9, "expected 'B', found 'b'"),
+    ("0.5 0", "0.5", 7, "matrix A row 1: expected 2 values, found 1"),
+    ("0.5 0", "0.5 x", 7, r"matrix A row 1: non-numeric value in '0.5 x'"),
+    ("R0\n1 0\n0 1", "R0\n1 0", 19, "unexpected end of file"),
+], ids=["wrong-key", "no-value", "stray-field", "wrong-literal", "short-row",
+        "non-numeric", "truncated"])
+def test_load_model_rejects_malformed_files(tmp_path, old, new, lineno, message):
+    path = tmp_path / "m.txt"
+    save_model(StateSpaceModel(**_GOOD), path)
+    text = path.read_text()
+    assert f"\n{old}\n" in text
+    path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n", 1))
+    with pytest.raises(FileFormatError, match=f"m.txt:{lineno}: {message}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("k,y1,u1\n1,0.5,1.0\n", 1, "first column must be 't', found 'k'"),
+    ("t,y1,u1\n1,x,1.0\n", 2, "row 1: non-numeric field"),
+    ("t,y1,u1\n1,0.5,1.0\n3,0.5,1.0\n", 3, "row 2: field 't' must be 2, found 3"),
+    ("# netrecon dataset v1\nt,y1,u1\n", 2, "dataset has no rows"),
+], ids=["first-column", "non-numeric", "row-index", "no-rows"])
+def test_load_dataset_csv_rejects_malformed_files(tmp_path, text, lineno, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=f"d.csv:{lineno}: {message}"):
+        load_dataset_csv(path)
 
 
 def test_model_rejects_full_row_rank_c_other_than_i_0(tmp_path):
