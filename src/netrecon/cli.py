@@ -1,7 +1,8 @@
 """Command-line interface: simulate, reconstruct, benchmark, dsf.
 
-Shared flags: --seed (drives every random choice), --config (key-value
-file supplying defaults that explicit flags override), --out.  Config
+Shared flags: --config (key-value file supplying defaults that explicit
+flags override), --out; simulate, reconstruct and benchmark also take
+--seed (drives every random choice; dsf makes none).  Config
 keys are the setting names; flags are those names with '-' for '_'
 (``mask_mode`` is ``--mask-mode``), and a flag is never abbreviated.
 Every subcommand merges its file and flags in ``_settings``.  Exit codes:
@@ -69,7 +70,11 @@ def load_config(path):
 # setting -> type: the schema of each subcommand's flags and config keys
 _SIMULATE_KEYS = {"seed": int, "n_samples": int, "snr_db": float, "p": int,
                   "n": int, "m": int, "density": float}
-_DSF_KEYS = {"seed": int, "rel_tol": float}
+_DSF_KEYS = {"rel_tol": float}
+# the defaults of settings without a library default, each read by the
+# flag's help text and by the command
+_SIMULATE_SEED = 0
+_DSF_REL_TOL = 1e-4
 
 
 def _build_parser():
@@ -91,7 +96,7 @@ def _build_parser():
                      help="simulate this model file instead of generating")
     sim.add_argument("--model-out", default=None,
                      help="write the generated model here")
-    sim.add_argument("--seed", type=int, help="default 0")
+    sim.add_argument("--seed", type=int, help=f"default {_SIMULATE_SEED}")
     sim.add_argument("--config", default=None)
     sim.add_argument("--out", required=True, help="dataset CSV path")
 
@@ -123,8 +128,7 @@ def _build_parser():
     dsf_p = sub.add_parser("dsf", help="extract the DSF and Boolean structure "
                                        "of a saved model")
     dsf_p.add_argument("--model", required=True)
-    dsf_p.add_argument("--rel-tol", type=float, help="default 1e-4")
-    dsf_p.add_argument("--seed", type=int, help="default 0")
+    dsf_p.add_argument("--rel-tol", type=float, help=f"default {_DSF_REL_TOL}")
     dsf_p.add_argument("--config", default=None)
     dsf_p.add_argument("--out", default=None, help="DSF result file path")
     return parser
@@ -162,7 +166,7 @@ def _checked(command, build, *args, **kwargs):
 
 def _cmd_simulate(args, config):
     settings = _settings("simulate", _SIMULATE_KEYS, args, config)
-    seed = settings.get("seed", 0)
+    seed = settings.get("seed", _SIMULATE_SEED)
     n_samples = _required(settings, "n_samples")
     snr_db = settings.get("snr_db")
     _checked("simulate", _check_simulation, n_samples, snr_db)
@@ -225,15 +229,14 @@ def _cmd_benchmark(args, config):
 
 def _cmd_dsf(args, config):
     settings = _settings("dsf", _DSF_KEYS, args, config)
-    seed = settings.get("seed", 0)
-    rel_tol = settings.get("rel_tol", 1e-4)
+    rel_tol = settings.get("rel_tol", _DSF_REL_TOL)
     _checked("dsf", _check_rel_tol, rel_tol)
     model, meta = load_model(args.model)
-    sample = dsf_from_state_space(model, default_q_points(seed=seed))
+    sample = dsf_from_state_space(model, default_q_points())
     graph = boolean_structure(sample, rel_tol)
     if args.out:
         save_dsf_result(args.out, sample, graph,
-                        extra_header=[f"model {args.model}", f"seed {seed}",
+                        extra_header=[f"model {args.model}",
                                       f"rel_tol {rel_tol}"])
     print("Q adjacency (row i, column j: edge j -> i):")
     print("\n".join(adjacency_rows(graph.q_adj)))

@@ -21,9 +21,12 @@ hidden block is eliminated through its resolvent from A21 and B2 alone:
 
 The DSF is evaluated by sampling: every matrix is computed at a set of
 complex points, which works at any size and is all the reconstruction
-reads.  All points go through one batched evaluation, with one solve for
-the resolvent over every point; a point that hits a pole is replaced and
-the batch evaluated again.  The exact rational DSF, built by the
+reads.  The default points lie on the unit circle, where max_q |Q_ij(q)|
+is the sampled peak gain of the edge j -> i.  All points go through one
+batched evaluation, with one solve for the resolvent over every point; a
+point that hits a pole is moved outward by a fixed factor and the batch
+evaluated again, so the sample is a function of the model and the
+points alone.  The exact rational DSF, built by the
 characteristic-polynomial adjugate recursion on the hidden block, is kept
 with the tests as the oracle for this path; it reads the same blocks of A
 and B itself.
@@ -56,7 +59,7 @@ __all__ = [
 
 class DSFError(RuntimeError):
     """DSF evaluation failed: the evaluation points are empty or repeat, or
-    no pole-free points were found."""
+    64 moves did not take every point off the poles."""
 
 
 @dataclass
@@ -99,25 +102,16 @@ class GraphMetrics:
     n_true_edges: int
 
 
-# The annulus |q| in [1.5, 4] from which random evaluation points are drawn,
-# both the default ones and the replacements of points that hit a pole.
-_ANNULUS = (1.5, 4.0)
+def default_q_points():
+    """The read-off's evaluation points: the 32 points e^{i pi (2k+1)/32}
+    on the unit circle, a fresh array on every call."""
+    return np.exp(1j * np.pi * (2 * np.arange(32) + 1) / 32)
 
 
-def default_q_points(seed=0):
-    """Default evaluation points: 16 points on the circle |q| = 2 plus 16
-    points drawn uniformly in the annulus |q| in [1.5, 4] (radii first,
-    then phases, from ``default_rng(seed)``)."""
-    angles = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
-    circle = 2.0 * np.exp(1j * angles)
-    rng = np.random.default_rng(seed)
-    radii = rng.uniform(_ANNULUS[0], _ANNULUS[1], 16)
-    phases = rng.uniform(0.0, 2.0 * np.pi, 16)
-    return np.concatenate([circle, radii * np.exp(1j * phases)])
-
-
-# Most replacement draws dsf_from_state_space makes before giving up.
-_MAX_RESAMPLE = 64
+# The factor a point that hits a pole is moved by, and the most moves
+# dsf_from_state_space makes before giving up.
+_POLE_STEP = 1.05
+_MAX_MOVES = 64
 
 
 def dsf_from_state_space(model, q_points):
@@ -125,20 +119,17 @@ def dsf_from_state_space(model, q_points):
 
     All points are evaluated in one batch.  A point hits a pole when it
     lies within 1e-8 max(1, |q|) of an eigenvalue of the hidden block or of
-    a diagonal entry of W.  Each point that hits one is replaced, in index
-    order, by one draw from the annulus |q| in [1.5, 4] (a draw that
-    repeats a point is dropped, and that point is drawn for again in the
-    next round), and the batch is evaluated again until no point hits a
-    pole.  The draws come from a fixed-seed generator, so the returned
-    points depend on the model and ``q_points`` alone.  Needing more than
-    64 draws raises DSFError.
+    a diagonal entry of W.  Each point that hits one is multiplied by 1.05,
+    in index order, and again while it repeats another point; then the
+    batch is evaluated again, until no point hits a pole.  The returned
+    points are a function of the model and ``q_points`` alone.  Needing
+    more than 64 moves raises DSFError.
     """
     q = np.array(q_points, dtype=complex).ravel()
     if q.size == 0:
         raise DSFError("need at least one evaluation point")
-    if len(np.unique(q)) != q.size:
+    if len(set(q.tolist())) != q.size:
         raise DSFError("q_points must be distinct")
-    rng = np.random.default_rng(0x0D5F)
 
     p = model.p
     A, B = model.A, model.B
@@ -147,7 +138,7 @@ def dsf_from_state_space(model, q_points):
     eig22 = np.linalg.eigvals(A22)
     diag = np.arange(p)
 
-    resamples = 0
+    moves = 0
     while True:
         tol = 1e-8 * np.maximum(1.0, np.abs(q))
         hit = ~np.all(np.abs(q[:, None] - eig22) > tol[:, None], axis=1)
@@ -162,15 +153,14 @@ def dsf_from_state_space(model, q_points):
         if not hit.any():
             break
         for idx in np.flatnonzero(hit):
-            resamples += 1
-            if resamples > _MAX_RESAMPLE:
-                raise DSFError(f"could not find pole-free evaluation points "
-                               f"after {_MAX_RESAMPLE} resamples")
-            radius = rng.uniform(*_ANNULUS)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            candidate = radius * np.exp(1j * phase)
-            if candidate not in q:
-                q[idx] = candidate
+            while True:
+                moves += 1
+                if moves > _MAX_MOVES:
+                    raise DSFError(f"could not find pole-free evaluation points "
+                                   f"after {_MAX_MOVES} moves")
+                q[idx] *= _POLE_STEP
+                if np.count_nonzero(q == q[idx]) == 1:
+                    break
 
     denom = (q[:, None] - d)[..., None]   # q - D_W, per output row
     Qhat = W.copy()

@@ -79,7 +79,10 @@ class ReconConfig:
 
     ``A_init``/``B_init`` warm-start the outer loop; being arrays, they
     have no key in ``RECON_KEYS``.  Every start, given or not, is zero at
-    each entry of [A B] that the mask pins.
+    each entry of [A B] that the mask pins.  ``seed`` seeds the random
+    start of A alone.  The read-off takes no seed: the estimate's DSF is
+    sampled at the fixed ``default_q_points()`` and an edge is kept where
+    its peak gain exceeds ``structure_rel_tol`` times the largest.
 
     A setting that would make the run meaningless raises ValueError: a
     count (``n_states``, ``p22``, ``outer_max_iter``, ``seed``) that is not
@@ -99,7 +102,7 @@ class ReconConfig:
     outer_max_iter: int = 50
     outer_tol: float = 1e-4
     inner: SBLOptions = field(default_factory=SBLOptions)
-    structure_rel_tol: float = 1e-2
+    structure_rel_tol: float = 3e-2
     seed: int | None = None
     A_init: np.ndarray | None = None
     B_init: np.ndarray | None = None
@@ -371,8 +374,7 @@ def reconstruct(data, cfg):
     A, B, sigma2, m0, R0 = params
     model_hat = StateSpaceModel(A=A, B=B, p=p, sigma=float(np.sqrt(sigma2)),
                                 m0=m0, R0=R0)
-    q_points = _dsf.default_q_points(seed=0 if cfg.seed is None else int(cfg.seed))
-    sample = _dsf.dsf_from_state_space(model_hat, q_points)
+    sample = _dsf.dsf_from_state_space(model_hat, _dsf.default_q_points())
     network = _dsf.boolean_structure(sample, cfg.structure_rel_tol)
     return ReconResult(A_hat=A, B_hat=B, sigma2_hat=float(sigma2),
                        m0_hat=m0, R0_hat=R0, dsf=sample, network=network,

@@ -66,7 +66,7 @@ def test_reconstruct_roundtrip_and_determinism(tmp_path):
 def test_dsf_prints_adjacency_matching_exact_path(tmp_path, capsys):
     out = tmp_path / "dsf.txt"
     code = run_cli(["dsf", "--model", FIXTURES / "sample_model.txt",
-                    "--seed", 1, "--out", out])
+                    "--out", out])
     assert code == 0
     printed = capsys.readouterr().out.strip().splitlines()
     rows = [line.split() for line in printed[1:4]]
@@ -75,6 +75,23 @@ def test_dsf_prints_adjacency_matching_exact_path(tmp_path, capsys):
     Q, _, _ = exact_dsf_small(model)
     assert np.array_equal(got, Q.zero_pattern())
     assert out.exists()
+
+
+def test_dsf_takes_no_seed(tmp_path, capsys):
+    # the read-off points are fixed: a seed flag or key is a usage error,
+    # and the result file's header names no seed
+    model = FIXTURES / "sample_model.txt"
+    out = tmp_path / "dsf.txt"
+    assert run_cli(["dsf", "--model", model, "--seed", 1, "--out", out]) == 1
+    assert "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "dsf.cfg"
+    cfg.write_text("seed = 1\n")
+    assert run_cli(["dsf", "--model", model, "--config", cfg, "--out", out]) == 1
+    assert "unknown dsf config key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["dsf", "--model", model, "--out", out]) == 0
+    header = [l for l in out.read_text().splitlines() if l.startswith("# ")]
+    assert header == ["# netrecon dsf v1", f"# model {model}", "# rel_tol 0.0001"]
 
 
 def test_benchmark_tiny_config(tmp_path):

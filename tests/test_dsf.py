@@ -40,7 +40,7 @@ def test_diagonal_of_q_is_exactly_zero():
     rng = np.random.default_rng(0)
     for _ in range(5):
         model = random_model(rng, n=7, p=3, m=3)
-        fs = dsf_from_state_space(model, default_q_points(seed=1))
+        fs = dsf_from_state_space(model, default_q_points())
         diag = np.diagonal(fs.Q_vals, axis1=1, axis2=2)
         assert np.all(diag == 0.0)
 
@@ -56,7 +56,7 @@ def test_strict_properness_decay_on_real_ray():
 
 def test_exact_matches_sampled_on_fixed_seed_instance():
     gt = generate_random_network(p=3, n=6, m=3, density=0.2, seed=7)
-    pts = default_q_points(seed=3)
+    pts = default_q_points()
     fs = dsf_from_state_space(gt.model, pts)
     Q, P, H = exact_dsf_small(gt.model)
     for exact, sampled in [(Q, fs.Q_vals), (P, fs.P_vals), (H, fs.H_vals)]:
@@ -111,7 +111,7 @@ def test_exact_rejects_large_hidden_block():
 def test_hidden_block_invariance():
     # transforming the unmeasured coordinates leaves (Q, P, H) unchanged
     rng = np.random.default_rng(4)
-    pts = default_q_points(seed=9)
+    pts = default_q_points()
     for trial in range(5):
         n, p = 7, 3
         model = random_model(rng, n=n, p=p, m=p, with_D=True)
@@ -130,13 +130,32 @@ def test_hidden_block_invariance():
             assert np.abs(x - y).max() <= 1e-8 * scale
 
 
-def test_pole_collision_resamples():
+def test_default_points_are_fixed_on_the_unit_circle():
+    expected = np.exp(1j * np.pi * (2 * np.arange(32) + 1) / 32)
+    pts = default_q_points()
+    assert np.array_equal(pts, expected)
+    pts[0] = 5.0   # each call returns its own array
+    assert np.array_equal(default_q_points(), expected)
+
+
+def test_pole_collision_moves_the_point_outward():
     # hidden eigenvalue exactly at the requested point
     A = np.array([[0.1, 1.0], [0.0, 2.0]])
     model = identity_output_model(A, p=1, B=np.array([[1.0], [0.0]]))
     fs = dsf_from_state_space(model, [2.0])
-    assert fs.q_points[0] != 2.0
+    assert fs.q_points[0] == 2.0 * 1.05
     assert np.all(np.isfinite(fs.Q_vals))
+    # a moved point that lands on another point moves on
+    fs = dsf_from_state_space(model, [2.0, 2.1])
+    assert fs.q_points.tolist() == [2.0 * 1.05 * 1.05, 2.1]
+
+
+def test_pole_collision_gives_up_after_64_moves():
+    # a pole at 0 holds the point 0 however often it is scaled
+    model = identity_output_model([[0.5, 1.0], [0.0, 0.0]], p=1,
+                                  B=np.array([[1.0], [0.0]]))
+    with pytest.raises(DSFError, match="after 64 moves"):
+        dsf_from_state_space(model, [1.0, 0.0])
 
 
 def test_rejects_duplicate_or_empty_points():
@@ -156,13 +175,14 @@ def test_several_pole_collisions_are_replaced_and_the_rest_kept():
                   [0.2, 0.8, 0.0, 2.5]])
     B = np.array([[1.0, 0.2], [0.0, 0.9], [0.4, -0.3], [-0.5, 0.6]])
     model = identity_output_model(A, sigma=0.7, B=B, D=[[0.3, 0.0], [-0.2, 0.5]], p=2)
-    requested = default_q_points(seed=4)
+    requested = default_q_points()
     hits = [3, 10, 20]
     requested[hits] = [2.0, 2.5, 3.0]
 
     fs = dsf_from_state_space(model, requested)
     moved = np.flatnonzero(fs.q_points != requested)
     assert moved.tolist() == hits
+    assert np.array_equal(fs.q_points[hits], 1.05 * requested[hits])
     for vals in (fs.Q_vals, fs.P_vals, fs.H_vals):
         assert np.all(np.isfinite(vals))
     again = dsf_from_state_space(model, requested)
@@ -180,7 +200,7 @@ def test_several_pole_collisions_are_replaced_and_the_rest_kept():
 def test_each_point_is_evaluated_as_on_its_own(n, p, m):
     # (110, 40, 40) is the full-scale size: p=40 outputs, 70 hidden states
     model = random_model(np.random.default_rng(n), n=n, p=p, m=m, with_D=True)
-    batch = dsf_from_state_space(model, default_q_points(seed=6))
+    batch = dsf_from_state_space(model, default_q_points())
     for i, qi in enumerate(batch.q_points):
         one = dsf_from_state_space(model, [qi])
         assert one.q_points[0] == qi
@@ -192,14 +212,14 @@ def test_each_point_is_evaluated_as_on_its_own(n, p, m):
 
 def test_boolean_structure_two_node_example():
     model = identity_output_model([[0.0, 0.5], [0.3, 0.0]])
-    fs = dsf_from_state_space(model, default_q_points(seed=2))
+    fs = dsf_from_state_space(model, default_q_points())
     g = boolean_structure(fs, rel_tol=1e-4)
     assert np.array_equal(g.q_adj, [[False, True], [True, False]])
 
 
 def test_boolean_structure_zero_matrix():
     model = identity_output_model(np.zeros((2, 2)), B=np.zeros((2, 2)), sigma=1.0)
-    fs = dsf_from_state_space(model, default_q_points(seed=5))
+    fs = dsf_from_state_space(model, default_q_points())
     g = boolean_structure(fs, rel_tol=1e-4)
     assert not g.q_adj.any()
     assert not g.p_adj.any()
@@ -207,7 +227,7 @@ def test_boolean_structure_zero_matrix():
 
 def test_boolean_structure_matches_exact_zero_pattern():
     gt = generate_random_network(p=10, n=12, m=10, density=0.1, seed=5)
-    fs = dsf_from_state_space(gt.model, default_q_points(seed=6))
+    fs = dsf_from_state_space(gt.model, default_q_points())
     g = boolean_structure(fs, rel_tol=1e-4)
     Q, P, _ = exact_dsf_small(gt.model)
     assert np.array_equal(g.q_adj, Q.zero_pattern())
@@ -279,7 +299,7 @@ def test_edge_auc_counts_a_tie_as_half():
 def test_save_dsf_result_deterministic(tmp_path):
     rng = np.random.default_rng(6)
     model = random_model(rng, n=4, p=2, m=2)
-    fs = dsf_from_state_space(model, default_q_points(seed=7))
+    fs = dsf_from_state_space(model, default_q_points())
     g = boolean_structure(fs, 1e-4)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     save_dsf_result(p1, fs, g, extra_header=["seed 7"])
@@ -291,7 +311,7 @@ def test_save_dsf_result_deterministic(tmp_path):
 @pytest.mark.parametrize("rel_tol", [float("nan"), 1.0, 1.5, -1.0])
 def test_boolean_structure_rejects_a_threshold_outside_unit_interval(rel_tol):
     model = identity_output_model([[0.0, 0.5], [0.3, 0.0]])
-    fs = dsf_from_state_space(model, default_q_points(seed=2))
+    fs = dsf_from_state_space(model, default_q_points())
     with pytest.raises(ValueError, match=r"rel_tol must be in \[0, 1\)"):
         boolean_structure(fs, rel_tol)
     assert boolean_structure(fs, 0.0).q_adj.sum() == 2

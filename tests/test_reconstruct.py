@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netrecon
 from netrecon import (StateSpaceModel, ReconConfig, IdentifiabilityError, p22_sweep,
                       reconstruct, unpack_w, pack_w, converged, simulate,
                       generate_random_network, graph_compare, NetworkGraph,
@@ -139,6 +144,41 @@ def test_reconstruction_is_deterministic():
     assert len(a.trace) == len(b.trace)
     for ra, rb in zip(a.trace, b.trace):
         assert ra == rb
+
+
+def test_read_off_does_not_depend_on_the_seed():
+    # with the start given, the seed has nothing left to seed: estimates,
+    # DSF sample points and network are the same under any seed
+    truth = generate_random_network(p=3, n=6, m=3, density=0.2, seed=31)
+    data = simulate(truth.model, 150, snr_db=20.0, seed=32)
+    A = np.random.default_rng(34).standard_normal((7, 7))
+    A *= 0.5 / np.abs(np.linalg.eigvals(A)).max()
+    a, b = (reconstruct(data, ReconConfig(n_states=7, seed=seed, outer_max_iter=8,
+                                          A_init=A, B_init=np.eye(7, 3)))
+            for seed in (1, 2))
+    assert np.array_equal(a.A_hat, b.A_hat)
+    assert np.array_equal(a.dsf.q_points, b.dsf.q_points)
+    assert np.array_equal(a.dsf.Q_vals, b.dsf.Q_vals)
+    assert np.array_equal(a.network.q_adj, b.network.q_adj)
+    assert np.array_equal(a.network.p_adj, b.network.p_adj)
+
+
+def test_reconstruct_does_not_import_numpy_ma():
+    # numpy loads numpy.ma on the first use of some routines (a complex
+    # np.unique among them), an import no reconstruction needs
+    code = """
+import sys
+from netrecon import ReconConfig, generate_random_network, reconstruct, simulate
+truth = generate_random_network(p=2, n=3, m=2, density=0.5, seed=1)
+data = simulate(truth.model, 40, snr_db=20.0, seed=2)
+reconstruct(data, ReconConfig(n_states=3, seed=3, outer_max_iter=2))
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(netrecon.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_classical_em_monotone_loglik():
