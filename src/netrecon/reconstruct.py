@@ -7,9 +7,10 @@ B u_{k-1} + sigma w_k and y_k = C x_k + sigma v_k.  One outer iteration
 ones: it smooths the state sequence in units of the current scale, where
 the unit-covariance filter is exact, re-estimates the initial-state
 moments, fits (A, B) on the exact smoothed second moments, and updates
-sigma^2 from the pooled expected state and measurement residual.  On
-convergence the dynamical structure function of the estimate is sampled
-and thresholded into a Boolean network.
+sigma^2 from the pooled expected state and measurement residual.  After
+the last iteration, whether the run converged, hit its cap or diverged,
+the dynamical structure function of the estimate is sampled and
+thresholded into a Boolean network.
 
 The prior mode only decides how (A, B) are fitted; both fit under the
 same identifiability mask, and both take (A, B) from the mean of one
@@ -31,7 +32,7 @@ import numpy as np
 from . import dsf as _dsf
 from .fileio import adjacency_rows, fmt, fmt_row, record_lines, write_text
 from .model import StateSpaceModel
-from .sbl import (MASK_MODES, SBLOptions, identifiability_mask,
+from .sbl import (MASK_MODES, identifiability_mask,
                   initial_sbl_state, posterior, sbl_em, regression_from_moments,
                   moment_rss, unpack_w, pack_w, _check_number_fields)
 from .smoother import (FilterDivergedError, PassBuffers, expectation_sums,
@@ -75,14 +76,17 @@ class ReconConfig:
     sigma^2 from the pooled state and measurement residual.  The sparse
     inner loop works on the exact smoothed second moments and starts
     afresh in every outer iteration, so support decisions made against
-    early, poor state estimates are not locked in.
+    early, poor state estimates are not locked in.  It runs at the fixed
+    ``SBLOptions()`` defaults.
 
     ``A_init``/``B_init`` warm-start the outer loop; being arrays, they
-    have no key in ``RECON_KEYS``.  Every start, given or not, is zero at
-    each entry of [A B] that the mask pins.  ``seed`` seeds the random
-    start of A alone.  The read-off takes no seed: the estimate's DSF is
-    sampled at the fixed ``default_q_points()`` and an edge is kept where
-    its peak gain exceeds ``structure_rel_tol`` times the largest.
+    have no key in ``RECON_KEYS``, and the config keeps read-only float
+    copies of them, compared by shape and bytes.  Every start, given or
+    not, is zero at each entry of [A B] that the mask pins.  ``seed``
+    seeds the random start of A alone.  The read-off takes no seed: the
+    estimate's DSF is sampled at the fixed ``default_q_points()`` and an
+    edge is kept where its peak gain exceeds ``structure_rel_tol`` times
+    the largest.
 
     A setting that would make the run meaningless raises ValueError: a
     count (``n_states``, ``p22``, ``outer_max_iter``, ``seed``) that is not
@@ -101,14 +105,18 @@ class ReconConfig:
     prior_mode: str = "sbl"
     outer_max_iter: int = 50
     outer_tol: float = 1e-4
-    inner: SBLOptions = field(default_factory=SBLOptions)
     structure_rel_tol: float = 3e-2
-    seed: int | None = None
+    seed: int = 0
     A_init: np.ndarray | None = None
     B_init: np.ndarray | None = None
 
     def __post_init__(self):
         _check_number_fields(self)
+        for name in ("A_init", "B_init"):   # read-only copies of the starts
+            if (start := getattr(self, name)) is not None:
+                start = np.array(start, dtype=float)
+                start.flags.writeable = False
+                object.__setattr__(self, name, start)
         if self.mask_mode not in MASK_MODES:
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
         if self.mask_mode == "p_diag" and (self.p22 is None or self.p22 < 0):
@@ -122,23 +130,23 @@ class ReconConfig:
             raise ValueError(f"outer_tol must be nonnegative, got {self.outer_tol}")
         _dsf._check_rel_tol(self.structure_rel_tol, "structure_rel_tol")
 
+    def _key(self):   # the fields, each start as its shape and bytes
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
 
-def _scalar_fields(cls, prefix=""):
-    """(key, type) of each scalar field; SBLOptions nests as inner_<field>."""
-    for f in fields(cls):
-        if f.name == "inner":
-            yield from _scalar_fields(SBLOptions, "inner_")
-            continue
-        kind = [k for k in typing.get_args(f.type) or (f.type,)
-                if k is not type(None)][0]
-        if kind in (int, float, str):   # not the A_init/B_init arrays
-            yield prefix + f.name, kind
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-# Flat key -> type of every reconstruction setting: the one key set of the
-# reconstruct config keys, benchmark recon_<key> entries and the result-file
-# config echo; each CLI flag is its key with '-' for '_'.
-RECON_KEYS = dict(_scalar_fields(ReconConfig))
+# Key -> type of each ReconConfig field but the A_init/B_init arrays (an
+# ``int | None`` field reads as int): the one key set of the reconstruct
+# config keys, benchmark recon_<key> entries and the result-file config
+# echo; each CLI flag is its key with '-' for '_'.
+RECON_KEYS = {f.name: (typing.get_args(f.type) or (f.type,))[0]
+              for f in fields(ReconConfig) if not f.name.endswith("_init")}
 
 
 def recon_config(settings):
@@ -146,38 +154,27 @@ def recon_config(settings):
 
     Keys are the setting names, those of ``RECON_KEYS``; flags are those
     names with '-' for '_'.  String values are parsed to the key's type.
-    Keys left out keep the defaults, the nested SBLOptions' included.  A
-    missing ``n_states``, an unknown key, an unparsable value or a setting
-    the configs reject raises ValueError that names the flat key
-    (``inner_max_iter``, not ``max_iter``).
+    Keys left out keep the defaults.  A missing ``n_states``, an unknown
+    key, an unparsable value or a setting the config rejects raises
+    ValueError that names the key.
     """
-    top, inner = {}, {}
+    values = {}
     for key, raw in settings.items():
         if key not in RECON_KEYS:
             raise ValueError(f"unknown reconstruction setting '{key}'")
         try:
-            value = RECON_KEYS[key](raw) if isinstance(raw, str) else raw
+            values[key] = RECON_KEYS[key](raw) if isinstance(raw, str) else raw
         except ValueError:
             raise ValueError(f"setting '{key}': cannot parse {raw!r}") from None
-        if key.startswith("inner_"):
-            inner[key[len("inner_"):]] = value
-        else:
-            top[key] = value
-    if "n_states" not in top:
+    if "n_states" not in values:
         raise ValueError("missing required setting 'n_states'")
-    cfg = ReconConfig(**top)
-    try:
-        return _dc_replace(cfg, inner=_dc_replace(cfg.inner, **inner))
-    except ValueError as exc:   # SBLOptions names its field first
-        raise ValueError(f"inner_{exc}") from None
+    return ReconConfig(**values)
 
 
 def recon_settings(cfg):
     """The flat ``{key: value}`` view of ``cfg`` over ``RECON_KEYS``; the
     inverse of :func:`recon_config`."""
-    return {key: getattr(cfg.inner, key[len("inner_"):])
-            if key.startswith("inner_") else getattr(cfg, key)
-            for key in RECON_KEYS}
+    return {key: getattr(cfg, key) for key in RECON_KEYS}
 
 
 @dataclass
@@ -255,7 +252,7 @@ def _initial_parameters(n, m, mask, Y, cfg):
             raise ValueError(f"{name} must have shape {free.shape}")
     if A is None:
         rng = np.random.default_rng(np.random.SeedSequence(
-            [0 if cfg.seed is None else int(cfg.seed), 0x1A17]))
+            [int(cfg.seed), 0x1A17]))
         A = np.where(freeA, rng.standard_normal((n, n)), 0.0)
         A *= 0.5 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
     B = np.eye(n, m) if B is None else B
@@ -304,8 +301,7 @@ def _em_step(data, params, mask, cfg, bufs):
 
     reg = regression_from_moments(es)
     if cfg.prior_mode == "sbl":
-        st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0),
-                    opts=cfg.inner)
+        st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0))
         mu_w = st.mu_w
         fit = dict(n_active=int(st.active.sum()), inner_iterations=st.iteration,
                    gamma_max=float(st.gamma.max()),
@@ -403,8 +399,9 @@ def p22_sweep(data, cfg):
 
 
 def save_result(path, result, config_echo):
-    """Write the reconstruction result file (parameters, adjacencies, DSF
-    samples, per-iteration trace, and the full effective configuration)."""
+    """Write the reconstruction result file (parameters, adjacencies, the
+    DSF's sample points, per-iteration trace, and the full effective
+    configuration); the DSF values themselves are not written."""
     n = result.A_hat.shape[0]
     m = result.B_hat.shape[1]
     lines = ["# netrecon result v1", f"status {result.status}",

@@ -248,8 +248,9 @@ def _check_number_fields(obj):
 
 @dataclass(frozen=True)
 class SBLOptions:
-    """Inner-loop controls: an integer count of at least one iteration,
-    nonnegative numbers as tolerances (a NaN or None is rejected)."""
+    """Inner-loop controls of :func:`sbl_em`: an integer count of at least
+    one iteration, nonnegative numbers as tolerances (a NaN or None is
+    rejected).  ``reconstruct`` always fits at these defaults."""
 
     max_iter: int = 60
     tol: float = 1e-6

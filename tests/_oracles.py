@@ -29,6 +29,10 @@ on the hidden block, so it shares no evaluation code with the sampled
 path.  The outputs are the first p states (C = [I 0]), so it partitions
 A and B into their measured and hidden blocks itself, and the noise
 coupling sigma [I; 0] into sigma I and a zero hidden block.
+
+``random_pdiag_network`` is a data generator, not an oracle: it draws
+truths of the p_diag class, which the library's generator (diag_b class
+only) does not, on the library's own mask and closure rule.
 """
 
 import warnings
@@ -614,3 +618,44 @@ def exact_dsf_small(model, max_hidden=12):
                                for i in range(len(nums))])
 
     return build(q_nums, p), build(p_nums, m), build(h_nums, p)
+
+
+def random_pdiag_network(p, n, p22, seed, density=0.1):
+    """A random stable system of the p_diag(p22) class, m = p, as a
+    ``GroundTruth``.
+
+    A is nonzero on a ``density`` share of the mask's free entries, and
+    on every c_i (A12's diagonal block) and a_i (A22's) for i < p11 =
+    p - p22, with entries uniform on +-[0.5, 1.0], then scaled to a
+    spectral radius uniform in [0.5, 0.95].  Input i, with gain b_i
+    uniform in [0.5, 1.5], enters hidden state i through B2's diagonal
+    block for i < p11 and output i through B1's diagonal after that, so
+    P is diagonal.  Q's structure is the closure of A's zero pattern, as
+    for ``generate_random_network``; a draw whose Q has no edge is redrawn.
+    """
+    from netrecon import (GroundTruth, StateSpaceModel, identifiability_mask,
+                          unpack_w)
+    from netrecon.model import _q_closure
+
+    rng = np.random.default_rng(seed)
+    p11 = p - p22
+    free = unpack_w(identifiability_mask(n, p, p, "p_diag", p22).free, n, p)[0]
+    hidden = p + np.arange(p11)
+    while True:
+        pattern = (free == 1.0) & (rng.random((n, n)) < density)
+        pattern[np.arange(p11), hidden] = True      # c_i
+        pattern[hidden, hidden] = True              # a_i
+        signs = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+        A = np.where(pattern, signs * rng.uniform(0.5, 1.0, (n, n)), 0.0)
+        q_structure = _q_closure(A, p)
+        if q_structure.any():
+            break
+    A *= rng.uniform(0.5, 0.95) / np.max(np.abs(np.linalg.eigvals(A)))
+    b = rng.uniform(0.5, 1.5, p)
+    B = np.zeros((n, p))
+    B[hidden, np.arange(p11)] = b[:p11]
+    B[np.arange(p11, p), np.arange(p11, p)] = b[p11:]
+    model = StateSpaceModel(A=A, B=B, p=p, sigma=1.0, m0=np.zeros(n),
+                            R0=np.eye(n))
+    return GroundTruth(model=model, q_structure=q_structure,
+                       p_structure=np.eye(p, dtype=bool))

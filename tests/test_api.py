@@ -69,7 +69,7 @@ def test_sbl_options_reject_meaningless_settings(kwargs):
     {"structure_rel_tol": NAN}, {"structure_rel_tol": -0.1},
     {"structure_rel_tol": 1.0}, {"prior_mode": "bogus"},
     {"mask_mode": "bogus"}, {"mask_mode": "p_diag"},
-    {"mask_mode": "p_diag", "p22": -1},
+    {"mask_mode": "p_diag", "p22": -1}, {"seed": None},
 ], ids=_id)
 def test_recon_config_rejects_meaningless_settings(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -94,6 +94,7 @@ def test_boundary_settings_stay_valid():
 
 @pytest.mark.parametrize("kwargs", [
     {"n_networks": 0}, {"parallelism": 0}, {"recon": {"inner_max_iter": 0}},
+    {"recon": {"outer_max_iter": 0}},
     {"snr_list": (float("nan"), 20.0)}, {"snr_list": ()}, {"density": 5.0},
     {"p": 2, "m": 2, "n_true": 1, "n_assumed": 5}, {"N_samples": 0},
     {"N_samples": 1},
@@ -192,8 +193,8 @@ def test_cli_rejects_a_nan_failure_threshold(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, config, message", [
-    (["--inner-max-iter", "0"], "", "inner_max_iter must be at least 1"),
-    ([], "inner_max_iter = 0\n", "inner_max_iter must be at least 1"),
+    (["--inner-max-iter", "5"], "", "unrecognized arguments: --inner-max-iter"),
+    ([], "inner_max_iter = 5\n", "unknown reconstruct config key 'inner_max_iter'"),
     (["--mask-mode", "bogus"], "", "unknown mask_mode 'bogus'"),
     ([], "mask_mode = p_diag\n", "mask_mode 'p_diag' needs p22 >= 0"),
 ], ids=["inner-flag", "inner-config", "mask-flag", "p-diag-config"])
@@ -210,10 +211,12 @@ def test_cli_rejects_a_setting_before_reading_the_data(tmp_path, capsys,
 
 
 def test_nested_setting_error_names_the_flat_key():
-    with pytest.raises(ValueError, match="inner_max_iter must be at least 1"):
-        recon_config({"n_states": 3, "inner_max_iter": 0})
-    with pytest.raises(ValueError, match="inner_tol must be nonnegative"):
-        recon_config({"n_states": 3, "inner_tol": "-1"})
+    # the SBL options are no longer settings: each former inner_<field>
+    # key is an unknown setting, named by its flat key
+    for key in ("inner_max_iter", "inner_tol", "inner_prune_tol"):
+        with pytest.raises(ValueError,
+                           match=f"unknown reconstruction setting '{key}'"):
+            recon_config({"n_states": 3, key: "1"})
 
 
 def test_unconstrained_mask_is_rejected_everywhere(tmp_path, capsys):
@@ -231,5 +234,21 @@ def test_unconstrained_mask_is_rejected_everywhere(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_inner_loop_has_one_default_set():
-    assert SBLOptions() == ReconConfig(n_states=1).inner
+def test_inner_loop_has_one_default_set(monkeypatch):
+    # reconstruct fits at SBLOptions(), and no config can change that
+    rec = importlib.import_module("netrecon.reconstruct")
+    from netrecon import simulate
+    from _oracles import random_stable_model
+    with pytest.raises(TypeError, match="inner"):
+        ReconConfig(n_states=3, inner=SBLOptions(max_iter=5))
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("opts"))
+        return netrecon.sbl_em(*args, **kwargs)
+
+    monkeypatch.setattr(rec, "sbl_em", spy)
+    model = random_stable_model(np.random.default_rng(5), 3, 2, 2, sigma=0.1)
+    data = simulate(model, N=40, seed=6)
+    rec.reconstruct(data, ReconConfig(n_states=3, outer_max_iter=2))
+    assert calls and set(calls) == {None}   # one fit per outer iteration

@@ -345,7 +345,7 @@ def _result_blocks(path):
 
 
 def test_reconstruct_matches_library(tmp_path):
-    from netrecon import ReconConfig, SBLOptions, reconstruct
+    from netrecon import ReconConfig, reconstruct
     data_path = tmp_path / "d.csv"
     assert run_cli(["simulate", "--p", 3, "--n", 6, "--m", 3, "--density",
                     "0.3", "--n-samples", 120, "--snr-db", 20, "--seed", 1,
@@ -353,9 +353,9 @@ def test_reconstruct_matches_library(tmp_path):
     data = load_dataset_csv(data_path)
     cases = [
         ([], ReconConfig(n_states=7, seed=7)),
-        (["--inner-max-iter", 20, "--structure-rel-tol", 0.05],
+        (["--outer-max-iter", 20, "--structure-rel-tol", 0.05],
          ReconConfig(n_states=7, seed=7, structure_rel_tol=0.05,
-                     inner=SBLOptions(max_iter=20, prune_tol=1e-5))),
+                     outer_max_iter=20)),
     ]
     for i, (flags, cfg) in enumerate(cases):
         out = tmp_path / f"r{i}.txt"
@@ -368,14 +368,14 @@ def test_reconstruct_matches_library(tmp_path):
         assert np.array_equal(np.array(blocks["q_adjacency"], dtype=int),
                               expected.network.q_adj.astype(int))
         echoed = {row[0] for row in blocks["config"]}
-        assert set(RECON_KEYS) <= echoed
-        assert {"inner_prune_tol", "prior_mode"} <= echoed
+        assert echoed == set(RECON_KEYS) | {"data"}
+        assert ["seed", "7"] in blocks["config"]
 
 
 def test_benchmark_rejects_unknown_config_keys(tmp_path, capsys):
     base = ("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
             "density = 0.4\nn_samples = 40\nsnr_list = 30\n")
-    for bad in ("recon_inner_max_iters = 5", "n_network = 2", "recon_seed = 3"):
+    for bad in ("recon_inner_max_iter = 5", "n_network = 2", "recon_seed = 3"):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(base + bad + "\n")
         out = tmp_path / "t.csv"
@@ -558,8 +558,7 @@ _BENCH_CFG = ("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 7\nm = 2\n"
 _SETTING_VALUES = {"n_states": "6", "mask_mode": "p_diag", "p22": "2",
                    "prior_mode": "ml", "outer_max_iter": "8",
                    "outer_tol": "0.001", "structure_rel_tol": "0.05",
-                   "seed": "4", "inner_max_iter": "20", "inner_tol": "1e-05",
-                   "inner_prune_tol": "0.0001"}
+                   "seed": "4"}
 
 
 @pytest.mark.parametrize("key", RECON_KEYS)
@@ -658,6 +657,36 @@ def test_removed_mask_spellings_are_rejected(tmp_path, capsys, flag, line,
             build()
 
 
+@pytest.mark.parametrize("key", ["inner_max_iter", "inner_tol",
+                                 "inner_prune_tol"])
+def test_removed_inner_key_is_unknown_everywhere(tmp_path, capsys, key):
+    # the inner SBL loop runs at SBLOptions(); its former keys read nowhere
+    # and are named before the data (which does not exist) is read
+    from netrecon.bench import _BENCH_KEYS
+    out = tmp_path / "r.txt"
+    data = ["reconstruct", "--data", tmp_path / "none.csv", "--out", out]
+    rec = tmp_path / "rec.cfg"
+    rec.write_text(f"n_states = 7\n{key} = 5\n")
+    bench = tmp_path / "bench.cfg"
+    bench.write_text(_BENCH_CFG + f"recon_{key} = 5\n")
+    flag = "--" + key.replace("_", "-")
+    for args, message in (
+            ([*data, "--n-states", 7, flag, 5], f"unrecognized arguments: {flag}"),
+            ([*data, "--config", rec],
+             f"unknown reconstruct config key '{key}'"),
+            (["benchmark", "--config", bench, "--quiet", "--out", out],
+             f"unknown benchmark config key 'recon_{key}'")):
+        assert run_cli(args) == 1
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+    for build in (lambda: recon_config({"n_states": 7, key: 5}),
+                  lambda: BenchConfig(recon={key: 5})):
+        with pytest.raises(ValueError,
+                           match=f"unknown reconstruction setting '{key}'"):
+            build()
+    assert key not in RECON_KEYS and f"recon_{key}" not in _BENCH_KEYS
+
+
 def test_mask_setting_reads_alike_in_every_place(tmp_path, built):
     # one set of settings as reconstruct flags, a reconstruct config file
     # (through the CLI and through recon_config(load_config(...))),
@@ -666,22 +695,22 @@ def test_mask_setting_reads_alike_in_every_place(tmp_path, built):
     out = ["--out", tmp_path / "out.txt"]
     rec = tmp_path / "rec.cfg"
     rec.write_text("n_states = 7\nmask_mode = p_diag\np22 = 1\nouter_max_iter = 8\n"
-                   "inner_max_iter = 20\nseed = 3\n")
+                   "structure_rel_tol = 0.05\nseed = 3\n")
     bench = tmp_path / "bench.cfg"
     bench.write_text(_BENCH_CFG + "recon_mask_mode = p_diag\nrecon_p22 = 1\n"
-                     "recon_outer_max_iter = 8\nrecon_inner_max_iter = 20\n")
+                     "recon_outer_max_iter = 8\nrecon_structure_rel_tol = 0.05\n")
     for args in (["reconstruct", "--data", "d.csv", "--n-states", 7,
                   "--mask-mode", "p_diag", "--p22", 1, "--outer-max-iter", 8,
-                  "--inner-max-iter", 20, "--seed", 3, *out],
+                  "--structure-rel-tol", 0.05, "--seed", 3, *out],
                  ["reconstruct", "--data", "d.csv", "--config", rec, *out],
                  ["benchmark", "--config", bench, "--quiet", *out]):
         _build(args)
     configs = (built[:2] + [_cell_recon_config(built[2], 3)]
                + [recon_config(load_config(rec))])
     expected = recon_config({"n_states": 7, "mask_mode": "p_diag", "p22": 1,
-                             "outer_max_iter": 8, "inner_max_iter": 20,
+                             "outer_max_iter": 8, "structure_rel_tol": 0.05,
                              "seed": 3})
-    assert expected.mask_mode == "p_diag" and expected.inner.max_iter == 20
+    assert expected.mask_mode == "p_diag" and expected.structure_rel_tol == 0.05
     assert configs == [expected] * 4
 
 

@@ -255,6 +255,26 @@ def test_p22_sweep_skips_infeasible():
     assert [p22 for p22, _ in results] == [2, 3]
 
 
+def test_p_diag_reads_its_own_class_better_than_diag_b():
+    # p_diag(5) truths, p=10, 25 true and 30 assumed states, N=1000, 40 dB:
+    # half their inputs enter through a hidden state, which diag_b's B =
+    # [diag(b); 0] cannot express, so only p_diag's mask ranks their edges
+    from netrecon import edge_auc, identifiability_mask
+    from _oracles import random_pdiag_network
+    free = identifiability_mask(25, 10, 10, "p_diag", 5).free
+    auc = {"p_diag": [], "diag_b": []}
+    for k in range(3):
+        truth = random_pdiag_network(p=10, n=25, p22=5, seed=k)
+        assert not pack_w(truth.model.A, truth.model.B)[~free].any()
+        data = simulate(truth.model, N=1000, snr_db=40.0, seed=100 + k)
+        graph = NetworkGraph(q_adj=truth.q_structure, p_adj=truth.p_structure)
+        for mode, p22 in (("p_diag", 5), ("diag_b", None)):
+            res = reconstruct(data, ReconConfig(n_states=30, mask_mode=mode,
+                                                p22=p22))
+            auc[mode].append(edge_auc(res.dsf, graph))
+    assert np.mean(auc["p_diag"]) >= np.mean(auc["diag_b"]) + 0.05
+
+
 def test_oracle_start_on_noise_free_data_is_perfect():
     # exact truth as the initial iterate and zero noise: structure recovery
     # must be perfect on every run
@@ -277,19 +297,19 @@ def test_recon_config_flat_settings():
     from netrecon import RECON_KEYS, recon_config, recon_settings
     default = ReconConfig(n_states=4)
     assert recon_config({"n_states": "4"}) == default
-    assert recon_settings(default)["inner_prune_tol"] == default.inner.prune_tol
+    assert recon_settings(default)["seed"] == default.seed == 0
     cfg = recon_config({"n_states": "6", "mask_mode": "p_diag", "p22": "1",
-                        "inner_max_iter": "7", "inner_tol": "1e-3",
+                        "outer_max_iter": "7", "outer_tol": "1e-3",
                         "structure_rel_tol": 0.5})
     assert cfg == dataclasses.replace(
         default, n_states=6, mask_mode="p_diag", p22=1, structure_rel_tol=0.5,
-        inner=dataclasses.replace(default.inner, max_iter=7, tol=1e-3))
+        outer_max_iter=7, outer_tol=1e-3)
     assert recon_config(recon_settings(cfg)) == cfg
-    assert "A_init" not in RECON_KEYS and "inner" not in RECON_KEYS
-    assert len(RECON_KEYS) == 11
-    for bad, match in [({"n_states": 4, "inner_max_iters": 5}, "inner_max_iters"),
+    assert "A_init" not in RECON_KEYS and "inner_max_iter" not in RECON_KEYS
+    assert len(RECON_KEYS) == 8
+    for bad, match in [({"n_states": 4, "inner_max_iter": 5}, "inner_max_iter"),
                        ({"n_states": "four"}, "n_states"),
-                       ({"n_states": 4, "inner_tol": "maybe"}, "maybe"),
+                       ({"n_states": 4, "outer_tol": "maybe"}, "maybe"),
                        ({"seed": 1}, "n_states")]:
         with pytest.raises(ValueError, match=match):
             recon_config(bad)
@@ -596,6 +616,43 @@ def test_initial_parameters_zero_at_every_pinned_entry(mask_mode, p22):
         assert np.count_nonzero(~freeA) == 10
 
 
+def _start_configs():
+    """Two configs built from equal but distinct start arrays, and the
+    arrays given to the first."""
+    rng = np.random.default_rng(92)
+    A_init, B_init = 0.3 * rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
+    first = ReconConfig(n_states=3, seed=2, A_init=A_init, B_init=B_init)
+    second = ReconConfig(n_states=3, seed=2, A_init=A_init.copy(),
+                         B_init=B_init.copy())
+    return first, second, A_init, B_init
+
+
+def test_changing_a_given_start_afterwards_does_not_change_the_run():
+    cfg, same, A_init, B_init = _start_configs()
+    data = _small_system()
+    before = reconstruct(data, cfg)
+    A_init += 1.0
+    B_init[:] = 0.0
+    after = reconstruct(data, cfg)
+    assert np.array_equal(after.A_hat, before.A_hat)
+    assert np.array_equal(after.A_hat, reconstruct(data, same).A_hat)
+    assert not cfg.A_init.flags.writeable and cfg.A_init.dtype == float
+
+
+def test_configs_holding_starts_compare_by_value():
+    cfg, same, A_init, _ = _start_configs()
+    assert cfg == same
+    assert cfg != dataclasses.replace(same, A_init=A_init + 1.0)
+    assert cfg != dataclasses.replace(same, A_init=None)
+    assert cfg != dataclasses.replace(same, seed=3)
+
+
+def test_configs_holding_starts_hash_by_value():
+    cfg, same, _, _ = _start_configs()
+    assert hash(cfg) == hash(same)
+    assert len({cfg, same, ReconConfig(n_states=3, seed=2)}) == 2
+
+
 def test_full_scale_cell_runs_without_a_dense_posterior():
     # one outer iteration of the full-scale protocol's first cell (p=40,
     # n=110 assumed states, m=40, N=1000, 40 dB): N_w = 16500, so one dense
@@ -617,17 +674,21 @@ def test_full_scale_cell_runs_without_a_dense_posterior():
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 40.0])
-def test_network_does_not_depend_on_the_inner_cap(snr_db):
+def test_network_does_not_depend_on_the_inner_cap(snr_db, monkeypatch):
     # a desk cell (p=10, 25 true and 30 assumed states, N=1000) for ten
     # outer iterations: the inner loop meets its tolerance well before the
     # default cap of 60, so a cap of 1000 gives the same estimate
+    import functools
+    import importlib
+    rec = importlib.import_module("netrecon.reconstruct")
     truth = generate_random_network(p=10, n=25, m=10, density=0.1, seed=1)
     data = simulate(truth.model, N=1000, snr_db=snr_db, seed=11)
-    results = [reconstruct(data, ReconConfig(n_states=30, seed=21,
-                                             outer_max_iter=10,
-                                             inner=SBLOptions(max_iter=cap)))
-               for cap in (60, 1000)]
-    capped, free = results
+    cfg = ReconConfig(n_states=30, seed=21, outer_max_iter=10)
+    capped = reconstruct(data, cfg)   # at SBLOptions(), whose cap is 60
+    assert SBLOptions().max_iter == 60
+    monkeypatch.setattr(rec, "sbl_em", functools.partial(
+        rec.sbl_em, opts=SBLOptions(max_iter=1000)))
+    free = reconstruct(data, cfg)
     assert max(r.inner_iterations for r in free.trace) < 60
     assert ([r.inner_iterations for r in capped.trace]
             == [r.inner_iterations for r in free.trace])
