@@ -3,7 +3,7 @@
 For every seeded random network the harness simulates a dataset at each
 requested SNR, reconstructs it with the assumed state dimension, and
 compares the inferred Q adjacency against the truth.  A run whose
-precision falls below the failure threshold counts as failed; mean
+precision falls below ``FAILURE_PRECISION`` (5%) counts as failed; mean
 precision and TPR are reported over the non-failed runs, and the failure
 rate is reported both per SNR and pooled.  Each run also records the
 threshold-free edge-ranking AUC (``dsf.edge_auc``), whose mean is taken
@@ -30,9 +30,13 @@ from .model import (_check_generation, _check_simulation,
 from .reconstruct import RECON_KEYS, recon_config, recon_settings, reconstruct
 from .sbl import _check_number_fields, identifiability_mask
 
-__all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable", "run_benchmark"]
+__all__ = ["BenchConfig", "RunRecord", "BenchRow", "BenchTable",
+           "run_benchmark", "FAILURE_PRECISION"]
 
 logger = logging.getLogger(__name__)
+
+# A run whose precision falls below this counts as failed.
+FAILURE_PRECISION = 0.05
 
 
 @dataclass(frozen=True)
@@ -41,10 +45,11 @@ class BenchConfig:
     every cell, read by :func:`netrecon.reconstruct.recon_config`: keys are
     the setting names of ``RECON_KEYS``; flags are those names with '-'
     for '_'.  Each cell sets ``n_states`` from ``n_assumed`` and its own
-    ``seed``.  Every int field must hold an integer and every float field
-    a number; ``failure_precision_threshold`` lies in [0, 1] (NaN does
-    not).  A ``recon`` value may not be None: a config file cannot carry
-    None, and a key left out keeps its default."""
+    ``seed``.  Every int field must hold an integer, ``seed`` a
+    nonnegative one, and every float field a number.  A run fails below
+    the fixed ``FAILURE_PRECISION``.  A ``recon`` key must be a setting
+    name, and a known key's value may not be None: a config file cannot
+    carry None, and a key left out keeps its default."""
 
     n_networks: int = 10
     p: int = 10
@@ -54,7 +59,6 @@ class BenchConfig:
     density: float = 0.1
     N_samples: int = 1000
     snr_list: tuple = (40.0,)
-    failure_precision_threshold: float = 0.05
     seed: int = 0
     parallelism: int = 1
     recon: dict = field(default_factory=dict)
@@ -65,11 +69,10 @@ class BenchConfig:
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_assumed < self.p:
             raise ValueError("n_assumed must be at least p")
-        if not 0.0 <= self.failure_precision_threshold <= 1.0:
-            raise ValueError("failure_precision_threshold must be in [0, 1], "
-                             f"got {self.failure_precision_threshold}")
         _check_generation(self.p, self.n_true, self.m, self.density)
         object.__setattr__(self, "snr_list",
                            tuple(float(s) for s in self.snr_list))
@@ -84,7 +87,7 @@ class BenchConfig:
             raise ValueError("recon may not set n_states or seed: each cell "
                              "takes them from n_assumed and its own seed")
         for key, value in self.recon.items():
-            if value is None:
+            if value is None and key in RECON_KEYS:
                 raise ValueError(f"recon_{key} may not be None: leave it out "
                                  "for its default")
         # unknown keys and a mask the assumed states cannot hold fail
@@ -232,7 +235,7 @@ def _bench_cell(cfg, net_idx, snr_idx):
         truth_graph = NetworkGraph(q_adj=truth.q_structure,
                                    p_adj=truth.p_structure)
         metrics = graph_compare(result.network, truth_graph)
-        failed = metrics.precision < cfg.failure_precision_threshold
+        failed = metrics.precision < FAILURE_PRECISION
         record = RunRecord(
             network=net_idx, snr_db=snr, gen_seed=gen_seed,
             sim_seed=sim_seed, recon_seed=recon_seed,

@@ -167,6 +167,8 @@ def _checked(command, build, *args, **kwargs):
 def _cmd_simulate(args, config):
     settings = _settings("simulate", _SIMULATE_KEYS, args, config)
     seed = settings.get("seed", _SIMULATE_SEED)
+    if seed < 0:
+        raise _UsageError(f"simulate: seed must be nonnegative, got {seed}")
     n_samples = _required(settings, "n_samples")
     snr_db = settings.get("snr_db")
     _checked("simulate", _check_simulation, n_samples, snr_db)

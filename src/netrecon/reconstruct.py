@@ -79,11 +79,10 @@ class ReconConfig:
     early, poor state estimates are not locked in.  It runs at the fixed
     ``SBLOptions()`` defaults.
 
-    ``A_init``/``B_init`` warm-start the outer loop; being arrays, they
-    have no key in ``RECON_KEYS``, and the config keeps read-only float
-    copies of them, compared by shape and bytes.  Every start, given or
-    not, is zero at each entry of [A B] that the mask pins.  ``seed``
-    seeds the random start of A alone.  The read-off takes no seed: the
+    Every field is a scalar under its own name in ``RECON_KEYS``.  There
+    is no given start: ``seed`` seeds the random start of A alone, B
+    starts as the identity on its top block, and both are zero at each
+    entry of [A B] that the mask pins.  The read-off takes no seed: the
     estimate's DSF is sampled at the fixed ``default_q_points()`` and an
     edge is kept where its peak gain exceeds ``structure_rel_tol`` times
     the largest.
@@ -92,11 +91,13 @@ class ReconConfig:
     count (``n_states``, ``p22``, ``outer_max_iter``, ``seed``) that is not
     an integer, a tolerance (``outer_tol``, ``structure_rel_tol``) that is
     not a number, an unknown ``mask_mode`` or ``prior_mode``, "p_diag"
-    without ``p22 >= 0``, ``outer_max_iter < 1``, a negative ``outer_tol``
-    or a ``structure_rel_tol`` outside [0, 1); a NaN fails every range.
+    without ``p22 >= 0``, ``outer_max_iter < 1``, a negative ``seed`` or
+    ``outer_tol``, or a ``structure_rel_tol`` outside [0, 1); a NaN fails
+    every range.
     ``n_states`` and ``p22`` are checked against the data by
-    :func:`reconstruct`.  A config is frozen, so it stays valid;
-    ``dataclasses.replace`` derives a changed one and validates it.
+    :func:`reconstruct`.  A config is a frozen dataclass of scalars, so it
+    stays valid and compares and hashes by value; ``dataclasses.replace``
+    derives a changed one and validates it.
     """
 
     n_states: int
@@ -107,16 +108,9 @@ class ReconConfig:
     outer_tol: float = 1e-4
     structure_rel_tol: float = 3e-2
     seed: int = 0
-    A_init: np.ndarray | None = None
-    B_init: np.ndarray | None = None
 
     def __post_init__(self):
         _check_number_fields(self)
-        for name in ("A_init", "B_init"):   # read-only copies of the starts
-            if (start := getattr(self, name)) is not None:
-                start = np.array(start, dtype=float)
-                start.flags.writeable = False
-                object.__setattr__(self, name, start)
         if self.mask_mode not in MASK_MODES:
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
         if self.mask_mode == "p_diag" and (self.p22 is None or self.p22 < 0):
@@ -128,25 +122,17 @@ class ReconConfig:
                              f"got {self.outer_max_iter}")
         if not self.outer_tol >= 0:
             raise ValueError(f"outer_tol must be nonnegative, got {self.outer_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         _dsf._check_rel_tol(self.structure_rel_tol, "structure_rel_tol")
 
-    def _key(self):   # the fields, each start as its shape and bytes
-        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
-                     for v in (getattr(self, f.name) for f in fields(self)))
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-# Key -> type of each ReconConfig field but the A_init/B_init arrays (an
-# ``int | None`` field reads as int): the one key set of the reconstruct
-# config keys, benchmark recon_<key> entries and the result-file config
-# echo; each CLI flag is its key with '-' for '_'.
+# Key -> type of each ReconConfig field (an ``int | None`` field reads as
+# int): the one key set of the reconstruct config keys, benchmark
+# recon_<key> entries and the result-file config echo; each CLI flag is
+# its key with '-' for '_'.
 RECON_KEYS = {f.name: (typing.get_args(f.type) or (f.type,))[0]
-              for f in fields(ReconConfig) if not f.name.endswith("_init")}
+              for f in fields(ReconConfig)}
 
 
 def recon_config(settings):
@@ -235,9 +221,9 @@ def converged(w_prev, w_curr, tol):
     return _relative_step(w_prev, w_curr) <= tol
 
 
-def _initial_parameters(n, m, mask, Y, cfg):
-    """Seeded stable starting point, zero at every entry of [A B] that the
-    mask pins.
+def _initial_parameters(n, m, mask, Y, seed):
+    """Seeded stable starting point (A, B, sigma2, m0, R0), zero at every
+    entry of [A B] that the mask pins.
 
     A starts as a random matrix on the mask's free entries, scaled to
     spectral radius 0.5 so every assumed state is excited from the first
@@ -246,19 +232,11 @@ def _initial_parameters(n, m, mask, Y, cfg):
     recover from.  B starts as the identity on its top block.
     """
     freeA, freeB = unpack_w(mask.free, n, m)
-    A, B = cfg.A_init, cfg.B_init
-    for name, start, free in (("A_init", A, freeA), ("B_init", B, freeB)):
-        if start is not None and np.shape(start) != free.shape:
-            raise ValueError(f"{name} must have shape {free.shape}")
-    if A is None:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [int(cfg.seed), 0x1A17]))
-        A = np.where(freeA, rng.standard_normal((n, n)), 0.0)
-        A *= 0.5 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
-    B = np.eye(n, m) if B is None else B
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1A17]))
+    A = np.where(freeA, rng.standard_normal((n, n)), 0.0)
+    A *= 0.5 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
     sigma2 = max(0.1 * float(np.var(Y)), 1e-6)
-    return (np.where(freeA, A, 0.0), np.where(freeB, B, 0.0), sigma2,
-            np.zeros(n), np.eye(n))
+    return A, np.where(freeB, np.eye(n, m), 0.0), sigma2, np.zeros(n), np.eye(n)
 
 
 def _em_step(data, params, mask, cfg, bufs):
@@ -336,7 +314,7 @@ def reconstruct(data, cfg):
         raise ValueError("n_states must be at least the output dimension")
 
     mask = identifiability_mask(n, p, m, cfg.mask_mode, cfg.p22)
-    params = _initial_parameters(n, m, mask, data.Y, cfg)
+    params = _initial_parameters(n, m, mask, data.Y, cfg.seed)
     bufs = PassBuffers(data.N, n, p)   # one set for every smoothing pass
     prev = params
     w_prev = pack_w(params[0], params[1])

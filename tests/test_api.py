@@ -69,7 +69,7 @@ def test_sbl_options_reject_meaningless_settings(kwargs):
     {"structure_rel_tol": NAN}, {"structure_rel_tol": -0.1},
     {"structure_rel_tol": 1.0}, {"prior_mode": "bogus"},
     {"mask_mode": "bogus"}, {"mask_mode": "p_diag"},
-    {"mask_mode": "p_diag", "p22": -1}, {"seed": None},
+    {"mask_mode": "p_diag", "p22": -1}, {"seed": None}, {"seed": -1},
 ], ids=_id)
 def test_recon_config_rejects_meaningless_settings(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -99,24 +99,28 @@ def test_boundary_settings_stay_valid():
     {"p": 2, "m": 2, "n_true": 1, "n_assumed": 5}, {"N_samples": 0},
     {"N_samples": 1},
     {"p": 2, "m": 2, "n_true": 4, "n_assumed": 3,
-     "recon": {"mask_mode": "p_diag", "p22": 0}},
+     "recon": {"mask_mode": "p_diag", "p22": 0}}, {"seed": -1},
+    {"recon": {"bogus": None}},
 ], ids=_id)
 def test_bench_config_rejects_meaningless_settings(kwargs):
     # each of these used to pass and then fail in every cell of the sweep
+    # (a negative seed: out of run_benchmark, before any cell ran); an
+    # unknown key is named as unknown, whatever its value
     with pytest.raises(ValueError, match="n_networks|parallelism|max_iter|"
                        "snr_list|density|need n >= p|need N >= 1|two input "
-                       "samples|p22=0 needs"):
+                       "samples|p22=0 needs|seed must be nonnegative|"
+                       "unknown reconstruction setting 'bogus'"):
         BenchConfig(**kwargs)
 
 
 @pytest.mark.parametrize("threshold", [NAN, 2.0, -0.1, math.inf])
 def test_failure_threshold_must_be_a_precision(threshold):
-    # above 1 every cell used to fail; NaN or below 0 let no cell fail
-    with pytest.raises(ValueError, match=r"failure_precision_threshold must "
-                       rf"be in \[0, 1\], got {threshold}"):
+    # a settable threshold above 1 failed every cell, and NaN or below 0 let
+    # no cell fail; the threshold is now a fixed precision no config sets
+    from netrecon.bench import FAILURE_PRECISION
+    assert 0.0 < FAILURE_PRECISION < 1.0
+    with pytest.raises(TypeError, match="failure_precision_threshold"):
         BenchConfig(failure_precision_threshold=threshold)
-    BenchConfig(failure_precision_threshold=0.0)
-    BenchConfig(failure_precision_threshold=1.0)
 
 
 _COUNTS = [(SBLOptions, {}, "max_iter"), (ReconConfig, {}, "n_states"),
@@ -180,16 +184,35 @@ def test_cli_exits_1_on_a_meaningless_setting(tmp_path, capsys):
 
 
 def test_cli_rejects_a_nan_failure_threshold(tmp_path, capsys):
-    # read from a file, a NaN threshold used to pass and let no cell fail
+    # read from a file, a NaN threshold used to pass and let no cell fail;
+    # the threshold is no setting now, so its key exits 1 at any value
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
-                   "failure_precision_threshold = nan\n")
     out = tmp_path / "s.csv"
-    assert cli_main(["benchmark", "--config", str(cfg), "--out", str(out),
-                     "--quiet"]) == 1
-    assert "failure_precision_threshold must be in [0, 1], got nan" in \
-        capsys.readouterr().err
+    for value in ("nan", "0.05"):
+        cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\n"
+                       f"m = 2\nfailure_precision_threshold = {value}\n")
+        assert cli_main(["benchmark", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 1
+        assert ("unknown benchmark config key 'failure_precision_threshold'"
+                in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_cli_rejects_a_negative_seed_before_any_file(tmp_path, capsys):
+    # numpy's SeedSequence used to raise on it once the data was read
+    # (reconstruct), without naming the setting (simulate), or out of the
+    # whole sweep (benchmark)
+    missing, out = tmp_path / "none.csv", tmp_path / "out.txt"
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n")
+    for argv in (["simulate", "--p", "2", "--n", "3", "--density", "0.5",
+                  "--n-samples", "30", "--model-out", str(tmp_path / "m.txt")],
+                 ["simulate", "--model-in", str(missing), "--n-samples", "30"],
+                 ["reconstruct", "--data", str(missing), "--n-states", "3"],
+                 ["benchmark", "--config", str(cfg), "--quiet"]):
+        assert cli_main([*argv, "--seed", "-1", "--out", str(out)]) == 1, argv
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("flags, config, message", [

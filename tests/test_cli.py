@@ -493,6 +493,16 @@ def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_readme_library_example_runs(capsys):
+    # README's Library quick start block as written: one desk-scale cell
+    text = (FIXTURES.parent / "README.md").read_text()
+    section = text.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    precision, tpr = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= precision <= 1.0 and 0.0 <= tpr <= 1.0
+
+
 def test_record_files_take_their_columns_from_the_records():
     from netrecon import IterationRecord, RunRecord
     from netrecon.fileio import record_lines
