@@ -3,11 +3,12 @@
 The model ties the measurement-noise scale to the process scale (the
 simulator's single-innovation-scale convention): x_k = A x_{k-1} +
 B u_{k-1} + sigma w_k and y_k = C x_k + sigma v_k.  One outer iteration
-(``_em_step``) maps the parameters (A, B, sigma^2, m0, R0) to the next
-ones: it smooths the state sequence in units of the current scale, where
-the unit-covariance filter is exact, re-estimates the initial-state
-moments, fits (A, B) on the exact smoothed second moments, and updates
-sigma^2 from the pooled expected state and measurement residual.  After
+maps the iterate (A, B, sigma^2, m0, R0) to the next in two halves: the
+E half (``_estep``) smooths the state sequence in units of the current
+scale, where the unit-covariance filter is exact; the M half
+(``_mstep``) re-estimates the initial-state moments, fits (A, B) on the
+exact smoothed second moments, and updates sigma^2 from the pooled
+expected state and measurement residual.  After
 the last iteration, whether the run converged, hit its cap or diverged,
 the dynamical structure function of the estimate is sampled and
 thresholded into a Boolean network.
@@ -239,44 +240,65 @@ def _initial_parameters(n, m, mask, Y, seed):
     return A, np.where(freeB, np.eye(n, m), 0.0), sigma2, np.zeros(n), np.eye(n)
 
 
-def _em_step(data, params, mask, cfg, bufs):
-    """One outer EM iteration of the tied-noise model.
+@dataclass(frozen=True, eq=False)
+class _Iterate:
+    """The parameters of the tied-noise model that one outer iteration maps
+    to the next, in data units: (A, B), the noise scale sigma2 and the
+    initial-state moments m0 and R0."""
 
-    ``params`` is (A, B, sigma2, m0, R0).  The smoothing pass runs on the
-    data and model divided by s = sqrt(sigma2), where the unit process and
-    measurement covariances are exact; m0 and R0 become the smoothed
-    initial-state moments, (A, B) are fitted on the scaled second moments
-    (by ``sbl_em``, or in "ml" mode by least squares on the mask's free
-    entries: the ``posterior`` mean at unbounded prior variance), and sigma2 is
-    rescaled by the pooled expected state and measurement residual per
-    coordinate, which is the exact M-step of the tied scale at the new
-    (A, B).  Returns (new params, fields): ``fields`` holds every
-    ``IterationRecord`` field but ``iteration`` and ``damped``, so the SBL
-    state, with its posterior's row blocks, dies with the call.  Raises
-    FilterDivergedError if the smoothing pass diverges.
+    A: np.ndarray
+    B: np.ndarray
+    sigma2: float
+    m0: np.ndarray
+    R0: np.ndarray
+
+
+def _estep(data, it, bufs):
+    """E half of one outer iteration: smooth the data at the iterate ``it``.
+
+    The smoothing pass runs on the data and model divided by
+    s = sqrt(sigma2), where the unit process and measurement covariances
+    are exact.  Returns the expectation sums of that pass, in units of s,
+    and the record fields ``obs_loglik`` (in data units) and
+    ``pinv_steps``.  Raises FilterDivergedError if the pass diverges.
 
     The filter and RTS passes write their means into ``bufs``, a
     ``PassBuffers`` for the record, which every iteration reuses; nothing
-    returned refers to them (the new m0 and R0 and the expectation sums
-    are fresh arrays), so a retry may overwrite them.
+    returned refers to them (the sums, x0_sm and P0_sm are fresh arrays),
+    so a retry may overwrite them.
     """
-    t0 = time.perf_counter()
-    A, B, sigma2, m0, R0 = params
-    n, p, m, N = A.shape[0], data.p, data.m, data.N
-    s = float(np.sqrt(sigma2))
+    p, N = data.p, data.N
+    s = float(np.sqrt(it.sigma2))
     # data was checked when built: the scaled copy skips Dataset's copies
     # and finiteness check
     scaled = copy.copy(data)
     scaled.Y = data.Y / s
-    model = StateSpaceModel(A=A, B=B / s, p=p, sigma=1.0, m0=m0 / s,
-                            R0=R0 / s**2)
+    model = StateSpaceModel(A=it.A, B=it.B / s, p=p, sigma=1.0, m0=it.m0 / s,
+                            R0=it.R0 / s**2)
     fp = kalman_filter(model, scaled, out=bufs)
     sp = rts_smoother(model, fp, out=bufs)
     sp = _dc_replace(sp, M_sm=lag_one_smoother(sp))
     obs_ll = observed_loglik(model, scaled, fp=fp) - N * p * np.log(s)
-    es = expectation_sums(sp, scaled)
-    t1 = time.perf_counter()
+    return (expectation_sums(sp, scaled),
+            dict(obs_loglik=obs_ll, pinv_steps=len(sp.pinv_steps)))
 
+
+def _mstep(es, it, mask, cfg, p):
+    """M half of one outer iteration: the next iterate from the sums ``es``
+    of the pass at ``it`` (of a model with ``p`` outputs).
+
+    m0 and R0 become the smoothed initial-state moments; (A, B) are fitted
+    on the scaled second moments (by ``sbl_em``, or in "ml" mode by least
+    squares on the mask's free entries: the ``posterior`` mean at unbounded
+    prior variance); and sigma2 is rescaled by the pooled expected state
+    and measurement residual per coordinate, which is the exact M-step of
+    the tied scale at the new (A, B).  Returns (next iterate, fields):
+    ``fields`` holds the record's fit fields and ``sigma2``, so the SBL
+    state, with its posterior's row blocks, dies with the call.
+    """
+    n, m = it.B.shape
+    N = es.N
+    s = float(np.sqrt(it.sigma2))
     reg = regression_from_moments(es)
     if cfg.prior_mode == "sbl":
         st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0))
@@ -291,21 +313,20 @@ def _em_step(data, params, mask, cfg, bufs):
     A, B_fit = unpack_w(mu_w, n, m)
     rss = moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
                      np.hstack([A, B_fit])) + es.meas_rss
-    new = (A, B_fit * s, max(sigma2 * (rss / (N * (n + p))), _SIGMA2_FLOOR),
-           es.x0_sm * s, es.P0_sm * s**2)
-    t2 = time.perf_counter()
-    return new, dict(obs_loglik=obs_ll, sigma2=new[2],
-                     pinv_steps=len(sp.pinv_steps), estep_s=t1 - t0,
-                     mstep_s=t2 - t1, **fit)
+    new = _Iterate(A=A, B=B_fit * s,
+                   sigma2=max(it.sigma2 * (rss / (N * (n + p))), _SIGMA2_FLOOR),
+                   m0=es.x0_sm * s, R0=es.P0_sm * s**2)
+    return new, dict(sigma2=new.sigma2, **fit)
 
 
 def reconstruct(data, cfg):
     """Run the full reconstruction on a dataset; returns a ReconResult.
 
-    Each outer iteration is one ``_em_step``, whose fields make its trace
-    record.  On filter divergence the iteration is retried once with (A, B,
-    sigma^2) halfway back to the previous iterate; a second failure stops
-    the run with status "diverged", the previous iterate and a partial trace.
+    Each outer iteration composes ``_estep`` and ``_mstep``, whose fields
+    make its trace record.  On filter divergence the iteration is retried
+    once from the iterate halfway back to the previous one in (A, B,
+    sigma^2); a second failure stops the run with status "diverged", the
+    previous iterate's (A, B, sigma^2) and a partial trace.
     """
     t_start = time.perf_counter()
     p, m = data.p, data.m
@@ -314,45 +335,51 @@ def reconstruct(data, cfg):
         raise ValueError("n_states must be at least the output dimension")
 
     mask = identifiability_mask(n, p, m, cfg.mask_mode, cfg.p22)
-    params = _initial_parameters(n, m, mask, data.Y, cfg.seed)
+    cur = _Iterate(*_initial_parameters(n, m, mask, data.Y, cfg.seed))
     bufs = PassBuffers(data.N, n, p)   # one set for every smoothing pass
-    prev = params
-    w_prev = pack_w(params[0], params[1])
+    prev = cur
+    w_prev = pack_w(cur.A, cur.B)
     trace = []
     status = "max_iter"
     last_step = float("nan")
     for it in range(1, cfg.outer_max_iter + 1):
         damped = False
+        t0 = time.perf_counter()
         try:
-            new, record = _em_step(data, params, mask, cfg, bufs)
+            es, fields = _estep(data, cur, bufs)
         except FilterDivergedError:
             damped = True
-            A, B, sigma2, m0, R0 = params
-            params = (0.5 * (A + prev[0]), 0.5 * (B + prev[1]),
-                      0.5 * (sigma2 + prev[2]), m0, R0)
+            cur = _dc_replace(cur, A=0.5 * (cur.A + prev.A),
+                              B=0.5 * (cur.B + prev.B),
+                              sigma2=0.5 * (cur.sigma2 + prev.sigma2))
+            t0 = time.perf_counter()
             try:
-                new, record = _em_step(data, params, mask, cfg, bufs)
+                es, fields = _estep(data, cur, bufs)
             except FilterDivergedError:
                 status = "diverged"
-                params = prev[:3] + params[3:]
+                cur = _dc_replace(cur, A=prev.A, B=prev.B, sigma2=prev.sigma2)
                 break
-        prev, params = params, new
-        trace.append(IterationRecord(iteration=it, damped=damped, **record))
-        w = pack_w(params[0], params[1])
+        t1 = time.perf_counter()
+        new, fit = _mstep(es, cur, mask, cfg, p)
+        prev, cur = cur, new
+        trace.append(IterationRecord(iteration=it, damped=damped, estep_s=t1 - t0,
+                                     mstep_s=time.perf_counter() - t1,
+                                     **fields, **fit))
+        w = pack_w(cur.A, cur.B)
         last_step = _relative_step(w_prev, w)
         if last_step <= cfg.outer_tol:
             status = "converged"
             break
         w_prev = w
 
-    A, B, sigma2, m0, R0 = params
-    model_hat = StateSpaceModel(A=A, B=B, p=p, sigma=float(np.sqrt(sigma2)),
-                                m0=m0, R0=R0)
+    model_hat = StateSpaceModel(A=cur.A, B=cur.B, p=p,
+                                sigma=float(np.sqrt(cur.sigma2)),
+                                m0=cur.m0, R0=cur.R0)
     sample = _dsf.dsf_from_state_space(model_hat, _dsf.default_q_points())
     network = _dsf.boolean_structure(sample, cfg.structure_rel_tol)
-    return ReconResult(A_hat=A, B_hat=B, sigma2_hat=float(sigma2),
-                       m0_hat=m0, R0_hat=R0, dsf=sample, network=network,
-                       trace=trace, status=status,
+    return ReconResult(A_hat=cur.A, B_hat=cur.B, sigma2_hat=float(cur.sigma2),
+                       m0_hat=cur.m0, R0_hat=cur.R0, dsf=sample,
+                       network=network, trace=trace, status=status,
                        wall_time=time.perf_counter() - t_start,
                        last_step=last_step,
                        loglik_decreases=sum(b.obs_loglik < a.obs_loglik
