@@ -8,19 +8,23 @@ E half (``_estep``) smooths the state sequence in units of the current
 scale, where the unit-covariance filter is exact; the M half
 (``_mstep``) re-estimates the initial-state moments, fits (A, B) on the
 exact smoothed second moments, and updates sigma^2 from the pooled
-expected state and measurement residual.  After
-the last iteration, whether the run converged, hit its cap or diverged,
-the dynamical structure function of the estimate is sampled and
-thresholded into a Boolean network.
+expected state and measurement residual.  After the last iteration,
+whether the run converged, hit its cap or diverged, the dynamical
+structure function of the estimate is sampled and thresholded into a
+Boolean network.
 
 The prior mode only decides how (A, B) are fitted; both fit under the
 same identifiability mask, and both take (A, B) from the mean of one
-``sbl.posterior`` call.  "sbl" runs the sparse-Bayesian inner loop, which
-ends in that call; the diagnostic "ml" mode is the masked classical EM:
-the posterior mean at unbounded prior variance on the mask's free entries,
-which is the least-squares fit of each row of [A B] on its free entries.
-In "ml" mode each outer iteration is the exact EM step of the tied, masked
-model, so the observed-data log-likelihood is non-decreasing.
+``sbl.posterior`` call.  "sbl" refits its sparse prior with the
+sparse-Bayesian inner loop, which ends in that call, on every fifth outer
+iteration; the iterations between hold the last fitted prior and make
+only that call, a generalized-EM step in the sense of Neal & Hinton
+(1998), whose M-step need not maximize.  The diagnostic "ml" mode is the
+masked classical EM: the posterior mean at unbounded prior variance on
+the mask's free entries, which is the least-squares fit of each row of
+[A B] on its free entries.  In "ml" mode each outer iteration is the
+exact EM step of the tied, masked model, so the observed-data
+log-likelihood is non-decreasing.
 """
 
 import copy
@@ -55,6 +59,9 @@ __all__ = [
 
 # Lower bound of the noise-scale estimate sigma^2.
 _SIGMA2_FLOOR = 1e-12
+# "sbl" refits the sparse prior on outer iterations 1, 1 + K, 1 + 2K, ...;
+# the iterations between take (A, B) from the last fitted prior.
+_REFIT_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,14 @@ class ReconConfig:
     Both modes smooth in units of the current noise scale and update
     sigma^2 from the pooled state and measurement residual.  The sparse
     inner loop works on the exact smoothed second moments and starts
-    afresh in every outer iteration, so support decisions made against
-    early, poor state estimates are not locked in.  It runs at the fixed
-    ``SBLOptions()`` defaults.
+    afresh, from unit prior variances, on every fifth outer iteration
+    (1, 6, 11, ...), so support decisions made against early, poor state
+    estimates are not locked in; the iterations between hold the last
+    fitted prior and take (A, B) from one ``posterior`` call.  A
+    held-prior step that meets ``outer_tol`` forces a refit on the next
+    iteration, and only a refit may end the run as converged.  The fit
+    runs at the fixed ``SBLOptions()`` defaults, and the refit period is
+    a constant, not a setting.
 
     Every field is a scalar under its own name in ``RECON_KEYS``.  There
     is no given start: ``seed`` seeds the random start of A alone, B
@@ -244,13 +256,18 @@ def _initial_parameters(n, m, mask, Y, seed):
 class _Iterate:
     """The parameters of the tied-noise model that one outer iteration maps
     to the next, in data units: (A, B), the noise scale sigma2 and the
-    initial-state moments m0 and R0."""
+    initial-state moments m0 and R0; and the last fitted sparse prior, if
+    any: the prior variances ``gamma`` of w = [vec(A); vec(B)] and the
+    inner loop's noise variance ``sbl_sigma2``.  Since B scales with the
+    noise scale, B's prior variances are kept in data units too."""
 
     A: np.ndarray
     B: np.ndarray
     sigma2: float
     m0: np.ndarray
     R0: np.ndarray
+    gamma: np.ndarray | None = None
+    sbl_sigma2: float | None = None
 
 
 def _estep(data, it, bufs):
@@ -283,39 +300,52 @@ def _estep(data, it, bufs):
             dict(obs_loglik=obs_ll, pinv_steps=len(sp.pinv_steps)))
 
 
-def _mstep(es, it, mask, cfg, p):
+def _mstep(es, it, mask, cfg, p, refit):
     """M half of one outer iteration: the next iterate from the sums ``es``
     of the pass at ``it`` (of a model with ``p`` outputs).
 
     m0 and R0 become the smoothed initial-state moments; (A, B) are fitted
-    on the scaled second moments (by ``sbl_em``, or in "ml" mode by least
-    squares on the mask's free entries: the ``posterior`` mean at unbounded
-    prior variance); and sigma2 is rescaled by the pooled expected state
-    and measurement residual per coordinate, which is the exact M-step of
-    the tied scale at the new (A, B).  Returns (next iterate, fields):
-    ``fields`` holds the record's fit fields and ``sigma2``, so the SBL
-    state, with its posterior's row blocks, dies with the call.
+    on the scaled second moments; and sigma2 is rescaled by the pooled
+    expected state and measurement residual per coordinate, which is the
+    exact M-step of the tied scale at the new (A, B).  In "sbl" mode with
+    ``refit``, ``sbl_em`` fits the sparse prior afresh; otherwise (A, B)
+    is the ``posterior`` mean at the iterate's prior, one ridge solve, and
+    the record shows no inner iteration.  "ml" fits by least squares on the
+    mask's free entries: the ``posterior`` mean at unbounded prior
+    variance.  Returns (next iterate, fields): ``fields`` holds the
+    record's fit fields and ``sigma2``, so the SBL state, with its
+    posterior's row blocks, dies with the call.
     """
     n, m = it.B.shape
     N = es.N
     s = float(np.sqrt(it.sigma2))
     reg = regression_from_moments(es)
-    if cfg.prior_mode == "sbl":
-        st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0))
-        mu_w = st.mu_w
-        fit = dict(n_active=int(st.active.sum()), inner_iterations=st.iteration,
-                   gamma_max=float(st.gamma.max()),
-                   evidence_decreases=len(st.warnings))
-    else:   # "ml": every free weight fitted, no prior variances
+    gamma, sbl_sigma2 = it.gamma, it.sbl_sigma2
+    if cfg.prior_mode == "ml":   # every free weight fitted, no prior variances
         mu_w = posterior(reg, np.where(mask.free, np.inf, 0.0), 1.0).mu_w
         fit = dict(n_active=int(mask.free.sum()), gamma_max=0.0,
                    inner_iterations=1, evidence_decreases=0)
+    elif refit:
+        st = sbl_em(reg, mask, init=initial_sbl_state(reg, mask, sigma2=1.0))
+        mu_w, sbl_sigma2 = st.mu_w, st.sigma2
+        gamma = st.gamma.copy()
+        gamma[n * n:] *= s**2   # B's prior variances, to data units
+        fit = dict(n_active=int(st.active.sum()), inner_iterations=st.iteration,
+                   gamma_max=float(st.gamma.max()),
+                   evidence_decreases=len(st.warnings))
+    else:
+        g = gamma.copy()
+        g[n * n:] /= s**2   # B's prior variances, to units of s
+        mu_w = posterior(reg, g, sbl_sigma2).mu_w
+        fit = dict(n_active=int(np.count_nonzero(g)), inner_iterations=0,
+                   gamma_max=float(g.max()), evidence_decreases=0)
     A, B_fit = unpack_w(mu_w, n, m)
     rss = moment_rss(float(np.trace(es.S_xx)), es.S_xz, es.S_zz,
                      np.hstack([A, B_fit])) + es.meas_rss
     new = _Iterate(A=A, B=B_fit * s,
                    sigma2=max(it.sigma2 * (rss / (N * (n + p))), _SIGMA2_FLOOR),
-                   m0=es.x0_sm * s, R0=es.P0_sm * s**2)
+                   m0=es.x0_sm * s, R0=es.P0_sm * s**2, gamma=gamma,
+                   sbl_sigma2=sbl_sigma2)
     return new, dict(sigma2=new.sigma2, **fit)
 
 
@@ -323,10 +353,14 @@ def reconstruct(data, cfg):
     """Run the full reconstruction on a dataset; returns a ReconResult.
 
     Each outer iteration composes ``_estep`` and ``_mstep``, whose fields
-    make its trace record.  On filter divergence the iteration is retried
-    once from the iterate halfway back to the previous one in (A, B,
-    sigma^2); a second failure stops the run with status "diverged", the
-    previous iterate's (A, B, sigma^2) and a partial trace.
+    make its trace record.  "sbl" refits the sparse prior on iterations
+    1, 1 + K, 1 + 2K, ... (K = ``_REFIT_EVERY``) and on the iteration after
+    any other whose step meets ``outer_tol``; the run is declared
+    converged only on a refit, so it never stops on a support that the
+    sparse fit has not re-checked.  On filter divergence the iteration is
+    retried once from the iterate halfway back to the previous one in (A,
+    B, sigma^2); a second failure stops the run with status "diverged",
+    the previous iterate's (A, B, sigma^2) and a partial trace.
     """
     t_start = time.perf_counter()
     p, m = data.p, data.m
@@ -342,6 +376,9 @@ def reconstruct(data, cfg):
     trace = []
     status = "max_iter"
     last_step = float("nan")
+    # every "ml" step is a full M-step
+    every = _REFIT_EVERY if cfg.prior_mode == "sbl" else 1
+    refit = True
     for it in range(1, cfg.outer_max_iter + 1):
         damped = False
         t0 = time.perf_counter()
@@ -360,16 +397,17 @@ def reconstruct(data, cfg):
                 cur = _dc_replace(cur, A=prev.A, B=prev.B, sigma2=prev.sigma2)
                 break
         t1 = time.perf_counter()
-        new, fit = _mstep(es, cur, mask, cfg, p)
+        new, fit = _mstep(es, cur, mask, cfg, p, refit)
         prev, cur = cur, new
         trace.append(IterationRecord(iteration=it, damped=damped, estep_s=t1 - t0,
                                      mstep_s=time.perf_counter() - t1,
                                      **fields, **fit))
         w = pack_w(cur.A, cur.B)
         last_step = _relative_step(w_prev, w)
-        if last_step <= cfg.outer_tol:
+        if last_step <= cfg.outer_tol and refit:
             status = "converged"
             break
+        refit = last_step <= cfg.outer_tol or it % every == 0
         w_prev = w
 
     model_hat = StateSpaceModel(A=cur.A, B=cur.B, p=p,
@@ -382,8 +420,9 @@ def reconstruct(data, cfg):
                        network=network, trace=trace, status=status,
                        wall_time=time.perf_counter() - t_start,
                        last_step=last_step,
-                       loglik_decreases=sum(b.obs_loglik < a.obs_loglik
-                                            for a, b in zip(trace, trace[1:])))
+                       loglik_decreases=int(sum(
+                           b.obs_loglik < a.obs_loglik
+                           for a, b in zip(trace, trace[1:]))))
 
 
 def p22_sweep(data, cfg):

@@ -339,6 +339,11 @@ def _small_system(N=60, snr_db=15.0, seed=91):
     return simulate(truth.model, N, snr_db=snr_db, seed=seed + 1)
 
 
+def _three_output_system():
+    truth = generate_random_network(p=3, n=5, m=3, density=0.3, seed=4)
+    return simulate(truth.model, 150, snr_db=20.0, seed=5)
+
+
 def test_ml_is_one_exact_tied_em_step(monkeypatch):
     from netrecon import (Dataset, expectation_sums, identifiability_mask,
                           posterior, regression_from_moments, smooth, unpack_w)
@@ -555,7 +560,8 @@ def test_phase_times_in_memory_only(tmp_path):
 def test_previous_sbl_state_released_before_next_fit(monkeypatch):
     # each SBL state holds its posterior's row blocks (0.4 MB at desk
     # scale); the outer loop must drop the previous one before the next
-    # inner fit, so two never coexist at the memory peak
+    # inner fit, so two never coexist at the memory peak.  Eleven
+    # iterations hold three fits: iterations 1, 6 and 11
     import importlib
     import weakref
     module = importlib.import_module("netrecon.reconstruct")
@@ -571,9 +577,10 @@ def test_previous_sbl_state_released_before_next_fit(monkeypatch):
 
     monkeypatch.setattr(module, "sbl_em", tracked_sbl_em)
     res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=2,
-                                                   outer_max_iter=3,
+                                                   outer_max_iter=11,
                                                    outer_tol=0.0))
-    assert len(states) == len(res.trace) == 3
+    assert len(res.trace) == 11 and len(states) == 3
+    assert all(ref() is None for ref in states)
 
 
 def test_trace_records_come_from_the_fit(monkeypatch):
@@ -590,23 +597,119 @@ def test_trace_records_come_from_the_fit(monkeypatch):
         return st
 
     monkeypatch.setattr(module, "sbl_em", recording_sbl_em)
-    truth = generate_random_network(p=3, n=5, m=3, density=0.3, seed=4)
-    data = simulate(truth.model, 150, snr_db=20.0, seed=5)
-    sbl = reconstruct(data, ReconConfig(n_states=6, seed=1, outer_max_iter=4,
+    data = _three_output_system()
+    sbl = reconstruct(data, ReconConfig(n_states=6, seed=1, outer_max_iter=11,
                                         outer_tol=0.0))
-    assert len(fits) == len(sbl.trace) == 4
+    # the sparse prior is refitted on iterations 1, 6 and 11, and each of
+    # those records is its fit
+    refits = [r for r in sbl.trace if r.inner_iterations > 0]
+    assert len(sbl.trace) == 11 and len(fits) == 3
+    assert [r.iteration for r in refits] == [1, 6, 11]
     assert [(r.n_active, r.gamma_max, r.inner_iterations, r.evidence_decreases)
-            for r in sbl.trace] == fits
-    assert len({(r.n_active, r.inner_iterations) for r in sbl.trace}) > 1
+            for r in refits] == fits
+    assert len({(r.n_active, r.inner_iterations) for r in refits}) > 1
+    # the steps in between hold the last fitted prior: its support, no
+    # inner iteration and no evidence decrease
+    for r in sbl.trace:
+        if r.inner_iterations == 0:
+            last = fits[(r.iteration - 1) // 5]
+            assert (r.n_active, r.evidence_decreases) == (last[0], 0)
+            assert r.gamma_max > 0
 
     # "ml" fits every free weight of the mask in one solve, without sbl_em
     ml = reconstruct(data, ReconConfig(n_states=6, seed=1, prior_mode="ml",
                                        mask_mode="p_diag", p22=1,
                                        outer_max_iter=3, outer_tol=0.0))
-    assert len(fits) == 4 and len(ml.trace) == 3
+    assert len(fits) == 3 and len(ml.trace) == 3
     n_free = int(identifiability_mask(6, 3, 3, "p_diag", 1).free.sum())
     assert [(r.n_active, r.gamma_max, r.inner_iterations, r.evidence_decreases)
             for r in ml.trace] == [(n_free, 0.0, 1, 0)] * 3
+
+
+def test_held_prior_step_is_the_posterior_mean_at_that_prior(monkeypatch):
+    # iteration 8 holds the prior fitted on iteration 6: its (A, B) is the
+    # posterior mean on iteration 8's moments at iteration 6's gamma and
+    # inner sigma^2, with B's prior variances carried from the scale s of
+    # iteration 6 to that of iteration 8 (B is fitted in units of s)
+    import importlib
+    from netrecon import posterior
+    module = importlib.import_module("netrecon.reconstruct")
+    real_sbl_em, real_moments = module.sbl_em, module.regression_from_moments
+    fits, regs = [], []
+
+    def recording_sbl_em(*args, **kwargs):
+        st = real_sbl_em(*args, **kwargs)
+        fits.append((st.gamma.copy(), st.sigma2))
+        return st
+
+    def recording_moments(es):
+        regs.append(real_moments(es))
+        return regs[-1]
+
+    monkeypatch.setattr(module, "sbl_em", recording_sbl_em)
+    monkeypatch.setattr(module, "regression_from_moments", recording_moments)
+    data = _three_output_system()
+    n = 6
+    res = reconstruct(data, ReconConfig(n_states=n, seed=1, outer_max_iter=8,
+                                        outer_tol=0.0))
+    assert [r.inner_iterations > 0 for r in res.trace] == [
+        True, False, False, False, False, True, False, False]
+    # the iterate that iteration k smooths at has the sigma^2 of record k-1
+    s2_fit, s2 = res.trace[4].sigma2, res.trace[6].sigma2
+    assert s2_fit != s2
+    gamma, sbl_sigma2 = fits[1]
+    gamma[n * n:] *= s2_fit / s2
+    want = posterior(regs[7], gamma, sbl_sigma2).mu_w
+    got = pack_w(res.A_hat, res.B_hat / np.sqrt(s2))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert res.trace[7].gamma_max == pytest.approx(gamma.max(), rel=1e-12)
+
+
+def test_sbl_run_converges_only_on_a_refit():
+    # test_no_dynamics_yields_empty_network's data, on which every start
+    # converges: a held-prior step that meets outer_tol forces a refit
+    # off the 1, 6, 11, ... schedule, and only a refit ends the run
+    model = StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2), p=2, sigma=0.15,
+                            m0=np.zeros(2), R0=np.eye(2))
+    data = simulate(model, 400, seed=3)
+    cfg = ReconConfig(n_states=2)
+    for seed in range(1, 6):
+        res = reconstruct(data, dataclasses.replace(cfg, seed=seed))
+        refits = [r.iteration for r in res.trace if r.inner_iterations > 0]
+        assert res.status == "converged"
+        assert res.last_step <= cfg.outer_tol
+        assert refits[-1] == len(res.trace)
+        assert refits[:3] == [1, 6, 11] and len(refits) < len(res.trace)
+        assert any(i % 5 != 1 for i in refits)
+
+
+def test_ml_run_does_not_depend_on_the_refit_period(monkeypatch):
+    # "ml" has no prior to hold: every step is a full M-step and may end
+    # the run, here on iteration 7, which a period of 5 does not refit
+    import importlib
+    module = importlib.import_module("netrecon.reconstruct")
+    data = _three_output_system()
+    cfg = ReconConfig(n_states=6, seed=1, prior_mode="ml", outer_max_iter=200,
+                      outer_tol=1e-2)
+    runs = [reconstruct(data, cfg)]
+    monkeypatch.setattr(module, "_REFIT_EVERY", 1)
+    runs.append(reconstruct(data, cfg))
+    assert [r.status for r in runs] == ["converged"] * 2
+    assert len(runs[0].trace) == 7 and runs[0].trace == runs[1].trace
+    for name in ("A_hat", "B_hat", "sigma2_hat", "m0_hat", "R0_hat"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+
+def test_result_counts_are_json_numbers():
+    # the stop diagnosis goes into JSON as it is: plain Python numbers
+    import json
+    res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=4,
+                                                   outer_max_iter=5,
+                                                   outer_tol=0.0))
+    assert len(res.trace) == 5
+    assert type(res.loglik_decreases) is int and type(res.last_step) is float
+    json.dumps({"loglik_decreases": res.loglik_decreases,
+                "last_step": res.last_step})
 
 
 @pytest.mark.parametrize("mask_mode, p22", [("diag_b", None), ("p_diag", 1)])
