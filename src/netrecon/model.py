@@ -71,9 +71,10 @@ class StateSpaceModel:
     """Innovations-form LTI model (A, B, p, sigma, m0, R0, D).
 
     The outputs are the first p states, 1 <= p <= n, so ``C`` reads [I 0]
-    (``np.eye(p, n)``); D defaults to zero.  R0 must be symmetric positive
-    semidefinite, and sigma must be nonnegative (zero means a noise-free
-    system; the Kalman filter additionally requires sigma > 0).
+    (``np.eye(p, n)``); D defaults to zero.  Every entry must be finite.
+    R0 must be symmetric positive semidefinite, and sigma must be
+    nonnegative (zero means a noise-free system; the Kalman filter
+    additionally requires sigma > 0).
     """
 
     A: np.ndarray
@@ -100,11 +101,12 @@ class StateSpaceModel:
         self.A = _as_matrix(A, (n, n), "A")
         self.B = _as_matrix(B, (n, m), "B")
         self.D = np.zeros((p, m)) if self.D is None else _as_matrix(self.D, (p, m), "D")
-        self.m0 = np.array(self.m0, dtype=float).reshape(n)
+        self.m0 = _as_matrix(np.reshape(self.m0, n), (n,), "m0")
         self.R0 = _as_matrix(self.R0, (n, n), "R0")
         self.sigma = float(self.sigma)
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < np.inf:   # NaN fails this too
+            raise ValueError(f"sigma must be nonnegative and finite, "
+                             f"got {self.sigma}")
         # np.allclose(R0, R0', atol=1e-10), without its per-call overhead
         if not np.all(np.abs(self.R0 - self.R0.T)
                       <= 1e-10 + 1e-5 * np.abs(self.R0.T)):

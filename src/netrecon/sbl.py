@@ -19,18 +19,15 @@ solved together as one batch of positive definite systems.  A layout
 the row to the batch's largest active count; the pad has a unit diagonal
 and no coupling.  One kernel (``_kernel``) then factors each row and
 takes the posterior covariance from the triangular inverse of its
-Cholesky factor, both computed in one buffer per row; ``posterior``,
-``marginal_loglik`` and the "ml" fit (``posterior``) each lay out afresh.
-``posterior`` keeps the covariance as those row blocks (``Posterior``)
-and assembles the dense N_w x N_w matrix only when it is read.
+Cholesky factor, both computed in one buffer per row.  ``posterior``
+keeps the covariance as those row blocks (``Posterior``) and assembles
+the dense N_w x N_w matrix only when it is read.
 
-The inner loop (``sbl_em``) keeps its state in the compact row layout
-for the whole call: gamma, the means and the variances never return to
-w-order inside the loop, and sigma^2's residual comes from the means and
-the gathered xz rows alone.  An entry pruned during the loop is masked in
-place, as the pad is; only when the widest row loses one is a narrower
-layout of the surviving entries built, by ``_layout`` again, so that the
-batch narrows.  The result is mapped back to w-order once, after the loop.
+The inner loop (``sbl_em``) keeps gamma, the means and the variances in
+the compact row layout and maps them back to w-order once, after the
+loop.  Every iteration that prunes lays out the kept entries afresh, as
+``posterior`` and ``marginal_loglik`` do on each call, so no layout is
+written once built.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -358,13 +355,11 @@ def moment_rss(y_sq, xz, zz, L):
 class _Layout:
     """Rows of [A B] compacted to their active entries.
 
-    Row i keeps the columns that were active when the layout was built,
-    in their order, then a pad of pruned columns up to the batch width k:
-    ``order`` (n x k) holds the column of [A B] at each compact position,
-    ``zz`` (n x k x k) the gathered zz block of each row with the pad's
-    rows and columns zero, and ``b`` (n x k) the gathered xz rows.  An
-    entry pruned after the build is masked in place: its row and column
-    of ``zz`` are zeroed, so it is treated exactly as the pad.
+    Row i keeps its active columns, in their order, then a pad of pruned
+    columns up to the batch width k: ``order`` (n x k) holds the column of
+    [A B] at each compact position, ``zz`` (n x k x k) the gathered zz
+    block of each row with the pad's rows and columns zero, and ``b``
+    (n x k) the gathered xz rows.
     """
 
     order: np.ndarray
@@ -456,23 +451,6 @@ def _kernel(reg, lay, gc, sigma2):
     return mu, np.einsum("nij,nij->nj", R, R), float(evidence), R, bmu, D
 
 
-def _prune(reg, lay, gc, keep):
-    """Drop the entries of a resident layout outside ``keep`` (n x k).
-
-    Each dropped entry's variance is zeroed and its row and column of
-    ``lay.zz`` masked in place, as the pad is.  When the widest row loses
-    an entry, the narrower layout is rebuilt by ``_layout`` from the kept
-    variances.  Returns the layout and the compact variances.
-    """
-    rows, cols = np.nonzero((gc > 0) & ~keep)
-    gc[rows, cols] = 0.0
-    lay.zz[rows, cols, :] = 0.0
-    lay.zz[rows, :, cols] = 0.0
-    if keep.all(axis=1).any():   # the widest row keeps every entry
-        return lay, gc
-    return _layout(reg, _scatter(gc, lay.order, reg.n + reg.m))
-
-
 def _checked_gamma(reg, gamma):
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (reg.N_w,):
@@ -494,12 +472,13 @@ def posterior(reg, gamma, sigma2):
     mu = G^{1/2} K^+ G^{1/2} xz[i] and Sigma = G^{1/2} (I - K^+ K) G^{1/2},
     so directions the data do not determine keep their prior variance.
     Pruned coordinates get zero mean and zero covariance rows/columns; an
-    empty active set returns an all-zero posterior.  An infinite gamma
-    (a flat prior, as the "ml" fit uses) needs sigma2 > 0.
+    empty active set returns an all-zero posterior.  sigma2 must be
+    finite; an infinite gamma (a flat prior, as the "ml" fit uses) needs
+    sigma2 > 0.
     """
     g = _checked_gamma(reg, gamma)
-    if not sigma2 >= 0:
-        raise ValueError("sigma2 must be nonnegative, not NaN")
+    if not 0 <= sigma2 < math.inf:   # NaN fails this too
+        raise ValueError(f"sigma2 must be nonnegative and finite, got {sigma2}")
     if sigma2 == 0 and np.isinf(g).any():
         raise ValueError("an infinite prior variance needs sigma2 > 0")
     n, d = g.shape
@@ -523,9 +502,10 @@ def posterior(reg, gamma, sigma2):
 def marginal_loglik(reg, gamma, sigma2):
     """Log evidence: the Gaussian marginal of y with covariance
     sigma^2 I + Phi Gamma Phi', evaluated from the moments without ever
-    forming the dense observation-space matrix."""
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive, not NaN")
+    forming the dense observation-space matrix; sigma2 must be positive
+    and finite."""
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     lay, gc = _layout(reg, _checked_gamma(reg, gamma))
     return _kernel(reg, lay, gc, sigma2)[2]
 
@@ -563,30 +543,27 @@ def sbl_em(reg, mask, init=None, opts=None):
     construction.  Since H mu = b on each row's active entries,
     mu' zz mu = b . mu - sigma2_old sum mu_i^2 / gamma_i, and rss = sum y^2
     - b . mu - sigma2_old sum mu_i^2 / gamma_i needs no product with zz.
-    Masked coordinates stay at zero throughout; the loop stops when the
-    relative change of gamma drops below ``tol``.  ``max_iter`` is a
-    safeguard, not the usual stop: on desk-scale fits at the default
-    tolerance the loop meets ``tol`` before it in all but about one call
-    in a thousand, and a larger cap leaves the estimate unchanged.  An
-    evidence decrease beyond 1e-8 is recorded in the returned state's
-    ``warnings`` and iteration continues.
+    The initial gamma and sigma2 must be finite.  Masked coordinates stay
+    at zero throughout; the loop stops when the relative change of gamma
+    drops below ``tol``.  ``max_iter`` is a safeguard, not the usual stop:
+    on desk-scale fits at the default tolerance the loop meets ``tol``
+    before it in all but about one call in a thousand, and a larger cap
+    leaves the estimate unchanged.  An evidence decrease beyond 1e-8 is
+    recorded in the returned state's ``warnings`` and iteration continues.
 
     The loop's state lives in a compact layout (``_layout``): gamma, the
-    means and the variances are (n x k) arrays, exactly zero on pruned
-    entries and on the pad, so the gamma update needs no mask.  Its
-    Sigma_ii / gamma_i is D_i diag(H_i^{-1}), the kernel's added diagonal
-    D = sigma2 / gamma times the column sums of R_i squared; taking it so,
-    not as the variance over gamma, keeps it exact at the sigma2 floor,
-    where the variances sigma2 diag(H_i^{-1}) underflow.  Its denominator
-    lies in (0, 1]; where rounding takes it below machine epsilon, the
-    data leave the entry undetermined and its mean is at rounding level,
-    so epsilon bounds the quotient.  One comparison of gamma with the
-    prune threshold gives the active set and its size.  An entry pruned
-    later is masked in place (unit diagonal, no coupling, a zero column of
-    the inverse factor), so iterations reuse the gathered blocks; when the
-    widest row loses one, ``_prune`` builds a narrower layout of the
-    surviving entries with ``_layout`` and the batch width k shrinks.  The
-    kernel also returns b . mu for the residual, and with its D
+    means and the variances are (n x k) arrays, exactly zero on the pad,
+    so the gamma update needs no mask.  Its Sigma_ii / gamma_i is
+    D_i diag(H_i^{-1}), the kernel's added diagonal D = sigma2 / gamma
+    times the column sums of R_i squared; taking it so, not as the
+    variance over gamma, keeps it exact at the sigma2 floor, where the
+    variances sigma2 diag(H_i^{-1}) underflow.  Its denominator lies in
+    (0, 1]; where rounding takes it below machine epsilon, the data leave
+    the entry undetermined and its mean is at rounding level, so epsilon
+    bounds the quotient.  One comparison of gamma with the prune threshold
+    gives the active set and its size; an iteration that prunes lays out
+    the kept entries afresh, so k is always the widest row's active count.
+    The kernel also returns b . mu for the residual, and with its D
     sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 / gamma_i are the
     dot products of D with the variances and the squared means.  After
     the loop, gamma is mapped back to w-order and ``posterior`` gives the
@@ -598,8 +575,13 @@ def sbl_em(reg, mask, init=None, opts=None):
         init = initial_sbl_state(reg, mask)
     n, d = reg.n, reg.n + reg.m
     gamma = _checked_gamma(reg, init.gamma)
-    if not init.sigma2 >= 0:
-        raise ValueError("sigma2 must be nonnegative, not NaN")
+    if not np.isfinite(gamma).all():
+        # the stop test would compare an infinite step with tol times an
+        # infinite scale and end the loop after one iteration
+        raise ValueError("sbl_em needs a finite initial gamma")
+    if not 0 <= init.sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be nonnegative and finite, "
+                         f"got {init.sigma2}")
     sigma2 = max(float(init.sigma2), 1e-300)
 
     # row view (row i of [A B]): the free, live-column entries at or above
@@ -621,7 +603,8 @@ def sbl_em(reg, mask, init=None, opts=None):
         active = gc >= floor
         n_kept = np.count_nonzero(active)
         if n_kept < n_active:
-            lay, gc = _prune(reg, lay, gc, active)
+            lay, gc = _layout(reg, _scatter(np.where(active, gc, 0.0),
+                                            lay.order, d))
         n_active = n_kept
         n_active_path.append(n_active)
 
@@ -633,8 +616,8 @@ def sbl_em(reg, mask, init=None, opts=None):
 
         mu2 = mu * mu
         var = sigma2 * h
-        # MacKay's update; Sigma_ii / gamma_i = D_i h_i is zero on pruned
-        # entries and the pad, where mu is zero too (see the docstring)
+        # MacKay's update; Sigma_ii / gamma_i = D_i h_i is zero on the pad,
+        # where mu is zero too (see the docstring)
         gamma_new = mu2 / np.maximum(1.0 - D * h, _EPS)
         # mu' zz mu from H mu = b (see the docstring); D = sigma2 / gamma
         # where mu and var can be nonzero

@@ -286,6 +286,20 @@ def test_dsf_rejects_a_model_whose_outputs_are_not_the_first_states(
             "states: C must be [I 0]") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["dsf", "--model"],
+                                  ["simulate", "--n-samples", 10, "--model-in"]],
+                         ids=["dsf", "simulate"])
+def test_model_file_with_a_nan_sigma_exits_2(tmp_path, capsys, argv):
+    # dsf would write NaN gains, and simulate report a divergence at step 1
+    text = (FIXTURES / "sample_model.txt").read_text()
+    bad = tmp_path / "nan_sigma.txt"
+    bad.write_text(text.replace("sigma 1\n", "sigma nan\n"))
+    out = tmp_path / "out.txt"
+    assert run_cli([*argv, bad, "--out", out]) == 2
+    assert "sigma must be nonnegative and finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_file_error_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,y1,u1\n1,0.0\n")

@@ -543,8 +543,12 @@ _GOOD = dict(A=0.5 * np.eye(2), B=np.ones((2, 1)), p=1, sigma=1.0,
     ({"sigma": -0.1}, "sigma must be nonnegative"),
     ({"sigma": None}, "sigma must be a number, got None"),
     ({"sigma": "1"}, "sigma must be a number, got '1'"),
+    ({"sigma": np.nan}, "sigma must be nonnegative and finite, got nan"),
+    ({"sigma": np.inf}, "sigma must be nonnegative and finite, got inf"),
+    ({"m0": [0.0, np.nan]}, "m0 contains non-finite entries"),
 ], ids=["A-square", "B-rows", "R0-shape", "D-shape", "A-nan", "B-inf",
-        "sigma-negative", "sigma-none", "sigma-str"])
+        "sigma-negative", "sigma-none", "sigma-str", "sigma-nan", "sigma-inf",
+        "m0-nan"])
 def test_model_rejects_malformed_matrices(changes, message):
     with pytest.raises(ValueError, match=message):
         StateSpaceModel(**{**_GOOD, **changes})

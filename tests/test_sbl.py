@@ -233,10 +233,24 @@ def test_nan_gamma_is_rejected(fit):
 @pytest.mark.parametrize("fit", [posterior, marginal_loglik, sbl_em_from])
 def test_nan_sigma2_is_rejected(fit):
     # NaN passes both "sigma2 < 0" and "sigma2 > 0": posterior would take
-    # the noiseless branch and the others would return NaN
+    # the noiseless branch and the others would return NaN.  At inf,
+    # posterior would return a zero mean and sbl_em fail on a NaN sigma2
     reg = generic_regression(np.random.default_rng(12), N=6, n_w=3)
-    with pytest.raises(ValueError, match="sigma2 must be .*, not NaN"):
-        fit(reg, np.ones(3), np.nan)
+    for sigma2 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"sigma2 must be .* and finite, "
+                                             f"got {sigma2}"):
+            fit(reg, np.ones(3), sigma2)
+
+
+def test_sbl_em_rejects_an_infinite_initial_gamma():
+    # the loop's stop test would compare an infinite step with tol times an
+    # infinite scale and end after one iteration; posterior still takes the
+    # flat prior of the "ml" fit
+    reg = generic_regression(np.random.default_rng(12), N=6, n_w=3)
+    gamma = np.array([1.0, np.inf, 1.0])
+    with pytest.raises(ValueError, match="sbl_em needs a finite initial gamma"):
+        sbl_em_from(reg, gamma, 0.5)
+    assert np.isfinite(posterior(reg, gamma, 0.5).mu_w).all()
 
 
 def test_infinite_gamma_at_zero_noise_is_rejected():
@@ -624,10 +638,12 @@ def test_compact_estep_matches_full_width_at_desk_size():
 
 
 def masked_layout(rng):
-    """A layout as ``sbl_em`` holds it mid-loop: rows of 30, 12, 1 and 0
-    active entries padded to k = 30, and the third entry of every row with
-    more than two masked in place, ahead of live ones.  Returns the
-    regression, the layout, its compact variances and gamma in w-order."""
+    """A layout with zero-variance entries ahead of live ones, for the
+    kernel, which must treat such an entry as it treats the pad: rows of
+    30, 12, 1 and 0 active entries padded to k = 30, and the third entry
+    of every row with more than two given zero variance and a zero row and
+    column of ``zz``.  Returns the regression, the layout, its compact
+    variances and gamma in w-order."""
     from netrecon.sbl import _layout, _scatter
 
     reg, gamma = desk_rows(rng, counts=(30, 12, 1, 0) * 7 + (30, 12))
@@ -641,7 +657,7 @@ def masked_layout(rng):
 
 
 def test_kernel_leaves_the_resident_layout_unchanged():
-    # sbl_em reuses the gathered blocks in every iteration
+    # sbl_em reuses a layout over the iterations that prune nothing
     from netrecon.sbl import _kernel
 
     reg, lay, gc, _ = masked_layout(np.random.default_rng(29))
@@ -669,40 +685,20 @@ def test_kernel_inverse_factor_matches_full_width():
         assert np.all(np.swapaxes(R_full, 1, 2)[pruned] == 0.0)
 
 
-def test_compacted_layout_matches_a_fresh_layout():
-    # when the widest row loses an entry, sbl_em rebuilds its resident
-    # layout narrower from the kept variances
-    from netrecon.sbl import _layout, _prune, _scatter
-
-    reg, lay, gc, _ = masked_layout(np.random.default_rng(31))
-    d = reg.n + reg.m
-    keep = gc > 0
-    keep[1::4, 5] = False   # rows of 12 lose an entry ahead of live ones
-    assert not keep.all(axis=1).any()
-    lay, gc = _prune(reg, lay, gc, keep)
-    assert gc.shape[1] == 29
-    fresh, gc_fresh = _layout(reg, _scatter(gc, lay.order, d))
-    live = gc > 0
-    pair = live[:, :, None] & live[:, None, :]
-    assert np.array_equal(gc, gc_fresh)
-    assert np.array_equal(lay.order[live], fresh.order[live])
-    assert np.array_equal(lay.b[live], fresh.b[live])
-    assert np.array_equal(lay.zz[pair], fresh.zz[pair])
-    assert not lay.zz[~pair].any() and not fresh.zz[~pair].any()
-
-
 def assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma):
     """``sbl_em`` against the per-iteration full-width loop, on a run that
-    masks an entry in place ahead of a live one in its row and rebuilds
-    the layout narrower, so both paths of the resident layout are taken."""
+    prunes entries ahead of live ones in their rows and narrows the batch.
+    Every layout the kernel sees holds each row's live entries ahead of
+    its pad."""
     from netrecon.sbl import _kernel
 
-    widths, interior = [], []
+    widths, interior, kept = [], [], []
 
     def kernel(reg, lay, gc, sigma2):
         live = gc > 0
         widths.append(gc.shape[1])
         interior.append(bool((live[:, 1:] & ~live[:, :-1]).any()))
+        kept.append([list(o[g]) for o, g in zip(lay.order, live)])
         return _kernel(reg, lay, gc, sigma2)
 
     opts = SBLOptions(max_iter=60, prune_tol=1e-3)
@@ -711,8 +707,11 @@ def assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma):
         patch.setattr("netrecon.sbl._kernel", kernel)
         a = sbl_em(reg, free_mask(reg), init=init, opts=opts)
     b = sbl_em_full_width(reg, free_mask(reg), init, opts)
-    # the last kernel call is the final posterior's, on a fresh layout
-    assert any(interior) and min(widths[:-1]) < widths[0]
+    # the last kernel call is the final posterior's
+    assert not any(interior) and min(widths[:-1]) < widths[0]
+    # some prune drops an entry ahead of a live one in its row
+    assert any(now != was[:len(now)] for prev, cur in zip(kept, kept[1:])
+               for was, now in zip(prev, cur))
     assert b.iteration < opts.max_iter
     assert b.n_active_path[-1] < b.n_active_path[0] / 1.5
     assert np.array_equal(a.active, b.active) and a.iteration == b.iteration
@@ -741,7 +740,7 @@ def test_compact_posterior_and_sbl_em_match_full_width(monkeypatch):
 
 def test_sbl_em_masking_and_rebuilds_match_full_width(monkeypatch):
     # wider partial rows: more entries are pruned inside rows that do not
-    # set the batch width, where they are masked in place
+    # set the batch width
     reg, gamma = desk_rows(np.random.default_rng(28),
                            counts=(40, 30, 12, 1) * 7 + (40, 30))
     assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma)
