@@ -543,13 +543,14 @@ def sbl_em(reg, mask, init=None, opts=None):
     construction.  Since H mu = b on each row's active entries,
     mu' zz mu = b . mu - sigma2_old sum mu_i^2 / gamma_i, and rss = sum y^2
     - b . mu - sigma2_old sum mu_i^2 / gamma_i needs no product with zz.
-    The initial gamma and sigma2 must be finite.  Masked coordinates stay
-    at zero throughout; the loop stops when the relative change of gamma
-    drops below ``tol``.  ``max_iter`` is a safeguard, not the usual stop:
-    on desk-scale fits at the default tolerance the loop meets ``tol``
-    before it in all but about one call in a thousand, and a larger cap
-    leaves the estimate unchanged.  An evidence decrease beyond 1e-8 is
-    recorded in the returned state's ``warnings`` and iteration continues.
+    Masked coordinates stay at zero throughout; the loop stops when the
+    relative change of gamma drops below ``tol``.  ``max_iter`` is a
+    safeguard, not the usual stop: on desk-scale fits at the default
+    tolerance the loop meets ``tol`` before it in all but about one call
+    in a thousand, and a larger cap leaves the estimate unchanged.  An
+    evidence decrease beyond 1e-8 is recorded in the returned state's
+    ``warnings`` and iteration continues.  The initial gamma and sigma2
+    must be finite.
 
     The loop's state lives in a compact layout (``_layout``): gamma, the
     means and the variances are (n x k) arrays, exactly zero on the pad,
