@@ -294,7 +294,7 @@ def _estep(data, it, bufs):
                             R0=it.R0 / s**2)
     fp = kalman_filter(model, scaled, out=bufs)
     sp = rts_smoother(model, fp, out=bufs)
-    sp = _dc_replace(sp, M_sm=lag_one_smoother(sp))
+    sp = _dc_replace(sp, M_sm=lag_one_smoother(sp, out=bufs))
     obs_ll = observed_loglik(model, scaled, fp=fp) - N * p * np.log(s)
     return (expectation_sums(sp, scaled),
             dict(obs_loglik=obs_ll, pinv_steps=len(sp.pinv_steps)))

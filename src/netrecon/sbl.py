@@ -27,7 +27,10 @@ The inner loop (``sbl_em``) keeps gamma, the means and the variances in
 the compact row layout and maps them back to w-order once, after the
 loop.  Every iteration that prunes lays out the kept entries afresh, as
 ``posterior`` and ``marginal_loglik`` do on each call, so no layout is
-written once built.
+written once built.  The loop's layouts and kernel factors are gathered
+into one buffer pair that each ``sbl_em`` call allocates at its first
+layout's width; ``posterior`` and ``marginal_loglik`` allocate their own,
+so what they return stays the caller's.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -367,10 +370,15 @@ class _Layout:
     b: np.ndarray
 
 
-def _layout(reg, g):
+def _layout(reg, g, out=None):
     """Layout of the nonnegative prior variances g (n x d, row i of [A B]
     along the first axis) and the compact variances (n x k, zero on the
-    pad)."""
+    pad).
+
+    ``out``, a pair of flat float buffers of at least n k^2 entries, takes
+    the gathered zz in its first buffer and the gather's flat indices in
+    its second, the ``_kernel`` factor buffer, which the layout leaves free;
+    without it the call allocates both."""
     n, d = g.shape
     live = g > 0
     width = live.sum(axis=1)
@@ -382,9 +390,16 @@ def _layout(reg, g):
     at = np.where(np.arange(k) < width[:, None], order, d)
     zz = np.zeros((d + 1, d + 1))
     zz[:d, :d] = reg.zz
+    if out is None:
+        flat, dst = at[:, :, None] * (d + 1) + at[:, None, :], None
+    else:
+        size = n * k * k
+        flat = np.add(at[:, :, None] * (d + 1), at[:, None, :],
+                      out=out[1].view(np.intp)[:size].reshape(n, k, k))
+        dst = out[0][:size].reshape(n, k, k)
     rows = np.arange(n)[:, None]
     lay = _Layout(order=order,
-                  zz=zz.ravel()[at[:, :, None] * (d + 1) + at[:, None, :]],
+                  zz=np.take(zz.ravel(), flat, mode="clip", out=dst),
                   b=reg.xz[rows, order])
     return lay, g[rows, order]
 
@@ -396,7 +411,7 @@ def _scatter(compact, order, d):
     return out
 
 
-def _kernel(reg, lay, gc, sigma2):
+def _kernel(reg, lay, gc, sigma2, out=None):
     """Posterior and log evidence of all n rows of [A B] at sigma2 > 0.
 
     Row i with compact prior variances gc_i (zero where pruned) has, on
@@ -424,13 +439,17 @@ def _kernel(reg, lay, gc, sigma2):
     Returns the compact means and the diagonals of the H_i^{-1} (n x k,
     the column sums of R_i squared; zero where pruned), the log evidence,
     R (n x k x k), b . mu and D (n x k).  The posterior variances are
-    sigma2 times that diagonal.  ``lay`` is left unchanged.
+    sigma2 times that diagonal.  ``lay`` is left unchanged.  R is formed in
+    ``out``, a flat float buffer of at least n k^2 entries, when given, and
+    in a fresh array otherwise.
     """
     n, k = gc.shape
     live = gc > 0
     G = np.where(live, gc, sigma2)
     D = sigma2 / G
-    R = lay.zz.copy()
+    R = np.empty(n * k * k) if out is None else out[:n * k * k]
+    R = R.reshape(n, k, k)
+    R[...] = lay.zz
     diag = R.reshape(n, k * k)[:, ::k + 1]   # a view: R is C-contiguous
     diag += D
     Rt = np.swapaxes(R, 1, 2)   # Rt[i] is Fortran-ordered
@@ -564,6 +583,8 @@ def sbl_em(reg, mask, init=None, opts=None):
     bounds the quotient.  One comparison of gamma with the prune threshold
     gives the active set and its size; an iteration that prunes lays out
     the kept entries afresh, so k is always the widest row's active count.
+    k never grows, so every layout and kernel factor of the call is
+    gathered into one buffer pair sized at the first layout.
     The kernel also returns b . mu for the residual, and with its D
     sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 / gamma_i are the
     dot products of D with the variances and the squared means.  After
@@ -589,8 +610,11 @@ def sbl_em(reg, mask, init=None, opts=None):
     # prune_tol start the loop
     col_energy = np.diag(reg.zz)
     live = col_energy >= _DEAD_COLUMN_TOL * max(col_energy.max(), 1e-300)
-    lay, gc = _layout(reg, np.where(mask.free.reshape((d, n)).T & live
-                                    & (gamma >= opts.prune_tol), gamma, 0.0))
+    g = np.where(mask.free.reshape((d, n)).T & live
+                 & (gamma >= opts.prune_tol), gamma, 0.0)
+    k = int(np.count_nonzero(g, axis=1).max())   # the first layout's width
+    bufs = (np.empty(n * k * k), np.empty(n * k * k))
+    lay, gc = _layout(reg, g, bufs)
 
     evidence_path = []
     n_active_path = []
@@ -605,11 +629,11 @@ def sbl_em(reg, mask, init=None, opts=None):
         n_kept = np.count_nonzero(active)
         if n_kept < n_active:
             lay, gc = _layout(reg, _scatter(np.where(active, gc, 0.0),
-                                            lay.order, d))
+                                            lay.order, d), bufs)
         n_active = n_kept
         n_active_path.append(n_active)
 
-        mu, h, evidence, _, bmu, D = _kernel(reg, lay, gc, sigma2)
+        mu, h, evidence, _, bmu, D = _kernel(reg, lay, gc, sigma2, bufs[1])
         evidence_path.append(evidence)
         if len(evidence_path) >= 2 and evidence < evidence_path[-2] - 1e-8:
             warn_log.append(f"iteration {iteration}: evidence decreased by "

@@ -39,10 +39,16 @@ their segments.  Where nothing settles, every step keeps its own row.  Sums
 over steps (``StepSeq.total``) weight each row by its step count, so no
 pass allocates N copies of a matrix.  The means stay dense (N+1)-row
 arrays.  A caller that runs many passes over one record hands
-``kalman_filter`` and ``rts_smoother`` a ``PassBuffers`` as ``out``: the
-passes then write their means, innovations and steady-segment scratch into
-its arrays instead of allocating fresh ones, and the returned pass holds
-those arrays, valid until the buffers' next use.
+``kalman_filter``, ``rts_smoother`` and ``lag_one_smoother`` a
+``PassBuffers`` as ``out``: the passes then write their means,
+innovations and steady-segment scratch, and the stored rows of every
+covariance sequence, into its arrays instead of allocating fresh ones.
+The covariance stacks grow to the rows a pass stores, not to N+1 rows
+unless nothing settles: numpy asks for huge pages for arrays of 4 MB and
+more.  The returned passes hold those arrays, means and covariance rows
+alike, valid until the buffers' next use.  The RTS gains are the one
+exception: they stay the batched solve's own output, since numpy's solve
+writes into no given array.
 
 Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
@@ -101,26 +107,44 @@ class FilterDivergedError(RuntimeError):
         super().__init__(f"Kalman filter diverged at step {step}")
 
 
-def _sym(M):
-    return 0.5 * (M + M.T)
+def _sym(M, out):
+    """0.5 (M + M'), written into ``out``."""
+    np.add(M, M.T, out=out)
+    out *= 0.5
+    return out
 
 
 class StepSeq:
     """Read-only sequence of equal-shape matrices over steps, each distinct
     matrix stored once: step k reads ``vals[idx[k]]``.
 
-    ``StepSeq(vals)`` gives every step its own row.  Indexing with an integer
-    returns a read-only view of the stored row (shared by every step that
-    maps to it); a slice or ``np.asarray`` gives the dense copy.
+    ``StepSeq(vals)`` gives every step its own row; the constructor copies
+    ``vals`` and ``idx``.  Indexing with an integer returns a read-only view
+    of the stored row (shared by every step that maps to it); a slice or
+    ``np.asarray`` gives the dense copy, and ``np.asarray(seq, copy=False)``
+    raises ValueError, since no dense array exists to share.
     ``total(lo, hi)`` sums steps lo..hi-1 as step counts times rows.
     """
 
     __slots__ = ("vals", "idx")
 
     def __init__(self, vals, idx=None):
-        self.vals = np.array(vals, dtype=float)
-        self.idx = np.arange(len(self.vals)) if idx is None \
-            else np.asarray(idx, dtype=np.intp)
+        self._set(np.array(vals, dtype=float),
+                  np.arange(len(vals)) if idx is None
+                  else np.array(idx, dtype=np.intp))
+
+    @classmethod
+    def _over(cls, vals, idx):
+        """A StepSeq over rows of ``vals`` without copying them: the passes'
+        own arrays, or rows of a ``PassBuffers`` stack."""
+        seq = cls.__new__(cls)
+        seq._set(vals.view(), idx)
+        return seq
+
+    def _set(self, vals, idx):
+        # vals is the sequence's own array or view, so marking it read-only
+        # leaves a buffer it views writeable
+        self.vals, self.idx = vals, idx
         self.vals.flags.writeable = False
         self.idx.flags.writeable = False
 
@@ -131,6 +155,9 @@ class StepSeq:
         return self.vals[self.idx[key]]
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a StepSeq stores each distinct matrix once, so "
+                             "its dense array is always a copy")
         return np.asarray(self.vals[self.idx], dtype=dtype)
 
     def total(self, lo, hi):
@@ -140,15 +167,25 @@ class StepSeq:
 
 
 class PassBuffers:
-    """The dense arrays of a filter and RTS pass over N steps with n states
-    and p outputs, for passes to write into instead of allocating them:
-    ``kalman_filter`` fills x_pred, x_filt and innovations ((N+1)-row),
-    ``rts_smoother`` fills x_sm, and both form their steady segment in
-    ``scratch`` (N rows).  A pass written into them returns these arrays
-    themselves, so its means stay valid only until the buffers' next use.
+    """The arrays of a filter and RTS pass over N steps with n states and p
+    outputs, for passes to write into instead of allocating them:
+    ``kalman_filter`` fills x_pred, x_filt and innovations ((N+1)-row) and
+    the stacks P_pred, P_filt, K_gain and innov_cov, ``rts_smoother`` fills
+    x_sm and P_sm, both form their steady segment in ``scratch`` (N rows),
+    ``rts_smoother`` also forms its gain solve's operands and its backward
+    recursion in ``cov_scratch``, and ``lag_one_smoother`` fills M_sm.
+    Each stack holds one row per stored matrix: it starts empty, and a pass
+    that needs more rows than it has replaces it by one a quarter longer
+    than needed (not past N + 1 rows unless it needs them), rows kept, so
+    that later passes whose transient is a step or two longer reuse it.  A
+    pass written into them returns these arrays themselves, and its
+    StepSeqs are views of the stacks' rows, so the pass, covariances
+    included, stays valid only until the buffers' next use.
     """
 
-    __slots__ = ("x_pred", "x_filt", "innovations", "x_sm", "scratch")
+    __slots__ = ("x_pred", "x_filt", "innovations", "x_sm", "scratch",
+                 "P_pred", "P_filt", "K_gain", "innov_cov", "P_sm", "M_sm",
+                 "cov_scratch")
 
     def __init__(self, N, n, p):
         self.x_pred = np.empty((N + 1, n))
@@ -156,6 +193,11 @@ class PassBuffers:
         self.innovations = np.empty((N + 1, p))
         self.x_sm = np.empty((N + 1, n))
         self.scratch = np.empty((N, n))
+        for name, shape in (("P_pred", (n, n)), ("P_filt", (n, n)),
+                            ("K_gain", (n, p)), ("innov_cov", (p, p)),
+                            ("P_sm", (n, n)), ("M_sm", (n, n)),
+                            ("cov_scratch", (n, n))):
+            setattr(self, name, np.empty((0,) + shape))
 
     def _check(self, N, n, p):
         have = self.scratch.shape + self.innovations.shape[1:]
@@ -163,20 +205,23 @@ class PassBuffers:
             raise ValueError(f"PassBuffers for (N, n, p) = {have} do not fit "
                              f"a pass of {(N, n, p)}")
 
+    def _stack(self, name, rows):
+        """The stack ``name`` with at least ``rows`` rows, grown (its rows
+        kept) if it has fewer."""
+        stack = getattr(self, name)
+        if len(stack) < rows:
+            room = max(rows, min(rows + rows // 4, len(self.x_pred)))
+            grown = np.empty((room,) + stack.shape[1:])
+            grown[:len(stack)] = stack
+            setattr(self, name, grown)
+            stack = grown
+        return stack
+
 
 def _held(vals, steps):
-    """StepSeq of ``steps`` steps over ``vals`` in step order: one step per
-    value, the last value held to the end."""
-    return StepSeq(vals, np.minimum(np.arange(steps), len(vals) - 1))
-
-
-def _runs(back, held, at):
-    """StepSeq over ``back``, values in backward step order (last step
-    first), each for one step except ``back[at]``, which holds ``held``
-    steps."""
-    counts = np.ones(len(back), dtype=np.intp)
-    counts[at] = held
-    return StepSeq(back[::-1], np.repeat(np.arange(len(back)), counts[::-1]))
+    """StepSeq of ``steps`` steps over the rows of ``vals``, without a copy,
+    in step order: one step per row, the last row held to the end."""
+    return StepSeq._over(vals, np.minimum(np.arange(steps), len(vals) - 1))
 
 
 def _add_products(dst, src, M):
@@ -349,11 +394,12 @@ def kalman_filter(model, data, out=None):
     bits.
 
     With ``out``, a ``PassBuffers`` for this record's N, n and p, the means
-    and innovations are written into its arrays and the tail products into
-    its scratch, and the returned pass holds ``out.x_pred``, ``out.x_filt``
-    and ``out.innovations`` themselves: the pass is valid until the buffers'
-    next use.  Without ``out`` the call allocates its own; both give the
-    same bits.
+    and innovations are written into its arrays, the stored covariance,
+    gain and innovation covariance rows into its stacks and the tail
+    products into its scratch, and the returned pass holds ``out.x_pred``,
+    ``out.x_filt``, ``out.innovations`` and views of the stacks: the pass is
+    valid until the buffers' next use.  Without ``out`` the call allocates
+    its own; both give the same bits.
     """
     n, p, m = model.n, model.p, model.m
     if data.p != p or data.m != m:
@@ -376,38 +422,43 @@ def kalman_filter(model, data, out=None):
     x_filt[0] = model.m0
     x_pred[0] = model.m0
     innovations[0] = 0.0
-    # one entry per step until the covariances settle
-    P_filt = [_sym(model.R0)]
-    P_pred = [P_filt[0]]
-    K_gain = [np.zeros((n, p))]
-    innov_cov = [Ip]
+    # row k holds step k until the covariances settle
+    stacks = ("P_pred", "P_filt", "K_gain", "innov_cov")
+    P_pred, P_filt, K_gain, innov_cov = (out._stack(s, 1) for s in stacks)
+    _sym(model.R0, out=P_filt[0])
+    P_pred[0] = P_filt[0]
+    K_gain[0] = 0.0
+    innov_cov[0] = Ip
 
     k_steady = None
     for k in range(1, N + 1):
+        if k == len(P_pred):
+            P_pred, P_filt, K_gain, innov_cov = (out._stack(s, k + 1)
+                                                 for s in stacks)
         x_pred[k] = A @ x_filt[k - 1] + B @ data.U[k - 1]
-        Pp = _sym(A @ P_filt[-1] @ A.T + sig2I)
+        Pp = _sym(A @ P_filt[k - 1] @ A.T + sig2I, out=P_pred[k])
         big = np.abs(Pp).max()   # NaN fails the test below as well
         if not big <= _DIVERGE_NORM or not np.isfinite(x_pred[k]).all():
             raise FilterDivergedError(k)
         CP = Pp[:p]   # C P
-        S = CP[:, :p] + Ip
+        S = np.add(CP[:, :p], Ip, out=innov_cov[k])
+        # the solve's own transpose, not the stored row, enters the products:
+        # a matrix's memory order sets the bits of products with it
         K = np.linalg.solve(S, CP).T
+        K_gain[k] = K
         innovations[k] = data.Y[k - 1] - x_pred[k, :p]
         x_filt[k] = x_pred[k] + K @ innovations[k]
-        P_pred.append(Pp)
-        innov_cov.append(S)
-        K_gain.append(K)
-        P_filt.append(_sym(Pp - K @ CP))
+        _sym(Pp - K @ CP, out=P_filt[k])
         # P_pred[1] follows the prior, not the Riccati map, so compare from 2
-        if k >= 2 and np.abs(Pp - P_pred[-2]).max() <= _STEADY_RTOL * big:
+        if k >= 2 and np.abs(Pp - P_pred[k - 1]).max() <= _STEADY_RTOL * big:
             k_steady = k
             break
 
+    rows = N + 1 if k_steady is None else k_steady + 1
     if k_steady is not None and k_steady < N:
         ks = k_steady
         tail = slice(ks + 1, N + 1)
-        K = K_gain[ks]
-        IKC = np.eye(n)   # I - K C
+        IKC = np.eye(n)   # I - K C, K the settled gain
         IKC[:, :p] -= K
         F = IKC @ A
         xf, xp, nu = x_filt[tail], x_pred[tail], innovations[tail]
@@ -422,22 +473,39 @@ def kalman_filter(model, data, out=None):
             bad = ~finite.all(axis=1)
             raise FilterDivergedError(ks + 1 + int(np.argmax(bad)))
         np.subtract(data.Y[ks:], xp[:, :p], out=nu)
-    return FilterPass(x_pred=x_pred, P_pred=_held(P_pred, N + 1),
-                      x_filt=x_filt, P_filt=_held(P_filt, N + 1),
-                      K_gain=_held(K_gain, N + 1), innovations=innovations,
-                      innov_cov=_held(innov_cov, N + 1), N=N,
+    return FilterPass(x_pred=x_pred, P_pred=_held(P_pred[:rows], N + 1),
+                      x_filt=x_filt, P_filt=_held(P_filt[:rows], N + 1),
+                      K_gain=_held(K_gain[:rows], N + 1),
+                      innovations=innovations,
+                      innov_cov=_held(innov_cov[:rows], N + 1), N=N,
                       k_steady=k_steady)
 
 
-def _gains(A, fp, hi, pinv_steps):
+def _steps(seq, lo, hi, out):
+    """Steps lo..hi-1 of a StepSeq or a dense array: a view of the stored
+    rows where they are rows lo..hi-1, else a copy written into ``out``."""
+    if not isinstance(seq, StepSeq):
+        return seq[lo:hi]
+    if np.array_equal(seq.idx[lo:hi], np.arange(lo, hi)):
+        return seq.vals[lo:hi]
+    return np.take(seq.vals, seq.idx[lo:hi], axis=0, out=out, mode="clip")
+
+
+def _gains(A, fp, hi, pinv_steps, out):
     """RTS gains J_k = P_{k|k} A' P_{k+1|k}^{-1} for k = 0..hi-1, row k of
-    the result, from one batched solve.  If a P_{k+1|k} is singular the
-    gains are solved one step at a time, k = hi-1 first, each into its own
-    array (its memory order sets the bits of products with it, so the
-    per-step reference's bits hold), and each step that falls back to the
-    pseudo-inverse is appended to ``pinv_steps``."""
-    PAt = fp.P_filt[:hi] @ A.T
-    Pp = fp.P_pred[1:hi + 1]
+    the result, from one batched solve.  The solve reads the filter's
+    stored rows in place where they hold the steps in order; P_{k|k} A',
+    and P_{k+1|k} where the settled row serves the last two gains, are
+    formed in the ``cov_scratch`` stack of ``out``.  If a P_{k+1|k} is
+    singular the gains are solved one step at a time, k = hi-1 first, each
+    into its own array (its memory order sets the bits of products with
+    it, so the per-step reference's bits hold), and each step that falls
+    back to the pseudo-inverse is appended to ``pinv_steps``."""
+    scratch = out._stack("cov_scratch", 2 * hi)
+    # a copied P_{k|k} is read before P_{k+1|k} takes its rows
+    PAt = np.matmul(_steps(fp.P_filt, 0, hi, scratch[hi:2 * hi]), A.T,
+                    out=scratch[:hi])
+    Pp = _steps(fp.P_pred, 1, hi + 1, scratch[hi:2 * hi])
     try:
         return np.linalg.solve(np.swapaxes(Pp, 1, 2),
                                np.swapaxes(PAt, 1, 2)).swapaxes(1, 2)
@@ -483,10 +551,11 @@ def rts_smoother(model, fp, out=None):
     segment come from one blocked scan run backwards from x_{N|N}.
 
     With ``out``, a ``PassBuffers`` for the pass's N, n and p, the smoothed
-    means are written into ``out.x_sm`` and the backward scan runs in its
-    scratch; the returned pass holds ``out.x_sm`` itself, valid until the
-    buffers' next use.  Without ``out`` the call allocates its own; both
-    give the same bits.
+    means are written into ``out.x_sm`` and the stored P_{k|N} rows into its
+    P_sm stack, and the backward scan and recursions run in its scratch;
+    the returned pass holds ``out.x_sm`` and a view of the stack, valid
+    until the buffers' next use.  Without ``out`` the call allocates its
+    own; both give the same bits.
     """
     N = fp.N
     n = fp.x_filt.shape[1]
@@ -497,22 +566,26 @@ def rts_smoother(model, fp, out=None):
     out._check(N, n, p)
     x_sm = out.x_sm
     x_sm[N] = fp.x_filt[N]
-    # P_{k|N} in backward step order, each settled value once
-    P_back = [fp.P_filt[N]]
-    mid_steps = 1   # steps of the settled P_{k|N}, the last of the segment
     pinv_steps = []
     ks = N if fp.k_steady is None else fp.k_steady
-    gains = _gains(A, fp, min(ks + 1, N), pinv_steps)
+    gains = _gains(A, fp, min(ks + 1, N), pinv_steps, out)
+    # P_{k|N} from k = N back to the settled value, in the scratch rows that
+    # the gains no longer need
+    back = out._stack("cov_scratch", 1)
+    back[0] = fp.P_filt[N]
+    j = 0   # back[j] is P_{N-j|N}, the settled value once the loop ends
     if ks < N:
         if pinv_steps[:1] == [ks]:   # the steady gain serves steps ks..N-1
             pinv_steps[:1] = range(N - 1, ks - 1, -1)
         Js = gains[ks]
         Pf, Pp = fp.P_filt[ks], fp.P_pred[ks + 1]
         for k in range(N - 1, ks - 1, -1):
-            P_back.append(_sym(Pf + Js @ (P_back[-1] - Pp) @ Js.T))
-            if _settled(P_back[-1], P_back[-2]):
+            j += 1
+            if j == len(back):
+                back = out._stack("cov_scratch", j + 1)
+            _sym(Pf + Js @ (back[j - 1] - Pp) @ Js.T, out=back[j])
+            if _settled(back[j], back[j - 1]):
                 break
-        mid_steps = k - ks + 1
         # h_k = x_{k|k} - J x_{k+1|k}, held in x_sm[ks:N] until the scan
         h = x_sm[ks:N]
         np.subtract(fp.x_filt[ks:N], np.matmul(fp.x_pred[ks + 1:], Js.T, out=h),
@@ -524,31 +597,60 @@ def rts_smoother(model, fp, out=None):
         X[1:] = h[::-1]
         _linear_scan(Js, X)
         x_sm[ks:] = X[::-1]
-    mid = len(P_back) - 1
+    # rows in step order: the steps before ks, the settled value (row ks),
+    # then the backward transient up to P_{N|N}
+    rows = ks + j + 1
+    P_sm = out._stack("P_sm", rows)[:rows]
+    P_sm[ks:] = back[j::-1]
     for k in range(ks - 1, -1, -1):
         Jk = gains[k]
         x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
-        P_back.append(_sym(fp.P_filt[k]
-                           + Jk @ (P_back[-1] - fp.P_pred[k + 1]) @ Jk.T))
-    return SmoothPass(x_sm=x_sm, P_sm=_runs(P_back, mid_steps, mid),
-                      J=_held(gains, N), M_sm=None,
+        _sym(fp.P_filt[k] + Jk @ (P_sm[k + 1] - fp.P_pred[k + 1]) @ Jk.T,
+             out=P_sm[k])
+    # the settled row serves steps ks..N-j
+    idx = np.arange(N + 1)
+    idx[ks:] = ks + np.maximum(idx[ks:] - (N - j), 0)
+    return SmoothPass(x_sm=x_sm, P_sm=StepSeq._over(P_sm, idx),
+                      J=_held(np.asarray(gains), N), M_sm=None,
                       pinv_steps=tuple(pinv_steps))
 
 
-def lag_one_smoother(sp):
+def lag_one_smoother(sp, out=None):
     """Lag-one covariances M[k] = Cov(x_k, x_{k-1} | Y) = P_{k|N} J_{k-1}'
     for k = 1..N from an RTS pass (De Jong & MacKinnon, Biometrika 75(3),
     1988); index 0 is a zero matrix.  The start value M_N = (I - K_N C) A
     P_{N-1|N-1} of the Shumway & Stoffer (1982) recursion is the k = N case.
-    One batched product forms an M for each distinct pair of stored P_sm
-    and J rows, so M inherits their segments.
+
+    M inherits the segments of the pass, one row per distinct pair of
+    stored P_sm and J rows, in two batched products over slices of them:
+    with t the last stored gain (k_steady, or N - 1 if nothing settled),
+    the transient pairs P_{k|N} J_{k-1}' for k = 1..t, then every stored
+    P_sm row from step t + 1 on against the held J_t.  That needs J to
+    store steps 0..t and hold the last, and P_sm to store steps 0..t each
+    in its own row, as ``rts_smoother`` leaves them; other segments raise
+    ValueError.
+
+    With ``out``, a ``PassBuffers``, M is written into rows of its M_sm
+    stack, valid until the buffers' next use; without it the call
+    allocates its own.  Both give the same bits.
     """
-    key = sp.P_sm.idx[1:] * len(sp.J.vals) + sp.J.idx
-    pairs, idx = np.unique(key, return_inverse=True)
-    a, b = np.divmod(pairs, len(sp.J.vals))
-    M = np.zeros((len(pairs) + 1,) + sp.J.vals.shape[1:])
-    np.matmul(sp.P_sm.vals[a], np.swapaxes(sp.J.vals[b], 1, 2), out=M[1:])
-    return StepSeq(M, np.concatenate(([0], idx + 1)))
+    P, J = sp.P_sm, sp.J
+    N, t = len(J), len(J.vals) - 1
+    if not (np.array_equal(J.idx, np.minimum(np.arange(N), t))
+            and np.array_equal(P.idx[:t + 1], np.arange(t + 1))):
+        raise ValueError("lag_one_smoother needs the segments of an "
+                         "rts_smoother pass")
+    lo = int(P.idx[t + 1:].min())   # the first stored row of steps > t
+    rows = t + 1 + len(P.vals) - lo
+    shape = (rows,) + J.vals.shape[1:]
+    M = (np.empty(shape) if out is None else out._stack("M_sm", rows))[:rows]
+    M[0] = 0.0
+    Jt = np.swapaxes(J.vals, 1, 2)
+    np.matmul(P.vals[1:t + 1], Jt[:t], out=M[1:t + 1])
+    np.matmul(P.vals[lo:], Jt[t], out=M[t + 1:])
+    idx = np.arange(N + 1)
+    idx[t + 1:] = P.idx[t + 1:] + (t + 1 - lo)
+    return StepSeq._over(M, idx)
 
 
 def smooth(model, data):

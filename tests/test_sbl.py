@@ -694,12 +694,12 @@ def assert_sbl_em_matches_full_width_loop(monkeypatch, reg, gamma):
 
     widths, interior, kept = [], [], []
 
-    def kernel(reg, lay, gc, sigma2):
+    def kernel(reg, lay, gc, sigma2, out=None):
         live = gc > 0
         widths.append(gc.shape[1])
         interior.append(bool((live[:, 1:] & ~live[:, :-1]).any()))
         kept.append([list(o[g]) for o, g in zip(lay.order, live)])
-        return _kernel(reg, lay, gc, sigma2)
+        return _kernel(reg, lay, gc, sigma2, out)
 
     opts = SBLOptions(max_iter=60, prune_tol=1e-3)
     init = SBLState(gamma=gamma, sigma2=0.4)

@@ -273,3 +273,22 @@ def test_observed_loglik_degenerate_prior_limit():
     data = Dataset(Y=[[0.7]], U=[[0.0]], N=1)
     expected = -0.5 * (np.log(2 * np.pi) + 0.7**2)
     assert observed_loglik(model, data) == pytest.approx(expected, abs=1e-8)
+
+
+def test_stepseq_copies_its_input_and_has_no_dense_array_to_share():
+    vals = np.arange(12.0).reshape(3, 2, 2)
+    idx = np.array([0, 1, 1, 2])
+    seq = StepSeq(vals, idx)
+    # the caller's arrays stay writeable and unaliased
+    assert vals.flags.writeable and idx.flags.writeable
+    assert not np.shares_memory(seq.vals, vals)
+    assert not np.shares_memory(seq.idx, idx)
+    vals[0] = -1.0
+    idx[0] = 2
+    assert seq[0][0, 0] == 0.0
+    dense = np.asarray(seq)
+    assert np.array_equal(dense, np.arange(12.0).reshape(3, 2, 2)[[0, 1, 1, 2]])
+    assert np.array_equal(np.array(seq, copy=True), dense)
+    # numpy 2's protocol: a request for no copy raises instead of copying
+    with pytest.raises(ValueError, match="always a copy"):
+        np.asarray(seq, copy=False)

@@ -151,11 +151,14 @@ def test_nan_measurement_after_switch_diverges_at_reference_step(desk_system):
     assert err.value.step == ref_err.value.step == k_steady + 42
 
 
-def _nan_buffers(model, data):
-    out = PassBuffers(data.N, model.n, model.p)
+def _fill_nan(out):
     for name in PassBuffers.__slots__:
         getattr(out, name).fill(np.nan)
     return out
+
+
+def _nan_buffers(model, data):
+    return _fill_nan(PassBuffers(data.N, model.n, model.p))
 
 
 def _assert_same_bits(got, ref):
@@ -168,18 +171,61 @@ def _assert_same_bits(got, ref):
 
 @pytest.mark.parametrize("N", [1, 2, 8, None])
 def test_passes_into_buffers_equal_fresh_passes(desk_system, N):
-    # N = 1, 2, 8 never settle; the full record (None) does.  Buffers full of
-    # NaN show any entry a pass leaves unwritten.
+    # N = 1, 2, 8 never settle; the full record (None) does.  A first pass
+    # grows the covariance stacks; filled with NaN, the buffers then show
+    # any entry a pass leaves unwritten.  A pass at a model that settles
+    # later, then one back at the first model, show any row read stale
+    # from an earlier pass.
     model, full = desk_system
     data = full if N is None else type(full)(Y=full.Y[:N], U=full.U[:N], N=N)
-    out = _nan_buffers(model, data)
-    fp, fp_out = kalman_filter(model, data), kalman_filter(model, data, out=out)
-    assert (fp.k_steady is None) == (N is not None)
-    _assert_same_bits(fp_out, fp)
-    sp, sp_out = rts_smoother(model, fp), rts_smoother(model, fp_out, out=out)
-    _assert_same_bits(sp_out, sp)
-    assert fp_out.x_pred is out.x_pred and fp_out.x_filt is out.x_filt
-    assert fp_out.innovations is out.innovations and sp_out.x_sm is out.x_sm
+    slow = replace(model, sigma=0.1)
+    out = PassBuffers(data.N, model.n, model.p)
+    lag_one_smoother(rts_smoother(model, kalman_filter(model, data, out=out),
+                                  out=out), out=out)
+    _fill_nan(out)
+    steady = []
+    for m in (model, slow, model):
+        fp, fp_out = kalman_filter(m, data), kalman_filter(m, data, out=out)
+        assert (fp.k_steady is None) == (N is not None)
+        _assert_same_bits(fp_out, fp)
+        sp, sp_out = rts_smoother(m, fp), rts_smoother(m, fp_out, out=out)
+        _assert_same_bits(sp_out, sp)
+        M, M_out = lag_one_smoother(sp), lag_one_smoother(sp_out, out=out)
+        assert np.array_equal(np.asarray(M_out), np.asarray(M))
+        assert fp_out.x_pred is out.x_pred and fp_out.x_filt is out.x_filt
+        assert fp_out.innovations is out.innovations and sp_out.x_sm is out.x_sm
+        for seq, stack in ((fp_out.P_pred, out.P_pred),
+                           (fp_out.P_filt, out.P_filt),
+                           (fp_out.K_gain, out.K_gain),
+                           (fp_out.innov_cov, out.innov_cov),
+                           (sp_out.P_sm, out.P_sm), (M_out, out.M_sm)):
+            assert np.shares_memory(seq.vals, stack)
+        steady.append(fp.k_steady)
+    if N is None:
+        assert steady[0] == steady[2] < steady[1]
+
+
+def test_warm_estep_allocates_under_a_megabyte(desk_system):
+    # a warm E-step writes every stored covariance row into the resident
+    # stacks and allocates little more than the gain solve's output: about
+    # 0.65 MB of peak here, against 3.2 MB when each pass built its stacks
+    # afresh.  Passes whose transient does not grow keep the same stacks.
+    from netrecon.reconstruct import _Iterate, _estep
+    model, data = desk_system
+    it = _Iterate(A=model.A, B=model.B, sigma2=model.sigma**2, m0=model.m0,
+                  R0=model.R0)
+    bufs = PassBuffers(data.N, model.n, model.p)
+    _estep(data, it, bufs)
+    arrays = {name: getattr(bufs, name) for name in PassBuffers.__slots__}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _estep(data, it, bufs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+    assert all(getattr(bufs, name) is a for name, a in arrays.items())
 
 
 def test_diverging_steady_tail_into_buffers_raises_at_the_same_step(desk_system):
@@ -384,3 +430,12 @@ def test_settled_loglik_diverges_at_k_steady_on_a_bad_determinant(desk_system):
     with pytest.raises(FilterDivergedError) as err:
         observed_loglik(model, data, fp=fp)
     assert err.value.step == ref_err.value.step == fp.k_steady
+
+
+def test_lag_one_rejects_segments_it_cannot_pair(desk_system):
+    # a dense J against the compact P_sm of a settled pass: its transient
+    # pairs would read P_sm rows by step
+    model, data = desk_system
+    _, sp = smooth(model, data)
+    with pytest.raises(ValueError, match="segments"):
+        lag_one_smoother(replace(sp, J=StepSeq(np.asarray(sp.J))))
