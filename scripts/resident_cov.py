@@ -3,7 +3,8 @@
 the run to the record ``BENCH_resident_cov.json``.
 
     python3 scripts/resident_cov.py --parent DIR --change DIR \
-        --out BENCH_resident_cov.json [--pairs 10] [--seeds 1 7] [--pool-runs 3]
+        --out BENCH_resident_cov.json [--pairs 10] [--seeds 1 7] \
+        [--pool-runs 3]
 
 ``DIR`` is the root of a source checkout (a ``src/netrecon`` package and a
 ``perfbench/`` directory).  Each measurement runs in fresh interpreters
@@ -147,7 +148,7 @@ WORKERS = {"fingerprints": worker_fingerprints, "faults": worker_faults,
            "criterion7": worker_criterion7}
 
 
-# -- the driver -----------------------------------------------------------
+# -- the measuring process: runs the workers, writes the record ---------
 
 def _worker(kind, *args, pinned=True):
     env = dict(os.environ)
@@ -200,12 +201,13 @@ def _log(msg):
     print(time.strftime("%H:%M:%S"), msg, file=sys.stderr, flush=True)
 
 
-def drive(args):
+def measure(args):
     sides = {"parent": args.parent, "change": args.change}
+    seeds = " ".join(map(str, args.seeds))
     record = {"command": "python3 scripts/resident_cov.py --parent <parent "
                          "checkout> --change <change checkout> --pairs "
-                         f"{args.pairs} --seeds {' '.join(map(str, args.seeds))}"
-                         f" --pool-runs {args.pool_runs}",
+                         f"{args.pairs} --seeds {seeds} --pool-runs "
+                         f"{args.pool_runs}",
               "host": _host(),
               "thread_pinning": "perfbench and the fault and fingerprint runs "
                                 "pin OMP_NUM_THREADS and OPENBLAS_NUM_THREADS "
@@ -310,8 +312,10 @@ def main():
         return
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
     args.parent, args.change = map(os.path.abspath, (args.parent, args.change))
-    drive(args)
+    measure(args)
 
 
 if __name__ == "__main__":

@@ -168,12 +168,13 @@ class StepSeq:
 
 class PassBuffers:
     """The arrays of a filter and RTS pass over N steps with n states and p
-    outputs, for passes to write into instead of allocating them:
+    outputs, for passes to write into instead of allocating them.
     ``kalman_filter`` fills x_pred, x_filt and innovations ((N+1)-row) and
-    the stacks P_pred, P_filt, K_gain and innov_cov, ``rts_smoother`` fills
-    x_sm and P_sm, both form their steady segment in ``scratch`` (N rows),
-    ``rts_smoother`` also forms its gain solve's operands and its backward
-    recursion in ``cov_scratch``, and ``lag_one_smoother`` fills M_sm.
+    the stacks P_pred, P_filt, K_gain and innov_cov.  ``rts_smoother``
+    fills x_sm and the stack P_sm, and forms its gain solve's operands and
+    its backward recursion in the stack cov_scratch.  Both passes form
+    their steady segment in ``scratch`` (N rows).  ``lag_one_smoother``
+    fills the stack M_sm.
     Each stack holds one row per stored matrix: it starts empty, and a pass
     that needs more rows than it has replaces it by one a quarter longer
     than needed (not past N + 1 rows unless it needs them), rows kept, so

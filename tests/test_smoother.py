@@ -287,7 +287,8 @@ def test_stepseq_copies_its_input_and_has_no_dense_array_to_share():
     idx[0] = 2
     assert seq[0][0, 0] == 0.0
     dense = np.asarray(seq)
-    assert np.array_equal(dense, np.arange(12.0).reshape(3, 2, 2)[[0, 1, 1, 2]])
+    assert np.array_equal(dense,
+                          np.arange(12.0).reshape(3, 2, 2)[[0, 1, 1, 2]])
     assert np.array_equal(np.array(seq, copy=True), dense)
     # numpy 2's protocol: a request for no copy raises instead of copying
     with pytest.raises(ValueError, match="always a copy"):

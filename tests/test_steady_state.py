@@ -193,7 +193,8 @@ def test_passes_into_buffers_equal_fresh_passes(desk_system, N):
         M, M_out = lag_one_smoother(sp), lag_one_smoother(sp_out, out=out)
         assert np.array_equal(np.asarray(M_out), np.asarray(M))
         assert fp_out.x_pred is out.x_pred and fp_out.x_filt is out.x_filt
-        assert fp_out.innovations is out.innovations and sp_out.x_sm is out.x_sm
+        assert fp_out.innovations is out.innovations
+        assert sp_out.x_sm is out.x_sm
         for seq, stack in ((fp_out.P_pred, out.P_pred),
                            (fp_out.P_filt, out.P_filt),
                            (fp_out.K_gain, out.K_gain),
