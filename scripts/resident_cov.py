@@ -1,30 +1,46 @@
 #!/usr/bin/env python3
-"""Measure two source checkouts of netrecon against each other and add
-the run to the record ``BENCH_resident_cov.json``.
+"""Measure two source checkouts of netrecon against each other.
 
     python3 scripts/resident_cov.py --parent DIR --change DIR \
         --out BENCH_resident_cov.json [--pairs 10] [--seeds 1 7] \
-        [--pool-runs 3]
+        [--pool-runs 3] [--memory-runs 3] [--claim desk0:recon_s]
+    python3 scripts/resident_cov.py --parent DIR --aa \
+        --out BENCH_resident_cov.json [--pairs 10] [--seeds 1 7]
 
 ``DIR`` is the root of a source checkout (a ``src/netrecon`` package and a
 ``perfbench/`` directory).  Each measurement runs in fresh interpreters
 that import the package from that checkout's ``src/``.  Each invocation
-appends one run to the ``runs`` list of ``--out``; a run holds:
+appends one run to the ``runs`` list of the JSON record ``--out``; a run
+holds:
 
 - ``same_answers``: a fingerprint of every estimate, trace field but the
   timings, DSF sample and network, and the sha256 of each result file, on
   26 cells: perfbench desk40, desk0 and long_series at seeds 1 and 2, and
-  acceptance criterion 7's 20 cells (seed 0, networks 0-9, 40 and 0 dB);
+  acceptance criterion 7's 20 cells (seed 0, networks 0-9, 40 and 0 dB),
+  each reconstructed in "sbl" and in "ml" mode;
 - ``minor_faults``: ``ru_minflt`` and wall seconds of one ``reconstruct``
   of each perfbench cell, in a process that has only set the cell up;
+- ``full_scale_memory``: 10 outer iterations of the held-out full-scale
+  cell (seed 1, network 0: p=40, 100 true and 110 assumed states, m=40,
+  N=1000, 40 dB), interleaved runs per side: the process's ``ru_maxrss``
+  and the wall seconds of an untraced run, the ``tracemalloc`` peak of
+  the reconstruction in a second process, and the sha256 of ``A_hat``;
 - ``pairs``: alternating ``perfbench/run.py`` runs of the two checkouts
   (the parent first in odd-numbered pairs), every end-to-end metric per
   workload and seed, with medians, quartiles and win counts;
+- ``claimed``: the ``--claim`` metric on its workload against the
+  pair rule (lower in at least 9 of 10 pairs, and a median gap
+  larger than the parent's quartile spread);
 - ``traced``: one ``--trace 1`` perfbench run per workload at the first
   seed, per checkout (plain wall time, so read them as shares);
 - ``criterion7_pool``: criterion 7's two sweeps (10 networks at 40 dB,
   then at 0 dB) in ``run_benchmark``'s process pool of min(4, cores)
   workers with BLAS threads unpinned, interleaved runs per side.
+
+With ``--aa`` the change side is a copy of the parent's ``src/`` and
+``perfbench/`` in a temporary directory, and the run holds only
+``pairs`` and ``claimed``: identical code in two directories, so any gap
+it shows is not the code's.
 
 perfbench pins BLAS to one thread; the pool runs do not, since the
 acceptance test does not.  Run it on an otherwise idle host.
@@ -37,11 +53,13 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 HERE = os.path.abspath(__file__)
 WORKLOADS = ("desk40", "desk0", "long_series")
@@ -81,7 +99,7 @@ def _fingerprint(res):
     return h.hexdigest()
 
 
-def worker_fingerprints(root):
+def worker_fingerprints(root, prior_mode):
     run = _import_perfbench(root)
     from netrecon import (ReconConfig, generate_random_network, reconstruct,
                           save_result, simulate)
@@ -100,7 +118,8 @@ def worker_fingerprints(root):
                                             w["density"], gen)
             data = simulate(truth.model, w["N"], "gaussian_iid",
                             snr_db=w["snr_db"], seed=sim)
-            cfg = ReconConfig(n_states=w["n_assumed"], seed=rec)
+            cfg = ReconConfig(n_states=w["n_assumed"], seed=rec,
+                              prior_mode=prior_mode)
             res = reconstruct(data, cfg)
             save_result(path, res, {k: str(v) for k, v
                                     in dataclasses.asdict(cfg).items()})
@@ -127,6 +146,32 @@ def worker_faults(root, workload, seed):
             "wall_s": round(wall, 4)}
 
 
+def worker_memory(root, traced):
+    """10 outer iterations of the held-out full-scale cell, set up first;
+    with ``traced`` = "1" the reconstruction runs under tracemalloc."""
+    run = _import_perfbench(root)
+    from netrecon import (ReconConfig, generate_random_network, reconstruct,
+                          simulate)
+    gen, sim, rec = run.cell_seeds(1, 0)
+    truth = generate_random_network(40, 100, 40, 0.025, gen)
+    data = simulate(truth.model, 1000, "gaussian_iid", snr_db=40.0, seed=sim)
+    cfg = ReconConfig(n_states=110, seed=rec, outer_max_iter=10)
+    if traced == "1":
+        tracemalloc.start()
+        res = reconstruct(data, cfg)
+        out = {"traced_peak_mib": round(
+            tracemalloc.get_traced_memory()[1] / 2**20, 2)}
+        tracemalloc.stop()
+    else:
+        t0 = time.perf_counter()
+        res = reconstruct(data, cfg)
+        out = {"wall_s": round(time.perf_counter() - t0, 3),
+               "ru_maxrss_mb": round(resource.getrusage(
+                   resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2)}
+    out["A_hat_sha256"] = hashlib.sha256(res.A_hat.tobytes()).hexdigest()
+    return out
+
+
 def worker_criterion7(root):
     sys.path.insert(0, os.path.join(root, "src"))
     from netrecon import BenchConfig, run_benchmark
@@ -145,7 +190,7 @@ def worker_criterion7(root):
 
 
 WORKERS = {"fingerprints": worker_fingerprints, "faults": worker_faults,
-           "criterion7": worker_criterion7}
+           "memory": worker_memory, "criterion7": worker_criterion7}
 
 
 # -- the measuring process: runs the workers, writes the record ---------
@@ -201,45 +246,25 @@ def _log(msg):
     print(time.strftime("%H:%M:%S"), msg, file=sys.stderr, flush=True)
 
 
-def measure(args):
-    sides = {"parent": args.parent, "change": args.change}
-    seeds = " ".join(map(str, args.seeds))
-    record = {"command": "python3 scripts/resident_cov.py --parent <parent "
-                         "checkout> --change <change checkout> --pairs "
-                         f"{args.pairs} --seeds {seeds} --pool-runs "
-                         f"{args.pool_runs}",
-              "host": _host(),
-              "thread_pinning": "perfbench and the fault and fingerprint runs "
-                                "pin OMP_NUM_THREADS and OPENBLAS_NUM_THREADS "
-                                "to 1; criterion7_pool leaves them unset"}
+def _interleaved(runs, sides, measure_one):
+    """``runs`` runs of ``measure_one(root)`` per side, the parent first
+    in odd-numbered rounds."""
+    out = {side: [] for side in sides}
+    for i in range(runs):
+        for side in (("parent", "change") if i % 2 == 0
+                     else ("change", "parent")):
+            out[side].append(measure_one(sides[side]))
+    return out
 
-    _log("fingerprints")
-    prints = {side: _worker("fingerprints", root)
-              for side, root in sides.items()}
-    hash_list = {side: hashlib.sha256(json.dumps(
-        prints[side], sort_keys=True).encode()).hexdigest() for side in sides}
-    record["same_answers"] = {
-        "identical": prints["parent"] == prints["change"],
-        "sha256_of_hash_list": hash_list,
-        "cells": prints["change"]}
 
-    _log("minor faults")
-    record["minor_faults"] = {
-        f"{w}_s{seed}": {side: _worker("faults", root, w, str(seed))
-                         for side, root in sides.items()}
-        for w in WORKLOADS for seed in args.seeds}
-
-    record["pairs"] = {}
+def _pairs(args, sides):
+    record = {}
     for w in WORKLOADS:
         for seed in args.seeds:
             _log(f"pairs {w} seed {seed}")
-            runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 \
-                    else ("change", "parent")
-                for side in order:
-                    runs[side].append(_perfbench(sides[side], w, seed))
-            record["pairs"][f"{w}_s{seed}"] = {
+            runs = _interleaved(args.pairs, sides,
+                                lambda root: _perfbench(root, w, seed))
+            record[f"{w}_s{seed}"] = {
                 "pairs": args.pairs,
                 "parent_first_in": "odd-numbered pairs",
                 "all_correct": all(r["correct"] for rs in runs.values()
@@ -249,41 +274,88 @@ def measure(args):
                 "metrics": {m: _summary([r[m] for r in runs["parent"]],
                                         [r[m] for r in runs["change"]])
                             for m in METRICS},
-                "recon_s_runs": {side: [round(r["recon_s"], 4) for r in rs]
-                                 for side, rs in runs.items()}}
+                "runs": {side: {m: [round(r[m], 4) for r in rs]
+                                for m in (args.claim[1], "recon_s")}
+                         for side, rs in runs.items()}}
+    return record
 
-    record["claimed"] = {
-        "metric": "recon_s", "workload": "desk0",
-        "rule": "change lower in at least 9 of 10 pairs and median "
-                "difference larger than the parent's IQR"}
+
+def _claimed(args, pairs):
+    workload, metric = args.claim
+    claimed = {"metric": metric, "workload": workload,
+               "rule": "change lower in at least 9 of 10 pairs and median "
+                       "difference larger than the parent's IQR"}
     for seed in args.seeds:
-        cell = record["pairs"][f"desk0_s{seed}"]
-        s = cell["metrics"]["recon_s"]
-        lower = sum(c < p for p, c in zip(cell["recon_s_runs"]["parent"],
-                                          cell["recon_s_runs"]["change"]))
+        cell = pairs[f"{workload}_s{seed}"]
+        s = cell["metrics"][metric]
+        lower = sum(c < p for p, c in zip(cell["runs"]["parent"][metric],
+                                          cell["runs"]["change"][metric]))
         diff = round(s["parent"]["median"] - s["change"]["median"], 4)
-        record["claimed"][f"seed{seed}"] = {
+        claimed[f"seed{seed}"] = {
             "change_lower_in": s["change_lower_in"],
             "median_difference": diff, "parent_iqr": s["parent"]["iqr"],
             "median_change": s["median_change"],
             "met": lower >= 0.9 * args.pairs and diff > s["parent"]["iqr"]}
+    return claimed
 
-    _log("traced runs")
-    record["traced"] = {
-        f"{w}_s{args.seeds[0]}": {
-            side: {k: round(v, 4) for k, v in _perfbench(
-                root, w, args.seeds[0], trace=1).items() if k in LAYERS}
-            for side, root in sides.items()}
-        for w in WORKLOADS}
 
-    _log("criterion 7 pool")
-    pool = {"parent": [], "change": []}
-    for i in range(args.pool_runs):
-        for side in (("parent", "change") if i % 2 == 0
-                     else ("change", "parent")):
-            pool[side].append(_worker("criterion7", sides[side],
-                                      pinned=False))
-    record["criterion7_pool"] = pool
+def measure(args, sides):
+    seeds = " ".join(map(str, args.seeds))
+    claim = ":".join(args.claim)
+    record = {"command": "python3 scripts/resident_cov.py --parent <parent "
+                         "checkout> "
+                         + ("--aa" if args.aa else "--change <change checkout>")
+                         + f" --pairs {args.pairs} --seeds {seeds} "
+                         + ("" if args.aa else f"--pool-runs {args.pool_runs} "
+                            f"--memory-runs {args.memory_runs} ")
+                         + f"--claim {claim}",
+              "mode": "aa" if args.aa else "ab",
+              "host": _host(),
+              "thread_pinning": "perfbench and the fault, fingerprint and "
+                                "memory runs pin OMP_NUM_THREADS and "
+                                "OPENBLAS_NUM_THREADS to 1; criterion7_pool "
+                                "leaves them unset"}
+
+    if not args.aa:
+        _log("fingerprints")
+        for mode in ("sbl", "ml"):
+            prints = {side: _worker("fingerprints", root, mode)
+                      for side, root in sides.items()}
+            hash_list = {side: hashlib.sha256(json.dumps(
+                prints[side], sort_keys=True).encode()).hexdigest()
+                for side in sides}
+            record[f"same_answers_{mode}"] = {
+                "identical": prints["parent"] == prints["change"],
+                "sha256_of_hash_list": hash_list,
+                "cells": prints["change"]}
+
+        _log("minor faults")
+        record["minor_faults"] = {
+            f"{w}_s{seed}": {side: _worker("faults", root, w, str(seed))
+                             for side, root in sides.items()}
+            for w in WORKLOADS for seed in args.seeds}
+
+        _log("full-scale memory")
+        record["full_scale_memory"] = _interleaved(
+            args.memory_runs, sides, lambda root: {
+                **_worker("memory", root, "0"), **_worker("memory", root, "1")})
+
+    record["pairs"] = _pairs(args, sides)
+    record["claimed"] = _claimed(args, record["pairs"])
+
+    if not args.aa:
+        _log("traced runs")
+        record["traced"] = {
+            f"{w}_s{args.seeds[0]}": {
+                side: {k: round(v, 4) for k, v in _perfbench(
+                    root, w, args.seeds[0], trace=1).items() if k in LAYERS}
+                for side, root in sides.items()}
+            for w in WORKLOADS}
+
+        _log("criterion 7 pool")
+        record["criterion7_pool"] = _interleaved(
+            args.pool_runs, sides,
+            lambda root: _worker("criterion7", root, pinned=False))
     # each invocation adds one run to the file's list, so that every run
     # made stays in the record
     runs = []
@@ -296,26 +368,49 @@ def measure(args):
     _log(f"added run {len(runs) + 1} to {args.out}")
 
 
+def _claim(text):
+    workload, _, metric = text.partition(":")
+    if workload not in WORKLOADS or metric not in METRICS:
+        raise argparse.ArgumentTypeError(
+            f"expected WORKLOAD:METRIC with a workload of {WORKLOADS} and a "
+            f"metric of {METRICS}, got {text!r}")
+    return workload, metric
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--worker", nargs="+", help=argparse.SUPPRESS)
-    ap.add_argument("--parent")
-    ap.add_argument("--change")
+    ap.add_argument("--parent", help="root of the parent checkout")
+    ap.add_argument("--change", help="root of the changed checkout")
+    ap.add_argument("--aa", action="store_true",
+                    help="pair the parent against a copy of itself")
     ap.add_argument("--out", default="BENCH_resident_cov.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
     ap.add_argument("--pool-runs", type=int, default=3)
+    ap.add_argument("--memory-runs", type=int, default=3)
+    ap.add_argument("--claim", type=_claim, default="desk0:recon_s",
+                    help="WORKLOAD:METRIC judged against the pair rule")
     args = ap.parse_args()
     if args.worker:
         kind, *rest = args.worker
         json.dump(WORKERS[kind](*rest), sys.stdout)
         return
-    if not (args.parent and args.change):
-        ap.error("--parent and --change are required")
+    if not args.parent or bool(args.change) == args.aa:
+        ap.error("--parent and one of --change or --aa are required")
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
-    args.parent, args.change = map(os.path.abspath, (args.parent, args.change))
-    measure(args)
+    parent = os.path.abspath(args.parent)
+    if not args.aa:
+        measure(args, {"parent": parent,
+                       "change": os.path.abspath(args.change)})
+        return
+    with tempfile.TemporaryDirectory() as copy:
+        for part in ("src", "perfbench"):
+            shutil.copytree(os.path.join(parent, part),
+                            os.path.join(copy, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        measure(args, {"parent": parent, "change": copy})
 
 
 if __name__ == "__main__":

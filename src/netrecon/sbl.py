@@ -29,8 +29,11 @@ loop.  Every iteration that prunes lays out the kept entries afresh, as
 ``posterior`` and ``marginal_loglik`` do on each call, so no layout is
 written once built.  The loop's layouts and kernel factors are gathered
 into one buffer pair that each ``sbl_em`` call allocates at its first
-layout's width; ``posterior`` and ``marginal_loglik`` allocate their own,
-so what they return stays the caller's.
+layout's width and frees before its closing ``posterior``.
+``posterior`` and ``marginal_loglik`` gather a fresh layout and factor
+its blocks in place, so what they return stays the caller's and a call
+holds two layout-size arrays at most: the gathered blocks and, while it
+gathers them, their flat indices.
 
 Network identifiability enters through masks that pin selected entries of
 (A, B) to zero: either a diagonal top block of B (each input perturbs one
@@ -439,17 +442,22 @@ def _kernel(reg, lay, gc, sigma2, out=None):
     Returns the compact means and the diagonals of the H_i^{-1} (n x k,
     the column sums of R_i squared; zero where pruned), the log evidence,
     R (n x k x k), b . mu and D (n x k).  The posterior variances are
-    sigma2 times that diagonal.  ``lay`` is left unchanged.  R is formed in
-    ``out``, a flat float buffer of at least n k^2 entries, when given, and
-    in a fresh array otherwise.
+    sigma2 times that diagonal.  R is formed in ``out`` when given: a flat
+    float buffer of at least n k^2 entries, which leaves ``lay`` unchanged
+    for the next call, or ``lay.zz`` itself, whose gathered blocks it then
+    replaces.  Without ``out`` it is a fresh array and ``lay`` is left
+    unchanged.
     """
     n, k = gc.shape
     live = gc > 0
     G = np.where(live, gc, sigma2)
     D = sigma2 / G
-    R = np.empty(n * k * k) if out is None else out[:n * k * k]
-    R = R.reshape(n, k, k)
-    R[...] = lay.zz
+    if out is lay.zz:   # factor the gathered blocks in place
+        R = out
+    else:
+        R = np.empty(n * k * k) if out is None else out[:n * k * k]
+        R = R.reshape(n, k, k)
+        R[...] = lay.zz
     diag = R.reshape(n, k * k)[:, ::k + 1]   # a view: R is C-contiguous
     diag += D
     Rt = np.swapaxes(R, 1, 2)   # Rt[i] is Fortran-ordered
@@ -503,7 +511,7 @@ def posterior(reg, gamma, sigma2):
     n, d = g.shape
     if sigma2 > 0:
         lay, gc = _layout(reg, g)
-        mu, _, _, blocks, _, _ = _kernel(reg, lay, gc, sigma2)
+        mu, _, _, blocks, _, _ = _kernel(reg, lay, gc, sigma2, lay.zz)
         mu, order = _scatter(mu, lay.order, d), lay.order
     else:
         sq = np.sqrt(g)
@@ -526,7 +534,7 @@ def marginal_loglik(reg, gamma, sigma2):
     if not 0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     lay, gc = _layout(reg, _checked_gamma(reg, gamma))
-    return _kernel(reg, lay, gc, sigma2)[2]
+    return _kernel(reg, lay, gc, sigma2, lay.zz)[2]
 
 
 def initial_sbl_state(reg, mask, sigma2=None):
@@ -588,9 +596,11 @@ def sbl_em(reg, mask, init=None, opts=None):
     The kernel also returns b . mu for the residual, and with its D
     sigma2 tr(Sigma Gamma^{-1}) and sigma2 sum mu_i^2 / gamma_i are the
     dot products of D with the variances and the squared means.  After
-    the loop, gamma is mapped back to w-order and ``posterior`` gives the
-    returned mean and the per-row covariance blocks; the dense covariance
-    is assembled only if ``Sigma_w`` is read.
+    the loop, gamma is mapped back to w-order and the buffer pair freed;
+    ``posterior`` then gives the returned mean and the per-row covariance
+    blocks in a layout of its own, which takes the pair's place, so the
+    call peaks at about the pair's size.  The dense covariance is
+    assembled only if ``Sigma_w`` is read.
     """
     opts = opts or SBLOptions()
     if init is None:
@@ -659,6 +669,9 @@ def sbl_em(reg, mask, init=None, opts=None):
 
     gc = np.where(gc >= opts.prune_tol, gc, 0.0)
     gamma = _scatter(gc, lay.order, d).T.ravel()
+    # the buffer pair, and the layout and factors that view it, go before
+    # the closing posterior gathers its own
+    del bufs, lay, _
     post = posterior(reg, gamma, sigma2)
     return SBLState(gamma=gamma, sigma2=sigma2, mu_w=post.mu_w, posterior=post,
                     active=gamma > 0, iteration=iteration,

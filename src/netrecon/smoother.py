@@ -46,9 +46,12 @@ covariance sequence, into its arrays instead of allocating fresh ones.
 The covariance stacks grow to the rows a pass stores, not to N+1 rows
 unless nothing settles: numpy asks for huge pages for arrays of 4 MB and
 more.  The returned passes hold those arrays, means and covariance rows
-alike, valid until the buffers' next use.  The RTS gains are the one
-exception: they stay the batched solve's own output, since numpy's solve
-writes into no given array.
+alike, valid until the buffers' next use.  The buffers hold nothing
+else: the RTS pass forms P_{k|k} A' and its backward P_{k|N} recursion
+in arrays of its own, so these are not held through the M-step.  The
+RTS gains are the one returned sequence outside the buffers: numpy's
+solve writes into no given array, so the gains are written over the
+call's P_{k|k} A' and stay with the pass.
 
 Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
@@ -171,10 +174,10 @@ class PassBuffers:
     outputs, for passes to write into instead of allocating them.
     ``kalman_filter`` fills x_pred, x_filt and innovations ((N+1)-row) and
     the stacks P_pred, P_filt, K_gain and innov_cov.  ``rts_smoother``
-    fills x_sm and the stack P_sm, and forms its gain solve's operands and
-    its backward recursion in the stack cov_scratch.  Both passes form
-    their steady segment in ``scratch`` (N rows).  ``lag_one_smoother``
-    fills the stack M_sm.
+    fills x_sm and the stack P_sm; it forms its gain solve's operands and
+    its backward recursion in arrays of its own, freed when it returns.
+    Both passes form their steady segment in ``scratch`` (N rows).
+    ``lag_one_smoother`` fills the stack M_sm.
     Each stack holds one row per stored matrix: it starts empty, and a pass
     that needs more rows than it has replaces it by one a quarter longer
     than needed (not past N + 1 rows unless it needs them), rows kept, so
@@ -185,8 +188,7 @@ class PassBuffers:
     """
 
     __slots__ = ("x_pred", "x_filt", "innovations", "x_sm", "scratch",
-                 "P_pred", "P_filt", "K_gain", "innov_cov", "P_sm", "M_sm",
-                 "cov_scratch")
+                 "P_pred", "P_filt", "K_gain", "innov_cov", "P_sm", "M_sm")
 
     def __init__(self, N, n, p):
         self.x_pred = np.empty((N + 1, n))
@@ -196,8 +198,7 @@ class PassBuffers:
         self.scratch = np.empty((N, n))
         for name, shape in (("P_pred", (n, n)), ("P_filt", (n, n)),
                             ("K_gain", (n, p)), ("innov_cov", (p, p)),
-                            ("P_sm", (n, n)), ("M_sm", (n, n)),
-                            ("cov_scratch", (n, n))):
+                            ("P_sm", (n, n)), ("M_sm", (n, n))):
             setattr(self, name, np.empty((0,) + shape))
 
     def _check(self, N, n, p):
@@ -482,42 +483,48 @@ def kalman_filter(model, data, out=None):
                       k_steady=k_steady)
 
 
-def _steps(seq, lo, hi, out):
+def _steps(seq, lo, hi):
     """Steps lo..hi-1 of a StepSeq or a dense array: a view of the stored
-    rows where they are rows lo..hi-1, else a copy written into ``out``."""
-    if not isinstance(seq, StepSeq):
-        return seq[lo:hi]
-    if np.array_equal(seq.idx[lo:hi], np.arange(lo, hi)):
+    rows where they are rows lo..hi-1, else a gathered copy."""
+    if isinstance(seq, StepSeq) and np.array_equal(seq.idx[lo:hi],
+                                                   np.arange(lo, hi)):
         return seq.vals[lo:hi]
-    return np.take(seq.vals, seq.idx[lo:hi], axis=0, out=out, mode="clip")
+    return seq[lo:hi]
 
 
-def _gains(A, fp, hi, pinv_steps, out):
+def _gains(A, fp, ks, pinv_steps):
     """RTS gains J_k = P_{k|k} A' P_{k+1|k}^{-1} for k = 0..hi-1, row k of
-    the result, from one batched solve.  The solve reads the filter's
-    stored rows in place where they hold the steps in order; P_{k|k} A',
-    and P_{k+1|k} where the settled row serves the last two gains, are
-    formed in the ``cov_scratch`` stack of ``out``.  If a P_{k+1|k} is
-    singular the gains are solved one step at a time, k = hi-1 first, each
-    into its own array (its memory order sets the bits of products with
-    it, so the per-step reference's bits hold), and each step that falls
-    back to the pseudo-inverse is appended to ``pinv_steps``."""
-    scratch = out._stack("cov_scratch", 2 * hi)
-    # a copied P_{k|k} is read before P_{k+1|k} takes its rows
-    PAt = np.matmul(_steps(fp.P_filt, 0, hi, scratch[hi:2 * hi]), A.T,
-                    out=scratch[:hi])
-    Pp = _steps(fp.P_pred, 1, hi + 1, scratch[hi:2 * hi])
+    the result, with ks the first settled step (N if none) and
+    hi = min(ks + 1, N).  P_{k|k} A' is formed in a call-local array.  The
+    gains of the steps k < ks, whose P_{k+1|k} the filter stores in step
+    order, come from one batched solve on those rows in place; a settled
+    gain (hi = ks + 1) is solved on its own against the held P_{ks+1|ks},
+    so no gathered copy of P_{k+1|k} is made.  Both solves are written
+    over P_{k|k} A', whose array then holds the gains.
+    If a P_{k+1|k} is singular the gains are solved one step at a time,
+    k = hi-1 first, each into its own array (its memory order sets the
+    bits of products with it, so the per-step reference's bits hold), and
+    each step that falls back to the pseudo-inverse is appended to
+    ``pinv_steps``."""
+    hi = min(ks + 1, fp.N)
+    PAt = np.matmul(_steps(fp.P_filt, 0, hi), A.T)
+    t = min(ks, hi)
+    Pp = _steps(fp.P_pred, 1, t + 1)
     try:
-        return np.linalg.solve(np.swapaxes(Pp, 1, 2),
-                               np.swapaxes(PAt, 1, 2)).swapaxes(1, 2)
+        X = np.linalg.solve(np.swapaxes(Pp, 1, 2), np.swapaxes(PAt[:t], 1, 2))
+        if t < hi:
+            PAt[t] = np.linalg.solve(fp.P_pred[t + 1].T, PAt[t].T)
+        PAt[:t] = X
+        return PAt.swapaxes(1, 2)
     except np.linalg.LinAlgError:
         pass
     gains = [None] * hi
     for k in range(hi - 1, -1, -1):
+        Ppk = fp.P_pred[k + 1]
         try:
-            gains[k] = np.linalg.solve(Pp[k].T, PAt[k].T).T
+            gains[k] = np.linalg.solve(Ppk.T, PAt[k].T).T
         except np.linalg.LinAlgError:
-            gains[k] = PAt[k] @ np.linalg.pinv(Pp[k])
+            gains[k] = PAt[k] @ np.linalg.pinv(Ppk)
             pinv_steps.append(k)
     return gains
 
@@ -553,10 +560,12 @@ def rts_smoother(model, fp, out=None):
 
     With ``out``, a ``PassBuffers`` for the pass's N, n and p, the smoothed
     means are written into ``out.x_sm`` and the stored P_{k|N} rows into its
-    P_sm stack, and the backward scan and recursions run in its scratch;
-    the returned pass holds ``out.x_sm`` and a view of the stack, valid
-    until the buffers' next use.  Without ``out`` the call allocates its
-    own; both give the same bits.
+    P_sm stack, and the backward scan runs in its scratch; the returned
+    pass holds ``out.x_sm`` and a view of the stack, valid until the
+    buffers' next use.  Without ``out`` the call allocates its own; both
+    give the same bits.  Either way the gains' operands and the backward
+    P_{k|N} recursion, until its rows are copied into P_sm in step order,
+    live in arrays of the call's own.
     """
     N = fp.N
     n = fp.x_filt.shape[1]
@@ -569,24 +578,26 @@ def rts_smoother(model, fp, out=None):
     x_sm[N] = fp.x_filt[N]
     pinv_steps = []
     ks = N if fp.k_steady is None else fp.k_steady
-    gains = _gains(A, fp, min(ks + 1, N), pinv_steps, out)
-    # P_{k|N} from k = N back to the settled value, in the scratch rows that
-    # the gains no longer need
-    back = out._stack("cov_scratch", 1)
-    back[0] = fp.P_filt[N]
-    j = 0   # back[j] is P_{N-j|N}, the settled value once the loop ends
+    gains = _gains(A, fp, ks, pinv_steps)
+    back = [fp.P_filt[N]]   # back[j] is P_{N-j|N}; the last, the settled value
     if ks < N:
         if pinv_steps[:1] == [ks]:   # the steady gain serves steps ks..N-1
             pinv_steps[:1] = range(N - 1, ks - 1, -1)
         Js = gains[ks]
         Pf, Pp = fp.P_filt[ks], fp.P_pred[ks + 1]
         for k in range(N - 1, ks - 1, -1):
-            j += 1
-            if j == len(back):
-                back = out._stack("cov_scratch", j + 1)
-            _sym(Pf + Js @ (back[j - 1] - Pp) @ Js.T, out=back[j])
-            if _settled(back[j], back[j - 1]):
+            back.append(_sym(Pf + Js @ (back[-1] - Pp) @ Js.T,
+                             out=np.empty((n, n))))
+            if _settled(back[-1], back[-2]):
                 break
+    # rows in step order: the steps before ks, the settled value (row ks),
+    # then the backward transient up to P_{N|N}
+    j = len(back) - 1
+    rows = ks + j + 1
+    P_sm = out._stack("P_sm", rows)[:rows]
+    np.stack(back[::-1], out=P_sm[ks:])
+    del back   # before the scan's temporaries
+    if ks < N:
         # h_k = x_{k|k} - J x_{k+1|k}, held in x_sm[ks:N] until the scan
         h = x_sm[ks:N]
         np.subtract(fp.x_filt[ks:N], np.matmul(fp.x_pred[ks + 1:], Js.T, out=h),
@@ -598,11 +609,6 @@ def rts_smoother(model, fp, out=None):
         X[1:] = h[::-1]
         _linear_scan(Js, X)
         x_sm[ks:] = X[::-1]
-    # rows in step order: the steps before ks, the settled value (row ks),
-    # then the backward transient up to P_{N|N}
-    rows = ks + j + 1
-    P_sm = out._stack("P_sm", rows)[:rows]
-    P_sm[ks:] = back[j::-1]
     for k in range(ks - 1, -1, -1):
         Jk = gains[k]
         x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])

@@ -613,6 +613,34 @@ def test_sbl_em_allocates_no_dense_posterior_covariance():
     assert peak < dense_bytes / 4, f"traced peak {peak / 2**20:.1f} MB"
 
 
+def test_sbl_em_closing_posterior_fits_within_the_loop_buffers():
+    # rows of 40 entries with a dense first row, so no prune narrows the
+    # batch below its first width k0 = 40.  The loop gathers its layouts
+    # into a pair of n k0^2 buffers; the closing posterior's gathered
+    # blocks and their flat indices take the pair's place once it is
+    # freed, so the peak is the pair plus arrays of n k0 entries and
+    # numpy's iteration buffers (about 0.8 of a layout here).  Holding the
+    # pair through the closing posterior adds over two more layouts.
+    import tracemalloc
+
+    rng = np.random.default_rng(1)
+    n, m, N = 30, 10, 200
+    L = np.where(rng.random((n, n + m)) < 0.4, rng.normal(size=(n, n + m)), 0.0)
+    L[0] = rng.choice([-2.0, 2.0], size=n + m)
+    Z = rng.normal(size=(N, n + m))
+    reg = DesignRegression(targets=Z @ L.T + 0.5 * rng.normal(size=(N, n)),
+                           regressors=Z, n=n, m=m, N=N)
+    layout = n * (n + m) ** 2 * 8
+    tracemalloc.start()
+    try:
+        state = sbl_em(reg, free_mask(reg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.posterior.blocks.shape == (n, n + m, n + m)
+    assert peak < 3 * layout, f"traced peak {peak / layout:.2f} layouts"
+
+
 def test_sbl_state_builds_its_dense_covariance_on_read():
     reg, _ = desk_rows(np.random.default_rng(32), counts=(40, 12, 1, 0) * 7 + (40, 12))
     state = sbl_em(reg, free_mask(reg), opts=SBLOptions(max_iter=5))

@@ -208,8 +208,10 @@ def test_passes_into_buffers_equal_fresh_passes(desk_system, N):
 
 def test_warm_estep_allocates_under_a_megabyte(desk_system):
     # a warm E-step writes every stored covariance row into the resident
-    # stacks and allocates little more than the gain solve's output: about
-    # 0.65 MB of peak here, against 3.2 MB when each pass built its stacks
+    # stacks and allocates little more than the RTS pass's own arrays: its
+    # P_{k|k} A' rows, which then hold the gains, and the transient gain
+    # solve's output, about 0.55 MB together at k_steady = 37.  The peak is
+    # about 0.68 MB here, against 3.2 MB when each pass built its stacks
     # afresh.  Passes whose transient does not grow keep the same stacks.
     from netrecon.reconstruct import _Iterate, _estep
     model, data = desk_system
