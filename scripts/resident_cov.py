@@ -3,7 +3,7 @@
 
     python3 scripts/resident_cov.py --parent DIR --change DIR \
         --out BENCH_resident_cov.json [--pairs 10] [--seeds 1 7] \
-        [--pool-runs 3] [--memory-runs 3] [--claim desk0:recon_s]
+        [--pool-runs 3] [--claim desk0:recon_s]
     python3 scripts/resident_cov.py --parent DIR --aa \
         --out BENCH_resident_cov.json [--pairs 10] [--seeds 1 7]
 
@@ -22,9 +22,10 @@ holds:
   of each perfbench cell, in a process that has only set the cell up;
 - ``full_scale_memory``: 10 outer iterations of the held-out full-scale
   cell (seed 1, network 0: p=40, 100 true and 110 assumed states, m=40,
-  N=1000, 40 dB), interleaved runs per side: the process's ``ru_maxrss``
-  and the wall seconds of an untraced run, the ``tracemalloc`` peak of
-  the reconstruction in a second process, and the sha256 of ``A_hat``;
+  N=1000, 40 dB), three interleaved runs per side: the process's
+  ``ru_maxrss`` and the wall seconds of an untraced run, the
+  ``tracemalloc`` peak of the reconstruction in a second process, and the
+  sha256 of ``A_hat``, which the two processes must agree on;
 - ``pairs``: alternating ``perfbench/run.py`` runs of the two checkouts
   (the parent first in odd-numbered pairs), every end-to-end metric per
   workload and seed, with medians, quartiles and win counts;
@@ -68,6 +69,7 @@ LAYERS = ("smoother.filter_ms", "smoother.rts_ms", "smoother.lag1_ms",
           "smoother.loglik_ms", "smoother.esums_ms", "smoother.share",
           "sbl.em_ms", "sbl.inner_iter_ms", "sbl.posterior_ms", "sbl.share",
           "reconstruct.self_ms")
+MEMORY_RUNS = 3
 
 
 # -- workers: each runs in a fresh interpreter on one checkout ------------
@@ -217,6 +219,16 @@ def _perfbench(root, workload, seed, trace=0):
             **{k: v["value"] for k, v in res["metrics"].items()}}
 
 
+def _full_scale_memory(root):
+    """An untraced and a traced full-scale run of ``root``, which must
+    give the same ``A_hat``."""
+    plain, traced = (_worker("memory", root, t) for t in ("0", "1"))
+    if plain["A_hat_sha256"] != traced["A_hat_sha256"]:
+        raise RuntimeError(f"{root}: the traced full-scale run's A_hat "
+                           "differs from the untraced run's")
+    return {**plain, **traced}
+
+
 def _summary(parent, change):
     def quartiles(values):
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -306,8 +318,7 @@ def measure(args, sides):
                          "checkout> "
                          + ("--aa" if args.aa else "--change <change checkout>")
                          + f" --pairs {args.pairs} --seeds {seeds} "
-                         + ("" if args.aa else f"--pool-runs {args.pool_runs} "
-                            f"--memory-runs {args.memory_runs} ")
+                         + ("" if args.aa else f"--pool-runs {args.pool_runs} ")
                          + f"--claim {claim}",
               "mode": "aa" if args.aa else "ab",
               "host": _host(),
@@ -337,8 +348,7 @@ def measure(args, sides):
 
         _log("full-scale memory")
         record["full_scale_memory"] = _interleaved(
-            args.memory_runs, sides, lambda root: {
-                **_worker("memory", root, "0"), **_worker("memory", root, "1")})
+            MEMORY_RUNS, sides, _full_scale_memory)
 
     record["pairs"] = _pairs(args, sides)
     record["claimed"] = _claimed(args, record["pairs"])
@@ -388,7 +398,6 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
     ap.add_argument("--pool-runs", type=int, default=3)
-    ap.add_argument("--memory-runs", type=int, default=3)
     ap.add_argument("--claim", type=_claim, default="desk0:recon_s",
                     help="WORKLOAD:METRIC judged against the pair rule")
     args = ap.parse_args()

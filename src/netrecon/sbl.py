@@ -442,21 +442,19 @@ def _kernel(reg, lay, gc, sigma2, out=None):
     Returns the compact means and the diagonals of the H_i^{-1} (n x k,
     the column sums of R_i squared; zero where pruned), the log evidence,
     R (n x k x k), b . mu and D (n x k).  The posterior variances are
-    sigma2 times that diagonal.  R is formed in ``out`` when given: a flat
-    float buffer of at least n k^2 entries, which leaves ``lay`` unchanged
-    for the next call, or ``lay.zz`` itself, whose gathered blocks it then
-    replaces.  Without ``out`` it is a fresh array and ``lay`` is left
-    unchanged.
+    sigma2 times that diagonal.  R is formed in ``out`` when given, a flat
+    float buffer of at least n k^2 entries, and ``lay`` is left unchanged
+    for the next call; without ``out`` the gathered blocks ``lay.zz`` are
+    factored in place.
     """
     n, k = gc.shape
     live = gc > 0
     G = np.where(live, gc, sigma2)
     D = sigma2 / G
-    if out is lay.zz:   # factor the gathered blocks in place
-        R = out
+    if out is None:
+        R = lay.zz
     else:
-        R = np.empty(n * k * k) if out is None else out[:n * k * k]
-        R = R.reshape(n, k, k)
+        R = out[:n * k * k].reshape(n, k, k)
         R[...] = lay.zz
     diag = R.reshape(n, k * k)[:, ::k + 1]   # a view: R is C-contiguous
     diag += D
@@ -511,7 +509,7 @@ def posterior(reg, gamma, sigma2):
     n, d = g.shape
     if sigma2 > 0:
         lay, gc = _layout(reg, g)
-        mu, _, _, blocks, _, _ = _kernel(reg, lay, gc, sigma2, lay.zz)
+        mu, _, _, blocks, _, _ = _kernel(reg, lay, gc, sigma2)
         mu, order = _scatter(mu, lay.order, d), lay.order
     else:
         sq = np.sqrt(g)
@@ -534,7 +532,7 @@ def marginal_loglik(reg, gamma, sigma2):
     if not 0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     lay, gc = _layout(reg, _checked_gamma(reg, gamma))
-    return _kernel(reg, lay, gc, sigma2, lay.zz)[2]
+    return _kernel(reg, lay, gc, sigma2)[2]
 
 
 def initial_sbl_state(reg, mask, sigma2=None):

@@ -619,8 +619,10 @@ def test_sbl_em_closing_posterior_fits_within_the_loop_buffers():
     # into a pair of n k0^2 buffers; the closing posterior's gathered
     # blocks and their flat indices take the pair's place once it is
     # freed, so the peak is the pair plus arrays of n k0 entries and
-    # numpy's iteration buffers (about 0.8 of a layout here).  Holding the
-    # pair through the closing posterior adds over two more layouts.
+    # numpy's iteration buffers (2.8 layouts in all here).  Holding the
+    # pair through the closing posterior reads 4.6 layouts; the bound sits
+    # between the two, so a numpy whose iteration buffers differ in size
+    # does not decide it.
     import tracemalloc
 
     rng = np.random.default_rng(1)
@@ -638,7 +640,7 @@ def test_sbl_em_closing_posterior_fits_within_the_loop_buffers():
     finally:
         tracemalloc.stop()
     assert state.posterior.blocks.shape == (n, n + m, n + m)
-    assert peak < 3 * layout, f"traced peak {peak / layout:.2f} layouts"
+    assert peak < 3.5 * layout, f"traced peak {peak / layout:.2f} layouts"
 
 
 def test_sbl_state_builds_its_dense_covariance_on_read():
@@ -685,12 +687,13 @@ def masked_layout(rng):
 
 
 def test_kernel_leaves_the_resident_layout_unchanged():
-    # sbl_em reuses a layout over the iterations that prune nothing
+    # sbl_em reuses a layout over the iterations that prune nothing,
+    # factoring it in a buffer of its own
     from netrecon.sbl import _kernel
 
     reg, lay, gc, _ = masked_layout(np.random.default_rng(29))
     zz, b = lay.zz.copy(), lay.b.copy()
-    _kernel(reg, lay, gc, 0.4)
+    _kernel(reg, lay, gc, 0.4, np.empty(lay.zz.size))
     assert np.array_equal(lay.zz, zz) and np.array_equal(lay.b, b)
 
 
@@ -703,7 +706,7 @@ def test_kernel_inverse_factor_matches_full_width():
     n, d = reg.n, reg.n + reg.m
     assert gc.shape[1] == 30 and not gc[3].any()
     for sigma2 in (0.05, 3.0):
-        R = _kernel(reg, lay, gc, sigma2)[3]
+        R = _kernel(reg, lay, gc, sigma2, np.empty(lay.zz.size))[3]
         R_full = np.zeros((n, d, d))
         R_full[np.arange(n)[:, None, None], lay.order[:, :, None],
                lay.order[:, None, :]] = R
@@ -836,10 +839,10 @@ def test_lapack_loader_falls_back_to_the_public_routines(tmp_path, monkeypatch):
     assert routines == (lapack.dpotrf, lapack.dtrtri)
     assert sbl._FLAPACK not in sys.modules
     reg, lay, gc, _ = masked_layout(np.random.default_rng(33))
-    loaded = sbl._kernel(reg, lay, gc, 0.4)
+    loaded = sbl._kernel(reg, lay, gc, 0.4, np.empty(lay.zz.size))
     monkeypatch.setattr(sbl, "dpotrf", routines[0])
     monkeypatch.setattr(sbl, "dtrtri", routines[1])
-    public = sbl._kernel(reg, lay, gc, 0.4)
+    public = sbl._kernel(reg, lay, gc, 0.4, np.empty(lay.zz.size))
     for a, b in zip(loaded, public):
         assert np.array_equal(a, b)
 
