@@ -17,7 +17,14 @@ holds:
   timings, DSF sample and network, and the sha256 of each result file, on
   26 cells: perfbench desk40, desk0 and long_series at seeds 1 and 2, and
   acceptance criterion 7's 20 cells (seed 0, networks 0-9, 40 and 0 dB),
-  each reconstructed in "sbl" and in "ml" mode;
+  each reconstructed in "sbl" and in "ml" mode.  Each cell also holds how
+  far the change's answers are from the parent's: the largest relative
+  difference (max |change - parent| over max |parent|) of ``A_hat``,
+  ``B_hat``, ``sigma2_hat``, ``m0_hat``, ``R0_hat`` and of the trace's
+  ``obs_loglik`` values, and whether the status, the Q and P adjacency
+  and each record's ``n_active``, ``inner_iterations``,
+  ``evidence_decreases``, ``pinv_steps`` and ``damped`` are identical;
+  ``worst`` gathers them over the cells;
 - ``minor_faults``: ``ru_minflt`` and wall seconds of one ``reconstruct``
   of each perfbench cell, in a process that has only set the cell up;
 - ``full_scale_memory``: 10 outer iterations of the held-out full-scale
@@ -70,6 +77,10 @@ LAYERS = ("smoother.filter_ms", "smoother.rts_ms", "smoother.lag1_ms",
           "sbl.em_ms", "sbl.inner_iter_ms", "sbl.posterior_ms", "sbl.share",
           "reconstruct.self_ms")
 MEMORY_RUNS = 3
+# the answers compared by relative difference, and those that must agree
+ESTIMATES = ("A_hat", "B_hat", "sigma2_hat", "m0_hat", "R0_hat")
+RECORD_COUNTS = ("n_active", "inner_iterations", "evidence_decreases",
+                 "pinv_steps", "damped")
 
 
 # -- workers: each runs in a fresh interpreter on one checkout ------------
@@ -101,6 +112,50 @@ def _fingerprint(res):
     return h.hexdigest()
 
 
+def _answers(res):
+    """The estimates, log-likelihoods, status, network and record counts
+    of a result, as JSON lists (floats round-trip exactly)."""
+    import numpy as np
+    return {**{name: np.ravel(getattr(res, name)).tolist()
+               for name in ESTIMATES},
+            "obs_loglik": [rec.obs_loglik for rec in res.trace],
+            "status": res.status, "q_adj": res.network.q_adj.tolist(),
+            "p_adj": res.network.p_adj.tolist(),
+            **{name: [getattr(rec, name) for rec in res.trace]
+               for name in RECORD_COUNTS}}
+
+
+def _max_rel_diff(parent, change):
+    """max |change - parent| over max |parent| (over 1 if that is 0); inf
+    when the lengths differ."""
+    if len(parent) != len(change):
+        return float("inf")
+    scale = max((abs(v) for v in parent), default=0.0) or 1.0
+    return max((abs(c - p) for p, c in zip(parent, change)),
+               default=0.0) / scale
+
+
+def _compare(parent, change):
+    """How far a cell's answers on the change side are from the parent's."""
+    out = {f"max_rel_diff_{name}": _max_rel_diff(parent[name], change[name])
+           for name in ESTIMATES + ("obs_loglik",)}
+    out.update({f"same_{name}": parent[name] == change[name]
+                for name in ("status", "q_adj", "p_adj") + RECORD_COUNTS})
+    return out
+
+
+def _worst(compared):
+    """Over a mode's cells: the largest of each relative difference, and
+    whether each flag holds in every cell."""
+    worst = {}
+    for cell in compared.values():
+        for key, value in cell.items():
+            worst[key] = (max(worst.get(key, 0.0), value)
+                          if key.startswith("max_") else
+                          worst.get(key, True) and value)
+    return worst
+
+
 def worker_fingerprints(root, prior_mode):
     run = _import_perfbench(root)
     from netrecon import (ReconConfig, generate_random_network, reconstruct,
@@ -128,7 +183,8 @@ def worker_fingerprints(root, prior_mode):
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             out[name] = {"fingerprint": _fingerprint(res),
-                         "result_file_sha256": digest}
+                         "result_file_sha256": digest,
+                         "answers": _answers(res)}
     return out
 
 
@@ -332,12 +388,21 @@ def measure(args, sides):
         for mode in ("sbl", "ml"):
             prints = {side: _worker("fingerprints", root, mode)
                       for side, root in sides.items()}
+            answers = {side: {cell: v.pop("answers") for cell, v in p.items()}
+                       for side, p in prints.items()}
             hash_list = {side: hashlib.sha256(json.dumps(
                 prints[side], sort_keys=True).encode()).hexdigest()
                 for side in sides}
+            identical = prints["parent"] == prints["change"]
+            compared = {cell: _compare(answers["parent"][cell],
+                                       answers["change"][cell])
+                        for cell in answers["parent"]}
+            for cell, diffs in compared.items():
+                prints["change"][cell].update(diffs)
             record[f"same_answers_{mode}"] = {
-                "identical": prints["parent"] == prints["change"],
+                "identical": identical,
                 "sha256_of_hash_list": hash_list,
+                "worst": _worst(compared),
                 "cells": prints["change"]}
 
         _log("minor faults")

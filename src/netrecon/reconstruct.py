@@ -270,7 +270,7 @@ class _Iterate:
     sbl_sigma2: float | None = None
 
 
-def _estep(data, it, bufs):
+def _estep(data, it, bufs, model=None):
     """E half of one outer iteration: smooth the data at the iterate ``it``.
 
     The smoothing pass runs on the data and model divided by
@@ -279,6 +279,12 @@ def _estep(data, it, bufs):
     and the record fields ``obs_loglik`` (in data units) and
     ``pinv_steps``.  Raises FilterDivergedError if the pass diverges.
 
+    ``model`` is a validated ``StateSpaceModel`` with sigma = 1 and the
+    record's shape, which ``reconstruct`` builds once per run (without it,
+    one is built from ``it``).  The pass runs on a copy of it that carries
+    the iterate's scaled arrays unchecked, so a non-finite iterate reaches
+    the filter and fails its divergence test.
+
     The filter and RTS passes write their means into ``bufs``, a
     ``PassBuffers`` for the record, which every iteration reuses; nothing
     returned refers to them (the sums, x0_sm and P0_sm are fresh arrays),
@@ -286,12 +292,15 @@ def _estep(data, it, bufs):
     """
     p, N = data.p, data.N
     s = float(np.sqrt(it.sigma2))
-    # data was checked when built: the scaled copy skips Dataset's copies
-    # and finiteness check
+    if model is None:
+        model = StateSpaceModel(A=it.A, B=it.B, p=p, sigma=1.0, m0=it.m0,
+                                R0=it.R0)
+    # data and model were checked when built: the scaled copies skip their
+    # copies and checks
     scaled = copy.copy(data)
     scaled.Y = data.Y / s
-    model = StateSpaceModel(A=it.A, B=it.B / s, p=p, sigma=1.0, m0=it.m0 / s,
-                            R0=it.R0 / s**2)
+    model = copy.copy(model)
+    model.A, model.B, model.m0, model.R0 = it.A, it.B / s, it.m0 / s, it.R0 / s**2
     fp = kalman_filter(model, scaled, out=bufs)
     sp = rts_smoother(model, fp, out=bufs)
     sp = _dc_replace(sp, M_sm=lag_one_smoother(sp, out=bufs))
@@ -357,10 +366,12 @@ def reconstruct(data, cfg):
     1, 1 + K, 1 + 2K, ... (K = ``_REFIT_EVERY``) and on the iteration after
     any other whose step meets ``outer_tol``; the run is declared
     converged only on a refit, so it never stops on a support that the
-    sparse fit has not re-checked.  On filter divergence the iteration is
-    retried once from the iterate halfway back to the previous one in (A,
-    B, sigma^2); a second failure stops the run with status "diverged",
-    the previous iterate's (A, B, sigma^2) and a partial trace.
+    sparse fit has not re-checked.  On filter divergence (a covariance
+    blow-up, an innovation covariance that is not positive definite, or a
+    non-finite iterate) the iteration is retried once from the iterate
+    halfway back to the previous one in (A, B, sigma^2); a second failure
+    stops the run with status "diverged", the previous iterate's (A, B,
+    sigma^2) and a partial trace.
     """
     t_start = time.perf_counter()
     p, m = data.p, data.m
@@ -371,6 +382,8 @@ def reconstruct(data, cfg):
     mask = identifiability_mask(n, p, m, cfg.mask_mode, cfg.p22)
     cur = _Iterate(*_initial_parameters(n, m, mask, data.Y, cfg.seed))
     bufs = PassBuffers(data.N, n, p)   # one set for every smoothing pass
+    model = StateSpaceModel(A=cur.A, B=cur.B, p=p, sigma=1.0, m0=cur.m0,
+                            R0=cur.R0)   # each E-step runs a copy of it
     prev = cur
     w_prev = pack_w(cur.A, cur.B)
     trace = []
@@ -383,7 +396,7 @@ def reconstruct(data, cfg):
         damped = False
         t0 = time.perf_counter()
         try:
-            es, fields = _estep(data, cur, bufs)
+            es, fields = _estep(data, cur, bufs, model)
         except FilterDivergedError:
             damped = True
             cur = _dc_replace(cur, A=0.5 * (cur.A + prev.A),
@@ -391,7 +404,7 @@ def reconstruct(data, cfg):
                               sigma2=0.5 * (cur.sigma2 + prev.sigma2))
             t0 = time.perf_counter()
             try:
-                es, fields = _estep(data, cur, bufs)
+                es, fields = _estep(data, cur, bufs, model)
             except FilterDivergedError:
                 status = "diverged"
                 cur = _dc_replace(cur, A=prev.A, B=prev.B, sigma2=prev.sigma2)

@@ -128,6 +128,28 @@ def _load_lapack(root=None):
 dpotrf, dtrtri = _load_lapack()
 
 
+def _inverse_factors(H):
+    """Factor each matrix H_i of the C-ordered stack ``H`` (m x k x k,
+    symmetric positive definite) in place into R_i = L_i^{-1}, with
+    H_i = L_i L_i' its Cholesky factorization, so H_i^{-1} = R_i' R_i and
+    log det H_i = -2 sum log diag(R_i).  R_i is lower triangular: the
+    C-ordered H_i, seen transposed, is a Fortran-ordered matrix that
+    ``dpotrf`` and ``dtrtri`` take without a copy, as the upper factor L_i'
+    (the other triangle zeroed) and then its inverse.
+
+    Returns None, or (i, info) for the first H_i that is not positive
+    definite (or whose factor is singular), with LAPACK's ``info``; that
+    matrix and the later ones are then left unfactored.
+    """
+    Ht = np.swapaxes(H, 1, 2)   # Ht[i] is Fortran-ordered
+    for i in range(len(H) if H.shape[-1] else 0):   # LAPACK rejects empty
+        Hi = Ht[i]
+        info = dpotrf(Hi, 0, 1, 1)[1] or dtrtri(Hi, 0, 0, 1)[1]
+        if info:
+            return i, info
+    return None
+
+
 # The identifiability regimes that ``identifiability_mask`` builds.
 MASK_MODES = ("diag_b", "p_diag")
 
@@ -423,9 +445,7 @@ def _kernel(reg, lay, gc, sigma2, out=None):
     diagonal: sigma2 / gc_i on active entries, 1 on pruned entries and
     the pad, which have no coupling, so every H_i is k x k and positive
     definite.  Each row is factored, H_i = L_i L_i', and L_i inverted in
-    one k x k buffer: the C-ordered H_i, seen transposed, is a
-    Fortran-ordered matrix that ``dpotrf`` and ``dtrtri`` take without a
-    copy, as the upper factor L_i' and then its inverse.  A pruned entry's
+    its own k x k buffer by ``_inverse_factors``.  A pruned entry's
     row and column of L_i are the identity's, and so are its inverse's;
     zeroing their diagonal leaves R_i = L_i^{-1} with H_i^{-1} = R_i' R_i
     on the active entries and a zero row and column at each pruned entry,
@@ -458,14 +478,11 @@ def _kernel(reg, lay, gc, sigma2, out=None):
         R[...] = lay.zz
     diag = R.reshape(n, k * k)[:, ::k + 1]   # a view: R is C-contiguous
     diag += D
-    Rt = np.swapaxes(R, 1, 2)   # Rt[i] is Fortran-ordered
-    for i in range(n if k else 0):   # LAPACK rejects an empty matrix
-        Ri = Rt[i]
-        # upper factor (zeroing the other triangle), then its inverse
-        info = dpotrf(Ri, 0, 1, 1)[1] or dtrtri(Ri, 0, 0, 1)[1]
-        if info:
-            raise np.linalg.LinAlgError(
-                f"SBL row {i} is not positive definite (info {info})")
+    bad = _inverse_factors(R)
+    if bad is not None:
+        raise np.linalg.LinAlgError(
+            "SBL row {} is not positive definite (info {})".format(*bad))
+    Rt = np.swapaxes(R, 1, 2)
     logdet = np.log(G).sum() - 2.0 * np.log(diag).sum()
     diag *= live
     mu = (Rt @ (R @ lay.b[:, :, None]))[:, :, 0]

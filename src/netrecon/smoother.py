@@ -21,13 +21,26 @@ innovation covariance for every later step, which then runs only the mean
 recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS
 smoother uses one gain over that segment and runs its backward covariance
 recursion only until it settles by the same test; the log-likelihood
-solves with the shared innovation covariance once for all the settled
-steps.  Steps before k_steady, and runs where the test never passes, run
-every recursion at every step.  The RTS gains, and the log-likelihood's
-determinants and solves, depend only on covariances the filter has
-stored, so each comes from one batched LAPACK call per pass (the settled
-gain and determinant are the last rows of their batches), and only the
+takes the quadratic terms of all the settled steps from the one factor
+of the shared innovation covariance.  Steps before k_steady, and runs
+where the test never passes, run every recursion at every step.  The RTS
+gains, and the log-likelihood's determinants and quadratic forms, depend
+only on covariances the filter has stored, so each pass factors those
+once, the settled value as the last row of its stack, and only the
 recursions run step by step.
+
+Every symmetric positive definite matrix the E-step inverts (the filter's
+innovation covariance S_k, the RTS pass's P_{k+1|k}) is factored once
+into its inverse Cholesky factor, S^{-1} = R' R with R = L^{-1} for the
+Cholesky factor L, by the ``dpotrf``/``dtrtri`` pair that the SBL kernel
+uses (``sbl._inverse_factors``); each gain and quadratic form is then a
+product with R, and log det S = -2 sum log diag(R).  This is the factor
+form of Kalman computation (Bierman, Factorization Methods for Discrete
+Sequential Estimation, 1977).  At these sizes an LU or triangular solve
+costs far more than a product of the same shape, so the factor and two
+products take less time than the solve they replace.  A matrix that is
+not positive definite raises FilterDivergedError in the filter and the
+log-likelihood, and sends the RTS gains to a per-step LU solve.
 
 Storage: every covariance and gain sequence is a ``StepSeq``, which stores
 each distinct matrix once and maps each step to its row.  The filter's
@@ -47,11 +60,11 @@ The covariance stacks grow to the rows a pass stores, not to N+1 rows
 unless nothing settles: numpy asks for huge pages for arrays of 4 MB and
 more.  The returned passes hold those arrays, means and covariance rows
 alike, valid until the buffers' next use.  The buffers hold nothing
-else: the RTS pass forms P_{k|k} A' and its backward P_{k|N} recursion
-in arrays of its own, so these are not held through the M-step.  The
-RTS gains are the one returned sequence outside the buffers: numpy's
-solve writes into no given array, so the gains are written over the
-call's P_{k|k} A' and stay with the pass.
+else: the RTS pass forms P_{k|k} A', the factors of P_{k+1|k} and its
+backward P_{k|N} recursion in arrays of its own, so these are not held
+through the M-step.  The RTS gains are the one returned sequence outside
+the buffers: they are written over the call's P_{k|k} A' and stay with
+the pass.
 
 Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
@@ -68,6 +81,8 @@ longer change the result.
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .sbl import _inverse_factors
 
 __all__ = [
     "FilterDivergedError",
@@ -287,6 +302,12 @@ def _linear_scan(F, X):
         _add_products(dst, ends[:len(dst)], powers[i])
 
 
+def _first_nonfinite(x, lo, hi):
+    """The first k in lo..hi-1 whose row x[k] is not all finite, or None."""
+    bad = ~np.isfinite(x[lo:hi]).all(axis=1)
+    return lo + int(np.argmax(bad)) if bad.any() else None
+
+
 def _settled(new, old):
     """True when ``new`` differs from ``old`` by at most _STEADY_RTOL times
     the largest entry of ``new``."""
@@ -373,8 +394,15 @@ def kalman_filter(model, data, out=None):
     the first p rows of P_{k|k-1}, C P_{k|k-1} C' its leading p x p block
     and C x_{k|k-1} the first p entries of x_{k|k-1}.  Nonzero D raises
     ValueError.  Raises FilterDivergedError when a covariance norm
-    exceeds 1e12 or a predicted mean is not finite, signalling an unstable
+    exceeds 1e12, an innovation covariance is not positive definite or a
+    predicted mean is not finite, signalling an unstable (or non-finite)
     parameter iterate to the caller.
+
+    The gain comes from the inverse Cholesky factor R_k of the innovation
+    covariance S_k = C P_{k|k-1} C' + I, S_k^{-1} = R_k' R_k
+    (``sbl._inverse_factors``, on a copy of S_k), as
+    K_k' = R_k' (R_k C P_{k|k-1}): two small products in place of an LU
+    solve.
 
     Once P_{k|k-1} changes by at most _STEADY_RTOL relative to its largest
     entry in one step (k >= 2), the covariances, gain and innovation
@@ -384,16 +412,18 @@ def kalman_filter(model, data, out=None):
     F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j, where I - K C is
     the identity less K in its first p columns.  They come from a blocked
     scan seeded with x_{k|k} (``_linear_scan``); the predicted means and
-    innovations are then formed in batch, and the first non-finite
-    predicted mean raises FilterDivergedError at its step as in the
-    per-step recursion.
+    innovations are then formed in batch.
 
-    Each transient step takes one reduction, the largest |P_{k|k-1}| entry,
-    for both the divergence test (written so that NaN fails it) and the
-    settle test.  Reading C P as rows of P gives the bits of the product,
-    since C's zeros add only exact zeros, and the other products keep the
-    per-step reference's order, so a run that never settles gives the same
-    bits.
+    Each transient step writes its means, covariances, gain and innovation
+    into their stored rows through a few call-local scratch arrays, with no
+    other temporaries, and takes one reduction, the largest |P_{k|k-1}|
+    entry, for both the divergence test (written so that NaN fails it) and
+    the settle test.  The mean recursion does not feed the covariances, so
+    the predicted means are tested for finiteness once after the transient
+    loop, once after the steady tail and when a covariance diverges; the
+    first non-finite one raises FilterDivergedError at its step, as the
+    per-step recursion does.  C P is read as rows of P, which gives the
+    bits of the product, since C's zeros add only exact zeros.
 
     With ``out``, a ``PassBuffers`` for this record's N, n and p, the means
     and innovations are written into its arrays, the stored covariance,
@@ -433,30 +463,47 @@ def kalman_filter(model, data, out=None):
     innov_cov[0] = Ip
 
     k_steady = None
+    # per-step scratch: S_k's inverse factor R_k, R_k C P, the gain's
+    # transpose K' and the n x n products from which the stored rows are
+    # formed.  Products take K as the transpose of the C-ordered K', as
+    # they took an LU solve's, for the tail's tall Y K' (see _gains).
+    Rk = np.empty((1, p, p))
+    RCP, Kt = np.empty((p, n)), np.empty((p, n))
+    T, T2 = np.empty((n, n)), np.empty((n, n))
+    Bu = np.empty(n)
     for k in range(1, N + 1):
         if k == len(P_pred):
             P_pred, P_filt, K_gain, innov_cov = (out._stack(s, k + 1)
                                                  for s in stacks)
-        x_pred[k] = A @ x_filt[k - 1] + B @ data.U[k - 1]
-        Pp = _sym(A @ P_filt[k - 1] @ A.T + sig2I, out=P_pred[k])
-        big = np.abs(Pp).max()   # NaN fails the test below as well
-        if not big <= _DIVERGE_NORM or not np.isfinite(x_pred[k]).all():
-            raise FilterDivergedError(k)
+        xp = np.matmul(A, x_filt[k - 1], out=x_pred[k])
+        xp += np.matmul(B, data.U[k - 1], out=Bu)
+        np.matmul(np.matmul(A, P_filt[k - 1], out=T), A.T, out=T2)
+        T2 += sig2I
+        Pp = _sym(T2, out=P_pred[k])
+        big = np.abs(Pp, out=T).max()   # NaN fails the test below as well
+        if not big <= _DIVERGE_NORM:
+            raise FilterDivergedError(_first_nonfinite(x_pred, 1, k + 1) or k)
         CP = Pp[:p]   # C P
-        S = np.add(CP[:, :p], Ip, out=innov_cov[k])
-        # the solve's own transpose, not the stored row, enters the products:
-        # a matrix's memory order sets the bits of products with it
-        K = np.linalg.solve(S, CP).T
+        Rk[0] = np.add(CP[:, :p], Ip, out=innov_cov[k])
+        if _inverse_factors(Rk) is not None:
+            raise FilterDivergedError(_first_nonfinite(x_pred, 1, k + 1) or k)
+        R = Rk[0]   # S_k^{-1} = R' R
+        K = np.matmul(R.T, np.matmul(R, CP, out=RCP), out=Kt).T
         K_gain[k] = K
-        innovations[k] = data.Y[k - 1] - x_pred[k, :p]
-        x_filt[k] = x_pred[k] + K @ innovations[k]
-        _sym(Pp - K @ CP, out=P_filt[k])
+        nu = np.subtract(data.Y[k - 1], xp[:p], out=innovations[k])
+        np.matmul(K, nu, out=x_filt[k])
+        x_filt[k] += xp
+        _sym(np.subtract(Pp, np.matmul(K, CP, out=T), out=T), out=P_filt[k])
         # P_pred[1] follows the prior, not the Riccati map, so compare from 2
-        if k >= 2 and np.abs(Pp - P_pred[k - 1]).max() <= _STEADY_RTOL * big:
+        if k >= 2 and (np.abs(np.subtract(Pp, P_pred[k - 1], out=T), out=T).max()
+                       <= _STEADY_RTOL * big):
             k_steady = k
             break
 
     rows = N + 1 if k_steady is None else k_steady + 1
+    bad = _first_nonfinite(x_pred, 1, rows)
+    if bad is not None:
+        raise FilterDivergedError(bad)
     if k_steady is not None and k_steady < N:
         ks = k_steady
         tail = slice(ks + 1, N + 1)
@@ -470,10 +517,9 @@ def kalman_filter(model, data, out=None):
         _linear_scan(F, x_filt[ks:])
         np.matmul(x_filt[ks:N], A.T, out=xp)
         xp += np.matmul(data.U[ks:], B.T, out=tmp)
-        finite = np.isfinite(xp)
-        if not finite.all():
-            bad = ~finite.all(axis=1)
-            raise FilterDivergedError(ks + 1 + int(np.argmax(bad)))
+        bad = _first_nonfinite(x_pred, ks + 1, N + 1)
+        if bad is not None:
+            raise FilterDivergedError(bad)
         np.subtract(data.Y[ks:], xp[:, :p], out=nu)
     return FilterPass(x_pred=x_pred, P_pred=_held(P_pred[:rows], N + 1),
                       x_filt=x_filt, P_filt=_held(P_filt[:rows], N + 1),
@@ -495,29 +541,36 @@ def _steps(seq, lo, hi):
 def _gains(A, fp, ks, pinv_steps):
     """RTS gains J_k = P_{k|k} A' P_{k+1|k}^{-1} for k = 0..hi-1, row k of
     the result, with ks the first settled step (N if none) and
-    hi = min(ks + 1, N).  P_{k|k} A' is formed in a call-local array.  The
-    gains of the steps k < ks, whose P_{k+1|k} the filter stores in step
-    order, come from one batched solve on those rows in place; a settled
-    gain (hi = ks + 1) is solved on its own against the held P_{ks+1|ks},
-    so no gathered copy of P_{k+1|k} is made.  Both solves are written
-    over P_{k|k} A', whose array then holds the gains.
-    If a P_{k+1|k} is singular the gains are solved one step at a time,
-    k = hi-1 first, each into its own array (its memory order sets the
-    bits of products with it, so the per-step reference's bits hold), and
-    each step that falls back to the pseudo-inverse is appended to
-    ``pinv_steps``."""
+    hi = min(ks + 1, N).  P_{k|k} A' is formed in a call-local array.  A
+    call-local copy of the P_{k+1|k} rows, the steps k < ks, which the
+    filter stores in step order, and then the held P_{ks+1|ks} of a settled
+    gain (hi = ks + 1), is factored in place into inverse Cholesky factors,
+    P_{k+1|k}^{-1} = R_k' R_k (``sbl._inverse_factors``); each gain's
+    transpose J_k' = R_k' (R_k (P_{k|k} A')') is then written over its row
+    of P_{k|k} A', and the gains are returned as their transposes.
+    If a P_{k+1|k} is not positive definite the gains are solved by LU one
+    step at a time, k = hi-1 first, each into its own array (its memory
+    order sets the bits of products with it, so the per-step reference's
+    bits hold), and each step whose P_{k+1|k} is singular takes the
+    pseudo-inverse and is appended to ``pinv_steps``."""
     hi = min(ks + 1, fp.N)
     PAt = np.matmul(_steps(fp.P_filt, 0, hi), A.T)
     t = min(ks, hi)
-    Pp = _steps(fp.P_pred, 1, t + 1)
-    try:
-        X = np.linalg.solve(np.swapaxes(Pp, 1, 2), np.swapaxes(PAt[:t], 1, 2))
-        if t < hi:
-            PAt[t] = np.linalg.solve(fp.P_pred[t + 1].T, PAt[t].T)
-        PAt[:t] = X
+    R = np.empty_like(PAt)
+    R[:t] = _steps(fp.P_pred, 1, t + 1)
+    if t < hi:
+        R[t] = fp.P_pred[t + 1]
+    if _inverse_factors(R) is None:
+        # J_k' = R_k' (R_k (P_{k|k} A')'), a step at a time through one
+        # n x n scratch (a batched product would hold a third stack).  The
+        # gains are the transposes of these C-ordered rows, as an LU solve's
+        # were: the pass's tall products X J' took 30-45 us with J' C-ordered
+        # and 4-8 ms with J C-ordered, split across BLAS threads, in two
+        # processes on two cores with threads unpinned.
+        W = np.empty_like(PAt[0])
+        for k in range(hi):
+            np.matmul(R[k].T, np.matmul(R[k], PAt[k].T, out=W), out=PAt[k])
         return PAt.swapaxes(1, 2)
-    except np.linalg.LinAlgError:
-        pass
     gains = [None] * hi
     for k in range(hi - 1, -1, -1):
         Ppk = fp.P_pred[k + 1]
@@ -542,11 +595,12 @@ def rts_smoother(model, fp, out=None):
     affected steps are recorded in ``pinv_steps``, in backward step order.
 
     The gains depend only on stored filter covariances, so every gain of
-    the pass comes from one batched solve (``_gains``): J_0..J_{ks-1} of the
-    steps before ks = ``fp.k_steady`` and the settled J_ks, or J_0..J_{N-1}
-    if nothing settled.  If that solve meets a singular P_{k+1|k}, the
-    gains are solved step by step as above.  The mean and covariance
-    recursions of the steps before ks then run step by step.
+    the pass comes from one factorization of those covariances
+    (``_gains``): J_0..J_{ks-1} of the steps before ks = ``fp.k_steady``
+    and the settled J_ks, or J_0..J_{N-1} if nothing settled.  If a
+    P_{k+1|k} is not positive definite, the gains are solved step by step
+    as above.  The mean and covariance recursions of the steps before ks
+    then run step by step.
 
     From ks on, P_{k|k} and P_{k+1|k} are settled, so the one gain J = J_ks
     serves every step k >= ks (if its solve fails, the pseudo-inverse gain
@@ -580,14 +634,19 @@ def rts_smoother(model, fp, out=None):
     ks = N if fp.k_steady is None else fp.k_steady
     gains = _gains(A, fp, ks, pinv_steps)
     back = [fp.P_filt[N]]   # back[j] is P_{N-j|N}; the last, the settled value
+    # scratch of the per-step recursions below, which form each product as
+    # the plain expressions do, so the bits are the same
+    D, T, v = np.empty((n, n)), np.empty((n, n)), np.empty(n)
     if ks < N:
         if pinv_steps[:1] == [ks]:   # the steady gain serves steps ks..N-1
             pinv_steps[:1] = range(N - 1, ks - 1, -1)
         Js = gains[ks]
         Pf, Pp = fp.P_filt[ks], fp.P_pred[ks + 1]
         for k in range(N - 1, ks - 1, -1):
-            back.append(_sym(Pf + Js @ (back[-1] - Pp) @ Js.T,
-                             out=np.empty((n, n))))
+            np.matmul(np.matmul(Js, np.subtract(back[-1], Pp, out=D), out=T),
+                      Js.T, out=D)
+            D += Pf
+            back.append(_sym(D, out=np.empty((n, n))))
             if _settled(back[-1], back[-2]):
                 break
     # rows in step order: the steps before ks, the settled value (row ks),
@@ -611,9 +670,13 @@ def rts_smoother(model, fp, out=None):
         x_sm[ks:] = X[::-1]
     for k in range(ks - 1, -1, -1):
         Jk = gains[k]
-        x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
-        _sym(fp.P_filt[k] + Jk @ (P_sm[k + 1] - fp.P_pred[k + 1]) @ Jk.T,
-             out=P_sm[k])
+        np.matmul(Jk, np.subtract(x_sm[k + 1], fp.x_pred[k + 1], out=v),
+                  out=x_sm[k])
+        x_sm[k] += fp.x_filt[k]
+        np.matmul(np.matmul(Jk, np.subtract(P_sm[k + 1], fp.P_pred[k + 1],
+                                            out=D), out=T), Jk.T, out=D)
+        D += fp.P_filt[k]
+        _sym(D, out=P_sm[k])
     # the settled row serves steps ks..N-j
     idx = np.arange(N + 1)
     idx[ks:] = ks + np.maximum(idx[ks:] - (N - j), 0)
@@ -706,32 +769,37 @@ def observed_loglik(model, data, fp=None):
     the sum over k of log N(y_k; C x_{k|k-1}, C P_{k|k-1} C' + I).
 
     Pass an existing FilterPass as ``fp`` to reuse a completed forward pass.
-    The innovation covariances of steps 1..ks, ks = ``fp.k_steady`` (N if
-    nothing settled), take their determinants from one batched ``slogdet``,
-    whose last row is the settled S; the first step whose determinant is
-    not positive raises FilterDivergedError.  The steps before ks (all N if
-    nothing settled) take their solves from one batched ``solve``, and
-    their terms are added one by one in step order, as a per-step pass adds
-    them.  The settled steps share S, so their quadratic terms sum to
-    trace(S^-1 G), with G the sum of their innovations' outer products.
+    A copy of the innovation covariances of steps 1..ks, ks =
+    ``fp.k_steady`` (N if nothing settled), whose last row is the settled
+    S, is factored into inverse Cholesky factors, S_k^{-1} = R_k' R_k
+    (``sbl._inverse_factors``); the first step whose S_k is not positive
+    definite raises FilterDivergedError.  Then log det S_k =
+    -2 sum log diag(R_k) and nu_k' S_k^{-1} nu_k = |R_k nu_k|^2.  The terms
+    of the steps before ks (all N if nothing settled) are added one by one
+    in step order, as a per-step pass adds them.  The settled steps share
+    S, so their quadratic terms sum to trace(R G R'), with G the sum of
+    their innovations' outer products.
     """
     if fp is None:
         fp = kalman_filter(model, data)
     p = data.p
     ks = fp.N if fp.k_steady is None else fp.k_steady
     last = fp.N if fp.k_steady is None else ks - 1   # the per-step terms
-    S = fp.innov_cov[1:ks + 1]
-    sign, logdet = np.linalg.slogdet(S)
-    bad = sign <= 0
-    if bad.any():
-        raise FilterDivergedError(1 + int(np.argmax(bad)))
+    R = np.array(fp.innov_cov[1:ks + 1])
+    bad = _inverse_factors(R)
+    if bad is not None:
+        raise FilterDivergedError(1 + bad[0])
+    logdet = -2.0 * np.log(R.reshape(ks, p * p)[:, ::p + 1]).sum(axis=1)
     nu = fp.innovations[1:last + 1]
-    sol = np.linalg.solve(S[:last], nu[:, :, None])[:, :, 0]
+    Rnu = np.matmul(R[:last], nu[:, :, None])[:, :, 0]
+    terms = -0.5 * (p * np.log(2.0 * np.pi) + logdet[:last]
+                    + np.einsum("ij,ij->i", Rnu, Rnu))
     total = 0.0
-    for i in range(last):   # term by term, in step order
-        total += -0.5 * (p * np.log(2.0 * np.pi) + logdet[i] + nu[i] @ sol[i])
+    for term in terms.tolist():   # term by term, in step order
+        total += term
     if last < fp.N:
         nu = fp.innovations[last + 1:]
+        Rs = R[-1]
         total += -0.5 * ((fp.N - last) * (p * np.log(2.0 * np.pi) + logdet[-1])
-                         + float(np.trace(np.linalg.solve(S[-1], nu.T @ nu))))
+                         + float(np.vdot(Rs @ (nu.T @ nu), Rs)))
     return float(total)

@@ -447,6 +447,63 @@ def test_divergence_retry_halfway_to_previous_iterate(monkeypatch):
     assert np.array_equal(seen[2], 0.5 * (seen[1] + seen[0]))
 
 
+def test_non_finite_iterate_ends_the_run_as_diverged(monkeypatch):
+    # an M-step that leaves a NaN in A: the next E-step's filter diverges,
+    # and so does its retry halfway back, so the run stops with the
+    # previous, finite iterate
+    module = importlib.import_module("netrecon.reconstruct")
+    real_mstep = module._mstep
+
+    def poisoned(es, it, *args):
+        new, fit = real_mstep(es, it, *args)
+        if len(steps) == 2:   # the third M-step
+            A = new.A.copy()
+            A[1, 0] = np.nan
+            new = dataclasses.replace(new, A=A)
+        steps.append(new)
+        return new, fit
+
+    steps = []
+    monkeypatch.setattr(module, "_mstep", poisoned)
+    res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=2,
+                                                   outer_max_iter=6,
+                                                   outer_tol=0.0))
+    assert res.status == "diverged"
+    assert len(res.trace) == 3
+    assert np.isfinite(res.A_hat).all()
+    assert np.array_equal(res.A_hat, steps[1].A)
+
+
+def test_desk_answers_do_not_depend_on_the_blas_thread_count():
+    # perfbench's desk40 cell at seed 1, 10 outer iterations: one and two
+    # BLAS threads give the same bits of A_hat and the same network
+    code = """
+import hashlib
+import numpy as np
+from netrecon import ReconConfig, generate_random_network, reconstruct, simulate
+
+def seed(*entropy):
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
+
+truth = generate_random_network(10, 25, 10, 0.1, seed(1, 0))
+data = simulate(truth.model, 1000, "gaussian_iid", snr_db=40.0,
+                seed=seed(1, 0, 0, 1))
+res = reconstruct(data, ReconConfig(n_states=30, seed=seed(1, 0, 0, 2),
+                                    outer_max_iter=10))
+print(hashlib.sha256(res.A_hat.tobytes()).hexdigest(),
+      hashlib.sha256(res.network.q_adj.tobytes()
+                     + res.network.p_adj.tobytes()).hexdigest())
+"""
+    src = str(Path(netrecon.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True, timeout=300,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads,
+                                "OMP_NUM_THREADS": threads}).stdout.split()
+            for threads in ("1", "2")]
+    assert len(outs[0]) == 2 and outs[0] == outs[1]
+
+
 def test_outer_iterations_smooth_into_the_same_buffers(monkeypatch):
     # every outer iteration writes its passes into the arrays the run
     # allocated once; a refactor that reallocates them per pass fails here

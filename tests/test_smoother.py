@@ -117,6 +117,18 @@ def test_filter_divergence_guard():
     assert err.value.step > 1
 
 
+def test_filter_diverges_on_an_innovation_covariance_not_positive_definite():
+    # a prior covariance no StateSpaceModel admits, set after its checks as
+    # the E-step's model copies are: S_1 = A R0 A' + sigma^2 + 1 = -1, whose
+    # inverse factor does not exist
+    model = scalar_model(A=1.0)
+    model.R0 = np.array([[-3.0]])
+    data = Dataset(Y=[[1.0], [0.5]], U=[[0.0], [0.0]], N=2)
+    with pytest.raises(FilterDivergedError) as err:
+        kalman_filter(model, data)
+    assert err.value.step == 1
+
+
 def test_filter_rejects_bad_inputs():
     model = scalar_model(sigma=0.0)
     data = Dataset(Y=[[1.0]], U=[[0.0]], N=1)
