@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Measure two source checkouts of netrecon against each other.
 
-    python3 scripts/resident_cov.py --parent DIR --change DIR \
-        --out BENCH_resident_cov.json [--pairs 10] [--seeds 1 7] \
+    python3 scripts/compare.py --parent DIR --change DIR \
+        --out BENCH_NAME.json [--pairs 10] [--seeds 1 7] \
         [--pool-runs 3] [--claim desk0:recon_s]
-    python3 scripts/resident_cov.py --parent DIR --aa \
-        --out BENCH_resident_cov.json [--pairs 10] [--seeds 1 7]
+    python3 scripts/compare.py --parent DIR --aa \
+        --out BENCH_NAME.json [--pairs 10] [--seeds 1 7]
 
 ``DIR`` is the root of a source checkout (a ``src/netrecon`` package and a
 ``perfbench/`` directory).  Each measurement runs in fresh interpreters
@@ -370,7 +370,7 @@ def _claimed(args, pairs):
 def measure(args, sides):
     seeds = " ".join(map(str, args.seeds))
     claim = ":".join(args.claim)
-    record = {"command": "python3 scripts/resident_cov.py --parent <parent "
+    record = {"command": "python3 scripts/compare.py --parent <parent "
                          "checkout> "
                          + ("--aa" if args.aa else "--change <change checkout>")
                          + f" --pairs {args.pairs} --seeds {seeds} "

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fileio import LineReader, fmt, fmt_row, write_text
 from .sbl import _check_number_fields
-from .smoother import _linear_scan
+from .smoother import _first_nonfinite, _linear_scan
 
 __all__ = [
     "StateSpaceModel",
@@ -278,9 +278,9 @@ def _rollout(model, U_full, sigma, x0, rng):
     X[1:] = G
     with np.errstate(over="ignore", invalid="ignore"):
         _linear_scan(model.A, X)
-        bad = ~np.isfinite(X[1:]).all(axis=1)
-        if bad.any():
-            for k in range(int(np.argmax(bad)) + 1, N + 1):
+        first = _first_nonfinite(X, 1, N + 1)
+        if first is not None:
+            for k in range(first, N + 1):
                 X[k] = model.A @ X[k - 1] + G[k - 1]
                 if not np.isfinite(X[k]).all():
                     raise SimulationDivergedError(k)

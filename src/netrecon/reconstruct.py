@@ -371,7 +371,9 @@ def reconstruct(data, cfg):
     non-finite iterate) the iteration is retried once from the iterate
     halfway back to the previous one in (A, B, sigma^2); a second failure
     stops the run with status "diverged", the previous iterate's (A, B,
-    sigma^2) and a partial trace.
+    sigma^2) and a partial trace.  A non-finite iterate from the M-step of
+    iteration ``outer_max_iter``, which no E-step follows, ends the run as
+    "diverged" with the previous iterate's (A, B, sigma^2) as well.
     """
     t_start = time.perf_counter()
     p, m = data.p, data.m
@@ -422,6 +424,11 @@ def reconstruct(data, cfg):
             break
         refit = last_step <= cfg.outer_tol or it % every == 0
         w_prev = w
+    # the last M-step's iterate meets no E-step to fail in
+    if status == "max_iter" and not (np.isfinite(w).all()
+                                     and np.isfinite(cur.sigma2)):
+        status = "diverged"
+        cur = _dc_replace(cur, A=prev.A, B=prev.B, sigma2=prev.sigma2)
 
     model_hat = StateSpaceModel(A=cur.A, B=cur.B, p=p,
                                 sigma=float(np.sqrt(cur.sigma2)),

@@ -415,16 +415,21 @@ def _layout(reg, g, out=None):
     at = np.where(np.arange(k) < width[:, None], order, d)
     zz = np.zeros((d + 1, d + 1))
     zz[:d, :d] = reg.zz
+    size = n * k * k
     if out is None:
-        flat, dst = at[:, :, None] * (d + 1) + at[:, None, :], None
-    else:
-        size = n * k * k
-        flat = np.add(at[:, :, None] * (d + 1), at[:, None, :],
-                      out=out[1].view(np.intp)[:size].reshape(n, k, k))
-        dst = out[0][:size].reshape(n, k, k)
+        out = np.empty(size), np.empty(size)
+    # each flat index is a row term plus a column term, each filled by a
+    # broadcast copy: numpy's iterator takes buffers of about 130 KB for a
+    # broadcast add, and none for a copy or an add of equal shapes.  The
+    # column term lives in the zz buffer until the gather overwrites it.
+    flat, col = (buf.view(np.intp)[:size].reshape(n, k, k) for buf in out[::-1])
+    np.copyto(flat, (at * (d + 1))[:, :, None])
+    np.copyto(col, at[:, None, :])
+    flat += col
     rows = np.arange(n)[:, None]
     lay = _Layout(order=order,
-                  zz=np.take(zz.ravel(), flat, mode="clip", out=dst),
+                  zz=np.take(zz.ravel(), flat, mode="clip",
+                             out=out[0][:size].reshape(n, k, k)),
                   b=reg.xz[rows, order])
     return lay, g[rows, order]
 

@@ -72,10 +72,14 @@ computed as a blocked prefix scan (``_linear_scan``): the recursion runs
 inside blocks of ``_SCAN_BLOCK`` steps for all blocks at once, and
 recursive doubling carries it across the block ends, so about 2b + log2 of
 the block count products replace one small product per step, at about
-twice the multiply-adds of the per-step loop.  Entries of the powers of F
-and of the block ends below the smallest normal double are set to zero,
-and the doubling ends early once a power is zero everywhere: such terms no
-longer change the result.
+twice the multiply-adds of the per-step loop.  The scan runs on a
+block-major copy of its rows, one contiguous slab per position in the
+block (rows i, b+i, 2b+i, ... in slab i), so each product reads and writes
+contiguous rows instead of rows b apart; the passes keep that copy in
+``PassBuffers.scratch``, and the RTS pass hands the scan its means in
+reverse as a view.  Entries of the powers of F and of the block ends below
+the smallest normal double are set to zero, and the doubling ends early
+once a power is zero everywhere: such terms no longer change the result.
 """
 
 from dataclasses import dataclass, replace
@@ -191,8 +195,11 @@ class PassBuffers:
     the stacks P_pred, P_filt, K_gain and innov_cov.  ``rts_smoother``
     fills x_sm and the stack P_sm; it forms its gain solve's operands and
     its backward recursion in arrays of its own, freed when it returns.
-    Both passes form their steady segment in ``scratch`` (N rows).
-    ``lag_one_smoother`` fills the stack M_sm.
+    Both passes run their steady segment's scan (``_linear_scan``) in
+    ``scratch``: its ceil((N+1)/b) b rows, b = ``_SCAN_BLOCK``, hold the
+    scan's block-major copy of up to N + 1 rows, and the filter also forms
+    its tail products in a time-major view of its first rows, before and
+    after the scan.  ``lag_one_smoother`` fills the stack M_sm.
     Each stack holds one row per stored matrix: it starts empty, and a pass
     that needs more rows than it has replaces it by one a quarter longer
     than needed (not past N + 1 rows unless it needs them), rows kept, so
@@ -210,14 +217,16 @@ class PassBuffers:
         self.x_filt = np.empty((N + 1, n))
         self.innovations = np.empty((N + 1, p))
         self.x_sm = np.empty((N + 1, n))
-        self.scratch = np.empty((N, n))
+        blocks = -(-(N + 1) // _SCAN_BLOCK)   # of a scan over N + 1 rows
+        self.scratch = np.empty((blocks * _SCAN_BLOCK, n))
         for name, shape in (("P_pred", (n, n)), ("P_filt", (n, n)),
                             ("K_gain", (n, p)), ("innov_cov", (p, p)),
                             ("P_sm", (n, n)), ("M_sm", (n, n))):
             setattr(self, name, np.empty((0,) + shape))
 
     def _check(self, N, n, p):
-        have = self.scratch.shape + self.innovations.shape[1:]
+        have = (len(self.x_pred) - 1, self.x_pred.shape[1],
+                self.innovations.shape[1])
         if have != (N, n, p):
             raise ValueError(f"PassBuffers for (N, n, p) = {have} do not fit "
                              f"a pass of {(N, n, p)}")
@@ -246,66 +255,95 @@ def _add_products(dst, src, M):
     multiply-adds, the last rows first: when dst and src are overlapping
     rows of one array with dst below src (the doubling pass's
     ``ends[s:] += ends[:-s] @ P'``), each block reads rows of src above the
-    rows already written, so every row read still holds its old value."""
+    rows already written, so every row read still holds its old value.
+    The scan's other products, between separate slabs, take the same row
+    blocks: the bits of a row depend on the rows it is multiplied with
+    (BLAS picks its kernels by shape, and numpy takes a one-row product to
+    ``gemv``)."""
     rows = max(1, _SCAN_BLOCK_MACS // M.size)
     for hi in range(len(dst), 0, -rows):
         lo = max(hi - rows, 0)
         dst[lo:hi] += src[lo:hi] @ M.T
 
 
-def _linear_scan(F, X):
+def _linear_scan(F, X, buf=None):
     """Run X[k] <- F X[k-1] + X[k] for k = 1..len(X)-1 in place; on entry
-    X[0] is the seed and X[k] the input of step k.
+    X[0] is the seed and X[k] the input of step k.  X may be any 2-d view,
+    a reversed one included.
 
     Blocked scan (Blelloch, CMU-CS-90-190, 1990) over blocks of b =
-    ``_SCAN_BLOCK`` rows, rows jb..jb+b-1 forming block j:
+    ``_SCAN_BLOCK`` rows, rows jb..jb+b-1 forming block j.  The rows are
+    copied once into a block-major array Z of shape (b, ceil(len(X)/b), n)
+    whose slab Z[i] holds rows i, b+i, 2b+i, ..., so that every product
+    below reads and writes contiguous rows; the rows the last block lacks
+    are never read.  Then:
 
     1. the recursion inside every block at once: for i = 1..b-1, one
-       product adds F times row i-1 of every block to its row i;
+       product adds F times slab i-1 to slab i;
     2. Hillis-Steele doubling (Hillis & Steele, CACM 1986) over the block
-       ends, whose recursion has the matrix F^b: the pass with shift s adds
-       (F^b)^s times the end s blocks back;
+       ends, slab b-1, whose recursion has the matrix F^b: the pass with
+       shift s adds (F^b)^s times the end s blocks back;
     3. for i = 0..b-2, one product adds F^(i+1) times the end of the
-       previous block to row i of every later block.
+       previous block to row i of every later block, the rest of slab i;
 
-    That is about 2 len(X) n^2 multiply-adds plus log2(len(X)/b) products
-    over the len(X)/b block ends, where plain doubling over all rows does
-    about log2 len(X) len(X) n^2.  Every product runs in row blocks of at
-    most ``_SCAN_BLOCK_MACS`` multiply-adds.  Entries of a squared power
-    and of the scanned block ends below the smallest normal double are set
-    to zero, since the terms they add change nothing at double precision
-    and products with subnormal operands are slow in BLAS; once a power of
-    F^b is zero everywhere the doubling ends.
+    and the rows are copied back.  That is about 2 len(X) n^2 multiply-adds
+    plus log2(len(X)/b) products over the len(X)/b block ends, where plain
+    doubling over all rows does about log2 len(X) len(X) n^2.  Every
+    product runs in row blocks of at most ``_SCAN_BLOCK_MACS``
+    multiply-adds (``_add_products``), cut over the rows of X it updates,
+    as when the products ran on rows b apart of X itself: BLAS gives every
+    row the same bits either way, and a product on a contiguous slab takes
+    about half the time of one whose rows are b apart.  Entries of a squared power and of the
+    scanned block ends below the smallest normal double are set to zero,
+    since the terms they add change nothing at double precision and
+    products with subnormal operands are slow in BLAS; once a power of F^b
+    is zero everywhere the doubling ends.
+
+    ``buf``, a C-contiguous float array of at least ceil(len(X)/b) b n
+    entries, holds Z; without it the call allocates Z.
     """
     b = _SCAN_BLOCK
-    for i in range(1, min(b, len(X))):
-        dst = X[i::b]
-        _add_products(dst, X[i - 1::b][:len(dst)], F)
-    if len(X) <= b:
+    L, n = X.shape
+    if L < 2:
         return
-    ends = X[b - 1::b]
-    powers = [F]
-    for _ in range(b - 1):
-        powers.append(F @ powers[-1])
-    P = powers[-1]
-    P[np.abs(P) < _TINY] = 0.0
-    s = 1
-    while s < len(ends) and P.any():
-        _add_products(ends[s:], ends[:-s], P)
-        s *= 2
-        if s < len(ends):
-            P = P @ P
-            P[np.abs(P) < _TINY] = 0.0
-    ends[np.abs(ends) < _TINY] = 0.0
-    for i in range(b - 1):
-        dst = X[b + i::b]
-        _add_products(dst, ends[:len(dst)], powers[i])
+    full, nb = L // b, -(-L // b)
+    size = b * nb * n
+    Z = np.empty(size) if buf is None else buf.reshape(-1)[:size]
+    Z = Z.reshape(b, nb, n)
+    # rows[i] views the rows of slab i in the full blocks
+    rows, rest = X[:full * b].reshape(full, b, n).swapaxes(0, 1), X[full * b:]
+    Z[:, :full] = rows
+    Z[:len(rest), -1] = rest
+    count = [len(range(i, L, b)) for i in range(b)]   # rows of X in slab i
+    for i in range(1, min(b, L)):
+        _add_products(Z[i, :count[i]], Z[i - 1, :count[i]], F)
+    if L > b:
+        ends = Z[b - 1, :full]
+        powers = [F]
+        for _ in range(b - 1):
+            powers.append(F @ powers[-1])
+        P = powers[-1]
+        P[np.abs(P) < _TINY] = 0.0
+        s = 1
+        while s < len(ends) and P.any():
+            _add_products(ends[s:], ends[:-s], P)
+            s *= 2
+            if s < len(ends):
+                P = P @ P
+                P[np.abs(P) < _TINY] = 0.0
+        ends[np.abs(ends) < _TINY] = 0.0
+        for i in range(b - 1):
+            _add_products(Z[i, 1:count[i]], ends[:count[i] - 1], powers[i])
+    rows[...] = Z[:, :full]
+    rest[...] = Z[:len(rest), -1]
 
 
 def _first_nonfinite(x, lo, hi):
-    """The first k in lo..hi-1 whose row x[k] is not all finite, or None."""
-    bad = ~np.isfinite(x[lo:hi]).all(axis=1)
-    return lo + int(np.argmax(bad)) if bad.any() else None
+    """The first k in lo..hi-1 whose row x[k] is not all finite, or None.
+    The rows are searched only when the block as a whole is not finite."""
+    if np.isfinite(x[lo:hi]).all():
+        return None
+    return lo + int(np.argmax(~np.isfinite(x[lo:hi]).all(axis=1)))
 
 
 def _settled(new, old):
@@ -427,8 +465,9 @@ def kalman_filter(model, data, out=None):
 
     With ``out``, a ``PassBuffers`` for this record's N, n and p, the means
     and innovations are written into its arrays, the stored covariance,
-    gain and innovation covariance rows into its stacks and the tail
-    products into its scratch, and the returned pass holds ``out.x_pred``,
+    gain and innovation covariance rows into its stacks, and the tail
+    products and the scan's block-major copy into its scratch, and the
+    returned pass holds ``out.x_pred``,
     ``out.x_filt``, ``out.innovations`` and views of the stacks: the pass is
     valid until the buffers' next use.  Without ``out`` the call allocates
     its own; both give the same bits.
@@ -512,9 +551,9 @@ def kalman_filter(model, data, out=None):
         F = IKC @ A
         xf, xp, nu = x_filt[tail], x_pred[tail], innovations[tail]
         tmp = out.scratch[:N - ks]
-        np.matmul(data.U[ks:], (IKC @ B).T, out=xf)
+        np.matmul(data.U[ks:], np.ascontiguousarray((IKC @ B).T), out=xf)
         xf += np.matmul(data.Y[ks:], K.T, out=tmp)
-        _linear_scan(F, x_filt[ks:])
+        _linear_scan(F, x_filt[ks:], out.scratch)
         np.matmul(x_filt[ks:N], A.T, out=xp)
         xp += np.matmul(data.U[ks:], B.T, out=tmp)
         bad = _first_nonfinite(x_pred, ks + 1, N + 1)
@@ -610,13 +649,15 @@ def rts_smoother(model, fp, out=None):
     value is stored once for the rest of the segment: P_sm holds the steps
     before k_steady, that middle value, and the backward transient near N.
     The means x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}) of that
-    segment come from one blocked scan run backwards from x_{N|N}.
+    segment come from one blocked scan run backwards from x_{N|N}, on
+    x_sm[ks:] reversed as a view: the scan's block-major copy reads and
+    writes it in that order.
 
     With ``out``, a ``PassBuffers`` for the pass's N, n and p, the smoothed
     means are written into ``out.x_sm`` and the stored P_{k|N} rows into its
-    P_sm stack, and the backward scan runs in its scratch; the returned
-    pass holds ``out.x_sm`` and a view of the stack, valid until the
-    buffers' next use.  Without ``out`` the call allocates its own; both
+    P_sm stack, and the backward scan's copy lives in its scratch; the
+    returned pass holds ``out.x_sm`` and a view of the stack, valid until
+    the buffers' next use.  Without ``out`` the call allocates its own; both
     give the same bits.  Either way the gains' operands and the backward
     P_{k|N} recursion, until its rows are copied into P_sm in step order,
     live in arrays of the call's own.
@@ -661,13 +702,8 @@ def rts_smoother(model, fp, out=None):
         h = x_sm[ks:N]
         np.subtract(fp.x_filt[ks:N], np.matmul(fp.x_pred[ks + 1:], Js.T, out=h),
                     out=h)
-        # scan a contiguous copy in backward order: numpy does not hand a
-        # reversed view to BLAS, and the scan ran at half speed on one
-        X = out.scratch[:N - ks + 1]
-        X[0] = x_sm[N]
-        X[1:] = h[::-1]
-        _linear_scan(Js, X)
-        x_sm[ks:] = X[::-1]
+        # run backwards from x_sm[N] = x_{N|N}, through the scan's copy
+        _linear_scan(Js, x_sm[ks:][::-1], out.scratch)
     for k in range(ks - 1, -1, -1):
         Jk = gains[k]
         np.matmul(Jk, np.subtract(x_sm[k + 1], fp.x_pred[k + 1], out=v),

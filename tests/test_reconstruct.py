@@ -474,6 +474,34 @@ def test_non_finite_iterate_ends_the_run_as_diverged(monkeypatch):
     assert np.array_equal(res.A_hat, steps[1].A)
 
 
+def test_non_finite_last_iterate_ends_the_run_as_diverged(monkeypatch):
+    # the M-step of the last iteration leaves a NaN in A: no E-step follows
+    # to fail, so the run itself ends as diverged with the previous iterate
+    module = importlib.import_module("netrecon.reconstruct")
+    real_mstep = module._mstep
+
+    def poisoned(es, it, *args):
+        new, fit = real_mstep(es, it, *args)
+        if len(steps) == 2:   # the third and last M-step
+            A = new.A.copy()
+            A[1, 0] = np.nan
+            new = dataclasses.replace(new, A=A)
+        steps.append(new)
+        return new, fit
+
+    steps = []
+    monkeypatch.setattr(module, "_mstep", poisoned)
+    res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=2,
+                                                   outer_max_iter=3,
+                                                   outer_tol=0.0))
+    assert res.status == "diverged"
+    assert len(res.trace) == 3
+    assert np.isfinite(res.A_hat).all()
+    assert np.array_equal(res.A_hat, steps[1].A)
+    assert np.array_equal(res.B_hat, steps[1].B)
+    assert res.sigma2_hat == steps[1].sigma2
+
+
 def test_desk_answers_do_not_depend_on_the_blas_thread_count():
     # perfbench's desk40 cell at seed 1, 10 outer iterations: one and two
     # BLAS threads give the same bits of A_hat and the same network

@@ -643,6 +643,35 @@ def test_sbl_em_closing_posterior_fits_within_the_loop_buffers():
     assert peak < 3.5 * layout, f"traced peak {peak / layout:.2f} layouts"
 
 
+def test_layout_into_the_loop_buffers_takes_no_iteration_buffers():
+    # a desk-size relayout into sbl_em's buffer pair builds its flat
+    # indices with broadcast copies and an add of equal shapes; a broadcast
+    # add took numpy's iterator buffers, a traced peak of 0.45 layouts here
+    # (about 174 KB), against 0.18 now: the arrays of n k and n d entries
+    import tracemalloc
+
+    from netrecon.sbl import _layout
+    reg, gamma = desk_rows(np.random.default_rng(26),
+                           counts=(0, 1, 12, 40) * 7 + (12, 1))
+    n, d = reg.n, reg.n + reg.m
+    g = gamma.reshape((d, n)).T.copy()
+    k = int(np.count_nonzero(g, axis=1).max())
+    layout = n * k * k * 8
+    bufs = (np.empty(n * k * k), np.empty(n * k * k))
+    _layout(reg, g, bufs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lay, _ = _layout(reg, g, bufs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (n, k) == (30, 40)
+    assert np.shares_memory(lay.zz, bufs[0])
+    assert np.array_equal(lay.zz, _layout(reg, g)[0].zz)
+    assert peak < layout / 4, f"traced peak {peak / layout:.2f} layouts"
+
+
 def test_sbl_state_builds_its_dense_covariance_on_read():
     reg, _ = desk_rows(np.random.default_rng(32), counts=(40, 12, 1, 0) * 7 + (40, 12))
     state = sbl_em(reg, free_mask(reg), opts=SBLOptions(max_iter=5))

@@ -361,6 +361,38 @@ def test_blocked_scan_matches_per_step_loop(n):
         assert _rel(X, ref) <= 1e-12, length
 
 
+@pytest.mark.parametrize("n", [1, 12, 30])
+def test_blocked_scan_on_a_reversed_view_matches_backward_loop(n):
+    # rts_smoother scans x_sm[ks:][::-1], from the last row back, through
+    # its buffers' scratch; filled with NaN, the scratch shows that the
+    # rows the last block lacks are never read
+    from netrecon.smoother import _SCAN_BLOCK as b, _linear_scan
+    rng = np.random.default_rng(n + 100)
+    F = rng.normal(size=(n, n))
+    F *= 0.9 / np.abs(np.linalg.eigvals(F)).max()
+    for length in (1, 2, b, 2 * b, 2 * b + 1, 125 * b, 125 * b + 1, 3001):
+        X = rng.normal(size=(length, n))
+        ref = X.copy()
+        for k in range(length - 2, -1, -1):
+            ref[k] += F @ ref[k + 1]
+        scratch = PassBuffers(length, n, 1).scratch
+        scratch[...] = np.nan
+        _linear_scan(F, X[::-1], scratch)
+        assert _rel(X, ref) <= 1e-12, length
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_first_nonfinite_matches_the_row_search(value):
+    from netrecon.smoother import _first_nonfinite
+    x = np.random.default_rng(5).normal(size=(50, 4))
+    assert _first_nonfinite(x, 5, 40) is None
+    for row in (5, 22, 39):   # the first, a middle and the last row searched
+        y = x.copy()
+        y[[row, 39, 45], [2, 0, 1]] = value   # row 45 lies past the search
+        search = next(k for k in range(5, 40) if not np.isfinite(y[k]).all())
+        assert _first_nonfinite(y, 5, 40) == search == row
+
+
 def _dense_pass(N):
     """A small model, N steps of its data and the per-step filter pass,
     whose covariances are dense (N+1)-step arrays that never settle."""
