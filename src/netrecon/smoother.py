@@ -293,11 +293,11 @@ def _linear_scan(F, X, buf=None):
     multiply-adds (``_add_products``), cut over the rows of X it updates,
     as when the products ran on rows b apart of X itself: BLAS gives every
     row the same bits either way, and a product on a contiguous slab takes
-    about half the time of one whose rows are b apart.  Entries of a squared power and of the
-    scanned block ends below the smallest normal double are set to zero,
-    since the terms they add change nothing at double precision and
-    products with subnormal operands are slow in BLAS; once a power of F^b
-    is zero everywhere the doubling ends.
+    about half the time of one whose rows are b apart.  Entries of a
+    squared power and of the scanned block ends below the smallest normal
+    double are set to zero, since the terms they add change nothing at
+    double precision and products with subnormal operands are slow in
+    BLAS; once a power of F^b is zero everywhere the doubling ends.
 
     ``buf``, a C-contiguous float array of at least ceil(len(X)/b) b n
     entries, holds Z; without it the call allocates Z.
@@ -467,9 +467,9 @@ def kalman_filter(model, data, out=None):
     and innovations are written into its arrays, the stored covariance,
     gain and innovation covariance rows into its stacks, and the tail
     products and the scan's block-major copy into its scratch, and the
-    returned pass holds ``out.x_pred``,
-    ``out.x_filt``, ``out.innovations`` and views of the stacks: the pass is
-    valid until the buffers' next use.  Without ``out`` the call allocates
+    returned pass holds ``out.x_pred``, ``out.x_filt``,
+    ``out.innovations`` and views of the stacks: the pass is valid until
+    the buffers' next use.  Without ``out`` the call allocates
     its own; both give the same bits.
     """
     n, p, m = model.n, model.p, model.m
@@ -551,15 +551,14 @@ def kalman_filter(model, data, out=None):
         F = IKC @ A
         xf, xp, nu = x_filt[tail], x_pred[tail], innovations[tail]
         tmp = out.scratch[:N - ks]
-        # the tall products take their small right operand C-ordered (K'
-        # is): with the transpose of a C-ordered matrix they took about 1.7
-        # times as long, for the same bits
-        C_ordered = np.ascontiguousarray
-        np.matmul(data.U[ks:], C_ordered((IKC @ B).T), out=xf)
+        # the tall products take their small right operand C-ordered, as
+        # K' is: with the transpose of a C-ordered matrix they took about
+        # 1.7 times as long, for the same bits
+        np.matmul(data.U[ks:], np.ascontiguousarray((IKC @ B).T), out=xf)
         xf += np.matmul(data.Y[ks:], K.T, out=tmp)
         _linear_scan(F, x_filt[ks:], out.scratch)
-        np.matmul(x_filt[ks:N], C_ordered(A.T), out=xp)
-        xp += np.matmul(data.U[ks:], C_ordered(B.T), out=tmp)
+        np.matmul(x_filt[ks:N], np.ascontiguousarray(A.T), out=xp)
+        xp += np.matmul(data.U[ks:], np.ascontiguousarray(B.T), out=tmp)
         bad = _first_nonfinite(x_pred, ks + 1, N + 1)
         if bad is not None:
             raise FilterDivergedError(bad)
