@@ -23,8 +23,12 @@ holds:
   ``B_hat``, ``sigma2_hat``, ``m0_hat``, ``R0_hat`` and of the trace's
   ``obs_loglik`` values, and whether the status, the Q and P adjacency
   and each record's ``n_active``, ``inner_iterations``,
-  ``evidence_decreases``, ``pinv_steps`` and ``damped`` are identical;
-  ``worst`` gathers them over the cells;
+  ``evidence_decreases`` and ``damped`` are identical (those of these
+  fields that both checkouts' records have); ``worst`` gathers them over
+  the cells;
+- ``format_change``: the trace columns (``IterationRecord`` fields) that
+  only one checkout's records have; a fingerprint and a result file
+  differ with them even where every answer agrees;
 - ``minor_faults``: ``ru_minflt`` and wall seconds of one ``reconstruct``
   of each perfbench cell, in a process that has only set the cell up;
 - ``full_scale_memory``: 10 outer iterations of the held-out full-scale
@@ -35,7 +39,11 @@ holds:
   sha256 of ``A_hat``, which the two processes must agree on;
 - ``pairs``: alternating ``perfbench/run.py`` runs of the two checkouts
   (the parent first in odd-numbered pairs), every end-to-end metric per
-  workload and seed, with medians, quartiles and win counts;
+  workload and seed, with medians, quartiles and win counts.  Each run is
+  forked from a small launcher process: Linux carries a process's RSS
+  high-water mark into its child's ``ru_maxrss`` across fork and exec, so
+  a run forked from this process would read this process's peak as its
+  ``peak_rss_mb``;
 - ``claimed``: the ``--claim`` metric on its workload against the
   pair rule (lower in at least 9 of 10 pairs, and a median gap
   larger than the parent's quartile spread);
@@ -80,7 +88,17 @@ MEMORY_RUNS = 3
 # the answers compared by relative difference, and those that must agree
 ESTIMATES = ("A_hat", "B_hat", "sigma2_hat", "m0_hat", "R0_hat")
 RECORD_COUNTS = ("n_active", "inner_iterations", "evidence_decreases",
-                 "pinv_steps", "damped")
+                 "damped")
+# Forks and execs its arguments and exits with the child's status, so that
+# the child's ru_maxrss starts from this small process's peak.
+LAUNCHER = ("import os, sys\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    try:\n"
+            "        os.execv(sys.argv[1], sys.argv[1:])\n"
+            "    finally:\n"
+            "        os._exit(127)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
 
 
 # -- workers: each runs in a fresh interpreter on one checkout ------------
@@ -112,9 +130,10 @@ def _fingerprint(res):
     return h.hexdigest()
 
 
-def _answers(res):
+def _answers(res, columns):
     """The estimates, log-likelihoods, status, network and record counts
-    of a result, as JSON lists (floats round-trip exactly)."""
+    (those of ``RECORD_COUNTS`` among the trace ``columns``) of a result,
+    as JSON lists (floats round-trip exactly)."""
     import numpy as np
     return {**{name: np.ravel(getattr(res, name)).tolist()
                for name in ESTIMATES},
@@ -122,7 +141,7 @@ def _answers(res):
             "status": res.status, "q_adj": res.network.q_adj.tolist(),
             "p_adj": res.network.p_adj.tolist(),
             **{name: [getattr(rec, name) for rec in res.trace]
-               for name in RECORD_COUNTS}}
+               for name in RECORD_COUNTS if name in columns}}
 
 
 def _max_rel_diff(parent, change):
@@ -136,11 +155,13 @@ def _max_rel_diff(parent, change):
 
 
 def _compare(parent, change):
-    """How far a cell's answers on the change side are from the parent's."""
+    """How far a cell's answers on the change side are from the parent's;
+    a record count that only one side has is not compared."""
     out = {f"max_rel_diff_{name}": _max_rel_diff(parent[name], change[name])
            for name in ESTIMATES + ("obs_loglik",)}
     out.update({f"same_{name}": parent[name] == change[name]
-                for name in ("status", "q_adj", "p_adj") + RECORD_COUNTS})
+                for name in ("status", "q_adj", "p_adj") + RECORD_COUNTS
+                if name in parent and name in change})
     return out
 
 
@@ -158,8 +179,9 @@ def _worst(compared):
 
 def worker_fingerprints(root, prior_mode):
     run = _import_perfbench(root)
-    from netrecon import (ReconConfig, generate_random_network, reconstruct,
-                          save_result, simulate)
+    from netrecon import (IterationRecord, ReconConfig, generate_random_network,
+                          reconstruct, save_result, simulate)
+    columns = [f.name for f in dataclasses.fields(IterationRecord) if f.compare]
     cells = [(f"{w}_s{seed}", run.WORKLOADS[w], run.cell_seeds(seed, 0))
              for w in WORKLOADS for seed in (1, 2)]
     desk = dict(p=10, n_true=25, n_assumed=30, m=10, density=0.1, N=1000)
@@ -184,8 +206,8 @@ def worker_fingerprints(root, prior_mode):
                 digest = hashlib.sha256(fh.read()).hexdigest()
             out[name] = {"fingerprint": _fingerprint(res),
                          "result_file_sha256": digest,
-                         "answers": _answers(res)}
-    return out
+                         "answers": _answers(res, columns)}
+    return {"trace_columns": columns, "cells": out}
 
 
 def worker_faults(root, workload, seed):
@@ -267,8 +289,9 @@ def _worker(kind, *args, pinned=True):
 
 def _perfbench(root, workload, seed, trace=0):
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--trace", str(trace)],
+        [sys.executable, "-S", "-c", LAUNCHER, sys.executable,
+         "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True).stdout
     res = json.loads(out.strip().splitlines()[-1])
     return {"correct": res["correct"], "failed": res["failed"],
@@ -386,8 +409,15 @@ def measure(args, sides):
     if not args.aa:
         _log("fingerprints")
         for mode in ("sbl", "ml"):
-            prints = {side: _worker("fingerprints", root, mode)
-                      for side, root in sides.items()}
+            runs = {side: _worker("fingerprints", root, mode)
+                    for side, root in sides.items()}
+            columns = {side: r["trace_columns"] for side, r in runs.items()}
+            # the same in both modes
+            record["format_change"] = {
+                f"trace_columns_only_in_{side}": [
+                    c for c in columns[side] if c not in columns[other]]
+                for side, other in (("parent", "change"), ("change", "parent"))}
+            prints = {side: r["cells"] for side, r in runs.items()}
             answers = {side: {cell: v.pop("answers") for cell, v in p.items()}
                        for side, p in prints.items()}
             hash_list = {side: hashlib.sha256(json.dumps(

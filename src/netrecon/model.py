@@ -272,14 +272,17 @@ def _rollout(model, U_full, sigma, x0, rng):
     N = len(U_full) - 1
     n, p = model.n, model.p
     noise = np.zeros((N, n + p)) if rng is None else rng.standard_normal((N, n + p))
-    G = U_full[:N] @ model.B.T + sigma * noise[:, :n]   # input terms
+    W = noise[:, :n]
+    W *= sigma
     X = np.empty((N + 1, n))
     X[0] = x0
-    X[1:] = G
+    np.matmul(U_full[:N], model.B.T, out=X[1:])
+    X[1:] += W   # the input terms
     with np.errstate(over="ignore", invalid="ignore"):
         _linear_scan(model.A, X)
         first = _first_nonfinite(X, 1, N + 1)
         if first is not None:
+            G = U_full[:N] @ model.B.T + W   # as the scan's input terms
             for k in range(first, N + 1):
                 X[k] = model.A @ X[k - 1] + G[k - 1]
                 if not np.isfinite(X[k]).all():

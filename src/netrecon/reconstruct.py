@@ -191,7 +191,6 @@ class IterationRecord:
     gamma_max: float
     inner_iterations: int
     damped: bool
-    pinv_steps: int
     evidence_decreases: int
     estep_s: float = field(compare=False)
     mstep_s: float = field(compare=False)
@@ -276,8 +275,8 @@ def _estep(data, it, bufs, model=None):
     The smoothing pass runs on the data and model divided by
     s = sqrt(sigma2), where the unit process and measurement covariances
     are exact.  Returns the expectation sums of that pass, in units of s,
-    and the record fields ``obs_loglik`` (in data units) and
-    ``pinv_steps``.  Raises FilterDivergedError if the pass diverges.
+    and the observed log-likelihood, in data units.  Raises
+    FilterDivergedError if the pass diverges.
 
     ``model`` is a validated ``StateSpaceModel`` with sigma = 1 and the
     record's shape, which ``reconstruct`` builds once per run (without it,
@@ -305,8 +304,7 @@ def _estep(data, it, bufs, model=None):
     sp = rts_smoother(model, fp, out=bufs)
     sp = _dc_replace(sp, M_sm=lag_one_smoother(sp, out=bufs))
     obs_ll = observed_loglik(model, scaled, fp=fp) - N * p * np.log(s)
-    return (expectation_sums(sp, scaled),
-            dict(obs_loglik=obs_ll, pinv_steps=len(sp.pinv_steps)))
+    return expectation_sums(sp, scaled), obs_ll
 
 
 def _mstep(es, it, mask, cfg, p, refit):
@@ -361,17 +359,18 @@ def _mstep(es, it, mask, cfg, p, refit):
 def reconstruct(data, cfg):
     """Run the full reconstruction on a dataset; returns a ReconResult.
 
-    Each outer iteration composes ``_estep`` and ``_mstep``, whose fields
-    make its trace record.  "sbl" refits the sparse prior on iterations
-    1, 1 + K, 1 + 2K, ... (K = ``_REFIT_EVERY``) and on the iteration after
-    any other whose step meets ``outer_tol``; the run is declared
-    converged only on a refit, so it never stops on a support that the
-    sparse fit has not re-checked.  On filter divergence (a covariance
-    blow-up, an innovation covariance that is not positive definite, or a
-    non-finite iterate) the iteration is retried once from the iterate
-    halfway back to the previous one in (A, B, sigma^2); a second failure
-    stops the run with status "diverged", the previous iterate's (A, B,
-    sigma^2) and a partial trace.  A non-finite iterate from the M-step of
+    Each outer iteration composes ``_estep`` and ``_mstep``, whose
+    log-likelihood and fields make its trace record.  "sbl" refits the
+    sparse prior on iterations 1, 1 + K, 1 + 2K, ... (K = ``_REFIT_EVERY``)
+    and on the iteration after any other whose step meets ``outer_tol``;
+    the run is declared converged only on a refit, so it never stops on a
+    support that the sparse fit has not re-checked.  On filter divergence
+    (a covariance blow-up, an innovation covariance or an RTS pass's
+    P_{k+1|k} that is not positive definite, or a non-finite iterate) the
+    iteration is retried once from the iterate halfway back to the
+    previous one in (A, B, sigma^2); a second failure stops the run with
+    status "diverged", the previous iterate's (A, B, sigma^2) and a
+    partial trace.  A non-finite iterate from the M-step of
     iteration ``outer_max_iter``, which no E-step follows, ends the run as
     "diverged" with the previous iterate's (A, B, sigma^2) as well.
     """
@@ -398,7 +397,7 @@ def reconstruct(data, cfg):
         damped = False
         t0 = time.perf_counter()
         try:
-            es, fields = _estep(data, cur, bufs, model)
+            es, obs_ll = _estep(data, cur, bufs, model)
         except FilterDivergedError:
             damped = True
             cur = _dc_replace(cur, A=0.5 * (cur.A + prev.A),
@@ -406,7 +405,7 @@ def reconstruct(data, cfg):
                               sigma2=0.5 * (cur.sigma2 + prev.sigma2))
             t0 = time.perf_counter()
             try:
-                es, fields = _estep(data, cur, bufs, model)
+                es, obs_ll = _estep(data, cur, bufs, model)
             except FilterDivergedError:
                 status = "diverged"
                 cur = _dc_replace(cur, A=prev.A, B=prev.B, sigma2=prev.sigma2)
@@ -414,9 +413,9 @@ def reconstruct(data, cfg):
         t1 = time.perf_counter()
         new, fit = _mstep(es, cur, mask, cfg, p, refit)
         prev, cur = cur, new
-        trace.append(IterationRecord(iteration=it, damped=damped, estep_s=t1 - t0,
-                                     mstep_s=time.perf_counter() - t1,
-                                     **fields, **fit))
+        trace.append(IterationRecord(iteration=it, obs_loglik=obs_ll,
+                                     damped=damped, estep_s=t1 - t0,
+                                     mstep_s=time.perf_counter() - t1, **fit))
         w = pack_w(cur.A, cur.B)
         last_step = _relative_step(w_prev, w)
         if last_step <= cfg.outer_tol and refit:

@@ -39,8 +39,8 @@ form of Kalman computation (Bierman, Factorization Methods for Discrete
 Sequential Estimation, 1977).  At these sizes an LU or triangular solve
 costs far more than a product of the same shape, so the factor and two
 products take less time than the solve they replace.  A matrix that is
-not positive definite raises FilterDivergedError in the filter and the
-log-likelihood, and sends the RTS gains to a per-step LU solve.
+not positive definite raises FilterDivergedError in the filter, the RTS
+pass and the log-likelihood, at the first step that reads it.
 
 Storage: every covariance and gain sequence is a ``StepSeq``, which stores
 each distinct matrix once and maps each step to its row.  The filter's
@@ -122,7 +122,11 @@ _SCAN_BLOCK_MACS = 2**18
 
 
 class FilterDivergedError(RuntimeError):
-    """Covariance blow-up: the current parameter iterate is unstable."""
+    """The E-step cannot run at the current parameter iterate, which is
+    unstable or not finite: a covariance blow-up, a non-finite predicted
+    mean, or a matrix that the E-step factors (an innovation covariance
+    S_k, or a P_{k+1|k} of the RTS gains) that is not positive definite.
+    ``step`` is the step k at which the pass found it."""
 
     def __init__(self, step):
         self.step = step
@@ -193,7 +197,7 @@ class PassBuffers:
     outputs, for passes to write into instead of allocating them.
     ``kalman_filter`` fills x_pred, x_filt and innovations ((N+1)-row) and
     the stacks P_pred, P_filt, K_gain and innov_cov.  ``rts_smoother``
-    fills x_sm and the stack P_sm; it forms its gain solve's operands and
+    fills x_sm and the stack P_sm; it forms its gains' operands and
     its backward recursion in arrays of its own, freed when it returns.
     Both passes run their steady segment's scan (``_linear_scan``) in
     ``scratch``: its ceil((N+1)/b) b rows, b = ``_SCAN_BLOCK``, hold the
@@ -387,6 +391,9 @@ class SmoothPass:
     near N, each stored once.  M_sm[k] = P_sm[k] J[k-1]' is the lag-one
     covariance Cov(x_k, x_{k-1} | all data) for k = 1..N (index 0 is a zero
     matrix); it is None until ``lag_one_smoother`` has run.
+    ``pinv_steps`` is always empty: the pass has no pseudo-inverse step.
+    It stays only because perfbench's traced run reads it for its
+    ``smoother.pinv_steps`` metric.
     """
 
     x_sm: np.ndarray
@@ -505,7 +512,7 @@ def kalman_filter(model, data, out=None):
     # per-step scratch: S_k's inverse factor R_k, R_k C P, the gain's
     # transpose K' and the n x n products from which the stored rows are
     # formed.  Products take K as the transpose of the C-ordered K', as
-    # they took an LU solve's, for the tail's tall Y K' (see _gains).
+    # the RTS pass takes its gains, for the tail's tall Y K' (see _gains).
     Rk = np.empty((1, p, p))
     RCP, Kt = np.empty((p, n)), np.empty((p, n))
     T, T2 = np.empty((n, n)), np.empty((n, n))
@@ -580,21 +587,18 @@ def _steps(seq, lo, hi):
     return seq[lo:hi]
 
 
-def _gains(A, fp, ks, pinv_steps):
+def _gains(A, fp, ks):
     """RTS gains J_k = P_{k|k} A' P_{k+1|k}^{-1} for k = 0..hi-1, row k of
-    the result, with ks the first settled step (N if none) and
-    hi = min(ks + 1, N).  P_{k|k} A' is formed in a call-local array.  A
-    call-local copy of the P_{k+1|k} rows, the steps k < ks, which the
-    filter stores in step order, and then the held P_{ks+1|ks} of a settled
-    gain (hi = ks + 1), is factored in place into inverse Cholesky factors,
-    P_{k+1|k}^{-1} = R_k' R_k (``sbl._inverse_factors``); each gain's
-    transpose J_k' = R_k' (R_k (P_{k|k} A')') is then written over its row
-    of P_{k|k} A', and the gains are returned as their transposes.
-    If a P_{k+1|k} is not positive definite the gains are solved by LU one
-    step at a time, k = hi-1 first, each into its own array (its memory
-    order sets the bits of products with it, so the per-step reference's
-    bits hold), and each step whose P_{k+1|k} is singular takes the
-    pseudo-inverse and is appended to ``pinv_steps``."""
+    the returned (hi, n, n) stack, with ks the first settled step (N if
+    none) and hi = min(ks + 1, N).  P_{k|k} A' is formed in a call-local
+    array.  A call-local copy of the P_{k+1|k} rows, the steps k < ks,
+    which the filter stores in step order, and then the held P_{ks+1|ks}
+    of a settled gain (hi = ks + 1), is factored in place into inverse
+    Cholesky factors, P_{k+1|k}^{-1} = R_k' R_k (``sbl._inverse_factors``);
+    each gain's transpose J_k' = R_k' (R_k (P_{k|k} A')') is then written
+    over its row of P_{k|k} A', and the gains are returned as their
+    transposes.  The first P_{k+1|k} that is not positive definite raises
+    FilterDivergedError at its step k + 1."""
     hi = min(ks + 1, fp.N)
     PAt = np.matmul(_steps(fp.P_filt, 0, hi), A.T)
     t = min(ks, hi)
@@ -602,26 +606,19 @@ def _gains(A, fp, ks, pinv_steps):
     R[:t] = _steps(fp.P_pred, 1, t + 1)
     if t < hi:
         R[t] = fp.P_pred[t + 1]
-    if _inverse_factors(R) is None:
-        # J_k' = R_k' (R_k (P_{k|k} A')'), a step at a time through one
-        # n x n scratch (a batched product would hold a third stack).  The
-        # gains are the transposes of these C-ordered rows, as an LU solve's
-        # were: the pass's tall products X J' took 30-45 us with J' C-ordered
-        # and 4-8 ms with J C-ordered, split across BLAS threads, in two
-        # processes on two cores with threads unpinned.
-        W = np.empty_like(PAt[0])
-        for k in range(hi):
-            np.matmul(R[k].T, np.matmul(R[k], PAt[k].T, out=W), out=PAt[k])
-        return PAt.swapaxes(1, 2)
-    gains = [None] * hi
-    for k in range(hi - 1, -1, -1):
-        Ppk = fp.P_pred[k + 1]
-        try:
-            gains[k] = np.linalg.solve(Ppk.T, PAt[k].T).T
-        except np.linalg.LinAlgError:
-            gains[k] = PAt[k] @ np.linalg.pinv(Ppk)
-            pinv_steps.append(k)
-    return gains
+    bad = _inverse_factors(R)
+    if bad is not None:
+        raise FilterDivergedError(bad[0] + 1)
+    # J_k' = R_k' (R_k (P_{k|k} A')'), a step at a time through one n x n
+    # scratch (a batched product would hold a third stack).  The gains are
+    # the transposes of these C-ordered rows: the pass's tall products X J'
+    # took 30-45 us with J' C-ordered and 4-8 ms with J C-ordered, split
+    # across BLAS threads, in two processes on two cores with threads
+    # unpinned.
+    W = np.empty_like(PAt[0])
+    for k in range(hi):
+        np.matmul(R[k].T, np.matmul(R[k], PAt[k].T, out=W), out=PAt[k])
+    return PAt.swapaxes(1, 2)
 
 
 def rts_smoother(model, fp, out=None):
@@ -633,24 +630,21 @@ def rts_smoother(model, fp, out=None):
         x_{k|N} = x_{k|k} + J_k (x_{k+1|N} - x_{k+1|k})
         P_{k|N} = P_{k|k} + J_k (P_{k+1|N} - P_{k+1|k}) J_k'
 
-    A singular one-step covariance falls back to the pseudo-inverse; the
-    affected steps are recorded in ``pinv_steps``, in backward step order.
-
     The gains depend only on stored filter covariances, so every gain of
     the pass comes from one factorization of those covariances
     (``_gains``): J_0..J_{ks-1} of the steps before ks = ``fp.k_steady``
-    and the settled J_ks, or J_0..J_{N-1} if nothing settled.  If a
-    P_{k+1|k} is not positive definite, the gains are solved step by step
-    as above.  The mean and covariance recursions of the steps before ks
-    then run step by step.
+    and the settled J_ks, or J_0..J_{N-1} if nothing settled.  The first
+    P_{k+1|k} that is not positive definite raises FilterDivergedError at
+    step k + 1; the settled P_{ks|ks-1}, which serves the gains from
+    J_{ks-1} on, raises at ks.  The mean and covariance recursions of the
+    steps before ks then run step by step.
 
     From ks on, P_{k|k} and P_{k+1|k} are settled, so the one gain J = J_ks
-    serves every step k >= ks (if its solve fails, the pseudo-inverse gain
-    serves them all and each is listed in ``pinv_steps``); J stores the
-    transient gains and then that gain once.  There the P_{k|N} recursion
-    runs backwards only until it settles by the filter's test, and its last
-    value is stored once for the rest of the segment: P_sm holds the steps
-    before k_steady, that middle value, and the backward transient near N.
+    serves every step k >= ks; J stores the transient gains and then that
+    gain once.  There the P_{k|N} recursion runs backwards only until it
+    settles by the filter's test, and its last value is stored once for the
+    rest of the segment: P_sm holds the steps before k_steady, that middle
+    value, and the backward transient near N.
     The means x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}) of that
     segment come from one blocked scan run backwards from x_{N|N}, on
     x_sm[ks:] reversed as a view: the scan's block-major copy reads and
@@ -674,16 +668,13 @@ def rts_smoother(model, fp, out=None):
     out._check(N, n, p)
     x_sm = out.x_sm
     x_sm[N] = fp.x_filt[N]
-    pinv_steps = []
     ks = N if fp.k_steady is None else fp.k_steady
-    gains = _gains(A, fp, ks, pinv_steps)
+    gains = _gains(A, fp, ks)
     back = [fp.P_filt[N]]   # back[j] is P_{N-j|N}; the last, the settled value
     # scratch of the per-step recursions below, which form each product as
     # the plain expressions do, so the bits are the same
     D, T, v = np.empty((n, n)), np.empty((n, n)), np.empty(n)
     if ks < N:
-        if pinv_steps[:1] == [ks]:   # the steady gain serves steps ks..N-1
-            pinv_steps[:1] = range(N - 1, ks - 1, -1)
         Js = gains[ks]
         Pf, Pp = fp.P_filt[ks], fp.P_pred[ks + 1]
         for k in range(N - 1, ks - 1, -1):
@@ -720,8 +711,7 @@ def rts_smoother(model, fp, out=None):
     idx = np.arange(N + 1)
     idx[ks:] = ks + np.maximum(idx[ks:] - (N - j), 0)
     return SmoothPass(x_sm=x_sm, P_sm=StepSeq._over(P_sm, idx),
-                      J=_held(np.asarray(gains), N), M_sm=None,
-                      pinv_steps=tuple(pinv_steps))
+                      J=_held(gains, N), M_sm=None)
 
 
 def lag_one_smoother(sp, out=None):

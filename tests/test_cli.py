@@ -522,7 +522,7 @@ def test_record_files_take_their_columns_from_the_records():
     from netrecon.fileio import record_lines
     assert record_lines(IterationRecord, [], " ") == [
         "iteration obs_loglik n_active sigma2 gamma_max inner_iterations "
-        "damped pinv_steps evidence_decreases"]
+        "damped evidence_decreases"]
     failed = RunRecord(network=0, snr_db=20.0, gen_seed=1, sim_seed=2,
                        recon_seed=3, precision=float("nan"), tpr=0.5,
                        auc=float("nan"), n_est_edges=0, n_true_edges=2,

@@ -563,32 +563,17 @@ def test_outer_iterations_smooth_into_the_same_buffers(monkeypatch):
     assert not np.shares_memory(res.m0_hat, sp2.x_sm)
 
 
-def test_fallback_counts_in_trace_and_result_file(tmp_path):
-    import warnings
-    from netrecon import rts_smoother, kalman_filter
-    # singular one-step covariances make every smoother gain a
-    # pseudo-inverse; the steps are reported in pinv_steps, not as a warning
-    data = _small_system(N=5)
-    model = StateSpaceModel(A=0.5 * np.eye(2), B=np.eye(2), p=2, sigma=0.3,
-                            m0=np.zeros(2), R0=np.eye(2))
-    fp = kalman_filter(model, data)
-    fp = dataclasses.replace(fp, P_pred=np.zeros_like(fp.P_pred), k_steady=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sp = rts_smoother(model, fp)
-    assert sorted(sp.pinv_steps) == [0, 1, 2, 3, 4]
-
+def test_result_file_trace_takes_its_columns_from_the_records(tmp_path):
+    from netrecon import IterationRecord
+    from netrecon.fileio import record_lines
     res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=3,
                                                    outer_max_iter=2))
     path = tmp_path / "r.txt"
     save_result(path, res, {})
     lines = path.read_text().splitlines()
     head = lines.index("trace") + 1
-    assert lines[head].split()[-2:] == ["pinv_steps", "evidence_decreases"]
-    rows = [line.split() for line in lines[head + 1:]]
-    assert [row[-2:] for row in rows] == [
-        [str(r.pinv_steps), str(r.evidence_decreases)] for r in res.trace]
-    assert all(len(row) == 9 for row in rows)
+    assert len(res.trace) == 2
+    assert lines[head:] == record_lines(IterationRecord, res.trace, " ")
 
 
 def test_measurement_residual_reads_the_output_states():

@@ -402,19 +402,18 @@ def _dense_pass(N):
     return model, data, filter_per_step(model, data)
 
 
-def test_batched_gains_fall_back_per_step_at_one_singular_step():
-    # a zero first row and column make P_pred[j + 1] exactly singular, so
-    # the batched gain solve fails, the gains are solved step by step and
-    # gain j alone takes the pseudo-inverse
+def test_gains_diverge_at_the_first_singular_one_step_covariance():
+    # a zero first row and column make P_pred[j + 1] exactly singular: its
+    # inverse factor fails, and the pass raises at that step, not at the
+    # later singular one
     model, _, fp = _dense_pass(150)
     j = 90
-    fp.P_pred[j + 1][0, :] = 0.0
-    fp.P_pred[j + 1][:, 0] = 0.0
-    sp, ref = rts_smoother(model, fp), rts_per_step(model, fp)
-    assert sp.pinv_steps == ref.pinv_steps == (j,)
-    for name in ("x_sm", "P_sm", "J"):
-        assert np.array_equal(np.asarray(getattr(sp, name)),
-                              getattr(ref, name)), name
+    for k in (j + 1, 120):
+        fp.P_pred[k][0, :] = 0.0
+        fp.P_pred[k][:, 0] = 0.0
+    with pytest.raises(FilterDivergedError) as err:
+        rts_smoother(model, fp)
+    assert err.value.step == j + 1
 
 
 def test_transient_gains_equal_per_step_gains_bit_for_bit(desk_system):
@@ -427,21 +426,19 @@ def test_transient_gains_equal_per_step_gains_bit_for_bit(desk_system):
     assert ks is not None and _rel(J[:ks], ref_J[:ks]) <= 1e-13
 
 
-def test_singular_steady_covariance_takes_the_pseudo_inverse(desk_system):
+def test_singular_steady_covariance_diverges_at_k_steady(desk_system):
     # zero the first row and column of the settled P_{k+1|k}: it serves the
-    # gains from k_steady - 1 on, and the settled gain takes the
-    # pseudo-inverse for every step of the steady segment
+    # gains from k_steady - 1 on, so the pass raises at step k_steady, the
+    # first step whose P_{k|k-1} it is
     model, data = desk_system
     fp = kalman_filter(model, data)
-    N, ks = fp.N, fp.k_steady
     vals = fp.P_pred.vals.copy()
     vals[-1][0, :] = 0.0
     vals[-1][:, 0] = 0.0
     fp = replace(fp, P_pred=StepSeq(vals, fp.P_pred.idx))
-    sp, ref = rts_smoother(model, fp), rts_per_step(model, fp)
-    assert sp.pinv_steps == ref.pinv_steps == tuple(range(N - 1, ks - 2, -1))
-    for name in ("x_sm", "P_sm", "J"):
-        assert _rel(getattr(sp, name), getattr(ref, name)) <= 1e-9, name
+    with pytest.raises(FilterDivergedError) as err:
+        rts_smoother(model, fp)
+    assert err.value.step == fp.k_steady
 
 
 def test_batched_loglik_diverges_at_the_first_bad_determinant():
