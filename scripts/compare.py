@@ -39,11 +39,7 @@ holds:
   sha256 of ``A_hat``, which the two processes must agree on;
 - ``pairs``: alternating ``perfbench/run.py`` runs of the two checkouts
   (the parent first in odd-numbered pairs), every end-to-end metric per
-  workload and seed, with medians, quartiles and win counts.  Each run is
-  forked from a small launcher process: Linux carries a process's RSS
-  high-water mark into its child's ``ru_maxrss`` across fork and exec, so
-  a run forked from this process would read this process's peak as its
-  ``peak_rss_mb``;
+  workload and seed, with medians, quartiles and win counts;
 - ``claimed``: the ``--claim`` metric on its workload against the
   pair rule (lower in at least 9 of 10 pairs, and a median gap
   larger than the parent's quartile spread);
@@ -53,10 +49,16 @@ holds:
   then at 0 dB) in ``run_benchmark``'s process pool of min(4, cores)
   workers with BLAS threads unpinned, interleaved runs per side.
 
+Every child process, perfbench run or worker, is forked from a small
+launcher process: Linux carries a process's RSS high-water mark into its
+child's ``ru_maxrss`` across fork and exec, so a child forked from this
+process would read this process's peak as its own.
+
 With ``--aa`` the change side is a copy of the parent's ``src/`` and
 ``perfbench/`` in a temporary directory, and the run holds only
-``pairs`` and ``claimed``: identical code in two directories, so any gap
-it shows is not the code's.
+``full_scale_memory``, ``pairs`` and ``claimed``, the sections that
+report a gap in time or memory: identical code in two directories, so
+any gap it shows is not the code's.
 
 perfbench pins BLAS to one thread; the pool runs do not, since the
 acceptance test does not.  Run it on an otherwise idle host.
@@ -275,6 +277,13 @@ WORKERS = {"fingerprints": worker_fingerprints, "faults": worker_faults,
 
 # -- the measuring process: runs the workers, writes the record ---------
 
+def _launched(argv, **kwargs):
+    """The standard output of ``argv``, forked from LAUNCHER."""
+    return subprocess.run([sys.executable, "-S", "-c", LAUNCHER, *argv],
+                          capture_output=True, text=True, check=True,
+                          **kwargs).stdout
+
+
 def _worker(kind, *args, pinned=True):
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
@@ -282,17 +291,14 @@ def _worker(kind, *args, pinned=True):
             env[var] = "1"
         else:
             env.pop(var, None)
-    out = subprocess.run([sys.executable, HERE, "--worker", kind, *args],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    return json.loads(_launched([sys.executable, HERE, "--worker", kind,
+                                 *args], env=env))
 
 
 def _perfbench(root, workload, seed, trace=0):
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", LAUNCHER, sys.executable,
-         "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, check=True).stdout
+    out = _launched([sys.executable, "perfbench/run.py", "--workload",
+                     workload, "--seed", str(seed), "--trace", str(trace)],
+                    cwd=root)
     res = json.loads(out.strip().splitlines()[-1])
     return {"correct": res["correct"], "failed": res["failed"],
             **{k: v["value"] for k, v in res["metrics"].items()}}
@@ -441,10 +447,9 @@ def measure(args, sides):
                              for side, root in sides.items()}
             for w in WORKLOADS for seed in args.seeds}
 
-        _log("full-scale memory")
-        record["full_scale_memory"] = _interleaved(
-            MEMORY_RUNS, sides, _full_scale_memory)
-
+    _log("full-scale memory")
+    record["full_scale_memory"] = _interleaved(
+        MEMORY_RUNS, sides, _full_scale_memory)
     record["pairs"] = _pairs(args, sides)
     record["claimed"] = _claimed(args, record["pairs"])
 
@@ -489,7 +494,7 @@ def main():
     ap.add_argument("--change", help="root of the changed checkout")
     ap.add_argument("--aa", action="store_true",
                     help="pair the parent against a copy of itself")
-    ap.add_argument("--out", default="BENCH_resident_cov.json")
+    ap.add_argument("--out", help="the JSON record to add the run to")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
     ap.add_argument("--pool-runs", type=int, default=3)
@@ -500,8 +505,8 @@ def main():
         kind, *rest = args.worker
         json.dump(WORKERS[kind](*rest), sys.stdout)
         return
-    if not args.parent or bool(args.change) == args.aa:
-        ap.error("--parent and one of --change or --aa are required")
+    if not args.parent or not args.out or bool(args.change) == args.aa:
+        ap.error("--parent, --out and one of --change or --aa are required")
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     parent = os.path.abspath(args.parent)

@@ -281,8 +281,8 @@ def _estep(data, it, bufs, model=None):
     ``model`` is a validated ``StateSpaceModel`` with sigma = 1 and the
     record's shape, which ``reconstruct`` builds once per run (without it,
     one is built from ``it``).  The pass runs on a copy of it that carries
-    the iterate's scaled arrays unchecked, so a non-finite iterate reaches
-    the filter and fails its divergence test.
+    the iterate's scaled arrays unchecked, for speed only: ``reconstruct``
+    ends a run at the first non-finite iterate, so none reaches the pass.
 
     The filter and RTS passes write their means into ``bufs``, a
     ``PassBuffers`` for the record, which every iteration reuses; nothing
@@ -364,15 +364,15 @@ def reconstruct(data, cfg):
     sparse prior on iterations 1, 1 + K, 1 + 2K, ... (K = ``_REFIT_EVERY``)
     and on the iteration after any other whose step meets ``outer_tol``;
     the run is declared converged only on a refit, so it never stops on a
-    support that the sparse fit has not re-checked.  On filter divergence
-    (a covariance blow-up, an innovation covariance or an RTS pass's
-    P_{k+1|k} that is not positive definite, or a non-finite iterate) the
-    iteration is retried once from the iterate halfway back to the
-    previous one in (A, B, sigma^2); a second failure stops the run with
-    status "diverged", the previous iterate's (A, B, sigma^2) and a
-    partial trace.  A non-finite iterate from the M-step of
-    iteration ``outer_max_iter``, which no E-step follows, ends the run as
-    "diverged" with the previous iterate's (A, B, sigma^2) as well.
+    support that the sparse fit has not re-checked.
+
+    A failed iterate has one exit, status "diverged", which keeps the
+    previous iterate's (A, B, sigma^2) and the records of the iterations
+    that finished.  An E-step that diverges (a covariance blow-up, or an
+    innovation covariance or an RTS pass's P_{k+1|k} that is not positive
+    definite) is retried once halfway back to the previous iterate in
+    (A, B, sigma^2), and the run stops if that fails too; an M-step whose
+    (A, B, sigma^2) is not finite stops the run at once, after its record.
     """
     t_start = time.perf_counter()
     p, m = data.p, data.m
@@ -394,22 +394,20 @@ def reconstruct(data, cfg):
     every = _REFIT_EVERY if cfg.prior_mode == "sbl" else 1
     refit = True
     for it in range(1, cfg.outer_max_iter + 1):
-        damped = False
-        t0 = time.perf_counter()
-        try:
-            es, obs_ll = _estep(data, cur, bufs, model)
-        except FilterDivergedError:
-            damped = True
-            cur = _dc_replace(cur, A=0.5 * (cur.A + prev.A),
-                              B=0.5 * (cur.B + prev.B),
-                              sigma2=0.5 * (cur.sigma2 + prev.sigma2))
+        for damped in (False, True):
+            if damped:   # retry halfway back to the previous iterate
+                cur = _dc_replace(cur, A=0.5 * (cur.A + prev.A),
+                                  B=0.5 * (cur.B + prev.B),
+                                  sigma2=0.5 * (cur.sigma2 + prev.sigma2))
             t0 = time.perf_counter()
             try:
                 es, obs_ll = _estep(data, cur, bufs, model)
-            except FilterDivergedError:
-                status = "diverged"
-                cur = _dc_replace(cur, A=prev.A, B=prev.B, sigma2=prev.sigma2)
                 break
+            except FilterDivergedError:
+                pass
+        else:
+            status = "diverged"
+            break
         t1 = time.perf_counter()
         new, fit = _mstep(es, cur, mask, cfg, p, refit)
         prev, cur = cur, new
@@ -418,15 +416,15 @@ def reconstruct(data, cfg):
                                      mstep_s=time.perf_counter() - t1, **fit))
         w = pack_w(cur.A, cur.B)
         last_step = _relative_step(w_prev, w)
+        if not (np.isfinite(w).all() and np.isfinite(cur.sigma2)):
+            status = "diverged"
+            break
         if last_step <= cfg.outer_tol and refit:
             status = "converged"
             break
         refit = last_step <= cfg.outer_tol or it % every == 0
         w_prev = w
-    # the last M-step's iterate meets no E-step to fail in
-    if status == "max_iter" and not (np.isfinite(w).all()
-                                     and np.isfinite(cur.sigma2)):
-        status = "diverged"
+    if status == "diverged":
         cur = _dc_replace(cur, A=prev.A, B=prev.B, sigma2=prev.sigma2)
 
     model_hat = StateSpaceModel(A=cur.A, B=cur.B, p=p,

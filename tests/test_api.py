@@ -113,6 +113,37 @@ def test_bench_config_rejects_meaningless_settings(kwargs):
         BenchConfig(**kwargs)
 
 
+def test_bench_config_rejects_fewer_assumed_states_than_outputs():
+    with pytest.raises(ValueError, match="n_assumed must be at least p"):
+        BenchConfig(p=3, m=3, n_true=4, n_assumed=2)
+
+
+def test_a_cell_that_raises_is_recorded_and_the_sweep_goes_on(monkeypatch):
+    from netrecon import bench
+    real = bench.reconstruct
+    calls = []
+
+    def fails_first(data, cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 1:   # network 0, the first cell of a serial sweep
+            raise RuntimeError("no estimate")
+        return real(data, cfg)
+
+    monkeypatch.setattr(bench, "reconstruct", fails_first)
+    table = bench.run_benchmark(BenchConfig(
+        n_networks=2, p=2, n_true=4, n_assumed=5, m=2, density=0.4,
+        N_samples=60, snr_list=(30.0,), seed=3,
+        recon={"outer_max_iter": 3}))
+    assert len(calls) == 2
+    bad, good = table.records
+    assert (bad.network, bad.status, bad.failed) == (0, "error", True)
+    assert bad.error == "RuntimeError: no estimate"
+    assert math.isnan(bad.precision) and math.isnan(bad.auc)
+    assert bad.outer_iterations == 0 and bad.n_true_edges == 0
+    assert good.network == 1 and good.status != "error" and not good.error
+    assert table.rows[0].n_failed >= 1 and table.rows[0].n_total == 2
+
+
 @pytest.mark.parametrize("threshold", [NAN, 2.0, -0.1, math.inf])
 def test_failure_threshold_must_be_a_precision(threshold):
     # a settable threshold above 1 failed every cell, and NaN or below 0 let

@@ -1,6 +1,8 @@
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +211,35 @@ def test_benchmark_parallelism_independent(tmp_path):
     strip = lambda p: [l for l in p.read_text().splitlines()
                        if not l.startswith("# parallelism")]
     assert strip(a) == strip(b)
+
+
+def test_benchmark_logs_one_progress_line_per_cell(tmp_path):
+    # in a process of its own: pytest's log capture holds the root logger,
+    # so basicConfig would add no handler here
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_networks = 1\np = 2\nn_true = 4\nn_assumed = 5\nm = 2\n"
+                   "density = 0.4\nn_samples = 60\nsnr_list = 20,40\n"
+                   "seed = 3\nrecon_outer_max_iter = 3\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "netrecon.cli", "benchmark", "--config",
+         str(cfg), "--out", str(tmp_path / "a.csv")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    lines = out.stderr.splitlines()
+    assert len(lines) == 2
+    for line, snr in zip(lines, (20, 40)):
+        assert re.fullmatch(rf"network 0 @ {snr} dB: precision=\S+ tpr=\S+ "
+                            r"auc=\S+ status=\w+ \(\d+\.\ds\)", line)
+    assert "netrecon benchmark summary" in out.stdout
+
+
+def test_simulate_without_a_sample_count_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run_cli(["simulate", "--p", 2, "--n", 3, "--density", "0.5",
+                    "--out", out]) == 1
+    assert "'--n-samples'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(tmp_path):

@@ -225,6 +225,15 @@ def test_boolean_structure_zero_matrix():
     assert not g.p_adj.any()
 
 
+def test_boolean_structure_rejects_an_empty_sample():
+    empty = FreqSample(q_points=np.zeros(0, complex),
+                       Q_vals=np.zeros((0, 2, 2), complex),
+                       P_vals=np.zeros((0, 2, 2), complex),
+                       H_vals=np.zeros((0, 2, 2), complex))
+    with pytest.raises(ValueError, match="sample is empty"):
+        boolean_structure(empty, rel_tol=1e-4)
+
+
 def test_boolean_structure_matches_exact_zero_pattern():
     gt = generate_random_network(p=10, n=12, m=10, density=0.1, seed=5)
     fs = dsf_from_state_space(gt.model, default_q_points())
@@ -259,6 +268,12 @@ def test_graph_compare_examples():
     gm2 = graph_compare(empty, truth)
     assert gm2.precision == 1.0
     assert gm2.tpr == 0.0
+
+
+def test_network_graph_rejects_a_self_loop():
+    with pytest.raises(ValueError, match="all-false diagonal"):
+        NetworkGraph(q_adj=np.eye(2, dtype=bool),
+                     p_adj=np.zeros((2, 2), dtype=bool))
 
 
 def test_graph_compare_dimension_mismatch():

@@ -74,6 +74,11 @@ def test_converged_cases():
     assert count <= int(np.ceil(np.log2(1.0 / tol))) + 1
 
 
+def test_converged_rejects_vectors_of_different_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        converged(np.zeros(2), np.zeros(3), tol=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction behavior
 
@@ -500,6 +505,64 @@ def test_non_finite_last_iterate_ends_the_run_as_diverged(monkeypatch):
     assert np.array_equal(res.A_hat, steps[1].A)
     assert np.array_equal(res.B_hat, steps[1].B)
     assert res.sigma2_hat == steps[1].sigma2
+
+
+def test_non_finite_iterate_stops_the_run_without_an_estep(monkeypatch):
+    # a NaN that the M-step of iteration 3 of 6 puts into A ends the run at
+    # once: no E-step, plain or damped, is tried on it
+    module = importlib.import_module("netrecon.reconstruct")
+    real_mstep, real_filter = module._mstep, module.kalman_filter
+    steps, filters = [], []
+
+    def poisoned(es, it, *args):
+        new, fit = real_mstep(es, it, *args)
+        if len(steps) == 2:   # the third M-step
+            A = new.A.copy()
+            A[1, 0] = np.nan
+            new = dataclasses.replace(new, A=A)
+        steps.append(new)
+        return new, fit
+
+    def counted(model, data, **kwargs):
+        filters.append(model.A.copy())
+        return real_filter(model, data, **kwargs)
+
+    monkeypatch.setattr(module, "_mstep", poisoned)
+    monkeypatch.setattr(module, "kalman_filter", counted)
+    res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=2,
+                                                   outer_max_iter=6,
+                                                   outer_tol=0.0))
+    assert res.status == "diverged"
+    assert len(res.trace) == 3
+    assert len(filters) == 3
+    assert np.isfinite(filters).all()
+    assert np.array_equal(res.A_hat, steps[1].A)
+    assert np.array_equal(res.B_hat, steps[1].B)
+    assert res.sigma2_hat == steps[1].sigma2
+
+
+def test_non_finite_sigma2_on_a_converging_step_ends_the_run_as_diverged(
+        monkeypatch):
+    # a NaN sigma2 beside a finite (A, B) whose step meets outer_tol on a
+    # refit: the run is not "converged", and the read-off gets the start's
+    # finite sigma2
+    module = importlib.import_module("netrecon.reconstruct")
+    real_mstep = module._mstep
+    starts = []
+
+    def poisoned(es, it, *args):
+        new, fit = real_mstep(es, it, *args)
+        starts.append(it)
+        return dataclasses.replace(new, sigma2=float("nan")), fit
+
+    monkeypatch.setattr(module, "_mstep", poisoned)
+    res = reconstruct(_small_system(), ReconConfig(n_states=3, seed=2,
+                                                   outer_max_iter=6,
+                                                   outer_tol=10.0))
+    assert res.status == "diverged"
+    assert len(res.trace) == 1 and res.last_step <= 10.0
+    assert res.sigma2_hat == starts[0].sigma2
+    assert np.array_equal(res.A_hat, starts[0].A)
 
 
 def test_desk_answers_do_not_depend_on_the_blas_thread_count():

@@ -172,6 +172,15 @@ def test_posterior_empty_active_set():
     assert np.all(mu == 0.0) and np.all(Sig == 0.0)
 
 
+def test_posterior_names_a_row_that_is_not_positive_definite():
+    # a Gram no set of regressors gives: zz + sigma2 / gamma on row 0 is
+    # diag(-4, 2), which has no inverse Cholesky factor
+    reg = RegressionData(n=1, m=1, N=10, zz=np.diag([-5.0, 1.0]),
+                         xz=np.array([[1.0, 0.5]]), y_sq_rows=np.array([3.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="row 0 is not positive"):
+        posterior(reg, np.ones(2), sigma2=1.0)
+
+
 # ---------------------------------------------------------------------------
 # marginal likelihood
 
@@ -336,6 +345,11 @@ def test_mask_rejects_non_square_input_map():
         identifiability_mask(n=4, p=2, m=2, mode="p_diag", p22=5)
     with pytest.raises(IdentifiabilityError, match="n - p"):
         identifiability_mask(n=3, p=3, m=3, mode="p_diag", p22=0)
+
+
+def test_mask_rejects_fewer_states_than_outputs():
+    with pytest.raises(ValueError, match="need n >= p"):
+        identifiability_mask(n=2, p=3, m=3, mode="diag_b")
 
 
 # ---------------------------------------------------------------------------

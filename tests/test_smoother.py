@@ -129,6 +129,28 @@ def test_filter_diverges_on_an_innovation_covariance_not_positive_definite():
     assert err.value.step == 1
 
 
+def test_filter_diverges_on_a_predicted_mean_that_overflows():
+    # every array of the model is finite, but B u_0 = 3e308 is not: the
+    # covariances settle and the first predicted mean is the failing row
+    model = StateSpaceModel(A=np.diag([0.5, 0.2]), B=1e308 * np.eye(2, 1),
+                            p=1, sigma=1.0, m0=np.zeros(2), R0=np.eye(2))
+    U = np.zeros((4, 1))
+    U[0] = 3.0
+    data = Dataset(Y=np.zeros((4, 1)), U=U, N=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FilterDivergedError) as err:
+            kalman_filter(model, data)
+    assert err.value.step == 1
+
+
+def test_filter_rejects_data_of_another_shape():
+    model = scalar_model(A=0.5, B=1.0)
+    for Y, U in [(np.zeros((3, 2)), np.zeros((3, 1))),
+                 (np.zeros((3, 1)), np.zeros((3, 2)))]:
+        with pytest.raises(ValueError, match="do not match model"):
+            kalman_filter(model, Dataset(Y=Y, U=U, N=3))
+
+
 def test_filter_rejects_bad_inputs():
     model = scalar_model(sigma=0.0)
     data = Dataset(Y=[[1.0]], U=[[0.0]], N=1)
@@ -154,6 +176,16 @@ def test_expectation_sums_outer_products_when_covariances_vanish():
     assert np.allclose(es.S_xx, xs[1:].T @ xs[1:], atol=1e-12)
     assert np.allclose(es.S_xz, xs[1:].T @ z, atol=1e-12)
     assert np.allclose(es.S_zz, z.T @ z, atol=1e-12)
+
+
+def test_expectation_sums_need_the_lag_one_covariances():
+    rng = np.random.default_rng(6)
+    model = random_stable_model(rng, n=2, p=1, m=1)
+    data = make_data(model, 5, rng)
+    sp = rts_smoother(model, kalman_filter(model, data))
+    assert sp.M_sm is None
+    with pytest.raises(ValueError, match="lag-one smoother first"):
+        expectation_sums(sp, data)
 
 
 def test_expectation_sums_unit_input_identity():
