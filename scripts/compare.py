@@ -3,7 +3,7 @@
 
     python3 scripts/compare.py --parent DIR --change DIR \
         --out BENCH_NAME.json [--pairs 10] [--seeds 1 7] \
-        [--pool-runs 3] [--claim desk0:recon_s]
+        [--pool-runs 3] [--claim WORKLOAD:METRIC]
     python3 scripts/compare.py --parent DIR --aa \
         --out BENCH_NAME.json [--pairs 10] [--seeds 1 7]
 
@@ -39,10 +39,11 @@ holds:
   sha256 of ``A_hat``, which the two processes must agree on;
 - ``pairs``: alternating ``perfbench/run.py`` runs of the two checkouts
   (the parent first in odd-numbered pairs), every end-to-end metric per
-  workload and seed, with medians, quartiles and win counts;
-- ``claimed``: the ``--claim`` metric on its workload against the
-  pair rule (lower in at least 9 of 10 pairs, and a median gap
-  larger than the parent's quartile spread);
+  workload and seed, with medians, quartiles and win counts, and each
+  run's ``recon_s`` (and the ``--claim`` metric);
+- ``claimed``, only with ``--claim``: the claimed metric on its workload
+  against the pair rule (lower in at least 9 of 10 pairs, and a median
+  gap larger than the parent's quartile spread);
 - ``traced``: one ``--trace 1`` perfbench run per workload at the first
   seed, per checkout (plain wall time, so read them as shares);
 - ``criterion7_pool``: criterion 7's two sweeps (10 networks at 40 dB,
@@ -56,9 +57,9 @@ process would read this process's peak as its own.
 
 With ``--aa`` the change side is a copy of the parent's ``src/`` and
 ``perfbench/`` in a temporary directory, and the run holds only
-``full_scale_memory``, ``pairs`` and ``claimed``, the sections that
-report a gap in time or memory: identical code in two directories, so
-any gap it shows is not the code's.
+``full_scale_memory``, ``pairs`` and (with ``--claim``) ``claimed``, the
+sections that report a gap in time or memory: identical code in two
+directories, so any gap it shows is not the code's.
 
 perfbench pins BLAS to one thread; the pool runs do not, since the
 acceptance test does not.  Run it on an otherwise idle host.
@@ -355,6 +356,7 @@ def _interleaved(runs, sides, measure_one):
 
 
 def _pairs(args, sides):
+    kept = ("recon_s",) + ((args.claim[1],) if args.claim else ())
     record = {}
     for w in WORKLOADS:
         for seed in args.seeds:
@@ -372,7 +374,7 @@ def _pairs(args, sides):
                                         [r[m] for r in runs["change"]])
                             for m in METRICS},
                 "runs": {side: {m: [round(r[m], 4) for r in rs]
-                                for m in (args.claim[1], "recon_s")}
+                                for m in kept}
                          for side, rs in runs.items()}}
     return record
 
@@ -398,13 +400,14 @@ def _claimed(args, pairs):
 
 def measure(args, sides):
     seeds = " ".join(map(str, args.seeds))
-    claim = ":".join(args.claim)
-    record = {"command": "python3 scripts/compare.py --parent <parent "
-                         "checkout> "
-                         + ("--aa" if args.aa else "--change <change checkout>")
-                         + f" --pairs {args.pairs} --seeds {seeds} "
-                         + ("" if args.aa else f"--pool-runs {args.pool_runs} ")
-                         + f"--claim {claim}",
+    command = ["python3 scripts/compare.py --parent <parent checkout>",
+               "--aa" if args.aa else "--change <change checkout>",
+               f"--pairs {args.pairs} --seeds {seeds}"]
+    if not args.aa:
+        command.append(f"--pool-runs {args.pool_runs}")
+    if args.claim:
+        command.append("--claim " + ":".join(args.claim))
+    record = {"command": " ".join(command),
               "mode": "aa" if args.aa else "ab",
               "host": _host(),
               "thread_pinning": "perfbench and the fault, fingerprint and "
@@ -451,7 +454,8 @@ def measure(args, sides):
     record["full_scale_memory"] = _interleaved(
         MEMORY_RUNS, sides, _full_scale_memory)
     record["pairs"] = _pairs(args, sides)
-    record["claimed"] = _claimed(args, record["pairs"])
+    if args.claim:
+        record["claimed"] = _claimed(args, record["pairs"])
 
     if not args.aa:
         _log("traced runs")
@@ -498,8 +502,9 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
     ap.add_argument("--pool-runs", type=int, default=3)
-    ap.add_argument("--claim", type=_claim, default="desk0:recon_s",
-                    help="WORKLOAD:METRIC judged against the pair rule")
+    ap.add_argument("--claim", type=_claim,
+                    help="WORKLOAD:METRIC judged against the pair rule; "
+                         "without it the run judges no claim")
     args = ap.parse_args()
     if args.worker:
         kind, *rest = args.worker

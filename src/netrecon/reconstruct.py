@@ -241,13 +241,19 @@ def _initial_parameters(n, m, mask, Y, seed):
     spectral radius 0.5 so every assumed state is excited from the first
     smoothing pass; a decoupled start (for example 0.5 I) leaves the hidden
     coordinates with flat trajectories, which the sparse prior can never
-    recover from.  B starts as the identity on its top block.
+    recover from.  B starts as the identity on its top block.  Outputs
+    whose variance overflows raise ValueError.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_y = float(np.var(Y))
+    if not np.isfinite(var_y):
+        raise ValueError("the output scale is too large: the variance of Y "
+                         "overflows; rescale the outputs")
     freeA, freeB = unpack_w(mask.free, n, m)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1A17]))
     A = np.where(freeA, rng.standard_normal((n, n)), 0.0)
     A *= 0.5 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
-    sigma2 = max(0.1 * float(np.var(Y)), 1e-6)
+    sigma2 = max(0.1 * var_y, 1e-6)
     return A, np.where(freeB, np.eye(n, m), 0.0), sigma2, np.zeros(n), np.eye(n)
 
 
@@ -269,7 +275,7 @@ class _Iterate:
     sbl_sigma2: float | None = None
 
 
-def _estep(data, it, bufs, model=None):
+def _estep(data, it, bufs, model):
     """E half of one outer iteration: smooth the data at the iterate ``it``.
 
     The smoothing pass runs on the data and model divided by
@@ -279,10 +285,10 @@ def _estep(data, it, bufs, model=None):
     FilterDivergedError if the pass diverges.
 
     ``model`` is a validated ``StateSpaceModel`` with sigma = 1 and the
-    record's shape, which ``reconstruct`` builds once per run (without it,
-    one is built from ``it``).  The pass runs on a copy of it that carries
-    the iterate's scaled arrays unchecked, for speed only: ``reconstruct``
-    ends a run at the first non-finite iterate, so none reaches the pass.
+    record's shape, which ``reconstruct`` builds once per run.  The pass
+    runs on a copy of it that carries the iterate's scaled arrays
+    unchecked, for speed only: ``reconstruct`` ends a run at the first
+    non-finite iterate, so none reaches the pass.
 
     The filter and RTS passes write their means into ``bufs``, a
     ``PassBuffers`` for the record, which every iteration reuses; nothing
@@ -291,9 +297,6 @@ def _estep(data, it, bufs, model=None):
     """
     p, N = data.p, data.N
     s = float(np.sqrt(it.sigma2))
-    if model is None:
-        model = StateSpaceModel(A=it.A, B=it.B, p=p, sigma=1.0, m0=it.m0,
-                                R0=it.R0)
     # data and model were checked when built: the scaled copies skip their
     # copies and checks
     scaled = copy.copy(data)

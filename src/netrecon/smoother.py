@@ -17,17 +17,16 @@ for a stable model they settle within a few dozen steps.  The filter
 watches P_{k|k-1}; at the first step k >= 2 where one step changes it by
 at most ``_STEADY_RTOL`` times its largest entry, it records k as
 ``FilterPass.k_steady`` and holds that step's P_{k|k-1}, P_{k|k}, gain and
-innovation covariance for every later step, which then runs only the mean
-recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS
+innovation covariance factor for every later step, which then runs only the
+mean recursion (Anderson & Moore, Optimal Filtering, 1979, ch. 4).  The RTS
 smoother uses one gain over that segment and runs its backward covariance
 recursion only until it settles by the same test; the log-likelihood
 takes the quadratic terms of all the settled steps from the one factor
 of the shared innovation covariance.  Steps before k_steady, and runs
 where the test never passes, run every recursion at every step.  The RTS
-gains, and the log-likelihood's determinants and quadratic forms, depend
-only on covariances the filter has stored, so each pass factors those
-once, the settled value as the last row of its stack, and only the
-recursions run step by step.
+gains depend only on covariances the filter has stored, so the RTS pass
+factors those once, the settled value as the last row of its stack, and
+only the recursions run step by step.
 
 Every symmetric positive definite matrix the E-step inverts (the filter's
 innovation covariance S_k, the RTS pass's P_{k+1|k}) is factored once
@@ -38,15 +37,16 @@ product with R, and log det S = -2 sum log diag(R).  This is the factor
 form of Kalman computation (Bierman, Factorization Methods for Discrete
 Sequential Estimation, 1977).  At these sizes an LU or triangular solve
 costs far more than a product of the same shape, so the factor and two
-products take less time than the solve they replace.  A matrix that is
-not positive definite raises FilterDivergedError in the filter, the RTS
-pass and the log-likelihood, at the first step that reads it.
+products take less time than the solve they replace.  The filter keeps
+each R_k of S_k, which the log-likelihood reads.  A matrix that is not
+positive definite raises FilterDivergedError at the first step that
+reads it.
 
 Storage: every covariance and gain sequence is a ``StepSeq``, which stores
 each distinct matrix once and maps each step to its row.  The filter's
-P_{k|k-1}, P_{k|k}, K_k and innovation covariance, and the RTS gains J_k,
-hold the transient steps and then one settled value.  P_{k|N} holds three
-segments: the steps before k_steady, one settled middle value, and the
+P_{k|k-1}, P_{k|k} and innovation covariance factors R_k, and the RTS gains
+J_k, hold the transient steps and then one settled value.  P_{k|N} holds
+three segments: the steps before k_steady, one settled middle value, and the
 backward transient near N.  The lag-one M_k = P_{k|N} J_{k-1}' inherits
 their segments.  Where nothing settles, every step keeps its own row.  Sums
 over steps (``StepSeq.total``) weight each row by its step count, so no
@@ -196,7 +196,7 @@ class PassBuffers:
     """The arrays of a filter and RTS pass over N steps with n states and p
     outputs, for passes to write into instead of allocating them.
     ``kalman_filter`` fills x_pred, x_filt and innovations ((N+1)-row) and
-    the stacks P_pred, P_filt, K_gain and innov_cov.  ``rts_smoother``
+    the stacks P_pred, P_filt and innov_factor.  ``rts_smoother``
     fills x_sm and the stack P_sm; it forms its gains' operands and
     its backward recursion in arrays of its own, freed when it returns.
     Both passes run their steady segment's scan (``_linear_scan``) in
@@ -214,7 +214,7 @@ class PassBuffers:
     """
 
     __slots__ = ("x_pred", "x_filt", "innovations", "x_sm", "scratch",
-                 "P_pred", "P_filt", "K_gain", "innov_cov", "P_sm", "M_sm")
+                 "P_pred", "P_filt", "innov_factor", "P_sm", "M_sm")
 
     def __init__(self, N, n, p):
         self.x_pred = np.empty((N + 1, n))
@@ -224,8 +224,8 @@ class PassBuffers:
         blocks = -(-(N + 1) // _SCAN_BLOCK)   # of a scan over N + 1 rows
         self.scratch = np.empty((blocks * _SCAN_BLOCK, n))
         for name, shape in (("P_pred", (n, n)), ("P_filt", (n, n)),
-                            ("K_gain", (n, p)), ("innov_cov", (p, p)),
-                            ("P_sm", (n, n)), ("M_sm", (n, n))):
+                            ("innov_factor", (p, p)), ("P_sm", (n, n)),
+                            ("M_sm", (n, n))):
             setattr(self, name, np.empty((0,) + shape))
 
     def _check(self, N, n, p):
@@ -361,21 +361,21 @@ class FilterPass:
     """Forward-pass quantities; index 0 holds the t_0 prior.
 
     x_pred[k], P_pred[k] are the one-step predictions x_{k|k-1}, P_{k|k-1};
-    x_filt[k], P_filt[k] the filtered estimates; K_gain[k] the gain;
-    innovations[k] and innov_cov[k] feed the observed-data likelihood.
-    The means are dense (N+1)-row arrays; P_pred, P_filt, K_gain and
-    innov_cov are StepSeqs of N+1 steps.  k_steady is the step from which
-    those four hold one settled value, stored once (None if the covariances
-    never settled, when every step has its own row).
+    x_filt[k], P_filt[k] the filtered estimates; innovations[k] and
+    innov_factor[k], the inverse Cholesky factor R_k of the innovation
+    covariance S_k (S_k^{-1} = R_k' R_k), feed the observed-data likelihood.
+    The means are dense (N+1)-row arrays; P_pred, P_filt and innov_factor
+    are StepSeqs of N+1 steps.  k_steady is the step from which those three
+    hold one settled value, stored once (None if the covariances never
+    settled, when every step has its own row).
     """
 
     x_pred: np.ndarray
     P_pred: StepSeq
     x_filt: np.ndarray
     P_filt: StepSeq
-    K_gain: StepSeq
     innovations: np.ndarray
-    innov_cov: StepSeq
+    innov_factor: StepSeq
     N: int
     k_steady: int | None = None
 
@@ -423,6 +423,7 @@ class ESums:
     N: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kalman_filter(model, data, out=None):
     """Run the forward Kalman filter over the dataset.
 
@@ -443,23 +444,23 @@ def kalman_filter(model, data, out=None):
     predicted mean is not finite, signalling an unstable (or non-finite)
     parameter iterate to the caller.
 
-    The gain comes from the inverse Cholesky factor R_k of the innovation
-    covariance S_k = C P_{k|k-1} C' + I, S_k^{-1} = R_k' R_k
-    (``sbl._inverse_factors``, on a copy of S_k), as
+    Each step writes S_k = C P_{k|k-1} C' + I into its row of the
+    ``innov_factor`` stack and factors it there (``sbl._inverse_factors``)
+    into its inverse Cholesky factor R_k, S_k^{-1} = R_k' R_k.  The gain is
     K_k' = R_k' (R_k C P_{k|k-1}): two small products in place of an LU
     solve.
 
     Once P_{k|k-1} changes by at most _STEADY_RTOL relative to its largest
-    entry in one step (k >= 2), the covariances, gain and innovation
-    covariance of step k hold for all later steps (``k_steady = k``): each
-    is stored once, as the last row of its StepSeq.  The later filtered
-    means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
+    entry in one step (k >= 2), the covariances, gain and factor of step k
+    hold for all later steps (``k_steady = k``): the covariances and the
+    factor are stored once, as the last row of their StepSeqs.  The later
+    filtered means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
     F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j, where I - K C is
-    the identity less K in its first p columns.  They come from a blocked
-    scan seeded with x_{k|k} (``_linear_scan``); the predicted means and
+    the identity less K in its first p columns.  They come from a blocked scan
+    seeded with x_{k|k} (``_linear_scan``); the predicted means and
     innovations are then formed in batch.
 
-    Each transient step writes its means, covariances, gain and innovation
+    Each transient step writes its means, covariances, factor and innovation
     into their stored rows through a few call-local scratch arrays, with no
     other temporaries, and takes one reduction, the largest |P_{k|k-1}|
     entry, for both the divergence test (written so that NaN fails it) and
@@ -467,17 +468,17 @@ def kalman_filter(model, data, out=None):
     the predicted means are tested for finiteness once after the transient
     loop, once after the steady tail and when a covariance diverges; the
     first non-finite one raises FilterDivergedError at its step, as the
-    per-step recursion does.  C P is read as rows of P, which gives the
-    bits of the product, since C's zeros add only exact zeros.
+    per-step recursion does (numpy's overflow warnings are off in the
+    call).  C P is read as rows of P, which gives the bits of the product,
+    since C's zeros add only exact zeros.
 
     With ``out``, a ``PassBuffers`` for this record's N, n and p, the means
-    and innovations are written into its arrays, the stored covariance,
-    gain and innovation covariance rows into its stacks, and the tail
-    products and the scan's block-major copy into its scratch, and the
-    returned pass holds ``out.x_pred``, ``out.x_filt``,
-    ``out.innovations`` and views of the stacks: the pass is valid until
-    the buffers' next use.  Without ``out`` the call allocates
-    its own; both give the same bits.
+    and innovations are written into its arrays, the stored covariance and
+    factor rows into its stacks, and the tail products and the scan's
+    block-major copy into its scratch, and the returned pass holds
+    ``out.x_pred``, ``out.x_filt``, ``out.innovations`` and views of the
+    stacks: the pass is valid until the buffers' next use.  Without ``out``
+    the call allocates its own; both give the same bits.
     """
     n, p, m = model.n, model.p, model.m
     if data.p != p or data.m != m:
@@ -501,26 +502,23 @@ def kalman_filter(model, data, out=None):
     x_pred[0] = model.m0
     innovations[0] = 0.0
     # row k holds step k until the covariances settle
-    stacks = ("P_pred", "P_filt", "K_gain", "innov_cov")
-    P_pred, P_filt, K_gain, innov_cov = (out._stack(s, 1) for s in stacks)
+    stacks = ("P_pred", "P_filt", "innov_factor")
+    P_pred, P_filt, factor = (out._stack(s, 1) for s in stacks)
     _sym(model.R0, out=P_filt[0])
     P_pred[0] = P_filt[0]
-    K_gain[0] = 0.0
-    innov_cov[0] = Ip
+    factor[0] = Ip
 
     k_steady = None
-    # per-step scratch: S_k's inverse factor R_k, R_k C P, the gain's
-    # transpose K' and the n x n products from which the stored rows are
-    # formed.  Products take K as the transpose of the C-ordered K', as
-    # the RTS pass takes its gains, for the tail's tall Y K' (see _gains).
-    Rk = np.empty((1, p, p))
+    # per-step scratch: R_k C P, the gain's transpose K' and the n x n
+    # products from which the stored rows are formed.  Products take K as
+    # the transpose of the C-ordered K', as the RTS pass takes its gains,
+    # for the tail's tall Y K' (see _gains).
     RCP, Kt = np.empty((p, n)), np.empty((p, n))
     T, T2 = np.empty((n, n)), np.empty((n, n))
     Bu = np.empty(n)
     for k in range(1, N + 1):
         if k == len(P_pred):
-            P_pred, P_filt, K_gain, innov_cov = (out._stack(s, k + 1)
-                                                 for s in stacks)
+            P_pred, P_filt, factor = (out._stack(s, k + 1) for s in stacks)
         xp = np.matmul(A, x_filt[k - 1], out=x_pred[k])
         xp += np.matmul(B, data.U[k - 1], out=Bu)
         np.matmul(np.matmul(A, P_filt[k - 1], out=T), A.T, out=T2)
@@ -530,12 +528,11 @@ def kalman_filter(model, data, out=None):
         if not big <= _DIVERGE_NORM:
             raise FilterDivergedError(_first_nonfinite(x_pred, 1, k + 1) or k)
         CP = Pp[:p]   # C P
-        Rk[0] = np.add(CP[:, :p], Ip, out=innov_cov[k])
-        if _inverse_factors(Rk) is not None:
+        np.add(CP[:, :p], Ip, out=factor[k])   # S_k, factored in place
+        if _inverse_factors(factor[k:k + 1]) is not None:
             raise FilterDivergedError(_first_nonfinite(x_pred, 1, k + 1) or k)
-        R = Rk[0]   # S_k^{-1} = R' R
+        R = factor[k]   # S_k^{-1} = R' R
         K = np.matmul(R.T, np.matmul(R, CP, out=RCP), out=Kt).T
-        K_gain[k] = K
         nu = np.subtract(data.Y[k - 1], xp[:p], out=innovations[k])
         np.matmul(K, nu, out=x_filt[k])
         x_filt[k] += xp
@@ -572,9 +569,8 @@ def kalman_filter(model, data, out=None):
         np.subtract(data.Y[ks:], xp[:, :p], out=nu)
     return FilterPass(x_pred=x_pred, P_pred=_held(P_pred[:rows], N + 1),
                       x_filt=x_filt, P_filt=_held(P_filt[:rows], N + 1),
-                      K_gain=_held(K_gain[:rows], N + 1),
                       innovations=innovations,
-                      innov_cov=_held(innov_cov[:rows], N + 1), N=N,
+                      innov_factor=_held(factor[:rows], N + 1), N=N,
                       k_steady=k_steady)
 
 
@@ -798,15 +794,14 @@ def observed_loglik(model, data, fp=None):
     the sum over k of log N(y_k; C x_{k|k-1}, C P_{k|k-1} C' + I).
 
     Pass an existing FilterPass as ``fp`` to reuse a completed forward pass.
-    A copy of the innovation covariances of steps 1..ks, ks =
-    ``fp.k_steady`` (N if nothing settled), whose last row is the settled
-    S, is factored into inverse Cholesky factors, S_k^{-1} = R_k' R_k
-    (``sbl._inverse_factors``); the first step whose S_k is not positive
-    definite raises FilterDivergedError.  Then log det S_k =
+    The pass's inverse factors R_k of S_k, S_k^{-1} = R_k' R_k, of steps
+    1..ks, ks = ``fp.k_steady`` (N if nothing settled), are read as a view;
+    a factor whose diagonal is not all positive and finite (a pass built by
+    hand) raises FilterDivergedError at its step.  Then log det S_k =
     -2 sum log diag(R_k) and nu_k' S_k^{-1} nu_k = |R_k nu_k|^2.  The terms
     of the steps before ks (all N if nothing settled) are added one by one
     in step order, as a per-step pass adds them.  The settled steps share
-    S, so their quadratic terms sum to trace(R G R'), with G the sum of
+    R, so their quadratic terms sum to trace(R G R'), with G the sum of
     their innovations' outer products.
     """
     if fp is None:
@@ -814,11 +809,11 @@ def observed_loglik(model, data, fp=None):
     p = data.p
     ks = fp.N if fp.k_steady is None else fp.k_steady
     last = fp.N if fp.k_steady is None else ks - 1   # the per-step terms
-    R = np.array(fp.innov_cov[1:ks + 1])
-    bad = _inverse_factors(R)
-    if bad is not None:
-        raise FilterDivergedError(1 + bad[0])
-    logdet = -2.0 * np.log(R.reshape(ks, p * p)[:, ::p + 1]).sum(axis=1)
+    R = _steps(fp.innov_factor, 1, ks + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logdet = -2.0 * np.log(np.diagonal(R, axis1=1, axis2=2)).sum(axis=1)
+    if not np.isfinite(logdet).all():   # a diagonal not positive and finite
+        raise FilterDivergedError(1 + int(np.argmin(np.isfinite(logdet))))
     nu = fp.innovations[1:last + 1]
     Rnu = np.matmul(R[:last], nu[:, :, None])[:, :, 0]
     terms = -0.5 * (p * np.log(2.0 * np.pi) + logdet[:last]

@@ -7,8 +7,10 @@ exception to first principles is the per-step Kalman reference
 (``filter_per_step`` and the functions after it): it runs every
 covariance recursion at every step, as the library did before it learned
 to stop them once they settle, so tests can check the library's
-steady-state path at sizes the joint-Gaussian oracles cannot reach.  It
-returns the library's own pass containers.  The other is the full-width
+steady-state path at sizes the joint-Gaussian oracles cannot reach.  Its
+filter returns a record of its own (``PerStepFilter``), with the
+innovation covariances and gains by LU solves; the RTS reference returns
+the library's ``SmoothPass``.  The other is the full-width
 SBL E-step (``estep_full_width``), which factors every row of [A B] on
 all its entries and inverts the Cholesky factor by a general inverse, as
 the library did before it compacted each row to its active entries, and
@@ -356,10 +358,30 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
+@dataclass
+class PerStepFilter:
+    """``filter_per_step``'s pass: dense (N+1)-step arrays, the library's
+    ``FilterPass`` fields but the factors, plus each step's innovation
+    covariance S_k (``innov_cov``, the identity at 0) and gain K_k
+    (``K_gain``, zero at 0).  Nothing settles (``k_steady`` is None), so
+    the library's ``rts_smoother`` takes it as a pass."""
+
+    x_pred: np.ndarray
+    P_pred: np.ndarray
+    x_filt: np.ndarray
+    P_filt: np.ndarray
+    K_gain: np.ndarray
+    innovations: np.ndarray
+    innov_cov: np.ndarray
+    N: int
+    k_steady: None = None
+
+
 def filter_per_step(model, data):
     """Forward Kalman filter with the covariance recursion run at every
-    step; same conventions and divergence guard as ``kalman_filter``."""
-    from netrecon import FilterDivergedError, FilterPass
+    step and the gain by an LU solve; same conventions and divergence
+    guard as ``kalman_filter``.  Returns a ``PerStepFilter``."""
+    from netrecon import FilterDivergedError
 
     n, p = model.n, model.p
     N = data.N
@@ -395,9 +417,9 @@ def filter_per_step(model, data):
         K_gain[k] = K
         x_filt[k] = x_pred[k] + K @ innovations[k]
         P_filt[k] = _sym(Pp - K @ C @ Pp)
-    return FilterPass(x_pred=x_pred, P_pred=P_pred, x_filt=x_filt,
-                      P_filt=P_filt, K_gain=K_gain, innovations=innovations,
-                      innov_cov=innov_cov, N=N)
+    return PerStepFilter(x_pred=x_pred, P_pred=P_pred, x_filt=x_filt,
+                         P_filt=P_filt, K_gain=K_gain, innovations=innovations,
+                         innov_cov=innov_cov, N=N)
 
 
 def rts_per_step(model, fp):
@@ -428,12 +450,15 @@ def rts_per_step(model, fp):
 
 
 def lag_one_per_step(model, fp, sp):
-    """Lag-one covariances M[k] = Cov(x_k, x_{k-1} | Y), every step."""
+    """Lag-one covariances M[k] = Cov(x_k, x_{k-1} | Y), every step; the
+    gain K_N of the start value is solved from the pass's P_{N|N-1}."""
     N = fp.N
     n = fp.x_filt.shape[1]
     A, C = model.A, model.C
+    Pp = fp.P_pred[N]
+    K = np.linalg.solve(_sym(C @ Pp @ C.T + np.eye(model.p)), C @ Pp).T
     M = np.zeros((N + 1, n, n))
-    M[N] = (np.eye(n) - fp.K_gain[N] @ C) @ A @ fp.P_filt[N - 1]
+    M[N] = (np.eye(n) - K @ C) @ A @ fp.P_filt[N - 1]
     for k in range(N - 1, 0, -1):
         M[k] = fp.P_filt[k] @ sp.J[k - 1].T \
             + sp.J[k] @ (M[k + 1] - A @ fp.P_filt[k]) @ sp.J[k - 1].T
@@ -441,12 +466,14 @@ def lag_one_per_step(model, fp, sp):
 
 
 def loglik_per_step(fp, p):
-    """Prediction-error log-likelihood, one determinant and solve per step."""
+    """Prediction-error log-likelihood, one determinant and solve per step,
+    with S_k = C P_{k|k-1} C' + I formed from the pass's P_pred (the
+    outputs are the first p states)."""
     from netrecon import FilterDivergedError
 
     total = 0.0
     for k in range(1, fp.N + 1):
-        S = fp.innov_cov[k]
+        S = _sym(fp.P_pred[k][:p, :p] + np.eye(p))
         nu = fp.innovations[k]
         sign, logdet = np.linalg.slogdet(S)
         if sign <= 0:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netrecon import (RECON_KEYS, BenchConfig, load_dataset_csv, load_model,
-                      recon_config)
+from netrecon import (RECON_KEYS, BenchConfig, Dataset, load_dataset_csv,
+                      load_model, recon_config, save_dataset_csv)
 from netrecon.cli import cli_main, load_config
 
 from _oracles import exact_dsf_small
@@ -252,13 +252,23 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["reconstruct", "--data", d, "--out", tmp_path / "r.txt"]) == 1
 
 
-def test_runtime_errors_exit_two(tmp_path):
+def test_runtime_errors_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert run_cli(["reconstruct", "--data", missing, "--n-states", 3,
                     "--out", tmp_path / "r.txt"]) == 2
     bad_model = tmp_path / "bad.txt"
     bad_model.write_text("n 2\np oops\n")
     assert run_cli(["dsf", "--model", bad_model]) == 2
+    # finite outputs whose variance overflows
+    rng = np.random.default_rng(0)
+    huge = tmp_path / "huge.csv"
+    save_dataset_csv(Dataset(Y=1e160 * rng.standard_normal((30, 2)),
+                             U=rng.standard_normal((30, 2)), N=30), huge)
+    capsys.readouterr()
+    assert run_cli(["reconstruct", "--data", huge, "--n-states", 4,
+                    "--out", tmp_path / "r.txt"]) == 2
+    assert "output scale is too large" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 @pytest.mark.parametrize("change, message", [

@@ -238,6 +238,24 @@ def test_reconstruct_rejects_bad_config():
         reconstruct(bad, ReconConfig(n_states=3))
 
 
+def test_outputs_whose_variance_overflows_are_rejected_before_an_estep(
+        monkeypatch):
+    # finite outputs of scale 1e160: var(Y) overflows, so the start's sigma2
+    # would be inf.  The run stops before any E-step, with a ValueError and
+    # no RuntimeWarning (an error in this suite)
+    module = importlib.import_module("netrecon.reconstruct")
+
+    def no_estep(*args):
+        raise AssertionError("an E-step ran")
+
+    monkeypatch.setattr(module, "_estep", no_estep)
+    rng = np.random.default_rng(0)
+    data = netrecon.Dataset(Y=1e160 * rng.standard_normal((30, 2)),
+                            U=rng.standard_normal((30, 2)), N=30)
+    with pytest.raises(ValueError, match="output scale"):
+        reconstruct(data, ReconConfig(n_states=4))
+
+
 def test_save_result_file_deterministic(tmp_path):
     truth = generate_random_network(p=2, n=4, m=2, density=0.4, seed=71)
     data = simulate(truth.model, 80, snr_db=20.0, seed=72)

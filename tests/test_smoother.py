@@ -24,7 +24,8 @@ def test_filter_one_step_hand_example():
     data = Dataset(Y=[[2.0]], U=[[0.0]], N=1)
     fp = kalman_filter(model, data)
     assert fp.P_pred[1][0, 0] == pytest.approx(1.0)
-    assert fp.K_gain[1][0, 0] == pytest.approx(0.5)
+    R = fp.innov_factor[1]   # S_1 = 2, so K_1' = R'R C P_{1|0} = 1/2
+    assert (R.T @ R @ fp.P_pred[1][:1])[0, 0] == pytest.approx(0.5)
     assert fp.x_filt[1][0] == pytest.approx(1.0)
     assert fp.P_filt[1][0, 0] == pytest.approx(0.5)
 
@@ -137,9 +138,8 @@ def test_filter_diverges_on_a_predicted_mean_that_overflows():
     U = np.zeros((4, 1))
     U[0] = 3.0
     data = Dataset(Y=np.zeros((4, 1)), U=U, N=4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FilterDivergedError) as err:
-            kalman_filter(model, data)
+    with pytest.raises(FilterDivergedError) as err:
+        kalman_filter(model, data)
     assert err.value.step == 1
 
 

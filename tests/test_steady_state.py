@@ -2,16 +2,18 @@
 against the dense per-step reference in ``_oracles`` and the joint-Gaussian
 oracles."""
 
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from netrecon import (FilterDivergedError, PassBuffers, StepSeq,
-                      expectation_sums, generate_random_network,
-                      kalman_filter, lag_one_smoother, observed_loglik,
-                      rts_smoother, simulate, smooth)
+from netrecon import (FilterDivergedError, FilterPass, PassBuffers,
+                      StateSpaceModel, StepSeq, expectation_sums,
+                      generate_random_network, kalman_filter,
+                      lag_one_smoother, observed_loglik, rts_smoother,
+                      simulate, smooth)
 
 from _oracles import (filter_per_step, lag_one_per_step, loglik_oracle,
                       loglik_per_step, random_stable_model, rts_per_step,
@@ -42,15 +44,28 @@ def _rel(got, ref):
     return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
 
 
+def _assert_filter_matches(fp, ref_fp, tol):
+    """The pass's means and covariances match the per-step reference's, and
+    its factors R_k give the reference's S_k and K_k: R_k' R_k S_k = I and
+    K_k' = R_k' R_k C P_{k|k-1}, each to ``tol`` relative."""
+    for name in ("x_pred", "x_filt", "P_pred", "P_filt", "innovations"):
+        assert _rel(getattr(fp, name), getattr(ref_fp, name)) <= tol, name
+    R = np.asarray(fp.innov_factor)
+    p = R.shape[1]
+    RtR = np.swapaxes(R, 1, 2) @ R
+    eye = np.broadcast_to(np.eye(p), R.shape)
+    assert _rel(RtR @ ref_fp.innov_cov, eye) <= tol, "innov_factor"
+    Kt = RtR[1:] @ np.asarray(fp.P_pred)[1:, :p]
+    assert _rel(Kt, np.swapaxes(ref_fp.K_gain[1:], 1, 2)) <= tol, "gain"
+
+
 def test_steady_state_matches_per_step_at_desk_scale(desk_system):
     model, data = desk_system
     (fp, sp, ll), (ref_fp, ref_sp, ref_ll) = _both(model, data)
     ks = fp.k_steady
     assert ks is not None and ks < data.N // 10
     assert ref_fp.k_steady is None
-    for name in ("x_pred", "x_filt", "P_pred", "P_filt", "K_gain",
-                 "innovations", "innov_cov"):
-        assert _rel(getattr(fp, name), getattr(ref_fp, name)) <= 1e-9, name
+    _assert_filter_matches(fp, ref_fp, 1e-9)
     for name in ("x_sm", "P_sm", "J", "M_sm"):
         assert _rel(getattr(sp, name), getattr(ref_sp, name)) <= 1e-9, name
     assert sp.pinv_steps == ref_sp.pinv_steps == ()
@@ -63,7 +78,7 @@ def test_steady_state_matches_per_step_at_desk_scale(desk_system):
     # each settled value is stored once: the filter and J keep the
     # transient steps plus one row; P_sm and M_sm keep the steps before
     # k_steady, one middle row and a backward transient of under 50 steps
-    for seq in (fp.P_pred, fp.P_filt, fp.K_gain, fp.innov_cov):
+    for seq in (fp.P_pred, fp.P_filt, fp.innov_factor):
         assert len(seq) == data.N + 1 and len(seq.vals) == ks + 1
     assert len(sp.J) == data.N and len(sp.J.vals) == ks + 1
     for seq, head in ((sp.P_sm, ks), (sp.M_sm, ks + 1)):
@@ -112,10 +127,7 @@ def test_short_series_never_switches_and_equals_reference(desk_system):
         data = type(full)(Y=full.Y[:N], U=full.U[:N], N=N)
         (fp, sp, ll), (ref_fp, ref_sp, ref_ll) = _both(model, data)
         assert fp.k_steady is None
-        for name in ("x_pred", "x_filt", "P_pred", "P_filt", "K_gain",
-                     "innovations", "innov_cov"):
-            assert _rel(getattr(fp, name), getattr(ref_fp, name)) <= 1e-13, \
-                (N, name)
+        _assert_filter_matches(fp, ref_fp, 1e-13)
         for name in ("x_sm", "P_sm", "J"):
             assert _rel(getattr(sp, name), getattr(ref_sp, name)) <= 1e-13, \
                 (N, name)
@@ -199,8 +211,7 @@ def test_passes_into_buffers_equal_fresh_passes(desk_system, N):
         assert sp_out.x_sm is out.x_sm
         for seq, stack in ((fp_out.P_pred, out.P_pred),
                            (fp_out.P_filt, out.P_filt),
-                           (fp_out.K_gain, out.K_gain),
-                           (fp_out.innov_cov, out.innov_cov),
+                           (fp_out.innov_factor, out.innov_factor),
                            (sp_out.P_sm, out.P_sm), (M_out, out.M_sm)):
             assert np.shares_memory(seq.vals, stack)
         steady.append(fp.k_steady)
@@ -219,13 +230,15 @@ def test_warm_estep_allocates_under_a_megabyte(desk_system):
     model, data = desk_system
     it = _Iterate(A=model.A, B=model.B, sigma2=model.sigma**2, m0=model.m0,
                   R0=model.R0)
+    unit = StateSpaceModel(A=it.A, B=it.B, p=model.p, sigma=1.0, m0=it.m0,
+                           R0=it.R0)   # as reconstruct builds it
     bufs = PassBuffers(data.N, model.n, model.p)
-    _estep(data, it, bufs)
+    _estep(data, it, bufs, unit)
     arrays = {name: getattr(bufs, name) for name in PassBuffers.__slots__}
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _estep(data, it, bufs)
+        _estep(data, it, bufs, unit)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -271,9 +284,7 @@ def test_switch_on_medium_series_matches_joint_gaussian():
 
 def _assert_passes_match(got, ref):
     (fp, sp, ll), (ref_fp, ref_sp, ref_ll) = got, ref
-    for name in ("x_pred", "x_filt", "P_pred", "P_filt", "K_gain",
-                 "innovations", "innov_cov"):
-        assert _rel(getattr(fp, name), getattr(ref_fp, name)) <= 1e-9, name
+    _assert_filter_matches(fp, ref_fp, 1e-9)
     for name in ("x_sm", "P_sm", "J", "M_sm"):
         assert _rel(getattr(sp, name), getattr(ref_sp, name)) <= 1e-9, name
     assert abs(ll - ref_ll) <= 1e-9 * abs(ref_ll)
@@ -306,7 +317,9 @@ def test_strongly_damped_scan_underflows_without_warnings():
     fp, sp, _ = got
     ks = fp.k_steady
     assert ks is not None and ks < data.N
-    F = (np.eye(model.n) - fp.K_gain[ks] @ model.C) @ model.A
+    R = fp.innov_factor[ks]
+    K = (R.T @ R @ fp.P_pred[ks][:model.p]).T
+    F = (np.eye(model.n) - K @ model.C) @ model.A
     for gain in (F, sp.J[ks]):
         assert np.abs(np.linalg.eigvals(gain)).max() <= 0.5
     _assert_passes_match(got, ref)
@@ -441,44 +454,78 @@ def test_singular_steady_covariance_diverges_at_k_steady(desk_system):
     assert err.value.step == fp.k_steady
 
 
+def _factored(ref):
+    """A FilterPass by hand over the per-step reference's dense arrays, with
+    the inverse Cholesky factors of its S_k from numpy's Cholesky factor
+    and general inverse."""
+    return FilterPass(x_pred=ref.x_pred, P_pred=ref.P_pred, x_filt=ref.x_filt,
+                      P_filt=ref.P_filt, innovations=ref.innovations,
+                      innov_factor=np.linalg.inv(np.linalg.cholesky(
+                          ref.innov_cov)), N=ref.N)
+
+
 def test_batched_loglik_diverges_at_the_first_bad_determinant():
-    model, data, fp = _dense_pass(150)
+    model, data, ref = _dense_pass(150)
+    fp = _factored(ref)
+    assert observed_loglik(model, data, fp=fp) == pytest.approx(
+        loglik_per_step(ref, data.p), rel=1e-12)
     for k in (100, 130):   # the earlier step raises, not the later one
-        fp.innov_cov[k][0] *= -1.0   # determinant < 0
-    with pytest.raises(FilterDivergedError) as ref_err:
-        loglik_per_step(fp, data.p)
+        fp.innov_factor[k][0, 0] *= -1.0   # no log det
     with pytest.raises(FilterDivergedError) as err:
         observed_loglik(model, data, fp=fp)
-    assert err.value.step == ref_err.value.step == 100
+    assert err.value.step == 100
 
 
 def test_loglik_diverges_on_a_negative_definite_innovation_covariance():
-    # -S has the determinant of S when p is even: a sign test on the
-    # determinant lets it through, the Cholesky factor does not
+    # -R has R's product R'R = S^{-1}, and its determinant when p is even:
+    # a test of either lets it through, the sign of the diagonal does not
     rng = np.random.default_rng(8)
     model = random_stable_model(rng, n=4, p=2, m=2)
     data = simulate(model, 150, seed=9)
-    fp = filter_per_step(model, data)
-    fp.innov_cov[100] *= -1.0
+    fp = _factored(filter_per_step(model, data))
+    fp.innov_factor[100] *= -1.0
     with pytest.raises(FilterDivergedError) as err:
         observed_loglik(model, data, fp=fp)
     assert err.value.step == 100
 
 
 def test_settled_loglik_diverges_at_k_steady_on_a_bad_determinant(desk_system):
-    # the settled innovation covariance takes its determinant in the same
-    # batch as the transient ones: a negative one raises at k_steady, the
-    # first step that reads it
+    # the settled factor is checked in the same batch as the transient
+    # ones: a bad one raises at k_steady, the first step that reads it
     model, data = desk_system
     fp = kalman_filter(model, data)
-    vals = fp.innov_cov.vals.copy()
-    vals[-1][0] *= -1.0   # determinant < 0
-    fp = replace(fp, innov_cov=StepSeq(vals, fp.innov_cov.idx))
-    with pytest.raises(FilterDivergedError) as ref_err:
-        loglik_per_step(fp, data.p)
+    vals = fp.innov_factor.vals.copy()
+    vals[-1][0, 0] *= -1.0   # no log det
+    fp = replace(fp, innov_factor=StepSeq(vals, fp.innov_factor.idx))
     with pytest.raises(FilterDivergedError) as err:
         observed_loglik(model, data, fp=fp)
-    assert err.value.step == ref_err.value.step == fp.k_steady
+    assert err.value.step == fp.k_steady
+
+
+def test_estep_factors_each_innovation_covariance_once(desk_system,
+                                                        monkeypatch):
+    # the filter factors S_1..S_ks, one call a step, and the RTS pass its
+    # P_{k+1|k} rows in one call; observed_loglik reads the filter's
+    # factors and factors nothing
+    from netrecon import smoother
+    from netrecon.reconstruct import _Iterate, _estep
+    model, data = desk_system
+    # at sigma2 = 1 the pass runs on the model and data unscaled
+    it = _Iterate(A=model.A, B=model.B, sigma2=1.0, m0=model.m0, R0=model.R0)
+    unit = StateSpaceModel(A=it.A, B=it.B, p=model.p, sigma=1.0, m0=it.m0,
+                           R0=it.R0)
+    ks = kalman_filter(unit, data).k_steady
+    assert ks is not None and ks < data.N
+    calls = []
+    factor = smoother._inverse_factors
+
+    def counted(H):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return factor(H)
+
+    monkeypatch.setattr(smoother, "_inverse_factors", counted)
+    _estep(data, it, PassBuffers(data.N, model.n, model.p), unit)
+    assert calls == ["kalman_filter"] * ks + ["_gains"]
 
 
 def test_lag_one_rejects_segments_it_cannot_pair(desk_system):
