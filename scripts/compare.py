@@ -37,6 +37,12 @@ holds:
   ``ru_maxrss`` and the wall seconds of an untraced run, the
   ``tracemalloc`` peak of the reconstruction in a second process, and the
   sha256 of ``A_hat``, which the two processes must agree on;
+- ``full_scale_time``: ``--pairs`` alternating runs per side of that cell
+  at the default cap of 50 outer iterations (the parent first in
+  odd-numbered pairs), each in a worker of its own: the wall seconds and
+  the ``time.thread_time()`` seconds of the ``reconstruct`` call, with
+  medians, quartiles and win counts as in ``pairs``, and the sha256 of
+  each run's ``A_hat``;
 - ``pairs``: alternating ``perfbench/run.py`` runs of the two checkouts
   (the parent first in odd-numbered pairs), every end-to-end metric per
   workload and seed, with medians, quartiles and win counts, and each
@@ -57,9 +63,10 @@ process would read this process's peak as its own.
 
 With ``--aa`` the change side is a copy of the parent's ``src/`` and
 ``perfbench/`` in a temporary directory, and the run holds only
-``full_scale_memory``, ``pairs`` and (with ``--claim``) ``claimed``, the
-sections that report a gap in time or memory: identical code in two
-directories, so any gap it shows is not the code's.
+``full_scale_memory``, ``full_scale_time``, ``pairs`` and (with
+``--claim``) ``claimed``, the sections that report a gap in time or
+memory: identical code in two directories, so any gap it shows is not
+the code's.
 
 perfbench pins BLAS to one thread; the pool runs do not, since the
 acceptance test does not.  Run it on an otherwise idle host.
@@ -80,6 +87,8 @@ import tempfile
 import time
 import tracemalloc
 
+from pin_answers import _answers, _compare   # this directory is sys.path[0]
+
 HERE = os.path.abspath(__file__)
 WORKLOADS = ("desk40", "desk0", "long_series")
 METRICS = ("recon_s", "outer_iter_ms", "outer_iters", "peak_rss_mb", "setup_s")
@@ -88,10 +97,6 @@ LAYERS = ("smoother.filter_ms", "smoother.rts_ms", "smoother.lag1_ms",
           "sbl.em_ms", "sbl.inner_iter_ms", "sbl.posterior_ms", "sbl.share",
           "reconstruct.self_ms")
 MEMORY_RUNS = 3
-# the answers compared by relative difference, and those that must agree
-ESTIMATES = ("A_hat", "B_hat", "sigma2_hat", "m0_hat", "R0_hat")
-RECORD_COUNTS = ("n_active", "inner_iterations", "evidence_decreases",
-                 "damped")
 # Forks and execs its arguments and exits with the child's status, so that
 # the child's ru_maxrss starts from this small process's peak.
 LAUNCHER = ("import os, sys\n"
@@ -131,41 +136,6 @@ def _fingerprint(res):
                  else repr(v).encode())
     h.update(res.network.q_adj.tobytes() + res.network.p_adj.tobytes())
     return h.hexdigest()
-
-
-def _answers(res, columns):
-    """The estimates, log-likelihoods, status, network and record counts
-    (those of ``RECORD_COUNTS`` among the trace ``columns``) of a result,
-    as JSON lists (floats round-trip exactly)."""
-    import numpy as np
-    return {**{name: np.ravel(getattr(res, name)).tolist()
-               for name in ESTIMATES},
-            "obs_loglik": [rec.obs_loglik for rec in res.trace],
-            "status": res.status, "q_adj": res.network.q_adj.tolist(),
-            "p_adj": res.network.p_adj.tolist(),
-            **{name: [getattr(rec, name) for rec in res.trace]
-               for name in RECORD_COUNTS if name in columns}}
-
-
-def _max_rel_diff(parent, change):
-    """max |change - parent| over max |parent| (over 1 if that is 0); inf
-    when the lengths differ."""
-    if len(parent) != len(change):
-        return float("inf")
-    scale = max((abs(v) for v in parent), default=0.0) or 1.0
-    return max((abs(c - p) for p, c in zip(parent, change)),
-               default=0.0) / scale
-
-
-def _compare(parent, change):
-    """How far a cell's answers on the change side are from the parent's;
-    a record count that only one side has is not compared."""
-    out = {f"max_rel_diff_{name}": _max_rel_diff(parent[name], change[name])
-           for name in ESTIMATES + ("obs_loglik",)}
-    out.update({f"same_{name}": parent[name] == change[name]
-                for name in ("status", "q_adj", "p_adj") + RECORD_COUNTS
-                if name in parent and name in change})
-    return out
 
 
 def _worst(compared):
@@ -229,16 +199,22 @@ def worker_faults(root, workload, seed):
             "wall_s": round(wall, 4)}
 
 
-def worker_memory(root, traced):
-    """10 outer iterations of the held-out full-scale cell, set up first;
-    with ``traced`` = "1" the reconstruction runs under tracemalloc."""
+def _full_scale_cell(root, **settings):
+    """The held-out full-scale cell's data and its ``ReconConfig`` with
+    ``settings``."""
     run = _import_perfbench(root)
-    from netrecon import (ReconConfig, generate_random_network, reconstruct,
-                          simulate)
+    from netrecon import ReconConfig, generate_random_network, simulate
     gen, sim, rec = run.cell_seeds(1, 0)
     truth = generate_random_network(40, 100, 40, 0.025, gen)
     data = simulate(truth.model, 1000, "gaussian_iid", snr_db=40.0, seed=sim)
-    cfg = ReconConfig(n_states=110, seed=rec, outer_max_iter=10)
+    return data, ReconConfig(n_states=110, seed=rec, **settings)
+
+
+def worker_memory(root, traced):
+    """10 outer iterations of the held-out full-scale cell, set up first;
+    with ``traced`` = "1" the reconstruction runs under tracemalloc."""
+    data, cfg = _full_scale_cell(root, outer_max_iter=10)
+    from netrecon import reconstruct
     if traced == "1":
         tracemalloc.start()
         res = reconstruct(data, cfg)
@@ -253,6 +229,18 @@ def worker_memory(root, traced):
                    resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2)}
     out["A_hat_sha256"] = hashlib.sha256(res.A_hat.tobytes()).hexdigest()
     return out
+
+
+def worker_time(root):
+    """One reconstruction of the held-out full-scale cell at the default
+    cap, set up first: its wall and thread CPU seconds."""
+    data, cfg = _full_scale_cell(root)
+    from netrecon import reconstruct
+    t0, c0 = time.perf_counter(), time.thread_time()
+    res = reconstruct(data, cfg)
+    c1, t1 = time.thread_time(), time.perf_counter()
+    return {"wall_s": round(t1 - t0, 4), "thread_s": round(c1 - c0, 4),
+            "A_hat_sha256": hashlib.sha256(res.A_hat.tobytes()).hexdigest()}
 
 
 def worker_criterion7(root):
@@ -273,7 +261,8 @@ def worker_criterion7(root):
 
 
 WORKERS = {"fingerprints": worker_fingerprints, "faults": worker_faults,
-           "memory": worker_memory, "criterion7": worker_criterion7}
+           "memory": worker_memory, "time": worker_time,
+           "criterion7": worker_criterion7}
 
 
 # -- the measuring process: runs the workers, writes the record ---------
@@ -379,6 +368,19 @@ def _pairs(args, sides):
     return record
 
 
+def _full_scale_time(args, sides):
+    runs = _interleaved(args.pairs, sides, lambda root: _worker("time", root))
+    return {"pairs": args.pairs, "parent_first_in": "odd-numbered pairs",
+            "metrics": {m: _summary([r[m] for r in runs["parent"]],
+                                    [r[m] for r in runs["change"]])
+                        for m in ("wall_s", "thread_s")},
+            "runs": {side: {m: [r[m] for r in rs]
+                            for m in ("wall_s", "thread_s")}
+                     for side, rs in runs.items()},
+            "A_hat_sha256": {side: sorted({r["A_hat_sha256"] for r in rs})
+                             for side, rs in runs.items()}}
+
+
 def _claimed(args, pairs):
     workload, metric = args.claim
     claimed = {"metric": metric, "workload": workload,
@@ -453,6 +455,8 @@ def measure(args, sides):
     _log("full-scale memory")
     record["full_scale_memory"] = _interleaved(
         MEMORY_RUNS, sides, _full_scale_memory)
+    _log("full-scale time")
+    record["full_scale_time"] = _full_scale_time(args, sides)
     record["pairs"] = _pairs(args, sides)
     if args.claim:
         record["claimed"] = _claimed(args, record["pairs"])

@@ -427,6 +427,8 @@ def reconstruct(data, cfg):
             break
         refit = last_step <= cfg.outer_tol or it % every == 0
         w_prev = w
+    # the loop's working set goes before the read-off's temporaries
+    del bufs, model
     if status == "diverged":
         cur = _dc_replace(cur, A=prev.A, B=prev.B, sigma2=prev.sigma2)
 

@@ -71,11 +71,18 @@ __all__ = [
     "moment_rss",
 ]
 
-# Weights whose regressor column carries less energy than this fraction of
-# the strongest column's are pruned before the inner loop: evidence
-# maximization on such columns has a degenerate optimum with unbounded prior
-# variance, so they must be dropped rather than fit.
+# Weights whose regressor column carries less energy e than _DEAD_COLUMN_TOL
+# times the strongest column's, or than _WEAK_COLUMN_TOL times the starting
+# noise variance sigma2, are pruned before the inner loop.  Evidence
+# maximization on such a column has a degenerate optimum, a prior variance
+# near b^2 / e^2 and a weight near b / e for the column's product b with the
+# targets (unbounded as e -> 0), which MacKay's update approaches by a
+# factor of about b^2 / (e sigma2) per iteration, so the loop can run to its
+# cap.  The first cut catches columns at the design's rounding level, the
+# second those whose data precision e / sigma2 is below a millionth of the
+# unit start prior's.
 _DEAD_COLUMN_TOL = 1e-12
+_WEAK_COLUMN_TOL = 1e-6
 _EPS = np.finfo(float).eps
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -593,13 +600,15 @@ def sbl_em(reg, mask, init=None, opts=None):
     construction.  Since H mu = b on each row's active entries,
     mu' zz mu = b . mu - sigma2_old sum mu_i^2 / gamma_i, and rss = sum y^2
     - b . mu - sigma2_old sum mu_i^2 / gamma_i needs no product with zz.
-    Masked coordinates stay at zero throughout; the loop stops when the
-    relative change of gamma drops below ``tol``.  ``max_iter`` is a
-    safeguard, not the usual stop: on desk-scale fits at the default
-    tolerance the loop meets ``tol`` before it in all but about one call
-    in a thousand, and a larger cap leaves the estimate unchanged.  An
-    evidence decrease beyond 1e-8 is recorded in the returned state's
-    ``warnings`` and iteration continues.  The initial gamma and sigma2
+    Masked coordinates stay at zero throughout, and so do those of columns
+    far weaker than the strongest or than the noise (``_DEAD_COLUMN_TOL``,
+    ``_WEAK_COLUMN_TOL``); the loop stops when the relative change of
+    gamma drops below ``tol``.  ``max_iter`` is a safeguard, not the usual
+    stop: on desk-scale fits at the default tolerance the loop meets
+    ``tol`` before it in all but about one call in a thousand, and a
+    larger cap leaves the estimate unchanged.  An evidence decrease beyond
+    1e-8 is recorded in the returned state's ``warnings`` and iteration
+    continues.  The initial gamma and sigma2
     must be finite.
 
     The loop's state lives in a compact layout (``_layout``): gamma, the
@@ -642,7 +651,8 @@ def sbl_em(reg, mask, init=None, opts=None):
     # row view (row i of [A B]): the free, live-column entries at or above
     # prune_tol start the loop
     col_energy = np.diag(reg.zz)
-    live = col_energy >= _DEAD_COLUMN_TOL * max(col_energy.max(), 1e-300)
+    live = col_energy >= max(_DEAD_COLUMN_TOL * max(col_energy.max(), 1e-300),
+                             _WEAK_COLUMN_TOL * sigma2)
     g = np.where(mask.free.reshape((d, n)).T & live
                  & (gamma >= opts.prune_tol), gamma, 0.0)
     k = int(np.count_nonzero(g, axis=1).max())   # the first layout's width

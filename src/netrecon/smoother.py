@@ -53,9 +53,9 @@ over steps (``StepSeq.total``) weight each row by its step count, so no
 pass allocates N copies of a matrix.  The means stay dense (N+1)-row
 arrays.  A caller that runs many passes over one record hands
 ``kalman_filter``, ``rts_smoother`` and ``lag_one_smoother`` a
-``PassBuffers`` as ``out``: the passes then write their means,
-innovations and steady-segment scratch, and the stored rows of every
-covariance sequence, into its arrays instead of allocating fresh ones.
+``PassBuffers`` as ``out``: the passes then write their means and
+steady-segment scratch, and the stored rows of every covariance
+sequence, into its arrays instead of allocating fresh ones.
 The covariance stacks grow to the rows a pass stores, not to N+1 rows
 unless nothing settles: numpy asks for huge pages for arrays of 4 MB and
 more.  The returned passes hold those arrays, means and covariance rows
@@ -195,10 +195,10 @@ class StepSeq:
 class PassBuffers:
     """The arrays of a filter and RTS pass over N steps with n states and p
     outputs, for passes to write into instead of allocating them.
-    ``kalman_filter`` fills x_pred, x_filt and innovations ((N+1)-row) and
-    the stacks P_pred, P_filt and innov_factor.  ``rts_smoother``
-    fills x_sm and the stack P_sm; it forms its gains' operands and
-    its backward recursion in arrays of its own, freed when it returns.
+    ``kalman_filter`` fills x_pred and x_filt ((N+1)-row) and the stacks
+    P_pred, P_filt and innov_factor.  ``rts_smoother`` fills x_sm and the
+    stack P_sm; it forms its gains' operands and its backward recursion in
+    arrays of its own, freed when it returns.
     Both passes run their steady segment's scan (``_linear_scan``) in
     ``scratch``: its ceil((N+1)/b) b rows, b = ``_SCAN_BLOCK``, hold the
     scan's block-major copy of up to N + 1 rows, and the filter also forms
@@ -213,13 +213,12 @@ class PassBuffers:
     included, stays valid only until the buffers' next use.
     """
 
-    __slots__ = ("x_pred", "x_filt", "innovations", "x_sm", "scratch",
+    __slots__ = ("x_pred", "x_filt", "x_sm", "scratch",
                  "P_pred", "P_filt", "innov_factor", "P_sm", "M_sm")
 
     def __init__(self, N, n, p):
         self.x_pred = np.empty((N + 1, n))
         self.x_filt = np.empty((N + 1, n))
-        self.innovations = np.empty((N + 1, p))
         self.x_sm = np.empty((N + 1, n))
         blocks = -(-(N + 1) // _SCAN_BLOCK)   # of a scan over N + 1 rows
         self.scratch = np.empty((blocks * _SCAN_BLOCK, n))
@@ -230,7 +229,7 @@ class PassBuffers:
 
     def _check(self, N, n, p):
         have = (len(self.x_pred) - 1, self.x_pred.shape[1],
-                self.innovations.shape[1])
+                self.innov_factor.shape[1])
         if have != (N, n, p):
             raise ValueError(f"PassBuffers for (N, n, p) = {have} do not fit "
                              f"a pass of {(N, n, p)}")
@@ -361,9 +360,10 @@ class FilterPass:
     """Forward-pass quantities; index 0 holds the t_0 prior.
 
     x_pred[k], P_pred[k] are the one-step predictions x_{k|k-1}, P_{k|k-1};
-    x_filt[k], P_filt[k] the filtered estimates; innovations[k] and
-    innov_factor[k], the inverse Cholesky factor R_k of the innovation
-    covariance S_k (S_k^{-1} = R_k' R_k), feed the observed-data likelihood.
+    x_filt[k], P_filt[k] the filtered estimates; innov_factor[k], the
+    inverse Cholesky factor R_k of the innovation covariance S_k
+    (S_k^{-1} = R_k' R_k), feeds the observed-data likelihood.  The
+    innovations y_k - C x_{k|k-1} are not kept: the record and x_pred fix them.
     The means are dense (N+1)-row arrays; P_pred, P_filt and innov_factor
     are StepSeqs of N+1 steps.  k_steady is the step from which those three
     hold one settled value, stored once (None if the covariances never
@@ -374,7 +374,6 @@ class FilterPass:
     P_pred: StepSeq
     x_filt: np.ndarray
     P_filt: StepSeq
-    innovations: np.ndarray
     innov_factor: StepSeq
     N: int
     k_steady: int | None = None
@@ -457,28 +456,28 @@ def kalman_filter(model, data, out=None):
     filtered means then follow x_{j|j} = F x_{j-1|j-1} + g_j with
     F = (I - K C) A and g_j = (I - K C) B u_{j-1} + K y_j, where I - K C is
     the identity less K in its first p columns.  They come from a blocked scan
-    seeded with x_{k|k} (``_linear_scan``); the predicted means and
-    innovations are then formed in batch.
+    seeded with x_{k|k} (``_linear_scan``); the predicted means are then
+    formed in batch.
 
-    Each transient step writes its means, covariances, factor and innovation
-    into their stored rows through a few call-local scratch arrays, with no
-    other temporaries, and takes one reduction, the largest |P_{k|k-1}|
-    entry, for both the divergence test (written so that NaN fails it) and
-    the settle test.  The mean recursion does not feed the covariances, so
-    the predicted means are tested for finiteness once after the transient
-    loop, once after the steady tail and when a covariance diverges; the
-    first non-finite one raises FilterDivergedError at its step, as the
-    per-step recursion does (numpy's overflow warnings are off in the
-    call).  C P is read as rows of P, which gives the bits of the product,
-    since C's zeros add only exact zeros.
+    Each transient step writes its means, covariances and factor into their
+    stored rows through a few call-local scratch arrays (its innovation in
+    one), with no other temporaries, and takes one reduction, the largest
+    |P_{k|k-1}| entry, for both the divergence test (written so that NaN
+    fails it) and the settle test.  The mean recursion does not feed the
+    covariances, so the predicted means are tested for finiteness once
+    after the transient loop, once after the steady tail and when a
+    covariance diverges; the first non-finite one raises
+    FilterDivergedError at its step, as the per-step recursion does
+    (numpy's overflow warnings are off in the call).  C P is read as rows
+    of P, which gives the bits of the product, since C's zeros add only
+    exact zeros.
 
     With ``out``, a ``PassBuffers`` for this record's N, n and p, the means
-    and innovations are written into its arrays, the stored covariance and
-    factor rows into its stacks, and the tail products and the scan's
-    block-major copy into its scratch, and the returned pass holds
-    ``out.x_pred``, ``out.x_filt``, ``out.innovations`` and views of the
-    stacks: the pass is valid until the buffers' next use.  Without ``out``
-    the call allocates its own; both give the same bits.
+    are written into its arrays, the stored covariance and factor rows into
+    its stacks, and the tail products and the scan's block-major copy into
+    its scratch, and the returned pass holds ``out.x_pred``, ``out.x_filt``
+    and views of the stacks: the pass is valid until the buffers' next use.
+    Without ``out`` the call allocates its own; both give the same bits.
     """
     n, p, m = model.n, model.p, model.m
     if data.p != p or data.m != m:
@@ -497,10 +496,9 @@ def kalman_filter(model, data, out=None):
     if out is None:
         out = PassBuffers(N, n, p)
     out._check(N, n, p)
-    x_pred, x_filt, innovations = out.x_pred, out.x_filt, out.innovations
+    x_pred, x_filt = out.x_pred, out.x_filt
     x_filt[0] = model.m0
     x_pred[0] = model.m0
-    innovations[0] = 0.0
     # row k holds step k until the covariances settle
     stacks = ("P_pred", "P_filt", "innov_factor")
     P_pred, P_filt, factor = (out._stack(s, 1) for s in stacks)
@@ -509,11 +507,11 @@ def kalman_filter(model, data, out=None):
     factor[0] = Ip
 
     k_steady = None
-    # per-step scratch: R_k C P, the gain's transpose K' and the n x n
-    # products from which the stored rows are formed.  Products take K as
-    # the transpose of the C-ordered K', as the RTS pass takes its gains,
-    # for the tail's tall Y K' (see _gains).
-    RCP, Kt = np.empty((p, n)), np.empty((p, n))
+    # per-step scratch: R_k C P, the gain's transpose K', the innovation and
+    # the n x n products from which the stored rows are formed.  Products
+    # take K as the transpose of the C-ordered K', as the RTS pass takes its
+    # gains, for the tail's tall Y K' (see _gains).
+    RCP, Kt, nu = np.empty((p, n)), np.empty((p, n)), np.empty(p)
     T, T2 = np.empty((n, n)), np.empty((n, n))
     Bu = np.empty(n)
     for k in range(1, N + 1):
@@ -533,7 +531,7 @@ def kalman_filter(model, data, out=None):
             raise FilterDivergedError(_first_nonfinite(x_pred, 1, k + 1) or k)
         R = factor[k]   # S_k^{-1} = R' R
         K = np.matmul(R.T, np.matmul(R, CP, out=RCP), out=Kt).T
-        nu = np.subtract(data.Y[k - 1], xp[:p], out=innovations[k])
+        np.subtract(data.Y[k - 1], xp[:p], out=nu)
         np.matmul(K, nu, out=x_filt[k])
         x_filt[k] += xp
         _sym(np.subtract(Pp, np.matmul(K, CP, out=T), out=T), out=P_filt[k])
@@ -553,7 +551,7 @@ def kalman_filter(model, data, out=None):
         IKC = np.eye(n)   # I - K C, K the settled gain
         IKC[:, :p] -= K
         F = IKC @ A
-        xf, xp, nu = x_filt[tail], x_pred[tail], innovations[tail]
+        xf, xp = x_filt[tail], x_pred[tail]
         tmp = out.scratch[:N - ks]
         # the tall products take their small right operand C-ordered, as
         # K' is: with the transpose of a C-ordered matrix they took about
@@ -566,10 +564,8 @@ def kalman_filter(model, data, out=None):
         bad = _first_nonfinite(x_pred, ks + 1, N + 1)
         if bad is not None:
             raise FilterDivergedError(bad)
-        np.subtract(data.Y[ks:], xp[:, :p], out=nu)
     return FilterPass(x_pred=x_pred, P_pred=_held(P_pred[:rows], N + 1),
                       x_filt=x_filt, P_filt=_held(P_filt[:rows], N + 1),
-                      innovations=innovations,
                       innov_factor=_held(factor[:rows], N + 1), N=N,
                       k_steady=k_steady)
 
@@ -656,8 +652,7 @@ def rts_smoother(model, fp, out=None):
     live in arrays of the call's own.
     """
     N = fp.N
-    n = fp.x_filt.shape[1]
-    p = fp.innovations.shape[1]
+    n, p = fp.x_filt.shape[1], model.p
     A = model.A
     if out is None:
         out = PassBuffers(N, n, p)
@@ -793,11 +788,13 @@ def observed_loglik(model, data, fp=None):
     """Observed-data log-likelihood via the prediction-error decomposition:
     the sum over k of log N(y_k; C x_{k|k-1}, C P_{k|k-1} C' + I).
 
-    Pass an existing FilterPass as ``fp`` to reuse a completed forward pass.
-    The pass's inverse factors R_k of S_k, S_k^{-1} = R_k' R_k, of steps
-    1..ks, ks = ``fp.k_steady`` (N if nothing settled), are read as a view;
-    a factor whose diagonal is not all positive and finite (a pass built by
-    hand) raises FilterDivergedError at its step.  Then log det S_k =
+    Pass an existing FilterPass over ``data`` as ``fp`` to reuse it; the
+    innovations nu_k = y_k - C x_{k|k-1} are formed from the record and its
+    x_pred by the filter's subtraction, with the filter's bits.  Its inverse
+    factors R_k of S_k, S_k^{-1} = R_k' R_k, of steps 1..ks, ks =
+    ``fp.k_steady`` (N if nothing settled), are read as a view; a factor
+    whose diagonal is not all positive and finite (a pass built by hand)
+    raises FilterDivergedError at its step.  Then log det S_k =
     -2 sum log diag(R_k) and nu_k' S_k^{-1} nu_k = |R_k nu_k|^2.  The terms
     of the steps before ks (all N if nothing settled) are added one by one
     in step order, as a per-step pass adds them.  The settled steps share
@@ -814,15 +811,15 @@ def observed_loglik(model, data, fp=None):
         logdet = -2.0 * np.log(np.diagonal(R, axis1=1, axis2=2)).sum(axis=1)
     if not np.isfinite(logdet).all():   # a diagonal not positive and finite
         raise FilterDivergedError(1 + int(np.argmin(np.isfinite(logdet))))
-    nu = fp.innovations[1:last + 1]
-    Rnu = np.matmul(R[:last], nu[:, :, None])[:, :, 0]
+    nu = data.Y - fp.x_pred[1:, :p]   # row k - 1: nu_k
+    Rnu = np.matmul(R[:last], nu[:last, :, None])[:, :, 0]
     terms = -0.5 * (p * np.log(2.0 * np.pi) + logdet[:last]
                     + np.einsum("ij,ij->i", Rnu, Rnu))
     total = 0.0
     for term in terms.tolist():   # term by term, in step order
         total += term
     if last < fp.N:
-        nu = fp.innovations[last + 1:]
+        nu = nu[last:]
         Rs = R[-1]
         total += -0.5 * ((fp.N - last) * (p * np.log(2.0 * np.pi) + logdet[-1])
                          + float(np.vdot(Rs @ (nu.T @ nu), Rs)))

@@ -298,7 +298,8 @@ def sbl_em_full_width(reg, mask, init, opts):
     gamma = np.where(mask.free, np.asarray(init.gamma, dtype=float), 0.0)
     sigma2 = max(float(init.sigma2), 1e-300)
     col_energy = np.diag(reg.zz)
-    dead = col_energy < 1e-12 * max(col_energy.max(), 1e-300)
+    dead = ((col_energy < 1e-12 * max(col_energy.max(), 1e-300))
+            | (col_energy < 1e-6 * sigma2))
     gamma.reshape((d, n))[dead] = 0.0
     y_sq = float(reg.y_sq_rows.sum())
     evidence, n_active_path, warn_log = [], [], []
@@ -371,7 +372,6 @@ class PerStepFilter:
     x_filt: np.ndarray
     P_filt: np.ndarray
     K_gain: np.ndarray
-    innovations: np.ndarray
     innov_cov: np.ndarray
     N: int
     k_steady: None = None
@@ -394,7 +394,6 @@ def filter_per_step(model, data):
     x_filt = np.zeros((N + 1, n))
     P_filt = np.zeros((N + 1, n, n))
     K_gain = np.zeros((N + 1, n, p))
-    innovations = np.zeros((N + 1, p))
     innov_cov = np.zeros((N + 1, p, p))
 
     x_filt[0] = model.m0
@@ -412,14 +411,13 @@ def filter_per_step(model, data):
         P_pred[k] = Pp
         S = _sym(C @ Pp @ C.T + Ip)
         K = np.linalg.solve(S, C @ Pp).T
-        innovations[k] = data.Y[k - 1] - C @ x_pred[k]
         innov_cov[k] = S
         K_gain[k] = K
-        x_filt[k] = x_pred[k] + K @ innovations[k]
+        x_filt[k] = x_pred[k] + K @ (data.Y[k - 1] - C @ x_pred[k])
         P_filt[k] = _sym(Pp - K @ C @ Pp)
     return PerStepFilter(x_pred=x_pred, P_pred=P_pred, x_filt=x_filt,
-                         P_filt=P_filt, K_gain=K_gain, innovations=innovations,
-                         innov_cov=innov_cov, N=N)
+                         P_filt=P_filt, K_gain=K_gain, innov_cov=innov_cov,
+                         N=N)
 
 
 def rts_per_step(model, fp):
@@ -465,16 +463,18 @@ def lag_one_per_step(model, fp, sp):
     return M
 
 
-def loglik_per_step(fp, p):
-    """Prediction-error log-likelihood, one determinant and solve per step,
-    with S_k = C P_{k|k-1} C' + I formed from the pass's P_pred (the
+def loglik_per_step(fp, data):
+    """Prediction-error log-likelihood of the record ``data``, one
+    determinant and solve per step, with S_k = C P_{k|k-1} C' + I and
+    nu_k = y_k - C x_{k|k-1} formed from the pass's P_pred and x_pred (the
     outputs are the first p states)."""
     from netrecon import FilterDivergedError
 
+    p = data.p
     total = 0.0
     for k in range(1, fp.N + 1):
         S = _sym(fp.P_pred[k][:p, :p] + np.eye(p))
-        nu = fp.innovations[k]
+        nu = data.Y[k - 1] - fp.x_pred[k][:p]
         sign, logdet = np.linalg.slogdet(S)
         if sign <= 0:
             raise FilterDivergedError(k)

@@ -637,11 +637,37 @@ def test_outer_iterations_smooth_into_the_same_buffers(monkeypatch):
     assert len(res.trace) == 2 and len(passes) == 4
     (fp1, sp1), (fp2, sp2) = passes[:2], passes[2:]
     for first, second in ((fp1.x_pred, fp2.x_pred), (fp1.x_filt, fp2.x_filt),
-                          (fp1.innovations, fp2.innovations),
                           (sp1.x_sm, sp2.x_sm)):
         assert np.shares_memory(first, second)
     # the new m0 comes from a pass, but not as a view of its buffers
     assert not np.shares_memory(res.m0_hat, sp2.x_sm)
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_no_pass_buffers_alive_during_the_read_off(monkeypatch, diverge):
+    # the read-off's temporaries must not sit on top of the loop's working
+    # set, after a run that finishes and after one whose first E-step fails
+    import gc
+    from netrecon import PassBuffers
+    dsf_module = importlib.import_module("netrecon.dsf")
+    real = dsf_module.dsf_from_state_space
+    alive = []
+
+    def count():
+        return sum(isinstance(o, PassBuffers) for o in gc.get_objects())
+
+    def spy(model, q_points):
+        alive.append(count())
+        return real(model, q_points)
+
+    if diverge:
+        _start_at(monkeypatch, 3.0 * np.eye(3))
+    monkeypatch.setattr(dsf_module, "dsf_from_state_space", spy)
+    before = count()
+    res = reconstruct(_small_system(N=100),
+                      ReconConfig(n_states=3, seed=1, outer_max_iter=3))
+    assert (res.status == "diverged") == diverge
+    assert alive == [before]
 
 
 def test_result_file_trace_takes_its_columns_from_the_records(tmp_path):

@@ -438,16 +438,19 @@ def test_sbl_em_stops_at_a_fixed_point_of_the_em_update():
 
 @pytest.mark.parametrize("prune_tol", [1e-5, 1e-12, 0.0])
 def test_sbl_em_gamma_stays_finite_on_a_barely_live_column(prune_tol):
-    # a column just above the dead-column cut: the data barely determine its
+    # a column just above the dead-column cuts: the data barely determine its
     # weight, so 1 - Sigma_ii / gamma_i can round to zero as gamma_i shrinks
-    from netrecon.sbl import _DEAD_COLUMN_TOL
+    from netrecon.sbl import _DEAD_COLUMN_TOL, _WEAK_COLUMN_TOL
     for seed in range(8):
         reg = generic_regression(np.random.default_rng(seed), N=40, n_w=6)
         X = reg.regressors
-        energy = 2.0 * _DEAD_COLUMN_TOL * (X**2).sum(axis=0).max()
-        X[:, 2] *= np.sqrt(energy / (X[:, 2]**2).sum())
         reg.targets = (X @ [1.0, 0, 0, -0.5, 0, 0]
                        + 0.1 * reg.targets[:, 0])[:, None]
+        # twice the larger cut, at sbl_em's default start sigma2
+        sigma2 = 0.1 * float((reg.targets**2).sum()) / reg.N_y
+        energy = 2.0 * max(_DEAD_COLUMN_TOL * (X**2).sum(axis=0).max(),
+                           _WEAK_COLUMN_TOL * sigma2)
+        X[:, 2] *= np.sqrt(energy / (X[:, 2]**2).sum())
         reg.__post_init__()
         state = sbl_em(reg, free_mask(reg),
                        opts=SBLOptions(max_iter=500, tol=0.0,
@@ -455,6 +458,30 @@ def test_sbl_em_gamma_stays_finite_on_a_barely_live_column(prune_tol):
         assert state.n_active_path[0] == 6   # the weak column is live
         assert np.all(np.isfinite(state.gamma)) and np.all(state.gamma >= 0)
         assert np.all(np.isfinite(state.mu_w)) and state.sigma2 > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sbl_em_drops_a_column_far_weaker_than_the_noise(seed):
+    # a column with 2e-12 of the strongest column's energy, far below the
+    # noise variance, is fitted as if it were masked: its prior variance
+    # would otherwise grow toward sigma2 / energy and hold the loop to its cap
+    from netrecon import Mask
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, 6))
+    energy = (X**2).sum(axis=0)
+    X[:, 1] *= np.sqrt(2e-12 * np.delete(energy, 1).max() / energy[1])
+    W = 0.5 * rng.standard_normal((3, 6))
+    Y = X @ W.T + 0.1 * rng.standard_normal((40, 3))
+    reg = RegressionData(n=3, m=3, N=40, zz=X.T @ X, xz=Y.T @ X,
+                         y_sq_rows=(Y**2).sum(axis=0))
+    free = np.ones(18, dtype=bool)
+    state = sbl_em(reg, Mask(free=free))
+    assert state.iteration < SBLOptions().max_iter
+    assert np.abs(state.mu_w).max() < 1.0
+    free[3:6] = False   # w = vec([A B]): column 1 of every row
+    masked = sbl_em(reg, Mask(free=free))
+    assert np.array_equal(state.mu_w, masked.mu_w)
+    assert np.array_equal(state.gamma, masked.gamma)
 
 
 def test_sbl_em_gamma_stays_finite_at_the_sigma2_floor():

@@ -36,7 +36,7 @@ def _both(model, data):
     ref_sp = rts_per_step(model, ref_fp)
     ref_sp = replace(ref_sp, M_sm=lag_one_per_step(model, ref_fp, ref_sp))
     return ((fp, sp, observed_loglik(model, data, fp=fp)),
-            (ref_fp, ref_sp, loglik_per_step(ref_fp, data.p)))
+            (ref_fp, ref_sp, loglik_per_step(ref_fp, data)))
 
 
 def _rel(got, ref):
@@ -48,7 +48,7 @@ def _assert_filter_matches(fp, ref_fp, tol):
     """The pass's means and covariances match the per-step reference's, and
     its factors R_k give the reference's S_k and K_k: R_k' R_k S_k = I and
     K_k' = R_k' R_k C P_{k|k-1}, each to ``tol`` relative."""
-    for name in ("x_pred", "x_filt", "P_pred", "P_filt", "innovations"):
+    for name in ("x_pred", "x_filt", "P_pred", "P_filt"):
         assert _rel(getattr(fp, name), getattr(ref_fp, name)) <= tol, name
     R = np.asarray(fp.innov_factor)
     p = R.shape[1]
@@ -207,7 +207,6 @@ def test_passes_into_buffers_equal_fresh_passes(desk_system, N):
         M, M_out = lag_one_smoother(sp), lag_one_smoother(sp_out, out=out)
         assert np.array_equal(np.asarray(M_out), np.asarray(M))
         assert fp_out.x_pred is out.x_pred and fp_out.x_filt is out.x_filt
-        assert fp_out.innovations is out.innovations
         assert sp_out.x_sm is out.x_sm
         for seq, stack in ((fp_out.P_pred, out.P_pred),
                            (fp_out.P_filt, out.P_filt),
@@ -459,16 +458,15 @@ def _factored(ref):
     the inverse Cholesky factors of its S_k from numpy's Cholesky factor
     and general inverse."""
     return FilterPass(x_pred=ref.x_pred, P_pred=ref.P_pred, x_filt=ref.x_filt,
-                      P_filt=ref.P_filt, innovations=ref.innovations,
-                      innov_factor=np.linalg.inv(np.linalg.cholesky(
-                          ref.innov_cov)), N=ref.N)
+                      P_filt=ref.P_filt, innov_factor=np.linalg.inv(
+                          np.linalg.cholesky(ref.innov_cov)), N=ref.N)
 
 
 def test_batched_loglik_diverges_at_the_first_bad_determinant():
     model, data, ref = _dense_pass(150)
     fp = _factored(ref)
     assert observed_loglik(model, data, fp=fp) == pytest.approx(
-        loglik_per_step(ref, data.p), rel=1e-12)
+        loglik_per_step(ref, data), rel=1e-12)
     for k in (100, 130):   # the earlier step raises, not the later one
         fp.innov_factor[k][0, 0] *= -1.0   # no log det
     with pytest.raises(FilterDivergedError) as err:
