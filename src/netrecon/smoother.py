@@ -51,20 +51,18 @@ backward transient near N.  The lag-one M_k = P_{k|N} J_{k-1}' inherits
 their segments.  Where nothing settles, every step keeps its own row.  Sums
 over steps (``StepSeq.total``) weight each row by its step count, so no
 pass allocates N copies of a matrix.  The means stay dense (N+1)-row
-arrays.  A caller that runs many passes over one record hands
-``kalman_filter``, ``rts_smoother`` and ``lag_one_smoother`` a
-``PassBuffers`` as ``out``: the passes then write their means and
-steady-segment scratch, and the stored rows of every covariance
-sequence, into its arrays instead of allocating fresh ones.
+arrays; the RTS pass writes each x_{k|N} over x_{k|k}.  A caller that runs
+many passes over one record hands ``kalman_filter``, ``rts_smoother`` and
+``lag_one_smoother`` a ``PassBuffers`` as ``out``: the passes then write
+their means and steady-segment scratch, and the stored rows of every
+covariance sequence, into its arrays instead of allocating fresh ones.
 The covariance stacks grow to the rows a pass stores, not to N+1 rows
 unless nothing settles: numpy asks for huge pages for arrays of 4 MB and
 more.  The returned passes hold those arrays, means and covariance rows
 alike, valid until the buffers' next use.  The buffers hold nothing
-else: the RTS pass forms P_{k|k} A', the factors of P_{k+1|k} and its
-backward P_{k|N} recursion in arrays of its own, so these are not held
-through the M-step.  The RTS gains are the one returned sequence outside
-the buffers: they are written over the call's P_{k|k} A' and stay with
-the pass.
+else: the RTS pass forms the factors of P_{k+1|k} and its backward P_{k|N}
+recursion in arrays freed when it returns, and its gains over a call-local
+P_{k|k} A' that stays with the pass.
 
 Over the steady segment the filtered and smoothed means follow a linear
 recursion with one constant matrix, x_k = F x_{k-1} + g_k.  Both are
@@ -196,9 +194,9 @@ class PassBuffers:
     """The arrays of a filter and RTS pass over N steps with n states and p
     outputs, for passes to write into instead of allocating them.
     ``kalman_filter`` fills x_pred and x_filt ((N+1)-row) and the stacks
-    P_pred, P_filt and innov_factor.  ``rts_smoother`` fills x_sm and the
-    stack P_sm; it forms its gains' operands and its backward recursion in
-    arrays of its own, freed when it returns.
+    P_pred, P_filt and innov_factor.  ``rts_smoother`` writes x_{k|N} over
+    x_filt and fills the stack P_sm; it forms its gains' operands and its
+    backward recursion in arrays of its own, freed when it returns.
     Both passes run their steady segment's scan (``_linear_scan``) in
     ``scratch``: its ceil((N+1)/b) b rows, b = ``_SCAN_BLOCK``, hold the
     scan's block-major copy of up to N + 1 rows, and the filter also forms
@@ -213,13 +211,12 @@ class PassBuffers:
     included, stays valid only until the buffers' next use.
     """
 
-    __slots__ = ("x_pred", "x_filt", "x_sm", "scratch",
+    __slots__ = ("x_pred", "x_filt", "scratch",
                  "P_pred", "P_filt", "innov_factor", "P_sm", "M_sm")
 
     def __init__(self, N, n, p):
         self.x_pred = np.empty((N + 1, n))
         self.x_filt = np.empty((N + 1, n))
-        self.x_sm = np.empty((N + 1, n))
         blocks = -(-(N + 1) // _SCAN_BLOCK)   # of a scan over N + 1 rows
         self.scratch = np.empty((blocks * _SCAN_BLOCK, n))
         for name, shape in (("P_pred", (n, n)), ("P_filt", (n, n)),
@@ -363,11 +360,12 @@ class FilterPass:
     x_filt[k], P_filt[k] the filtered estimates; innov_factor[k], the
     inverse Cholesky factor R_k of the innovation covariance S_k
     (S_k^{-1} = R_k' R_k), feeds the observed-data likelihood.  The
-    innovations y_k - C x_{k|k-1} are not kept: the record and x_pred fix them.
-    The means are dense (N+1)-row arrays; P_pred, P_filt and innov_factor
-    are StepSeqs of N+1 steps.  k_steady is the step from which those three
-    hold one settled value, stored once (None if the covariances never
-    settled, when every step has its own row).
+    innovations y_k - C x_{k|k-1} are not kept: the record and x_pred fix
+    them.  The means are dense (N+1)-row arrays, x_filt smoothed in place by
+    an RTS pass into the same buffers; P_pred, P_filt and innov_factor are
+    StepSeqs of N+1 steps.  k_steady is the step from which those three hold
+    one settled value, stored once (None if the covariances never settled,
+    when every step has its own row).
     """
 
     x_pred: np.ndarray
@@ -383,7 +381,8 @@ class FilterPass:
 class SmoothPass:
     """Backward-pass quantities for k = 0..N.
 
-    x_sm is a dense (N+1)-row array; P_sm, J and M_sm are StepSeqs.
+    x_sm is a dense (N+1)-row array (the filter pass's x_filt, for a pass
+    into its buffers); P_sm, J and M_sm are StepSeqs.
     J[k] are the smoother gains for k = 0..N-1: the transient gains, then
     one steady gain from k_steady on.  P_sm (N+1 steps) holds the steps
     before k_steady, one settled middle value and the backward transient
@@ -638,18 +637,20 @@ def rts_smoother(model, fp, out=None):
     rest of the segment: P_sm holds the steps before k_steady, that middle
     value, and the backward transient near N.
     The means x_{k|N} = J x_{k+1|N} + (x_{k|k} - J x_{k+1|k}) of that
-    segment come from one blocked scan run backwards from x_{N|N}, on
-    x_sm[ks:] reversed as a view: the scan's block-major copy reads and
-    writes it in that order.
+    segment come from one blocked scan run backwards from x_{N|N}, on the
+    means reversed as a view.  Each x_{k|N} is written over x_{k|k}, read
+    just before, by the operations of x_{k|k} + J_k (...), so the bits do
+    not depend on where the means live.
 
-    With ``out``, a ``PassBuffers`` for the pass's N, n and p, the smoothed
-    means are written into ``out.x_sm`` and the stored P_{k|N} rows into its
-    P_sm stack, and the backward scan's copy lives in its scratch; the
-    returned pass holds ``out.x_sm`` and a view of the stack, valid until
-    the buffers' next use.  Without ``out`` the call allocates its own; both
-    give the same bits.  Either way the gains' operands and the backward
-    P_{k|N} recursion, until its rows are copied into P_sm in step order,
-    live in arrays of the call's own.
+    With ``out``, a ``PassBuffers`` for the pass's N, n and p, the means go
+    into ``out.x_filt`` (``fp.x_filt`` is copied there first unless it is
+    that array, which then holds the smoothed means), the stored P_{k|N}
+    rows into its P_sm stack and the scan's copy into its scratch; the
+    returned pass holds ``out.x_filt`` and a view of the stack, valid until
+    the buffers' next use.  Without ``out`` the call allocates its own;
+    both give the same bits.  Either way the gains' operands and the
+    backward P_{k|N} recursion, until its rows are copied into P_sm in step
+    order, live in arrays of the call's own.
     """
     N = fp.N
     n, p = fp.x_filt.shape[1], model.p
@@ -657,14 +658,15 @@ def rts_smoother(model, fp, out=None):
     if out is None:
         out = PassBuffers(N, n, p)
     out._check(N, n, p)
-    x_sm = out.x_sm
-    x_sm[N] = fp.x_filt[N]
+    x_sm = out.x_filt   # x_{k|N} is written over x_{k|k}
+    if x_sm is not fp.x_filt:
+        np.copyto(x_sm, fp.x_filt)
     ks = N if fp.k_steady is None else fp.k_steady
     gains = _gains(A, fp, ks)
     back = [fp.P_filt[N]]   # back[j] is P_{N-j|N}; the last, the settled value
     # scratch of the per-step recursions below, which form each product as
     # the plain expressions do, so the bits are the same
-    D, T, v = np.empty((n, n)), np.empty((n, n)), np.empty(n)
+    D, T, v, Jv = np.empty((n, n)), np.empty((n, n)), np.empty(n), np.empty(n)
     if ks < N:
         Js = gains[ks]
         Pf, Pp = fp.P_filt[ks], fp.P_pred[ks + 1]
@@ -683,17 +685,15 @@ def rts_smoother(model, fp, out=None):
     np.stack(back[::-1], out=P_sm[ks:])
     del back   # before the scan's temporaries
     if ks < N:
-        # h_k = x_{k|k} - J x_{k+1|k}, held in x_sm[ks:N] until the scan
-        h = x_sm[ks:N]
-        np.subtract(fp.x_filt[ks:N], np.matmul(fp.x_pred[ks + 1:], Js.T, out=h),
-                    out=h)
-        # run backwards from x_sm[N] = x_{N|N}, through the scan's copy
+        # h_k = x_{k|k} - J x_{k+1|k}, the products in the scan's scratch
+        x_sm[ks:N] -= np.matmul(fp.x_pred[ks + 1:], Js.T,
+                                out=out.scratch[:N - ks])
+        # run backwards from x_{N|N}, through the scan's copy
         _linear_scan(Js, x_sm[ks:][::-1], out.scratch)
     for k in range(ks - 1, -1, -1):
         Jk = gains[k]
-        np.matmul(Jk, np.subtract(x_sm[k + 1], fp.x_pred[k + 1], out=v),
-                  out=x_sm[k])
-        x_sm[k] += fp.x_filt[k]
+        np.subtract(x_sm[k + 1], fp.x_pred[k + 1], out=v)
+        x_sm[k] += np.matmul(Jk, v, out=Jv)
         np.matmul(np.matmul(Jk, np.subtract(P_sm[k + 1], fp.P_pred[k + 1],
                                             out=D), out=T), Jk.T, out=D)
         D += fp.P_filt[k]
@@ -779,7 +779,7 @@ def expectation_sums(sp, data):
     S_zz = np.block([[prev_xx, prev_xu], [prev_xu.T, U.T @ U]])
 
     resid = data.Y - xs[1:, :p]
-    meas_rss = float((resid**2).sum()) + float(np.trace(P_tot[:p, :p]))
+    meas_rss = float(np.square(resid, out=resid).sum() + P_tot[:p, :p].trace())
     return ESums(S_xx=S_xx, S_xz=S_xz, S_zz=S_zz, meas_rss=meas_rss,
                  x0_sm=xs[0].copy(), P0_sm=Ps[0].copy(), N=N)
 

@@ -460,6 +460,29 @@ def test_sbl_em_gamma_stays_finite_on_a_barely_live_column(prune_tol):
         assert np.all(np.isfinite(state.mu_w)) and state.sigma2 > 0
 
 
+@pytest.mark.parametrize("seed", [1, 4, 6])
+def test_sbl_em_weight_of_a_weak_column_scales_with_its_norm(seed):
+    # evidence maximization is invariant to a column's scale: a weak column
+    # kept at 2e-6 of the start sigma2 takes a large weight, but w sqrt(e)
+    # is the same as at 2e-2, so the weight is the fit's choice in the
+    # column's units, not a runaway that an energy cut should stop
+    scaled = []
+    for rel in (2e-6, 2e-2):
+        reg = generic_regression(np.random.default_rng(seed), N=40, n_w=6)
+        X = reg.regressors
+        reg.targets = (X @ [1.0, 0, 0, -0.5, 0, 0]
+                       + 0.1 * reg.targets[:, 0])[:, None]
+        energy = rel * 0.1 * float((reg.targets**2).sum()) / reg.N_y
+        X[:, 2] *= np.sqrt(energy / (X[:, 2]**2).sum())
+        reg.__post_init__()
+        state = sbl_em(reg, free_mask(reg),
+                       opts=SBLOptions(max_iter=500, tol=0.0))
+        scaled.append(state.mu_w[2] * np.sqrt(energy))
+        if rel == 2e-6:
+            assert abs(state.mu_w[2]) > 50.0
+    assert abs(scaled[0] - scaled[1]) <= 0.01 * abs(scaled[1])
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_sbl_em_drops_a_column_far_weaker_than_the_noise(seed):
     # a column with 2e-12 of the strongest column's energy, far below the

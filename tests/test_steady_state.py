@@ -207,7 +207,7 @@ def test_passes_into_buffers_equal_fresh_passes(desk_system, N):
         M, M_out = lag_one_smoother(sp), lag_one_smoother(sp_out, out=out)
         assert np.array_equal(np.asarray(M_out), np.asarray(M))
         assert fp_out.x_pred is out.x_pred and fp_out.x_filt is out.x_filt
-        assert sp_out.x_sm is out.x_sm
+        assert sp_out.x_sm is out.x_filt
         for seq, stack in ((fp_out.P_pred, out.P_pred),
                            (fp_out.P_filt, out.P_filt),
                            (fp_out.innov_factor, out.innov_factor),
@@ -216,6 +216,32 @@ def test_passes_into_buffers_equal_fresh_passes(desk_system, N):
         steady.append(fp.k_steady)
     if N is None:
         assert steady[0] == steady[2] < steady[1]
+
+
+@pytest.mark.parametrize("N", [8, None])
+def test_pass_into_the_filters_buffers_smooths_over_its_means(desk_system, N):
+    # N = 8 runs every step of the backward recursion; the full record
+    # (None) runs the steady segment's scan too
+    model, full = desk_system
+    data = full if N is None else type(full)(Y=full.Y[:N], U=full.U[:N], N=N)
+    out = PassBuffers(data.N, model.n, model.p)
+    fp = kalman_filter(model, data, out=out)
+    sp = rts_smoother(model, fp, out=out)
+    assert sp.x_sm is out.x_filt and fp.x_filt is out.x_filt
+    ref = rts_smoother(model, kalman_filter(model, data))
+    assert np.array_equal(sp.x_sm, ref.x_sm)
+
+
+@pytest.mark.parametrize("N", [8, None])
+def test_pass_into_other_buffers_leaves_the_filtered_means(desk_system, N):
+    model, full = desk_system
+    data = full if N is None else type(full)(Y=full.Y[:N], U=full.U[:N], N=N)
+    for out in (None, PassBuffers(data.N, model.n, model.p)):
+        fp = kalman_filter(model, data)
+        x_filt = fp.x_filt.copy()
+        sp = rts_smoother(model, fp, out=out)
+        assert np.array_equal(fp.x_filt, x_filt)
+        assert not np.shares_memory(sp.x_sm, fp.x_filt)
 
 
 def test_warm_estep_allocates_under_a_megabyte(desk_system):
