@@ -3,9 +3,10 @@
 
     python3 scripts/compare.py --parent DIR --change DIR \
         --out BENCH_NAME.json [--pairs 10] [--seeds 1 7] \
-        [--pool-runs 3] [--claim WORKLOAD:METRIC]
+        [--pool-runs 3] [--claim SECTION:METRIC]
     python3 scripts/compare.py --parent DIR --aa \
-        --out BENCH_NAME.json [--pairs 10] [--seeds 1 7]
+        --out BENCH_NAME.json [--pairs 10] [--seeds 1 7] \
+        [--claim SECTION:METRIC]
 
 ``DIR`` is the root of a source checkout (a ``src/netrecon`` package and a
 ``perfbench/`` directory).  Each measurement runs in fresh interpreters
@@ -31,30 +32,46 @@ holds:
   differ with them even where every answer agrees;
 - ``minor_faults``: ``ru_minflt`` and wall seconds of one ``reconstruct``
   of each perfbench cell, in a process that has only set the cell up;
-- ``full_scale_memory``: 10 outer iterations of the held-out full-scale
-  cell (seed 1, network 0: p=40, 100 true and 110 assumed states, m=40,
-  N=1000, 40 dB), three interleaved runs per side: the process's
+- ``full_scale_memory``: three paired runs of 10 outer iterations of the
+  held-out full-scale cell (seed 1, network 0: p=40, 100 true and 110
+  assumed states, m=40, N=1000, 40 dB).  A run is two processes: the
   ``ru_maxrss`` and the wall seconds of an untraced run, the
   ``tracemalloc`` peak of the reconstruction in a second process, and the
   sha256 of ``A_hat``, which the two processes must agree on;
-- ``full_scale_time``: ``--pairs`` alternating runs per side of that cell
-  at the default cap of 50 outer iterations (the parent first in
-  odd-numbered pairs), each in a worker of its own: the wall seconds and
-  the ``time.thread_time()`` seconds of the ``reconstruct`` call, with
-  medians, quartiles and win counts as in ``pairs``, and the sha256 of
-  each run's ``A_hat``;
-- ``pairs``: alternating ``perfbench/run.py`` runs of the two checkouts
-  (the parent first in odd-numbered pairs), every end-to-end metric per
-  workload and seed, with medians, quartiles and win counts, and each
-  run's ``recon_s`` (and the ``--claim`` metric);
-- ``claimed``, only with ``--claim``: the claimed metric on its workload
-  against the pair rule (lower in at least 9 of 10 pairs, and a median
-  gap larger than the parent's quartile spread);
+- ``full_scale_time``: ``--pairs`` paired runs of that cell at the
+  default cap of 50 outer iterations, each in a worker of its own: the
+  wall seconds and the ``time.thread_time()`` seconds of the
+  ``reconstruct`` call, and the sha256 of ``A_hat``;
+- ``pairs``: one paired cell per workload and seed (``desk40_s1`` ...)
+  of ``--pairs`` ``perfbench/run.py`` runs: each run's ``correct`` and
+  ``failed`` and every end-to-end metric;
 - ``traced``: one ``--trace 1`` perfbench run per workload at the first
   seed, per checkout (plain wall time, so read them as shares);
-- ``criterion7_pool``: criterion 7's two sweeps (10 networks at 40 dB,
-  then at 0 dB) in ``run_benchmark``'s process pool of min(4, cores)
-  workers with BLAS threads unpinned, interleaved runs per side.
+- ``criterion7_pool``: ``--pool-runs`` paired runs of criterion 7's two
+  sweeps (10 networks at 40 dB, then at 0 dB) in ``run_benchmark``'s
+  process pool of min(4, cores) workers with BLAS threads unpinned: the
+  seconds, the workers and what the sweeps read;
+- ``claimed``, only with ``--claim``: the claimed metric in each of its
+  cells against the pair rule.
+
+Every paired section, and every cell of ``pairs``, comes from one
+recorder (``_paired``) and has one shape.  The two sides run in
+alternating order, the parent first in odd-numbered pairs.  ``runs``
+keeps every field of every run, ``runs[side][field][i]`` for the i-th
+run; ``metrics`` summarises each field that is a number (not a bool) in
+every run: each side's median and quartiles, the parent's IQR,
+``median_change``, and in how many pairs the change was lower and
+higher.  Records written before this shape keep their own: their
+``pairs`` cells and ``full_scale_time`` kept the runs of only some
+fields, and ``full_scale_memory`` and ``criterion7_pool`` were lists of
+runs per side.
+
+``--claim`` names one metric of a paired section: ``WORKLOAD:METRIC``, an
+end-to-end metric of a perfbench workload judged in each seed's cell, or
+a section's own, one of ``CLAIMABLE`` (``full_scale_time:wall_s``,
+``full_scale_memory:ru_maxrss_mb`` ...; ``criterion7_pool`` is not
+recorded with ``--aa``).  The pair rule: the change is lower in at least
+9 of 10 pairs, and its median is lower by more than the parent's IQR.
 
 Every child process, perfbench run or worker, is forked from a small
 launcher process: Linux carries a process's RSS high-water mark into its
@@ -97,6 +114,13 @@ LAYERS = ("smoother.filter_ms", "smoother.rts_ms", "smoother.lag1_ms",
           "sbl.em_ms", "sbl.inner_iter_ms", "sbl.posterior_ms", "sbl.share",
           "reconstruct.self_ms")
 MEMORY_RUNS = 3
+# what --claim can name: an end-to-end metric of a perfbench workload, or
+# a measurement of a full-scale or pool section
+CLAIMABLE = {**dict.fromkeys(WORKLOADS, METRICS),
+             "full_scale_time": ("wall_s", "thread_s"),
+             "full_scale_memory": ("wall_s", "ru_maxrss_mb",
+                                   "traced_peak_mib"),
+             "criterion7_pool": ("seconds",)}
 # Forks and execs its arguments and exits with the child's status, so that
 # the child's ru_maxrss starts from this small process's peak.
 LAUNCHER = ("import os, sys\n"
@@ -291,7 +315,7 @@ def _perfbench(root, workload, seed, trace=0):
                     cwd=root)
     res = json.loads(out.strip().splitlines()[-1])
     return {"correct": res["correct"], "failed": res["failed"],
-            **{k: v["value"] for k, v in res["metrics"].items()}}
+            **{k: round(v["value"], 4) for k, v in res["metrics"].items()}}
 
 
 def _full_scale_memory(root):
@@ -333,71 +357,49 @@ def _log(msg):
     print(time.strftime("%H:%M:%S"), msg, file=sys.stderr, flush=True)
 
 
-def _interleaved(runs, sides, measure_one):
-    """``runs`` runs of ``measure_one(root)`` per side, the parent first
-    in odd-numbered rounds."""
+def _paired(runs, sides, measure_one):
+    """``runs`` runs of ``measure_one(root)`` per side, the parent first in
+    odd-numbered pairs: every field of every run, and a ``_summary`` of
+    each field that is a number, not a bool, in every run."""
     out = {side: [] for side in sides}
     for i in range(runs):
         for side in (("parent", "change") if i % 2 == 0
                      else ("change", "parent")):
             out[side].append(measure_one(sides[side]))
-    return out
+    every = out["parent"] + out["change"]
+    fields = dict.fromkeys(k for r in every for k in r)
+    numbers = [k for k in fields if all(
+        isinstance(r.get(k), (int, float)) and not isinstance(r.get(k), bool)
+        for r in every)]
+    return {"pairs": runs, "parent_first_in": "odd-numbered pairs",
+            "metrics": {k: _summary([r[k] for r in out["parent"]],
+                                    [r[k] for r in out["change"]])
+                        for k in numbers},
+            "runs": {side: {k: [r.get(k) for r in rs] for k in fields}
+                     for side, rs in out.items()}}
 
 
-def _pairs(args, sides):
-    kept = ("recon_s",) + ((args.claim[1],) if args.claim else ())
-    record = {}
-    for w in WORKLOADS:
-        for seed in args.seeds:
-            _log(f"pairs {w} seed {seed}")
-            runs = _interleaved(args.pairs, sides,
-                                lambda root: _perfbench(root, w, seed))
-            record[f"{w}_s{seed}"] = {
-                "pairs": args.pairs,
-                "parent_first_in": "odd-numbered pairs",
-                "all_correct": all(r["correct"] for rs in runs.values()
-                                   for r in rs),
-                "failed": {side: sum(r["failed"] for r in rs)
-                           for side, rs in runs.items()},
-                "metrics": {m: _summary([r[m] for r in runs["parent"]],
-                                        [r[m] for r in runs["change"]])
-                            for m in METRICS},
-                "runs": {side: {m: [round(r[m], 4) for r in rs]
-                                for m in kept}
-                         for side, rs in runs.items()}}
-    return record
-
-
-def _full_scale_time(args, sides):
-    runs = _interleaved(args.pairs, sides, lambda root: _worker("time", root))
-    return {"pairs": args.pairs, "parent_first_in": "odd-numbered pairs",
-            "metrics": {m: _summary([r[m] for r in runs["parent"]],
-                                    [r[m] for r in runs["change"]])
-                        for m in ("wall_s", "thread_s")},
-            "runs": {side: {m: [r[m] for r in rs]
-                            for m in ("wall_s", "thread_s")}
-                     for side, rs in runs.items()},
-            "A_hat_sha256": {side: sorted({r["A_hat_sha256"] for r in rs})
-                             for side, rs in runs.items()}}
-
-
-def _claimed(args, pairs):
-    workload, metric = args.claim
-    claimed = {"metric": metric, "workload": workload,
-               "rule": "change lower in at least 9 of 10 pairs and median "
-                       "difference larger than the parent's IQR"}
-    for seed in args.seeds:
-        cell = pairs[f"{workload}_s{seed}"]
+def _claimed(claim, record):
+    """The pair rule on ``claim``'s metric in each of its cells of
+    ``record``: every seed's cell of a workload, or a section's one."""
+    section, metric = claim
+    cells = ({name: cell for name, cell in record["pairs"].items()
+              if name.rpartition("_s")[0] == section}
+             if section in WORKLOADS else {section: record[section]})
+    judged = {}
+    for name, cell in cells.items():
         s = cell["metrics"][metric]
-        lower = sum(c < p for p, c in zip(cell["runs"]["parent"][metric],
-                                          cell["runs"]["change"][metric]))
+        lower, pairs = map(int, s["change_lower_in"].split("/"))
         diff = round(s["parent"]["median"] - s["change"]["median"], 4)
-        claimed[f"seed{seed}"] = {
+        judged[name] = {
             "change_lower_in": s["change_lower_in"],
             "median_difference": diff, "parent_iqr": s["parent"]["iqr"],
             "median_change": s["median_change"],
-            "met": lower >= 0.9 * args.pairs and diff > s["parent"]["iqr"]}
-    return claimed
+            "met": lower >= 0.9 * pairs and diff > s["parent"]["iqr"]}
+    return {"claim": ":".join(claim),
+            "rule": "change lower in at least 9 of 10 pairs and median "
+                    "difference larger than the parent's IQR",
+            "cells": judged}
 
 
 def measure(args, sides):
@@ -453,27 +455,33 @@ def measure(args, sides):
             for w in WORKLOADS for seed in args.seeds}
 
     _log("full-scale memory")
-    record["full_scale_memory"] = _interleaved(
-        MEMORY_RUNS, sides, _full_scale_memory)
+    record["full_scale_memory"] = _paired(MEMORY_RUNS, sides,
+                                          _full_scale_memory)
     _log("full-scale time")
-    record["full_scale_time"] = _full_scale_time(args, sides)
-    record["pairs"] = _pairs(args, sides)
-    if args.claim:
-        record["claimed"] = _claimed(args, record["pairs"])
+    record["full_scale_time"] = _paired(
+        args.pairs, sides, lambda root: _worker("time", root))
+    record["pairs"] = {}
+    for w in WORKLOADS:
+        for seed in args.seeds:
+            _log(f"pairs {w} seed {seed}")
+            record["pairs"][f"{w}_s{seed}"] = _paired(
+                args.pairs, sides, lambda root: _perfbench(root, w, seed))
 
     if not args.aa:
         _log("traced runs")
         record["traced"] = {
             f"{w}_s{args.seeds[0]}": {
-                side: {k: round(v, 4) for k, v in _perfbench(
+                side: {k: v for k, v in _perfbench(
                     root, w, args.seeds[0], trace=1).items() if k in LAYERS}
                 for side, root in sides.items()}
             for w in WORKLOADS}
 
         _log("criterion 7 pool")
-        record["criterion7_pool"] = _interleaved(
+        record["criterion7_pool"] = _paired(
             args.pool_runs, sides,
             lambda root: _worker("criterion7", root, pinned=False))
+    if args.claim:
+        record["claimed"] = _claimed(args.claim, record)
     # each invocation adds one run to the file's list, so that every run
     # made stays in the record
     runs = []
@@ -487,12 +495,13 @@ def measure(args, sides):
 
 
 def _claim(text):
-    workload, _, metric = text.partition(":")
-    if workload not in WORKLOADS or metric not in METRICS:
+    section, _, metric = text.partition(":")
+    if metric not in CLAIMABLE.get(section, ()):
         raise argparse.ArgumentTypeError(
-            f"expected WORKLOAD:METRIC with a workload of {WORKLOADS} and a "
-            f"metric of {METRICS}, got {text!r}")
-    return workload, metric
+            "expected SECTION:METRIC, one of " + "; ".join(
+                f"{name}:{'|'.join(metrics)}"
+                for name, metrics in CLAIMABLE.items()) + f", got {text!r}")
+    return section, metric
 
 
 def main():
@@ -507,8 +516,9 @@ def main():
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
     ap.add_argument("--pool-runs", type=int, default=3)
     ap.add_argument("--claim", type=_claim,
-                    help="WORKLOAD:METRIC judged against the pair rule; "
-                         "without it the run judges no claim")
+                    help="WORKLOAD:METRIC or a section's SECTION:METRIC "
+                         "judged against the pair rule; without it the run "
+                         "judges no claim")
     args = ap.parse_args()
     if args.worker:
         kind, *rest = args.worker
@@ -516,8 +526,10 @@ def main():
         return
     if not args.parent or not args.out or bool(args.change) == args.aa:
         ap.error("--parent, --out and one of --change or --aa are required")
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
+    if min(args.pairs, args.pool_runs) < 2:
+        ap.error("--pairs and --pool-runs must be at least 2 for quartiles")
+    if args.aa and args.claim and args.claim[0] == "criterion7_pool":
+        ap.error("--aa records no criterion7_pool to claim on")
     parent = os.path.abspath(args.parent)
     if not args.aa:
         measure(args, {"parent": parent,

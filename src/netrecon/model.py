@@ -66,6 +66,13 @@ def _as_matrix(x, shape, name):
     return arr
 
 
+def _as_record(x):
+    """``x`` as a float array with one row per sample; a 1-D record is one
+    channel, so it becomes one column."""
+    arr = np.array(x, dtype=float)
+    return arr[:, None] if arr.ndim == 1 else np.atleast_2d(arr)
+
+
 @dataclass
 class StateSpaceModel:
     """Innovations-form LTI model (A, B, p, sigma, m0, R0, D).
@@ -136,7 +143,8 @@ class Dataset:
     """Simulated or measured input/output record.
 
     Y[k] is y(t_{k+1}) and U[k] is u(t_k) for k = 0..N-1, so U[k] drives
-    the transition into the sample stored in Y[k].
+    the transition into the sample stored in Y[k].  A 1-D ``Y`` or ``U``
+    is one channel: N rows of one column.
     """
 
     Y: np.ndarray
@@ -146,8 +154,8 @@ class Dataset:
     snr_db: float | None = None
 
     def __post_init__(self):
-        self.Y = np.atleast_2d(np.array(self.Y, dtype=float))
-        self.U = np.atleast_2d(np.array(self.U, dtype=float))
+        self.Y = _as_record(self.Y)
+        self.U = _as_record(self.U)
         if len(self.Y) != self.N or len(self.U) != self.N:
             raise ValueError("Y and U must both have N rows")
         if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.U))):
@@ -294,10 +302,10 @@ def simulate(model, N, input_kind="gaussian_iid", U_provided=None, snr_db=None, 
     """Simulate N output samples y(t_1..t_N) driven by u(t_0..t_{N-1}).
 
     With ``input_kind="gaussian_iid"`` the inputs are i.i.d. standard
-    normal; ``"provided"`` uses ``U_provided`` (N rows).  The feedthrough
-    input at the final sample, u(t_N), is not part of the recorded input
-    sequence; it is drawn in gaussian mode and taken as zero for provided
-    inputs (only relevant when D is nonzero).
+    normal; ``"provided"`` uses ``U_provided`` (N rows; a 1-D sequence is
+    one input).  The feedthrough input at the final sample, u(t_N), is not
+    part of the recorded input sequence; it is drawn in gaussian mode and
+    taken as zero for provided inputs (only relevant when D is nonzero).
 
     If ``snr_db`` is given, sigma is first rescaled by
     :func:`scale_noise_for_snr` so the channel-averaged output
@@ -312,7 +320,7 @@ def simulate(model, N, input_kind="gaussian_iid", U_provided=None, snr_db=None, 
     elif input_kind == "provided":
         if U_provided is None:
             raise ValueError("input_kind='provided' requires U_provided")
-        U = np.atleast_2d(np.array(U_provided, dtype=float))
+        U = _as_record(U_provided)
         if U.shape != (N, m):
             raise ValueError(f"U_provided must have shape ({N}, {m}), got {U.shape}")
         U_full = np.vstack([U, np.zeros((1, m))])
@@ -356,9 +364,13 @@ def scale_noise_for_snr(model, U, snr_db, seed=None):
     the variance of the noise contribution.  Both are estimated from one
     noise-free rollout and one unit-noise rollout from x0 = m0; since the
     system is linear, the noise contribution scales exactly with sigma.
-    ``snr_db`` must be above -inf (NaN is not); +inf gives sigma 0.
+    ``U`` has one row per sample and ``model.m`` columns (a 1-D ``U`` is
+    one input).  ``snr_db`` must be above -inf (NaN is not); +inf gives
+    sigma 0.
     """
-    U = np.atleast_2d(np.array(U, dtype=float))
+    U = _as_record(U)
+    if U.shape[1] != model.m:
+        raise ValueError(f"U must have {model.m} columns, got {U.shape[1]}")
     _check_simulation(len(U), snr_db)
     if model.spectral_radius() >= 1.0:
         raise ValueError("model must be stable to define a steady SNR")

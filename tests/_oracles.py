@@ -432,19 +432,14 @@ def rts_per_step(model, fp):
     J = np.zeros((N, n, n))
     x_sm[N] = fp.x_filt[N]
     P_sm[N] = fp.P_filt[N]
-    pinv_steps = []
     for k in range(N - 1, -1, -1):
-        PAt = fp.P_filt[k] @ A.T
-        try:
-            Jk = np.linalg.solve(fp.P_pred[k + 1].T, PAt.T).T
-        except np.linalg.LinAlgError:
-            Jk = PAt @ np.linalg.pinv(fp.P_pred[k + 1])
-            pinv_steps.append(k)
+        # a singular P_{k+1|k} raises LinAlgError, as the library's pass
+        # raises FilterDivergedError: neither has a pseudo-inverse step
+        Jk = np.linalg.solve(fp.P_pred[k + 1].T, (fp.P_filt[k] @ A.T).T).T
         J[k] = Jk
         x_sm[k] = fp.x_filt[k] + Jk @ (x_sm[k + 1] - fp.x_pred[k + 1])
         P_sm[k] = _sym(fp.P_filt[k] + Jk @ (P_sm[k + 1] - fp.P_pred[k + 1]) @ Jk.T)
-    return SmoothPass(x_sm=x_sm, P_sm=P_sm, J=J, M_sm=None,
-                      pinv_steps=tuple(pinv_steps))
+    return SmoothPass(x_sm=x_sm, P_sm=P_sm, J=J, M_sm=None)
 
 
 def lag_one_per_step(model, fp, sp):

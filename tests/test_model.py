@@ -514,6 +514,39 @@ def test_dataset_validation():
         Dataset(Y=np.array([[np.inf]]), U=np.zeros((1, 1)), N=1)
 
 
+# a 1-D record is one channel of N samples, never one sample of N channels
+
+def test_dataset_reads_a_1d_record_as_one_column():
+    rng = np.random.default_rng(20)
+    Y, U = rng.normal(size=50), rng.normal(size=50)
+    data = Dataset(Y=Y, U=U, N=50)
+    assert (data.p, data.m) == (1, 1)
+    assert np.array_equal(data.Y, Y[:, None])
+    assert np.array_equal(data.U, U[:, None])
+
+
+def test_simulate_reads_1d_provided_inputs_as_one_column():
+    rng = np.random.default_rng(21)
+    model = small_model(rng, n=2, p=1, m=1)
+    U = rng.normal(size=50)
+    data = simulate(model, 50, input_kind="provided", U_provided=U,
+                    snr_db=10.0, seed=6)
+    ref = simulate(model, 50, input_kind="provided", U_provided=U[:, None],
+                   snr_db=10.0, seed=6)
+    assert np.array_equal(data.U, U[:, None])
+    assert np.array_equal(data.Y, ref.Y)
+
+
+def test_scale_noise_reads_1d_inputs_as_one_column():
+    rng = np.random.default_rng(22)
+    model = small_model(rng, n=2, p=1, m=1)
+    U = rng.normal(size=50)
+    assert scale_noise_for_snr(model, U, snr_db=10.0, seed=5) == \
+        scale_noise_for_snr(model, U[:, None], snr_db=10.0, seed=5)
+    with pytest.raises(ValueError, match="U must have 1 columns, got 2"):
+        scale_noise_for_snr(model, np.ones((50, 2)), snr_db=10.0, seed=5)
+
+
 def test_model_validation():
     with pytest.raises(ValueError, match=r"need 1 <= p <= n, got n=2, p=3"):
         StateSpaceModel(A=np.eye(2) * 0.5, B=np.eye(2), p=3, sigma=1.0,
